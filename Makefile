@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test bench-smoke bench bench-json bench-diff alloc-gate stress-smoke grain-smoke race
+.PHONY: check build vet test bench-smoke bench bench-quick bench-json bench-diff alloc-gate stress-smoke grain-smoke race
 
 check: build vet test bench-smoke
 
@@ -20,6 +20,13 @@ test:
 # the gate.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'EngineScheduleStep|PartitionWindow|ReorderStage$$|BatchBoundary|FarmUnordered|ExecRunItems' -benchmem -benchtime 100x .
+
+# The benchmark's correctness check as a gate (the CI bench-quick
+# step): a short, ~1/20-size pass over three live workloads. Every
+# output is compared with the closed-form reference and the run exits 1
+# on any difference; the numbers of a -quick run are not comparable.
+bench-quick:
+	bash benchmark/run.sh -quick -seconds 1 -workloads chain_light,chain_batched,open_poisson
 
 # The full benchmark suite: every experiment + every micro-benchmark.
 bench:

@@ -486,36 +486,10 @@ func (p *Pipeline) Process(ctx context.Context, inputs []any) ([]any, error) {
 		return lp.Process(ctx, inputs)
 	}
 	p.mu.Unlock()
-	// Run is wired before the feeder starts: if Run refuses (say, an
-	// unreplicable pipeline under an adaptive policy) the feeder must
-	// not be left blocked on a channel nobody will ever read.
-	in := make(chan any)
-	out, errs, err := p.Run(ctx, in)
-	if err != nil {
-		close(in)
-		return nil, err
-	}
-	go func() {
-		defer close(in)
-		for _, v := range inputs {
-			select {
-			case in <- v:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	var results []any
-	for v := range out {
-		results = append(results, v)
-	}
-	if err := <-errs; err != nil {
-		return nil, err
-	}
-	if len(results) != len(inputs) {
-		return nil, fmt.Errorf("gridpipe: %d outputs for %d inputs", len(results), len(inputs))
-	}
-	return results, nil
+	// Collect wires Run before it starts the feeder: if Run refuses
+	// (say, an unreplicable pipeline under an adaptive policy) no
+	// goroutine is left blocked on a channel nobody will ever read.
+	return pipeline.Collect(ctx, inputs, p.Run)
 }
 
 // Run starts the pipeline live over a stream. See

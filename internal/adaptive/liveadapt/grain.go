@@ -6,8 +6,8 @@ import (
 
 // GrainTarget is the optional second actuator surface: targets whose
 // stage boundaries move batches expose their batch size for the
-// controller to walk. *pipeline.Pipeline (with EnableBatch) and
-// *farm.Farm both satisfy it.
+// controller to walk. *pipeline.Pipeline and *farm.Farm both satisfy
+// it.
 type GrainTarget interface {
 	// Grain returns the current boundary batch size.
 	Grain() int

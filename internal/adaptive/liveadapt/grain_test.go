@@ -2,6 +2,7 @@ package liveadapt
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -26,6 +27,11 @@ func (f *grainFake) SetGrain(n int) error {
 	f.grain = n
 	return nil
 }
+
+// refusingGrain is a grain surface that cannot be actuated.
+type refusingGrain struct{ *grainFake }
+
+func (refusingGrain) SetGrain(int) error { return errors.New("grain is fixed") }
 
 // drive advances the walker through ticks spaced one cooldown apart,
 // crediting completions at rate(grain) between ticks.
@@ -175,15 +181,21 @@ func TestAdaptGrainConstructionChecks(t *testing.T) {
 	if _, err := newController(newFake(1), nil, Config{Policy: adaptive.PolicyPeriodic, AdaptGrain: true}); err == nil {
 		t.Fatal("AdaptGrain over a grainless target should fail")
 	}
-	// An unbatched pipeline rejects SetGrain → construction error.
+	// A target that refuses its own grain → construction error.
+	if _, err := newController(refusingGrain{&grainFake{fakeTarget: newFake(1), grain: 1}}, nil, Config{Policy: adaptive.PolicyPeriodic, AdaptGrain: true}); err == nil {
+		t.Fatal("AdaptGrain over a target that rejects SetGrain should fail")
+	}
+	// A pipeline nobody configured starts the walk at grain 1.
 	p, err := pipeline.New(pipeline.Stage{Name: "s", Fn: pipeline.Func(identityFn), Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ForPipeline(p, nil, Config{Policy: adaptive.PolicyPeriodic, AdaptGrain: true}); err == nil {
-		t.Fatal("AdaptGrain over an unbatched pipeline should fail")
+	if ctrl, err := ForPipeline(p, nil, Config{Policy: adaptive.PolicyPeriodic, AdaptGrain: true}); err != nil {
+		t.Fatal(err)
+	} else if ctrl.Grain() != 1 {
+		t.Fatalf("Grain() = %d, want 1", ctrl.Grain())
 	}
-	// A batched pipeline arms it.
+	// EnableBatch moves the starting point.
 	p2, err := pipeline.New(pipeline.Stage{Name: "s", Fn: pipeline.Func(identityFn), Replicas: 1})
 	if err != nil {
 		t.Fatal(err)

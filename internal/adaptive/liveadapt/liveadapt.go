@@ -121,8 +121,7 @@ type Config struct {
 	// batch) in doubling and halving steps paced by Cooldown, keeping
 	// a step whose observed throughput clears the hysteresis margin
 	// and reverting one that costs it (see grainWalk). Requires a
-	// target whose grain is actuable — a pipeline with EnableBatch or
-	// a farm. PolicyStatic never ticks, so grain stays fixed under it.
+	// target that exposes a grain — a pipeline or a farm. PolicyStatic never ticks, so grain stays fixed under it.
 	AdaptGrain bool
 	// MaxGrain bounds the walked batch size (default 256).
 	MaxGrain int
@@ -227,10 +226,12 @@ func newController(target Target, info []StageInfo, cfg Config) (*Controller, er
 		if !ok {
 			return nil, fmt.Errorf("liveadapt: AdaptGrain target exposes no grain surface")
 		}
-		// Probe actuability now: an unbatched pipeline rejects SetGrain,
-		// and failing at construction beats panicking mid-run.
+		// Probe actuability now: every pipeline and farm accepts its own
+		// current grain, but GrainTarget is an interface and another
+		// implementation may refuse — failing at construction beats
+		// panicking mid-run.
 		if err := gt.SetGrain(gt.Grain()); err != nil {
-			return nil, fmt.Errorf("liveadapt: AdaptGrain: %w (enable batching first)", err)
+			return nil, fmt.Errorf("liveadapt: AdaptGrain: %w", err)
 		}
 		hg := cfg.HysteresisGain
 		if hg <= 1 {

@@ -135,13 +135,13 @@ func (m *seedMeter) record(d time.Duration) {
 func benchSeedReorderStage(b *testing.B) {
 	const replicas = 8
 	ctx := context.Background()
-	type seqItem struct {
+	type seedItem struct {
 		seq int
 		v   any
 	}
-	in := make(chan seqItem, 256)
-	out := make(chan seqItem, 64)
-	done := make(chan seqItem, 16)
+	in := make(chan seedItem, 256)
+	out := make(chan seedItem, 64)
+	done := make(chan seedItem, 16)
 	lim := &seedLimiter{limit: replicas}
 	lim.cond = sync.NewCond(&lim.mu)
 	met := &seedMeter{}
@@ -160,7 +160,7 @@ func benchSeedReorderStage(b *testing.B) {
 				}
 				delete(pending, next)
 				select {
-				case out <- seqItem{next, v}:
+				case out <- seedItem{next, v}:
 					next++
 				case <-ctx.Done():
 					return
@@ -172,7 +172,7 @@ func benchSeedReorderStage(b *testing.B) {
 	go func() { // dispatcher, as seeded: goroutine per item
 		var workers sync.WaitGroup
 		for {
-			var it seqItem
+			var it seedItem
 			var ok bool
 			select {
 			case it, ok = <-in:
@@ -184,14 +184,14 @@ func benchSeedReorderStage(b *testing.B) {
 			}
 			lim.acquire()
 			workers.Add(1)
-			go func(it seqItem) {
+			go func(it seedItem) {
 				defer workers.Done()
 				defer lim.release()
 				t0 := time.Now()
 				v := it.v // identity stage function
 				met.record(time.Since(t0))
 				select {
-				case done <- seqItem{it.seq, v}:
+				case done <- seedItem{it.seq, v}:
 				case <-ctx.Done():
 				}
 			}(it)
@@ -206,7 +206,7 @@ func benchSeedReorderStage(b *testing.B) {
 	b.ResetTimer()
 	go func() {
 		for i := 0; i < b.N; i++ {
-			in <- seqItem{seq: i}
+			in <- seedItem{seq: i}
 		}
 		close(in)
 	}()

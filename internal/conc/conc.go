@@ -1,7 +1,9 @@
 // Package conc provides the small concurrency primitives shared by the
-// live skeletons (pipeline and farm): a resizable concurrency limiter
+// live skeletons (pipeline and farm): a resizable concurrency limiter —
+// a stage's replica count is the number of its slabs in flight on the
+// shared executor (internal/conc/steal), not a pool of goroutines —
 // and an atomic service-time meter. Both are tuned for the per-item hot
-// path — the limiter wakes exactly one waiter per release instead of
+// path: the limiter wakes exactly one waiter per release instead of
 // broadcasting to all of them, and the meter records a sample with
 // three atomic operations instead of taking a mutex.
 package conc
@@ -31,18 +33,14 @@ func NewLimiter(n int) *Limiter {
 	return l
 }
 
-// Acquire blocks until a slot is free, then takes it, returning the
-// number of slots now held (this one included). The count lets a
-// dispatcher size a worker pool without a second lock acquisition.
-func (l *Limiter) Acquire() int {
+// Acquire blocks until a slot is free, then takes it.
+func (l *Limiter) Acquire() {
 	l.mu.Lock()
 	for l.inUse >= l.limit {
 		l.cond.Wait()
 	}
 	l.inUse++
-	n := l.inUse
 	l.mu.Unlock()
-	return n
 }
 
 // Release frees a slot, waking one waiter. Waking exactly one is
@@ -78,57 +76,6 @@ func (l *Limiter) InUse() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.inUse
-}
-
-// Pool is a lazily-grown pool of persistent workers bounded by a
-// Limiter: Submit admits an item through the limiter, growing the
-// pool by one worker whenever every live worker is busy, so the pool
-// converges on the limit's high-water mark and no goroutine is ever
-// spawned per item in steady state.
-//
-// Submit must be called from a single dispatcher goroutine; workers
-// run the process function concurrently. The limiter may be resized
-// while the pool runs. Close after the last Submit; it waits for all
-// submitted items to finish processing.
-type Pool[T any] struct {
-	lim     *Limiter
-	work    chan T
-	workers sync.WaitGroup
-	spawned int
-	process func(T)
-}
-
-// NewPool builds a pool whose workers run process on each submitted
-// item. The buffer lets the dispatcher run ahead of the workers; the
-// limiter, not the buffer, bounds concurrency.
-func NewPool[T any](lim *Limiter, buffer int, process func(T)) *Pool[T] {
-	return &Pool[T]{lim: lim, work: make(chan T, buffer), process: process}
-}
-
-// Submit blocks until the limiter admits the item, then queues it for
-// a worker. The worker releases the limiter slot when process returns.
-func (p *Pool[T]) Submit(v T) {
-	if inUse := p.lim.Acquire(); p.spawned < inUse {
-		// Fewer workers than admitted in-flight items: grow by one.
-		p.workers.Add(1)
-		go p.worker()
-		p.spawned++
-	}
-	p.work <- v
-}
-
-func (p *Pool[T]) worker() {
-	defer p.workers.Done()
-	for v := range p.work {
-		p.process(v)
-		p.lim.Release()
-	}
-}
-
-// Close stops intake and waits for every submitted item to finish.
-func (p *Pool[T]) Close() {
-	close(p.work)
-	p.workers.Wait()
 }
 
 // Meter is a goroutine-safe service-time accumulator with atomic

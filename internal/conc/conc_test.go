@@ -144,69 +144,6 @@ func TestLimiterShrinkTakesEffect(t *testing.T) {
 	l.Release()
 }
 
-func TestPoolProcessesAllAndBoundsConcurrency(t *testing.T) {
-	lim := NewLimiter(3)
-	var cur, peak, sum atomic.Int64
-	pool := NewPool(lim, 8, func(v int) {
-		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
-		time.Sleep(50 * time.Microsecond)
-		sum.Add(int64(v))
-		cur.Add(-1)
-	})
-	const items = 500
-	want := int64(0)
-	for i := 0; i < items; i++ {
-		pool.Submit(i)
-		want += int64(i)
-	}
-	pool.Close()
-	if got := sum.Load(); got != want {
-		t.Fatalf("sum = %d, want %d", got, want)
-	}
-	if p := peak.Load(); p > 3 {
-		t.Fatalf("peak concurrency %d over limit 3", p)
-	}
-	if lim.InUse() != 0 {
-		t.Fatalf("InUse = %d after Close", lim.InUse())
-	}
-}
-
-func TestPoolGrowsWithResize(t *testing.T) {
-	lim := NewLimiter(1)
-	release := make(chan struct{})
-	var cur, peak atomic.Int64
-	pool := NewPool(lim, 0, func(v int) {
-		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
-		<-release
-		cur.Add(-1)
-	})
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		lim.SetLimit(4)
-		time.Sleep(5 * time.Millisecond)
-		close(release)
-	}()
-	for i := 0; i < 8; i++ {
-		pool.Submit(i)
-	}
-	pool.Close()
-	if p := peak.Load(); p < 2 || p > 4 {
-		t.Fatalf("peak concurrency %d, want in [2,4] after grow to 4", p)
-	}
-}
-
 func TestMeter(t *testing.T) {
 	var m Meter
 	if c, mean, max := m.Snapshot(); c != 0 || mean != 0 || max != 0 {

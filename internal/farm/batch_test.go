@@ -15,6 +15,7 @@ import (
 )
 
 func TestBatchedUnorderedDeliversAll(t *testing.T) {
+	watchGoroutines(t)
 	for _, batch := range []int{2, 7, 64} {
 		f, err := New(func(_ context.Context, v any) (any, error) {
 			return v.(int) * 3, nil
@@ -44,6 +45,7 @@ func TestBatchedUnorderedDeliversAll(t *testing.T) {
 }
 
 func TestBatchedOrderedPreservesOrder(t *testing.T) {
+	watchGoroutines(t)
 	f, err := New(func(_ context.Context, v any) (any, error) {
 		return v.(int) + 100, nil
 	}, Options{Workers: 4, Batch: 16})
@@ -66,6 +68,7 @@ func TestBatchedOrderedPreservesOrder(t *testing.T) {
 }
 
 func TestBatchValidation(t *testing.T) {
+	watchGoroutines(t)
 	ident := func(_ context.Context, v any) (any, error) { return v, nil }
 	if _, err := New(ident, Options{Batch: -1}); err == nil {
 		t.Error("negative batch accepted")
@@ -89,43 +92,55 @@ func TestBatchValidation(t *testing.T) {
 }
 
 func TestSetBatchWhileRunning(t *testing.T) {
-	f, err := New(func(_ context.Context, v any) (any, error) {
-		return v, nil
-	}, Options{Workers: 2, Unordered: true, Batch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := make(chan any)
-	out, errs := f.Run(context.Background(), in)
-	go func() {
-		defer close(in)
-		for i := 0; i < 300; i++ {
-			in <- i
-			if i == 100 {
-				if err := f.SetBatch(1); err != nil {
-					panic(err)
-				}
-			}
-			if i == 200 {
-				if err := f.SetBatch(32); err != nil {
-					panic(err)
-				}
-			}
+	watchGoroutines(t)
+	// The ordered farm starts at the default batch of 1: SetBatch works
+	// on it all the same, there is no batched wiring to have opted into.
+	for _, opts := range []Options{
+		{Workers: 2, Unordered: true, Batch: 4},
+		{Workers: 2},
+	} {
+		f, err := New(func(_ context.Context, v any) (any, error) {
+			return v, nil
+		}, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	count := 0
-	for range out {
-		count++
-	}
-	if err := <-errs; err != nil {
-		t.Fatal(err)
-	}
-	if count != 300 {
-		t.Fatalf("lost items: %d of 300", count)
+		in := make(chan any)
+		out, errs := f.Run(context.Background(), in)
+		go func() {
+			defer close(in)
+			for i := 0; i < 300; i++ {
+				in <- i
+				if i == 100 {
+					if err := f.SetBatch(1); err != nil {
+						panic(err)
+					}
+				}
+				if i == 200 {
+					if err := f.SetBatch(32); err != nil {
+						panic(err)
+					}
+				}
+			}
+		}()
+		count := 0
+		for range out {
+			count++
+		}
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+		if count != 300 {
+			t.Fatalf("unordered=%v: lost items: %d of 300", opts.Unordered, count)
+		}
+		if f.Batch() != 32 {
+			t.Errorf("unordered=%v: Batch() = %d after SetBatch(32)", opts.Unordered, f.Batch())
+		}
 	}
 }
 
 func TestBatchedErrorPropagation(t *testing.T) {
+	watchGoroutines(t)
 	boom := fmt.Errorf("boom")
 	f, err := New(func(_ context.Context, v any) (any, error) {
 		if v.(int) == 37 {
@@ -146,6 +161,7 @@ func TestBatchedErrorPropagation(t *testing.T) {
 }
 
 func TestFarmTrickleNeverWaitsLongerThanLinger(t *testing.T) {
+	watchGoroutines(t)
 	const (
 		batch  = 64
 		linger = 10 * time.Millisecond
@@ -195,6 +211,7 @@ func TestFarmTrickleNeverWaitsLongerThanLinger(t *testing.T) {
 // running ordered farm must stay race-free and never drop or reorder
 // a task.
 func TestFarmBatchWorkersConcurrent(t *testing.T) {
+	watchGoroutines(t)
 	f, err := New(func(_ context.Context, v any) (any, error) {
 		return v, nil
 	}, Options{Workers: 2, Buffer: 16, Batch: 4})

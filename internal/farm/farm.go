@@ -9,12 +9,12 @@
 // action, exposed as a standalone skeleton so applications that are a
 // single parallel stage need not wrap themselves in a pipeline.
 //
-// Like the pipeline, the unordered hot path runs persistent workers
-// (no goroutine per task) and records service times in an atomic
-// meter (no mutex per task). Ordered mode delegates to a one-stage
-// pipeline — the degenerate chain of the stage-graph runtime
-// (internal/topo), so a farm is literally a single graph node wired
-// source→stage→sink.
+// Like the pipeline, the unordered hot path runs its tasks on the shared
+// work-stealing executor (no goroutine per task; the worker count is an
+// in-flight limit) and records service times in an atomic meter (no
+// mutex per task). Ordered mode delegates to a one-stage pipeline — the
+// degenerate chain of the stage-graph runtime (internal/topo), so a
+// farm is literally a single graph node wired source→stage→sink.
 package farm
 
 import (
@@ -120,10 +120,6 @@ type Options struct {
 	// before being dispatched anyway (default pipeline.DefaultLinger;
 	// only meaningful with Batch > 1).
 	Linger time.Duration
-	// DisableExecutor runs the farm on dedicated workers instead of the
-	// shared work-stealing executor — the pre-executor wiring, kept as
-	// the oracle half of the executor equivalence property.
-	DisableExecutor bool
 }
 
 // Stats is a snapshot of the farm's counters.
@@ -196,29 +192,19 @@ func (f *Farm) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-chan e
 			// New validated everything that pipeline.New checks.
 			panic(fmt.Sprintf("farm: internal construction error: %v", err))
 		}
-		if f.opts.Batch > 1 {
-			if err := pl.EnableBatch(f.opts.Batch, f.opts.Linger); err != nil {
-				panic(fmt.Sprintf("farm: internal construction error: %v", err))
-			}
-		}
-		if f.opts.DisableExecutor {
-			pl.DisableExecutor()
+		if err := pl.EnableBatch(f.opts.Batch, f.opts.Linger); err != nil {
+			panic(fmt.Sprintf("farm: internal construction error: %v", err))
 		}
 		f.pl = pl
 		f.mu.Unlock()
 		return pl.Run(ctx, inputs)
 	}
 
-	// Unordered mode: submissions run on the shared work-stealing
-	// executor (or, DisableExecutor, a dedicated resizable pool of
-	// persistent workers). The option fields are captured under the
-	// lock: a concurrent SetWorkers may rewrite opts.Workers the
-	// instant Run releases it (the limiter, not the pool buffer,
-	// bounds concurrency anyway).
+	// Unordered mode. The option fields are captured under the lock: a
+	// concurrent SetWorkers may rewrite opts.Workers the instant Run
+	// releases it.
 	f.limit = conc.NewLimiter(f.opts.Workers)
-	outBuf, poolBuf := f.opts.Buffer, 2*f.opts.Workers
-	linger := f.opts.Linger
-	noExec := f.opts.DisableExecutor
+	outBuf, linger := f.opts.Buffer, f.opts.Linger
 	f.mu.Unlock()
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -238,10 +224,10 @@ func (f *Farm) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-chan e
 	// default — no slab machinery on the per-task fast path) or in
 	// pooled slabs of up to the current batch size (SetBatch adjusts
 	// it live), flushed early when the oldest queued task has
-	// lingered. A worker pays the limiter and channel hop once per
-	// submission and records its service in one RecordN. Slabs travel
-	// as the unexported pointer type taskSlab, which no user task can
-	// alias, so the worker's type switch is unambiguous.
+	// lingered. A submission pays the limiter and the executor handoff
+	// once and records its service in one RecordN. Slabs travel as the
+	// unexported pointer type taskSlab, which no user task can alias,
+	// so the task's type switch is unambiguous.
 	var slabs sync.Pool
 	recycle := func(slab taskSlab) {
 		clear(*slab)
@@ -249,126 +235,79 @@ func (f *Farm) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-chan e
 		slabs.Put(slab)
 	}
 
-	// submit hands one task (or slab) to a worker; finish waits for the
-	// in-flight work to drain, called once by the dispatcher before the
-	// output closes.
-	var submit func(x any)
-	var finish func()
-	if noExec {
-		pool := conc.NewPool(f.limit, poolBuf, func(x any) {
-			t0 := time.Now()
-			slab, ok := x.(taskSlab)
+	// Submissions run as tasks on the shared work-stealing executor.
+	// Tasks never block (see internal/conc/steal) — results land in a
+	// completion-order queue and the farm's drainer goroutine owns the
+	// blocking sends plus the limiter release, so a slow consumer
+	// backpressures the dispatcher without parking a shared worker.
+	ex := steal.Default()
+	var inFlight sync.WaitGroup
+	q := &unitQueue{notify: make(chan struct{}, 1)}
+	drainDone := make(chan struct{})
+	go func() { // drainer
+		defer close(drainDone)
+		dead := false // cancellation truncates the stream
+		for {
+			u, ok := q.next()
 			if !ok {
-				r, err := f.fn(ctx, x)
-				f.meter.RecordN(1, time.Since(t0))
-				if err != nil {
-					fail(fmt.Errorf("farm: %w", err))
-					return
-				}
-				select {
-				case out <- r:
-				case <-ctx.Done():
-				}
 				return
 			}
-			done := 0
-			for _, v := range *slab {
-				r, err := f.fn(ctx, v)
-				done++
-				if err != nil {
-					f.meter.RecordN(int64(done), time.Since(t0))
-					fail(fmt.Errorf("farm: %w", err))
-					recycle(slab)
-					return
-				}
+			if u.send && !dead {
 				select {
-				case out <- r:
+				case out <- u.v:
 				case <-ctx.Done():
-					f.meter.RecordN(int64(done), time.Since(t0))
-					recycle(slab)
-					return
+					dead = true
 				}
 			}
-			f.meter.RecordN(int64(done), time.Since(t0))
-			recycle(slab)
-		})
-		submit = pool.Submit
-		finish = pool.Close
-	} else {
-		// Executor mode: tasks never block (see internal/conc/steal) —
-		// results land in a completion-order queue and the farm's
-		// drainer goroutine owns the blocking sends plus the limiter
-		// release, so a slow consumer backpressures the dispatcher
-		// without parking a shared worker.
-		ex := steal.Default()
-		var inFlight sync.WaitGroup
-		q := &unitQueue{notify: make(chan struct{}, 1)}
-		drainDone := make(chan struct{})
-		go func() { // drainer
-			defer close(drainDone)
-			dead := false // cancellation truncates the stream
-			for {
-				u, ok := q.next()
-				if !ok {
-					return
-				}
-				if u.send && !dead {
-					select {
-					case out <- u.v:
-					case <-ctx.Done():
-						dead = true
-					}
-				}
-				if u.release {
-					f.limit.Release()
-					inFlight.Done()
-				}
+			if u.release {
+				f.limit.Release()
+				inFlight.Done()
 			}
-		}()
-		taskFn := func(x any) {
-			t0 := time.Now()
-			slab, ok := x.(taskSlab)
-			if !ok {
-				r, err := f.fn(ctx, x)
-				f.meter.RecordN(1, time.Since(t0))
-				if err != nil {
-					fail(fmt.Errorf("farm: %w", err))
-					q.put(unit{release: true})
-					return
-				}
-				q.put(unit{v: r, send: true, release: true})
+		}
+	}()
+	taskFn := func(x any) {
+		t0 := time.Now()
+		slab, ok := x.(taskSlab)
+		if !ok {
+			r, err := f.fn(ctx, x)
+			f.meter.RecordN(1, time.Since(t0))
+			if err != nil {
+				fail(fmt.Errorf("farm: %w", err))
+				q.put(unit{release: true})
 				return
 			}
-			done, n := 0, len(*slab)
-			for i, v := range *slab {
-				r, err := f.fn(ctx, v)
-				done++
-				if err != nil {
-					f.meter.RecordN(int64(done), time.Since(t0))
-					fail(fmt.Errorf("farm: %w", err))
-					recycle(slab)
-					q.put(unit{release: true})
-					return
-				}
-				q.put(unit{v: r, send: true, release: i == n-1})
+			q.put(unit{v: r, send: true, release: true})
+			return
+		}
+		done, n := 0, len(*slab)
+		for i, v := range *slab {
+			r, err := f.fn(ctx, v)
+			done++
+			if err != nil {
+				f.meter.RecordN(int64(done), time.Since(t0))
+				fail(fmt.Errorf("farm: %w", err))
+				recycle(slab)
+				q.put(unit{release: true})
+				return
 			}
-			f.meter.RecordN(int64(done), time.Since(t0))
-			recycle(slab)
+			q.put(unit{v: r, send: true, release: i == n-1})
 		}
-		submit = func(x any) {
-			f.limit.Acquire()
-			inFlight.Add(1)
-			ex.Submit(steal.Task{Fn: taskFn, Arg: x})
-		}
-		finish = func() {
-			inFlight.Wait()
-			q.close()
-			<-drainDone
-		}
+		f.meter.RecordN(int64(done), time.Since(t0))
+		recycle(slab)
+	}
+	// submit hands one task (or slab) to the executor.
+	submit := func(x any) {
+		f.limit.Acquire()
+		inFlight.Add(1)
+		ex.Submit(steal.Task{Fn: taskFn, Arg: x})
 	}
 	go func() {
 		defer func() {
-			finish()
+			// Wait for the in-flight work and the drainer before the
+			// output closes.
+			inFlight.Wait()
+			q.close()
+			<-drainDone
 			if firstErr == nil && ctx.Err() != nil {
 				firstErr = ctx.Err()
 			}
@@ -445,36 +384,15 @@ func (f *Farm) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-chan e
 // Process runs the farm over a slice. In ordered mode the outputs align
 // with the inputs; in unordered mode they arrive in completion order.
 func (f *Farm) Process(ctx context.Context, inputs []any) ([]any, error) {
-	in := make(chan any)
-	go func() {
-		defer close(in)
-		for _, v := range inputs {
-			select {
-			case in <- v:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	out, errs := f.Run(ctx, in)
-	var results []any
-	for v := range out {
-		results = append(results, v)
-	}
-	if err := <-errs; err != nil {
-		return nil, err
-	}
-	if len(results) != len(inputs) {
-		return nil, fmt.Errorf("farm: %d outputs for %d inputs", len(results), len(inputs))
-	}
-	return results, nil
+	return pipeline.Collect(ctx, inputs, func(ctx context.Context, in <-chan any) (<-chan any, <-chan error, error) {
+		out, errs := f.Run(ctx, in)
+		return out, errs, nil
+	})
 }
 
 // SetBatch changes the dispatch batch size (minimum 1); callable while
 // running — the grain counterpart of SetWorkers, used by the live
-// adaptive controller's granularity actuator. In ordered mode it
-// requires the farm to have been built with Batch > 1 (the batched
-// wiring is chosen at Run).
+// adaptive controller's granularity actuator.
 func (f *Farm) SetBatch(n int) error {
 	if n < 1 {
 		return fmt.Errorf("farm: SetBatch(%d) below 1", n)

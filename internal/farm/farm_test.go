@@ -108,6 +108,8 @@ func TestUnorderedParallelism(t *testing.T) {
 }
 
 func TestErrorPropagation(t *testing.T) {
+	// Process must not leave its feeder blocked when the run fails.
+	watchGoroutines(t)
 	boom := errors.New("boom")
 	for _, unordered := range []bool{false, true} {
 		f, err := New(func(ctx context.Context, v any) (any, error) {

@@ -1,37 +1,34 @@
-// Batched stage boundaries: the granularity-adaptation half of the
-// live runtime (the paper's central knob, applied to goroutines and
-// channels instead of grid transfers).
+// Slabs and granularity: the unit that crosses every stage boundary,
+// and the knob that sizes it (the paper's central knob, applied to
+// goroutines and channels instead of grid transfers).
 //
-// With batching enabled (EnableBatch), the unit that crosses every
-// stage boundary is a *batch — a pooled slab of consecutively-
-// sequenced items — instead of one seqItem per item. Every boundary
-// cost that the per-item path pays per item (channel send/receive,
-// limiter acquire/release, reorder-ring bookkeeping, worker wake-up)
-// is then paid once per batch and amortised over its items, which is
+// Every boundary carries a *batch — a pooled slab of consecutively-
+// sequenced items. Every boundary cost (channel send/receive, limiter
+// acquire/release, executor handoff, reorder-ring bookkeeping, drainer
+// wake-up) is paid once per slab and amortised over its items, which is
 // exactly the fixed-overhead amortisation argument the cost model's
-// BatchOverhead term captures (internal/model).
+// BatchOverhead term captures (internal/model). Grain 1, the default,
+// is a slab of one: the same path, paying the boundary per item.
 //
 // Invariants:
 //
-//   - batches are formed exactly once, at the head; every stage maps
-//     one input batch to one output batch of the same index, first
-//     sequence number, and length, so batch boundaries stay aligned
-//     along every path of the stage graph and a fan-in zips its
-//     in-streams batch-by-batch;
-//   - the head flushes a batch when it reaches the current grain
+//   - slabs are formed at the head (and re-formed only on bridge edges,
+//     see edgegrain.go); every stage maps one input slab to one output
+//     slab of the same index, first sequence number, and length, so
+//     slab boundaries stay aligned along every path of the stage graph
+//     and a fan-in zips its in-streams slab-by-slab;
+//   - the head flushes a slab when it reaches the current grain
 //     (SetGrain, readable while running — the adaptive controller's
 //     second actuator dimension) or when the oldest item in it has
-//     lingered for the linger timeout, so a trickle input keeps
-//     bounded latency: downstream boundaries never hold a batch, which
-//     makes the head's linger the only batching wait anywhere;
-//   - slabs are reference-counted (a broadcast shares one batch among
-//     all out-edges) and recycled through a sync.Pool, so the steady-
-//     state boundary performs no per-item and no per-batch heap
-//     allocation;
-//   - ordered output is byte-identical to the per-item path: stages
-//     process a batch's items in sequence order and batches are
-//     restored to index order at every boundary, so Run/Process emit
-//     the same values in the same order for every grain and linger.
+//     lingered for the linger timeout, so a trickle input keeps bounded
+//     latency; the linger clock starts only when a slab is opened and
+//     is not already full, so a slab of one never touches the timer;
+//   - slabs are reference-counted (a broadcast shares one among all
+//     out-edges) and recycled through a sync.Pool, so the steady-state
+//     boundary performs no per-item and no per-slab heap allocation;
+//   - ordered output does not depend on grain or linger: stages process
+//     a slab's items in sequence order and slabs are restored to index
+//     order at every boundary.
 package pipeline
 
 import (
@@ -42,7 +39,6 @@ import (
 	"time"
 
 	"gridpipe/internal/conc"
-	"gridpipe/internal/conc/steal"
 	"gridpipe/internal/ring"
 )
 
@@ -52,9 +48,9 @@ const DefaultLinger = time.Millisecond
 
 // batch is a pooled slab of consecutively-sequenced items crossing a
 // stage boundary together. seq is the sequence number of items[0];
-// idx counts batches 0,1,2,… in head order (the reorder key). refs is
+// idx counts slabs 0,1,2,… in head order (the reorder key). refs is
 // the number of consumers still holding the slab — a broadcast hands
-// the same batch to every out-edge. eager marks a batch flushed by
+// the same slab to every out-edge. eager marks a slab flushed by
 // linger, end-of-input, or an idle input: every stage propagates it,
 // and a coarsening per-edge boundary (edgegrain.go) flushes its
 // accumulator on seeing it instead of waiting to fill — which keeps
@@ -94,11 +90,10 @@ func (p *Pipeline) releaseBatch(b *batch) {
 	p.slabs.Put(b)
 }
 
-// EnableBatch arms batched stage boundaries before Run: items cross
+// EnableBatch sets the grain and linger before Run: items cross
 // boundaries in slabs of up to grain items, flushed early when the
 // oldest item has waited linger (linger <= 0 picks DefaultLinger).
-// The grain is adjustable while running via SetGrain; the wiring
-// choice (batched vs per-item) is fixed at Run.
+// The grain is adjustable while running via SetGrain.
 func (p *Pipeline) EnableBatch(grain int, linger time.Duration) error {
 	if grain < 1 {
 		return fmt.Errorf("pipeline: EnableBatch grain %d below 1", grain)
@@ -111,563 +106,257 @@ func (p *Pipeline) EnableBatch(grain int, linger time.Duration) error {
 	if p.ran {
 		return fmt.Errorf("pipeline: EnableBatch after Run")
 	}
-	p.batchOn = true
-	p.grain.Store(int64(grain))
 	p.linger.Store(int64(linger))
-	return nil
+	return p.SetGrain(grain)
 }
 
-// SetGrain adjusts the batch size items travel in (minimum 1). Safe to
-// call while the pipeline runs — the head applies it to the next batch
-// it opens — which makes grain a live actuator dimension alongside
-// SetReplicas. It requires EnableBatch: the per-item wiring has no
-// batch boundary to resize.
+// SetGrain adjusts the slab size items travel in (minimum 1). Safe to
+// call while the pipeline runs — the head applies it to the slab it is
+// filling — which makes grain a live actuator dimension alongside
+// SetReplicas. Every boundary moves together: on a per-edge pipeline
+// (EnableBatchEdges) that is the uniform vector, which is always valid.
 func (p *Pipeline) SetGrain(n int) error {
 	if n < 1 {
 		return fmt.Errorf("pipeline: SetGrain(%d) below 1", n)
 	}
-	if !p.batchOn {
-		return fmt.Errorf("pipeline: SetGrain without EnableBatch")
-	}
-	p.grain.Store(int64(n))
-	// On a per-edge pipeline a single global SetGrain means "uniform":
-	// every boundary moves together, which is always a valid vector.
-	if p.edgeGrains != nil {
-		for b := range p.edgeGrains {
-			p.edgeGrains[b].Store(int64(n))
-		}
+	for b := range p.grains {
+		p.grains[b].Store(int64(n))
 	}
 	return nil
 }
 
-// Grain returns the current batch size (1 when batching is off).
-func (p *Pipeline) Grain() int {
-	if !p.batchOn {
-		return 1
-	}
-	return int(p.grain.Load())
-}
+// Grain returns the head's current slab size (1 unless EnableBatch,
+// EnableBatchEdges, or SetGrain raised it).
+func (p *Pipeline) Grain() int { return int(p.grains[0].Load()) }
 
-// Batched reports whether Run will use batched stage boundaries.
-func (p *Pipeline) Batched() bool { return p.batchOn }
-
-// runBatched is Run's batched wiring: the same stage graph, with every
-// edge carrying *batch instead of seqItem.
-func (p *Pipeline) runBatched(ctx context.Context, inputs <-chan any) (<-chan any, <-chan error) {
-	ctx, cancel := context.WithCancel(ctx)
-	var (
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-
-	// Head batcher: sequence-tag the inputs and pack them into slabs,
-	// flushed on grain or linger. This is the only place batches are
-	// formed, so it is the only boundary where an item ever waits.
-	head := make(chan *batch, p.stages[0].Buffer)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(head)
-		seq, idx := 0, 0
-		var cur *batch
-		timer := time.NewTimer(time.Hour)
-		timer.Stop()
-		defer timer.Stop()
-		var timerC <-chan time.Time
-		flush := func(eager bool) bool {
-			cur.eager = eager
-			select {
-			case head <- cur:
-			case <-ctx.Done():
-				return false
-			}
-			cur = nil
-			timerC = nil
-			idx++
-			return true
+// runHead is the head batcher: it sequence-tags the inputs and packs
+// them into slabs, flushed on grain or linger. This is the only place
+// an item ever waits for more input.
+func (p *Pipeline) runHead(ctx context.Context, inputs <-chan any, head chan<- *batch, wg *sync.WaitGroup) {
+	defer wg.Done()
+	defer close(head)
+	seq, idx := 0, 0
+	var cur *batch
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	defer timer.Stop()
+	var timerC <-chan time.Time // non-nil while cur's linger clock runs
+	flush := func(eager bool) bool {
+		cur.eager = eager
+		select {
+		case head <- cur:
+		case <-ctx.Done():
+			return false
 		}
-		for {
-			select {
-			case v, ok := <-inputs:
-				if !ok {
-					if cur != nil {
-						flush(true)
-					}
-					return
+		cur = nil
+		timerC = nil
+		idx++
+		return true
+	}
+	for {
+		select {
+		case v, ok := <-inputs:
+			if !ok {
+				if cur != nil {
+					flush(true)
 				}
-				if cur == nil {
-					cur = p.newBatch(idx, seq)
-					timer.Reset(time.Duration(p.linger.Load()))
-					timerC = timer.C
-				}
-				cur.items = append(cur.items, v)
-				seq++
-				if len(cur.items) >= int(p.headGrain()) {
-					timer.Stop()
-					// A grain-full flush with nothing else queued may be
-					// the last traffic for a while; marking it eager lets
-					// coarsening downstream boundaries drain instead of
-					// parking its items until the next input burst.
-					if !flush(len(inputs) == 0) {
-						return
-					}
-				}
-			case <-timerC:
-				if !flush(true) {
-					return
-				}
-			case <-ctx.Done():
 				return
 			}
-		}
-	}()
-
-	// Wire one *batch channel per graph edge — the same topology as the
-	// per-item path, with zip and broadcast operating batch-wise.
-	n := len(p.stages)
-	inEdges := make([][]int, n)
-	outEdges := make([][]int, n)
-	for ei, e := range p.edges {
-		outEdges[e.From] = append(outEdges[e.From], ei)
-		inEdges[e.To] = append(inEdges[e.To], ei)
-	}
-	chans := make([]chan *batch, len(p.edges))
-	for ei, e := range p.edges {
-		chans[ei] = make(chan *batch, p.stages[e.From].Buffer)
-	}
-	final := make(chan *batch, p.stages[n-1].Buffer)
-
-	for i := range p.stages {
-		var in <-chan *batch
-		switch {
-		case len(inEdges[i]) == 0: // entry
-			in = head
-		case len(inEdges[i]) == 1:
-			in = chans[inEdges[i][0]]
-		default: // merge: zip the batch streams
-			ins := make([]<-chan *batch, len(inEdges[i]))
-			for k, ei := range inEdges[i] {
-				ins[k] = chans[ei]
+			if cur == nil {
+				cur = p.newBatch(idx, seq)
 			}
-			joined := make(chan *batch, p.stages[i].Buffer)
-			wg.Add(1)
-			go p.zipJoinBatched(ctx, ins, joined, &wg, fail)
-			in = joined
-		}
-		var out chan *batch
-		switch {
-		case len(outEdges[i]) == 0: // exit
-			out = final
-		case len(outEdges[i]) == 1:
-			out = chans[outEdges[i][0]]
-		default: // split: share the batch across every out-edge
-			outs := make([]chan<- *batch, len(outEdges[i]))
-			for k, ei := range outEdges[i] {
-				outs[k] = chans[ei]
-			}
-			spread := make(chan *batch, p.stages[i].Buffer)
-			wg.Add(1)
-			go p.broadcastBatched(ctx, spread, outs, &wg)
-			out = spread
-		}
-		// A bridge edge with its own grain (EnableBatchEdges) re-slabs at
-		// the producing stage's sink; bridge edges always leave a
-		// single-out stage, so a split never re-slabs (its consumers
-		// share one slab and must agree on its shape).
-		var edgeGrain *atomic.Int64
-		if len(outEdges[i]) == 1 {
-			if ei := outEdges[i][0]; p.regrain != nil && p.regrain[ei] {
-				edgeGrain = &p.edgeGrains[1+ei]
-			}
-		}
-		wg.Add(1)
-		go p.runStageBatched(ctx, i, in, out, edgeGrain, &wg, fail)
-	}
-
-	results := make(chan any)
-	errs := make(chan error, 1)
-	wg.Add(1)
-	go func() { // unpack batches and deliver items in order
-		defer wg.Done()
-		for b := range final {
-			for _, v := range b.items {
-				select {
-				case results <- v:
-				case <-ctx.Done():
-					p.releaseBatch(b)
+			cur.items = append(cur.items, v)
+			seq++
+			switch {
+			case len(cur.items) >= p.Grain():
+				if timerC != nil {
+					timer.Stop()
+				}
+				// A grain-full flush with nothing else queued may be
+				// the last traffic for a while; marking it eager lets
+				// coarsening downstream boundaries drain instead of
+				// parking its items until the next input burst.
+				if !flush(len(inputs) == 0) {
 					return
 				}
+			case timerC == nil:
+				// The slab was just opened and is not full: its oldest
+				// item starts the linger clock.
+				timer.Reset(time.Duration(p.linger.Load()))
+				timerC = timer.C
 			}
-			p.releaseBatch(b)
+		case <-timerC:
+			if !flush(true) {
+				return
+			}
+		case <-ctx.Done():
+			return
 		}
-	}()
-	go func() {
-		wg.Wait()
-		if firstErr == nil && ctx.Err() != nil {
-			firstErr = ctx.Err()
-		}
-		if firstErr != nil {
-			errs <- firstErr
-		}
-		close(errs)
-		close(results)
-		cancel()
-	}()
-	return results, errs
+	}
 }
 
-// batchSink restores batch-index order at a replicated stage's output.
-// The worker that completes a batch drains everything now emittable,
-// so no separate reorder goroutine (and no done-channel hop) sits on
-// the boundary; see itemSink for the same shape per item.
+// slabSink restores slab-index order at a replicated stage's output and
+// hands the ordered stream downstream. It has two sides. Executor tasks
+// put their result slab into the reorder ring without ever blocking
+// (executor workers must stay runnable — see runStage). The stage's
+// drainer goroutine (drain) pulls slabs in index order, blocking there
+// instead, and owns everything after the ring: the sends, the re-slab
+// accumulator, and the limiter release. notify is a buffered(1) edge
+// trigger: a put that finds it full loses nothing, because the drainer
+// re-scans the ring before sleeping.
 //
 // When the stage's out-edge is a regraining boundary (EnableBatchEdges
-// on a bridge edge), the sink additionally re-slabs the ordered stream
-// to the edge's own grain: items of each in-order batch are appended
-// to an accumulator that flushes whenever it reaches the edge grain,
-// when an eager batch passes (linger/end-of-input pressure propagated
-// from the head), and at stream close (flushTail). The re-slabbed
-// stream gets fresh contiguous indices, so the downstream reorder ring
-// sees exactly the 0,1,2,… it requires.
-type batchSink struct {
+// on a bridge edge), the drainer re-slabs the ordered stream to the
+// edge's own grain: items of each in-order slab are appended to an
+// accumulator that flushes whenever it reaches the edge grain, when an
+// eager slab passes (linger/end-of-input pressure propagated from the
+// head), and at stream close (flushTail). The re-slabbed stream gets
+// fresh contiguous indices, so the downstream reorder ring sees exactly
+// the 0,1,2,… it requires.
+type slabSink struct {
+	mu      sync.Mutex
+	pending ring.Reorder[*batch]
+	total   int // slabs submitted in all; -1 while the dispatcher runs
+	notify  chan struct{}
+
+	// Drainer-owned from here on.
 	ctx     context.Context
 	out     chan<- *batch
 	p       *Pipeline
 	grain   *atomic.Int64 // non-nil: re-slab to this edge grain
-	mu      sync.Mutex
-	pending ring.Reorder[*batch]
-	acc     *batch // regrain accumulator (guarded by mu)
-	nextIdx int    // next re-slabbed batch index on this edge
-	nextSeq int    // first sequence number of the next re-slabbed batch
-	dead    bool   // see itemSink.dead: truncate, never puncture
+	acc     *batch        // regrain accumulator
+	nextIdx int           // next re-slabbed slab index on this edge
+	nextSeq int           // first sequence number of the next re-slabbed slab
+	// dead latches at the first slab the drainer does not hand on — a
+	// failed task's tombstone, or an in-order send lost to cancellation
+	// (a select with both the send and ctx.Done ready picks randomly) —
+	// so the sink can never drop slab N yet deliver N+1: failure and
+	// cancellation must truncate the ordered stream, never puncture it.
+	dead bool
 }
 
-func (s *batchSink) put(b *batch) {
+// put files the result of slab idx; a nil b is the tombstone of a
+// failed task, keeping the index sequence gap-free.
+func (s *slabSink) put(idx int, b *batch) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pending.Put(b.idx, b)
+	s.pending.Put(idx, b)
+	s.mu.Unlock()
+	s.wake()
+}
+
+// close tells the sink how many slabs were submitted in all, so the
+// drainer can stop once it has seen every one of them.
+func (s *slabSink) close(total int) {
+	s.mu.Lock()
+	s.total = total
+	s.mu.Unlock()
+	s.wake()
+}
+
+func (s *slabSink) wake() {
+	select {
+	case s.notify <- struct{}{}:
+	default:
+	}
+}
+
+// next blocks until the next in-index result is available; ok is false
+// once the dispatcher has closed the sink and every slab it submitted
+// has been returned.
+func (s *slabSink) next() (b *batch, ok bool) {
 	for {
-		_, nb, ok := s.pending.PopNext()
+		s.mu.Lock()
+		_, b, ok = s.pending.PopNext()
+		done := !ok && s.pending.Next() == s.total
+		s.mu.Unlock()
+		if ok || done {
+			return b, ok
+		}
+		<-s.notify
+	}
+}
+
+// drain is the stage's drainer loop: the only place the stage blocks on
+// its downstream boundary. Each slab's in-flight token is returned once
+// the slab has been handed on (or dropped), which is what makes the
+// replica limit an end-to-end backpressure bound.
+func (s *slabSink) drain(lim *conc.Limiter) {
+	defer close(s.out)
+	for {
+		b, ok := s.next()
 		if !ok {
+			s.flushTail()
 			return
 		}
-		if s.dead {
-			s.p.releaseBatch(nb)
-			continue
+		switch {
+		case b == nil:
+			// A failed task's tombstone: nothing after the gap may
+			// leave the stage, or the output would not be a prefix.
+			s.dead = true
+		case s.dead:
+			s.p.releaseBatch(b)
+		case s.grain == nil:
+			s.send(b)
+		default:
+			s.regrain(b)
 		}
-		s.emit(nb)
+		lim.Release()
 	}
 }
 
-// emit hands one in-order batch downstream — directly, or through the
-// re-slab accumulator when the out-edge regrains. Runs under s.mu and
-// owns the batch either way; false (also latched into s.dead) means
-// the context cancelled mid-send.
-func (s *batchSink) emit(nb *batch) bool {
-	ok := s.deliver(nb)
-	if !ok {
+// send hands one slab downstream; a send lost to cancellation releases
+// the slab and latches dead.
+func (s *slabSink) send(b *batch) {
+	select {
+	case s.out <- b:
+	case <-s.ctx.Done():
+		s.p.releaseBatch(b)
 		s.dead = true
 	}
-	return ok
 }
 
-func (s *batchSink) deliver(nb *batch) bool {
-	if s.grain == nil {
-		select {
-		case s.out <- nb:
-			return true
-		case <-s.ctx.Done():
-			s.p.releaseBatch(nb)
-			return false
-		}
-	}
-	return s.regrain(nb)
-}
-
-// regrain folds one in-order batch into the accumulator, flushing at
-// the edge grain and on eager pressure. Runs under s.mu; false means
-// the context cancelled mid-send.
-func (s *batchSink) regrain(nb *batch) bool {
+// regrain folds one in-order slab into the accumulator, flushing at the
+// edge grain and on eager pressure.
+func (s *slabSink) regrain(nb *batch) {
+	defer s.p.releaseBatch(nb)
 	tgt := int(s.grain.Load())
-	if tgt < 1 {
-		tgt = 1
-	}
-	eager := nb.eager
 	for _, v := range nb.items {
 		if s.acc == nil {
 			s.acc = s.p.newBatch(s.nextIdx, s.nextSeq)
 		}
 		s.acc.items = append(s.acc.items, v)
 		if len(s.acc.items) >= tgt {
-			if !s.flushAcc(eager) {
-				s.p.releaseBatch(nb)
-				return false
+			s.flushAcc(nb.eager)
+			if s.dead {
+				return
 			}
 		}
 	}
-	s.p.releaseBatch(nb)
-	if eager && s.acc != nil {
-		return s.flushAcc(true)
+	if nb.eager && s.acc != nil {
+		s.flushAcc(true)
 	}
-	return true
 }
 
-// flushAcc emits the accumulator downstream. Runs under s.mu.
-func (s *batchSink) flushAcc(eager bool) bool {
-	s.acc.eager = eager
-	s.nextIdx++
-	s.nextSeq += len(s.acc.items)
+// flushAcc emits the accumulator downstream.
+func (s *slabSink) flushAcc(eager bool) {
 	b := s.acc
 	s.acc = nil
-	select {
-	case s.out <- b:
-		return true
-	case <-s.ctx.Done():
-		s.p.releaseBatch(b)
-		return false
-	}
+	b.eager = eager
+	s.nextIdx++
+	s.nextSeq += len(b.items)
+	s.send(b)
 }
 
 // flushTail drains a partial accumulator at stream close, so an item
 // count not divisible by the edge grain still delivers every item. A
 // dead sink drops the tail instead — it already truncated the stream.
-func (s *batchSink) flushTail() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.acc == nil || len(s.acc.items) == 0 {
-		return
-	}
-	if s.dead {
+func (s *slabSink) flushTail() {
+	switch {
+	case s.acc == nil:
+	case s.dead:
 		s.p.releaseBatch(s.acc)
 		s.acc = nil
-		return
-	}
-	if !s.flushAcc(true) {
-		s.dead = true
-	}
-}
-
-// runStageBatched dispatches whole batches — as tasks on the shared
-// work-stealing executor, or (executor-off) to a dedicated persistent
-// worker pool: one limiter acquire, one handoff, and one reorder
-// operation per batch, with the stage function applied to each item in
-// sequence order so ordered output is identical to the per-item path.
-// edgeGrain, when non-nil, makes the sink re-slab the stage's out-edge
-// to that grain (see batchSink).
-func (p *Pipeline) runStageBatched(ctx context.Context, i int, in <-chan *batch, out chan<- *batch, edgeGrain *atomic.Int64, wg *sync.WaitGroup, fail func(error)) {
-	defer wg.Done()
-	lim := p.limits[i]
-	met := p.meters[i]
-	fn := p.stages[i].Fn
-	name := p.stages[i].Name
-
-	sink := batchSink{ctx: ctx, out: out, p: p, grain: edgeGrain}
-	process := func(b *batch) {
-		ob := p.newBatch(b.idx, b.seq)
-		ob.eager = b.eager
-		t0 := time.Now()
-		for k, v := range b.items {
-			r, err := fn(ctx, v)
-			if err != nil {
-				fail(fmt.Errorf("pipeline: stage %s item %d: %w", name, b.seq+k, err))
-				p.releaseBatch(ob)
-				p.releaseBatch(b)
-				return
-			}
-			ob.items = append(ob.items, r)
-		}
-		met.RecordN(int64(len(ob.items)), time.Since(t0))
-		p.releaseBatch(b)
-		sink.put(ob)
-	}
-
-	if ex := p.executor(); ex != nil {
-		// Shared-executor mode: the pooled slab itself is the task
-		// argument, so submission boxes nothing. As in runStage,
-		// executor tasks never block — a processed batch lands in a
-		// taskSink ring and this stage's drainer goroutine owns the
-		// ordered (and possibly re-slabbing) sends plus the limiter
-		// release, so a full downstream boundary backpressures the
-		// dispatcher without ever parking a shared worker.
-		var inFlight sync.WaitGroup
-		tsink := &taskSink{notify: make(chan struct{}, 1)}
-		wg.Add(1)
-		go func() { // drainer
-			defer wg.Done()
-			for {
-				_, v, ok := tsink.next()
-				if !ok {
-					return
-				}
-				if ob, _ := v.(*batch); ob != nil { // nil = failed-task tombstone
-					sink.mu.Lock()
-					if sink.dead {
-						p.releaseBatch(ob)
-					} else {
-						sink.emit(ob)
-					}
-					sink.mu.Unlock()
-				}
-				lim.Release()
-				inFlight.Done()
-			}
-		}()
-		taskFn := func(arg any) {
-			b := arg.(*batch)
-			idx := b.idx
-			ob := p.newBatch(b.idx, b.seq)
-			ob.eager = b.eager
-			t0 := time.Now()
-			for k, v := range b.items {
-				r, err := fn(ctx, v)
-				if err != nil {
-					fail(fmt.Errorf("pipeline: stage %s item %d: %w", name, b.seq+k, err))
-					p.releaseBatch(ob)
-					p.releaseBatch(b)
-					tsink.put(idx, (*batch)(nil))
-					return
-				}
-				ob.items = append(ob.items, r)
-			}
-			met.RecordN(int64(len(ob.items)), time.Since(t0))
-			p.releaseBatch(b)
-			tsink.put(idx, ob)
-		}
-		for {
-			var b *batch
-			var ok bool
-			select {
-			case b, ok = <-in:
-			case <-ctx.Done():
-				ok = false
-			}
-			if !ok {
-				break
-			}
-			lim.Acquire()
-			inFlight.Add(1)
-			ex.Submit(steal.Task{Fn: taskFn, Arg: b})
-		}
-		inFlight.Wait()
-		tsink.close()
-		sink.flushTail()
-		close(out)
-		return
-	}
-
-	poolCap := 2 * p.stages[i].Replicas
-	if poolCap < 8 {
-		poolCap = 8
-	}
-	pool := conc.NewPool(lim, poolCap, process)
-	for {
-		var b *batch
-		var ok bool
-		select {
-		case b, ok = <-in:
-		case <-ctx.Done():
-			ok = false
-		}
-		if !ok {
-			break
-		}
-		pool.Submit(b)
-	}
-	pool.Close()
-	sink.flushTail()
-	close(out)
-}
-
-// zipJoinBatched merges the in-streams of a fan-in stage batch-wise.
-// Batches are formed once at the head and preserved 1-for-1 by every
-// stage, so the k-th batch of every in-stream has the same index,
-// first sequence number, and length; the join reads one batch per
-// stream in lockstep and emits a batch of []any part vectors.
-func (p *Pipeline) zipJoinBatched(ctx context.Context, ins []<-chan *batch, out chan<- *batch, wg *sync.WaitGroup, fail func(error)) {
-	defer wg.Done()
-	defer close(out)
-	for {
-		var ob *batch
-		for k, ch := range ins {
-			select {
-			case b, ok := <-ch:
-				if !ok {
-					// Streams carry identical batch sequences; the first
-					// to close ends the join.
-					if ob != nil {
-						p.releaseBatch(ob)
-					}
-					return
-				}
-				if ob == nil {
-					ob = p.newBatch(b.idx, b.seq)
-					ob.eager = b.eager
-					for range b.items {
-						ob.items = append(ob.items, make([]any, len(ins)))
-					}
-				} else if b.idx != ob.idx || len(b.items) != len(ob.items) {
-					fail(fmt.Errorf("pipeline: fan-in batch skew (batch %d vs %d, %d vs %d items)",
-						b.idx, ob.idx, len(b.items), len(ob.items)))
-					p.releaseBatch(b)
-					p.releaseBatch(ob)
-					return
-				}
-				for j, v := range b.items {
-					ob.items[j].([]any)[k] = v
-				}
-				p.releaseBatch(b)
-			case <-ctx.Done():
-				if ob != nil {
-					p.releaseBatch(ob)
-				}
-				return
-			}
-		}
-		select {
-		case out <- ob:
-		case <-ctx.Done():
-			p.releaseBatch(ob)
-			return
-		}
-	}
-}
-
-// broadcastBatched fans a split stage's batch stream onto every
-// out-edge. The slab is shared, not copied: the reference count grows
-// by one per extra consumer and each downstream stage releases its
-// reference after reading (no consumer mutates a batch it received).
-func (p *Pipeline) broadcastBatched(ctx context.Context, in <-chan *batch, outs []chan<- *batch, wg *sync.WaitGroup) {
-	defer wg.Done()
-	defer func() {
-		for _, ch := range outs {
-			close(ch)
-		}
-	}()
-	for {
-		var b *batch
-		var ok bool
-		select {
-		case b, ok = <-in:
-		case <-ctx.Done():
-			return
-		}
-		if !ok {
-			return
-		}
-		atomic.AddInt32(&b.refs, int32(len(outs)-1))
-		for _, ch := range outs {
-			select {
-			case ch <- b:
-			case <-ctx.Done():
-				return
-			}
-		}
+	default:
+		s.flushAcc(true)
 	}
 }

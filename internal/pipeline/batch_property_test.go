@@ -1,9 +1,10 @@
 package pipeline
 
-// The batching equivalence property: for any stage graph, any grain,
-// and any cancellation point, the batched wiring delivers exactly the
-// per-item wiring's ordered output — batching may only change *when*
-// items cross boundaries, never *what* comes out or in which order.
+// The batching equivalence property: for any stage graph, any grain
+// (1, the slab of one, included), and any cancellation point, the
+// pipeline delivers exactly the sequential reference evaluator's
+// ordered output — the grain may only change *when* items cross
+// boundaries, never *what* comes out or in which order.
 // Random topologies (chains with random extra split/merge edges),
 // random replica counts and buffers, a grain ladder spanning
 // non-divisor sizes, and mid-stream cancels all run under -race in CI.
@@ -80,7 +81,7 @@ func randTopology(r *rand.Rand) ([]Stage, []topo.Edge) {
 }
 
 // propExpected evaluates the graph per item in plain sequential code:
-// the ordered-output oracle both wirings must match. Merge parts are
+// the ordered-output oracle every run must match. Merge parts are
 // assembled in edge-list order, the order the runtime wires them.
 func propExpected(stages []Stage, edges []topo.Edge, input int) int {
 	n := len(stages)
@@ -119,17 +120,16 @@ func propBuild(t *testing.T, stages []Stage, edges []topo.Edge, grain int) *Pipe
 	if err != nil {
 		t.Fatalf("building topology: %v", err)
 	}
-	if grain > 1 {
-		if err := p.EnableBatch(grain, time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
+	if err := p.EnableBatch(grain, time.Millisecond); err != nil {
+		t.Fatal(err)
 	}
 	return p
 }
 
 func TestBatchedMatchesUnbatchedProperty(t *testing.T) {
+	watchGoroutines(t)
 	r := rand.New(rand.NewSource(99))
-	grains := []int{2, 3, 7, 16, 64}
+	grains := []int{1, 2, 3, 7, 16, 64}
 	const items = 300
 	for trial := 0; trial < 12; trial++ {
 		stages, edges := randTopology(r)
@@ -142,13 +142,18 @@ func TestBatchedMatchesUnbatchedProperty(t *testing.T) {
 			inputs[i] = i
 		}
 
-		got, err := propBuild(t, stages, edges, 1).Process(context.Background(), inputs)
+		// A pipeline nobody configured runs at the default grain of 1.
+		plain, err := NewGraph(stages, edges)
 		if err != nil {
-			t.Fatalf("trial %d unbatched: %v", trial, err)
+			t.Fatalf("building topology: %v", err)
+		}
+		got, err := plain.Process(context.Background(), inputs)
+		if err != nil {
+			t.Fatalf("trial %d unconfigured: %v", trial, err)
 		}
 		for i, v := range got {
 			if v.(int) != want[i] {
-				t.Fatalf("trial %d unbatched output %d: got %v want %v (edges %v)", trial, i, v, want[i], edges)
+				t.Fatalf("trial %d unconfigured output %d: got %v want %v (edges %v)", trial, i, v, want[i], edges)
 			}
 		}
 
@@ -171,10 +176,11 @@ func TestBatchedMatchesUnbatchedProperty(t *testing.T) {
 }
 
 // TestBatchedCancelPrefixProperty cancels mid-stream at random points:
-// whatever both wirings manage to deliver before the cancel must still
+// whatever the pipeline manages to deliver before the cancel must still
 // be a correct ordered prefix — cancellation may truncate the stream
 // but never corrupt or reorder it.
 func TestBatchedCancelPrefixProperty(t *testing.T) {
+	watchGoroutines(t)
 	r := rand.New(rand.NewSource(7))
 	const items = 400
 	for trial := 0; trial < 8; trial++ {

@@ -34,15 +34,15 @@ import (
 	"time"
 )
 
-// EnableBatchEdges arms batched stage boundaries with a per-boundary
-// grain vector before Run: grains[0] is the head batcher's grain and
-// grains[1+ei] the grain of edge ei (in the edge order given to
-// NewGraph; New's chain edges run 0→1, 1→2, …). Bridge edges — edges
-// on every entry→exit path — may differ from the grain arriving at
-// them; their producing stage re-slabs the stream (see batchSink).
-// Non-bridge edges cannot change batch size (it would misalign zips
-// over shared slabs), so their entry must equal the effective grain
-// flowing out of their From stage. linger <= 0 picks DefaultLinger.
+// EnableBatchEdges sets a per-boundary grain vector before Run:
+// grains[0] is the head batcher's grain and grains[1+ei] the grain of
+// edge ei (in the edge order given to NewGraph; New's chain edges run
+// 0→1, 1→2, …). Bridge edges — edges on every entry→exit path — may
+// differ from the grain arriving at them; their producing stage
+// re-slabs the stream (see slabSink). Non-bridge edges cannot change
+// slab size (it would misalign zips over shared slabs), so their entry
+// must equal the effective grain flowing out of their From stage.
+// linger <= 0 picks DefaultLinger.
 func (p *Pipeline) EnableBatchEdges(grains []int, linger time.Duration) error {
 	if want := 1 + len(p.edges); len(grains) != want {
 		return fmt.Errorf("pipeline: EnableBatchEdges wants %d grains (head + one per edge), got %d", want, len(grains))
@@ -63,7 +63,7 @@ func (p *Pipeline) EnableBatchEdges(grains []int, linger time.Duration) error {
 
 	regrain := p.bridgeEdges()
 
-	// Effective-grain walk: compute the batch size flowing into every
+	// Effective-grain walk: compute the slab size flowing into every
 	// stage (stages are in topological order — From < To on all edges)
 	// and reject vectors a run could not realise.
 	inEdges := make([][]int, len(p.stages))
@@ -93,12 +93,9 @@ func (p *Pipeline) EnableBatchEdges(grains []int, linger time.Duration) error {
 		eff[i] = val
 	}
 
-	p.batchOn = true
 	p.linger.Store(int64(linger))
-	p.grain.Store(int64(grains[0]))
-	p.edgeGrains = make([]atomic.Int64, len(grains))
 	for b, g := range grains {
-		p.edgeGrains[b].Store(int64(g))
+		p.grains[b].Store(int64(g))
 	}
 	p.regrain = regrain
 	p.actBounds = p.actBounds[:0]
@@ -157,45 +154,41 @@ func (p *Pipeline) bridgeEdges() []bool {
 	return bridges
 }
 
-// headGrain is the grain the head batcher packs to: the head boundary
-// of the per-edge vector when EnableBatchEdges armed it, otherwise the
-// single pipeline-wide grain.
-func (p *Pipeline) headGrain() int64 {
-	if p.edgeGrains != nil {
-		return p.edgeGrains[0].Load()
-	}
-	return p.grain.Load()
-}
-
 // GrainBoundaries is the number of independently adjustable grain
-// boundaries: 1 (the head) for EnableBatch pipelines, 1 + the number
-// of bridge edges for EnableBatchEdges pipelines. Boundary 0 is always
-// the head; boundaries 1..k-1 are the bridge edges in edge order.
-func (p *Pipeline) GrainBoundaries() int {
-	if p.edgeGrains == nil {
-		return 1
-	}
-	return 1 + len(p.actBounds)
-}
+// boundaries: 1 (the head) unless EnableBatchEdges armed the bridge
+// edges, then 1 + their number. Boundary 0 is always the head;
+// boundaries 1..k-1 are the bridge edges in edge order.
+func (p *Pipeline) GrainBoundaries() int { return 1 + len(p.actBounds) }
 
 // BoundaryEdge maps an adjustable boundary index to its edge index in
 // the pipeline's edge list; boundary 0 (the head) returns -1.
 func (p *Pipeline) BoundaryEdge(b int) int {
-	if b <= 0 || p.edgeGrains == nil || b > len(p.actBounds) {
+	if b <= 0 || b > len(p.actBounds) {
 		return -1
 	}
 	return p.actBounds[b-1]
 }
 
-// GrainAt returns the current grain of adjustable boundary b.
-func (p *Pipeline) GrainAt(b int) int {
-	if b == 0 {
-		return int(p.headGrain())
+// boundaryGrain resolves adjustable boundary b to its slot in the grain
+// vector; nil for an invalid boundary.
+func (p *Pipeline) boundaryGrain(b int) *atomic.Int64 {
+	switch {
+	case b == 0:
+		return &p.grains[0]
+	case b > 0 && b <= len(p.actBounds):
+		return &p.grains[1+p.actBounds[b-1]]
 	}
-	if p.edgeGrains == nil || b < 0 || b > len(p.actBounds) {
+	return nil
+}
+
+// GrainAt returns the current grain of adjustable boundary b (1 for an
+// invalid boundary).
+func (p *Pipeline) GrainAt(b int) int {
+	g := p.boundaryGrain(b)
+	if g == nil {
 		return 1
 	}
-	return int(p.edgeGrains[1+p.actBounds[b-1]].Load())
+	return int(g.Load())
 }
 
 // SetGrainAt adjusts one boundary's grain (minimum 1) while the
@@ -207,32 +200,23 @@ func (p *Pipeline) SetGrainAt(b, n int) error {
 	if n < 1 {
 		return fmt.Errorf("pipeline: SetGrainAt(%d, %d) below 1", b, n)
 	}
-	if !p.batchOn {
-		return fmt.Errorf("pipeline: SetGrainAt without EnableBatch")
-	}
-	if b < 0 || b >= p.GrainBoundaries() {
+	g := p.boundaryGrain(b)
+	if g == nil {
 		return fmt.Errorf("pipeline: SetGrainAt on invalid boundary %d of %d", b, p.GrainBoundaries())
 	}
-	if b == 0 {
-		if p.edgeGrains != nil {
-			p.edgeGrains[0].Store(int64(n))
-		}
-		p.grain.Store(int64(n))
-		return nil
-	}
-	p.edgeGrains[1+p.actBounds[b-1]].Store(int64(n))
+	g.Store(int64(n))
 	return nil
 }
 
 // EdgeGrains snapshots the full per-boundary grain vector (head +
 // one per edge), or nil when EnableBatchEdges was not used.
 func (p *Pipeline) EdgeGrains() []int {
-	if p.edgeGrains == nil {
+	if p.regrain == nil {
 		return nil
 	}
-	out := make([]int, len(p.edgeGrains))
-	for b := range p.edgeGrains {
-		out[b] = int(p.edgeGrains[b].Load())
+	out := make([]int, len(p.grains))
+	for b := range p.grains {
+		out[b] = int(p.grains[b].Load())
 	}
 	return out
 }

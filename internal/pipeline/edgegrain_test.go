@@ -174,6 +174,7 @@ func TestEnableBatchEdgesLiveSetGrainAt(t *testing.T) {
 // ordered output — re-slabbing at bridges changes when items cross,
 // never what arrives.
 func TestEdgeGrainsMatchUnbatchedProperty(t *testing.T) {
+	watchGoroutines(t)
 	r := rand.New(rand.NewSource(23))
 	const items = 300
 	ladder := []int{1, 2, 3, 7, 16, 64}

@@ -1,12 +1,11 @@
 package pipeline
 
-// The executor equivalence property: for any stage graph, any grain,
-// and either wiring of the stage workers — dedicated per-stage pools
-// (DisableExecutor, the pre-executor oracle) or the shared
-// work-stealing executor — the pipeline delivers exactly the same
-// ordered output. The executor may only change *where* stage work
-// runs, never *what* comes out or in which order. Runs under -race in
-// its own named CI step.
+// The executor equivalence property: for any stage graph and any grain,
+// on the process-wide executor or on a private two-worker set, the
+// pipeline delivers exactly the output of the sequential reference
+// evaluator (propExpected), in order. The executor may only change
+// *where* stage work runs, never *what* comes out or in which order.
+// Runs under -race in its own named CI step.
 
 import (
 	"context"
@@ -18,7 +17,8 @@ import (
 	"gridpipe/internal/conc/steal"
 )
 
-func TestExecutorMatchesDedicatedProperty(t *testing.T) {
+func TestExecutorMatchesReferenceProperty(t *testing.T) {
+	watchGoroutines(t)
 	r := rand.New(rand.NewSource(41))
 	const items = 300
 	inputs := make([]any, items)
@@ -28,39 +28,36 @@ func TestExecutorMatchesDedicatedProperty(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		stages, edges := randTopology(r)
 		grain := []int{1, 1, 3, 16}[r.Intn(4)]
-
-		oracle := propBuild(t, stages, edges, grain)
-		oracle.DisableExecutor()
-		want, err := oracle.Process(context.Background(), inputs)
-		if err != nil {
-			t.Fatalf("trial %d oracle: %v", trial, err)
+		want := make([]int, items)
+		for i := range want {
+			want[i] = propExpected(stages, edges, i)
 		}
 
-		// Two executor wirings: the process-wide default and a
-		// dedicated small worker set (steals and global grabs are far
-		// more likely when workers are scarce relative to stages).
-		for _, dedicated := range []bool{false, true} {
+		// Two worker sets: the process-wide default and a private
+		// small one (steals and global grabs are far more likely when
+		// workers are scarce relative to stages).
+		for _, private := range []bool{false, true} {
 			p := propBuild(t, stages, edges, grain)
 			var ex *steal.Executor
-			if dedicated {
+			if private {
 				ex = steal.New(2)
 				p.UseExecutor(ex)
 			}
 			got, err := p.Process(context.Background(), inputs)
-			if dedicated {
+			if private {
 				ex.Close()
 			}
 			if err != nil {
-				t.Fatalf("trial %d executor (dedicated=%v): %v", trial, dedicated, err)
+				t.Fatalf("trial %d (private=%v): %v", trial, private, err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("trial %d (dedicated=%v): %d outputs, oracle delivered %d (edges %v)",
-					trial, dedicated, len(got), len(want), edges)
+				t.Fatalf("trial %d (private=%v): %d outputs for %d inputs (edges %v)",
+					trial, private, len(got), len(want), edges)
 			}
 			for i := range got {
-				if got[i].(int) != want[i].(int) {
-					t.Fatalf("trial %d (dedicated=%v) output %d: got %v, oracle %v (grain %d, edges %v)",
-						trial, dedicated, i, got[i], want[i], grain, edges)
+				if got[i].(int) != want[i] {
+					t.Fatalf("trial %d (private=%v) output %d: got %v, want %v (grain %d, edges %v)",
+						trial, private, i, got[i], want[i], grain, edges)
 				}
 			}
 		}
@@ -68,9 +65,10 @@ func TestExecutorMatchesDedicatedProperty(t *testing.T) {
 }
 
 // TestExecutorCancelPrefixProperty: under mid-stream cancellation the
-// executor wiring must deliver an ordered prefix of the oracle's
-// output — truncation is allowed, corruption and reordering are not.
+// pipeline must deliver an ordered prefix of the reference
+// evaluator's output — truncation is allowed, corruption and reordering are not.
 func TestExecutorCancelPrefixProperty(t *testing.T) {
+	watchGoroutines(t)
 	r := rand.New(rand.NewSource(43))
 	const items = 400
 	for trial := 0; trial < 6; trial++ {
@@ -123,6 +121,7 @@ func TestExecutorCancelPrefixProperty(t *testing.T) {
 // batched pipeline must stay race-free and never drop or reorder an
 // item. (The farm counterpart is TestFarmBatchWorkersConcurrent.)
 func TestGrainResizeConcurrentMidFlight(t *testing.T) {
+	watchGoroutines(t)
 	ident := func(_ context.Context, v any) (any, error) { return v, nil }
 	p, err := New(
 		Stage{Name: "a", Fn: ident, Replicas: 2, Buffer: 16},

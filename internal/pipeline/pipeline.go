@@ -10,35 +10,42 @@
 //     stage with several in-edges receives a []any holding one part
 //     per in-edge, in edge order (a merge);
 //   - outputs are delivered in input order, even when a stage is
-//     replicated across several concurrent workers: each edge carries
-//     a sequence-ordered stream, restored by the producing stage's
-//     reorder ring, so a merge joins its in-streams by zipping them —
-//     ordering survives fan-in by construction.
+//     replicated: each edge carries an index-ordered stream of slabs,
+//     restored by the producing stage's reorder ring, so a merge joins
+//     its in-streams by zipping them — ordering survives fan-in by
+//     construction.
 //
-// Stage parallelism is dynamic: SetReplicas adjusts a stage's worker
-// limit while the pipeline runs, which is the live counterpart of the
-// simulator's replicate action.
+// There is one data path. The head batcher packs inputs into pooled
+// slabs of up to grain items (grain 1, the default, is a slab of one);
+// each stage's dispatcher takes an in-flight token from the stage's
+// limiter per slab and submits the slab as a task to the shared
+// work-stealing executor (internal/conc/steal); the task applies the
+// stage function to the slab's items and puts the result into the
+// stage's sink without blocking; the stage's drainer goroutine pulls
+// slabs from the sink in index order, sends them downstream, and
+// returns the token. Replica counts are therefore in-flight limits, not
+// goroutine counts: SetReplicas adjusts a stage's limit while the
+// pipeline runs (the live counterpart of the simulator's replicate
+// action) and SetGrain adjusts the slab size (batch.go).
 //
-// The per-item hot path is allocation-free in steady state: each stage
-// runs a pool of persistent workers (spawned lazily up to the replica
-// limit's high-water mark, never one goroutine per item), the reorder
-// buffer is a sequence-indexed ring rather than a map, and service
-// times accumulate in atomic meters rather than under a mutex. Chains
-// built with New take exactly the historical linear wiring; only
-// graphs with actual splits/merges pay the zip/broadcast goroutines
-// (and one []any per item per merge boundary).
+// The hot path is allocation-free in steady state: slabs are pooled and
+// a stage that solely owns the slab it received writes its results into
+// it, the reorder buffer is a sequence-indexed ring rather than a map,
+// and service times accumulate in atomic meters rather than under a
+// mutex. Only graphs with actual splits/merges pay the zip/broadcast
+// goroutines (and one []any per item per merge boundary).
 package pipeline
 
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gridpipe/internal/conc"
 	"gridpipe/internal/conc/steal"
-	"gridpipe/internal/ring"
 	"gridpipe/internal/topo"
 )
 
@@ -79,33 +86,22 @@ type Pipeline struct {
 	ran    bool
 	mu     sync.Mutex
 
-	// Batched-boundary state (see batch.go). batchOn selects the wiring
-	// at Run; grain and linger are read atomically by the head batcher
-	// so SetGrain actuates while the pipeline runs.
-	batchOn bool
-	grain   atomic.Int64
-	linger  atomic.Int64 // nanoseconds
-	slabs   sync.Pool    // *batch
+	// Slab state (see batch.go). grains holds one atomic grain per
+	// boundary (0 = head, 1+ei = edge ei) and linger the head's flush
+	// timeout in nanoseconds; both are read while the pipeline runs, so
+	// SetGrain/SetGrainAt actuate live.
+	grains []atomic.Int64
+	linger atomic.Int64
+	slabs  sync.Pool // *batch
 
-	// Per-boundary grain state (see edgegrain.go). Non-nil edgeGrains
-	// means EnableBatchEdges: one atomic grain per boundary (0 = head,
-	// 1+ei = edge ei), regrain marking the bridge edges whose sinks
-	// re-slab, actBounds listing the independently walkable boundaries.
-	edgeGrains []atomic.Int64
-	regrain    []bool
-	actBounds  []int
+	// Per-boundary grain state (see edgegrain.go). Non-nil regrain means
+	// EnableBatchEdges: it marks the bridge edges whose sinks re-slab,
+	// and actBounds lists them as the independently walkable boundaries.
+	regrain   []bool
+	actBounds []int
 
-	// Shared work-stealing executor state. Stage work runs as tasks on
-	// the process-wide steal.Default() worker set (replica counts act
-	// as in-flight limits); exec overrides the executor, noExec reverts
-	// to the historical dedicated per-stage pools.
-	exec   *steal.Executor
-	noExec bool
-
-	// carriers pools the *seqItem boxes the unbatched executor path
-	// submits as task arguments, so the per-item hot path allocates
-	// nothing in steady state.
-	carriers sync.Pool
+	// exec overrides the process-wide executor stage tasks run on.
+	exec *steal.Executor
 }
 
 // UseExecutor points the pipeline at a specific work-stealing executor
@@ -115,29 +111,6 @@ func (p *Pipeline) UseExecutor(e *steal.Executor) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.exec = e
-	p.noExec = false
-}
-
-// DisableExecutor reverts the pipeline to dedicated per-stage worker
-// pools — the pre-executor wiring, kept as the oracle half of the
-// executor-on == executor-off equivalence property. Call before Run.
-func (p *Pipeline) DisableExecutor() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.exec = nil
-	p.noExec = true
-}
-
-// executor resolves the worker set Run dispatches stage tasks to; nil
-// means dedicated per-stage pools.
-func (p *Pipeline) executor() *steal.Executor {
-	if p.noExec {
-		return nil
-	}
-	if p.exec != nil {
-		return p.exec
-	}
-	return steal.Default()
 }
 
 // New validates the stage list and builds a linear pipeline: stage i
@@ -163,7 +136,12 @@ func NewGraph(stages []Stage, edges []topo.Edge) (*Pipeline, error) {
 	p := &Pipeline{
 		stages: make([]Stage, len(stages)),
 		edges:  append([]topo.Edge(nil), edges...),
+		grains: make([]atomic.Int64, 1+len(edges)),
 	}
+	for b := range p.grains {
+		p.grains[b].Store(1)
+	}
+	p.linger.Store(int64(DefaultLinger))
 	copy(p.stages, stages)
 	tg := &topo.Graph{Stages: make([]topo.Stage, len(stages)), Edges: p.edges}
 	for i := range p.stages {
@@ -207,14 +185,23 @@ func (p *Pipeline) SetReplicas(i, n int) error {
 	return nil
 }
 
-// Replicas returns the current worker limit of stage i.
-func (p *Pipeline) Replicas(i int) int { return p.limits[i].Limit() }
+// Replicas returns the current worker limit of stage i (0 for an
+// invalid stage index).
+func (p *Pipeline) Replicas(i int) int {
+	if i < 0 || i >= len(p.stages) {
+		return 0
+	}
+	return p.limits[i].Limit()
+}
 
 // StageTotals returns stage i's cumulative completed-item count and
-// summed service time. The live adaptive sensor diffs two readings to
-// get windowed mean service times without the pipeline keeping any
-// per-window state.
+// summed service time (zeros for an invalid stage index). The live
+// adaptive sensor diffs two readings to get windowed mean service times
+// without the pipeline keeping any per-window state.
 func (p *Pipeline) StageTotals(i int) (count int64, sum time.Duration) {
+	if i < 0 || i >= len(p.stages) {
+		return 0, 0
+	}
 	return p.meters[i].Totals()
 }
 
@@ -234,11 +221,6 @@ func (p *Pipeline) Stats() []StageStats {
 	return out
 }
 
-type seqItem struct {
-	seq int
-	v   any
-}
-
 // Run starts the pipeline over the input stream. The returned output
 // channel yields results in input order and is closed when the input
 // channel is exhausted and drained, the context is cancelled, or a
@@ -251,17 +233,12 @@ func (p *Pipeline) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-ch
 		panic("pipeline: Run called twice")
 	}
 	p.ran = true
-	batched := p.batchOn
+	ex := p.exec
 	p.mu.Unlock()
-	if batched {
-		return p.runBatched(ctx, inputs)
+	if ex == nil {
+		ex = steal.Default()
 	}
-	return p.runUnbatched(ctx, inputs)
-}
 
-// runUnbatched is Run's historical per-item wiring: every stage
-// boundary carries one seqItem per item.
-func (p *Pipeline) runUnbatched(ctx context.Context, inputs <-chan any) (<-chan any, <-chan error) {
 	ctx, cancel := context.WithCancel(ctx)
 	var (
 		errOnce  sync.Once
@@ -274,38 +251,16 @@ func (p *Pipeline) runUnbatched(ctx context.Context, inputs <-chan any) (<-chan 
 		})
 	}
 
-	// Sequence-tag the inputs.
-	head := make(chan seqItem, p.stages[0].Buffer)
+	head := make(chan *batch, p.stages[0].Buffer)
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(head)
-		seq := 0
-		for {
-			select {
-			case v, ok := <-inputs:
-				if !ok {
-					return
-				}
-				select {
-				case head <- seqItem{seq, v}:
-					seq++
-				case <-ctx.Done():
-					return
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
+	go p.runHead(ctx, inputs, head, &wg)
 
-	// Wire one channel per graph edge, each carrying a sequence-
-	// ordered stream, buffered by the producing stage's capacity (the
-	// historical chain wiring). Splits broadcast through a fan-out
-	// goroutine; merges zip their in-streams, which are all ordered
-	// 0,1,2,…, so the join is a lockstep read — 1-for-1 ordering
-	// survives fan-in by construction.
+	// Wire one channel per graph edge, each carrying an index-ordered
+	// stream of slabs, buffered by the producing stage's capacity.
+	// Splits broadcast through a fan-out goroutine; merges zip their
+	// in-streams, which all carry the same slab sequence, so the join is
+	// a lockstep read — 1-for-1 ordering survives fan-in by construction.
 	n := len(p.stages)
 	inEdges := make([][]int, n)
 	outEdges := make([][]int, n)
@@ -313,60 +268,74 @@ func (p *Pipeline) runUnbatched(ctx context.Context, inputs <-chan any) (<-chan 
 		outEdges[e.From] = append(outEdges[e.From], ei)
 		inEdges[e.To] = append(inEdges[e.To], ei)
 	}
-	chans := make([]chan seqItem, len(p.edges))
+	chans := make([]chan *batch, len(p.edges))
 	for ei, e := range p.edges {
-		chans[ei] = make(chan seqItem, p.stages[e.From].Buffer)
+		chans[ei] = make(chan *batch, p.stages[e.From].Buffer)
 	}
-	final := make(chan seqItem, p.stages[n-1].Buffer)
+	final := make(chan *batch, p.stages[n-1].Buffer)
 
 	for i := range p.stages {
-		var in <-chan seqItem
+		var in <-chan *batch
 		switch {
 		case len(inEdges[i]) == 0: // entry
 			in = head
 		case len(inEdges[i]) == 1:
 			in = chans[inEdges[i][0]]
 		default: // merge: zip the ordered in-streams
-			ins := make([]<-chan seqItem, len(inEdges[i]))
+			ins := make([]<-chan *batch, len(inEdges[i]))
 			for k, ei := range inEdges[i] {
 				ins[k] = chans[ei]
 			}
-			joined := make(chan seqItem, p.stages[i].Buffer)
+			joined := make(chan *batch, p.stages[i].Buffer)
 			wg.Add(1)
-			go zipJoin(ctx, ins, joined, &wg, fail)
+			go p.zipJoin(ctx, ins, joined, &wg, fail)
 			in = joined
 		}
-		var out chan seqItem
+		var out chan *batch
 		switch {
 		case len(outEdges[i]) == 0: // exit
 			out = final
 		case len(outEdges[i]) == 1:
 			out = chans[outEdges[i][0]]
-		default: // split: broadcast to every out-edge
-			outs := make([]chan<- seqItem, len(outEdges[i]))
+		default: // split: share the slab across every out-edge
+			outs := make([]chan<- *batch, len(outEdges[i]))
 			for k, ei := range outEdges[i] {
 				outs[k] = chans[ei]
 			}
-			spread := make(chan seqItem, p.stages[i].Buffer)
+			spread := make(chan *batch, p.stages[i].Buffer)
 			wg.Add(1)
-			go broadcast(ctx, spread, outs, &wg)
+			go p.broadcast(ctx, spread, outs, &wg)
 			out = spread
 		}
+		// A bridge edge with its own grain (EnableBatchEdges) re-slabs at
+		// the producing stage's sink; bridge edges always leave a
+		// single-out stage, so a split never re-slabs (its consumers
+		// share one slab and must agree on its shape).
+		var edgeGrain *atomic.Int64
+		if len(outEdges[i]) == 1 {
+			if ei := outEdges[i][0]; p.regrain != nil && p.regrain[ei] {
+				edgeGrain = &p.grains[1+ei]
+			}
+		}
 		wg.Add(1)
-		go p.runStage(ctx, i, in, out, &wg, fail)
+		go p.runStage(ctx, ex, i, in, out, edgeGrain, &wg, fail)
 	}
 
 	results := make(chan any)
 	errs := make(chan error, 1)
 	wg.Add(1)
-	go func() { // untag and deliver
+	go func() { // unpack slabs and deliver items in order
 		defer wg.Done()
-		for it := range final {
-			select {
-			case results <- it.v:
-			case <-ctx.Done():
-				return
+		for b := range final {
+			for _, v := range b.items {
+				select {
+				case results <- v:
+				case <-ctx.Done():
+					p.releaseBatch(b)
+					return
+				}
 			}
+			p.releaseBatch(b)
 		}
 	}()
 	go func() {
@@ -384,278 +353,168 @@ func (p *Pipeline) runUnbatched(ctx context.Context, inputs <-chan any) (<-chan 
 	return results, errs
 }
 
-// itemSink restores sequence order at a replicated stage's output. The
-// worker that completes an item puts it into the ring under the sink
-// mutex and drains everything now emittable directly onto the out
-// channel. Historically a dedicated reorder goroutine sat behind a
-// buffered done channel here; on few-core machines that cost one extra
-// channel hop and one extra goroutine wake-up per item, which is how
-// the per-item boundary fell behind the seed's goroutine-per-item
-// design (see DESIGN.md, "Granularity & batching"). A blocked send
-// only ever holds the mutex against sibling workers that would block
-// on the same full boundary anyway.
-type itemSink struct {
-	ctx     context.Context
-	out     chan<- seqItem
-	mu      sync.Mutex
-	pending ring.Reorder[any]
-	// dead latches after the first in-order send lost to cancellation:
-	// a select with both the send and ctx.Done ready picks randomly, so
-	// without the latch a sink could drop item N yet deliver N+1 —
-	// cancellation must truncate the ordered stream, never puncture it.
-	dead bool
-}
-
-func (s *itemSink) put(seq int, v any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pending.Put(seq, v)
-	if s.dead {
-		return
-	}
-	for {
-		seq2, v2, ok := s.pending.PopNext()
-		if !ok {
-			return
-		}
-		select {
-		case s.out <- seqItem{seq2, v2}:
-		case <-s.ctx.Done():
-			s.dead = true
-			return
-		}
-	}
-}
-
-// dropped is the tombstone a failed task leaves in its sink so the
-// sequence stays gap-free while cancellation unwinds.
-type dropped struct{}
-
-// taskSink is the executor-mode counterpart of itemSink/batchSink:
-// completed tasks put their result into the reorder ring without ever
-// blocking (executor workers must stay runnable — see runStage), and
-// the stage's drainer goroutine pulls results in sequence order via
-// next, blocking there instead. notify is a buffered(1) edge trigger:
-// a put that finds it full loses nothing, because the drainer re-scans
-// the ring before sleeping.
-type taskSink struct {
-	mu      sync.Mutex
-	pending ring.Reorder[any]
-	closed  bool
-	notify  chan struct{}
-}
-
-func (s *taskSink) put(seq int, v any) {
-	s.mu.Lock()
-	s.pending.Put(seq, v)
-	s.mu.Unlock()
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
-}
-
-// close marks the stream complete; next returns false once the ring is
-// empty. Call only after every outstanding put has happened.
-func (s *taskSink) close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
-}
-
-// next blocks until the next in-sequence result is available (or the
-// sink is closed and drained).
-func (s *taskSink) next() (int, any, bool) {
-	for {
-		s.mu.Lock()
-		if seq, v, ok := s.pending.PopNext(); ok {
-			s.mu.Unlock()
-			return seq, v, true
-		}
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			return 0, nil, false
-		}
-		<-s.notify
-	}
-}
-
-// runStage dispatches items of stage i to the shared work-stealing
-// executor (or, executor-off, to a dedicated pool of persistent
-// workers) bounded by the stage's replica limit, and restores output
-// order. Either way, steady-state dispatch costs no goroutine spawn
-// and no closure allocation per item.
-func (p *Pipeline) runStage(ctx context.Context, i int, in <-chan seqItem, out chan<- seqItem, wg *sync.WaitGroup, fail func(error)) {
+// runStage dispatches stage i's slabs as tasks on the executor: one
+// limiter acquire, one handoff, and one reorder operation per slab,
+// with the stage function applied to each item in sequence order.
+//
+// Executor tasks must never block: with a shared worker set a task
+// stuck in a channel send can occupy the worker that would have run the
+// downstream task draining that very channel (on a 1-worker set this
+// deadlocks outright). So a task finishes into the sink's reorder ring
+// — a mutex-guarded put, no send — and the stage's drainer goroutine,
+// which may block freely, owns the ordered (and possibly re-slabbing)
+// sends and the limiter release. Releasing only on downstream accept
+// keeps end-to-end backpressure: at most Replicas slabs sit
+// computed-but-undelivered per stage. edgeGrain, when non-nil, makes the
+// drainer re-slab the stage's out-edge to that grain (see slabSink).
+func (p *Pipeline) runStage(ctx context.Context, ex *steal.Executor, i int, in <-chan *batch, out chan<- *batch, edgeGrain *atomic.Int64, wg *sync.WaitGroup, fail func(error)) {
 	defer wg.Done()
 	lim := p.limits[i]
-	met := p.meters[i]
-	fn := p.stages[i].Fn
-	name := p.stages[i].Name
-
-	sink := itemSink{ctx: ctx, out: out}
-	process := func(it seqItem) {
-		t0 := time.Now()
-		v, err := fn(ctx, it.v)
-		met.Record(time.Since(t0))
+	sink := &slabSink{
+		total: -1, notify: make(chan struct{}, 1),
+		ctx: ctx, out: out, p: p, grain: edgeGrain,
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sink.drain(lim)
+	}()
+	taskFn := func(arg any) {
+		b := arg.(*batch)
+		idx := b.idx
+		ob, err := p.apply(ctx, i, b)
 		if err != nil {
-			fail(fmt.Errorf("pipeline: stage %s item %d: %w", name, it.seq, err))
-			return
+			fail(err)
 		}
-		sink.put(it.seq, v)
+		// A failed slab comes back nil, and goes into the sink all the
+		// same: the tombstone keeps the index sequence gap-free, so the
+		// drainer keeps releasing in-flight tokens while the
+		// cancellation unwinds.
+		sink.put(idx, ob)
 	}
-
-	if ex := p.executor(); ex != nil {
-		// Shared-executor mode: the replica limit is an in-flight
-		// bound, acquired before the item is handed to the fleet and
-		// released when the drainer hands the result downstream. Items
-		// travel in pooled carriers so boxing them into the task's any
-		// costs nothing in steady state.
-		//
-		// Executor tasks must never block: with a shared worker set a
-		// task stuck in a channel send can occupy the worker that would
-		// have run the downstream task draining that very channel (on a
-		// 1-worker set this deadlocks outright). So tasks finish into
-		// the sink's reorder ring — a mutex-guarded put, no send — and
-		// this stage's drainer goroutine, which may block freely, owns
-		// the ordered sends and the limiter release. Releasing only on
-		// downstream accept keeps end-to-end backpressure: at most
-		// Replicas items sit computed-but-undelivered per stage.
-		var inFlight sync.WaitGroup
-		sink := &taskSink{notify: make(chan struct{}, 1)}
-		wg.Add(1)
-		go func() { // drainer: the only executor-mode blocking point
-			defer wg.Done()
-			dead := false // see itemSink.dead: truncate, never puncture
-			for {
-				seq, v, ok := sink.next()
-				if !ok {
-					return
-				}
-				if _, gone := v.(dropped); !gone && !dead {
-					select {
-					case out <- seqItem{seq, v}:
-					case <-ctx.Done():
-						dead = true
-					}
-				}
-				lim.Release()
-				inFlight.Done()
-			}
-		}()
-		taskFn := func(arg any) {
-			c := arg.(*seqItem)
-			it := *c
-			*c = seqItem{}
-			p.carriers.Put(c)
-			t0 := time.Now()
-			v, err := fn(ctx, it.v)
-			met.Record(time.Since(t0))
-			if err != nil {
-				fail(fmt.Errorf("pipeline: stage %s item %d: %w", name, it.seq, err))
-				// A tombstone keeps the sequence gap-free so the
-				// drainer can keep releasing in-flight tokens while
-				// the cancellation unwinds.
-				v = dropped{}
-			}
-			sink.put(it.seq, v)
-		}
-		for {
-			var it seqItem
-			var ok bool
-			select {
-			case it, ok = <-in:
-			case <-ctx.Done():
-				ok = false
-			}
-			if !ok {
-				break
-			}
-			lim.Acquire()
-			c, _ := p.carriers.Get().(*seqItem)
-			if c == nil {
-				c = new(seqItem)
-			}
-			*c = it
-			inFlight.Add(1)
-			ex.Submit(steal.Task{Fn: taskFn, Arg: c})
-		}
-		inFlight.Wait()
-		sink.close()
-		close(out)
-		return
-	}
-
-	// The pool buffer absorbs a full complement of replicas between
-	// dispatcher and workers — sized from the stage's initial replica
-	// limit rather than hard-coded. Channel capacity cannot resize,
-	// so a stage grown far beyond its initial Replicas keeps this
-	// startup capacity; that only adds backpressure, never deadlock.
-	poolCap := 2 * p.stages[i].Replicas
-	if poolCap < 8 {
-		poolCap = 8
-	}
-	pool := conc.NewPool(lim, poolCap, process)
+	submitted := 0
 	for {
-		var it seqItem
+		var b *batch
 		var ok bool
 		select {
-		case it, ok = <-in:
+		case b, ok = <-in:
 		case <-ctx.Done():
 			ok = false
 		}
 		if !ok {
 			break
 		}
-		pool.Submit(it)
+		lim.Acquire()
+		submitted++
+		ex.Submit(steal.Task{Fn: taskFn, Arg: b})
 	}
-	pool.Close()
-	close(out)
+	sink.close(submitted)
 }
 
-// zipJoin merges the in-streams of a fan-in stage. Every in-stream is
-// sequence-ordered (0,1,2,…) and 1-for-1, so the join reads one item
-// per stream in lockstep and emits a []any of the parts in in-edge
-// order under the shared sequence number.
-func zipJoin(ctx context.Context, ins []<-chan seqItem, out chan<- seqItem, wg *sync.WaitGroup, fail func(error)) {
+// apply runs stage i's function over every item of slab b, in sequence
+// order, and returns the slab of results. It consumes b either way. A
+// sole owner (refs == 1: no broadcast sibling still reads b) writes the
+// results into b itself, so a chain moves one slab end to end; a shared
+// slab is left untouched and the results go into a fresh one. A stage
+// function that returns an error or panics yields that error (naming
+// the stage and the item; a panic's carries the stack) and no slab, so
+// a panic costs the run, not the executor worker every pipeline in the
+// process shares.
+func (p *Pipeline) apply(ctx context.Context, i int, b *batch) (ob *batch, err error) {
+	fn := p.stages[i].Fn
+	ob = b
+	if atomic.LoadInt32(&b.refs) != 1 {
+		ob = p.newBatch(b.idx, b.seq)
+		ob.eager = b.eager
+		ob.items = append(ob.items, b.items...) // sized; overwritten below
+	}
+	k := 0
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("pipeline: stage %s item %d: panic: %v\n%s", p.stages[i].Name, b.seq+k, r, debug.Stack())
+		}
+		if ob != b {
+			p.releaseBatch(b)
+		}
+		if err != nil {
+			p.releaseBatch(ob)
+			ob = nil
+		}
+	}()
+	t0 := time.Now()
+	for ; k < len(b.items); k++ {
+		r, ferr := fn(ctx, b.items[k])
+		if ferr != nil {
+			return ob, fmt.Errorf("pipeline: stage %s item %d: %w", p.stages[i].Name, b.seq+k, ferr)
+		}
+		ob.items[k] = r
+	}
+	p.meters[i].RecordN(int64(k), time.Since(t0))
+	return ob, nil
+}
+
+// zipJoin merges the in-streams of a fan-in stage slab-wise. Slabs are
+// formed at the head (or re-formed on a bridge edge, which every path
+// crosses) and preserved 1-for-1 by every stage, so the k-th slab of
+// every in-stream has the same index, first sequence number, and
+// length; the join reads one slab per stream in lockstep and emits a
+// slab of []any part vectors, parts in in-edge order.
+func (p *Pipeline) zipJoin(ctx context.Context, ins []<-chan *batch, out chan<- *batch, wg *sync.WaitGroup, fail func(error)) {
 	defer wg.Done()
 	defer close(out)
 	for {
-		parts := make([]any, len(ins))
-		seq := -1
+		var ob *batch
 		for k, ch := range ins {
 			select {
-			case it, ok := <-ch:
+			case b, ok := <-ch:
 				if !ok {
-					// Streams carry identical sequences; the first to
-					// close ends the join (its siblings close with the
+					// Streams carry identical slab sequences; the first
+					// to close ends the join (its siblings close with the
 					// same count unless the run is already failing).
+					if ob != nil {
+						p.releaseBatch(ob)
+					}
 					return
 				}
-				if seq >= 0 && it.seq != seq {
-					fail(fmt.Errorf("pipeline: fan-in sequence skew (%d vs %d)", it.seq, seq))
+				if ob == nil {
+					ob = p.newBatch(b.idx, b.seq)
+					ob.eager = b.eager
+					for range b.items {
+						ob.items = append(ob.items, make([]any, len(ins)))
+					}
+				} else if b.idx != ob.idx || len(b.items) != len(ob.items) {
+					fail(fmt.Errorf("pipeline: fan-in slab skew (slab %d vs %d, %d vs %d items)",
+						b.idx, ob.idx, len(b.items), len(ob.items)))
+					p.releaseBatch(b)
+					p.releaseBatch(ob)
 					return
 				}
-				seq = it.seq
-				parts[k] = it.v
+				for j, v := range b.items {
+					ob.items[j].([]any)[k] = v
+				}
+				p.releaseBatch(b)
 			case <-ctx.Done():
+				if ob != nil {
+					p.releaseBatch(ob)
+				}
 				return
 			}
 		}
 		select {
-		case out <- seqItem{seq, parts}:
+		case out <- ob:
 		case <-ctx.Done():
+			p.releaseBatch(ob)
 			return
 		}
 	}
 }
 
-// broadcast fans a split stage's ordered output onto every out-edge.
-func broadcast(ctx context.Context, in <-chan seqItem, outs []chan<- seqItem, wg *sync.WaitGroup) {
+// broadcast fans a split stage's slab stream onto every out-edge. The
+// slab is shared, not copied: the reference count grows by one per
+// extra consumer before the first send, and each downstream stage
+// releases its reference after reading (apply never writes into a slab
+// it shares).
+func (p *Pipeline) broadcast(ctx context.Context, in <-chan *batch, outs []chan<- *batch, wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer func() {
 		for _, ch := range outs {
@@ -663,19 +522,20 @@ func broadcast(ctx context.Context, in <-chan seqItem, outs []chan<- seqItem, wg
 		}
 	}()
 	for {
-		var it seqItem
+		var b *batch
 		var ok bool
 		select {
-		case it, ok = <-in:
+		case b, ok = <-in:
 		case <-ctx.Done():
 			return
 		}
 		if !ok {
 			return
 		}
+		atomic.AddInt32(&b.refs, int32(len(outs)-1))
 		for _, ch := range outs {
 			select {
-			case ch <- it:
+			case ch <- b:
 			case <-ctx.Done():
 				return
 			}
@@ -686,8 +546,31 @@ func broadcast(ctx context.Context, in <-chan seqItem, outs []chan<- seqItem, wg
 // Process runs the pipeline over a slice and returns the outputs in
 // input order.
 func (p *Pipeline) Process(ctx context.Context, inputs []any) ([]any, error) {
+	return Collect(ctx, inputs, func(ctx context.Context, in <-chan any) (<-chan any, <-chan error, error) {
+		out, errs := p.Run(ctx, in)
+		return out, errs, nil
+	})
+}
+
+// Collect is the slice form of a streaming run, shared by the pipeline,
+// the farm, and the facade: it starts run on a fresh input channel,
+// feeds it inputs, gathers the outputs until the output channel closes,
+// and checks the 1-for-1 count. run receives a context derived from ctx
+// that Collect cancels when it returns, so a run that stops reading
+// early — a stage failed, the caller cancelled — never leaves the
+// feeder blocked on a send with the input slice pinned. run is wired
+// before the feeder starts: if it refuses, no goroutine exists yet.
+func Collect(ctx context.Context, inputs []any, run func(ctx context.Context, in <-chan any) (<-chan any, <-chan error, error)) ([]any, error) {
+	ctx, cancel := context.WithCancel(ctx)
 	in := make(chan any)
+	out, errs, err := run(ctx, in)
+	if err != nil {
+		cancel()
+		return nil, err
+	}
+	fed := make(chan struct{})
 	go func() {
+		defer close(fed)
 		defer close(in)
 		for _, v := range inputs {
 			select {
@@ -697,8 +580,11 @@ func (p *Pipeline) Process(ctx context.Context, inputs []any) ([]any, error) {
 			}
 		}
 	}()
-	out, errs := p.Run(ctx, in)
-	var results []any
+	defer func() {
+		cancel()
+		<-fed
+	}()
+	results := make([]any, 0, len(inputs))
 	for v := range out {
 		results = append(results, v)
 	}

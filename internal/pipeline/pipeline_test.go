@@ -293,6 +293,15 @@ func TestSetReplicasValidation(t *testing.T) {
 	if err := p.SetReplicas(0, 0); err == nil {
 		t.Fatal("zero replicas accepted")
 	}
+	// The readers take the same index check instead of panicking.
+	for _, i := range []int{-1, 1} {
+		if n := p.Replicas(i); n != 0 {
+			t.Errorf("Replicas(%d) = %d, want 0", i, n)
+		}
+		if c, s := p.StageTotals(i); c != 0 || s != 0 {
+			t.Errorf("StageTotals(%d) = %d, %v, want zeros", i, c, s)
+		}
+	}
 }
 
 func TestStatsCountAndTiming(t *testing.T) {

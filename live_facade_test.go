@@ -2,6 +2,8 @@ package gridpipe
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -117,5 +119,49 @@ func TestWithLiveAdaptiveStaticIsInert(t *testing.T) {
 	}
 	if rep.Replicas[0] != 1 || rep.Replicas[1] != 1 {
 		t.Fatalf("static run resized: %+v", rep.Replicas)
+	}
+}
+
+// TestLiveAdaptiveProcessFailureLeavesNoGoroutine: the adaptive branch
+// of Process feeds its own input channel; when a stage fails, the
+// feeder, the controller, and the completion tap must all exit with
+// the run instead of blocking on a pipeline that stopped reading.
+func TestLiveAdaptiveProcessFailureLeavesNoGoroutine(t *testing.T) {
+	boom := errors.New("boom")
+	inputs := make([]any, 1000)
+	for i := range inputs {
+		inputs[i] = i
+	}
+	run := func() {
+		p, err := New(
+			Stage("a", sleeper(time.Microsecond), Weight(0.01)),
+			Stage("fails", func(_ context.Context, v any) (any, error) {
+				if v.(int) == 3 {
+					return nil, boom
+				}
+				return v, nil
+			}, Weight(0.1), Replicable()),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.WithLiveAdaptive(PolicyPeriodic); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Process(context.Background(), inputs); !errors.Is(err, boom) {
+			t.Fatalf("err = %v, want boom", err)
+		}
+	}
+	run() // starts the process-wide executor, so it is in the baseline
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		run()
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines alive, %d before the failing runs", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
