@@ -43,6 +43,21 @@ func (l *Limiter) Acquire() {
 	l.mu.Unlock()
 }
 
+// TryAcquire takes a slot if one is free and reports whether it did. It
+// never waits: a caller that must not block (the pipeline's dataflow
+// step) tries again when a Release or a SetLimit may have changed the
+// answer. After a shrink below the number of holders it keeps refusing
+// until enough of them have released.
+func (l *Limiter) TryAcquire() bool {
+	l.mu.Lock()
+	ok := l.inUse < l.limit
+	if ok {
+		l.inUse++
+	}
+	l.mu.Unlock()
+	return ok
+}
+
 // Release frees a slot, waking one waiter. Waking exactly one is
 // enough: a release frees exactly one slot, and every waiter re-checks
 // the limit under the mutex, so a waiter woken into a shrunken limit

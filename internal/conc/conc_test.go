@@ -179,3 +179,51 @@ func TestMeterConcurrent(t *testing.T) {
 		t.Fatalf("max = %v", max)
 	}
 }
+
+// TestLimiterTryAcquire: TryAcquire takes a free slot or refuses, never
+// waits, sees SetLimit at once, and after a shrink below the number of
+// holders keeps refusing until enough of them have released.
+func TestLimiterTryAcquire(t *testing.T) {
+	l := NewLimiter(2)
+	if !l.TryAcquire() || !l.TryAcquire() {
+		t.Fatal("TryAcquire refused a free slot")
+	}
+	if l.TryAcquire() {
+		t.Fatal("TryAcquire took a third slot at limit 2")
+	}
+	l.SetLimit(3)
+	if !l.TryAcquire() {
+		t.Fatal("TryAcquire refused the slot a grow opened")
+	}
+	l.SetLimit(1) // three holders, limit 1
+	for held := 3; held > 1; held-- {
+		if l.TryAcquire() {
+			t.Fatalf("TryAcquire succeeded with %d holders at limit 1", held)
+		}
+		l.Release()
+	}
+	if l.TryAcquire() {
+		t.Fatal("TryAcquire succeeded with 1 holder at limit 1")
+	}
+	l.Release()
+	if !l.TryAcquire() {
+		t.Fatal("TryAcquire refused after the shrunk limiter drained")
+	}
+	if got := l.InUse(); got != 1 {
+		t.Fatalf("InUse = %d, want 1", got)
+	}
+	// It shares the slots with blocking Acquire.
+	admitted := make(chan struct{})
+	go func() {
+		l.Acquire()
+		close(admitted)
+	}()
+	select {
+	case <-admitted:
+		t.Fatal("Acquire got a slot TryAcquire holds")
+	case <-time.After(10 * time.Millisecond):
+	}
+	l.Release()
+	<-admitted
+	l.Release()
+}

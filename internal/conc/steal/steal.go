@@ -42,17 +42,20 @@
 //     deque locks are ever held at once and lock ordering is trivial.
 //
 // Tasks are expected not to block on executor progress: the skeletons
-// arrange their stage tasks to finish into reorder rings (a mutex-
-// guarded put) and leave every blocking channel send to plain drainer
-// goroutines, so in steady state the fleet stays exactly CPU-sized.
-// Tasks that block anyway — a stage function doing I/O, or a test
-// rendezvous that needs N items inside the function at once — are
+// arrange their stage tasks to finish into reorder rings and bounded
+// queues under a mutex (the pipeline's dataflow step, which only ever
+// tries) and leave every blocking channel operation to the head and
+// egress goroutines, so in steady state the fleet stays exactly
+// CPU-sized. Tasks that block anyway — a stage function doing I/O, or a
+// test rendezvous that needs N items inside the function at once — are
 // covered by a monitor (the same thread-injection idea as the Go
-// runtime's sysmon): when queued work exists but no task has completed
-// for a tick, it spawns a temporary spill worker. Spill workers take
-// one task at a time (no private deque, so they never hide work from
-// the fleet) and exit as soon as the queues are dry, which keeps the
-// injection strictly a liveness valve, not a second pool.
+// runtime's sysmon): when work is queued and every fleet worker is
+// still inside the task it was inside a tick ago, it spawns a temporary
+// spill worker. A queued task that an idle or busy-but-moving fleet has
+// merely not grabbed yet is not a stall and spills nothing. Spill
+// workers take one task at a time (no private deque, so they never hide
+// work from the fleet) and exit as soon as the queues are dry, which
+// keeps the injection strictly a liveness valve, not a second pool.
 package steal
 
 import (
@@ -84,9 +87,13 @@ const dequeCap = 256
 // delays the producer it is waiting for.
 const spinRounds = 4
 
-// monitorTick is how often the stall monitor samples the progress
-// counter; a task blocking the fleet costs one tick of latency per
-// spill worker injected.
+// monitorTick is how often the stall monitor samples the workers' task
+// counters; a task blocking the fleet costs one tick of latency per
+// spill worker injected. The effective tick is longer than the constant
+// says when the process is otherwise idle: Go floors a sub-millisecond
+// netpoll wait at 1 ms, and time.Sleep(100µs) measures 1 129 µs (p50) on
+// the 2-CPU benchmark VM — so behind a fleet of sleeping tasks every
+// spill, and every hand-off that waits for one, costs 1–2 ms.
 const monitorTick = 100 * time.Microsecond
 
 // maxSpill caps concurrently live spill workers — far above anything a
@@ -200,9 +207,10 @@ type Executor struct {
 	parked []*worker // stack of sleeping workers
 	stop   atomic.Bool
 
-	// Stall-monitor state: progress counts completed tasks fleet-wide,
-	// spills the live spill workers, spillsEver the cumulative count.
-	progress   atomic.Int64
+	// Stall-monitor state: spillDone counts tasks completed by spill
+	// workers (fleet workers count their own, see worker.taskSeq), spills
+	// the live spill workers, spillsEver the cumulative count.
+	spillDone  atomic.Int64
 	spills     atomic.Int64
 	spillsEver atomic.Int64
 
@@ -219,6 +227,11 @@ type worker struct {
 	asleep bool
 	seed   uint64 // victim-order xorshift state
 	buf    [dequeCap / 2]Task
+
+	// taskSeq is bumped on entering and on leaving a task's Fn: odd while
+	// the worker is inside one, and never the same odd value for two
+	// different tasks — what the stall monitor compares across a tick.
+	taskSeq atomic.Uint64
 
 	pops   atomic.Int64
 	grabs  atomic.Int64
@@ -279,8 +292,8 @@ func (e *Executor) Submit(t Task) {
 
 // Close stops the workers after every previously submitted task has
 // run. The caller must guarantee no Submit races or follows Close
-// (the skeletons' dispatchers await their in-flight tasks with their
-// own WaitGroup before tearing anything down).
+// (the skeletons end a run only after every task they submitted has
+// returned its result, and submit nothing afterwards).
 func (e *Executor) Close() {
 	e.stop.Store(true)
 	e.parkMu.Lock()
@@ -327,29 +340,53 @@ func (w *worker) run() {
 		if !ok {
 			return
 		}
+		w.taskSeq.Add(1)
 		t.Fn(t.Arg)
-		w.e.progress.Add(1)
+		w.taskSeq.Add(1)
 	}
 }
 
 // monitor is the executor's liveness valve: if a full tick passes with
-// work queued but not one task completed, every worker is wedged
-// inside a blocking task, and a spill worker is injected to keep the
-// queues draining (and to let K tasks that rendezvous with each other
-// all get on CPU even when K exceeds the fleet). One injection per
-// tick: bursts of blockers escalate linearly, a healthy fleet never
-// escalates at all.
+// every fleet worker inside the same task it was inside at the tick
+// before, no spill worker completing one either, and work queued, the
+// fleet is wedged inside blocking tasks, and a spill worker is injected
+// to keep the queues draining (and to let K tasks that rendezvous with
+// each other all get on CPU even when K exceeds the fleet). A worker
+// that is between tasks, or inside a different one, is moving: whatever
+// is queued is about to be grabbed, and spilling it would only add a
+// goroutine. One injection per tick: bursts of blockers escalate
+// linearly, a healthy fleet never escalates at all.
 func (e *Executor) monitor() {
 	defer e.wg.Done()
-	last := int64(-1)
+	last := make([]uint64, len(e.workers))
+	lastSpillDone := int64(-1)
 	for !e.stop.Load() {
 		time.Sleep(monitorTick)
-		cur := e.progress.Load()
-		if cur != last {
-			last = cur
+		wedged := true
+		for i, w := range e.workers {
+			cur := w.taskSeq.Load()
+			if cur != last[i] || cur%2 == 0 {
+				wedged = false
+			}
+			last[i] = cur
+		}
+		if cur := e.spillDone.Load(); cur != lastSpillDone {
+			lastSpillDone = cur
+			wedged = false
+		}
+		if !e.queued() {
 			continue
 		}
-		if !e.queued() || e.spills.Load() >= maxSpill {
+		if !wedged {
+			// Queued work and a worker that is not stuck: it needs no help,
+			// unless it parked a moment before a sibling grabbed a batch
+			// and then blocked on the batch's first task — nothing wakes it
+			// for what now sits in the sibling's deque. A wake-up is free
+			// when nobody is parked.
+			e.wakeOne()
+			continue
+		}
+		if e.spills.Load() >= maxSpill {
 			continue
 		}
 		e.spills.Add(1)
@@ -389,7 +426,7 @@ func (e *Executor) spillWorker() {
 			return
 		}
 		t.Fn(t.Arg)
-		e.progress.Add(1)
+		e.spillDone.Add(1)
 	}
 }
 

@@ -190,3 +190,65 @@ func TestDefaultIsSharedAndSized(t *testing.T) {
 		t.Fatalf("Default workers = %d, GOMAXPROCS = %d", a.Workers(), runtime.GOMAXPROCS(0))
 	}
 }
+
+// TestNoSpillForWorkNotYetGrabbed: the stall probe must tell a wedged
+// fleet from an idle one. Non-blocking tasks arrive one at a time after
+// pauses of up to three monitor ticks — the pattern of a light or bursty
+// pipeline — so many ticks sample a fleet that has completed nothing
+// since the tick before, and some of them catch a task that is
+// submitted and not yet grabbed. That is not a stall: no worker is stuck
+// inside anything. The pauses spin through the scheduler rather than
+// sleep, which keeps the monitor's timer on its nominal tick.
+func TestNoSpillForWorkNotYetGrabbed(t *testing.T) {
+	e := New(2)
+	defer e.Close()
+	const tasks = 10000
+	done := make(chan struct{}, 1)
+	task := Task{Fn: func(any) { done <- struct{}{} }}
+	rnd := uint64(1)
+	for i := 0; i < tasks; i++ {
+		rnd = rnd*6364136223846793005 + 1442695040888963407
+		gap := time.Duration(rnd>>33) % (3 * monitorTick)
+		for t0 := time.Now(); time.Since(t0) < gap; {
+			runtime.Gosched()
+		}
+		e.Submit(task)
+		<-done
+	}
+	if st := e.Stats(); st.Spills != 0 {
+		t.Fatalf("%d spill workers injected under %d non-blocking tasks: %v", st.Spills, tasks, st)
+	}
+}
+
+// TestSpillRunsQueuedTaskBehindWedgedFleet: with both workers of a
+// two-worker set blocked inside tasks, a third task is run by a spill
+// worker within a few ticks.
+func TestSpillRunsQueuedTaskBehindWedgedFleet(t *testing.T) {
+	e := New(2)
+	defer e.Close()
+	gate := make(chan struct{})
+	defer close(gate)
+	var inside sync.WaitGroup
+	inside.Add(2)
+	for i := 0; i < 2; i++ {
+		e.Submit(Task{Fn: func(any) {
+			inside.Done()
+			<-gate
+		}})
+	}
+	inside.Wait()
+	ran := make(chan struct{})
+	start := time.Now()
+	e.Submit(Task{Fn: func(any) { close(ran) }})
+	select {
+	case <-ran:
+	case <-time.After(5 * time.Second):
+		t.Fatal("queued task never ran behind a wedged fleet")
+	}
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Errorf("spill took %v, want under 50ms", d)
+	}
+	if st := e.Stats(); st.Spills == 0 {
+		t.Fatalf("task ran but no spill was counted: %v", st)
+	}
+}

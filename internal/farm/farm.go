@@ -20,6 +20,7 @@ package farm
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -265,11 +266,24 @@ func (f *Farm) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-chan e
 			}
 		}
 	}()
+	// call applies the worker function to one task. A panic becomes the
+	// task's error (naming the task; the stack rides along) and fails
+	// this run like any other: left to unwind, it would take down the
+	// executor worker it happened on, and with it the process every other
+	// skeleton shares.
+	call := func(v any) (r any, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("task %v: panic: %v\n%s", v, p, debug.Stack())
+			}
+		}()
+		return f.fn(ctx, v)
+	}
 	taskFn := func(x any) {
 		t0 := time.Now()
 		slab, ok := x.(taskSlab)
 		if !ok {
-			r, err := f.fn(ctx, x)
+			r, err := call(x)
 			f.meter.RecordN(1, time.Since(t0))
 			if err != nil {
 				fail(fmt.Errorf("farm: %w", err))
@@ -281,7 +295,7 @@ func (f *Farm) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-chan e
 		}
 		done, n := 0, len(*slab)
 		for i, v := range *slab {
-			r, err := f.fn(ctx, v)
+			r, err := call(v)
 			done++
 			if err != nil {
 				f.meter.RecordN(int64(done), time.Since(t0))

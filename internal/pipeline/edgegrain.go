@@ -10,7 +10,7 @@
 //
 // Not every edge can re-slab, though. Batches are formed once at the
 // head and preserved 1-for-1 by every stage, which is what keeps a
-// fan-in's zip aligned and lets a broadcast share one slab across its
+// fan-in's zip aligned and lets a split share one slab across its
 // out-edges. Changing batch size inside one branch of a diamond would
 // break the zip downstream. The edges where re-slabbing is safe are
 // exactly the *bridges* of the stage DAG — edges that lie on every
@@ -39,7 +39,7 @@ import (
 // edge ei (in the edge order given to NewGraph; New's chain edges run
 // 0→1, 1→2, …). Bridge edges — edges on every entry→exit path — may
 // differ from the grain arriving at them; their producing stage
-// re-slabs the stream (see slabSink). Non-bridge edges cannot change
+// re-slabs the stream (see edge, dataflow.go). Non-bridge edges cannot change
 // slab size (it would misalign zips over shared slabs), so their entry
 // must equal the effective grain flowing out of their From stage.
 // linger <= 0 picks DefaultLinger.

@@ -1,12 +1,12 @@
-// Package pipeline is the live (goroutine/channel) implementation of
-// the pipeline skeleton: the same 1-for-1 discipline the simulator
+// Package pipeline is the live, in-process implementation of the
+// pipeline skeleton: the same 1-for-1 discipline the simulator
 // models, executing real Go functions on the local machine.
 //
 // Semantics (eSkel Pipeline1for1, generalised to a stage graph):
 //   - every input passes through every stage (along every edge of the
 //     stage graph — see internal/topo);
 //   - each stage produces exactly one output per input; a stage with
-//     several out-edges broadcasts its output along each (a split), a
+//     several out-edges sends its output along each (a split), a
 //     stage with several in-edges receives a []any holding one part
 //     per in-edge, in edge order (a merge);
 //   - outputs are delivered in input order, even when a stage is
@@ -15,25 +15,52 @@
 //     its in-streams by zipping them — ordering survives fan-in by
 //     construction.
 //
-// There is one data path. The head batcher packs inputs into pooled
-// slabs of up to grain items (grain 1, the default, is a slab of one);
-// each stage's dispatcher takes an in-flight token from the stage's
-// limiter per slab and submits the slab as a task to the shared
-// work-stealing executor (internal/conc/steal); the task applies the
-// stage function to the slab's items and puts the result into the
-// stage's sink without blocking; the stage's drainer goroutine pulls
-// slabs from the sink in index order, sends them downstream, and
-// returns the token. Replica counts are therefore in-flight limits, not
-// goroutine counts: SetReplicas adjusts a stage's limit while the
-// pipeline runs (the live counterpart of the simulator's replicate
-// action) and SetGrain adjusts the slab size (batch.go).
+// There is one data path, and no goroutine per stage. The head batcher
+// packs inputs into pooled slabs of up to grain items (grain 1, the
+// default, is a slab of one — batch.go) and the egress unpacks them for
+// the consumer; between the two sits a per-run dataflow state
+// (dataflow.go) in which a slab is in one of three places, each bounded:
 //
-// The hot path is allocation-free in steady state: slabs are pooled and
-// a stage that solely owns the slab it received writes its results into
-// it, the reorder buffer is a sequence-indexed ring rather than a map,
-// and service times accumulate in atomic meters rather than under a
-// mutex. Only graphs with actual splits/merges pay the zip/broadcast
-// goroutines (and one []any per item per merge boundary).
+//   - an edge queue: at most the producing stage's Buffer slabs (the
+//     entry queue the head fills and the exit queue the egress drains
+//     are edges like any other);
+//   - holding a token of its stage's limiter, from when the stage takes
+//     it off its in-edges until its out-edges accept it — queued on the
+//     executor, running, or in the ring: at most Replicas slabs, which
+//     makes Replicas an end-to-end backpressure bound and SetReplicas
+//     the live counterpart of the simulator's replicate action;
+//   - in the stage's reorder ring, finished, until every earlier index
+//     has left: never more than Replicas slabs.
+//
+// Two rules move slabs, and both only ever try — nothing waits under the
+// run's mutex. Fire: while every in-edge of a stage holds a slab and the
+// stage has a free token, pop one slab per in-edge (a merge zips them)
+// and hand (stage, slab) to the shared work-stealing executor
+// (internal/conc/steal). Deliver: while the stage's ring holds its next
+// in-index slab and every out-edge has room, pop it, release the token,
+// push it on every out-edge. Whoever changes the state runs the rules to
+// a fixpoint: the head after pushing a slab, the egress after popping
+// one, SetReplicas after resizing a limiter, and — the common case — the
+// executor task that just finished a slab, which files it in the ring,
+// moves everything that can move, then runs one of the slabs it released
+// itself and submits the others. That inline continuation is capped at
+// one trip down the pipeline: the task function must return for the
+// executor's stall probe to see the worker move and for the worker to
+// look at the inject queue again.
+//
+// Only the head (on input, on a full entry queue) and the egress (on an
+// empty exit queue, on the consumer) ever park; executor tasks take the
+// mutex and nothing else, so a one-worker executor runs any pipeline and
+// a Run is two goroutines at any stage count. End of stream and
+// cancellation travel by rule too: a stage retires, closing its
+// out-edges, once its in-edge is closed and empty (or the run is
+// cancelled) and every slab it started has left its ring. Cancellation —
+// the caller's, or a failed stage's — is noticed at the next step by
+// whoever takes it (the head and the egress wake for it), returns every
+// queued slab to the pool, and stops both rules from moving anything
+// forward: the ordered output is truncated, never punctured. The hot
+// path allocates nothing in steady state (batch.go); only a merge does,
+// one []any of parts per item.
 package pipeline
 
 import (
@@ -61,8 +88,10 @@ type Stage struct {
 	Fn Func
 	// Replicas is the initial worker limit (default 1).
 	Replicas int
-	// Buffer is the capacity of the stage's input channel (default 1),
-	// the bounded inter-stage buffer of the skeleton.
+	// Buffer is the capacity, in slabs, of the queue on each of the
+	// stage's out-edges — the bounded inter-stage buffer of the skeleton
+	// (default 1). Stage 0's also sizes the entry queue the head batcher
+	// fills, the last stage's the exit queue the egress drains.
 	Buffer int
 }
 
@@ -102,6 +131,13 @@ type Pipeline struct {
 
 	// exec overrides the process-wide executor stage tasks run on.
 	exec *steal.Executor
+
+	// run is the dataflow of the Run in progress (nil before it).
+	run atomic.Pointer[dataflow]
+
+	// slabHook, installed by a test before Run, sees +1 for every slab
+	// taken from the pool and -1 for every slab returned to it.
+	slabHook func(delta int)
 }
 
 // UseExecutor points the pipeline at a specific work-stealing executor
@@ -173,7 +209,7 @@ func (p *Pipeline) NumStages() int { return len(p.stages) }
 
 // SetReplicas changes the worker limit of stage i (minimum 1). Safe to
 // call while the pipeline runs; shrinking takes effect as in-flight
-// items finish.
+// items finish, growing admits queued slabs at once.
 func (p *Pipeline) SetReplicas(i, n int) error {
 	if i < 0 || i >= len(p.stages) {
 		return fmt.Errorf("pipeline: SetReplicas on invalid stage %d", i)
@@ -182,6 +218,9 @@ func (p *Pipeline) SetReplicas(i, n int) error {
 		return fmt.Errorf("pipeline: SetReplicas(%d) below 1", n)
 	}
 	p.limits[i].SetLimit(n)
+	if r := p.run.Load(); r != nil {
+		r.kick(i)
+	}
 	return nil
 }
 
@@ -251,95 +290,17 @@ func (p *Pipeline) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-ch
 		})
 	}
 
-	head := make(chan *batch, p.stages[0].Buffer)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go p.runHead(ctx, inputs, head, &wg)
-
-	// Wire one channel per graph edge, each carrying an index-ordered
-	// stream of slabs, buffered by the producing stage's capacity.
-	// Splits broadcast through a fan-out goroutine; merges zip their
-	// in-streams, which all carry the same slab sequence, so the join is
-	// a lockstep read — 1-for-1 ordering survives fan-in by construction.
-	n := len(p.stages)
-	inEdges := make([][]int, n)
-	outEdges := make([][]int, n)
-	for ei, e := range p.edges {
-		outEdges[e.From] = append(outEdges[e.From], ei)
-		inEdges[e.To] = append(inEdges[e.To], ei)
-	}
-	chans := make([]chan *batch, len(p.edges))
-	for ei, e := range p.edges {
-		chans[ei] = make(chan *batch, p.stages[e.From].Buffer)
-	}
-	final := make(chan *batch, p.stages[n-1].Buffer)
-
-	for i := range p.stages {
-		var in <-chan *batch
-		switch {
-		case len(inEdges[i]) == 0: // entry
-			in = head
-		case len(inEdges[i]) == 1:
-			in = chans[inEdges[i][0]]
-		default: // merge: zip the ordered in-streams
-			ins := make([]<-chan *batch, len(inEdges[i]))
-			for k, ei := range inEdges[i] {
-				ins[k] = chans[ei]
-			}
-			joined := make(chan *batch, p.stages[i].Buffer)
-			wg.Add(1)
-			go p.zipJoin(ctx, ins, joined, &wg, fail)
-			in = joined
-		}
-		var out chan *batch
-		switch {
-		case len(outEdges[i]) == 0: // exit
-			out = final
-		case len(outEdges[i]) == 1:
-			out = chans[outEdges[i][0]]
-		default: // split: share the slab across every out-edge
-			outs := make([]chan<- *batch, len(outEdges[i]))
-			for k, ei := range outEdges[i] {
-				outs[k] = chans[ei]
-			}
-			spread := make(chan *batch, p.stages[i].Buffer)
-			wg.Add(1)
-			go p.broadcast(ctx, spread, outs, &wg)
-			out = spread
-		}
-		// A bridge edge with its own grain (EnableBatchEdges) re-slabs at
-		// the producing stage's sink; bridge edges always leave a
-		// single-out stage, so a split never re-slabs (its consumers
-		// share one slab and must agree on its shape).
-		var edgeGrain *atomic.Int64
-		if len(outEdges[i]) == 1 {
-			if ei := outEdges[i][0]; p.regrain != nil && p.regrain[ei] {
-				edgeGrain = &p.grains[1+ei]
-			}
-		}
-		wg.Add(1)
-		go p.runStage(ctx, ex, i, in, out, edgeGrain, &wg, fail)
-	}
+	r := p.newDataflow(ctx, ex, fail)
+	p.run.Store(r)
 
 	results := make(chan any)
 	errs := make(chan error, 1)
-	wg.Add(1)
-	go func() { // unpack slabs and deliver items in order
-		defer wg.Done()
-		for b := range final {
-			for _, v := range b.items {
-				select {
-				case results <- v:
-				case <-ctx.Done():
-					p.releaseBatch(b)
-					return
-				}
-			}
-			p.releaseBatch(b)
-		}
-	}()
+	go r.runHead(inputs)
 	go func() {
-		wg.Wait()
+		r.runEgress(results)
+		// The output closes only when nothing of the run is left: the head
+		// has returned, and every stage's last task has filed its result.
+		r.running.Wait()
 		if firstErr == nil && ctx.Err() != nil {
 			firstErr = ctx.Err()
 		}
@@ -353,67 +314,9 @@ func (p *Pipeline) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-ch
 	return results, errs
 }
 
-// runStage dispatches stage i's slabs as tasks on the executor: one
-// limiter acquire, one handoff, and one reorder operation per slab,
-// with the stage function applied to each item in sequence order.
-//
-// Executor tasks must never block: with a shared worker set a task
-// stuck in a channel send can occupy the worker that would have run the
-// downstream task draining that very channel (on a 1-worker set this
-// deadlocks outright). So a task finishes into the sink's reorder ring
-// — a mutex-guarded put, no send — and the stage's drainer goroutine,
-// which may block freely, owns the ordered (and possibly re-slabbing)
-// sends and the limiter release. Releasing only on downstream accept
-// keeps end-to-end backpressure: at most Replicas slabs sit
-// computed-but-undelivered per stage. edgeGrain, when non-nil, makes the
-// drainer re-slab the stage's out-edge to that grain (see slabSink).
-func (p *Pipeline) runStage(ctx context.Context, ex *steal.Executor, i int, in <-chan *batch, out chan<- *batch, edgeGrain *atomic.Int64, wg *sync.WaitGroup, fail func(error)) {
-	defer wg.Done()
-	lim := p.limits[i]
-	sink := &slabSink{
-		total: -1, notify: make(chan struct{}, 1),
-		ctx: ctx, out: out, p: p, grain: edgeGrain,
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		sink.drain(lim)
-	}()
-	taskFn := func(arg any) {
-		b := arg.(*batch)
-		idx := b.idx
-		ob, err := p.apply(ctx, i, b)
-		if err != nil {
-			fail(err)
-		}
-		// A failed slab comes back nil, and goes into the sink all the
-		// same: the tombstone keeps the index sequence gap-free, so the
-		// drainer keeps releasing in-flight tokens while the
-		// cancellation unwinds.
-		sink.put(idx, ob)
-	}
-	submitted := 0
-	for {
-		var b *batch
-		var ok bool
-		select {
-		case b, ok = <-in:
-		case <-ctx.Done():
-			ok = false
-		}
-		if !ok {
-			break
-		}
-		lim.Acquire()
-		submitted++
-		ex.Submit(steal.Task{Fn: taskFn, Arg: b})
-	}
-	sink.close(submitted)
-}
-
 // apply runs stage i's function over every item of slab b, in sequence
 // order, and returns the slab of results. It consumes b either way. A
-// sole owner (refs == 1: no broadcast sibling still reads b) writes the
+// sole owner (refs == 1: no sibling of a split still reads b) writes the
 // results into b itself, so a chain moves one slab end to end; a shared
 // slab is left untouched and the results go into a fresh one. A stage
 // function that returns an error or panics yields that error (naming
@@ -451,96 +354,6 @@ func (p *Pipeline) apply(ctx context.Context, i int, b *batch) (ob *batch, err e
 	}
 	p.meters[i].RecordN(int64(k), time.Since(t0))
 	return ob, nil
-}
-
-// zipJoin merges the in-streams of a fan-in stage slab-wise. Slabs are
-// formed at the head (or re-formed on a bridge edge, which every path
-// crosses) and preserved 1-for-1 by every stage, so the k-th slab of
-// every in-stream has the same index, first sequence number, and
-// length; the join reads one slab per stream in lockstep and emits a
-// slab of []any part vectors, parts in in-edge order.
-func (p *Pipeline) zipJoin(ctx context.Context, ins []<-chan *batch, out chan<- *batch, wg *sync.WaitGroup, fail func(error)) {
-	defer wg.Done()
-	defer close(out)
-	for {
-		var ob *batch
-		for k, ch := range ins {
-			select {
-			case b, ok := <-ch:
-				if !ok {
-					// Streams carry identical slab sequences; the first
-					// to close ends the join (its siblings close with the
-					// same count unless the run is already failing).
-					if ob != nil {
-						p.releaseBatch(ob)
-					}
-					return
-				}
-				if ob == nil {
-					ob = p.newBatch(b.idx, b.seq)
-					ob.eager = b.eager
-					for range b.items {
-						ob.items = append(ob.items, make([]any, len(ins)))
-					}
-				} else if b.idx != ob.idx || len(b.items) != len(ob.items) {
-					fail(fmt.Errorf("pipeline: fan-in slab skew (slab %d vs %d, %d vs %d items)",
-						b.idx, ob.idx, len(b.items), len(ob.items)))
-					p.releaseBatch(b)
-					p.releaseBatch(ob)
-					return
-				}
-				for j, v := range b.items {
-					ob.items[j].([]any)[k] = v
-				}
-				p.releaseBatch(b)
-			case <-ctx.Done():
-				if ob != nil {
-					p.releaseBatch(ob)
-				}
-				return
-			}
-		}
-		select {
-		case out <- ob:
-		case <-ctx.Done():
-			p.releaseBatch(ob)
-			return
-		}
-	}
-}
-
-// broadcast fans a split stage's slab stream onto every out-edge. The
-// slab is shared, not copied: the reference count grows by one per
-// extra consumer before the first send, and each downstream stage
-// releases its reference after reading (apply never writes into a slab
-// it shares).
-func (p *Pipeline) broadcast(ctx context.Context, in <-chan *batch, outs []chan<- *batch, wg *sync.WaitGroup) {
-	defer wg.Done()
-	defer func() {
-		for _, ch := range outs {
-			close(ch)
-		}
-	}()
-	for {
-		var b *batch
-		var ok bool
-		select {
-		case b, ok = <-in:
-		case <-ctx.Done():
-			return
-		}
-		if !ok {
-			return
-		}
-		atomic.AddInt32(&b.refs, int32(len(outs)-1))
-		for _, ch := range outs {
-			select {
-			case ch <- b:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}
 }
 
 // Process runs the pipeline over a slice and returns the outputs in
