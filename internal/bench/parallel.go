@@ -1,52 +1,22 @@
 package bench
 
-// Parallel-scaling benchmarks for the partitioned simulation core: a
-// hot-path micro for the window protocol itself (gated at 0 allocs/op
-// like every other hot path) and a macro sweep that drives a 10k-node,
-// 16-tenant synthetic workload through sim.ParallelEngine across
-// partition and GOMAXPROCS counts, reporting events/s per point (the
-// `parallel` section of BENCH_*.json). Every sweep point also checks
-// its completion digest against the single-partition golden run, so
-// the scaling numbers double as a determinism property check.
+// Parallel-scaling sweep for the partitioned simulation core: a
+// 10k-node, 16-tenant synthetic workload driven through
+// sim.ParallelEngine across partition and GOMAXPROCS counts, reporting
+// events/s per point. Every sweep point also checks its completion
+// digest against the single-partition golden run, so the scaling
+// numbers double as a determinism property check.
 
 import (
 	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
-	"testing"
 	"time"
 
 	"gridpipe/internal/rng"
 	"gridpipe/internal/sim"
 )
-
-// benchPartitionWindow measures the conservative-window protocol on
-// the intra-window hot path: 4 partitions, 64 events per op (one
-// cross-partition Send per partition, the rest local), windows run
-// inline (workers=1) so the number is the protocol cost — outbox
-// staging, window-edge exchange, calendar merge — not goroutine
-// handoff. Like every hot-path row it must hold 0 allocs/op: the
-// outboxes, inbox scratch, and calendar slots are all pooled.
-func benchPartitionWindow(b *testing.B) {
-	const parts = 4
-	pe := sim.NewParallel(parts, 1.0)
-	pe.SetWorkers(1)
-	noop := func(any) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for p := 0; p < parts; p++ {
-			sh := pe.Part(p)
-			for j := 0; j < calendarBatch/parts-1; j++ {
-				sh.ScheduleArg(0.1*float64(j&7), noop, nil)
-			}
-			sh.Send((p+1)%parts, 1.0, noop, nil)
-		}
-		pe.Run()
-	}
-	b.ReportMetric(float64(b.N*calendarBatch)/b.Elapsed().Seconds(), "items/s")
-}
 
 // ParallelPoint is one measurement of the scaling sweep: the synthetic
 // multi-tenant run at a (partition count, GOMAXPROCS) combination.

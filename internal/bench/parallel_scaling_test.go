@@ -30,15 +30,3 @@ func TestParallelScalingDigests(t *testing.T) {
 		}
 	}
 }
-
-// TestPartitionWindowMicroAllocs pins the 0-alloc contract of the
-// window-protocol hot path outside the pipebench gate.
-func TestPartitionWindowMicroAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark run")
-	}
-	r := testing.Benchmark(benchPartitionWindow)
-	if a := r.AllocsPerOp(); a > 0 {
-		t.Fatalf("engine/partition_window allocates %d allocs/op, want 0", a)
-	}
-}

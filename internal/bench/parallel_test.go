@@ -10,10 +10,23 @@ import (
 // only. Wall-clock columns (T4's search cost) are the single
 // exception — they measure real time and differ even between two
 // sequential runs — so the comparison masks them by header.
+//
+// Wall-clock experiments (F11) are taken out of the registry for the
+// two sweeps: their cells differ between any two runs, so running them
+// twice proves nothing, and their behaviour is pinned by their own
+// tests (TestF11LiveRecovery).
 func TestRunAllParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep ×2")
 	}
+	full := registry
+	registry = map[string]Experiment{}
+	for id, e := range full {
+		if !e.WallClock {
+			registry[id] = e
+		}
+	}
+	defer func() { registry = full }()
 	seq := RunAll(42, 1)
 	par := RunAll(42, 4)
 	if len(seq) != len(par) {
@@ -30,9 +43,6 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 		sres, pres := seq[i].Result, par[i].Result
 		if len(sres.Tables) != len(pres.Tables) || len(sres.Series) != len(pres.Series) {
 			t.Fatalf("%s: table/series counts differ", id)
-		}
-		if seq[i].Experiment.WallClock {
-			continue // real-time measurement; cells legitimately differ
 		}
 		for ti, st := range sres.Tables {
 			pt := pres.Tables[ti]

@@ -104,9 +104,8 @@ const maxSpill = 8192
 // Deque is one worker's bounded local queue: the owner pushes and pops
 // at the tail (LIFO, cache-warm), thieves take from the head (the
 // oldest tasks, FIFO-ish, which preserves rough submission order
-// across the fleet). It is exported for the steal/local_pop and
-// steal/steal_half micro-benchmarks; the executor is the only other
-// client.
+// across the fleet). It is exported for the benchmark's deque probe;
+// the executor is the only other client.
 type Deque struct {
 	mu   sync.Mutex
 	head int // index of the oldest task
@@ -172,8 +171,7 @@ func (d *Deque) stealHalf(dst []Task) int {
 }
 
 // Steal moves up to half of the deque's tasks (at least one, from the
-// head — the oldest) into dst and returns how many it took. It is the
-// exported entry point for the steal/steal_half micro-benchmark; the
+// head — the oldest) into dst and returns how many it took. The
 // executor's workers call the same path internally.
 func (d *Deque) Steal(dst []Task) int {
 	return d.stealHalf(dst)

@@ -17,6 +17,15 @@ import (
 	"gridpipe/internal/conc/steal"
 )
 
+// UseExecutor points the pipeline at a specific work-stealing executor
+// so a test can isolate a worker set. Call before Run; nil reselects
+// the process-wide default.
+func (p *Pipeline) UseExecutor(e *steal.Executor) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.exec = e
+}
+
 func TestExecutorMatchesReferenceProperty(t *testing.T) {
 	watchGoroutines(t)
 	r := rand.New(rand.NewSource(41))

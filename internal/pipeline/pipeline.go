@@ -140,15 +140,6 @@ type Pipeline struct {
 	slabHook func(delta int)
 }
 
-// UseExecutor points the pipeline at a specific work-stealing executor
-// (tests and benchmarks isolate worker sets this way). Call before
-// Run; nil reselects the process-wide default.
-func (p *Pipeline) UseExecutor(e *steal.Executor) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.exec = e
-}
-
 // New validates the stage list and builds a linear pipeline: stage i
 // feeds stage i+1.
 func New(stages ...Stage) (*Pipeline, error) {

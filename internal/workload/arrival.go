@@ -294,7 +294,7 @@ func (p *ParetoArrivals) Reset() { p.r = *rng.New(p.seed).Derive(gapStream) }
 // (±50% spread); "bursty" (off rate rate/2 for a mean 20 s, burst
 // rate 2·rate for a mean 10 s — same long-run mean); "diurnal"
 // (amplitude 0.6·rate, 120 s period); "pareto" (tail shape 1.5). It
-// is the factory behind the CLI -traffic/-stress flags.
+// is the factory behind the CLI -traffic flag.
 func NewArrival(name string, rate float64, seed uint64) (ArrivalProcess, error) {
 	if rate <= 0 {
 		return nil, fmt.Errorf("workload: arrival rate must be positive, got %v", rate)

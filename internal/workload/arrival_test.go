@@ -86,7 +86,7 @@ func TestArrivalDifferentSeedsDiverge(t *testing.T) {
 }
 
 // Next must be allocation-free: the generator runs inside benchmark
-// and simulation hot loops under the -maxallocs 0 gate.
+// and simulation hot loops.
 func TestArrivalNextAllocationFree(t *testing.T) {
 	for _, p := range allProcesses(3, 5) {
 		allocs := testing.AllocsPerRun(200, func() { p.Next() })

@@ -14,9 +14,8 @@
 //
 // The layout is auto-detected from the header: any all-digit column
 // name means wide; otherwise a t/time column is required and the file
-// is long. Imported traces feed cluster.SubmitTrace/ProcessTrace and
-// the pipebench stress ramp (-stress-trace), which replays the real
-// arrival pattern rescaled to each step's offered load.
+// is long. Imported traces feed cluster.SubmitTrace/ProcessTrace. No
+// command imports CSV today (ROADMAP item 6 decides whether one will).
 
 package workload
 
@@ -236,9 +235,8 @@ func firstOf(col map[string]int, names ...string) (int, bool) {
 }
 
 // ScaleTime returns a copy of the trace with every arrival time
-// multiplied by factor — the rescaling the stress ramp uses to replay
-// one recorded stream at several offered loads while preserving its
-// burst structure.
+// multiplied by factor: one recorded stream replayed at another offered
+// load with its burst structure preserved.
 func (tr Trace) ScaleTime(factor float64) (Trace, error) {
 	if factor <= 0 {
 		return nil, fmt.Errorf("workload: ScaleTime factor must be positive, got %v", factor)
