@@ -516,22 +516,12 @@ func (p *Pipeline) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-ch
 	p.mu.Lock()
 	p.liveCtrl = ctrl
 	p.mu.Unlock()
-	out, errs := lp.Run(ctx, inputs)
+	// The loop stops on the run's own goroutine, before the output closes:
+	// an armed run has the goroutines and the hops of an unarmed one.
+	lp.OnDone(ctrl.Stop)
 	ctrl.Start()
-	tapped := make(chan any)
-	go func() {
-		defer close(tapped)
-		defer ctrl.Stop()
-		for v := range out {
-			ctrl.NoteCompletion()
-			select {
-			case tapped <- v:
-			case <-ctx.Done():
-				// Keep draining so the inner pipeline can shut down.
-			}
-		}
-	}()
-	return tapped, errs, nil
+	out, errs := lp.Run(ctx, inputs)
+	return out, errs, nil
 }
 
 // LiveAdaptationEvent is one live resize decision.

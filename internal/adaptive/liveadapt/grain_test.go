@@ -15,8 +15,8 @@ func identityFn(_ context.Context, v any) (any, error) { return v, nil }
 
 // grainFake extends the scripted target with a grain surface whose
 // "observed" throughput is a function the test controls: rate(grain)
-// items per second, fed to the sensor via NoteCompletion-equivalent
-// counter bumps between ticks.
+// items per second, credited to the fake's one stage — the exit stage,
+// whose count is the sensor's exit rate — between ticks.
 type grainFake struct {
 	*fakeTarget
 	grain int
@@ -40,7 +40,7 @@ func drive(s *liveSub, f *grainFake, rate func(grain int) float64, from, ticks i
 	now := float64(from) * cool
 	for i := 0; i < ticks; i++ {
 		now += cool
-		s.done.Add(int64(rate(f.grain) * cool))
+		f.observe(0, int64(rate(f.grain)*cool), time.Millisecond)
 		s.Sample(now)
 	}
 	return now
@@ -160,7 +160,7 @@ func TestGrainWalkCoordinateDescentPerBoundary(t *testing.T) {
 		now := float64(from) * cool
 		for i := 0; i < ticks; i++ {
 			now += cool
-			s.done.Add(int64(rate(0) * cool))
+			f.observe(0, int64(rate(0)*cool), time.Millisecond)
 			s.Sample(now)
 		}
 	}

@@ -7,7 +7,7 @@
 //   - Sensor: a wall-clock ticker diffs each stage's conc.Meter totals
 //     into windowed mean service times, feeds them through the same
 //     monitor.Estimator forecaster batteries the simulated node
-//     sensors use, and tracks the pipeline's observed exit rate;
+//     sensors use, and reads the exit rate off the last stage's count;
 //   - Actuator: a worker-budget apportioner — replicable stages
 //     receive workers proportional to their (forecast) service times,
 //     bounded by MaxWorkers — actuating via pipeline.SetReplicas (or
@@ -34,7 +34,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gridpipe/internal/adaptive"
@@ -278,11 +277,6 @@ func newController(target Target, info []StageInfo, cfg Config) (*Controller, er
 	return &Controller{Controller: core, sub: sub}, nil
 }
 
-// NoteCompletion records that one item left the pipeline; callers tap
-// their output stream with it so the degradation trigger has an
-// observed exit rate. Safe for concurrent use.
-func (c *Controller) NoteCompletion() { c.sub.done.Add(1) }
-
 // Grain returns the target's current boundary batch size, or 1 when
 // the target has no grain surface.
 func (c *Controller) Grain() int {
@@ -322,8 +316,7 @@ type rateSample struct {
 }
 
 // liveSub implements adaptive.Sensor and adaptive.Actuator over one
-// Target. Its methods are called under the core controller's mutex;
-// only the completion counter is touched concurrently.
+// Target. Its methods are called under the core controller's mutex.
 type liveSub struct {
 	target Target
 	info   []StageInfo
@@ -337,8 +330,7 @@ type liveSub struct {
 	loads []float64            // reusable Loads buffer
 	slow  []float64            // reusable Slowdowns buffer
 
-	done    atomic.Int64 // completions (fed by NoteCompletion)
-	samples []rateSample // pruned completion-rate history
+	samples []rateSample // pruned history of the exit stage's completion count
 
 	grain *grainWalk // granularity actuator (nil unless AdaptGrain)
 }
@@ -361,7 +353,7 @@ func (s *liveSub) Sample(now float64) {
 		}
 		s.lastN[i], s.lastS[i] = n, sum
 	}
-	s.samples = append(s.samples, rateSample{t: now, n: s.done.Load()})
+	s.samples = append(s.samples, rateSample{t: now, n: s.completed()})
 	// Prune history beyond any window a trigger could ask about.
 	keep := 4 * math.Max(s.cfg.ThroughputWindow.Seconds(), 5*s.cfg.Interval.Seconds())
 	cut := 0
@@ -372,6 +364,13 @@ func (s *liveSub) Sample(now float64) {
 		s.samples = append(s.samples[:0], s.samples[cut:]...)
 	}
 	s.grain.step(s, now)
+}
+
+// completed is the exit stage's item count: its meter already counts what
+// leaves the pipeline, so the exit rate needs no tap on the output stream.
+func (s *liveSub) completed() int64 {
+	n, _ := s.target.Totals(s.target.NumStages() - 1)
+	return n
 }
 
 // Loads returns the per-stage service-time estimates (seconds/item)
@@ -398,7 +397,7 @@ func (s *liveSub) Loads(mode adaptive.LoadMode, now float64) []float64 {
 // run's completions by the full window would read as a throughput
 // collapse and spuriously fire the degradation trigger at startup.
 func (s *liveSub) Throughput(window, now float64) float64 {
-	nNow := s.done.Load()
+	nNow := s.completed()
 	start := now - window
 	var nStart int64
 	if len(s.samples) == 0 || start < s.samples[0].t {

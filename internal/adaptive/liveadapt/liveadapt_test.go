@@ -191,13 +191,9 @@ func TestThroughputWindowSemantics(t *testing.T) {
 	if v := s.Throughput(1, 0); !math.IsNaN(v) {
 		t.Fatalf("throughput with no completions = %v, want NaN", v)
 	}
-	for i := 0; i < 10; i++ {
-		s.done.Add(1)
-	}
+	f.observe(0, 10, time.Millisecond)
 	s.Sample(1)
-	for i := 0; i < 20; i++ {
-		s.done.Add(1)
-	}
+	f.observe(0, 20, time.Millisecond)
 	// Window (1, 2]: 20 completions after the t=1 sample.
 	if v := s.Throughput(1, 2); math.Abs(v-20) > 1e-9 {
 		t.Fatalf("throughput = %v, want 20", v)
@@ -264,7 +260,6 @@ func TestLivePipelineGrowsBottleneck(t *testing.T) {
 			t.Fatalf("out of order: got %v at position %d", v, seen)
 		}
 		seen++
-		ctrl.NoteCompletion()
 	}
 	ctrl.Stop()
 	if err := <-errs; err != nil {
@@ -315,7 +310,6 @@ func TestLiveFarmGrowsWorkers(t *testing.T) {
 			t.Fatalf("out of order: got %v at position %d", v, seen)
 		}
 		seen++
-		ctrl.NoteCompletion()
 	}
 	ctrl.Stop()
 	if err := <-errs; err != nil {

@@ -19,10 +19,21 @@
 //     and a fan-in zips its in-streams slab-by-slab;
 //   - the head flushes a slab when it reaches the current grain
 //     (SetGrain, readable while running — the adaptive controller's
-//     second actuator dimension) or when the oldest item in it has
-//     lingered for the linger timeout, so a trickle input keeps bounded
-//     latency; the linger clock starts only when a slab is opened and
-//     is not already full, so a slab of one never touches the timer;
+//     second actuator dimension) or when it has lingered for the linger
+//     timeout, so a trickle input keeps bounded latency. The head takes
+//     its input in bursts — it parks only when the channel is dry and
+//     otherwise drains it with non-blocking receives — and the linger
+//     clock starts when it parks holding a partial slab, once per slab:
+//     while a burst lasts the next item is already there, so the slab's
+//     oldest item is at most a burst older than its clock, and neither
+//     a slab of one nor a saturated input ever touches the timer;
+//   - a slab is eager when nothing is known to follow it: a partial
+//     slab flushed by linger or end of input always, a grain-full one
+//     exactly when the head's look-ahead — one non-blocking receive,
+//     made when the entry queue has room for the slab — did not produce
+//     the item that opens the next slab. So a slab that is not eager is
+//     always followed by another flush, and no item can be stranded in
+//     a coarsening accumulator downstream (edgegrain.go);
 //   - slabs are reference-counted (a split shares one among all its
 //     out-edges) and recycled through a sync.Pool, so the steady-state
 //     boundary performs no per-item and no per-slab heap allocation;
@@ -46,7 +57,7 @@ const DefaultLinger = time.Millisecond
 // idx counts slabs 0,1,2,… in head order (the reorder key). refs is
 // the number of consumers still holding the slab — a split hands the
 // same slab to every out-edge. eager marks a slab flushed by
-// linger, end-of-input, or an idle input: every stage propagates it,
+// linger, end-of-input, or a dry input: every stage propagates it,
 // and a coarsening per-edge boundary (edgegrain.go) flushes its
 // accumulator on seeing it instead of waiting to fill — which keeps
 // the head's linger the dominant batching wait even when a downstream

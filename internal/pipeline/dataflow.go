@@ -393,7 +393,10 @@ func (r *dataflow) retire(st *stageState) {
 
 // runHead is the head batcher: it sequence-tags the inputs and packs
 // them into slabs, flushed into the entry queue on grain or linger. This
-// is the only place an item ever waits for more input.
+// is the only place an item ever waits for more input. It pays the
+// channel once per burst: it parks in the three-case select only when the
+// input is dry, and drains what the channel already holds with
+// non-blocking receives straight into the open slab.
 func (r *dataflow) runHead(inputs <-chan any) {
 	p := r.p
 	seq, idx := 0, 0
@@ -412,22 +415,60 @@ func (r *dataflow) runHead(inputs <-chan any) {
 		r.running.Done()
 		r.advance(false)
 	}()
-	flush := func(eager bool) bool {
-		cur.eager = eager
-		if !r.pushEntry(cur) {
+	var (
+		v        any
+		ok, more bool
+	)
+	// next is the burst's look-ahead, a non-blocking receive into v, ok:
+	// more says whether the channel had anything — an item, or its close —
+	// and the result whether an item follows the ones already taken.
+	next := func() bool {
+		select {
+		case v, ok = <-inputs:
+			more = true
+		default:
+			more = false
+		}
+		return more && ok
+	}
+	// flush hands cur to the entry queue: eager as it is (linger, end of
+	// input) with a nil look, and otherwise eager unless look finds the
+	// item that opens the following slab (see pushEntry).
+	flush := func(look func() bool) bool {
+		if timerC != nil {
+			timer.Stop()
+			timerC = nil
+		}
+		if !r.pushEntry(cur, look) {
 			return false
 		}
 		cur = nil
-		timerC = nil
 		idx++
 		return true
 	}
 	for {
+		// The input is dry: park. A partial slab gets its linger clock
+		// here, once — its oldest item is at most a burst old — and never
+		// inside a burst.
+		if cur != nil && timerC == nil {
+			timer.Reset(time.Duration(p.linger.Load()))
+			timerC = timer.C
+		}
 		select {
-		case v, ok := <-inputs:
-			if !ok {
+		case v, ok = <-inputs:
+		case <-timerC:
+			timerC = nil
+			if !flush(nil) {
+				return
+			}
+			continue
+		case <-r.ctx.Done():
+			return
+		}
+		for more = true; more; {
+			if !ok { // closed: a partial slab is the stream's tail
 				if cur != nil {
-					flush(true)
+					flush(nil)
 				}
 				return
 			}
@@ -436,37 +477,25 @@ func (r *dataflow) runHead(inputs <-chan any) {
 			}
 			cur.items = append(cur.items, v)
 			seq++
-			switch {
-			case len(cur.items) >= p.Grain():
-				if timerC != nil {
-					timer.Stop()
-				}
-				// A grain-full flush with nothing else queued may be
-				// the last traffic for a while; marking it eager lets
-				// coarsening downstream boundaries drain instead of
-				// parking its items until the next input burst.
-				if !flush(len(inputs) == 0) {
-					return
-				}
-			case timerC == nil:
-				// The slab was just opened and is not full: its oldest
-				// item starts the linger clock.
-				timer.Reset(time.Duration(p.linger.Load()))
-				timerC = timer.C
-			}
-		case <-timerC:
-			if !flush(true) {
+			if len(cur.items) < p.Grain() {
+				next()
+			} else if !flush(next) {
 				return
 			}
-		case <-r.ctx.Done():
-			return
 		}
 	}
 }
 
 // pushEntry blocks until the entry queue takes b; false means the run
-// was cancelled first and b is still the caller's.
-func (r *dataflow) pushEntry(b *batch) bool {
+// was cancelled first and b is still the caller's. A nil look sends b
+// eager. Otherwise b is grain-full and look, the head's non-blocking
+// look-ahead, decides once there is room: if it produced the item that
+// opens the following slab, another flush is certain to come and b is not
+// eager; if the input is dry, b may be the last traffic for a while, and
+// marking it eager lets coarsening boundaries downstream drain instead of
+// parking its items until the next burst. Looking only once the queue has
+// room keeps the head from holding an item beyond the slab it pushes.
+func (r *dataflow) pushEntry(b *batch, look func() bool) bool {
 	for {
 		r.mu.Lock()
 		switch {
@@ -474,6 +503,7 @@ func (r *dataflow) pushEntry(b *batch) bool {
 			r.mu.Unlock()
 			return false
 		case r.entry.q.Len() < r.entry.room:
+			b.eager = look == nil || !look()
 			r.push(r.entry, b)
 			r.advance(false)
 			return true
@@ -484,6 +514,23 @@ func (r *dataflow) pushEntry(b *batch) bool {
 		case <-r.ctx.Done():
 			return false
 		}
+	}
+}
+
+// offer sends v on c, trying a non-blocking send first — a buffered
+// channel with room costs no select — and otherwise parking until v is
+// taken or ctx ends (false).
+func offer(ctx context.Context, c chan<- any, v any) bool {
+	select {
+	case c <- v:
+		return true
+	default:
+	}
+	select {
+	case c <- v:
+		return true
+	case <-ctx.Done():
+		return false
 	}
 }
 
@@ -511,9 +558,7 @@ func (r *dataflow) runEgress(results chan<- any) {
 		r.mark(r.exit.from) // room opened behind the last stage
 		r.advance(false)
 		for _, v := range b.items {
-			select {
-			case results <- v:
-			case <-r.ctx.Done():
+			if !offer(r.ctx, results, v) {
 				r.p.releaseBatch(b)
 				return
 			}

@@ -97,8 +97,8 @@ func TestRunGoroutinesIndependentOfStages(t *testing.T) {
 }
 
 // TestBackpressureBoundsInFlight: with a consumer that reads nothing,
-// the run accepts what its queues, tokens, head slab and egress can hold
-// and then blocks the feeder; idle executor workers are not mistaken for
+// the run accepts what its queues, tokens, head slab, egress and output
+// buffer can hold and then blocks the feeder; idle executor workers are not mistaken for
 // a stall; and cancelling unwinds it.
 func TestBackpressureBoundsInFlight(t *testing.T) {
 	watchGoroutines(t)
@@ -119,7 +119,8 @@ func TestBackpressureBoundsInFlight(t *testing.T) {
 			// Slabs at rest: the entry queue, one queue behind every
 			// stage (the last one's is the exit queue), a token per
 			// replica, the slab the head is filling or pushing, and the
-			// slab the egress is unpacking.
+			// slab the egress is unpacking — into the output channel's
+			// buffer, which holds cap(out) items more.
 			slabs := stages[0].Buffer + 2
 			for _, st := range stages {
 				slabs += st.Buffer + st.Replicas
@@ -128,9 +129,9 @@ func TestBackpressureBoundsInFlight(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var accepted atomic.Int64
-			_, errs := p.Run(ctx, feed(ctx, &accepted))
+			out, errs := p.Run(ctx, feed(ctx, &accepted))
 			got := settle(accepted.Load)
-			if max := int64(slabs * grain); got > max {
+			if max := int64(slabs*grain + cap(out)); got > max {
 				t.Errorf("feeder was accepted %d items with nobody reading, bound is %d", got, max)
 			}
 			if got < int64(grain) {

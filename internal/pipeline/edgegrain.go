@@ -43,6 +43,17 @@ import (
 // slab size (it would misalign zips over shared slabs), so their entry
 // must equal the effective grain flowing out of their From stage.
 // linger <= 0 picks DefaultLinger.
+//
+// A coarsening bridge fills only while the head's slabs are not eager,
+// and the head marks a full slab eager when its look-ahead finds the
+// input dry (batch.go). A producer that runs ahead — any buffered input,
+// or Process — therefore coarsens fully. One that hands over item by
+// item through an unbuffered channel ping-pongs with the head: a look
+// finds the next item only if the producer is already parked on its
+// send, and every look that loses that race flushes the accumulator
+// early, so the edge coarsens only in part (measured at grains [1, 64]
+// with a bare sending loop: two items a slab, not 64). Give such an
+// input a buffer.
 func (p *Pipeline) EnableBatchEdges(grains []int, linger time.Duration) error {
 	if want := 1 + len(p.edges); len(grains) != want {
 		return fmt.Errorf("pipeline: EnableBatchEdges wants %d grains (head + one per edge), got %d", want, len(grains))

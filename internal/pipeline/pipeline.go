@@ -17,9 +17,10 @@
 //
 // There is one data path, and no goroutine per stage. The head batcher
 // packs inputs into pooled slabs of up to grain items (grain 1, the
-// default, is a slab of one — batch.go) and the egress unpacks them for
-// the consumer; between the two sits a per-run dataflow state
-// (dataflow.go) in which a slab is in one of three places, each bounded:
+// default, is a slab of one — batch.go) and the egress unpacks them into
+// the output channel's small fixed buffer (ioBuffer items) for the
+// consumer; between the two sits a per-run dataflow state (dataflow.go)
+// in which a slab is in one of three places, each bounded:
 //
 //   - an edge queue: at most the producing stage's Buffer slabs (the
 //     entry queue the head fills and the exit queue the egress drains
@@ -31,6 +32,10 @@
 //     the live counterpart of the simulator's replicate action;
 //   - in the stage's reorder ring, finished, until every earlier index
 //     has left: never more than Replicas slabs.
+//
+// With the slab the head is filling or pushing and the slab the egress is
+// unpacking, a run whose consumer reads nothing holds at most that many
+// slabs times the grain, plus the ioBuffer items already unpacked.
 //
 // Two rules move slabs, and both only ever try — nothing waits under the
 // run's mutex. Fire: while every in-edge of a stage holds a slab and the
@@ -48,19 +53,27 @@
 // executor's stall probe to see the worker move and for the worker to
 // look at the inject queue again.
 //
-// Only the head (on input, on a full entry queue) and the egress (on an
-// empty exit queue, on the consumer) ever park; executor tasks take the
-// mutex and nothing else, so a one-worker executor runs any pipeline and
-// a Run is two goroutines at any stage count. End of stream and
-// cancellation travel by rule too: a stage retires, closing its
-// out-edges, once its in-edge is closed and empty (or the run is
-// cancelled) and every slab it started has left its ring. Cancellation —
-// the caller's, or a failed stage's — is noticed at the next step by
-// whoever takes it (the head and the egress wake for it), returns every
-// queued slab to the pool, and stops both rules from moving anything
-// forward: the ordered output is truncated, never punctured. The hot
-// path allocates nothing in steady state (batch.go); only a merge does,
-// one []any of parts per item.
+// Only the head and the egress ever park, and both pay their channel per
+// burst, not per item. The head parks when the input is dry — in a select
+// on input, the open slab's linger clock and cancellation — and on a full
+// entry queue; while the input holds items it drains them with
+// non-blocking receives, no select and no timer. The egress parks on an
+// empty exit queue and on a consumer that has let the output buffer fill;
+// while the buffer has room a send is a non-blocking try. Executor tasks
+// take the mutex and nothing else, so a one-worker executor runs any
+// pipeline and a Run is two goroutines at any stage count.
+//
+// End of stream and cancellation travel by rule too: a stage retires,
+// closing its out-edges, once its in-edge is closed and empty (or the run
+// is cancelled) and every slab it started has left its ring. Cancellation
+// — the caller's, or a failed stage's — is noticed at the next step by
+// whoever takes it (the head at every flush and every park, the egress at
+// every park), returns every queued slab to the pool, and stops both
+// rules from moving anything forward: the ordered output is truncated,
+// never punctured — what the output buffer still holds is an in-order
+// prefix the consumer may yet read. The hot path allocates nothing in
+// steady state (batch.go); only a merge does, one []any of parts per
+// item.
 package pipeline
 
 import (
@@ -75,6 +88,14 @@ import (
 	"gridpipe/internal/conc/steal"
 	"gridpipe/internal/topo"
 )
+
+// ioBuffer is the capacity of the two channels the package makes itself:
+// a run's output, which the egress unpacks slabs into, and the input
+// Collect feeds a slice through. It lets either end pay the channel once
+// per burst instead of a rendezvous per item; it is fixed, not an option
+// (16 to 64 measured alike), and the output's is the whole of what a run
+// can hold beyond its slabs.
+const ioBuffer = 32
 
 // Func is the computation of one stage. It must be safe for concurrent
 // invocation when the stage is replicated.
@@ -134,6 +155,9 @@ type Pipeline struct {
 
 	// run is the dataflow of the Run in progress (nil before it).
 	run atomic.Pointer[dataflow]
+
+	// onDone, set by OnDone before Run, runs when the run has ended.
+	onDone func()
 
 	// slabHook, installed by a test before Run, sees +1 for every slab
 	// taken from the pool and -1 for every slab returned to it.
@@ -251,6 +275,12 @@ func (p *Pipeline) Stats() []StageStats {
 	return out
 }
 
+// OnDone registers fn, before Run, to be called once when nothing of the
+// run is left, on the run's own goroutine and before its channels close:
+// what must stop with the run (the live controller's ticker) needs no
+// goroutine of its own to wait for that.
+func (p *Pipeline) OnDone(fn func()) { p.onDone = fn }
+
 // Run starts the pipeline over the input stream. The returned output
 // channel yields results in input order and is closed when the input
 // channel is exhausted and drained, the context is cancelled, or a
@@ -284,7 +314,7 @@ func (p *Pipeline) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-ch
 	r := p.newDataflow(ctx, ex, fail)
 	p.run.Store(r)
 
-	results := make(chan any)
+	results := make(chan any, ioBuffer)
 	errs := make(chan error, 1)
 	go r.runHead(inputs)
 	go func() {
@@ -297,6 +327,9 @@ func (p *Pipeline) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-ch
 		}
 		if firstErr != nil {
 			errs <- firstErr
+		}
+		if p.onDone != nil {
+			p.onDone()
 		}
 		close(errs)
 		close(results)
@@ -366,7 +399,7 @@ func (p *Pipeline) Process(ctx context.Context, inputs []any) ([]any, error) {
 // before the feeder starts: if it refuses, no goroutine exists yet.
 func Collect(ctx context.Context, inputs []any, run func(ctx context.Context, in <-chan any) (<-chan any, <-chan error, error)) ([]any, error) {
 	ctx, cancel := context.WithCancel(ctx)
-	in := make(chan any)
+	in := make(chan any, ioBuffer)
 	out, errs, err := run(ctx, in)
 	if err != nil {
 		cancel()
@@ -377,9 +410,7 @@ func Collect(ctx context.Context, inputs []any, run func(ctx context.Context, in
 		defer close(fed)
 		defer close(in)
 		for _, v := range inputs {
-			select {
-			case in <- v:
-			case <-ctx.Done():
+			if !offer(ctx, in, v) {
 				return
 			}
 		}

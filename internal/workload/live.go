@@ -316,7 +316,6 @@ func RunLive(app App, opts LiveOptions) (LiveOutcome, error) {
 			return LiveOutcome{}, fmt.Errorf("workload: live run out of order (%v at %d)", v, seen)
 		}
 		seen++
-		ctrl.NoteCompletion()
 		if inject && !injected && seen == opts.InjectAtItem {
 			doInject()
 		}

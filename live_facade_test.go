@@ -122,10 +122,47 @@ func TestWithLiveAdaptiveStaticIsInert(t *testing.T) {
 	}
 }
 
+// TestLiveAdaptiveRunAddsOnlyTheTicker: arming the controller puts no
+// goroutine and no hop between the pipeline and its consumer — a run at
+// rest holds what an unarmed one holds, plus the controller's ticker.
+func TestLiveAdaptiveRunAddsOnlyTheTicker(t *testing.T) {
+	held := func(arm bool) int {
+		p, err := New(Stage("a", sleeper(time.Microsecond), Weight(0.1), Replicable()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if arm {
+			if err := p.WithLiveAdaptive(PolicyPeriodic); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		out, errs, err := p.Run(ctx, make(chan any)) // no input: the run parks
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(20 * time.Millisecond)
+		n := runtime.NumGoroutine() - before
+		cancel()
+		for range out {
+		}
+		<-errs
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		return n
+	}
+	held(false) // starts the process-wide executor, so it is in the baseline
+	if plain, armed := held(false), held(true); armed != plain+1 {
+		t.Errorf("an armed run holds %d goroutines at rest, an unarmed one %d; want one more (the ticker)", armed, plain)
+	}
+}
+
 // TestLiveAdaptiveProcessFailureLeavesNoGoroutine: the adaptive branch
 // of Process feeds its own input channel; when a stage fails, the
-// feeder, the controller, and the completion tap must all exit with
-// the run instead of blocking on a pipeline that stopped reading.
+// feeder and the controller must both exit with the run instead of
+// blocking on a pipeline that stopped reading.
 func TestLiveAdaptiveProcessFailureLeavesNoGoroutine(t *testing.T) {
 	boom := errors.New("boom")
 	inputs := make([]any, 1000)
