@@ -19,7 +19,8 @@ type Farm struct {
 type FarmOptions struct {
 	// Workers is the initial worker limit (default 1).
 	Workers int
-	// Buffer is the input buffer capacity (default the worker count).
+	// Buffer is the capacity, in tasks, of the queues before and after
+	// the workers (default the worker count).
 	Buffer int
 	// Unordered delivers results in completion order instead of input
 	// order.

@@ -6,8 +6,7 @@ import (
 
 // GrainTarget is the optional second actuator surface: targets whose
 // stage boundaries move batches expose their batch size for the
-// controller to walk. *pipeline.Pipeline and *farm.Farm both satisfy
-// it.
+// controller to walk. *pipeline.Pipeline satisfies it.
 type GrainTarget interface {
 	// Grain returns the current boundary batch size.
 	Grain() int
@@ -36,9 +35,6 @@ func (t pipelineTarget) SetGrain(n int) error      { return t.p.SetGrain(n) }
 func (t pipelineTarget) GrainBoundaries() int      { return t.p.GrainBoundaries() }
 func (t pipelineTarget) GrainAt(b int) int         { return t.p.GrainAt(b) }
 func (t pipelineTarget) SetGrainAt(b, n int) error { return t.p.SetGrainAt(b, n) }
-
-func (t farmTarget) Grain() int           { return t.f.Batch() }
-func (t farmTarget) SetGrain(n int) error { return t.f.SetBatch(n) }
 
 // grainWalk is the granularity hill-climber's state, owned by liveSub
 // and advanced once per sensor tick (so it runs under the core

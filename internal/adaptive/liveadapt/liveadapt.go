@@ -10,8 +10,7 @@
 //     sensors use, and reads the exit rate off the last stage's count;
 //   - Actuator: a worker-budget apportioner — replicable stages
 //     receive workers proportional to their (forecast) service times,
-//     bounded by MaxWorkers — actuating via pipeline.SetReplicas (or
-//     farm.SetWorkers for the degenerate one-stage case);
+//     bounded by MaxWorkers — actuating via pipeline.SetReplicas;
 //   - Clock: a time.Ticker.
 //
 // Because the live substrate has no load-aware analytic model, the
@@ -37,13 +36,12 @@ import (
 	"time"
 
 	"gridpipe/internal/adaptive"
-	"gridpipe/internal/farm"
 	"gridpipe/internal/monitor"
 	"gridpipe/internal/pipeline"
 )
 
-// Target is the live resize surface the actuator drives: the stage-
-// graph pipeline, or a farm as the degenerate one-stage case.
+// Target is the live resize surface the actuator drives: the
+// stage-graph pipeline.
 type Target interface {
 	// NumStages returns the number of resizable stages.
 	NumStages() int
@@ -63,14 +61,6 @@ func (t pipelineTarget) NumStages() int                      { return t.p.NumSta
 func (t pipelineTarget) Replicas(i int) int                  { return t.p.Replicas(i) }
 func (t pipelineTarget) SetReplicas(i, n int) error          { return t.p.SetReplicas(i, n) }
 func (t pipelineTarget) Totals(i int) (int64, time.Duration) { return t.p.StageTotals(i) }
-
-// farmTarget adapts *farm.Farm as a single resizable stage.
-type farmTarget struct{ f *farm.Farm }
-
-func (t farmTarget) NumStages() int                    { return 1 }
-func (t farmTarget) Replicas(int) int                  { return t.f.Workers() }
-func (t farmTarget) SetReplicas(_, n int) error        { return t.f.SetWorkers(n) }
-func (t farmTarget) Totals(int) (int64, time.Duration) { return t.f.Totals() }
 
 // StageInfo describes one stage to the live controller.
 type StageInfo struct {
@@ -116,11 +106,12 @@ type Config struct {
 	// effect at the controller's next tick.
 	BudgetCap func() int
 	// AdaptGrain enables the granularity actuator: the controller
-	// walks the target's boundary batch size (pipeline grain / farm
-	// batch) in doubling and halving steps paced by Cooldown, keeping
-	// a step whose observed throughput clears the hysteresis margin
-	// and reverting one that costs it (see grainWalk). Requires a
-	// target that exposes a grain — a pipeline or a farm. PolicyStatic never ticks, so grain stays fixed under it.
+	// walks the target's boundary batch size (the pipeline's grain) in
+	// doubling and halving steps paced by Cooldown, keeping a step
+	// whose observed throughput clears the hysteresis margin and
+	// reverting one that costs it (see grainWalk). Requires a target
+	// that exposes a grain, as a pipeline does. PolicyStatic never
+	// ticks, so grain stays fixed under it.
 	AdaptGrain bool
 	// MaxGrain bounds the walked batch size (default 256).
 	MaxGrain int
@@ -159,7 +150,7 @@ func (r Replicas) String() string {
 	return b.String()
 }
 
-// Controller drives live adaptation of one pipeline or farm.
+// Controller drives live adaptation of one pipeline.
 type Controller struct {
 	*adaptive.Controller
 	sub *liveSub
@@ -171,12 +162,6 @@ type Controller struct {
 // substrate has no ground truth to consult.
 func ForPipeline(p *pipeline.Pipeline, info []StageInfo, cfg Config) (*Controller, error) {
 	return newController(pipelineTarget{p: p}, info, cfg)
-}
-
-// ForFarm builds a live controller over a farm: the degenerate
-// one-stage pipeline, resized via SetWorkers.
-func ForFarm(f *farm.Farm, cfg Config) (*Controller, error) {
-	return newController(farmTarget{f: f}, []StageInfo{{Name: "farm", Weight: 1, Replicable: true}}, cfg)
 }
 
 func newController(target Target, info []StageInfo, cfg Config) (*Controller, error) {
@@ -225,7 +210,7 @@ func newController(target Target, info []StageInfo, cfg Config) (*Controller, er
 		if !ok {
 			return nil, fmt.Errorf("liveadapt: AdaptGrain target exposes no grain surface")
 		}
-		// Probe actuability now: every pipeline and farm accepts its own
+		// Probe actuability now: every pipeline accepts its own
 		// current grain, but GrainTarget is an interface and another
 		// implementation may refuse — failing at construction beats
 		// panicking mid-run.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gridpipe/internal/adaptive"
-	"gridpipe/internal/farm"
 	"gridpipe/internal/pipeline"
 )
 
@@ -278,17 +277,17 @@ func TestLivePipelineGrowsBottleneck(t *testing.T) {
 	}
 }
 
-// TestLiveFarmGrowsWorkers: the degenerate one-stage case actuates via
-// SetWorkers.
+// TestLiveFarmGrowsWorkers: the degenerate one-stage case — a farm is a
+// one-stage pipeline — grows to the whole budget.
 func TestLiveFarmGrowsWorkers(t *testing.T) {
-	fm, err := farm.New(func(ctx context.Context, v any) (any, error) {
+	fm, err := pipeline.New(pipeline.Stage{Name: "farm", Fn: func(ctx context.Context, v any) (any, error) {
 		time.Sleep(4 * time.Millisecond)
 		return v, nil
-	}, farm.Options{Workers: 1, Buffer: 8})
+	}, Replicas: 1, Buffer: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := ForFarm(fm, Config{
+	ctrl, err := ForPipeline(fm, nil, Config{
 		Policy:     adaptive.PolicyPeriodic,
 		Interval:   30 * time.Millisecond,
 		MaxWorkers: 6,
@@ -318,7 +317,7 @@ func TestLiveFarmGrowsWorkers(t *testing.T) {
 	if seen != tasks {
 		t.Fatalf("completed %d of %d", seen, tasks)
 	}
-	if w := fm.Workers(); w != 6 {
+	if w := fm.Replicas(0); w != 6 {
 		t.Fatalf("farm workers = %d, want the full budget 6", w)
 	}
 }

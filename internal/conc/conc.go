@@ -86,13 +86,6 @@ func (l *Limiter) Limit() int {
 	return l.limit
 }
 
-// InUse returns the number of currently held slots.
-func (l *Limiter) InUse() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inUse
-}
-
 // Meter is a goroutine-safe service-time accumulator with atomic
 // fields: count, sum, and max of recorded durations. The zero value is
 // ready for use.

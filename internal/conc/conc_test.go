@@ -7,6 +7,13 @@ import (
 	"time"
 )
 
+// inUse reads the number of currently held slots.
+func inUse(l *Limiter) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.inUse
+}
+
 func TestLimiterCeiling(t *testing.T) {
 	l := NewLimiter(3)
 	var cur, peak atomic.Int64
@@ -32,8 +39,8 @@ func TestLimiterCeiling(t *testing.T) {
 	if p := peak.Load(); p > 3 {
 		t.Fatalf("peak concurrency %d over limit 3", p)
 	}
-	if l.InUse() != 0 {
-		t.Fatalf("InUse = %d after drain", l.InUse())
+	if inUse(l) != 0 {
+		t.Fatalf("inUse = %d after drain", inUse(l))
 	}
 }
 
@@ -58,7 +65,7 @@ func TestLimiterGrowWakesAllWaiters(t *testing.T) {
 		}()
 	}
 	// Let every goroutine reach the wait loop.
-	for l.InUse() != 1 {
+	for inUse(l) != 1 {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(5 * time.Millisecond)
@@ -109,8 +116,8 @@ func TestLimiterShrinkGrowChurn(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	resizer.Wait()
-	if l.InUse() != 0 {
-		t.Fatalf("InUse = %d after drain", l.InUse())
+	if inUse(l) != 0 {
+		t.Fatalf("inUse = %d after drain", inUse(l))
 	}
 }
 
@@ -209,8 +216,8 @@ func TestLimiterTryAcquire(t *testing.T) {
 	if !l.TryAcquire() {
 		t.Fatal("TryAcquire refused after the shrunk limiter drained")
 	}
-	if got := l.InUse(); got != 1 {
-		t.Fatalf("InUse = %d, want 1", got)
+	if got := inUse(l); got != 1 {
+		t.Fatalf("inUse = %d, want 1", got)
 	}
 	// It shares the slots with blocking Acquire.
 	admitted := make(chan struct{})

@@ -42,7 +42,7 @@ func TestDequeStealHalfZeroAlloc(t *testing.T) {
 		for j := 0; j < allocBatch; j++ {
 			victim.Push(task)
 		}
-		for victim.Steal(buf[:]) > 0 {
+		for victim.stealHalf(buf[:]) > 0 {
 		}
 	})
 }

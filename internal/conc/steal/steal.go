@@ -170,13 +170,6 @@ func (d *Deque) stealHalf(dst []Task) int {
 	return k
 }
 
-// Steal moves up to half of the deque's tasks (at least one, from the
-// head — the oldest) into dst and returns how many it took. The
-// executor's workers call the same path internally.
-func (d *Deque) Steal(dst []Task) int {
-	return d.stealHalf(dst)
-}
-
 // Stats is a snapshot of the executor's counters: where tasks came
 // from (local pops vs global grabs vs steals) and how often workers
 // parked. Pops+Grabbed+Stolen ≥ tasks executed is not an identity —

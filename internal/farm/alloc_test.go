@@ -6,11 +6,17 @@ import (
 	"testing"
 )
 
-// The unordered farm allocates per run (channels, the unit queue, the
+// raceEnabled is set by race_test.go under the race build tag.
+var raceEnabled bool
+
+// The unordered farm allocates per run (channels, the dataflow state, the
 // result slice), never per task: 8 workers, an identity function,
 // pre-boxed inputs so caller-side boxing is not counted; a run's whole
 // malloc count over its tasks must stay under 0.01.
 func TestUnorderedAllocsPerItem(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops a quarter of what is Put, so pooled slabs are re-allocated")
+	}
 	inputs := make([]any, 100_000)
 	ident := func(ctx context.Context, v any) (any, error) { return v, nil }
 	run := func() { // a farm runs once: build it each time

@@ -3,7 +3,9 @@ package farm
 // Batched dispatch: tasks cross the farm boundary in slabs without
 // changing the skeleton's contract — same outputs, same 1-for-1
 // discipline, same error and cancel behaviour — and the linger bound
-// keeps sparse streams from waiting on slab fill.
+// keeps sparse streams from waiting on slab fill. The farm has no batch
+// option of its own: these tests set the grain on the pipeline it wraps,
+// so both of its modes are pinned at every grain that pipeline can run.
 
 import (
 	"context"
@@ -14,15 +16,26 @@ import (
 	"time"
 )
 
+// newBatched builds a farm whose tasks travel in slabs of up to grain
+// (linger 0 picks the pipeline's default).
+func newBatched(t *testing.T, fn Func, opts Options, grain int, linger time.Duration) *Farm {
+	t.Helper()
+	f, err := New(fn, opts)
+	if err == nil {
+		err = f.pl.EnableBatch(grain, linger)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestBatchedUnorderedDeliversAll(t *testing.T) {
 	watchGoroutines(t)
 	for _, batch := range []int{2, 7, 64} {
-		f, err := New(func(_ context.Context, v any) (any, error) {
+		f := newBatched(t, func(_ context.Context, v any) (any, error) {
 			return v.(int) * 3, nil
-		}, Options{Workers: 4, Unordered: true, Batch: batch})
-		if err != nil {
-			t.Fatal(err)
-		}
+		}, Options{Workers: 4, Unordered: true}, batch, 0)
 		inputs := make([]any, 200)
 		for i := range inputs {
 			inputs[i] = i
@@ -46,12 +59,9 @@ func TestBatchedUnorderedDeliversAll(t *testing.T) {
 
 func TestBatchedOrderedPreservesOrder(t *testing.T) {
 	watchGoroutines(t)
-	f, err := New(func(_ context.Context, v any) (any, error) {
+	f := newBatched(t, func(_ context.Context, v any) (any, error) {
 		return v.(int) + 100, nil
-	}, Options{Workers: 4, Batch: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, Options{Workers: 4}, 16, 0)
 	inputs := make([]any, 150)
 	for i := range inputs {
 		inputs[i] = i
@@ -67,44 +77,18 @@ func TestBatchedOrderedPreservesOrder(t *testing.T) {
 	}
 }
 
-func TestBatchValidation(t *testing.T) {
-	watchGoroutines(t)
-	ident := func(_ context.Context, v any) (any, error) { return v, nil }
-	if _, err := New(ident, Options{Batch: -1}); err == nil {
-		t.Error("negative batch accepted")
-	}
-	f, err := New(ident, Options{Batch: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Batch() != 1 {
-		t.Errorf("zero batch defaulted to %d, want 1", f.Batch())
-	}
-	if err := f.SetBatch(0); err == nil {
-		t.Error("SetBatch(0) accepted")
-	}
-	if err := f.SetBatch(8); err != nil {
-		t.Fatal(err)
-	}
-	if f.Batch() != 8 {
-		t.Errorf("Batch() = %d after SetBatch(8)", f.Batch())
-	}
-}
-
 func TestSetBatchWhileRunning(t *testing.T) {
 	watchGoroutines(t)
-	// The ordered farm starts at the default batch of 1: SetBatch works
+	// The ordered farm starts at the default grain of 1: SetGrain works
 	// on it all the same, there is no batched wiring to have opted into.
-	for _, opts := range []Options{
-		{Workers: 2, Unordered: true, Batch: 4},
-		{Workers: 2},
-	} {
-		f, err := New(func(_ context.Context, v any) (any, error) {
-			return v, nil
-		}, opts)
-		if err != nil {
-			t.Fatal(err)
+	for _, unordered := range []bool{true, false} {
+		grain := 1
+		if unordered {
+			grain = 4
 		}
+		f := newBatched(t, func(_ context.Context, v any) (any, error) {
+			return v, nil
+		}, Options{Workers: 2, Unordered: unordered}, grain, 0)
 		in := make(chan any)
 		out, errs := f.Run(context.Background(), in)
 		go func() {
@@ -112,12 +96,12 @@ func TestSetBatchWhileRunning(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				in <- i
 				if i == 100 {
-					if err := f.SetBatch(1); err != nil {
+					if err := f.pl.SetGrain(1); err != nil {
 						panic(err)
 					}
 				}
 				if i == 200 {
-					if err := f.SetBatch(32); err != nil {
+					if err := f.pl.SetGrain(32); err != nil {
 						panic(err)
 					}
 				}
@@ -131,10 +115,10 @@ func TestSetBatchWhileRunning(t *testing.T) {
 			t.Fatal(err)
 		}
 		if count != 300 {
-			t.Fatalf("unordered=%v: lost items: %d of 300", opts.Unordered, count)
+			t.Fatalf("unordered=%v: lost items: %d of 300", unordered, count)
 		}
-		if f.Batch() != 32 {
-			t.Errorf("unordered=%v: Batch() = %d after SetBatch(32)", opts.Unordered, f.Batch())
+		if g := f.pl.Grain(); g != 32 {
+			t.Errorf("unordered=%v: grain = %d after SetGrain(32)", unordered, g)
 		}
 	}
 }
@@ -142,15 +126,12 @@ func TestSetBatchWhileRunning(t *testing.T) {
 func TestBatchedErrorPropagation(t *testing.T) {
 	watchGoroutines(t)
 	boom := fmt.Errorf("boom")
-	f, err := New(func(_ context.Context, v any) (any, error) {
+	f := newBatched(t, func(_ context.Context, v any) (any, error) {
 		if v.(int) == 37 {
 			return nil, boom
 		}
 		return v, nil
-	}, Options{Workers: 2, Unordered: true, Batch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, Options{Workers: 2, Unordered: true}, 8, 0)
 	inputs := make([]any, 100)
 	for i := range inputs {
 		inputs[i] = i
@@ -168,12 +149,9 @@ func TestFarmTrickleNeverWaitsLongerThanLinger(t *testing.T) {
 		gap    = 25 * time.Millisecond
 		items  = 12
 	)
-	f, err := New(func(_ context.Context, v any) (any, error) {
+	f := newBatched(t, func(_ context.Context, v any) (any, error) {
 		return v, nil
-	}, Options{Workers: 4, Unordered: true, Batch: batch, Linger: linger})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, Options{Workers: 4, Unordered: true}, batch, linger)
 	in := make(chan any)
 	out, errs := f.Run(context.Background(), in)
 	sent := make([]time.Time, items)
@@ -207,17 +185,14 @@ func TestFarmTrickleNeverWaitsLongerThanLinger(t *testing.T) {
 
 // TestFarmBatchWorkersConcurrent is the mid-flight actuation
 // regression test (pipeline counterpart:
-// TestGrainResizeConcurrentMidFlight): SetBatch racing SetWorkers on a
+// TestGrainResizeConcurrentMidFlight): SetGrain racing SetWorkers on a
 // running ordered farm must stay race-free and never drop or reorder
 // a task.
 func TestFarmBatchWorkersConcurrent(t *testing.T) {
 	watchGoroutines(t)
-	f, err := New(func(_ context.Context, v any) (any, error) {
+	f := newBatched(t, func(_ context.Context, v any) (any, error) {
 		return v, nil
-	}, Options{Workers: 2, Buffer: 16, Batch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, Options{Workers: 2, Buffer: 16}, 4, 0)
 	const items = 30000
 	in := make(chan any, 64)
 	out, errs := f.Run(context.Background(), in)
@@ -239,8 +214,8 @@ func TestFarmBatchWorkersConcurrent(t *testing.T) {
 			default:
 			}
 			if i%2 == 0 {
-				if err := f.SetBatch(batches[i%len(batches)]); err != nil {
-					t.Errorf("SetBatch: %v", err)
+				if err := f.pl.SetGrain(batches[i%len(batches)]); err != nil {
+					t.Errorf("SetGrain: %v", err)
 					return
 				}
 			} else {

@@ -9,8 +9,8 @@ import (
 )
 
 // watchGoroutines fails the test if, two seconds after it ends, more
-// goroutines are alive than when it started: every dispatcher,
-// drainer, and feeder a run starts must exit with the run. The
+// goroutines are alive than when it started: the head, the egress and
+// the feeder a run starts must exit with the run. The
 // process-wide executor is started first so its persistent
 // workers are part of the baseline.
 func watchGoroutines(t *testing.T) {

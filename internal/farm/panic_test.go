@@ -22,15 +22,12 @@ func TestFarmPanicIsContained(t *testing.T) {
 	for _, unordered := range []bool{false, true} {
 		for _, batch := range []int{1, 8} {
 			t.Run(fmt.Sprintf("unordered=%v/batch%d", unordered, batch), func(t *testing.T) {
-				f, err := New(func(_ context.Context, v any) (any, error) {
+				f := newBatched(t, func(_ context.Context, v any) (any, error) {
 					if v.(int) == k {
 						panic("kaboom")
 					}
 					return v, nil
-				}, Options{Workers: 3, Unordered: unordered, Batch: batch})
-				if err != nil {
-					t.Fatal(err)
-				}
+				}, Options{Workers: 3, Unordered: unordered}, batch, 0)
 				good, err := pipeline.New(
 					pipeline.Stage{Name: "a", Fn: ident, Replicas: 2},
 					pipeline.Stage{Name: "b", Fn: ident, Replicas: 2},
@@ -52,14 +49,8 @@ func TestFarmPanicIsContained(t *testing.T) {
 				if err == nil {
 					t.Fatal("panicking farm reported no error")
 				}
-				// The ordered farm is a one-stage pipeline and names the
-				// item by sequence number, the unordered one by value; the
-				// inputs here make the two coincide.
-				named := fmt.Sprintf("item %d", k)
-				if unordered {
-					named = fmt.Sprintf("task %d", k)
-				}
-				for _, want := range []string{named, "kaboom", "panic_test.go"} {
+				// Both modes name the item by its sequence number.
+				for _, want := range []string{fmt.Sprintf("item %d", k), "kaboom", "panic_test.go"} {
 					if !strings.Contains(err.Error(), want) {
 						t.Errorf("error lacks %q:\n%v", want, err)
 					}

@@ -118,32 +118,3 @@ func TestResizeUnderFlightUnordered(t *testing.T) {
 		t.Fatalf("delivered %d of %d", n, tasks)
 	}
 }
-
-// TestFarmTotals: the live sensor's Totals surface in both modes.
-func TestFarmTotals(t *testing.T) {
-	for _, unordered := range []bool{false, true} {
-		f, err := New(func(ctx context.Context, v any) (any, error) {
-			return v, nil
-		}, Options{Workers: 2, Unordered: unordered})
-		if err != nil {
-			t.Fatal(err)
-		}
-		inputs := make([]any, 200)
-		for i := range inputs {
-			inputs[i] = i
-		}
-		if _, err := f.Process(context.Background(), inputs); err != nil {
-			t.Fatal(err)
-		}
-		count, sum := f.Totals()
-		if count != 200 {
-			t.Fatalf("unordered=%t: Totals count = %d, want 200", unordered, count)
-		}
-		if sum < 0 {
-			t.Fatalf("unordered=%t: Totals sum = %v", unordered, sum)
-		}
-		if w := f.Workers(); w != 2 {
-			t.Fatalf("unordered=%t: Workers = %d", unordered, w)
-		}
-	}
-}

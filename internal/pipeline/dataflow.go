@@ -116,7 +116,9 @@ func (p *Pipeline) newDataflow(ctx context.Context, ex *steal.Executor, fail fun
 // result — or the nil tombstone of a failed slab, which keeps the ring's
 // indices gap-free so the tokens behind it keep coming back while the
 // cancellation unwinds — advance, and carry on with a slab that released,
-// for at most one trip down the pipeline.
+// for at most one trip down the pipeline. An unordered stage files at the
+// ring's next free index instead of the slab's own, so deliver, unchanged,
+// releases slabs in completion order.
 func (r *dataflow) runTask(s int, b *batch) {
 	for runs := 1; ; runs++ {
 		idx := b.idx
@@ -125,7 +127,11 @@ func (r *dataflow) runTask(s int, b *batch) {
 			r.fail(err)
 		}
 		r.mu.Lock()
-		r.stages[s].pending.Put(idx, ob)
+		pending := &r.stages[s].pending
+		if r.p.stages[s].Unordered {
+			idx = pending.Next() + pending.Held()
+		}
+		pending.Put(idx, ob)
 		r.mark(s)
 		next := r.advance(runs < len(r.stages))
 		if next.b == nil {

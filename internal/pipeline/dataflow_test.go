@@ -4,7 +4,8 @@ package pipeline
 // what it gives back. Goroutines per run do not depend on the stage
 // count; a consumer that stops reading stalls the producer behind a
 // bounded number of items; a grown limiter admits queued slabs with no
-// task completing; every slab taken from the pool returns to it,
+// task completing; an unordered stage holds no finished slab behind an
+// unfinished one; every slab taken from the pool returns to it,
 // however the run ends; and a one-worker executor — which deadlocks any
 // design where a task waits on another — runs every property.
 
@@ -70,7 +71,7 @@ func identChain(t *testing.T, n int) *Pipeline {
 func TestRunGoroutinesIndependentOfStages(t *testing.T) {
 	watchGoroutines(t) // also starts the process-wide executor's workers
 	before := runtime.NumGoroutine()
-	delta := func(stages int) int {
+	delta := func(p *Pipeline) int {
 		// The previous run's goroutines are on their way out once its
 		// error channel closes; let them go before counting this one's.
 		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
@@ -78,7 +79,7 @@ func TestRunGoroutinesIndependentOfStages(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		var accepted atomic.Int64
-		_, errs := identChain(t, stages).Run(ctx, feed(ctx, &accepted))
+		_, errs := p.Run(ctx, feed(ctx, &accepted))
 		// Nobody reads the output: the run fills up and comes to rest
 		// with every goroutine it started parked.
 		settle(accepted.Load)
@@ -87,9 +88,13 @@ func TestRunGoroutinesIndependentOfStages(t *testing.T) {
 		<-errs
 		return d
 	}
-	short, long := delta(2), delta(12)
-	if short != long {
-		t.Errorf("a 2-stage run holds %d goroutines mid-run, a 12-stage run %d", short, long)
+	farm, err := New(Stage{Fn: edgeIdent, Replicas: 2, Buffer: 2, Unordered: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, long, unordered := delta(identChain(t, 2)), delta(identChain(t, 12)), delta(farm)
+	if short != long || unordered != long {
+		t.Errorf("a 2-stage run holds %d goroutines mid-run, a 12-stage run %d, an unordered one-stage run %d", short, long, unordered)
 	}
 	if long > 3+1 {
 		t.Errorf("a run holds %d goroutines mid-run, want at most 3 and this test's feeder", long)
@@ -204,6 +209,56 @@ func TestSetReplicasAdmitsQueuedSlabs(t *testing.T) {
 	}
 }
 
+// TestUnorderedStageHasNoHeadOfLine: task 0 does not return until the
+// consumer has received tasks 1…k — which an ordered ring holds behind
+// task 0 for ever. Channels alone order the steps; the context's timeout
+// only turns that deadlock into a failure.
+func TestUnorderedStageHasNoHeadOfLine(t *testing.T) {
+	watchGoroutines(t)
+	const k = 3
+	received := make(chan struct{})
+	p, err := New(Stage{Name: "farm", Replicas: k + 1, Buffer: k + 1, Unordered: true, Fn: func(ctx context.Context, v any) (any, error) {
+		if v.(int) == 0 {
+			select {
+			case <-received:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return v, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := make(chan any, k+1)
+	for i := 0; i <= k; i++ {
+		in <- i
+	}
+	close(in)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	out, errs := p.Run(ctx, in)
+	for n := 0; n < k; n++ {
+		v, ok := <-out
+		if !ok {
+			t.Fatalf("received %d of tasks 1…%d while task 0 was blocked: %v", n, k, <-errs)
+		}
+		if v.(int) == 0 {
+			t.Fatalf("task 0 delivered while still blocked")
+		}
+	}
+	close(received)
+	if v, ok := <-out; !ok || v.(int) != 0 {
+		t.Fatalf("after tasks 1…%d: got %v, %v, want task 0", k, v, ok)
+	}
+	if v, ok := <-out; ok {
+		t.Fatalf("a %dth output: %v", k+2, v)
+	}
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestEverySlabReturnsToThePool counts slabs out of and back into the
 // pool: when the run has ended — by completion, stage error, stage
 // panic, caller cancel mid-stream, or a consumer that stops reading and
@@ -251,6 +306,17 @@ func TestEverySlabReturnsToThePool(t *testing.T) {
 				},
 				[]topo.Edge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3}},
 			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.EnableBatch(grain, time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			return p
+		},
+		// A farm's stage: slabs leave its ring in completion order.
+		"unordered": func(mid Func, grain int) *Pipeline {
+			p, err := New(Stage{Fn: mid, Replicas: 3, Buffer: 2, Unordered: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -171,15 +171,6 @@ func (p *Pipeline) bridgeEdges() []bool {
 // boundaries 1..k-1 are the bridge edges in edge order.
 func (p *Pipeline) GrainBoundaries() int { return 1 + len(p.actBounds) }
 
-// BoundaryEdge maps an adjustable boundary index to its edge index in
-// the pipeline's edge list; boundary 0 (the head) returns -1.
-func (p *Pipeline) BoundaryEdge(b int) int {
-	if b <= 0 || b > len(p.actBounds) {
-		return -1
-	}
-	return p.actBounds[b-1]
-}
-
 // boundaryGrain resolves adjustable boundary b to its slot in the grain
 // vector; nil for an invalid boundary.
 func (p *Pipeline) boundaryGrain(b int) *atomic.Int64 {
@@ -217,17 +208,4 @@ func (p *Pipeline) SetGrainAt(b, n int) error {
 	}
 	g.Store(int64(n))
 	return nil
-}
-
-// EdgeGrains snapshots the full per-boundary grain vector (head +
-// one per edge), or nil when EnableBatchEdges was not used.
-func (p *Pipeline) EdgeGrains() []int {
-	if p.regrain == nil {
-		return nil
-	}
-	out := make([]int, len(p.grains))
-	for b := range p.grains {
-		out[b] = int(p.grains[b].Load())
-	}
-	return out
 }

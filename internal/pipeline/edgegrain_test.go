@@ -105,19 +105,11 @@ func TestEnableBatchEdgesBridgesOnly(t *testing.T) {
 	if nb := c.GrainBoundaries(); nb != 3 {
 		t.Fatalf("chain GrainBoundaries = %d, want 3", nb)
 	}
-	if be := c.BoundaryEdge(0); be != -1 {
-		t.Fatalf("BoundaryEdge(0) = %d, want -1 (the head)", be)
-	}
-	if be := c.BoundaryEdge(1); be != 0 {
-		t.Fatalf("BoundaryEdge(1) = %d, want edge 0", be)
-	}
-	if g := c.GrainAt(2); g != 8 {
-		t.Fatalf("GrainAt(2) = %d, want 8", g)
-	}
-	want := []int{2, 4, 8}
-	for i, g := range c.EdgeGrains() {
-		if g != want[i] {
-			t.Fatalf("EdgeGrains() = %v, want %v", c.EdgeGrains(), want)
+	// Boundary 0 is the head, boundary 1+k the chain's edge k; past the
+	// last there is none.
+	for b, want := range []int{2, 4, 8, 1} {
+		if g := c.GrainAt(b); g != want {
+			t.Fatalf("GrainAt(%d) = %d, want %d", b, g, want)
 		}
 	}
 }

@@ -41,23 +41,32 @@ func TestProcessFailureLeavesNoFeeder(t *testing.T) {
 }
 
 // TestStagePanicIsContained: a stage that panics on item k fails its own
-// run and delivers an ordered prefix, while a second pipeline running
+// run and delivers an ordered prefix (an unordered stage, a farm's: no
+// item twice, and never item k), while a second pipeline running
 // concurrently on the same default executor completes with every item.
 func TestStagePanicIsContained(t *testing.T) {
 	watchGoroutines(t)
 	const items, k = 2000, 137
-	for _, grain := range []int{1, 16} {
-		t.Run(fmt.Sprintf("grain%d", grain), func(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		grain     int
+		unordered bool
+	}{{"grain1", 1, false}, {"grain16", 16, false}, {"unordered/grain1", 1, true}, {"unordered/grain16", 16, true}} {
+		t.Run(c.name, func(t *testing.T) {
 			ident := func(_ context.Context, v any) (any, error) { return v, nil }
-			bad, err := New(
-				Stage{Name: "pre", Fn: ident, Replicas: 2},
-				Stage{Name: "explodes", Replicas: 3, Fn: func(_ context.Context, v any) (any, error) {
+			stages := []Stage{
+				{Name: "pre", Fn: ident, Replicas: 2},
+				{Name: "explodes", Replicas: 3, Unordered: c.unordered, Fn: func(_ context.Context, v any) (any, error) {
 					if v.(int) == k {
 						panic("kaboom")
 					}
 					return v, nil
 				}},
-			)
+			}
+			if c.unordered {
+				stages = stages[1:]
+			}
+			bad, err := New(stages...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +78,7 @@ func TestStagePanicIsContained(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, p := range []*Pipeline{bad, good} {
-				if err := p.EnableBatch(grain, 0); err != nil {
+				if err := p.EnableBatch(c.grain, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -93,14 +102,18 @@ func TestStagePanicIsContained(t *testing.T) {
 			goodOut, goodErrs := good.Run(ctx, feed(ctx))
 			badOut, badErrs := bad.Run(ctx, feed(ctx))
 
-			seen := 0
+			seen, delivered := 0, make([]bool, items)
 			for v := range badOut {
-				if v.(int) != seen {
+				if !c.unordered && v.(int) != seen {
 					t.Fatalf("panicking pipeline output %d: got %v (not an ordered prefix)", seen, v)
 				}
+				if delivered[v.(int)] || v.(int) == k {
+					t.Fatalf("panicking pipeline output %d: got %v, the item that panicked or one already delivered", seen, v)
+				}
+				delivered[v.(int)] = true
 				seen++
 			}
-			if seen > k {
+			if !c.unordered && seen > k {
 				t.Errorf("panicking pipeline delivered %d items, past the item that panicked (%d)", seen, k)
 			}
 			err = <-badErrs

@@ -136,4 +136,27 @@ func TestNewGraphValidation(t *testing.T) {
 	if _, err := New(Stage{Fn: id}, Stage{Fn: id}); err != nil {
 		t.Fatal(err)
 	}
+	// An unordered stage numbers its slabs by completion, so the indices
+	// stay contiguous and a merge downstream would zip mismatched items
+	// without tripping the skew check: it is the one stage of a farm or
+	// it is refused, in a chain and in a diamond alike.
+	if _, err := New(Stage{Fn: id, Unordered: true}); err != nil {
+		t.Fatalf("one unordered stage refused: %v", err)
+	}
+	for at := 0; at < 2; at++ {
+		chain := []Stage{{Fn: id}, {Fn: id}}
+		chain[at].Unordered = true
+		if _, err := New(chain...); err == nil {
+			t.Fatalf("unordered stage %d of a 2-stage chain accepted", at)
+		}
+	}
+	for at := 0; at < 4; at++ {
+		stages := []Stage{{Fn: id}, {Fn: id}, {Fn: id}, {Fn: id}}
+		stages[at].Unordered = true
+		if _, err := NewGraph(stages,
+			[]topo.Edge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3}},
+		); err == nil {
+			t.Fatalf("unordered stage %d of a diamond accepted", at)
+		}
+	}
 }

@@ -74,6 +74,12 @@
 // prefix the consumer may yet read. The hot path allocates nothing in
 // steady state (batch.go); only a merge does, one []any of parts per
 // item.
+//
+// The task farm (internal/farm) is a one-stage pipeline, and its unordered
+// mode the one exception to "in input order": Stage.Unordered has the
+// finishing task file its slab at the ring's next free index rather than
+// the slab's own, so deliver releases slabs as they complete — same ring,
+// same rules, nothing else differs.
 package pipeline
 
 import (
@@ -114,6 +120,11 @@ type Stage struct {
 	// (default 1). Stage 0's also sizes the entry queue the head batcher
 	// fills, the last stage's the exit queue the egress drains.
 	Buffer int
+	// Unordered files each finished slab at the ring's next free index, so
+	// slabs leave in completion order. Only internal/farm sets it; NewGraph
+	// refuses it beside any other stage, where a merge downstream would zip
+	// slabs of different items unnoticed.
+	Unordered bool
 }
 
 // StageStats is a snapshot of one stage's live measurements.
@@ -208,6 +219,9 @@ func NewGraph(stages []Stage, edges []topo.Edge) (*Pipeline, error) {
 		}
 		if st.Buffer <= 0 {
 			st.Buffer = 1
+		}
+		if st.Unordered && len(stages) > 1 {
+			return nil, fmt.Errorf("pipeline: stage %d is unordered in a pipeline of %d stages", i, len(stages))
 		}
 		tg.Stages[i] = topo.Stage{Name: st.Name}
 		p.limits = append(p.limits, conc.NewLimiter(st.Replicas))
@@ -389,8 +403,8 @@ func (p *Pipeline) Process(ctx context.Context, inputs []any) ([]any, error) {
 	})
 }
 
-// Collect is the slice form of a streaming run, shared by the pipeline,
-// the farm, and the facade: it starts run on a fresh input channel,
+// Collect is the slice form of a streaming run, shared by the pipeline
+// (and so the farm) and the facade: it starts run on a fresh input channel,
 // feeds it inputs, gathers the outputs until the output channel closes,
 // and checks the 1-for-1 count. run receives a context derived from ctx
 // that Collect cancels when it returns, so a run that stops reading

@@ -302,6 +302,16 @@ func TestSetReplicasValidation(t *testing.T) {
 			t.Errorf("StageTotals(%d) = %d, %v, want zeros", i, c, s)
 		}
 	}
+	// The grain knob refuses a size below 1 the same way, and reads back.
+	if err := p.EnableBatch(0, 0); err == nil {
+		t.Error("EnableBatch(0) accepted")
+	}
+	if err := p.SetGrain(0); err == nil {
+		t.Error("SetGrain(0) accepted")
+	}
+	if err := p.SetGrain(8); err != nil || p.Grain() != 8 {
+		t.Errorf("SetGrain(8): %v, Grain() = %d", err, p.Grain())
+	}
 }
 
 func TestStatsCountAndTiming(t *testing.T) {

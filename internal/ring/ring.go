@@ -48,14 +48,6 @@ func (q *FIFO[T]) Pop() (v T, ok bool) {
 	return v, true
 }
 
-// Peek returns the front element without removing it.
-func (q *FIFO[T]) Peek() (v T, ok bool) {
-	if q.n == 0 {
-		return v, false
-	}
-	return q.buf[q.head], true
-}
-
 // RemoveIf removes every queued element matching pred, preserving the
 // relative order of the rest, and returns the removed elements in queue
 // order. The removed slice is freshly allocated only when something

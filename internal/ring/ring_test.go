@@ -16,9 +16,6 @@ func TestFIFOBasics(t *testing.T) {
 	if q.Len() != 100 {
 		t.Fatalf("Len = %d", q.Len())
 	}
-	if v, ok := q.Peek(); !ok || v != 0 {
-		t.Fatalf("Peek = %v,%v", v, ok)
-	}
 	for i := 0; i < 100; i++ {
 		v, ok := q.Pop()
 		if !ok || v != i {
