@@ -131,7 +131,8 @@ type Sensor interface {
 	Sample(now float64)
 	// Loads returns the per-resource estimates the actuator plans with:
 	// background load per grid node in simulation, per-stage service
-	// time live. The slice is owned by the caller.
+	// time live. The controller reads the slice only until its tick
+	// returns, so a substrate may hand back a reused buffer.
 	Loads(mode LoadMode, now float64) []float64
 	// Throughput returns the observed pipeline exit rate over the
 	// trailing window ending at now, or NaN when there is no signal.

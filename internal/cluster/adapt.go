@@ -32,8 +32,13 @@ import (
 // arbSub implements adaptive.Sensor and adaptive.Actuator over one
 // cluster.
 type arbSub struct {
-	c       *Cluster
+	c *Cluster
+	// Reused per-tick buffers: the controller keeps none of them past
+	// the tick, and the divider copies the loads it memoizes.
+	loadBuf []float64
 	slowBuf []float64
+	curBuf  []model.Mapping
+	ps      model.PredictScratch
 }
 
 func (s *arbSub) Sample(now float64) {
@@ -43,7 +48,8 @@ func (s *arbSub) Sample(now float64) {
 }
 
 // Loads returns the per-node background-load vector the policy
-// decides with, through the shared monitor.Estimate path.
+// decides with, through the shared monitor.Estimate path. The slice is
+// valid until the next call.
 func (s *arbSub) Loads(mode adaptive.LoadMode, now float64) []float64 {
 	m := monitor.EstimateLast
 	switch mode {
@@ -52,18 +58,20 @@ func (s *arbSub) Loads(mode adaptive.LoadMode, now float64) []float64 {
 	case adaptive.LoadOracle:
 		m = monitor.EstimateOracle
 	}
-	loads := make([]float64, len(s.c.sensors))
-	for i, ns := range s.c.sensors {
-		loads[i] = ns.Estimate(m, now)
+	if s.loadBuf == nil {
+		s.loadBuf = make([]float64, len(s.c.sensors))
 	}
-	return loads
+	for i, ns := range s.c.sensors {
+		s.loadBuf[i] = ns.Estimate(m, now)
+	}
+	return s.loadBuf
 }
 
 // Throughput returns the observed fairness objective: the minimum
 // weighted exit rate across active jobs, NaN while no job has signal.
 func (s *arbSub) Throughput(window, now float64) float64 {
 	out := math.NaN()
-	for _, j := range s.c.active() {
+	for _, j := range s.c.running {
 		obs := j.ex.Monitor().RecentThroughput(window, now)
 		if math.IsNaN(obs) {
 			continue
@@ -80,7 +88,7 @@ func (s *arbSub) Throughput(window, now float64) float64 {
 // over observed throughput — so the controller's imbalance trigger
 // reads cross-job unfairness.
 func (s *arbSub) Slowdowns() []float64 {
-	actives := s.c.active()
+	actives := s.c.running
 	if cap(s.slowBuf) < len(actives) {
 		s.slowBuf = make([]float64, len(actives))
 	}
@@ -98,14 +106,12 @@ func (s *arbSub) Slowdowns() []float64 {
 
 // Expected rates the current leases under the load estimates: the
 // weighted max-min objective of every active job's current mapping.
-// Evaluations run through one pooled scratch — this fires every tick,
-// and only the throughput scalar is kept.
+// Evaluations run through the subject's own scratch — this fires every
+// tick, and only the throughput scalar is kept.
 func (s *arbSub) Expected(loads []float64) (reference, hysteresis float64) {
 	obj := math.NaN()
-	ps := model.AcquirePredictScratch()
-	defer model.ReleasePredictScratch(ps)
-	for _, j := range s.c.active() {
-		pred, err := model.PredictInto(s.c.g, j.spec.Spec, j.ex.Mapping(), loads, ps)
+	for _, j := range s.c.running {
+		pred, err := model.PredictInto(s.c.g, j.spec.Spec, j.mapping, loads, &s.ps)
 		if err != nil {
 			panic(fmt.Sprintf("cluster: predict job %q: %v", j.spec.Name, err))
 		}
@@ -148,7 +154,7 @@ func renderLeases(jobs []*Job, mappings []model.Mapping) leases {
 // and the predicted post-arbitration objective.
 func (s *arbSub) Propose(loads []float64) (*adaptive.Proposal, bool) {
 	c := s.c
-	actives := c.active()
+	actives := c.running
 	if len(actives) == 0 {
 		return nil, false
 	}
@@ -158,9 +164,9 @@ func (s *arbSub) Propose(loads []float64) (*adaptive.Proposal, bool) {
 	}
 	objective := math.NaN()
 	changed := false
-	cur := make([]model.Mapping, len(actives))
+	cur := s.curBuf[:0]
 	for i, a := range actives {
-		cur[i] = a.ex.Mapping()
+		cur = append(cur, a.mapping)
 		if !out[i].Mapping.Equal(cur[i]) {
 			changed = true
 		}
@@ -169,6 +175,7 @@ func (s *arbSub) Propose(loads []float64) (*adaptive.Proposal, bool) {
 			objective = w
 		}
 	}
+	s.curBuf = cur
 	if !changed {
 		return nil, true
 	}
@@ -204,7 +211,7 @@ func (s *arbSub) Apply(p *adaptive.Proposal) adaptive.Actuation {
 			continue // finished between Propose and Apply (same tick: cannot happen, but stay safe)
 		}
 		j.setMask(plan.masks[i])
-		if !plan.mappings[i].Equal(j.ex.Mapping()) {
+		if !plan.mappings[i].Equal(j.mapping) {
 			st, err := j.ex.Remap(plan.mappings[i], s.c.cfg.Protocol)
 			if err != nil {
 				panic(fmt.Sprintf("cluster: job %q remap: %v", j.spec.Name, err))

@@ -1,11 +1,17 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
+	"gridpipe/internal/adaptive"
+	"gridpipe/internal/forecast"
+	"gridpipe/internal/grid"
 	"gridpipe/internal/model"
+	"gridpipe/internal/monitor"
 	"gridpipe/internal/rng"
 	"gridpipe/internal/sched"
+	"gridpipe/internal/workload"
 )
 
 // A steady-state arbitration round — three tenants whose leases, loads
@@ -35,5 +41,57 @@ func TestDividerRoundZeroAlloc(t *testing.T) {
 	}
 	if st := d.Stats(); st.Searches > len(tenants) {
 		t.Fatalf("steady rounds re-searched: %d searches for %d tenants", st.Searches, len(tenants))
+	}
+}
+
+// captureClock hands the controller's tick function to the test.
+type captureClock struct{ tick func(now float64) }
+
+func (c *captureClock) Tick(_ float64, fn func(now float64)) (stop func()) {
+	c.tick = fn
+	return func() {}
+}
+
+// An idle controller tick — three running tenants, no lease or load
+// change — allocates nothing, all the way through a periodic policy's
+// search: the load vector, the slowdown vector and the current-mapping
+// list are reused buffers, the tenants' mappings are read in place, and
+// the division round replays from the memo. The sensors get a
+// last-value forecaster: the default battery's median and AR(1) members
+// copy their windows on every observation (internal/forecast, two
+// allocations per node per tick), which is not the cluster's cost.
+func TestIdleControllerTickZeroAlloc(t *testing.T) {
+	c, err := New(homGrid(t, 8), Config{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range c.sensors {
+		c.sensors[i] = monitor.NewNodeSensor(c.g.Node(grid.NodeID(i)), forecast.NewLastValue())
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := c.Submit(jobOf(fmt.Sprintf("j%d", i), workload.Genome(), 0, 1_000_000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.started = true
+	for i := 0; i < 5000; i++ { // admit all three and fill their pipelines
+		c.eng.Step()
+	}
+	if len(c.running) != 3 {
+		t.Fatalf("%d tenants running, want 3", len(c.running))
+	}
+	sub, clk := &arbSub{c: c}, &captureClock{}
+	ctrl, err := adaptive.New(sub, sub, clk, adaptive.Config{Policy: adaptive.PolicyPeriodic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.Start()
+	tick := func() { clk.tick(c.eng.Now()) }
+	tick() // first tick searches under measured loads and fills the buffers
+	if a := testing.AllocsPerRun(100, tick); a != 0 {
+		t.Fatalf("idle controller tick allocates %v, want 0", a)
+	}
+	if st := ctrl.Stats(); st.Searches < 100 || st.Remaps != 0 {
+		t.Fatalf("ticks must search and find nothing to move: %+v", st)
 	}
 }

@@ -27,6 +27,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"gridpipe/internal/adaptive"
@@ -37,6 +38,7 @@ import (
 	"gridpipe/internal/rng"
 	"gridpipe/internal/sched"
 	"gridpipe/internal/sim"
+	"gridpipe/internal/stats"
 	"gridpipe/internal/workload"
 )
 
@@ -137,8 +139,11 @@ type Job struct {
 	pin     model.CapacityMask
 	seed    uint64
 
-	state    JobState
-	mask     model.CapacityMask
+	state JobState
+	mask  model.CapacityMask
+	// mapping is the placement the job runs under: always equal to its
+	// executor's (every Remap is followed by the assignment), shared
+	// with the divider's memo and never mutated in place.
 	mapping  model.Mapping
 	pred     model.Prediction
 	ex       *exec.Executor
@@ -149,6 +154,10 @@ type Job struct {
 	finishT          float64
 	remaps           int
 	initialMapping   string
+	// What the report needs of the executor, taken at finalize: a
+	// finished job keeps no executor.
+	meanLatency  float64
+	finalMapping string
 }
 
 // Name returns the job's label.
@@ -167,16 +176,26 @@ type Cluster struct {
 
 	jobs  []*Job
 	queue []*Job // FIFO admission queue
+	// running holds the jobs in JobRunning, in job-index (= Submit)
+	// order — not arrival or admission order, which differ when jobs are
+	// submitted out of arrival order or admitted from the queue. It is
+	// the tenant order of every arbitration round. settled counts the
+	// jobs in JobDone or JobRejected. Both are kept at the state
+	// transitions (admit, finalize, reject), so no per-event or
+	// per-arbitration cost depends on how many jobs were ever submitted.
+	// admit and finalize rewrite running in place: whoever holds it
+	// across cluster re-entry (the adaptive plan) must copy it.
+	running []*Job
+	settled int
 
 	ctrl         *adaptive.Controller
 	arbitrations int
 	started      bool
 
 	// Incremental-arbitration machinery: the memoizing divider plus the
-	// reused round buffers (active set, tenant list, placements, fits'
-	// pinned scan) that keep steady-state rounds allocation-free.
+	// reused round buffers (tenant list, placements, fits' pinned scan)
+	// that keep steady-state rounds allocation-free.
 	div        *Divider
-	activeBuf  []*Job
 	tenantBuf  []DividerTenant
 	placeBuf   []Placement
 	fitsPinned []bool
@@ -288,7 +307,7 @@ func (c *Cluster) Run() (Report, error) {
 		c.ctrl = core
 		c.ctrl.Start()
 	}
-	for !c.allSettled() {
+	for c.settled < len(c.jobs) {
 		if !c.eng.Step() {
 			return Report{}, fmt.Errorf("cluster: calendar empty with jobs outstanding (deadlock?)")
 		}
@@ -297,30 +316,6 @@ func (c *Cluster) Run() (Report, error) {
 		c.ctrl.Stop()
 	}
 	return c.report(), nil
-}
-
-func (c *Cluster) allSettled() bool {
-	for _, j := range c.jobs {
-		if j.state != JobDone && j.state != JobRejected {
-			return false
-		}
-	}
-	return true
-}
-
-// active returns the admitted, still-running jobs in admission order.
-// The returned slice is a reused buffer, valid until the next call;
-// callers that hold it across cluster re-entry (the adaptive plan)
-// must copy it.
-func (c *Cluster) active() []*Job {
-	out := c.activeBuf[:0]
-	for _, j := range c.jobs {
-		if j.state == JobRunning {
-			out = append(out, j)
-		}
-	}
-	c.activeBuf = out
-	return out
 }
 
 // fits reports whether admitting j keeps every floor satisfiable. It
@@ -356,7 +351,7 @@ func (c *Cluster) fits(j *Job) bool {
 			floorMax = f
 		}
 	}
-	for _, a := range c.active() {
+	for _, a := range c.running {
 		count(a)
 	}
 	count(j)
@@ -390,6 +385,7 @@ func (c *Cluster) onArrival(j *Job) {
 	switch c.cfg.Admission {
 	case AdmitReject:
 		j.state = JobRejected
+		c.settled++
 	default:
 		j.state = JobQueued
 		j.queuedAt = now
@@ -403,6 +399,8 @@ func (c *Cluster) onArrival(j *Job) {
 func (c *Cluster) admit(j *Job, now float64) {
 	j.state = JobRunning
 	j.admitT = now
+	i, _ := slices.BinarySearchFunc(c.running, j.id, func(r *Job, id int) int { return r.id - id })
+	c.running = slices.Insert(c.running, i, j)
 	c.rearbitrate(now)
 
 	app := workload.App{Name: j.spec.Name, Spec: j.spec.Spec, CV: j.spec.CV}
@@ -450,6 +448,15 @@ func (c *Cluster) finalize(j *Job) {
 	now := c.eng.Now()
 	j.state = JobDone
 	j.finishT = now
+	c.settled++
+	i := slices.Index(c.running, j)
+	c.running = slices.Delete(c.running, i, i+1)
+	// From here the job is its report row: the executor (per-item
+	// latencies, pools, monitors) and the divider's memo are released.
+	j.meanLatency = meanLatency(j.ex)
+	j.finalMapping = j.ex.Mapping().String()
+	j.ex = nil
+	c.div.Release(j.id)
 	// Freed capacity goes first to the admission queue (strict FIFO:
 	// the head blocks), then folds into the remaining tenants.
 	admitted := false
@@ -459,18 +466,18 @@ func (c *Cluster) finalize(j *Job) {
 		c.admit(head, now)
 		admitted = true
 	}
-	if !admitted && len(c.active()) > 0 {
+	if !admitted && len(c.running) > 0 {
 		c.rearbitrate(now)
 	}
 }
 
 // rearbitrate re-divides the grid over the active jobs and remaps any
-// job whose searched mapping moved. Mappings are searched in admission
+// job whose searched mapping moved. Mappings are searched in job-index
 // order, each against the residual capacity of those already placed —
 // through the incremental divider, so jobs whose lease and upstream
 // reservations are unchanged replay their memoized search.
 func (c *Cluster) rearbitrate(now float64) {
-	actives := c.active()
+	actives := c.running
 	if len(actives) == 0 {
 		return
 	}
@@ -591,15 +598,8 @@ func (c *Cluster) report() Report {
 			if jr.Makespan > 0 {
 				jr.Throughput = float64(j.done) / jr.Makespan
 			}
-			lats := j.ex.Latencies()
-			if len(lats) > 0 {
-				sum := 0.0
-				for _, l := range lats {
-					sum += l
-				}
-				jr.MeanLatency = sum / float64(len(lats))
-			}
-			jr.FinalMapping = j.ex.Mapping().String()
+			jr.MeanLatency = j.meanLatency
+			jr.FinalMapping = j.finalMapping
 			if j.finishT > rep.Makespan {
 				rep.Makespan = j.finishT
 			}
@@ -609,6 +609,15 @@ func (c *Cluster) report() Report {
 	}
 	rep.MinWeightedShare, rep.Jain = fairness(shares)
 	return rep
+}
+
+// meanLatency averages an executor's per-item traversal times (0 when
+// no item completed).
+func meanLatency(ex *exec.Executor) float64 {
+	if lats := ex.Latencies(); len(lats) > 0 {
+		return stats.Mean(lats)
+	}
+	return 0
 }
 
 // fairness summarises weighted shares: the minimum (the max-min

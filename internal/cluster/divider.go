@@ -188,6 +188,15 @@ func (d *Divider) state(id int) *tenantState {
 	return d.states[id]
 }
 
+// Release drops a tenant's memo slot. The memo is consulted only for
+// the tenants of the current round, so the cluster releases a job's
+// slot when the job finishes.
+func (d *Divider) Release(id int) {
+	if id < len(d.states) {
+		d.states[id] = nil
+	}
+}
+
 // search runs one tenant's mapping search and refreshes its memo: the
 // exact SearchResidual → ImproveResidual → Add sequence the cluster
 // always ran, over the divider's scratch and with the inputs/outputs

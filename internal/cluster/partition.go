@@ -70,6 +70,10 @@ type pjob struct {
 	done, lost int
 	finishT    float64
 	finished   bool
+	// Taken from the executor when the tenant finishes; a finished
+	// tenant keeps no executor.
+	meanLatency  float64
+	finalMapping string
 }
 
 // partitionedRun is the coordinator state shared by the tenants.
@@ -221,17 +225,11 @@ func RunPartitioned(g *grid.Grid, jobs []PinnedJob, opt PartitionedOptions) (Rep
 			Lost:           j.lost,
 			Makespan:       j.finishT - j.spec.Arrival,
 			InitialMapping: j.mapping.String(),
-			FinalMapping:   j.ex.Mapping().String(),
+			MeanLatency:    j.meanLatency,
+			FinalMapping:   j.finalMapping,
 		}
 		if jr.Makespan > 0 {
 			jr.Throughput = float64(j.done) / jr.Makespan
-		}
-		if lats := j.ex.Latencies(); len(lats) > 0 {
-			sum := 0.0
-			for _, l := range lats {
-				sum += l
-			}
-			jr.MeanLatency = sum / float64(len(lats))
 		}
 		if j.finishT > rep.Makespan {
 			rep.Makespan = j.finishT
@@ -259,6 +257,8 @@ func (j *pjob) checkFinished() {
 	}
 	j.finished = true
 	j.finishT = j.shard.Now()
+	j.meanLatency, j.finalMapping = meanLatency(j.ex), j.ex.Mapping().String()
+	j.ex = nil
 	j.shard.Send(0, j.run.beacon, pfinishFire, j)
 }
 

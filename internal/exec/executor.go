@@ -195,8 +195,10 @@ type Executor struct {
 	nodes []*nodeServer
 	links map[linkKey]*linkServer
 	// share is the cluster contention ledger (nil for single-job runs;
-	// every multi-tenant branch is guarded on it).
-	share *NodeShares
+	// every multi-tenant branch is guarded on it); shareSeq is this
+	// executor's position in the ledger's attach order.
+	share    *NodeShares
+	shareSeq int
 
 	rr []int // round-robin counters per stage
 

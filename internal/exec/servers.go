@@ -65,7 +65,7 @@ func (s *nodeServer) start(t *task) {
 	if sh := s.e.share; sh != nil {
 		// Account the newcomer before it joins the in-service slice so
 		// the rescale pass touches only the tasks already running.
-		mult := sh.beginService(s.node.ID, now)
+		mult := sh.beginService(s, now)
 		t.rem, t.lastT, t.mult = work, now, mult
 		work = work / mult
 	}
@@ -92,7 +92,7 @@ func (s *nodeServer) finish(t *task) {
 	s.busy--
 	now := s.e.eng.Now()
 	if sh := s.e.share; sh != nil {
-		sh.endService(s.node.ID, now)
+		sh.endService(s, now)
 	}
 	it, stage, dur := t.it, t.stage, now-t.serviceT0
 	// Recycle before routing: the transfer/delivery below may enqueue
@@ -116,7 +116,7 @@ func (s *nodeServer) abort(t *task) {
 	s.unservice(t)
 	s.busy--
 	if sh := s.e.share; sh != nil {
-		sh.endService(s.node.ID, s.e.eng.Now())
+		sh.endService(s, s.e.eng.Now())
 	}
 	s.dispatch()
 }

@@ -20,16 +20,24 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"gridpipe/internal/grid"
 )
 
 // NodeShares is the shared contention ledger of one cluster: per node,
-// the number of in-service tasks across every attached executor.
+// the number of in-service tasks across every attached executor and
+// the servers those tasks run on. It holds nothing for an executor
+// with no task in service, so its cost follows the tenants running
+// now, not the executors ever attached.
 type NodeShares struct {
 	g     *grid.Grid
-	execs []*Executor
 	count []int
+	// serving[n] lists, in executor attach order, the node-n server of
+	// every executor that has a task in service there. beginService and
+	// endService maintain it on a server's 0↔1 in-service transitions.
+	serving  [][]*nodeServer
+	attached int
 }
 
 // NewNodeShares returns an empty ledger for the grid. Pass it as
@@ -37,21 +45,33 @@ type NodeShares struct {
 // attach themselves at construction, in New order (which fixes the
 // deterministic rescale order).
 func NewNodeShares(g *grid.Grid) *NodeShares {
-	return &NodeShares{g: g, count: make([]int, g.NumNodes())}
+	np := g.NumNodes()
+	return &NodeShares{g: g, count: make([]int, np), serving: make([][]*nodeServer, np)}
 }
 
-// attach registers an executor; called by New when Options.Share is
-// set.
+// attach numbers an executor in attach order; called by New when
+// Options.Share is set.
 func (sh *NodeShares) attach(e *Executor) error {
 	if e.g != sh.g {
 		return fmt.Errorf("exec: NodeShares built for a different grid")
 	}
-	sh.execs = append(sh.execs, e)
+	e.shareSeq = sh.attached
+	sh.attached++
 	return nil
 }
 
 // InService returns the cluster-wide in-service task count on node n.
 func (sh *NodeShares) InService(n grid.NodeID) int { return sh.count[n] }
+
+// Serving returns the executors with a task in service on node n, in
+// attach order (a fresh slice; for diagnostics and tests).
+func (sh *NodeShares) Serving(n grid.NodeID) []*Executor {
+	out := make([]*Executor, len(sh.serving[n]))
+	for i, s := range sh.serving[n] {
+		out[i] = s.e
+	}
+	return out
+}
 
 // Mult returns the current capacity share of each in-service task on
 // node n: min(1, Cores/k).
@@ -63,23 +83,34 @@ func (sh *NodeShares) Mult(n grid.NodeID) float64 {
 	return float64(c) / float64(sh.count[n])
 }
 
-// beginService accounts one task entering service on node n at time
-// now, rescaling the tasks already in service if their share shrinks,
-// and returns the share the new task starts under.
-func (sh *NodeShares) beginService(n grid.NodeID, now float64) float64 {
-	c := sh.g.Node(n).Cores
+// beginService accounts one task about to enter service on server s at
+// time now, rescaling the tasks already in service on the node if
+// their share shrinks, and returns the share the new task starts under.
+func (sh *NodeShares) beginService(s *nodeServer, now float64) float64 {
+	n := s.node.ID
+	if len(s.inService) == 0 {
+		i, _ := slices.BinarySearchFunc(sh.serving[n], s.e.shareSeq, func(x *nodeServer, seq int) int {
+			return x.e.shareSeq - seq
+		})
+		sh.serving[n] = slices.Insert(sh.serving[n], i, s)
+	}
 	sh.count[n]++
-	if sh.count[n] > c {
+	if sh.count[n] > s.node.Cores {
 		sh.rescale(n, now)
 	}
 	return sh.Mult(n)
 }
 
-// endService accounts one task leaving service on node n at time now,
-// rescaling the remaining tasks if their share grows.
-func (sh *NodeShares) endService(n grid.NodeID, now float64) {
-	c := sh.g.Node(n).Cores
-	over := sh.count[n] > c
+// endService accounts one task that has left service on server s at
+// time now, rescaling the remaining tasks on the node if their share
+// grows.
+func (sh *NodeShares) endService(s *nodeServer, now float64) {
+	n := s.node.ID
+	if len(s.inService) == 0 {
+		i := slices.Index(sh.serving[n], s)
+		sh.serving[n] = slices.Delete(sh.serving[n], i, i+1)
+	}
+	over := sh.count[n] > s.node.Cores
 	sh.count[n]--
 	if over {
 		sh.rescale(n, now)
@@ -93,8 +124,7 @@ func (sh *NodeShares) endService(n grid.NodeID, now float64) {
 func (sh *NodeShares) rescale(n grid.NodeID, now float64) {
 	node := sh.g.Node(n)
 	mult := sh.Mult(n)
-	for _, e := range sh.execs {
-		ns := e.nodes[n]
+	for _, ns := range sh.serving[n] {
 		for _, t := range ns.inService {
 			if t.mult == mult {
 				continue
@@ -108,7 +138,7 @@ func (sh *NodeShares) rescale(n grid.NodeID, now float64) {
 			t.mult = mult
 			t.completion.Cancel()
 			dur := node.ServiceDuration(t.rem/mult, now)
-			t.completion = e.eng.ScheduleArg(dur, ns.finishFn, t)
+			t.completion = ns.e.eng.ScheduleArg(dur, ns.finishFn, t)
 		}
 	}
 }
