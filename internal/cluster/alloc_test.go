@@ -17,7 +17,10 @@ import (
 // A steady-state arbitration round — three tenants whose leases, loads
 // and upstream reservations did not change — replays every per-tenant
 // search from the divider's memo and allocates nothing: the cluster's
-// per-tick cost when nothing moved.
+// per-tick cost when nothing moved. The rounds alternate a nil base
+// (what an arrival or a finish passes) with an all-zero one (an idle
+// grid's sensor vector at a controller tick), as the cluster's do: the
+// two are one key.
 func TestDividerRoundZeroAlloc(t *testing.T) {
 	d := NewDivider(homGrid(t, 8), 0)
 	tenants := make([]DividerTenant, 3)
@@ -30,9 +33,12 @@ func TestDividerRoundZeroAlloc(t *testing.T) {
 		}
 	}
 	out := make([]Placement, len(tenants))
+	zeros := make([]float64, 8)
 	round := func() {
-		if err := d.Round(nil, tenants, nil, out); err != nil {
-			t.Fatal(err)
+		for _, base := range [][]float64{nil, zeros} {
+			if err := d.Round(nil, tenants, base, out); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	round() // populates the memo

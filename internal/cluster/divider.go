@@ -4,24 +4,35 @@
 // that memoizes each tenant's last search:
 //
 //   - the arbiter re-divides through reusable buffers (Arbiter.Divide);
-//   - a tenant whose lease mask, base-load vector, and upstream
-//     reservation ledger are all bitwise unchanged since its last
-//     search gets its cached placement back, and the ledger charge its
-//     mapping imposes is replayed from a cached utilisation vector
+//   - a tenant's search is keyed on exactly what it reads: its lease
+//     mask, and the base load and the upstream reservation ledger at
+//     the lease's nodes. While those are unchanged since its last
+//     search it gets its cached placement back, and the ledger charge
+//     its mapping imposes is replayed from a cached utilisation vector
 //     (Reservations.AddUse) without touching the analytic model;
 //   - only tenants whose inputs actually changed re-search, through
-//     one long-lived sched.Scratch, so a steady-state round where
-//     nothing moved costs a handful of float compares per tenant and
-//     zero allocations.
+//     one long-lived sched.Scratch, so a round costs model evaluations
+//     only for the tenants whose lease, or load inside it, moved, and a
+//     round where nothing moved a handful of float compares per tenant
+//     and zero allocations.
+//
+// The key is everything a search reads. Every strategy, the
+// improvement pass and the ledger charge (Reservations.UseOf) place
+// stages only on nodes the lease mask admits, and the analytic model
+// reads a load only at the nodes a candidate mapping uses — so the
+// residual load outside the lease never reaches a result. Inside it,
+// the residual is a pure function of (base load, upstream ledger), and
+// a nil base vector is read as zeros everywhere (ResidualInto,
+// PredictInto), so nil and all-zero bases share a key.
 //
 // The replay is exact, not approximate: every search strategy is a
-// deterministic pure function of (spec, lease, residual loads), the
-// residual loads are a pure function of (base loads, upstream ledger),
-// and the cached charge vector holds the very floats Reservations.Add
-// would recompute. A cache hit therefore yields bit-identical leases,
-// mappings, predictions and ledger state to re-running the search —
-// the F12/F13 goldens cannot tell the difference — and any comparison
-// doubt (NaN, length drift) misses the cache and recomputes.
+// deterministic pure function of (spec, lease, residual loads inside
+// the lease), and the cached charge vector holds the very floats
+// Reservations.Add would recompute. A cache hit therefore yields
+// bit-identical leases, mappings, predictions and ledger state to
+// re-running the search — the F12/F13 goldens cannot tell the
+// difference — and any comparison doubt (NaN, length drift) misses the
+// cache and recomputes.
 package cluster
 
 import (
@@ -35,7 +46,7 @@ import (
 // DividerTenant is one tenant of an incremental division round: the
 // arbiter-facing claim plus what the mapping search needs.
 type DividerTenant struct {
-	// ID is the tenant's stable identity across rounds — the memo key.
+	// ID is the tenant's stable identity across rounds — its memo slot.
 	// The cluster uses the job index; IDs must be small non-negative
 	// integers (the state table is ID-indexed).
 	ID int
@@ -69,38 +80,48 @@ type DividerStats struct {
 }
 
 // tenantState is one tenant's memoized search: the inputs it was keyed
-// on (lease, base loads, upstream ledger) and the outputs to replay.
+// on (lease, and base loads and upstream ledger inside the lease) and
+// the outputs to replay. loads and used are whole-grid snapshots; only
+// their entries at the lease's nodes are ever compared.
 type tenantState struct {
-	valid    bool
-	loadsNil bool
-	mask     model.CapacityMask
-	loads    []float64 // base loads at search time
-	used     []float64 // reservation ledger before this tenant's search
-	use      []float64 // ledger charge of the cached mapping (UseOf)
-	mapping  model.Mapping
-	pred     model.Prediction
+	valid   bool
+	mask    model.CapacityMask
+	loads   []float64 // base loads at search time (a nil base as zeros)
+	used    []float64 // reservation ledger before this tenant's search
+	use     []float64 // ledger charge of the cached mapping (UseOf)
+	mapping model.Mapping
+	pred    model.Prediction
 }
 
-// matches reports whether the memoized search's inputs are bitwise
-// identical to this round's.
+// matches reports whether everything the memoized search read is
+// unchanged this round: the same lease, and at each of its nodes the
+// same base load and upstream ledger entry. A NaN compares unequal to
+// itself and a base vector of the wrong length matches nothing, so
+// either degrades a would-be hit into a recomputation.
 func (st *tenantState) matches(mask model.CapacityMask, base []float64, resv *sched.Reservations) bool {
-	if len(st.mask) != len(mask) {
+	if len(st.mask) != len(mask) || (base != nil && len(base) != len(mask)) {
 		return false
 	}
-	for i, b := range mask {
-		if st.mask[i] != b {
+	for n, leased := range mask {
+		if st.mask[n] != leased {
+			return false
+		}
+		if !leased {
+			continue
+		}
+		if st.loads[n] != baseAt(base, n) || st.used[n] != resv.Used(grid.NodeID(n)) {
 			return false
 		}
 	}
-	if st.loadsNil != (base == nil) || len(st.loads) != len(base) {
-		return false
+	return true
+}
+
+// baseAt reads a base-load vector the way the searches do: nil is idle.
+func baseAt(base []float64, n int) float64 {
+	if base == nil {
+		return 0
 	}
-	for i, v := range base {
-		if st.loads[i] != v {
-			return false
-		}
-	}
-	return resv.UsedEquals(st.used)
+	return base[n]
 }
 
 // Divider is the reusable incremental-arbitration context for one
@@ -137,9 +158,15 @@ func (d *Divider) Stats() DividerStats { return d.stats }
 // then each tenant's mapping searched (or replayed from the memo)
 // inside its lease against the residual capacity of the tenants placed
 // before it, in tenant order. out (len(tenants)) receives one
-// Placement per tenant. A steady-state round — same tenants, leases
-// and loads as last time — performs no model evaluations and no
-// allocations.
+// Placement per tenant.
+//
+// A tenant is re-searched only when its memo key moved: its lease, or
+// the base load or the upstream ledger at one of the lease's nodes
+// (nil base = zeros). That is everything its search reads — no strategy
+// places a stage outside the mask and the model reads loads only at
+// the nodes a mapping uses — so a change elsewhere on the grid, or a
+// caller alternating nil and all-zero bases, replays. A round in which
+// no key moved performs no model evaluations and no allocations.
 func (d *Divider) Round(avail []bool, tenants []DividerTenant, base []float64, out []Placement) error {
 	if len(out) != len(tenants) {
 		return fmt.Errorf("cluster: %d placements for %d tenants", len(out), len(tenants))
@@ -221,8 +248,10 @@ func (d *Divider) search(st *tenantState, t DividerTenant, mask model.CapacityMa
 	}
 	d.resv.AddUse(st.use)
 	st.mask = append(st.mask[:0], mask...)
-	st.loadsNil = base == nil
-	st.loads = append(st.loads[:0], base...)
+	st.loads = st.loads[:0]
+	for n := range mask {
+		st.loads = append(st.loads, baseAt(base, n))
+	}
 	st.mapping = m
 	st.pred = pred
 	st.valid = true

@@ -61,16 +61,25 @@ func reportDigest(rep Report) string {
 // recorded before the cluster's bookkeeping became O(running tenants)
 // (PR 23): any change to the order tenants reach the divider or tasks
 // are rescaled in moves an event and shows here.
+//
+// It also pins the divider's work on the same three streams. A round's
+// tenants are virtual-time output, so searches + replays is fixed by
+// the digest; how many of them are searches is the memo key's doing
+// (recorded when the key became the lease plus the loads inside it,
+// PR 24; the whole-grid key before it searched 5 755, 11 101 and
+// 4 418). A key that stops recognising a repeated search shows here as
+// a rise, not only as a slower benchmark.
 func TestStreamReportGolden(t *testing.T) {
 	tr := streamTrace(t)
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 		want string
+		div  DividerStats
 	}{
-		{"queue-reactive", Config{Admission: AdmitQueue, Policy: adaptive.PolicyReactive, Seed: 1}, "28b7028431788002b2386e4b"},
-		{"admit-all", Config{Admission: AdmitAll, Seed: 1}, "f2b9d0cce7a134e560ead516"},
-		{"reject", Config{Admission: AdmitReject, Seed: 1}, "5ae70317f4178905fb144c9f"},
+		{"queue-reactive", Config{Admission: AdmitQueue, Policy: adaptive.PolicyReactive, Seed: 1}, "28b7028431788002b2386e4b", DividerStats{Rounds: 674, Searches: 3654, Cached: 3892}},
+		{"admit-all", Config{Admission: AdmitAll, Seed: 1}, "f2b9d0cce7a134e560ead516", DividerStats{Rounds: 613, Searches: 10937, Cached: 15738}},
+		{"reject", Config{Admission: AdmitReject, Seed: 1}, "5ae70317f4178905fb144c9f", DividerStats{Rounds: 499, Searches: 3103, Cached: 1315}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := New(streamGrid(t, 12), tc.cfg)
@@ -92,6 +101,16 @@ func TestStreamReportGolden(t *testing.T) {
 				rep.Makespan, rep.Arbitrations, rep.Remaps)
 			if got := reportDigest(rep); got != tc.want {
 				t.Errorf("report digest %s, want %s", got, tc.want)
+			}
+			div := c.DividerStats()
+			t.Logf("divider: %+v", div)
+			if div.Rounds != tc.div.Rounds || div.Searches+div.Cached != tc.div.Searches+tc.div.Cached {
+				t.Errorf("divider ran %d rounds over %d tenant placements, want %d over %d",
+					div.Rounds, div.Searches+div.Cached, tc.div.Rounds, tc.div.Searches+tc.div.Cached)
+			}
+			if div.Searches > tc.div.Searches {
+				t.Errorf("divider searched %d tenant placements, at most %d when recorded: the memo key misses searches it used to replay",
+					div.Searches, tc.div.Searches)
 			}
 		})
 	}

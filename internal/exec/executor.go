@@ -193,7 +193,13 @@ type Executor struct {
 
 	mon   *monitor.Monitor
 	nodes []*nodeServer
-	links map[linkKey]*linkServer
+	// links[i] serves the directed node pair linkKeys[i]: a small
+	// linear-probed pair list (model.PredictScratch.addFlow's shape) —
+	// the pairs an executor ever uses are bounded by its stage-graph
+	// edges times replica fan, and a transfer finds its own without
+	// hashing.
+	linkKeys []linkKey
+	links    []*linkServer
 	// share is the cluster contention ledger (nil for single-job runs;
 	// every multi-tenant branch is guarded on it); shareSeq is this
 	// executor's position in the ledger's attach order.
@@ -258,7 +264,6 @@ func New(eng *sim.Engine, g *grid.Grid, spec model.PipelineSpec, m model.Mapping
 		mapping: m.Clone(),
 		opts:    opts,
 		mon:     monitor.New(spec.NumStages(), opts.MonitorWindow),
-		links:   map[linkKey]*linkServer{},
 		rr:      make([]int, spec.NumStages()),
 	}
 	e.graph = spec.Graph()
@@ -554,12 +559,14 @@ func (e *Executor) transfer(it *item, stage int, a, b grid.NodeID, bytes float64
 }
 
 func (e *Executor) link(a, b grid.NodeID) *linkServer {
-	k := linkKey{a, b}
-	ls, ok := e.links[k]
-	if !ok {
-		ls = newLinkServer(e, e.g.Link(a, b), b)
-		e.links[k] = ls
+	for i, k := range e.linkKeys {
+		if k.a == a && k.b == b {
+			return e.links[i]
+		}
 	}
+	ls := newLinkServer(e, e.g.Link(a, b), b)
+	e.linkKeys = append(e.linkKeys, linkKey{a, b})
+	e.links = append(e.links, ls)
 	return ls
 }
 

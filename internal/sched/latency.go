@@ -46,7 +46,7 @@ func (l ForLatency) SearchAvail(g *grid.Grid, spec model.PipelineSpec, loads []f
 	if ns == 0 {
 		return model.Mapping{}, model.Prediction{}, fmt.Errorf("sched: empty pipeline")
 	}
-	if _, err := checkAvail(g, avail); err != nil {
+	if err := checkAvail(g, avail); err != nil {
 		return model.Mapping{}, model.Prediction{}, err
 	}
 	if l.Rate <= 0 {

@@ -83,8 +83,9 @@ func (r *Reservations) AddUse(use []float64) {
 func (r *Reservations) Used(n grid.NodeID) float64 { return r.used[n] }
 
 // SnapshotInto copies the ledger's per-node used vector into dst
-// (grown as needed) and returns it: the upstream-ledger key the
-// incremental arbiter caches each tenant's search under.
+// (grown as needed) and returns it: the upstream ledger the
+// incremental arbiter keys each tenant's cached search on, compared
+// entry by entry (Used) at the nodes of the tenant's lease.
 func (r *Reservations) SnapshotInto(dst []float64) []float64 {
 	if cap(dst) < len(r.used) {
 		dst = make([]float64, len(r.used))
@@ -92,22 +93,6 @@ func (r *Reservations) SnapshotInto(dst []float64) []float64 {
 	dst = dst[:len(r.used)]
 	copy(dst, r.used)
 	return dst
-}
-
-// UsedEquals reports whether the ledger's used vector is bitwise equal
-// to v — the cheap revalidation behind cached placements. A NaN entry
-// compares unequal to itself, which safely degrades a would-be cache
-// hit into a recomputation.
-func (r *Reservations) UsedEquals(v []float64) bool {
-	if len(v) != len(r.used) {
-		return false
-	}
-	for i, u := range r.used {
-		if u != v[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Residual folds the ledger into a background-load vector: the

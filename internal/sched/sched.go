@@ -74,30 +74,21 @@ func SearchAvailable(s Searcher, g *grid.Grid, spec model.PipelineSpec, loads []
 	return s.Search(g, spec, loads)
 }
 
-// checkAvail validates a mask against the grid and returns the list of
-// available node IDs (nil mask = every node).
-func checkAvail(g *grid.Grid, avail []bool) ([]grid.NodeID, error) {
-	np := g.NumNodes()
+// checkAvail validates a mask against the grid: it must cover every
+// node and admit at least one (nil admits all).
+func checkAvail(g *grid.Grid, avail []bool) error {
 	if avail == nil {
-		ids := make([]grid.NodeID, np)
-		for i := range ids {
-			ids[i] = grid.NodeID(i)
-		}
-		return ids, nil
+		return nil
 	}
-	if len(avail) != np {
-		return nil, fmt.Errorf("sched: availability mask covers %d nodes, grid has %d", len(avail), np)
+	if len(avail) != g.NumNodes() {
+		return errMaskLen(len(avail), g.NumNodes())
 	}
-	var ids []grid.NodeID
-	for i, ok := range avail {
+	for _, ok := range avail {
 		if ok {
-			ids = append(ids, grid.NodeID(i))
+			return nil
 		}
 	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("sched: no nodes available")
-	}
-	return ids, nil
+	return errNoNodes()
 }
 
 // usable reports whether node n may host stages under the mask.
@@ -388,9 +379,11 @@ func (l LocalSearch) SearchAvail(g *grid.Grid, spec model.PipelineSpec, loads []
 
 // searchScratch implements scratchSearcher: the climb mutates one
 // scratch-owned mapping in place and the best start's result is kept
-// in the scratch's result storage. The evaluation sequence — greedy
-// start, per-move predictions, restart draws — is unchanged, so the
-// chosen mapping is identical to the allocating implementation's.
+// in the scratch's result storage. The walk — greedy start, per-move
+// comparisons, restart draws — is that of a climb rating every
+// candidate, so the chosen mapping is identical; the four climbs share
+// one table of the assignments already rated (spec, loads and mask are
+// fixed for the search), so the model rates each of them once.
 func (l LocalSearch) searchScratch(sc *Scratch, g *grid.Grid, spec model.PipelineSpec, loads []float64, avail []bool) (model.Mapping, model.Prediction, error) {
 	ns := spec.NumStages()
 	if ns == 0 {
@@ -416,6 +409,7 @@ func (l LocalSearch) searchScratch(sc *Scratch, g *grid.Grid, spec model.Pipelin
 	}
 	sc.curBacking, sc.curRows = sizeRows(sc.curBacking, sc.curRows, ns)
 	copy(sc.curBacking, sc.resBacking)
+	sc.rated.reset(ns)
 	bestP, err := sc.climb(g, spec, loads, avail, maxIters)
 	if err != nil {
 		return model.Mapping{}, model.Prediction{}, err
@@ -442,7 +436,12 @@ func (l LocalSearch) searchScratch(sc *Scratch, g *grid.Grid, spec model.Pipelin
 
 // climb hill-climbs sc.curRows in place over single-stage moves,
 // returning the final prediction (NodeBusy detached into the scratch's
-// secondary keep buffer, so it survives later evaluations).
+// secondary keep buffer, so it survives later evaluations). A move
+// this search has rated before (sc.rated) is decided on the remembered
+// throughput: one that does not beat the incumbent is skipped without
+// evaluation, one that does is evaluated again for its full
+// Prediction. The model is a pure function of the assignment within a
+// search, so every comparison reads the float it always read.
 func (sc *Scratch) climb(g *grid.Grid, spec model.PipelineSpec, loads []float64, avail []bool, maxIters int) (model.Prediction, error) {
 	ns, np := spec.NumStages(), g.NumNodes()
 	cur := model.Mapping{Assign: sc.curRows}
@@ -451,6 +450,9 @@ func (sc *Scratch) climb(g *grid.Grid, spec model.PipelineSpec, loads []float64,
 		return model.Prediction{}, err
 	}
 	sc.busyKeep2 = pred.CloneBusyInto(sc.busyKeep2)
+	if slot, _, seen := sc.rated.lookup(sc.curBacking); !seen {
+		sc.rated.store(slot, sc.curBacking, pred.Throughput)
+	}
 	for iter := 0; iter < maxIters; iter++ {
 		improved := false
 		for si := 0; si < ns; si++ {
@@ -460,9 +462,17 @@ func (sc *Scratch) climb(g *grid.Grid, spec model.PipelineSpec, loads []float64,
 					continue
 				}
 				sc.curBacking[si] = grid.NodeID(n)
+				slot, tp, seen := sc.rated.lookup(sc.curBacking)
+				if seen && !(tp > pred.Throughput*(1+1e-12)) {
+					sc.curBacking[si] = orig
+					continue
+				}
 				p, err := model.PredictInto(g, spec, cur, loads, sc.ps)
 				if err != nil {
 					return model.Prediction{}, err
+				}
+				if !seen {
+					sc.rated.store(slot, sc.curBacking, p.Throughput)
 				}
 				if p.Throughput > pred.Throughput*(1+1e-12) {
 					sc.busyKeep2 = p.CloneBusyInto(sc.busyKeep2)
@@ -495,10 +505,8 @@ func ImproveWithReplication(g *grid.Grid, spec model.PipelineSpec, m model.Mappi
 // the available nodes: replicas are never placed on Down or Draining
 // nodes. A nil mask allows every node.
 func ImproveWithReplicationAvail(g *grid.Grid, spec model.PipelineSpec, m model.Mapping, loads []float64, maxReplicas int, avail []bool) (model.Mapping, model.Prediction, error) {
-	if avail != nil {
-		if _, err := checkAvail(g, avail); err != nil {
-			return model.Mapping{}, model.Prediction{}, err
-		}
+	if err := checkAvail(g, avail); err != nil {
+		return model.Mapping{}, model.Prediction{}, err
 	}
 	if maxReplicas <= 0 {
 		maxReplicas = g.NumNodes()
@@ -506,10 +514,14 @@ func ImproveWithReplicationAvail(g *grid.Grid, spec model.PipelineSpec, m model.
 	// Evaluations run through one pooled scratch; retained predictions
 	// hop between two keep buffers (the current incumbent's busy vector
 	// and the round's best candidate) so nothing aliases the scratch
-	// when it is released.
+	// when it is released. A trial is rated in place — cur's rows with
+	// the replicated stage's row swapped for one reused row — and only
+	// an accepted step is cloned.
 	ps := model.AcquirePredictScratch()
 	defer model.ReleasePredictScratch(ps)
 	var keepCur, keepCand []float64
+	var trialRows [][]grid.NodeID
+	var trialRow []grid.NodeID
 	cur := m.Clone()
 	pred, err := model.PredictInto(g, spec, cur, loads, ps)
 	if err != nil {
@@ -541,13 +553,16 @@ func ImproveWithReplicationAvail(g *grid.Grid, spec model.PipelineSpec, m model.
 		// best improvement.
 		bestP := pred
 		bestN := grid.NodeID(-1)
+		trialRow = append(append(trialRow[:0], cur.Assign[si]...), -1)
+		trialRows = append(trialRows[:0], cur.Assign...)
+		trialRows[si] = trialRow
 		for n := 0; n < g.NumNodes(); n++ {
 			id := grid.NodeID(n)
 			if onNode(cur.Assign[si], id) || !usable(avail, n) {
 				continue
 			}
-			trial := cur.WithReplicas(si, append(append([]grid.NodeID{}, cur.Assign[si]...), id)...)
-			p, err := model.PredictInto(g, spec, trial, loads, ps)
+			trialRow[len(trialRow)-1] = id
+			p, err := model.PredictInto(g, spec, model.Mapping{Assign: trialRows}, loads, ps)
 			if err != nil {
 				return model.Mapping{}, model.Prediction{}, err
 			}
@@ -559,7 +574,8 @@ func ImproveWithReplicationAvail(g *grid.Grid, spec model.PipelineSpec, m model.
 		if bestN < 0 {
 			return cur, detachPred(pred), nil
 		}
-		cur = cur.WithReplicas(si, append(append([]grid.NodeID{}, cur.Assign[si]...), bestN)...)
+		trialRow[len(trialRow)-1] = bestN
+		cur = cur.WithReplicas(si, trialRow...)
 		pred = bestP
 		keepCur, keepCand = keepCand, keepCur
 	}

@@ -24,8 +24,8 @@ import (
 	"gridpipe/internal/model"
 )
 
-// errMaskLen and errNoNodes mirror checkAvail's diagnostics for the
-// scratch-path validators.
+// errMaskLen and errNoNodes are the mask validators' diagnostics
+// (checkAvail, Scratch.idsFor).
 func errMaskLen(got, np int) error {
 	return fmt.Errorf("sched: availability mask covers %d nodes, grid has %d", got, np)
 }
@@ -76,7 +76,7 @@ type bbFlow struct {
 type Scratch struct {
 	ps *model.PredictScratch
 
-	ids []grid.NodeID // candidate node list (checkAvailInto)
+	ids []grid.NodeID // candidate node list (idsFor)
 	eff []float64     // effective speeds (effInto)
 
 	// Result storage: the mapping and prediction a scratch-path search
@@ -104,15 +104,77 @@ type Scratch struct {
 	order []int
 	gBusy []float64
 
-	// LocalSearch climb mapping.
+	// LocalSearch climb mapping, and what the model said of the
+	// assignments this search has already rated.
 	curBacking []grid.NodeID
 	curRows    [][]grid.NodeID
+	rated      ratedTable
 
 	// Residual-load buffer (reservation-aware searches).
 	loads []float64
 
 	// Branch-and-bound incumbent/telemetry for the current search.
 	bb bbState
+}
+
+// ratedSlots is the size of a ratedTable: a power of two, far above
+// the few dozen distinct assignments a climb over a cluster lease
+// visits, and small enough to live in a scratch for good.
+const ratedSlots = 1024
+
+// ratedTable remembers, for the span of one search, the throughput the
+// analytic model gave each candidate assignment (one node per stage),
+// so the climbs of a LocalSearch — greedy start plus restarts, over
+// the same spec, loads and mask — rate a mapping once. It is a
+// direct-mapped cache: an assignment hashes to one slot, a hit is
+// verified against the stored assignment, and a collision overwrites.
+// A search space larger than the table therefore loses remembered
+// ratings, never correctness, and no size is special-cased. reset
+// starts a new search in O(1) by advancing the epoch a live slot must
+// carry.
+type ratedTable struct {
+	epoch uint64
+	stamp []uint64      // [slot] epoch that filled it
+	keys  []grid.NodeID // [slot*ns : slot*ns+ns] the assignment
+	tp    []float64     // [slot] its predicted throughput
+}
+
+// reset empties the table for a search over ns-stage assignments.
+func (t *ratedTable) reset(ns int) {
+	if t.stamp == nil {
+		t.stamp = make([]uint64, ratedSlots)
+		t.tp = make([]float64, ratedSlots)
+	}
+	if len(t.keys) < ratedSlots*ns {
+		t.keys = make([]grid.NodeID, ratedSlots*ns)
+	}
+	t.epoch++
+}
+
+// lookup returns the slot the assignment hashes to and, when this
+// search has already rated exactly that assignment, its throughput.
+func (t *ratedTable) lookup(assign []grid.NodeID) (slot int, tp float64, ok bool) {
+	h := uint64(14695981039346656037)
+	for _, n := range assign {
+		h = (h ^ uint64(n)) * 1099511628211
+	}
+	slot = int((h ^ h>>32) & (ratedSlots - 1))
+	if t.stamp[slot] != t.epoch {
+		return slot, 0, false
+	}
+	for i, n := range t.keys[slot*len(assign):][:len(assign)] {
+		if assign[i] != n {
+			return slot, 0, false
+		}
+	}
+	return slot, t.tp[slot], true
+}
+
+// store files an assignment's throughput in the slot lookup returned.
+func (t *ratedTable) store(slot int, assign []grid.NodeID, tp float64) {
+	t.stamp[slot] = t.epoch
+	copy(t.keys[slot*len(assign):], assign)
+	t.tp[slot] = tp
 }
 
 // NewScratch returns an empty search scratch (it creates its own

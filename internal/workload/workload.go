@@ -35,13 +35,16 @@ func (a App) Sampler(seed uint64) func(stage, seq int) float64 {
 		return nil // deterministic: exec falls back to spec work
 	}
 	// Lognormal parameterised by mean m and cv: sigma² = ln(1+cv²),
-	// mu = ln(m) - sigma²/2.
+	// mu = ln(m) - sigma²/2 — one constant per stage.
 	sigma2 := math.Log(1 + a.CV*a.CV)
 	sigma := math.Sqrt(sigma2)
+	mu := make([]float64, len(a.Spec.Stages))
+	for i, st := range a.Spec.Stages {
+		mu[i] = math.Log(st.Work) - sigma2/2
+	}
 	root := rng.New(seed)
 	return func(stage, seq int) float64 {
-		mean := a.Spec.Stages[stage].Work
-		if mean == 0 {
+		if a.Spec.Stages[stage].Work == 0 {
 			return 0
 		}
 		// A private stream per (stage, seq) keeps sampling independent
@@ -49,8 +52,7 @@ func (a App) Sampler(seed uint64) func(stage, seq int) float64 {
 		// packing stage and seq into bit ranges would truncate seq to
 		// 32 bits, aliasing items 2^32 apart under open-loop streams.
 		r := root.Derive(rng.SeedFor(uint64(stage), uint64(seq)))
-		mu := math.Log(mean) - sigma2/2
-		return r.LogNormal(mu, sigma)
+		return r.LogNormal(mu[stage], sigma)
 	}
 }
 
