@@ -271,20 +271,6 @@ func (c *Controller) Grain() int {
 	return 1
 }
 
-// Grains returns the per-boundary batch sizes the controller is
-// walking: one entry per tunable boundary for a per-edge target, a
-// single entry for a uniform one.
-func (c *Controller) Grains() []int {
-	if et, ok := c.sub.target.(EdgeGrainTarget); ok {
-		out := make([]int, et.GrainBoundaries())
-		for b := range out {
-			out[b] = et.GrainAt(b)
-		}
-		return out
-	}
-	return []int{c.Grain()}
-}
-
 // Replicas returns the current worker-count vector.
 func (c *Controller) Replicas() Replicas {
 	out := make(Replicas, c.sub.target.NumStages())

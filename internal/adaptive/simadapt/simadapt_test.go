@@ -291,7 +291,7 @@ func TestAdaptationRecoversAfterTransientSpike(t *testing.T) {
 	spec := model.Balanced(2, 0.1, 100)
 	run := func(policy adaptive.Policy) int {
 		eng := &sim.Engine{}
-		ex, err := exec.New(eng, g, spec, model.SingleNode(2, 0), exec.Options{MaxInFlight: 8})
+		ex, err := exec.New(eng, g, spec, model.FromNodes(0, 0), exec.Options{MaxInFlight: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -137,7 +137,11 @@ func runT2(seed uint64) (*Result, error) {
 		}
 		loads := s.loads[:]
 
-		cands, err := model.EnumerateAll(3, 3)
+		var cands []model.Mapping
+		err = model.VisitMappings(3, []grid.NodeID{0, 1, 2}, func(m model.Mapping) bool {
+			cands = append(cands, m.Clone())
+			return true
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -200,19 +200,3 @@ func (ab *Arbiter) Divide(g *grid.Grid, avail []bool, tenants []Tenant, masks []
 	}
 	return nil
 }
-
-// Arbitrate assigns every available node to the active tenants and
-// returns one freshly allocated capacity mask per tenant (in tenant
-// order): Divide for callers outside a steady-state loop.
-func Arbitrate(g *grid.Grid, avail []bool, tenants []Tenant) ([]model.CapacityMask, error) {
-	np := g.NumNodes()
-	masks := make([]model.CapacityMask, len(tenants))
-	for i := range masks {
-		masks[i] = make(model.CapacityMask, np)
-	}
-	var ab Arbiter
-	if err := ab.Divide(g, avail, tenants, masks); err != nil {
-		return nil, err
-	}
-	return masks, nil
-}

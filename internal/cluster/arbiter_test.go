@@ -16,9 +16,22 @@ func homGrid(t *testing.T, n int) *grid.Grid {
 	return g
 }
 
+// arbitrate runs one Arbiter.Divide round into freshly allocated masks.
+func arbitrate(g *grid.Grid, avail []bool, tenants []Tenant) ([]model.CapacityMask, error) {
+	masks := make([]model.CapacityMask, len(tenants))
+	for i := range masks {
+		masks[i] = make(model.CapacityMask, g.NumNodes())
+	}
+	var ab Arbiter
+	if err := ab.Divide(g, avail, tenants, masks); err != nil {
+		return nil, err
+	}
+	return masks, nil
+}
+
 func TestArbitrateDisjointAndComplete(t *testing.T) {
 	g := homGrid(t, 8)
-	masks, err := Arbitrate(g, nil, []Tenant{{Weight: 1}, {Weight: 1}})
+	masks, err := arbitrate(g, nil, []Tenant{{Weight: 1}, {Weight: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +60,7 @@ func TestArbitrateDisjointAndComplete(t *testing.T) {
 
 func TestArbitrateWeights(t *testing.T) {
 	g := homGrid(t, 9)
-	masks, err := Arbitrate(g, nil, []Tenant{{Weight: 2}, {Weight: 1}})
+	masks, err := arbitrate(g, nil, []Tenant{{Weight: 2}, {Weight: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +71,7 @@ func TestArbitrateWeights(t *testing.T) {
 
 func TestArbitrateFloors(t *testing.T) {
 	g := homGrid(t, 6)
-	masks, err := Arbitrate(g, nil, []Tenant{{Weight: 100}, {Weight: 1, Floor: 2}})
+	masks, err := arbitrate(g, nil, []Tenant{{Weight: 100}, {Weight: 1, Floor: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +82,7 @@ func TestArbitrateFloors(t *testing.T) {
 
 func TestArbitrateOversubscribed(t *testing.T) {
 	g := homGrid(t, 2)
-	masks, err := Arbitrate(g, nil, []Tenant{{}, {}, {}})
+	masks, err := arbitrate(g, nil, []Tenant{{}, {}, {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +107,11 @@ func TestArbitrateOversubscribed(t *testing.T) {
 
 func TestArbitrateFloorExceedsAvail(t *testing.T) {
 	g := homGrid(t, 3)
-	if _, err := Arbitrate(g, nil, []Tenant{{Floor: 4}}); err == nil {
+	if _, err := arbitrate(g, nil, []Tenant{{Floor: 4}}); err == nil {
 		t.Fatal("floor above the grid must error, not panic or truncate")
 	}
 	avail := []bool{true, false, false}
-	if _, err := Arbitrate(g, avail, []Tenant{{Floor: 2}}); err == nil {
+	if _, err := arbitrate(g, avail, []Tenant{{Floor: 2}}); err == nil {
 		t.Fatal("floor above the available nodes must error")
 	}
 }
@@ -107,7 +120,7 @@ func TestArbitratePinned(t *testing.T) {
 	g := homGrid(t, 4)
 	pin := make(model.CapacityMask, 4)
 	pin[0], pin[1] = true, true
-	masks, err := Arbitrate(g, nil, []Tenant{{Pin: pin}, {}})
+	masks, err := arbitrate(g, nil, []Tenant{{Pin: pin}, {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +135,7 @@ func TestArbitratePinned(t *testing.T) {
 func TestArbitrateAvailMask(t *testing.T) {
 	g := homGrid(t, 4)
 	avail := []bool{true, true, false, true}
-	masks, err := Arbitrate(g, avail, []Tenant{{}})
+	masks, err := arbitrate(g, avail, []Tenant{{}})
 	if err != nil {
 		t.Fatal(err)
 	}

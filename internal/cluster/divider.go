@@ -28,7 +28,7 @@
 // The replay is exact, not approximate: every search strategy is a
 // deterministic pure function of (spec, lease, residual loads inside
 // the lease), and the cached charge vector holds the very floats
-// Reservations.Add would recompute. A cache hit therefore yields
+// Reservations.UseOf would recompute. A cache hit therefore yields
 // bit-identical leases, mappings, predictions and ledger state to
 // re-running the search — the F12/F13 goldens cannot tell the
 // difference — and any comparison doubt (NaN, length drift) misses the

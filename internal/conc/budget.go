@@ -28,13 +28,6 @@ func NewWorkerBudget(total int) *WorkerBudget {
 // Total returns the budget's worker count.
 func (b *WorkerBudget) Total() int { return b.total }
 
-// Leases returns the number of live leases.
-func (b *WorkerBudget) Leases() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.leases)
-}
-
 // BudgetLease is one tenant's claim on a WorkerBudget.
 type BudgetLease struct {
 	b      *WorkerBudget

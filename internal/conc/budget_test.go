@@ -9,8 +9,8 @@ func TestBudgetSoleLeaseGetsAll(t *testing.T) {
 		t.Fatalf("sole lease cap=%d, want 8", got)
 	}
 	l.Release()
-	if b.Leases() != 0 {
-		t.Fatalf("leases=%d after release", b.Leases())
+	if len(b.leases) != 0 {
+		t.Fatalf("leases=%d after release", len(b.leases))
 	}
 }
 

@@ -266,9 +266,6 @@ func Default() *Executor {
 	return defaultExec
 }
 
-// Workers returns the worker-set size.
-func (e *Executor) Workers() int { return len(e.workers) }
-
 // Submit queues one task. It must not be called after Close.
 func (e *Executor) Submit(t Task) {
 	if t.Fn == nil {

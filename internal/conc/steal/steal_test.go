@@ -186,8 +186,8 @@ func TestDefaultIsSharedAndSized(t *testing.T) {
 	if a != b {
 		t.Fatal("Default not a singleton")
 	}
-	if a.Workers() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Default workers = %d, GOMAXPROCS = %d", a.Workers(), runtime.GOMAXPROCS(0))
+	if len(a.workers) != runtime.GOMAXPROCS(0) {
+		t.Fatalf("Default workers = %d, GOMAXPROCS = %d", len(a.workers), runtime.GOMAXPROCS(0))
 	}
 }
 

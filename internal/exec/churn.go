@@ -116,10 +116,6 @@ func (e *Executor) Retries() int { return e.retries }
 // by crashes (analogous to RedoneWork for kill-restart remaps).
 func (e *Executor) LostWork() float64 { return e.lostWork }
 
-// Parked returns the number of parts currently waiting for a live
-// replica of their stage.
-func (e *Executor) Parked() int { return len(e.parked) }
-
 // Available reports whether node n currently accepts new work.
 func (e *Executor) Available(n grid.NodeID) bool {
 	return e.g.Node(n).State() == grid.Up
@@ -327,7 +323,7 @@ func (e *Executor) flushParked() {
 			e.retryDispatch(p.it, int(p.stage))
 			continue
 		}
-		e.deliver(p.it, int(p.stage), e.boundarySrc(int(p.stage)), p.bytes, 0)
+		e.deliver(p.it, int(p.stage), e.boundarySrc(int(p.stage)), p.bytes)
 	}
 	e.parkedAlt = pend[:0]
 }

@@ -64,8 +64,8 @@ func TestCrashParksAndRejoinResumes(t *testing.T) {
 	if e.Retries() == 0 {
 		t.Fatal("expected crash-induced retries")
 	}
-	if e.Done() != 50 || e.Admitted() != 50 || e.InFlight() != 0 {
-		t.Fatalf("done=%d admitted=%d inflight=%d, want 50/50/0", e.Done(), e.Admitted(), e.InFlight())
+	if e.Done() != 50 || e.admitted != 50 || e.InFlight() != 0 {
+		t.Fatalf("done=%d admitted=%d inflight=%d, want 50/50/0", e.Done(), e.admitted, e.InFlight())
 	}
 	for seq, n := range completedAt {
 		if n != 1 {
@@ -77,8 +77,8 @@ func TestCrashParksAndRejoinResumes(t *testing.T) {
 	if makespan < 4 {
 		t.Fatalf("makespan = %v, want > 4 (run spans the outage)", makespan)
 	}
-	if e.Parked() != 0 {
-		t.Fatalf("Parked = %d at end of run", e.Parked())
+	if len(e.parked) != 0 {
+		t.Fatalf("Parked = %d at end of run", len(e.parked))
 	}
 }
 
@@ -129,7 +129,7 @@ func TestDrainFinishesAcceptedWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.InstallChurn(mustChurn(t, grid.Drain("node1", 1))); err != nil {
+	if err := e.InstallChurn(mustChurn(t, grid.ChurnEvent{T: 1, Node: "node1", Kind: grid.ChurnDrain})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.RunItems(60); err != nil {
@@ -327,8 +327,8 @@ func TestChurnConservationProperty(t *testing.T) {
 			if _, err := e.RunItems(items); err != nil {
 				t.Fatalf("churn=%v: %v", churn.Events(), err)
 			}
-			if e.Admitted() != items {
-				t.Fatalf("admitted = %d, want %d", e.Admitted(), items)
+			if e.admitted != items {
+				t.Fatalf("admitted = %d, want %d", e.admitted, items)
 			}
 			if e.Done()+e.Lost() != items {
 				t.Fatalf("done %d + lost %d != %d", e.Done(), e.Lost(), items)
@@ -413,7 +413,7 @@ func TestGoldenChurnTrace(t *testing.T) {
 	churn := mustChurn(t,
 		grid.ChurnEvent{T: 5, Node: "node1", Kind: grid.ChurnCrash},
 		grid.ChurnEvent{T: 15, Node: "node1", Kind: grid.ChurnRejoin},
-		grid.Drain("node2", 22),
+		grid.ChurnEvent{T: 22, Node: "node2", Kind: grid.ChurnDrain},
 	)
 	if err := e.InstallChurn(churn); err != nil {
 		t.Fatal(err)

@@ -21,10 +21,10 @@
 // stage emits one part per out-edge (each paying its own transfer), a
 // fan-in stage joins one part per in-edge before starting service, and
 // all parts of one item converge on the same replica of a fan-in stage
-// so the join is local. Linear pipelines take the Linearize fast path —
-// the successor list of stage i is exactly {i+1} — and reproduce the
-// pre-graph executor's event sequence bit for bit (pinned by
-// golden_test.go).
+// so the join is local. Linear pipelines (topo.Graph.Linear) take the
+// fast path — the successor list of stage i is exactly {i+1} — and
+// reproduce the pre-graph executor's event sequence bit for bit
+// (pinned by golden_test.go).
 //
 // Reconfiguration (Remap) supports two protocols measured in
 // experiment A2: drain-safe (queued items migrate with a paid transfer,
@@ -336,9 +336,6 @@ func (e *Executor) Mapping() model.Mapping { return e.mapping.Clone() }
 // Done returns the number of completed items.
 func (e *Executor) Done() int { return e.completed }
 
-// Admitted returns the number of items that entered the pipeline.
-func (e *Executor) Admitted() int { return e.admitted }
-
 // InFlight returns the number of items currently inside the pipeline.
 func (e *Executor) InFlight() int { return e.inFlight }
 
@@ -458,7 +455,7 @@ func (e *Executor) getTransfer(it *item, stage int, bytes float64) *transfer {
 	if n := len(e.txFree); n > 0 {
 		tx := e.txFree[n-1]
 		e.txFree = e.txFree[:n-1]
-		tx.it, tx.stage, tx.bytes, tx.serial = it, stage, bytes, 0
+		tx.it, tx.stage, tx.bytes = it, stage, bytes
 		return tx
 	}
 	return &transfer{it: it, stage: stage, bytes: bytes}
@@ -552,7 +549,7 @@ func (e *Executor) redirectDest(it *item, stage int) grid.NodeID {
 // it. Intra-node movement is effectively free.
 func (e *Executor) transfer(it *item, stage int, a, b grid.NodeID, bytes float64) {
 	if a == b {
-		e.deliver(it, stage, b, bytes, 0)
+		e.deliver(it, stage, b, bytes)
 		return
 	}
 	e.link(a, b).enqueue(it, stage, bytes)
@@ -576,7 +573,7 @@ func (e *Executor) link(a, b grid.NodeID) *linkServer {
 // to a live replica — an extra hop of the same payload, exactly what a
 // real redirect costs. At a fan-in stage the part joins the item's
 // tally and service starts only when the last part has arrived.
-func (e *Executor) deliver(it *item, stage int, n grid.NodeID, bytes, transferDur float64) {
+func (e *Executor) deliver(it *item, stage int, n grid.NodeID, bytes float64) {
 	if it.dropped {
 		return // tombstoned: a sibling part exhausted the retry budget
 	}
@@ -584,9 +581,6 @@ func (e *Executor) deliver(it *item, stage int, n grid.NodeID, bytes, transferDu
 		// Arrived at the sink: the item is done.
 		e.complete(it)
 		return
-	}
-	if transferDur > 0 {
-		e.mon.Stage(stage).RecordTransfer(transferDur)
 	}
 	if !e.accepts(it, stage, n) {
 		if e.unavail > 0 && !e.stageHasLive(stage) {

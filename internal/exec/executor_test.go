@@ -204,7 +204,7 @@ func TestWorkSamplerUsedAndCached(t *testing.T) {
 	g := het(t, 1)
 	spec := model.Balanced(1, 0.1, 0)
 	calls := 0
-	_, e := newExec(t, g, spec, model.SingleNode(1, 0), Options{
+	_, e := newExec(t, g, spec, model.FromNodes(0), Options{
 		WorkSampler: func(stage, seq int) float64 {
 			calls++
 			return 0.05
@@ -227,7 +227,7 @@ func TestPoissonArrivalsLowUtilisation(t *testing.T) {
 	spec := model.Balanced(1, 0.1, 0)
 	// λ=2 items/s against capacity 10/s: latency should be close to
 	// service time, completions ≈ λ·T.
-	_, e := newExec(t, g, spec, model.SingleNode(1, 0), Options{
+	_, e := newExec(t, g, spec, model.FromNodes(0), Options{
 		ArrivalRate: 2, Seed: 1,
 	})
 	done := e.RunUntil(200)
@@ -249,7 +249,7 @@ func TestPoissonArrivalsLowUtilisation(t *testing.T) {
 func TestRunUntilSaturated(t *testing.T) {
 	g := het(t, 1)
 	spec := model.Balanced(1, 0.1, 0)
-	_, e := newExec(t, g, spec, model.SingleNode(1, 0), Options{})
+	_, e := newExec(t, g, spec, model.FromNodes(0), Options{})
 	done := e.RunUntil(100)
 	if done < 950 || done > 1001 {
 		t.Fatalf("done = %d, want ~1000", done)
@@ -259,7 +259,7 @@ func TestRunUntilSaturated(t *testing.T) {
 func TestRunItemsErrors(t *testing.T) {
 	g := het(t, 1)
 	spec := model.Balanced(1, 0.1, 0)
-	_, e := newExec(t, g, spec, model.SingleNode(1, 0), Options{})
+	_, e := newExec(t, g, spec, model.FromNodes(0), Options{})
 	if _, err := e.RunItems(0); err == nil {
 		t.Fatal("RunItems(0) accepted")
 	}
@@ -319,7 +319,7 @@ func TestCoresAllowParallelService(t *testing.T) {
 	spec := model.PipelineSpec{Stages: []model.StageSpec{
 		{Name: "only", Work: 0.1, Replicable: true},
 	}}
-	_, e := newExec(t, quad, spec, model.SingleNode(1, 0), Options{MaxInFlight: 8})
+	_, e := newExec(t, quad, spec, model.FromNodes(0), Options{MaxInFlight: 8})
 	const n = 400
 	makespan, err := e.RunItems(n)
 	if err != nil {
@@ -334,20 +334,21 @@ func TestCoresAllowParallelService(t *testing.T) {
 func TestPoissonWithTotalItems(t *testing.T) {
 	g := het(t, 1)
 	spec := model.Balanced(1, 0.01, 0)
-	_, e := newExec(t, g, spec, model.SingleNode(1, 0), Options{
+	_, e := newExec(t, g, spec, model.FromNodes(0), Options{
 		ArrivalRate: 5, Seed: 3, TotalItems: 50,
 	})
 	e.Start()
-	e.eng.Run()
-	if e.Done() != 50 || e.Admitted() != 50 {
-		t.Fatalf("done=%d admitted=%d, want 50", e.Done(), e.Admitted())
+	for e.eng.Step() {
+	}
+	if e.Done() != 50 || e.admitted != 50 {
+		t.Fatalf("done=%d admitted=%d, want 50", e.Done(), e.admitted)
 	}
 }
 
 func TestWorkSamplerPanicsOnInvalid(t *testing.T) {
 	g := het(t, 1)
 	spec := model.Balanced(1, 0.1, 0)
-	_, e := newExec(t, g, spec, model.SingleNode(1, 0), Options{
+	_, e := newExec(t, g, spec, model.FromNodes(0), Options{
 		WorkSampler: func(stage, seq int) float64 { return -1 },
 	})
 	defer func() {

@@ -107,8 +107,8 @@ func TestModelOrderingRespectedBySimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := model.Balanced(2, 0.1, 0)
-	good := model.SingleNode(2, 1) // 4x node: 20/s
-	bad := model.SingleNode(2, 0)  // 1x node: 5/s
+	good := model.FromNodes(1, 1) // 4x node: 20/s
+	bad := model.FromNodes(0, 0)  // 1x node: 5/s
 	run := func(m model.Mapping) float64 {
 		eng := &sim.Engine{}
 		e, err := New(eng, g, spec, m, Options{MaxInFlight: 8})

@@ -27,9 +27,6 @@ type PartitionPlan struct {
 	Lookahead float64
 }
 
-// PartitionOf returns the partition of node n (-1 if unassigned).
-func (p PartitionPlan) PartitionOf(n grid.NodeID) int { return p.Assign[n] }
-
 // String renders a short summary for logs and gridsim.
 func (p PartitionPlan) String() string {
 	sizes := make([]int, p.Parts)

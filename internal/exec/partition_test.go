@@ -36,8 +36,8 @@ func TestPlanPartitionsBlocks(t *testing.T) {
 	if plan.Lookahead != grid.LANLink.Latency {
 		t.Fatalf("lookahead %v, want LAN latency %v", plan.Lookahead, grid.LANLink.Latency)
 	}
-	if plan.PartitionOf(0) != 0 || plan.PartitionOf(9) != 2 {
-		t.Fatalf("PartitionOf endpoints: %d, %d", plan.PartitionOf(0), plan.PartitionOf(9))
+	if plan.Assign[0] != 0 || plan.Assign[9] != 2 {
+		t.Fatalf("partition of endpoints: %d, %d", plan.Assign[0], plan.Assign[9])
 	}
 }
 
@@ -104,7 +104,7 @@ func TestPlanByMasksSeams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.PartitionOf(2) != -1 || plan.PartitionOf(5) != -1 {
+	if plan.Assign[2] != -1 || plan.Assign[5] != -1 {
 		t.Fatalf("uncovered nodes assigned: %v", plan.Assign)
 	}
 	if !strings.Contains(plan.String(), "2 unassigned") {

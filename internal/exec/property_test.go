@@ -64,7 +64,7 @@ func TestConservationAndModelBoundProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if e.Done() != n || e.InFlight() != 0 || e.Admitted() != n {
+		if e.Done() != n || e.InFlight() != 0 || e.admitted != n {
 			return false
 		}
 		measured := float64(n) / makespan
@@ -147,7 +147,7 @@ func TestRemapNeverLosesItemsProperty(t *testing.T) {
 		// first instance's dimensions; otherwise remap to single-node.
 		target := m2
 		if target.Validate(spec.NumStages(), g.NumNodes()) != nil {
-			target = model.SingleNode(spec.NumStages(), 0)
+			target = model.FromNodes(make([]grid.NodeID, spec.NumStages())...)
 		}
 		_ = spec2
 		proto := DrainSafe
@@ -183,7 +183,7 @@ func TestSearchersSoundOnRandomInstancesProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pred, err := model.Predict(g, spec, model.SingleNode(spec.NumStages(), 0), nil)
+		pred, err := model.Predict(g, spec, model.FromNodes(make([]grid.NodeID, spec.NumStages())...), nil)
 		if err != nil {
 			return false
 		}

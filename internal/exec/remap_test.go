@@ -24,7 +24,8 @@ func runWithMidwayRemap(t *testing.T, g *grid.Grid, spec model.PipelineSpec,
 		}
 	})
 	e.Start()
-	eng.Run()
+	for eng.Step() {
+	}
 	if e.Done() != n {
 		t.Fatalf("completed %d of %d", e.Done(), n)
 	}
@@ -61,7 +62,7 @@ func TestRemapAllItemsComplete(t *testing.T) {
 	spec := model.Balanced(3, 0.1, 1000)
 	for _, proto := range []RemapProtocol{DrainSafe, KillRestart} {
 		_, e, st := runWithMidwayRemap(t, g, spec,
-			model.SingleNode(3, 0), model.OneToOne(3), 2.0, proto, 200)
+			model.FromNodes(0, 0, 0), model.OneToOne(3), 2.0, proto, 200)
 		if !st.Changed {
 			t.Fatalf("%v: remap reported unchanged", proto)
 		}
@@ -88,14 +89,14 @@ func TestRemapEscapingLoadedNodeHelps(t *testing.T) {
 	spec := model.Balanced(2, 0.1, 100)
 	const n = 300
 
-	_, eStay := newExec(t, mk(), spec, model.SingleNode(2, 0), Options{MaxInFlight: 8})
+	_, eStay := newExec(t, mk(), spec, model.FromNodes(0, 0), Options{MaxInFlight: 8})
 	msStay, err := eStay.RunItems(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	msMove, _, _ := runWithMidwayRemap(t, mk(), spec,
-		model.SingleNode(2, 0), model.SingleNode(2, 1), 6.0, DrainSafe, n)
+		model.FromNodes(0, 0), model.FromNodes(1, 1), 6.0, DrainSafe, n)
 
 	if msMove >= msStay {
 		t.Fatalf("remap away from loaded node did not help: stay=%v move=%v", msStay, msMove)
@@ -109,7 +110,7 @@ func TestDrainSafeNeverKills(t *testing.T) {
 	g := het(t, 1, 1, 1)
 	spec := model.Balanced(3, 0.2, 1000)
 	_, e, st := runWithMidwayRemap(t, g, spec,
-		model.SingleNode(3, 0), model.OneToOne(3), 1.0, DrainSafe, 100)
+		model.FromNodes(0, 0, 0), model.OneToOne(3), 1.0, DrainSafe, 100)
 	if st.Killed != 0 || st.RedoneWork != 0 {
 		t.Fatalf("drain-safe killed work: %+v", st)
 	}
@@ -124,7 +125,7 @@ func TestKillRestartRedoesWork(t *testing.T) {
 	g := het(t, 1, 1)
 	spec := model.Balanced(1, 1.0, 0)
 	_, e, st := runWithMidwayRemap(t, g, spec,
-		model.SingleNode(1, 0), model.SingleNode(1, 1), 0.5, KillRestart, 20)
+		model.FromNodes(0), model.FromNodes(1), 0.5, KillRestart, 20)
 	if st.Killed == 0 {
 		t.Fatalf("expected kills, got %+v", st)
 	}
@@ -139,9 +140,9 @@ func TestKillRestartSlowerThanDrainSafe(t *testing.T) {
 	g := het(t, 1, 1)
 	spec := model.Balanced(2, 0.5, 0)
 	msDrain, _, _ := runWithMidwayRemap(t, g, spec,
-		model.SingleNode(2, 0), model.SingleNode(2, 1), 2.25, DrainSafe, 60)
+		model.FromNodes(0, 0), model.FromNodes(1, 1), 2.25, DrainSafe, 60)
 	msKill, _, stKill := runWithMidwayRemap(t, g, spec,
-		model.SingleNode(2, 0), model.SingleNode(2, 1), 2.25, KillRestart, 60)
+		model.FromNodes(0, 0), model.FromNodes(1, 1), 2.25, KillRestart, 60)
 	if stKill.Killed == 0 {
 		t.Skip("nothing was in service at the remap instant")
 	}
@@ -155,17 +156,18 @@ func TestRemapMovesQueuedItems(t *testing.T) {
 	// must migrate the queued items.
 	g := het(t, 1, 1)
 	spec := model.Balanced(1, 0.5, 100)
-	eng, e := newExec(t, g, spec, model.SingleNode(1, 0), Options{MaxInFlight: 10, TotalItems: 40})
+	eng, e := newExec(t, g, spec, model.FromNodes(0), Options{MaxInFlight: 10, TotalItems: 40})
 	var st RemapStats
 	eng.Schedule(0.6, func() {
 		var err error
-		st, err = e.Remap(model.SingleNode(1, 1), DrainSafe)
+		st, err = e.Remap(model.FromNodes(1), DrainSafe)
 		if err != nil {
 			t.Errorf("remap: %v", err)
 		}
 	})
 	e.Start()
-	eng.Run()
+	for eng.Step() {
+	}
 	if st.Moved == 0 {
 		t.Fatalf("expected queued items to move, got %+v", st)
 	}
@@ -192,7 +194,8 @@ func TestRemapToReplicatedMapping(t *testing.T) {
 		}
 	})
 	e.Start()
-	eng.Run()
+	for eng.Step() {
+	}
 	if e.Done() != 500 {
 		t.Fatalf("done = %d", e.Done())
 	}
@@ -213,9 +216,9 @@ func TestRemapThroughputRecovers(t *testing.T) {
 	// over the tail should approach the new mapping's prediction.
 	g := het(t, 1, 4)
 	spec := model.Balanced(2, 0.2, 0)
-	eng, e := newExec(t, g, spec, model.SingleNode(2, 0), Options{MaxInFlight: 8})
+	eng, e := newExec(t, g, spec, model.FromNodes(0, 0), Options{MaxInFlight: 8})
 	eng.Schedule(10, func() {
-		if _, err := e.Remap(model.SingleNode(2, 1), DrainSafe); err != nil {
+		if _, err := e.Remap(model.FromNodes(1, 1), DrainSafe); err != nil {
 			t.Errorf("remap: %v", err)
 		}
 	})

@@ -145,14 +145,12 @@ type linkServer struct {
 	deliverFn  func(any)
 }
 
-// transfer is one pooled part movement over a link: queued with its
-// destination stage and size, then in flight carrying its
-// serialisation time.
+// transfer is one pooled part movement over a link: its destination
+// stage and size.
 type transfer struct {
-	it     *item
-	stage  int // destination stage (NumStages = the sink)
-	bytes  float64
-	serial float64
+	it    *item
+	stage int // destination stage (NumStages = the sink)
+	bytes float64
 }
 
 func newLinkServer(e *Executor, l grid.Link, dest grid.NodeID) *linkServer {
@@ -182,7 +180,6 @@ func (s *linkServer) pump() {
 	if serial < 0 {
 		serial = 0
 	}
-	tx.serial = serial
 	s.e.eng.ScheduleArg(serial, s.wireFreeFn, tx)
 }
 
@@ -195,9 +192,9 @@ func (s *linkServer) wireFree(tx *transfer) {
 }
 
 func (s *linkServer) deliverTx(tx *transfer) {
-	it, stage, bytes, total := tx.it, tx.stage, tx.bytes, tx.serial+s.link.Latency
+	it, stage, bytes := tx.it, tx.stage, tx.bytes
 	s.e.putTransfer(tx)
-	s.e.deliver(it, stage, s.dest, bytes, total)
+	s.e.deliver(it, stage, s.dest, bytes)
 }
 
 // poissonSource generates exponential inter-arrival gaps.

@@ -60,9 +60,6 @@ func (sh *NodeShares) attach(e *Executor) error {
 	return nil
 }
 
-// InService returns the cluster-wide in-service task count on node n.
-func (sh *NodeShares) InService(n grid.NodeID) int { return sh.count[n] }
-
 // Serving returns the executors with a task in service on node n, in
 // attach order (a fresh slice; for diagnostics and tests).
 func (sh *NodeShares) Serving(n grid.NodeID) []*Executor {

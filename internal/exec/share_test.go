@@ -270,8 +270,8 @@ func TestShareRescaleMatchesAllExecutorsLoop(t *testing.T) {
 	if !sawMiddleGone {
 		t.Fatal("the middle tenant never finished while the others were in service")
 	}
-	if n := len(sh.Serving(0)); n != 0 || sh.InService(0) != 0 {
-		t.Fatalf("after the run the ledger holds %d servers, %d tasks; want 0, 0", n, sh.InService(0))
+	if n := len(sh.Serving(0)); n != 0 || sh.count[0] != 0 {
+		t.Fatalf("after the run the ledger holds %d servers, %d tasks; want 0, 0", n, sh.count[0])
 	}
 
 	ref := &refLedger{eng: &sim.Engine{}, node: newGrid().Node(0)}

@@ -94,9 +94,6 @@ func (f *Farm) Process(ctx context.Context, inputs []any) ([]any, error) {
 // SetWorkers resizes the pool (minimum 1); callable while running.
 func (f *Farm) SetWorkers(n int) error { return f.pl.SetReplicas(0, n) }
 
-// Workers returns the current worker limit.
-func (f *Farm) Workers() int { return f.pl.Replicas(0) }
-
 // Stats snapshots the farm's counters.
 func (f *Farm) Stats() Stats {
 	st := f.pl.Stats()[0]

@@ -55,7 +55,7 @@ func TestFarmPanicIsContained(t *testing.T) {
 						t.Errorf("error lacks %q:\n%v", want, err)
 					}
 				}
-				if got := f.Workers(); got != 3 {
+				if got := f.pl.Replicas(0); got != 3 {
 					t.Errorf("Workers() = %d after the failed run, want 3", got)
 				}
 

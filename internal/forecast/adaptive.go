@@ -98,16 +98,6 @@ func (a *Adaptive) Predict() float64 {
 	return a.members[best].Predict()
 }
 
-// Best returns the name of the member currently trusted, or "" before
-// any scoring.
-func (a *Adaptive) Best() string {
-	best := a.bestIndex()
-	if best < 0 {
-		return ""
-	}
-	return a.members[best].Name()
-}
-
 // Evaluation is the accuracy record of one forecaster on one signal.
 type Evaluation struct {
 	Name     string

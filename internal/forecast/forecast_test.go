@@ -127,8 +127,8 @@ func TestAdaptivePicksGoodMemberOnConstant(t *testing.T) {
 	if got := a.Predict(); math.Abs(got-0.4) > 1e-6 {
 		t.Fatalf("adaptive on constant = %v", got)
 	}
-	if a.Best() == "" {
-		t.Fatal("Best should be set after scoring")
+	if a.bestIndex() < 0 {
+		t.Fatal("a member should be trusted after scoring")
 	}
 }
 
@@ -149,8 +149,8 @@ func TestAdaptiveTracksStep(t *testing.T) {
 
 func TestAdaptiveUnprimed(t *testing.T) {
 	a := NewDefaultBattery()
-	if !math.IsNaN(a.Predict()) || a.Best() != "" {
-		t.Fatal("unprimed adaptive should be NaN with no Best")
+	if !math.IsNaN(a.Predict()) || a.bestIndex() >= 0 {
+		t.Fatal("unprimed adaptive should be NaN with no trusted member")
 	}
 	a.Observe(1)
 	// After one observation members can predict but none scored yet;

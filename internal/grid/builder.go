@@ -130,18 +130,3 @@ func (o windowTrace) At(t float64) float64 {
 	}
 	return o.base.At(t)
 }
-
-// SpeedRatio returns max/min nominal node speed, the heterogeneity
-// measure swept in experiment F5.
-func SpeedRatio(g *Grid) float64 {
-	min, max := g.nodes[0].Speed, g.nodes[0].Speed
-	for _, n := range g.nodes[1:] {
-		if n.Speed < min {
-			min = n.Speed
-		}
-		if n.Speed > max {
-			max = n.Speed
-		}
-	}
-	return max / min
-}

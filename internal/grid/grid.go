@@ -142,12 +142,6 @@ func (g *Grid) ResetLifecycle() {
 	}
 }
 
-// TransferDuration returns the time to move bytes from node a to node b
-// starting at time t.
-func (g *Grid) TransferDuration(a, b NodeID, bytes, t float64) float64 {
-	return g.links[a][b].TransferDuration(bytes, t)
-}
-
 // String renders a short summary for logs and the gridsim tool.
 func (g *Grid) String() string {
 	var b strings.Builder

@@ -63,7 +63,7 @@ func TestSelfLinkIsLocal(t *testing.T) {
 	if l.Latency != LocalLink.Latency {
 		t.Fatalf("self link = %+v", l)
 	}
-	if d := g.TransferDuration(0, 0, 1e6, 0); d > 1e-3 {
+	if d := l.TransferDuration(1e6, 0); d > 1e-3 {
 		t.Fatalf("local transfer too slow: %v", d)
 	}
 }
@@ -184,23 +184,6 @@ func TestServiceDurationSurvivesSaturation(t *testing.T) {
 	}
 }
 
-func TestMeanLoad(t *testing.T) {
-	n := &Node{
-		Speed: 1, Cores: 1,
-		Load: trace.NewSteps(0.2, trace.StepChange{T: 10, Load: 0.6}),
-	}
-	got := n.MeanLoad(0, 20)
-	if math.Abs(got-0.4) > 0.02 {
-		t.Fatalf("mean load = %v, want ~0.4", got)
-	}
-	if (&Node{Speed: 1, Cores: 1}).MeanLoad(0, 10) != 0 {
-		t.Fatal("idle node mean load should be 0")
-	}
-	if got := n.MeanLoad(5, 5); got != 0.2 {
-		t.Fatalf("degenerate interval = %v, want instantaneous 0.2", got)
-	}
-}
-
 func TestHomogeneousAndHeterogeneous(t *testing.T) {
 	g := mustGrid(Homogeneous(4, 2.5, LANLink))
 	for _, n := range g.Nodes() {
@@ -209,8 +192,10 @@ func TestHomogeneousAndHeterogeneous(t *testing.T) {
 		}
 	}
 	h := mustGrid(Heterogeneous([]float64{1, 2, 4}, LANLink))
-	if SpeedRatio(h) != 4 {
-		t.Fatalf("SpeedRatio = %v", SpeedRatio(h))
+	for i, want := range []float64{1, 2, 4} {
+		if n := h.Node(NodeID(i)); n.Speed != want || n.Cores != 1 {
+			t.Fatalf("bad node %+v, want speed %v", n, want)
+		}
 	}
 	if _, err := Homogeneous(0, 1, LANLink); err == nil {
 		t.Fatal("0 nodes should fail")

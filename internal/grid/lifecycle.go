@@ -289,11 +289,6 @@ func Join(node string, t float64) ChurnEvent {
 	return ChurnEvent{T: t, Node: node, Kind: ChurnJoin}
 }
 
-// Drain returns the event gracefully retiring a node at t.
-func Drain(node string, t float64) ChurnEvent {
-	return ChurnEvent{T: t, Node: node, Kind: ChurnDrain}
-}
-
 // RandomChurn generates a seeded random crash/rejoin schedule over the
 // given nodes: each node independently crashes with probability crashP
 // at a uniform time in (0.05, 0.7)·horizon and stays down for an

@@ -9,12 +9,12 @@ import (
 
 func TestNodeStateZeroValueIsUp(t *testing.T) {
 	n := &Node{Name: "a", Speed: 1, Cores: 1}
-	if n.State() != Up || !n.Available() {
+	if n.State() != Up {
 		t.Fatalf("fresh node state = %v", n.State())
 	}
 	n.SetState(Down)
-	if n.Available() {
-		t.Fatal("down node reports available")
+	if n.State() != Down {
+		t.Fatalf("down node state = %v", n.State())
 	}
 	if Up.String() != "up" || Draining.String() != "draining" || Down.String() != "down" {
 		t.Fatal("state names wrong")
@@ -30,8 +30,8 @@ func TestChurnScheduleValidation(t *testing.T) {
 		{"empty", nil, true},
 		{"crash+rejoin", Outage("a", 1, 2), true},
 		{"join", []ChurnEvent{Join("a", 5)}, true},
-		{"drain", []ChurnEvent{Drain("a", 5)}, true},
-		{"crash of draining node", []ChurnEvent{Drain("a", 1), {T: 2, Node: "a", Kind: ChurnCrash}}, true},
+		{"drain", []ChurnEvent{{T: 5, Node: "a", Kind: ChurnDrain}}, true},
+		{"crash of draining node", []ChurnEvent{{T: 1, Node: "a", Kind: ChurnDrain}, {T: 2, Node: "a", Kind: ChurnCrash}}, true},
 		{"two disjoint outages", append(Outage("a", 1, 2), Outage("a", 3, 4)...), true},
 		{"overlapping outages", []ChurnEvent{
 			{T: 1, Node: "a", Kind: ChurnCrash}, {T: 2, Node: "a", Kind: ChurnCrash}}, false},

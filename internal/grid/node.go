@@ -58,9 +58,6 @@ func (n *Node) State() NodeState { return n.state }
 // sync with the transition.
 func (n *Node) SetState(s NodeState) { n.state = s }
 
-// Available reports whether the node accepts new work (state Up).
-func (n *Node) Available() bool { return n.state == Up }
-
 // EffectiveSpeed returns the instantaneous processing rate at time t in
 // reference-seconds of work per second.
 func (n *Node) EffectiveSpeed(t float64) float64 {
@@ -131,31 +128,6 @@ func (n *Node) WorkIn(start, dur float64) float64 {
 		left -= q
 	}
 	return done + n.EffectiveSpeed(t)*left
-}
-
-// MeanLoad returns the node's time-averaged background load over
-// [t0, t1], sampled at the quantum. The analytic mapping model uses it
-// as the load estimate when no forecaster is plugged in.
-func (n *Node) MeanLoad(t0, t1 float64) float64 {
-	if n.Load == nil {
-		return 0
-	}
-	q := n.Quantum
-	if q <= 0 {
-		q = DefaultQuantum
-	}
-	if t1 <= t0 {
-		return n.Load.At(t0)
-	}
-	sum, cnt := 0.0, 0
-	for t := t0; t < t1; t += q {
-		sum += n.Load.At(t)
-		cnt++
-	}
-	if cnt == 0 {
-		return n.Load.At(t0)
-	}
-	return sum / float64(cnt)
 }
 
 // validate reports configuration errors; the Grid builder calls it.

@@ -27,27 +27,19 @@ func NewCTMC(n int) *CTMC {
 	return &CTMC{n: n}
 }
 
-// NumStates returns the number of states.
-func (c *CTMC) NumStates() int { return c.n }
-
-// AddRate adds a transition from → to with the given rate. Multiple
-// calls for the same pair accumulate. It panics on invalid states,
-// self-loops, or non-positive rates.
-func (c *CTMC) AddRate(from, to int, rate float64) {
-	c.AddTagged(from, to, rate, "")
-}
-
-// AddTagged is AddRate with a label attached to the transition; flows
-// can then be computed per tag (e.g. "departure") with FlowTag.
+// AddTagged adds a transition from → to with the given rate and a
+// label; flows can then be computed per tag (e.g. "departure") with
+// FlowTag. Multiple calls for the same pair accumulate. It panics on
+// invalid states, self-loops, or non-positive rates.
 func (c *CTMC) AddTagged(from, to int, rate float64, tag string) {
 	if from < 0 || from >= c.n || to < 0 || to >= c.n {
-		panic(fmt.Sprintf("model: AddRate with invalid states %d->%d", from, to))
+		panic(fmt.Sprintf("model: AddTagged with invalid states %d->%d", from, to))
 	}
 	if from == to {
-		panic("model: AddRate self-loop")
+		panic("model: AddTagged self-loop")
 	}
 	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
-		panic(fmt.Sprintf("model: AddRate with invalid rate %v", rate))
+		panic(fmt.Sprintf("model: AddTagged with invalid rate %v", rate))
 	}
 	c.edges = append(c.edges, ctmcEdge{from, to, rate, tag})
 }
@@ -109,18 +101,6 @@ func (c *CTMC) SteadyState() ([]float64, error) {
 		}
 	}
 	return nil, fmt.Errorf("model: steady-state iteration did not converge")
-}
-
-// Flow returns the steady-state rate of transitions selected by keep:
-// Σ_{edges e: keep(e)} π[e.from]·rate(e).
-func (c *CTMC) Flow(pi []float64, keep func(from, to int) bool) float64 {
-	total := 0.0
-	for _, e := range c.edges {
-		if keep(e.from, e.to) {
-			total += pi[e.from] * e.rate
-		}
-	}
-	return total
 }
 
 // FlowTag returns the steady-state rate of all transitions carrying the

@@ -10,8 +10,8 @@ func TestCTMCTwoStateBirthDeath(t *testing.T) {
 	// 0 -λ-> 1, 1 -µ-> 0: π0 = µ/(λ+µ).
 	c := NewCTMC(2)
 	lambda, mu := 3.0, 7.0
-	c.AddRate(0, 1, lambda)
-	c.AddRate(1, 0, mu)
+	c.AddTagged(0, 1, lambda, "")
+	c.AddTagged(1, 0, mu, "")
 	pi, err := c.SteadyState()
 	if err != nil {
 		t.Fatal(err)
@@ -30,8 +30,8 @@ func TestCTMCMM1K(t *testing.T) {
 	lambda, mu := 1.0, 2.0
 	c := NewCTMC(K + 1)
 	for i := 0; i < K; i++ {
-		c.AddRate(i, i+1, lambda)
-		c.AddRate(i+1, i, mu)
+		c.AddTagged(i, i+1, lambda, "arrival")
+		c.AddTagged(i+1, i, mu, "departure")
 	}
 	pi, err := c.SteadyState()
 	if err != nil {
@@ -50,8 +50,8 @@ func TestCTMCMM1K(t *testing.T) {
 	}
 	// Flow check: departure rate = µ·P(queue non-empty) = arrival
 	// acceptance rate = λ·P(not full).
-	dep := c.Flow(pi, func(from, to int) bool { return to == from-1 })
-	acc := c.Flow(pi, func(from, to int) bool { return to == from+1 })
+	dep := c.FlowTag(pi, "departure")
+	acc := c.FlowTag(pi, "arrival")
 	if math.Abs(dep-acc) > 1e-8 {
 		t.Fatalf("flow balance violated: dep=%v acc=%v", dep, acc)
 	}
@@ -61,11 +61,11 @@ func TestCTMCPanics(t *testing.T) {
 	c := NewCTMC(2)
 	for _, bad := range []func(){
 		func() { NewCTMC(0) },
-		func() { c.AddRate(0, 0, 1) },
-		func() { c.AddRate(0, 5, 1) },
-		func() { c.AddRate(-1, 0, 1) },
-		func() { c.AddRate(0, 1, 0) },
-		func() { c.AddRate(0, 1, math.NaN()) },
+		func() { c.AddTagged(0, 0, 1, "") },
+		func() { c.AddTagged(0, 5, 1, "") },
+		func() { c.AddTagged(-1, 0, 1, "") },
+		func() { c.AddTagged(0, 1, 0, "") },
+		func() { c.AddTagged(0, 1, math.NaN(), "") },
 	} {
 		func() {
 			defer func() {

@@ -29,7 +29,7 @@ func diamondSpec(t *testing.T) PipelineSpec {
 }
 
 // An explicit chain topology must predict exactly what the implicit
-// linear spec predicts — the Linearize fast path is the identity.
+// linear spec predicts — the chain fast path is the identity.
 func TestPredictChainTopoIdentity(t *testing.T) {
 	g, err := grid.Heterogeneous([]float64{1, 2, 1.5}, grid.LANLink)
 	if err != nil {
@@ -131,7 +131,7 @@ func TestBestOverDiamond(t *testing.T) {
 		t.Fatal(err)
 	}
 	cands := []Mapping{
-		SingleNode(4, 0),
+		FromNodes(0, 0, 0, 0),
 		OneToOne(4),
 		FromNodes(0, 1, 2, 3),
 	}

@@ -1,10 +1,6 @@
 package model
 
-import (
-	"fmt"
-
-	"gridpipe/internal/grid"
-)
+import "fmt"
 
 // JobSpec describes one tenant of a shared cluster: a pipeline plus
 // the job-level attributes the admission controller and the arbiter
@@ -79,15 +75,6 @@ func (j JobSpec) Floor() int {
 // sched layer consumes it directly as a SearchAvail availability mask.
 type CapacityMask []bool
 
-// NewCapacityMask returns a mask admitting every one of np nodes.
-func NewCapacityMask(np int) CapacityMask {
-	m := make(CapacityMask, np)
-	for i := range m {
-		m[i] = true
-	}
-	return m
-}
-
 // Count returns the number of admitted nodes.
 func (m CapacityMask) Count() int {
 	c := 0
@@ -97,35 +84,6 @@ func (m CapacityMask) Count() int {
 		}
 	}
 	return c
-}
-
-// Capacity returns the total speed×cores capacity the mask admits on
-// the grid.
-func (m CapacityMask) Capacity(g *grid.Grid) float64 {
-	total := 0.0
-	for i, ok := range m {
-		if ok {
-			n := g.Node(grid.NodeID(i))
-			total += n.Speed * float64(n.Cores)
-		}
-	}
-	return total
-}
-
-// Intersect returns the element-wise AND of two masks (nil acts as
-// all-true).
-func (m CapacityMask) Intersect(o CapacityMask) CapacityMask {
-	if m == nil {
-		return append(CapacityMask(nil), o...)
-	}
-	out := append(CapacityMask(nil), m...)
-	if o == nil {
-		return out
-	}
-	for i := range out {
-		out[i] = out[i] && i < len(o) && o[i]
-	}
-	return out
 }
 
 // String renders the mask as the admitted node list, e.g. "{0,2,3}".

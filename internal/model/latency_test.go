@@ -21,7 +21,7 @@ func TestPredictLatencyMD1ClosedForm(t *testing.T) {
 	// M/D/1: Wq = λ E[S²]/(2(1-ρ)) = 2·0.01/(2·0.8) = 0.0125.
 	g := latGrid(t, 1)
 	spec := Balanced(1, 0.1, 0)
-	p, err := PredictLatency(g, spec, SingleNode(1, 0), nil, 2, 0)
+	p, err := PredictLatency(g, spec, FromNodes(0), nil, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestPredictLatencyMM1ClosedForm(t *testing.T) {
 	g := latGrid(t, 1)
 	spec := Balanced(1, 0.1, 0)
 	lambda := 5.0 // ρ = 0.5
-	p, err := PredictLatency(g, spec, SingleNode(1, 0), nil, lambda, 1)
+	p, err := PredictLatency(g, spec, FromNodes(0), nil, lambda, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestPredictLatencyGrowsWithLoadAndRate(t *testing.T) {
 func TestPredictLatencySaturationError(t *testing.T) {
 	g := latGrid(t, 1)
 	spec := Balanced(1, 0.1, 0)
-	if _, err := PredictLatency(g, spec, SingleNode(1, 0), nil, 11, 0); err == nil {
+	if _, err := PredictLatency(g, spec, FromNodes(0), nil, 11, 0); err == nil {
 		t.Fatal("saturated node accepted")
 	}
 }
@@ -87,11 +87,11 @@ func TestPredictLatencyReplicationReducesWait(t *testing.T) {
 	g := latGrid(t, 1, 1, 1)
 	spec := PipelineSpec{Stages: []StageSpec{{Name: "h", Work: 0.2, Replicable: true}}}
 	lambda := 4.0 // ρ = 0.8 unreplicated
-	plain, err := PredictLatency(g, spec, SingleNode(1, 0), nil, lambda, 0)
+	plain, err := PredictLatency(g, spec, FromNodes(0), nil, lambda, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repl, err := PredictLatency(g, spec, SingleNode(1, 0).WithReplicas(0, 0, 1), nil, lambda, 0)
+	repl, err := PredictLatency(g, spec, FromNodes(0).WithReplicas(0, 0, 1), nil, lambda, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPredictLatencyColocationAggregates(t *testing.T) {
 	// model must see ρ = λ(s1+s2).
 	g := latGrid(t, 1)
 	spec := Balanced(2, 0.1, 0)
-	p, err := PredictLatency(g, spec, SingleNode(2, 0), nil, 3, 0)
+	p, err := PredictLatency(g, spec, FromNodes(0, 0), nil, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestPredictLatencyColocationAggregates(t *testing.T) {
 func TestPredictLatencyValidation(t *testing.T) {
 	g := latGrid(t, 1)
 	spec := Balanced(1, 0.1, 0)
-	m := SingleNode(1, 0)
+	m := FromNodes(0)
 	if _, err := PredictLatency(g, spec, m, nil, 0, 0); err == nil {
 		t.Fatal("zero rate accepted")
 	}

@@ -27,15 +27,6 @@ type Mapping struct {
 // NumStages returns the number of stages the mapping covers.
 func (m Mapping) NumStages() int { return len(m.Assign) }
 
-// SingleNode maps all ns stages onto one node.
-func SingleNode(ns int, node grid.NodeID) Mapping {
-	a := make([][]grid.NodeID, ns)
-	for i := range a {
-		a[i] = []grid.NodeID{node}
-	}
-	return Mapping{Assign: a}
-}
-
 // OneToOne maps stage i onto node i.
 func OneToOne(ns int) Mapping {
 	a := make([][]grid.NodeID, ns)
@@ -192,23 +183,16 @@ func (m Mapping) String() string {
 	return b.String()
 }
 
-// EnumerationLimit caps the *materialized* enumerations
-// (EnumerateAll/EnumerateOver); np^ns grows fast and a slice of every
-// mapping is only meant for the small configurations of the validation
-// tables. The streaming VisitMappings has no such cliff: it holds one
-// mapping at a time.
-const EnumerationLimit = 1 << 20
-
 // VisitMappings streams every unreplicated mapping of ns stages onto
-// the given candidate nodes (len(nodes)^ns mappings) to the visitor,
-// in the same lexicographic order EnumerateOver materializes them
-// (stage 0 varies slowest). The visitor returns false to stop early.
+// the given candidate nodes (len(nodes)^ns mappings) to the visitor in
+// lexicographic order (stage 0 varies slowest). The visitor returns
+// false to stop early.
 //
 // The Mapping passed to the visitor is REUSED between calls: its
 // Assign rows alias one backing array that the enumerator rewrites in
 // place. A visitor that needs to retain a candidate must Clone it.
-// Because nothing is materialized there is no enumeration limit — the
-// memory cost is O(ns) regardless of the space's size.
+// Nothing is materialized: the memory cost is O(ns) regardless of the
+// space's size.
 func VisitMappings(ns int, nodes []grid.NodeID, visit func(Mapping) bool) error {
 	if ns <= 0 {
 		return fmt.Errorf("model: VisitMappings with %d stages", ns)
@@ -231,8 +215,7 @@ func VisitMappings(ns int, nodes []grid.NodeID, visit func(Mapping) bool) error 
 		if !visit(m) {
 			return nil
 		}
-		// Advance the odometer (last stage varies fastest, matching the
-		// recursive EnumerateOver order).
+		// Advance the odometer (last stage varies fastest).
 		i := ns - 1
 		for ; i >= 0; i-- {
 			idx[i]++
@@ -247,54 +230,4 @@ func VisitMappings(ns int, nodes []grid.NodeID, visit func(Mapping) bool) error 
 			return nil
 		}
 	}
-}
-
-// EnumerateAll returns every unreplicated mapping of ns stages onto np
-// nodes (np^ns mappings). It errors if the count would exceed
-// EnumerationLimit; larger spaces must stream through VisitMappings or
-// use the heuristic searches in internal/sched.
-//
-// Deprecated: materializing the space costs O(np^ns) memory. New call
-// sites should use VisitMappings, which streams candidates and has no
-// size cliff.
-func EnumerateAll(ns, np int) ([]Mapping, error) {
-	if np <= 0 {
-		return nil, fmt.Errorf("model: EnumerateAll with %d nodes", np)
-	}
-	nodes := make([]grid.NodeID, np)
-	for i := range nodes {
-		nodes[i] = grid.NodeID(i)
-	}
-	return EnumerateOver(ns, nodes)
-}
-
-// EnumerateOver returns every unreplicated mapping of ns stages onto
-// the given candidate nodes (len(nodes)^ns mappings) — the restricted
-// enumeration the fault-aware search uses to exclude Down nodes. It
-// errors if the count would exceed EnumerationLimit.
-//
-// Deprecated: materializing the space costs O(np^ns) memory. New call
-// sites should use VisitMappings, which streams candidates and has no
-// size cliff.
-func EnumerateOver(ns int, nodes []grid.NodeID) ([]Mapping, error) {
-	if ns <= 0 || len(nodes) == 0 {
-		return nil, fmt.Errorf("model: EnumerateOver with non-positive dimensions")
-	}
-	np := len(nodes)
-	count := 1
-	for i := 0; i < ns; i++ {
-		count *= np
-		if count > EnumerationLimit {
-			return nil, fmt.Errorf("model: enumeration of %d^%d mappings exceeds the %d limit (stream with VisitMappings instead)", np, ns, EnumerationLimit)
-		}
-	}
-	out := make([]Mapping, 0, count)
-	err := VisitMappings(ns, nodes, func(m Mapping) bool {
-		out = append(out, m.Clone())
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

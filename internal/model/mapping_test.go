@@ -7,7 +7,7 @@ import (
 )
 
 func TestMappingConstructors(t *testing.T) {
-	m := SingleNode(3, 2)
+	m := FromNodes(2, 2, 2)
 	if m.NumStages() != 3 {
 		t.Fatalf("NumStages = %d", m.NumStages())
 	}
@@ -123,9 +123,28 @@ func TestNodesUsed(t *testing.T) {
 	}
 }
 
+// enumerate is the reference enumeration VisitMappings is checked
+// against: plain recursion over stages, stage 0 varying slowest,
+// every mapping its own fresh slice.
+func enumerate(ns int, nodes []grid.NodeID) []Mapping {
+	if ns == 0 {
+		return []Mapping{{}}
+	}
+	var out []Mapping
+	for _, n := range nodes {
+		for _, rest := range enumerate(ns-1, nodes) {
+			out = append(out, Mapping{Assign: append([][]grid.NodeID{{n}}, rest.Assign...)})
+		}
+	}
+	return out
+}
+
 func TestEnumerateAll(t *testing.T) {
-	ms, err := EnumerateAll(3, 2)
-	if err != nil {
+	var ms []Mapping
+	if err := VisitMappings(3, []grid.NodeID{0, 1}, func(m Mapping) bool {
+		ms = append(ms, m.Clone())
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(ms) != 8 {
@@ -147,37 +166,14 @@ func TestEnumerateAll(t *testing.T) {
 	}
 }
 
-// The over-limit regression: a space past EnumerationLimit must come
-// back as a clean error, not a panic (the seed behavior) — callers on
-// the adaptation hot path handle it, they cannot recover a panic.
-func TestEnumerateAllErrorsOnExplosion(t *testing.T) {
-	if _, err := EnumerateAll(30, 10); err == nil {
-		t.Fatal("expected an enumeration-limit error, got nil")
-	}
-	nodes := []grid.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	if _, err := EnumerateOver(30, nodes); err == nil {
-		t.Fatal("expected an enumeration-limit error, got nil")
-	}
-	// Degenerate dimensions error too (the seed panicked on these).
-	if _, err := EnumerateAll(3, 0); err == nil {
-		t.Fatal("expected an error for zero nodes")
-	}
-	if _, err := EnumerateOver(0, nodes); err == nil {
-		t.Fatal("expected an error for zero stages")
-	}
-}
-
-// VisitMappings must stream the exact sequence EnumerateOver
-// materializes, reusing one Mapping, and honour an early stop.
+// VisitMappings must stream the reference enumeration's exact
+// sequence, reusing one Mapping, and honour an early stop.
 func TestVisitMappingsMatchesEnumerateOver(t *testing.T) {
 	nodes := []grid.NodeID{0, 2, 3}
-	want, err := EnumerateOver(3, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := enumerate(3, nodes)
 	i := 0
 	var prev Mapping
-	err = VisitMappings(3, nodes, func(m Mapping) bool {
+	err := VisitMappings(3, nodes, func(m Mapping) bool {
 		if i >= len(want) {
 			t.Fatalf("visitor saw more than %d mappings", len(want))
 		}

@@ -101,120 +101,3 @@ func (p *Prediction) CloneBusyInto(dst []float64) []float64 {
 	p.NodeBusy = dst
 	return dst
 }
-
-// BestVisitor is the streaming argmin over candidate mappings: feed it
-// to VisitMappings (or call Offer per candidate) and read the winner
-// from Mapping/Pred when done. Ties break towards the earlier
-// candidate, exactly like Best over a materialized slice — so
-// VisitMappings + BestVisitor replaces EnumerateOver + Best without
-// changing any chosen mapping, while holding one candidate in memory
-// instead of np^ns.
-//
-// The zero value is NOT ready: construct with NewBestVisitor. The
-// visitor owns its result storage and reuses it across Reset, so a
-// steady-state caller allocates nothing per enumeration.
-type BestVisitor struct {
-	g     *grid.Grid
-	spec  PipelineSpec
-	loads []float64
-
-	scratch *PredictScratch
-	pooled  bool
-
-	found     bool
-	pred      Prediction
-	bestBusy  []float64
-	backing   []grid.NodeID
-	rows      [][]grid.NodeID
-	err       error
-	evaluated int
-}
-
-// NewBestVisitor returns a streaming argmin rating candidates for spec
-// on g under the given load estimates, drawing its prediction scratch
-// from the package pool. Call Close when done to return the scratch.
-func NewBestVisitor(g *grid.Grid, spec PipelineSpec, loads []float64) *BestVisitor {
-	return &BestVisitor{g: g, spec: spec, loads: loads,
-		scratch: AcquirePredictScratch(), pooled: true}
-}
-
-// Reset rearms the visitor for a new enumeration over the same grid,
-// spec and loads, keeping its grown buffers.
-func (bv *BestVisitor) Reset(loads []float64) {
-	bv.loads = loads
-	bv.found = false
-	bv.err = nil
-	bv.evaluated = 0
-}
-
-// Close releases the pooled scratch. The winner's Mapping and Pred
-// remain valid: they live in visitor-owned storage.
-func (bv *BestVisitor) Close() {
-	if bv.pooled && bv.scratch != nil {
-		ReleasePredictScratch(bv.scratch)
-		bv.scratch = nil
-		bv.pooled = false
-	}
-}
-
-// Visit rates one candidate and keeps it if it strictly beats the
-// incumbent. It is the func(Mapping) bool VisitMappings expects:
-// enumeration stops early only on an evaluation error.
-func (bv *BestVisitor) Visit(m Mapping) bool {
-	p, err := PredictInto(bv.g, bv.spec, m, bv.loads, bv.scratch)
-	if err != nil {
-		bv.err = err
-		return false
-	}
-	bv.evaluated++
-	if bv.found && p.Throughput <= bv.pred.Throughput {
-		return true
-	}
-	bv.keep(m, p)
-	return true
-}
-
-// keep copies the candidate and its prediction into visitor-owned
-// storage (the candidate is reused by the enumerator).
-func (bv *BestVisitor) keep(m Mapping, p Prediction) {
-	bv.found = true
-	ns := len(m.Assign)
-	total := 0
-	for _, nodes := range m.Assign {
-		total += len(nodes)
-	}
-	if cap(bv.backing) < total {
-		bv.backing = make([]grid.NodeID, total)
-	}
-	bv.backing = bv.backing[:0]
-	if cap(bv.rows) < ns {
-		bv.rows = make([][]grid.NodeID, ns)
-	}
-	bv.rows = bv.rows[:ns]
-	for i, nodes := range m.Assign {
-		start := len(bv.backing)
-		bv.backing = append(bv.backing, nodes...)
-		bv.rows[i] = bv.backing[start:len(bv.backing):len(bv.backing)]
-	}
-	bv.bestBusy = p.CloneBusyInto(bv.bestBusy)
-	bv.pred = p
-}
-
-// Found reports whether any candidate was evaluated successfully.
-func (bv *BestVisitor) Found() bool { return bv.found }
-
-// Err returns the evaluation error that stopped the enumeration, if
-// any.
-func (bv *BestVisitor) Err() error { return bv.err }
-
-// Evaluated returns how many candidates were rated.
-func (bv *BestVisitor) Evaluated() int { return bv.evaluated }
-
-// Mapping returns the winning candidate. It aliases visitor-owned
-// storage that the next Visit improvement or Reset may rewrite; Clone
-// to retain it past the visitor's lifetime.
-func (bv *BestVisitor) Mapping() Mapping { return Mapping{Assign: bv.rows} }
-
-// Pred returns the winner's prediction (NodeBusy in visitor-owned
-// storage, same caveat as Mapping).
-func (bv *BestVisitor) Pred() Prediction { return bv.pred }

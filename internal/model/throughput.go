@@ -134,10 +134,9 @@ func PredictInto(g *grid.Grid, spec PipelineSpec, m Mapping, loads []float64, s 
 	// merge's in-edges each carry their own part), exit → sink. Each
 	// flow travels at the grain of the boundary it crosses — the
 	// receiving stage's input grain, with the exit → sink flow at the
-	// exit's own grain. A nil Topo is the implicit chain — the
-	// Linearize identity — walked directly so the scheduler's search
-	// loops (one Predict per candidate mapping) stay free of per-call
-	// graph allocations.
+	// exit's own grain. A nil Topo is the implicit chain, walked
+	// directly so the scheduler's search loops (one Predict per
+	// candidate mapping) stay free of per-call graph allocations.
 	exit := len(spec.Stages) - 1 // the structural contract pins entry=0, exit=n-1
 	source := []grid.NodeID{spec.Source}
 	sink := []grid.NodeID{spec.Sink}

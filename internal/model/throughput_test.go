@@ -39,7 +39,7 @@ func TestPredictOneToOneBalanced(t *testing.T) {
 func TestPredictColocationHalvesThroughput(t *testing.T) {
 	g := testGrid(t, 1, 1, 1)
 	spec := Balanced(3, 0.1, 0)
-	all, err := Predict(g, spec, SingleNode(3, 0), nil)
+	all, err := Predict(g, spec, FromNodes(0, 0, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +68,14 @@ func TestPredictLoadSlowsNode(t *testing.T) {
 func TestPredictLoadsClamped(t *testing.T) {
 	g := testGrid(t, 1)
 	spec := Balanced(1, 0.1, 0)
-	p, err := Predict(g, spec, SingleNode(1, 0), []float64{5}) // absurd load
+	p, err := Predict(g, spec, FromNodes(0), []float64{5}) // absurd load
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Throughput <= 0 || math.IsInf(p.Throughput, 0) || math.IsNaN(p.Throughput) {
 		t.Fatalf("clamped load should keep throughput finite positive: %v", p.Throughput)
 	}
-	n, err := Predict(g, spec, SingleNode(1, 0), []float64{-3})
+	n, err := Predict(g, spec, FromNodes(0), []float64{-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestPredictCoresScaleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := Balanced(2, 0.1, 0)
-	p, err := Predict(g, spec, SingleNode(2, 0), nil)
+	p, err := Predict(g, spec, FromNodes(0, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestPredictLinkBound(t *testing.T) {
 		t.Fatalf("bottleneck should be a link, got node %d", p.BottleneckNode)
 	}
 	// Co-locating both stages removes the traffic entirely.
-	co, _ := Predict(g, spec, SingleNode(2, 0), nil)
+	co, _ := Predict(g, spec, FromNodes(0, 0), nil)
 	if co.Throughput <= p.Throughput {
 		t.Fatalf("co-location should beat the slow link: %v vs %v", co.Throughput, p.Throughput)
 	}
@@ -165,7 +165,7 @@ func TestPredictSourceSinkTraffic(t *testing.T) {
 		Source:  0,
 		Sink:    0,
 	}
-	p, err := Predict(g, spec, SingleNode(1, 1), nil)
+	p, err := Predict(g, spec, FromNodes(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestPredictSourceSinkTraffic(t *testing.T) {
 		t.Fatalf("ingress-bound throughput = %v, want 0.5", p.Throughput)
 	}
 	// Running the stage on the source node avoids the transfer.
-	local, _ := Predict(g, spec, SingleNode(1, 0), nil)
+	local, _ := Predict(g, spec, FromNodes(0), nil)
 	if local.Throughput < 100 {
 		t.Fatalf("local mapping should be compute-bound: %v", local.Throughput)
 	}
@@ -227,8 +227,8 @@ func TestBestPrefersFasterNode(t *testing.T) {
 	g := testGrid(t, 1, 4)
 	spec := Balanced(2, 0.1, 0)
 	candidates := []Mapping{
-		SingleNode(2, 0),
-		SingleNode(2, 1),
+		FromNodes(0, 0),
+		FromNodes(1, 1),
 		OneToOne(2),
 	}
 	idx, pred, err := Best(g, spec, candidates, nil)
@@ -236,7 +236,7 @@ func TestBestPrefersFasterNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Node 1 is 4x faster: both stages there give 4/0.2 = 20/s; split
-	// gives min(10, 40) = 10/s. Best is SingleNode(2, 1).
+	// gives min(10, 40) = 10/s. Best is FromNodes(1, 1).
 	if idx != 1 {
 		t.Fatalf("Best picked %d (%s), want 1", idx, candidates[idx])
 	}
@@ -248,7 +248,7 @@ func TestBestPrefersFasterNode(t *testing.T) {
 func TestBestDeterministicTieBreak(t *testing.T) {
 	g := testGrid(t, 1, 1)
 	spec := Balanced(1, 0.1, 0)
-	idx, _, err := Best(g, spec, []Mapping{SingleNode(1, 0), SingleNode(1, 1)}, nil)
+	idx, _, err := Best(g, spec, []Mapping{FromNodes(0), FromNodes(1)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package monitor implements the run-time instrumentation the
-// adaptivity engine consumes: per-stage service and transfer samples,
+// adaptivity engine consumes: per-stage service samples,
 // pipeline throughput probes, and node-load sensors feeding the
 // forecaster battery.
 //
@@ -24,7 +24,6 @@ const DefaultWindow = 32
 // StageMonitor accumulates timing observations for one pipeline stage.
 type StageMonitor struct {
 	service  *stats.Ring
-	transfer *stats.Ring
 	count    int
 	lastDone float64
 	// exponentially smoothed inter-departure time; its inverse is the
@@ -39,7 +38,6 @@ func NewStageMonitor(window int) *StageMonitor {
 	}
 	return &StageMonitor{
 		service:  stats.NewRing(window),
-		transfer: stats.NewRing(window),
 		interDep: stats.NewEWMA(0.2),
 		lastDone: math.NaN(),
 	}
@@ -56,18 +54,12 @@ func (m *StageMonitor) RecordService(dur, now float64) {
 	m.lastDone = now
 }
 
-// RecordTransfer notes an inbound transfer of dur seconds.
-func (m *StageMonitor) RecordTransfer(dur float64) { m.transfer.Add(dur) }
-
 // Count returns the number of items the stage has completed.
 func (m *StageMonitor) Count() int { return m.count }
 
 // MeanService returns the windowed mean service time (NaN when no
 // samples).
 func (m *StageMonitor) MeanService() float64 { return m.service.Mean() }
-
-// MeanTransfer returns the windowed mean inbound transfer time.
-func (m *StageMonitor) MeanTransfer() float64 { return m.transfer.Mean() }
 
 // Throughput returns the observed departure rate (items/s) from the
 // smoothed inter-departure time, or NaN before two departures.
@@ -84,7 +76,6 @@ func (m *StageMonitor) Throughput() float64 {
 // pollute decisions about the new one.
 func (m *StageMonitor) Reset() {
 	m.service.Reset()
-	m.transfer.Reset()
 	m.lastDone = math.NaN()
 	m.interDep = stats.NewEWMA(0.2)
 }
@@ -266,9 +257,6 @@ func NewNodeSensor(node *grid.Node, fc forecast.Forecaster) *NodeSensor {
 	return &NodeSensor{node: node, est: NewEstimator(fc)}
 }
 
-// Node returns the sensed node.
-func (s *NodeSensor) Node() *grid.Node { return s.node }
-
 // Sample measures the node's instantaneous load at time t and feeds the
 // forecaster.
 func (s *NodeSensor) Sample(t float64) {
@@ -278,9 +266,6 @@ func (s *NodeSensor) Sample(t float64) {
 	}
 	s.est.Observe(l)
 }
-
-// LastLoad returns the most recent measurement (NaN before sampling).
-func (s *NodeSensor) LastLoad() float64 { return s.est.Last() }
 
 // PredictedLoad returns the forecast of near-future load, falling back
 // to the last measurement and then to 0, clamped to [0, 0.99].

@@ -45,9 +45,8 @@ func TestStageMonitorWindowEviction(t *testing.T) {
 func TestStageMonitorReset(t *testing.T) {
 	m := NewStageMonitor(4)
 	m.RecordService(1, 1)
-	m.RecordTransfer(0.5)
 	m.Reset()
-	if !math.IsNaN(m.MeanService()) || !math.IsNaN(m.MeanTransfer()) {
+	if !math.IsNaN(m.MeanService()) {
 		t.Fatal("reset should clear windows")
 	}
 	if m.Count() != 1 {
@@ -135,10 +134,10 @@ func TestNodeSensor(t *testing.T) {
 	n := &grid.Node{Name: "n", Speed: 1, Cores: 1,
 		Load: trace.NewSteps(0.2, trace.StepChange{T: 10, Load: 0.8})}
 	s := NewNodeSensor(n, nil)
-	if s.Node() != n {
+	if s.node != n {
 		t.Fatal("Node() wrong")
 	}
-	if !math.IsNaN(s.LastLoad()) {
+	if !math.IsNaN(s.est.Last()) {
 		t.Fatal("unsampled sensor should be NaN")
 	}
 	if s.PredictedLoad() != 0 {
@@ -147,8 +146,8 @@ func TestNodeSensor(t *testing.T) {
 	for ti := 0; ti < 10; ti++ {
 		s.Sample(float64(ti))
 	}
-	if s.LastLoad() != 0.2 {
-		t.Fatalf("LastLoad = %v", s.LastLoad())
+	if s.est.Last() != 0.2 {
+		t.Fatalf("last load = %v", s.est.Last())
 	}
 	if got := s.PredictedLoad(); math.Abs(got-0.2) > 0.05 {
 		t.Fatalf("PredictedLoad = %v, want ~0.2", got)
@@ -165,7 +164,7 @@ func TestNodeSensor(t *testing.T) {
 func TestNodeSensorIdleNode(t *testing.T) {
 	s := NewNodeSensor(&grid.Node{Name: "idle", Speed: 1, Cores: 1}, forecast.NewLastValue())
 	s.Sample(5)
-	if s.LastLoad() != 0 || s.PredictedLoad() != 0 {
+	if s.est.Last() != 0 || s.PredictedLoad() != 0 {
 		t.Fatal("idle node should sense 0")
 	}
 }

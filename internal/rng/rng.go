@@ -83,14 +83,6 @@ func (r *Rand) Intn(n int) int {
 	return int((uint64(uint32(r.Uint64())) * uint64(n)) >> 32)
 }
 
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (r *Rand) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("rng: Int63n with non-positive n")
-	}
-	return int64(r.Float64() * float64(n))
-}
-
 // Range returns a uniform float64 in [lo, hi).
 func (r *Rand) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()

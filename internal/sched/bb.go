@@ -51,6 +51,11 @@ type bbState struct {
 	err       error
 }
 
+// exhaustiveLimit caps the mapping space the exhaustive search accepts:
+// np^ns grows fast, and the pruned walk is meant for the small
+// configurations of the validation tables.
+const exhaustiveLimit = 1 << 20
+
 // searchScratch implements scratchSearcher: the pruned exhaustive
 // search over the available nodes.
 func (s Exhaustive) searchScratch(sc *Scratch, g *grid.Grid, spec model.PipelineSpec, loads []float64, avail []bool) (model.Mapping, model.Prediction, error) {
@@ -63,7 +68,7 @@ func (s Exhaustive) searchScratch(sc *Scratch, g *grid.Grid, spec model.Pipeline
 		return model.Mapping{}, model.Prediction{}, err
 	}
 	// Refuse obviously explosive spaces before enumerating.
-	if float64(ns)*math.Log(float64(len(ids))) > math.Log(model.EnumerationLimit) {
+	if float64(ns)*math.Log(float64(len(ids))) > math.Log(exhaustiveLimit) {
 		return model.Mapping{}, model.Prediction{}, fmt.Errorf(
 			"sched: exhaustive search over %d^%d mappings is infeasible", len(ids), ns)
 	}
@@ -124,7 +129,7 @@ func (s Exhaustive) searchScratch(sc *Scratch, g *grid.Grid, spec model.Pipeline
 	if s.Counters != nil {
 		total := uint64(1)
 		for i := 0; i < ns; i++ {
-			total *= uint64(len(ids)) // guarded ≤ EnumerationLimit above
+			total *= uint64(len(ids)) // guarded ≤ exhaustiveLimit above
 		}
 		s.Counters.Candidates += total
 		s.Counters.Evaluated += bb.evaluated

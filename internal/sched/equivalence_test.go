@@ -3,8 +3,8 @@ package sched
 // Equivalence property: the branch-and-bound Exhaustive search —
 // through a caller-held scratch (SearchWith) and through the pooled
 // classic API (SearchAvail) — must return EXACTLY the candidate that
-// materializing the space with model.EnumerateOver and rating it with
-// model.Best selects: same mapping, bit-identical prediction. Pruning
+// materializing the space with model.VisitMappings + Clone and rating
+// it with model.Best selects: same mapping, bit-identical prediction. Pruning
 // is a work optimisation, never a result change; this test is the
 // fence that keeps it that way, across randomized grids × specs ×
 // load vectors × availability masks, chain and DAG topologies.
@@ -106,7 +106,11 @@ func refSearch(g *grid.Grid, spec model.PipelineSpec, loads []float64, avail []b
 			ids = append(ids, grid.NodeID(n))
 		}
 	}
-	mappings, err := model.EnumerateOver(spec.NumStages(), ids)
+	var mappings []model.Mapping
+	err := model.VisitMappings(spec.NumStages(), ids, func(m model.Mapping) bool {
+		mappings = append(mappings, m.Clone())
+		return true
+	})
 	if err != nil {
 		return model.Mapping{}, model.Prediction{}, err
 	}
@@ -192,8 +196,8 @@ func TestExhaustiveCountersPrune(t *testing.T) {
 	if ctr.Candidates != 65536 {
 		t.Fatalf("candidates = %d, want 4^8", ctr.Candidates)
 	}
-	if ctr.Evaluated == 0 || ctr.PruneRatio() < 5 {
+	if ratio := float64(ctr.Candidates) / float64(ctr.Evaluated); ctr.Evaluated == 0 || ratio < 5 {
 		t.Fatalf("prune ratio %.1f (evaluated %d of %d), want >= 5x",
-			ctr.PruneRatio(), ctr.Evaluated, ctr.Candidates)
+			ratio, ctr.Evaluated, ctr.Candidates)
 	}
 }

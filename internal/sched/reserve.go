@@ -34,30 +34,14 @@ func (r *Reservations) Reset() {
 	}
 }
 
-// Add claims the capacity one tenant's mapping saturates at the given
-// background loads: the analytic model rates the mapping, and each
-// node is charged its busy-time per item times the predicted rate —
-// the utilisation a saturated run imposes.
-func (r *Reservations) Add(spec model.PipelineSpec, m model.Mapping, loads []float64) error {
-	s := model.AcquirePredictScratch()
-	defer model.ReleasePredictScratch(s)
-	pred, err := model.PredictInto(r.g, spec, m, loads, s)
-	if err != nil {
-		return fmt.Errorf("sched: reserve: %w", err)
-	}
-	for n, busy := range pred.NodeBusy {
-		r.used[n] += busy * pred.Throughput
-	}
-	return nil
-}
-
-// UseOf computes the per-node utilisation vector Add would charge for
-// the mapping — busy per item × predicted rate — into dst (grown as
-// needed) without touching the ledger. Callers that cache placements
-// (the incremental arbiter) store this vector once and replay it with
-// AddUse on later rounds, skipping the model evaluation entirely; the
-// replayed charges are the very floats Add would have produced, so the
-// ledger stays bit-identical.
+// UseOf computes the capacity one tenant's mapping saturates at the
+// given background loads — each node's busy time per item times the
+// predicted rate, the utilisation a saturated run imposes — into dst
+// (grown as needed) without touching the ledger. AddUse charges it.
+// Callers that cache placements (the incremental arbiter) store this
+// vector once and replay it on later rounds, skipping the model
+// evaluation entirely; the replayed charges are the very floats a
+// fresh UseOf would produce, so the ledger stays bit-identical.
 func (r *Reservations) UseOf(dst []float64, spec model.PipelineSpec, m model.Mapping, loads []float64) ([]float64, error) {
 	s := model.AcquirePredictScratch()
 	defer model.ReleasePredictScratch(s)
@@ -95,14 +79,9 @@ func (r *Reservations) SnapshotInto(dst []float64) []float64 {
 	return dst
 }
 
-// Residual folds the ledger into a background-load vector: the
-// returned loads[n] is the base estimate plus the reserved fraction,
-// clamped to the model's 0.99 saturation cap. base may be nil (idle).
-func (r *Reservations) Residual(base []float64) []float64 {
-	return r.ResidualInto(nil, base)
-}
-
-// ResidualInto is Residual over caller-owned storage: dst is grown as
+// ResidualInto folds the ledger into a background-load vector: dst[n]
+// is the base estimate plus the reserved fraction, clamped to the
+// model's 0.99 saturation cap (base may be nil: idle). dst is grown as
 // needed and returned, so steady-state arbitration loops fold the
 // ledger without allocating.
 func (r *Reservations) ResidualInto(dst, base []float64) []float64 {

@@ -16,13 +16,23 @@ func twoNodeGrid(t *testing.T) *grid.Grid {
 	return g
 }
 
+// reserve charges the capacity a saturated tenant on m takes.
+func reserve(r *Reservations, spec model.PipelineSpec, m model.Mapping, loads []float64) error {
+	use, err := r.UseOf(nil, spec, m, loads)
+	if err != nil {
+		return err
+	}
+	r.AddUse(use)
+	return nil
+}
+
 func TestReservationsChargeUtilisation(t *testing.T) {
 	g := twoNodeGrid(t)
 	spec := model.Balanced(1, 0.5, 0)
 	r := NewReservations(g)
 	// One stage of 0.5s work on node 0: a saturated tenant runs at
 	// 2 items/s and keeps node 0 100% busy.
-	if err := r.Add(spec, model.FromNodes(0), nil); err != nil {
+	if err := reserve(r, spec, model.FromNodes(0), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Used(0); got < 0.99 {
@@ -31,7 +41,7 @@ func TestReservationsChargeUtilisation(t *testing.T) {
 	if got := r.Used(1); got != 0 {
 		t.Fatalf("node 1 reserved %v, want 0", got)
 	}
-	res := r.Residual(nil)
+	res := r.ResidualInto(nil, nil)
 	if res[0] != 0.99 {
 		t.Fatalf("residual load must clamp at the model's 0.99 cap, got %v", res[0])
 	}
@@ -63,7 +73,7 @@ func TestResidualSearchAvoidsReservedNode(t *testing.T) {
 	g := twoNodeGrid(t)
 	spec := model.Balanced(1, 0.5, 0)
 	r := NewReservations(g)
-	if err := r.Add(spec, model.FromNodes(0), nil); err != nil {
+	if err := reserve(r, spec, model.FromNodes(0), nil); err != nil {
 		t.Fatal(err)
 	}
 	m, im, _, err := residualSearch(g, spec, nil, nil, r)
@@ -86,10 +96,10 @@ func TestSearchZeroResidualCapacity(t *testing.T) {
 	g := twoNodeGrid(t)
 	spec := model.Balanced(2, 0.5, 0)
 	r := NewReservations(g)
-	if err := r.Add(spec, model.FromNodes(0, 1), nil); err != nil {
+	if err := reserve(r, spec, model.FromNodes(0, 1), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Add(spec, model.FromNodes(1, 0), nil); err != nil {
+	if err := reserve(r, spec, model.FromNodes(1, 0), nil); err != nil {
 		t.Fatal(err)
 	}
 	_, m, pred, err := residualSearch(g, spec, nil, nil, r)

@@ -28,7 +28,7 @@ func TestExhaustiveFindsOptimum(t *testing.T) {
 	if math.Abs(pred.Throughput-20) > 1e-9 {
 		t.Fatalf("throughput = %v (%s), want 20", pred.Throughput, m)
 	}
-	if !m.Equal(model.SingleNode(2, 1)) {
+	if !m.Equal(model.FromNodes(1, 1)) {
 		t.Fatalf("mapping = %s, want (1,1)", m)
 	}
 }

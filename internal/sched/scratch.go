@@ -44,24 +44,6 @@ type SearchCounters struct {
 	Evaluated uint64
 }
 
-// Pruned returns the number of candidates cut without evaluation.
-func (c SearchCounters) Pruned() uint64 {
-	if c.Evaluated > c.Candidates {
-		return 0
-	}
-	return c.Candidates - c.Evaluated
-}
-
-// PruneRatio returns Candidates/Evaluated — "the search did N× less
-// model work than brute force". 1.0 means no pruning; 0 evaluations
-// reports 0.
-func (c SearchCounters) PruneRatio() float64 {
-	if c.Evaluated == 0 {
-		return 0
-	}
-	return float64(c.Candidates) / float64(c.Evaluated)
-}
-
 // bbFlow is one directed link's partial per-item bytes along the
 // current branch-and-bound path (the sched-side mirror of the model's
 // flow accumulator).

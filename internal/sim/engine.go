@@ -100,9 +100,6 @@ func (e Event) Pending() bool {
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending returns the number of queued (possibly cancelled) events.
-func (e *Engine) Pending() int { return len(e.heap) }
-
 // Schedule queues fn to run after delay seconds of virtual time.
 // It panics on negative delay or NaN.
 func (e *Engine) Schedule(delay float64, fn func()) Event {
@@ -207,14 +204,6 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// Run fires events until the calendar is empty and returns the final
-// virtual time.
-func (e *Engine) Run() float64 {
-	for e.Step() {
-	}
-	return e.now
-}
-
 // RunUntil fires events with time <= t, then advances the clock to t
 // (even if no event fired). Events scheduled exactly at t do fire.
 func (e *Engine) RunUntil(t float64) {
@@ -245,10 +234,6 @@ func (e *Engine) peek() (float64, bool) {
 	}
 	return 0, false
 }
-
-// NextEventTime returns the time of the next pending event and true, or
-// 0 and false when the calendar is empty.
-func (e *Engine) NextEventTime() (float64, bool) { return e.peek() }
 
 // Reset returns the engine to its zero state — clock at 0, empty
 // calendar — while keeping the slab, heap, and free-list capacity, so

@@ -11,7 +11,8 @@ func TestScheduleOrder(t *testing.T) {
 	e.Schedule(3, func() { got = append(got, 3) })
 	e.Schedule(1, func() { got = append(got, 1) })
 	e.Schedule(2, func() { got = append(got, 2) })
-	e.Run()
+	for e.Step() {
+	}
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("order = %v", got)
 	}
@@ -26,7 +27,8 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 	e.Schedule(1, func() { got = append(got, "a") })
 	e.Schedule(1, func() { got = append(got, "b") })
 	e.Schedule(1, func() { got = append(got, "c") })
-	e.Run()
+	for e.Step() {
+	}
 	if got[0] != "a" || got[1] != "b" || got[2] != "c" {
 		t.Fatalf("tie order = %v", got)
 	}
@@ -41,7 +43,8 @@ func TestNestedScheduling(t *testing.T) {
 			times = append(times, e.Now())
 		})
 	})
-	e.Run()
+	for e.Step() {
+	}
 	if len(times) != 2 || times[0] != 1 || times[1] != 2 {
 		t.Fatalf("times = %v", times)
 	}
@@ -55,7 +58,8 @@ func TestCancel(t *testing.T) {
 	if !ev.Cancelled() {
 		t.Fatal("Cancelled() should be true")
 	}
-	e.Run()
+	for e.Step() {
+	}
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -87,7 +91,8 @@ func TestRunUntil(t *testing.T) {
 func TestRunUntilBackwardsPanics(t *testing.T) {
 	var e Engine
 	e.Schedule(2, func() {})
-	e.Run()
+	for e.Step() {
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -120,15 +125,15 @@ func TestSchedulePanics(t *testing.T) {
 
 func TestNextEventTime(t *testing.T) {
 	var e Engine
-	if _, ok := e.NextEventTime(); ok {
+	if _, ok := e.peek(); ok {
 		t.Fatal("empty calendar should report none")
 	}
 	ev := e.Schedule(2, func() {})
-	if tm, ok := e.NextEventTime(); !ok || tm != 2 {
-		t.Fatalf("NextEventTime = %v,%v", tm, ok)
+	if tm, ok := e.peek(); !ok || tm != 2 {
+		t.Fatalf("next event time = %v,%v", tm, ok)
 	}
 	ev.Cancel()
-	if _, ok := e.NextEventTime(); ok {
+	if _, ok := e.peek(); ok {
 		t.Fatal("cancelled event should be skipped")
 	}
 }
@@ -139,8 +144,8 @@ func TestPendingAndStepOnEmpty(t *testing.T) {
 		t.Fatal("Step on empty should be false")
 	}
 	e.Schedule(1, func() {})
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d", e.Pending())
+	if len(e.heap) != 1 {
+		t.Fatalf("queued = %d", len(e.heap))
 	}
 }
 
@@ -151,7 +156,8 @@ func TestTicker(t *testing.T) {
 		ticks = append(ticks, now)
 	})
 	e.Schedule(7, func() { tk.Stop() })
-	e.Run()
+	for e.Step() {
+	}
 	if len(ticks) != 3 || ticks[0] != 2 || ticks[1] != 4 || ticks[2] != 6 {
 		t.Fatalf("ticks = %v", ticks)
 	}
@@ -167,7 +173,8 @@ func TestTickerStopInsideCallback(t *testing.T) {
 			tk.Stop()
 		}
 	})
-	e.Run()
+	for e.Step() {
+	}
 	if count != 2 {
 		t.Fatalf("ticks = %d, want 2", count)
 	}
@@ -197,7 +204,8 @@ func TestEventOrderProperty(t *testing.T) {
 			valid++
 			e.Schedule(d, func() { fired = append(fired, e.Now()) })
 		}
-		e.Run()
+		for e.Step() {
+		}
 		if len(fired) != valid {
 			return false
 		}
@@ -220,7 +228,8 @@ func TestManyEventsStress(t *testing.T) {
 	for i := 0; i < n; i++ {
 		e.Schedule(float64((i*7919)%1000), func() { count++ })
 	}
-	e.Run()
+	for e.Step() {
+	}
 	if count != n {
 		t.Fatalf("fired %d of %d", count, n)
 	}
@@ -229,7 +238,8 @@ func TestManyEventsStress(t *testing.T) {
 func TestAtPastPanics(t *testing.T) {
 	var e Engine
 	e.Schedule(5, func() {})
-	e.Run()
+	for e.Step() {
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for At in the past")

@@ -50,7 +50,8 @@ func TestGoldenFiringOrder(t *testing.T) {
 			cancel()
 		}
 	}
-	e.Run()
+	for e.Step() {
+	}
 	if got := fmt.Sprintf("%016x", h.Sum64()); got != goldenFiringDigest {
 		t.Fatalf("firing-order digest = %s, want %s", got, goldenFiringDigest)
 	}

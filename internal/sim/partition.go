@@ -22,9 +22,9 @@
 // depend on the number of OS workers or on goroutine scheduling.
 //
 // A ParallelEngine with one partition never stages or exchanges
-// anything: Send degenerates to ScheduleArg and Run to Engine.Run, so
-// single-partition runs are bit-identical to the plain engine and all
-// existing goldens hold.
+// anything: Send degenerates to ScheduleArg and Run to stepping the one
+// calendar, so single-partition runs are bit-identical to the plain
+// engine and all existing goldens hold.
 package sim
 
 import (
@@ -59,14 +59,7 @@ type Shard struct {
 	outbox  [][]xev // outbox[dst]: events staged for partition dst this window
 	inbox   []xev   // merge scratch, reused across windows
 	sendSeq uint64
-	fired   uint64 // events fired by this partition
 }
-
-// ID returns the partition index.
-func (s *Shard) ID() int { return s.id }
-
-// Fired returns how many events this partition has fired.
-func (s *Shard) Fired() uint64 { return s.fired }
 
 // Send schedules fn(arg) on partition dst after delay seconds of the
 // sender's virtual time. A send to another partition must respect the
@@ -112,7 +105,6 @@ func (s *Shard) runWindow(w float64, incl bool) {
 			break
 		}
 		s.Engine.Step()
-		s.fired++
 	}
 	if s.Engine.now < w {
 		s.Engine.now = w
@@ -153,28 +145,12 @@ func NewParallel(parts int, lookahead float64) *ParallelEngine {
 	return pe
 }
 
-// Parts returns the number of partitions.
-func (pe *ParallelEngine) Parts() int { return len(pe.parts) }
-
 // Part returns partition i.
 func (pe *ParallelEngine) Part(i int) *Shard { return pe.parts[i] }
-
-// Lookahead returns the conservative window bound.
-func (pe *ParallelEngine) Lookahead() float64 { return pe.lookahead }
 
 // Now returns the virtual clock: the time of the last fired event on
 // the single-partition path, the last completed window edge otherwise.
 func (pe *ParallelEngine) Now() float64 { return pe.now }
-
-// Events returns the total number of events fired across all
-// partitions. It must not be called while Run is in progress.
-func (pe *ParallelEngine) Events() uint64 {
-	var n uint64
-	for _, p := range pe.parts {
-		n += p.fired
-	}
-	return n
-}
 
 // SetWorkers bounds the OS-level parallelism of Run: at most n worker
 // goroutines advance partitions within a window (0 = GOMAXPROCS,
@@ -309,7 +285,7 @@ func (pe *ParallelEngine) runWorkers(limit float64, nw int) {
 }
 
 // runSingle is the single-partition fast path: the plain engine's
-// loop, bit-identical to Engine.Run / Engine.RunUntil.
+// loop, bit-identical to stepping an Engine / Engine.RunUntil.
 func (pe *ParallelEngine) runSingle(limit float64) {
 	p := pe.parts[0]
 	for {
@@ -318,7 +294,6 @@ func (pe *ParallelEngine) runSingle(limit float64) {
 			break
 		}
 		p.Engine.Step()
-		p.fired++
 	}
 	pe.now = p.Engine.now
 }

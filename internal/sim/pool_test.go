@@ -35,7 +35,8 @@ func TestFiredSlotRecycledAndStaleHandleInert(t *testing.T) {
 	if !h2.Pending() {
 		t.Fatal("successor event was cancelled through a stale handle")
 	}
-	e.Run()
+	for e.Step() {
+	}
 	if !fired["second"] {
 		t.Fatal("successor event did not fire")
 	}
@@ -69,7 +70,8 @@ func TestCancelledSlotCollectedOnSurface(t *testing.T) {
 		t.Fatalf("slot not reused: %d vs %d", h2.idx, h.idx)
 	}
 	h.Cancel() // stale: must not cancel its successor
-	e.Run()
+	for e.Step() {
+	}
 	if !fired {
 		t.Fatal("recycled handle cancelled its successor")
 	}
@@ -86,7 +88,8 @@ func TestSteadyStateReusesSlab(t *testing.T) {
 		}
 	}
 	e.Schedule(1, churn)
-	e.Run()
+	for e.Step() {
+	}
 	if n != 10000 {
 		t.Fatalf("fired %d", n)
 	}
@@ -106,8 +109,8 @@ func TestResetMidRun(t *testing.T) {
 	e.Step() // fire the t=1 event only
 	e.Reset()
 
-	if e.Now() != 0 || e.Pending() != 0 {
-		t.Fatalf("after Reset: now=%v pending=%d", e.Now(), e.Pending())
+	if e.Now() != 0 || len(e.heap) != 0 {
+		t.Fatalf("after Reset: now=%v queued=%d", e.Now(), len(e.heap))
 	}
 	if h.Pending() || h.Cancelled() {
 		t.Fatal("pre-Reset handle still live")
@@ -119,7 +122,8 @@ func TestResetMidRun(t *testing.T) {
 	slots := len(e.slab)
 	e.Schedule(1, func() { got = append(got, 100+e.Now()) })
 	e.Schedule(2, func() { got = append(got, 100+e.Now()) })
-	e.Run()
+	for e.Step() {
+	}
 	if len(got) != 3 || got[0] != 1 || got[1] != 101 || got[2] != 102 {
 		t.Fatalf("trace after Reset = %v", got)
 	}
@@ -135,7 +139,8 @@ func TestResetDeterministicReplay(t *testing.T) {
 			d := float64((i * 13) % 7)
 			e.Schedule(d, func() { trace = append(trace, e.Now()) })
 		}
-		e.Run()
+		for e.Step() {
+		}
 		return trace
 	}
 	var e Engine
@@ -161,7 +166,8 @@ func TestScheduleArg(t *testing.T) {
 	e.ScheduleArg(2, bump, p)
 	h := e.ScheduleArg(3, bump, p)
 	h.Cancel()
-	e.Run()
+	for e.Step() {
+	}
 	if p.hits != 2 {
 		t.Fatalf("hits = %d, want 2", p.hits)
 	}

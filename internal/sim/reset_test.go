@@ -33,7 +33,8 @@ func TestResetInvalidatesStaleHandles(t *testing.T) {
 		}
 		h.Cancel()
 	}
-	eng.Run()
+	for eng.Step() {
+	}
 	if fired != 8 {
 		t.Fatalf("stale Cancel suppressed new events: fired %d of 8", fired)
 	}
@@ -57,7 +58,8 @@ func TestCancelAfterResetDoesNotFireOldEvent(t *testing.T) {
 	})
 	eng.Schedule(1.0, func() { newFired++ })
 	eng.Schedule(2.0, func() { newFired++ })
-	eng.Run()
+	for eng.Step() {
+	}
 	if oldFired {
 		t.Fatal("pre-Reset event fired after Reset")
 	}
@@ -87,7 +89,8 @@ func TestResetHandleReuseAcrossManyResets(t *testing.T) {
 			}
 			g.Cancel()
 		}
-		eng.Run()
+		for eng.Step() {
+		}
 		if fired != want {
 			t.Fatalf("cycle %d: fired %d of %d", cycle, fired, want)
 		}

@@ -2,38 +2,20 @@ package stats
 
 import "math"
 
-// Online accumulates mean and variance incrementally using Welford's
-// algorithm. It is the accumulator behind every monitor probe: samples
+// Online accumulates a mean incrementally (Welford's update). It is the
+// accumulator behind every monitor probe: samples
 // arrive one at a time from the running pipeline and we never want to
 // retain them all.
 type Online struct {
 	n    int
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates x into the accumulator.
 func (o *Online) Add(x float64) {
 	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
+	o.mean += (x - o.mean) / float64(o.n)
 }
-
-// N returns the number of samples seen.
-func (o *Online) N() int { return o.n }
 
 // Mean returns the running mean, or NaN before any sample.
 func (o *Online) Mean() float64 {
@@ -43,61 +25,8 @@ func (o *Online) Mean() float64 {
 	return o.mean
 }
 
-// Variance returns the running unbiased sample variance, or NaN before
-// two samples.
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return math.NaN()
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// StdDev returns the running sample standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
-// Min returns the smallest sample seen, or NaN before any sample.
-func (o *Online) Min() float64 {
-	if o.n == 0 {
-		return math.NaN()
-	}
-	return o.min
-}
-
-// Max returns the largest sample seen, or NaN before any sample.
-func (o *Online) Max() float64 {
-	if o.n == 0 {
-		return math.NaN()
-	}
-	return o.max
-}
-
 // Reset clears the accumulator.
 func (o *Online) Reset() { *o = Online{} }
-
-// Merge combines another accumulator into this one (parallel Welford,
-// Chan et al.). Afterwards o summarises the union of both sample sets.
-func (o *Online) Merge(b *Online) {
-	if b.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = *b
-		return
-	}
-	n := o.n + b.n
-	d := b.mean - o.mean
-	mean := o.mean + d*float64(b.n)/float64(n)
-	m2 := o.m2 + b.m2 + d*d*float64(o.n)*float64(b.n)/float64(n)
-	min := o.min
-	if b.min < min {
-		min = b.min
-	}
-	max := o.max
-	if b.max > max {
-		max = b.max
-	}
-	*o = Online{n: n, mean: mean, m2: m2, min: min, max: max}
-}
 
 // EWMA is an exponentially weighted moving average with smoothing
 // factor alpha in (0, 1]; larger alpha weights recent samples more.
@@ -171,9 +100,6 @@ func (r *Ring) Len() int {
 	return r.head
 }
 
-// Cap returns the capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
-
 // Values returns the samples oldest-first in a freshly allocated slice.
 func (r *Ring) Values() []float64 {
 	n := r.Len()
@@ -183,18 +109,6 @@ func (r *Ring) Values() []float64 {
 	}
 	out = append(out, r.buf[:r.head]...)
 	return out
-}
-
-// Last returns the most recent sample, or NaN when empty.
-func (r *Ring) Last() float64 {
-	if r.Len() == 0 {
-		return math.NaN()
-	}
-	i := r.head - 1
-	if i < 0 {
-		i = len(r.buf) - 1
-	}
-	return r.buf[i]
 }
 
 // Mean returns the mean of the held samples, or NaN when empty.

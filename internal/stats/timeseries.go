@@ -111,39 +111,6 @@ func WindowRate(eventTimes []float64, t0, t1, window float64) *Series {
 	return out
 }
 
-// Integrate returns the time integral of the series over [t0, t1]
-// under step interpolation. Dividing by (t1-t0) gives the time-average
-// value, used for mean utilisation.
-func (s *Series) Integrate(t0, t1 float64) float64 {
-	if len(s.pts) == 0 || t1 <= t0 {
-		return 0
-	}
-	total := 0.0
-	prevT := t0
-	prevV := s.ValueAt(t0)
-	for _, p := range s.pts {
-		if p.T <= t0 {
-			continue
-		}
-		if p.T >= t1 {
-			break
-		}
-		total += prevV * (p.T - prevT)
-		prevT, prevV = p.T, p.V
-	}
-	total += prevV * (t1 - prevT)
-	return total
-}
-
-// TimeAverage returns Integrate(t0,t1)/(t1-t0), or NaN for an empty
-// interval.
-func (s *Series) TimeAverage(t0, t1 float64) float64 {
-	if t1 <= t0 {
-		return math.NaN()
-	}
-	return s.Integrate(t0, t1) / (t1 - t0)
-}
-
 // CSV renders the series as "t,v" lines with a header, for offline
 // plotting of the figures.
 func (s *Series) CSV() string {

@@ -76,89 +76,12 @@ func TestWindowRateUnsortedInput(t *testing.T) {
 	}
 }
 
-func TestIntegrateAndTimeAverage(t *testing.T) {
-	s := NewSeries("util")
-	s.Append(0, 1)
-	s.Append(10, 3)
-	// integral over [0,20] = 1*10 + 3*10 = 40
-	if got := s.Integrate(0, 20); !almostEq(got, 40, 1e-9) {
-		t.Fatalf("Integrate = %v, want 40", got)
-	}
-	if got := s.TimeAverage(0, 20); !almostEq(got, 2, 1e-9) {
-		t.Fatalf("TimeAverage = %v, want 2", got)
-	}
-	// Partial interval starting mid-series.
-	if got := s.Integrate(5, 15); !almostEq(got, 1*5+3*5, 1e-9) {
-		t.Fatalf("partial Integrate = %v, want 20", got)
-	}
-	if !math.IsNaN(s.TimeAverage(5, 5)) {
-		t.Fatal("degenerate interval should be NaN")
-	}
-}
-
 func TestSeriesCSV(t *testing.T) {
 	s := NewSeries("tp")
 	s.Append(1, 2)
 	got := s.CSV()
 	if !strings.HasPrefix(got, "t,tp\n") || !strings.Contains(got, "1.000000,2.000000") {
 		t.Fatalf("CSV output malformed:\n%s", got)
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1) // underflow
-	h.Add(11) // overflow
-	if h.Total() != 12 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bin(i) != 1 {
-			t.Fatalf("bin %d = %d, want 1", i, h.Bin(i))
-		}
-	}
-	if h.Underflow() != 1 || h.Overflow() != 1 {
-		t.Fatalf("under/over = %d/%d", h.Underflow(), h.Overflow())
-	}
-	lo, hi := h.BinBounds(3)
-	if lo != 3 || hi != 4 {
-		t.Fatalf("BinBounds(3) = %v,%v", lo, hi)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 1000; i++ {
-		h.Add(float64(i % 100))
-	}
-	med := h.Quantile(0.5)
-	if med < 45 || med > 55 {
-		t.Fatalf("median estimate %v out of tolerance", med)
-	}
-	if !math.IsNaN(NewHistogram(0, 1, 1).Quantile(0.5)) {
-		t.Fatal("empty histogram quantile should be NaN")
-	}
-}
-
-func TestHistogramEdgeValueGoesToOverflow(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.Add(10) // hi is exclusive
-	if h.Overflow() != 1 {
-		t.Fatalf("value at hi should overflow, got %d", h.Overflow())
-	}
-}
-
-func TestHistogramString(t *testing.T) {
-	h := NewHistogram(0, 2, 2)
-	h.Add(0.5)
-	h.Add(1.5)
-	h.Add(1.6)
-	out := h.String()
-	if !strings.Contains(out, "#") {
-		t.Fatalf("expected bars in output:\n%s", out)
 	}
 }
 

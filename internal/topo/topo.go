@@ -24,7 +24,7 @@
 // last index), every stage lies on some entry→exit path, and edges are
 // not duplicated. The linear pipelines of the original reproduction
 // are the special case where the edge set is exactly {i → i+1}; for
-// them Linearize is the identity, and consumers keep their historical
+// them Linear reports true, and consumers keep their historical
 // (bit-for-bit deterministic) behaviour.
 package topo
 
@@ -105,15 +105,6 @@ func New(stages []Stage, edges []Edge) (*Graph, error) {
 // NumStages returns the stage count.
 func (g *Graph) NumStages() int { return len(g.Stages) }
 
-// TotalWork returns the summed per-item service demand across stages.
-func (g *Graph) TotalWork() float64 {
-	s := 0.0
-	for _, st := range g.Stages {
-		s += st.Work
-	}
-	return s
-}
-
 // buildAdj (re)derives the adjacency lists from Edges.
 func (g *Graph) buildAdj() {
 	n := len(g.Stages)
@@ -142,9 +133,6 @@ func (g *Graph) OutEdges(i int) []int { g.adjReady(); return g.out[i] }
 // InEdges returns the indices (into Edges) of stage i's in-edges, in
 // edge-list order. Shared slice; do not mutate.
 func (g *Graph) InEdges(i int) []int { g.adjReady(); return g.in[i] }
-
-// OutDegree returns the number of out-edges of stage i.
-func (g *Graph) OutDegree(i int) int { g.adjReady(); return len(g.out[i]) }
 
 // InDegree returns the number of in-edges of stage i.
 func (g *Graph) InDegree(i int) int { g.adjReady(); return len(g.in[i]) }
@@ -185,20 +173,6 @@ func (g *Graph) Linear() bool {
 		}
 	}
 	return true
-}
-
-// Linearize returns the stages in topological order. Because Validate
-// requires the stage list itself to be topologically ordered, this is
-// always the identity permutation; the boolean reports whether the
-// graph is moreover a pure chain (no splits or merges), in which case
-// the order is the unique data-flow order of the original linear
-// model.
-func (g *Graph) Linearize() ([]int, bool) {
-	order := make([]int, len(g.Stages))
-	for i := range order {
-		order[i] = i
-	}
-	return order, g.Linear()
 }
 
 // Validate checks the structural contract documented on the package.

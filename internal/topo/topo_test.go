@@ -17,15 +17,6 @@ func TestChainIsLinearAndValid(t *testing.T) {
 	if !g.Linear() {
 		t.Fatal("chain not recognised as linear")
 	}
-	order, chain := g.Linearize()
-	if !chain {
-		t.Fatal("Linearize: chain flag false")
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("Linearize order[%d] = %d, want identity", i, v)
-		}
-	}
 	if g.Edges[0].Bytes != 100 || g.Edges[1].Bytes != 200 {
 		t.Fatalf("chain edge bytes = %+v", g.Edges)
 	}
@@ -56,10 +47,7 @@ func TestDiamond(t *testing.T) {
 	if g.Linear() {
 		t.Fatal("diamond reported linear")
 	}
-	if _, chain := g.Linearize(); chain {
-		t.Fatal("Linearize chain flag true for diamond")
-	}
-	if d := g.OutDegree(0); d != 2 {
+	if d := len(g.OutEdges(0)); d != 2 {
 		t.Fatalf("head out-degree = %d", d)
 	}
 	if d := g.InDegree(3); d != 2 {
@@ -75,9 +63,6 @@ func TestDiamond(t *testing.T) {
 	}
 	if got := g.InBytesOf(0, 42); got != 42 {
 		t.Fatalf("entry in-bytes = %v", got)
-	}
-	if tw := g.TotalWork(); tw < 0.79 || tw > 0.81 {
-		t.Fatalf("total work = %v", tw)
 	}
 	if s := g.String(); !strings.Contains(s, "head→left") || strings.Contains(s, "linear") {
 		t.Fatalf("String = %q", s)

@@ -138,11 +138,6 @@ func (s *Sampled) At(t float64) float64 {
 	return clamp(s.Vals[i])
 }
 
-// Horizon returns the time of the last sample.
-func (s *Sampled) Horizon() float64 {
-	return s.Start + float64(len(s.Vals))*s.Dt
-}
-
 // NewRandomWalk generates a mean-reverting random-walk trace (an
 // Ornstein-Uhlenbeck discretisation), the closest synthetic analogue of
 // NWS CPU-availability measurements: load wanders around mean with

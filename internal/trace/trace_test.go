@@ -95,9 +95,6 @@ func TestSampledStepInterpolation(t *testing.T) {
 			t.Errorf("At(%v) = %v, want %v", c.t, got, c.want)
 		}
 	}
-	if s.Horizon() != 3 {
-		t.Fatalf("Horizon = %v", s.Horizon())
-	}
 	if (&Sampled{}).At(5) != 0 {
 		t.Fatal("empty sampled trace should be 0")
 	}

@@ -14,8 +14,8 @@
 //
 // The layout is auto-detected from the header: any all-digit column
 // name means wide; otherwise a t/time column is required and the file
-// is long. Imported traces feed cluster.SubmitTrace/ProcessTrace. No
-// command imports CSV today (ROADMAP item 6 decides whether one will).
+// is long. Nothing outside its tests imports CSV: the importer goes
+// with them (ROADMAP item 8(e)).
 
 package workload
 
