@@ -27,11 +27,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strconv"
 	"strings"
 
-	"gridpipe/internal/exec"
 	"gridpipe/internal/grid"
 	"gridpipe/internal/rng"
 	"gridpipe/internal/stats"
@@ -48,7 +45,6 @@ func main() {
 		csv        = flag.Bool("csv", false, "print per-node load series as CSV")
 		jsonOut    = flag.Bool("json", false, "emit the grid summary, tables, and load series as JSON")
 		seed       = flag.Uint64("seed", 42, "seed for stochastic presets")
-		parts      = flag.String("parts", "", "also show the simulation partition plan for this many partitions (0 = auto from NumCPU)")
 
 		traffic      = flag.String("traffic", "", "preview an arrival stream of this family (poisson, uniform, bursty, diurnal, pareto) instead of a grid")
 		rate         = flag.Float64("rate", 0.5, "traffic: mean job arrival rate in jobs/s")
@@ -72,15 +68,6 @@ func main() {
 	g, err := buildGrid(*configPath, *preset, *seed, *horizon)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gridsim: %v\n", err)
-		os.Exit(1)
-	}
-
-	plan, err := resolvePlan(g, *parts)
-	if err != nil {
-		// An invalid -parts is most often a typo: show the valid range
-		// rather than an opaque failure.
-		fmt.Fprintf(os.Stderr, "gridsim: %v\n", err)
-		fmt.Fprintf(os.Stderr, "valid -parts values for this grid: 1..%d, or 0 to auto-pick from NumCPU\n", g.NumNodes())
 		os.Exit(1)
 	}
 
@@ -116,13 +103,9 @@ func main() {
 	if *jsonOut {
 		doc := struct {
 			Nodes  int               `json:"nodes"`
-			Plan   *planDoc          `json:"partition_plan,omitempty"`
 			Tables []stats.TableDoc  `json:"tables"`
 			Series []stats.SeriesDoc `json:"series"`
 		}{Nodes: g.NumNodes()}
-		if plan != nil {
-			doc.Plan = &planDoc{Parts: plan.Parts, LookaheadSec: plan.Lookahead, Assign: plan.Assign}
-		}
 		for _, t := range tables {
 			doc.Tables = append(doc.Tables, t.Doc())
 		}
@@ -139,9 +122,6 @@ func main() {
 	}
 
 	fmt.Print(g.String())
-	if plan != nil {
-		fmt.Println(plan.String())
-	}
 	for _, t := range tables {
 		fmt.Println(t.String())
 	}
@@ -207,40 +187,6 @@ func previewTraffic(family string, rate float64, app string, items int, horizon 
 		}
 	}
 	return nil
-}
-
-// planDoc is the JSON rendering of a partition plan.
-type planDoc struct {
-	Parts        int     `json:"parts"`
-	LookaheadSec float64 `json:"lookahead_s"`
-	Assign       []int   `json:"assign"`
-}
-
-// resolvePlan turns the -parts flag into a partition plan: empty means
-// no plan view, 0 auto-picks min(NumCPU, nodes) and prints the choice,
-// and an explicit count must fit the grid.
-func resolvePlan(g *grid.Grid, s string) (*exec.PartitionPlan, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return nil, fmt.Errorf("invalid -parts %q: not an integer", s)
-	}
-	if n == 0 {
-		n = runtime.NumCPU()
-		if n > g.NumNodes() {
-			n = g.NumNodes()
-		}
-		fmt.Printf("-parts 0: auto-picked %d partitions (NumCPU=%d, %d nodes)\n",
-			n, runtime.NumCPU(), g.NumNodes())
-	}
-	plan, err := exec.PlanPartitions(g, n)
-	if err != nil {
-		return nil, err
-	}
-	return &plan, nil
 }
 
 func buildGrid(configPath, preset string, seed uint64, horizon float64) (*grid.Grid, error) {

@@ -21,7 +21,7 @@ func TestExamplesSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the example binaries")
 	}
-	examples := []string{"quickstart", "imagepipeline", "videostream", "genomics", "partitioned"}
+	examples := []string{"quickstart", "imagepipeline", "videostream", "genomics"}
 	bindir := t.TempDir()
 	for _, name := range examples {
 		name := name

@@ -453,7 +453,9 @@ func (c *Cluster) finalize(j *Job) {
 	c.running = slices.Delete(c.running, i, i+1)
 	// From here the job is its report row: the executor (per-item
 	// latencies, pools, monitors) and the divider's memo are released.
-	j.meanLatency = meanLatency(j.ex)
+	if lats := j.ex.Latencies(); len(lats) > 0 {
+		j.meanLatency = stats.Mean(lats)
+	}
 	j.finalMapping = j.ex.Mapping().String()
 	j.ex = nil
 	c.div.Release(j.id)
@@ -609,15 +611,6 @@ func (c *Cluster) report() Report {
 	}
 	rep.MinWeightedShare, rep.Jain = fairness(shares)
 	return rep
-}
-
-// meanLatency averages an executor's per-item traversal times (0 when
-// no item completed).
-func meanLatency(ex *exec.Executor) float64 {
-	if lats := ex.Latencies(); len(lats) > 0 {
-		return stats.Mean(lats)
-	}
-	return 0
 }
 
 // fairness summarises weighted shares: the minimum (the max-min

@@ -187,6 +187,27 @@ func TestFloorExceedsGridErrorsAtSubmit(t *testing.T) {
 	}
 }
 
+// TestSubmitPinnedValidation pins SubmitPinned's checks on the
+// caller's lease (gridpipe.JobOpts.PinNodes reaches it unfiltered): an
+// empty lease and a node outside the grid are clean Submit errors, and
+// the grid's first and last nodes are a valid lease.
+func TestSubmitPinnedValidation(t *testing.T) {
+	g := homGrid(t, 6)
+	c, err := New(g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := jobOf("a", workload.Genome(), 0, 10)
+	for _, nodes := range [][]grid.NodeID{nil, {0, -1}, {0, grid.NodeID(g.NumNodes())}} {
+		if _, err := c.SubmitPinned(job, nodes); err == nil {
+			t.Fatalf("SubmitPinned(%v) on a %d-node grid must error", nodes, g.NumNodes())
+		}
+	}
+	if _, err := c.SubmitPinned(job, []grid.NodeID{0, grid.NodeID(g.NumNodes() - 1)}); err != nil {
+		t.Fatalf("SubmitPinned on the grid's first and last nodes: %v", err)
+	}
+}
+
 // TestOverAdmissionContention pins the collapse mechanism: admitting
 // every job at once onto overlapping leases slows each one down via
 // proportional sharing, where queued admission keeps per-job service

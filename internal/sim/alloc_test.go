@@ -43,24 +43,3 @@ func TestScheduleCancelZeroAlloc(t *testing.T) {
 		}
 	})
 }
-
-// Four partitions, one cross-partition Send each and the rest local,
-// windows run inline (workers=1) so the measurement is the protocol —
-// outbox staging, window-edge exchange, calendar merge — and not a
-// goroutine hand-off.
-func TestPartitionWindowZeroAlloc(t *testing.T) {
-	const parts = 4
-	pe := NewParallel(parts, 1.0)
-	pe.SetWorkers(1)
-	noop := func(any) {}
-	wantZeroAlloc(t, func() {
-		for p := 0; p < parts; p++ {
-			sh := pe.Part(p)
-			for j := 0; j < allocBatch/parts-1; j++ {
-				sh.ScheduleArg(0.1*float64(j&7), noop, nil)
-			}
-			sh.Send((p+1)%parts, 1.0, noop, nil)
-		}
-		pe.Run()
-	})
-}
