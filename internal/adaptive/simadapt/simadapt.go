@@ -66,6 +66,12 @@ type Controller struct {
 // New builds a controller. Call Start before running the engine. The
 // executor must run the same spec on the same grid.
 func New(eng *sim.Engine, g *grid.Grid, ex *exec.Executor, spec model.PipelineSpec, cfg Config) (*Controller, error) {
+	return newController(g, ex, spec, cfg, clock{eng: eng})
+}
+
+// newController is New over any clock, so a test can fire one tick by
+// hand.
+func newController(g *grid.Grid, ex *exec.Executor, spec model.PipelineSpec, cfg Config, clk adaptive.Clock) (*Controller, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -78,9 +84,9 @@ func New(eng *sim.Engine, g *grid.Grid, ex *exec.Executor, spec model.PipelineSp
 	}
 	act := &actuator{g: g, ex: ex, spec: spec, cfg: cfg}
 	core, err := adaptive.New(
-		&sensor{g: g, ex: ex, spec: spec, sensors: sensors},
+		&sensor{g: g, ex: ex, spec: spec, sensors: sensors, loadBuf: make([]float64, len(sensors))},
 		act,
-		clock{eng: eng},
+		clk,
 		adaptive.Config{
 			Policy:             cfg.Policy,
 			Interval:           cfg.Interval,
@@ -127,6 +133,7 @@ type sensor struct {
 	ex      *exec.Executor
 	spec    model.PipelineSpec
 	sensors []*monitor.NodeSensor
+	loadBuf []float64
 	slowBuf []float64
 }
 
@@ -137,7 +144,8 @@ func (s *sensor) Sample(now float64) {
 }
 
 // Loads returns the per-node load vector the current policy decides
-// with, through the one shared estimate path (monitor.Estimate).
+// with, through the one shared estimate path (monitor.Estimate). The
+// slice is reused from tick to tick, which adaptive.Sensor allows.
 func (s *sensor) Loads(mode adaptive.LoadMode, now float64) []float64 {
 	m := monitor.EstimateLast
 	switch mode {
@@ -146,11 +154,10 @@ func (s *sensor) Loads(mode adaptive.LoadMode, now float64) []float64 {
 	case adaptive.LoadOracle:
 		m = monitor.EstimateOracle
 	}
-	loads := make([]float64, len(s.sensors))
 	for i, ns := range s.sensors {
-		loads[i] = ns.Estimate(m, now)
+		s.loadBuf[i] = ns.Estimate(m, now)
 	}
-	return loads
+	return s.loadBuf
 }
 
 func (s *sensor) Throughput(window, now float64) float64 {
@@ -184,6 +191,9 @@ type actuator struct {
 	// it stays nil (and the search unrestricted) until churn actually
 	// takes a node out.
 	availBuf []bool
+	// scratch holds the buffers Expected rates the current mapping
+	// with, so a tick allocates nothing.
+	scratch model.PredictScratch
 }
 
 // Expected rates the current mapping under the load estimates. The
@@ -192,7 +202,7 @@ type actuator struct {
 // mapping were validated at construction; a failure here is a
 // programming error worth surfacing loudly in simulation.
 func (a *actuator) Expected(loads []float64) (reference, hysteresis float64) {
-	pred, err := model.Predict(a.g, a.spec, a.ex.Mapping(), loads)
+	pred, err := model.PredictInto(a.g, a.spec, a.ex.Mapping(), loads, &a.scratch)
 	if err != nil {
 		panic(fmt.Sprintf("adaptive: predict current mapping: %v", err))
 	}
@@ -232,7 +242,7 @@ func (a *actuator) Propose(loads []float64) (*adaptive.Proposal, bool) {
 		return nil, true
 	}
 	return &adaptive.Proposal{
-		From:      old,
+		From:      old.Clone(), // kept in the event log
 		To:        cand,
 		Predicted: candPred.Throughput,
 		Ref:       cand,

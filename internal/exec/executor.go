@@ -10,6 +10,7 @@
 //   - Each directed node pair is a FCFS link whose occupancy is the
 //     bandwidth term of a transfer; the latency term is a pure delay
 //     that overlaps with subsequent transfers (a pipelined network).
+//     A transfer costs one calendar event, its delivery.
 //   - Input admission is CONWIP-style: a bounded number of items is in
 //     flight at once (a saturated source behind a window), which is the
 //     discrete-event analogue of the bounded inter-stage buffers of the
@@ -193,13 +194,11 @@ type Executor struct {
 
 	mon   *monitor.Monitor
 	nodes []*nodeServer
-	// links[i] serves the directed node pair linkKeys[i]: a small
-	// linear-probed pair list (model.PredictScratch.addFlow's shape) —
-	// the pairs an executor ever uses are bounded by its stage-graph
-	// edges times replica fan, and a transfer finds its own without
-	// hashing.
-	linkKeys []linkKey
-	links    []*linkServer
+	// linksFrom[a] holds the links out of node a this executor has
+	// used: a lookup scans one source's fan-out (bounded by the stage
+	// graph's out-edges times replica fan), and storage grows with the
+	// pairs used, not with n².
+	linksFrom [][]*linkServer
 	// share is the cluster contention ledger (nil for single-job runs;
 	// every multi-tenant branch is guarded on it); shareSeq is this
 	// executor's position in the ledger's attach order.
@@ -242,8 +241,6 @@ type Executor struct {
 	taskFree []*task
 	txFree   []*transfer
 }
-
-type linkKey struct{ a, b grid.NodeID }
 
 // New builds an executor; the pipeline starts admitting items when
 // Start is called.
@@ -301,6 +298,7 @@ func New(eng *sim.Engine, g *grid.Grid, spec model.PipelineSpec, m model.Mapping
 		e.maxRetries = 0 // unlimited
 	}
 	e.nodes = make([]*nodeServer, g.NumNodes())
+	e.linksFrom = make([][]*linkServer, g.NumNodes())
 	e.epoch = make([]uint32, g.NumNodes())
 	for i := range e.nodes {
 		e.nodes[i] = newNodeServer(e, g.Node(grid.NodeID(i)))
@@ -330,8 +328,11 @@ func (e *Executor) SetItemHooks(onComplete, onLost func(seq int)) {
 // Monitor exposes the run-time instrumentation.
 func (e *Executor) Monitor() *monitor.Monitor { return e.mon }
 
-// Mapping returns a copy of the current mapping.
-func (e *Executor) Mapping() model.Mapping { return e.mapping.Clone() }
+// Mapping returns the current mapping without copying it; the caller
+// must not modify it. Remap installs a fresh mapping rather than
+// editing this one, so a mapping read earlier keeps describing the
+// placement it was read under.
+func (e *Executor) Mapping() model.Mapping { return e.mapping }
 
 // Done returns the number of completed items.
 func (e *Executor) Done() int { return e.completed }
@@ -451,18 +452,18 @@ func (e *Executor) putTask(t *task) {
 }
 
 // getTransfer takes a link transfer from the pool.
-func (e *Executor) getTransfer(it *item, stage int, bytes float64) *transfer {
+func (e *Executor) getTransfer(ls *linkServer, it *item, stage int, bytes float64) *transfer {
 	if n := len(e.txFree); n > 0 {
 		tx := e.txFree[n-1]
 		e.txFree = e.txFree[:n-1]
-		tx.it, tx.stage, tx.bytes = it, stage, bytes
+		tx.ls, tx.it, tx.stage, tx.bytes = ls, it, stage, bytes
 		return tx
 	}
-	return &transfer{it: it, stage: stage, bytes: bytes}
+	return &transfer{ls: ls, it: it, stage: stage, bytes: bytes}
 }
 
 func (e *Executor) putTransfer(tx *transfer) {
-	tx.it = nil
+	tx.ls, tx.it = nil, nil
 	e.txFree = append(e.txFree, tx)
 }
 
@@ -556,14 +557,13 @@ func (e *Executor) transfer(it *item, stage int, a, b grid.NodeID, bytes float64
 }
 
 func (e *Executor) link(a, b grid.NodeID) *linkServer {
-	for i, k := range e.linkKeys {
-		if k.a == a && k.b == b {
-			return e.links[i]
+	for _, ls := range e.linksFrom[a] {
+		if ls.dest == b {
+			return ls
 		}
 	}
-	ls := newLinkServer(e, e.g.Link(a, b), b)
-	e.linkKeys = append(e.linkKeys, linkKey{a, b})
-	e.links = append(e.links, ls)
+	ls := &linkServer{e: e, link: e.g.Link(a, b), dest: b}
+	e.linksFrom[a] = append(e.linksFrom[a], ls)
 	return ls
 }
 

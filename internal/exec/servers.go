@@ -131,70 +131,53 @@ func (s *nodeServer) removeQueued(pred func(*task) bool) []*task {
 // bandwidth term occupies the link FCFS, the latency term is a pure
 // trailing delay (transfers pipeline behind each other as on a real
 // path).
+//
+// The instant the wire frees depends only on the previous free
+// instant, the transfer's start and the link's TransferDuration at that
+// start, so the server keeps it as one float and a transfer costs one
+// calendar event: its delivery.
 type linkServer struct {
 	e    *Executor
 	link grid.Link
 	// dest is the receiving node: one linkServer exists per directed
 	// node pair. Redirects on arrival are handled by deliver.
-	dest  grid.NodeID
-	queue ring.FIFO[*transfer]
-	busy  bool
-	// Bound once: the wire-free and delivery callbacks take the pooled
-	// *transfer as their event argument — no closure per hop.
-	wireFreeFn func(any)
-	deliverFn  func(any)
+	dest grid.NodeID
+	// freeAt is when the last accepted transfer's serialisation ends.
+	freeAt float64
 }
 
 // transfer is one pooled part movement over a link: its destination
 // stage and size.
 type transfer struct {
+	ls    *linkServer
 	it    *item
 	stage int // destination stage (NumStages = the sink)
 	bytes float64
 }
 
-func newLinkServer(e *Executor, l grid.Link, dest grid.NodeID) *linkServer {
-	s := &linkServer{e: e, link: l, dest: dest}
-	s.wireFreeFn = func(arg any) { s.wireFree(arg.(*transfer)) }
-	s.deliverFn = func(arg any) { s.deliverTx(arg.(*transfer)) }
-	return s
-}
-
+// enqueue accepts a transfer: it starts when the wire frees (now, on an
+// idle link), occupies the wire for its serialisation time only, and
+// arrives one latency after that.
 func (s *linkServer) enqueue(it *item, stage int, bytes float64) {
-	s.queue.Push(s.e.getTransfer(it, stage, bytes))
-	s.pump()
-}
-
-func (s *linkServer) pump() {
-	if s.busy {
-		return
+	start := s.e.eng.Now()
+	if s.freeAt > start {
+		start = s.freeAt
 	}
-	tx, ok := s.queue.Pop()
-	if !ok {
-		return
-	}
-	s.busy = true
-	now := s.e.eng.Now()
-	// Occupy the link for the serialisation time only.
-	serial := s.link.TransferDuration(tx.bytes, now) - s.link.Latency
+	serial := s.link.TransferDuration(bytes, start) - s.link.Latency
 	if serial < 0 {
 		serial = 0
 	}
-	s.e.eng.ScheduleArg(serial, s.wireFreeFn, tx)
+	s.freeAt = start + serial
+	s.e.eng.AtArg(s.freeAt+s.link.Latency, deliverTx, s.e.getTransfer(s, it, stage, bytes))
 }
 
-// wireFree fires when the serialisation slot frees: the next transfer
-// may start while this one rides out its latency as a pure delay.
-func (s *linkServer) wireFree(tx *transfer) {
-	s.busy = false
-	s.pump()
-	s.e.eng.ScheduleArg(s.link.Latency, s.deliverFn, tx)
-}
-
-func (s *linkServer) deliverTx(tx *transfer) {
-	it, stage, bytes := tx.it, tx.stage, tx.bytes
-	s.e.putTransfer(tx)
-	s.e.deliver(it, stage, s.dest, bytes)
+// deliverTx is the delivery callback every link shares; the pooled
+// *transfer is its event argument, so no hop allocates a closure.
+func deliverTx(arg any) {
+	tx := arg.(*transfer)
+	e, it, stage, dest, bytes := tx.ls.e, tx.it, tx.stage, tx.ls.dest, tx.bytes
+	e.putTransfer(tx)
+	e.deliver(it, stage, dest, bytes)
 }
 
 // poissonSource generates exponential inter-arrival gaps.

@@ -89,6 +89,7 @@ func (s *SlidingMean) Predict() float64 { return s.ring.Mean() }
 // to the spikes typical of shared-node load measurements.
 type SlidingMedian struct {
 	ring *stats.Ring
+	buf  []float64 // Predict's sorted copy of the window
 }
 
 // NewSlidingMedian returns a sliding-window median forecaster of width
@@ -103,9 +104,12 @@ func (s *SlidingMedian) Name() string { return "swmedian" }
 // Observe implements Forecaster.
 func (s *SlidingMedian) Observe(v float64) { s.ring.Add(v) }
 
-// Predict implements Forecaster.
+// Predict implements Forecaster. It sorts a copy of the window held in
+// the forecaster, so it allocates nothing once the copy has grown to
+// the window.
 func (s *SlidingMedian) Predict() float64 {
-	vals := s.ring.Values()
+	vals := s.ring.AppendValues(s.buf[:0])
+	s.buf = vals
 	if len(vals) == 0 {
 		return math.NaN()
 	}
@@ -142,6 +146,7 @@ func (e *ExpSmooth) Predict() float64 { return e.e.Value() }
 // load.
 type AR1 struct {
 	ring *stats.Ring
+	xs   []float64 // Predict's oldest-first copy of the window
 }
 
 // NewAR1 returns an AR(1) forecaster fitted over a window of width w
@@ -159,9 +164,12 @@ func (a *AR1) Name() string { return "ar1" }
 // Observe implements Forecaster.
 func (a *AR1) Observe(v float64) { a.ring.Add(v) }
 
-// Predict implements Forecaster.
+// Predict implements Forecaster. It fits over a copy of the window held
+// in the forecaster, so it allocates nothing once the copy has grown to
+// the window.
 func (a *AR1) Predict() float64 {
-	xs := a.ring.Values()
+	xs := a.ring.AppendValues(a.xs[:0])
+	a.xs = xs
 	n := len(xs)
 	if n == 0 {
 		return math.NaN()

@@ -102,13 +102,16 @@ func (r *Ring) Len() int {
 
 // Values returns the samples oldest-first in a freshly allocated slice.
 func (r *Ring) Values() []float64 {
-	n := r.Len()
-	out := make([]float64, 0, n)
+	return r.AppendValues(make([]float64, 0, r.Len()))
+}
+
+// AppendValues appends the samples oldest-first to dst and returns the
+// extended slice; it allocates nothing when dst has room.
+func (r *Ring) AppendValues(dst []float64) []float64 {
 	if r.full {
-		out = append(out, r.buf[r.head:]...)
+		dst = append(dst, r.buf[r.head:]...)
 	}
-	out = append(out, r.buf[:r.head]...)
-	return out
+	return append(dst, r.buf[:r.head]...)
 }
 
 // Mean returns the mean of the held samples, or NaN when empty.

@@ -287,8 +287,9 @@ func (p *Pipeline) Simulate(sg *SimGrid, opts SimOptions) (SimReport, error) {
 
 // PredictMapping exposes the analytic model for a caller-supplied node
 // load vector: it returns the best mapping's tuple string and its
-// predicted throughput. It is the "what would the scheduler do" probe
-// used by cmd/adaptpipe's -explain flag.
+// predicted throughput: the public API's "what would the scheduler do"
+// probe. (cmd/adaptpipe -explain ranks mappings through internal/sched
+// directly.)
 func (p *Pipeline) PredictMapping(sg *SimGrid, loads []float64, seed uint64) (string, float64, error) {
 	m, _, err := (sched.LocalSearch{Seed: seed}).Search(sg.g, p.spec, loads)
 	if err != nil {
