@@ -1,8 +1,11 @@
 package gridpipe_test
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
 	"testing"
 	"time"
@@ -13,18 +16,47 @@ import (
 // (their live goroutine pipelines are the point of running them).
 var raceEnabled bool
 
-// TestExamplesSmoke builds and runs every example binary end to end:
-// the examples are living documentation and must keep producing output
-// (not just compiling) as the layers under them are refactored. Under
-// `go test -race` the examples are built with -race as well.
+// smokeRun is one invocation of a smoke-tested binary. With a golden,
+// its stdout must equal testdata/golden/<golden> byte for byte.
+type smokeRun struct {
+	args   []string
+	golden string
+}
+
+// smokeBinaries are the binaries TestExamplesSmoke builds and runs.
+// The simulated ones run in virtual time, so their output is pinned by
+// a golden; quickstart and genomics print live wall-clock timings and
+// are only checked for output.
+var smokeBinaries = []struct {
+	pkg  string
+	runs []smokeRun
+}{
+	{"examples/quickstart", []smokeRun{{}}},
+	{"examples/imagepipeline", []smokeRun{{golden: "imagepipeline.txt"}}},
+	{"examples/videostream", []smokeRun{{golden: "videostream.txt"}}},
+	{"examples/genomics", []smokeRun{{}}},
+	{"cmd/adaptpipe", []smokeRun{
+		{golden: "adaptpipe-default.txt"},
+		{args: []string{"-kill-restart", "-workload", "genome", "-items", "2000"},
+			golden: "adaptpipe-kill-restart.txt"},
+		{args: []string{"-grid", "testdata/golden/churn-grid.json", "-policy", "reactive", "-duration", "200"},
+			golden: "adaptpipe-churn.txt"},
+	}},
+}
+
+// TestExamplesSmoke builds and runs every example binary and adaptpipe
+// end to end: the examples are living documentation and must keep
+// producing the same output (not just compiling) as the layers under
+// them are refactored. Under `go test -race` the binaries are built
+// with -race as well.
 func TestExamplesSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the example binaries")
 	}
-	examples := []string{"quickstart", "imagepipeline", "videostream", "genomics"}
 	bindir := t.TempDir()
-	for _, name := range examples {
-		name := name
+	for _, b := range smokeBinaries {
+		b := b
+		name := path.Base(b.pkg)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			bin := filepath.Join(bindir, name)
@@ -32,19 +64,34 @@ func TestExamplesSmoke(t *testing.T) {
 			if raceEnabled {
 				args = append(args, "-race")
 			}
-			build := exec.Command("go", append(args, "./examples/"+name)...)
+			build := exec.Command("go", append(args, "./"+b.pkg)...)
 			if out, err := build.CombinedOutput(); err != nil {
 				t.Fatalf("build: %v\n%s", err, out)
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-			defer cancel()
-			run := exec.CommandContext(ctx, bin)
-			out, err := run.CombinedOutput()
-			if err != nil {
-				t.Fatalf("run: %v\n%s", err, out)
-			}
-			if len(out) == 0 {
-				t.Fatal("example produced no output")
+			for _, r := range b.runs {
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+				var stderr bytes.Buffer
+				run := exec.CommandContext(ctx, bin, r.args...)
+				run.Stderr = &stderr
+				out, err := run.Output()
+				cancel()
+				if err != nil {
+					t.Fatalf("run %v: %v\n%s%s", r.args, err, out, stderr.Bytes())
+				}
+				if len(out) == 0 {
+					t.Fatalf("run %v produced no output", r.args)
+				}
+				if r.golden == "" {
+					continue
+				}
+				want, err := os.ReadFile(filepath.Join("testdata", "golden", r.golden))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(out, want) {
+					t.Errorf("run %v: stdout differs from testdata/golden/%s\n--- got ---\n%s--- want ---\n%s",
+						r.args, r.golden, out, want)
+				}
 			}
 		})
 	}
