@@ -29,12 +29,10 @@ import (
 	"strings"
 
 	"gridpipe/internal/adaptive"
-	"gridpipe/internal/adaptive/simadapt"
 	"gridpipe/internal/exec"
 	"gridpipe/internal/grid"
 	"gridpipe/internal/model"
 	"gridpipe/internal/sched"
-	"gridpipe/internal/sim"
 	"gridpipe/internal/stats"
 	"gridpipe/internal/workload"
 )
@@ -113,7 +111,9 @@ func run(wl, gridPath string, nodes int, policyName string, items int, duration 
 	if err != nil {
 		return err
 	}
-	if items == 0 && duration == 0 {
+	if items > 0 {
+		duration = 0 // -items wins over -duration
+	} else if duration == 0 {
 		duration = 300
 	}
 	pol, err := parsePolicy(policyName, false)
@@ -129,16 +129,10 @@ func run(wl, gridPath string, nodes int, policyName string, items int, duration 
 	// deployment mapping avoids not-yet-joined nodes and the executor
 	// replays crash/rejoin/join/drain events in virtual time.
 	churn := g.Churn()
-	var avail []bool
 	if churn != nil {
 		fmt.Printf("churn: %d lifecycle events\n", len(churn.Events()))
-		avail = churn.InitialAvail(g)
 	}
-	m0, _, err := sched.LocalSearch{Seed: seed}.SearchAvail(g, app.Spec, nil, avail)
-	if err != nil {
-		return err
-	}
-	m0, pred, err := sched.ImproveWithReplicationAvail(g, app.Spec, m0, nil, 0, avail)
+	m0, pred, err := workload.Deploy(g, app.Spec, seed)
 	if err != nil {
 		return err
 	}
@@ -150,49 +144,25 @@ func run(wl, gridPath string, nodes int, policyName string, items int, duration 
 		}
 	}
 
-	eng := &sim.Engine{}
-	ex, err := exec.New(eng, g, app.Spec, m0, exec.Options{
-		MaxInFlight: 4 * app.Spec.NumStages(),
-		WorkSampler: app.Sampler(seed),
-		Seed:        seed,
-	})
-	if err != nil {
-		return err
-	}
-	if err := ex.InstallChurn(churn); err != nil {
-		return err
-	}
 	proto := exec.DrainSafe
 	if kill {
 		proto = exec.KillRestart
 	}
-	ctrl, err := simadapt.New(eng, g, ex, app.Spec, simadapt.Config{
-		Policy: pol, Interval: 1, Protocol: proto,
-		Searcher: sched.LocalSearch{Seed: seed + 1},
+	out, err := workload.RunSim(g, app, m0, workload.SimOptions{
+		Items: items, Duration: duration,
+		Policy: pol, Protocol: proto, Interval: 1, Seed: seed,
 	})
 	if err != nil {
 		return err
 	}
-	ctrl.Start()
-
-	var elapsed float64
+	elapsed := duration
 	if items > 0 {
-		ms, err := ex.RunItems(items)
-		if err != nil {
-			return err
-		}
-		elapsed = ms
-		fmt.Printf("\ncompleted %d items in %.2f virtual seconds\n", ex.Done(), ms)
-	} else {
-		done := ex.RunUntil(duration)
-		elapsed = duration
-		fmt.Printf("\ncompleted %d items in %.2f virtual seconds\n", done, duration)
+		elapsed = out.Makespan
 	}
-	ctrl.Stop()
-
-	st := ctrl.Stats()
+	ex, st := out.Exec, out.Ctrl
+	fmt.Printf("\ncompleted %d items in %.2f virtual seconds\n", out.Done, elapsed)
 	fmt.Printf("throughput %.3f items/s, %d remaps, %d items migrated, %.2f ref-s redone\n",
-		float64(ex.Done())/elapsed, st.Remaps, ex.Migrations(), ex.RedoneWork())
+		float64(out.Done)/elapsed, st.Remaps, ex.Migrations(), ex.RedoneWork())
 	if churn != nil {
 		fmt.Printf("churn ledger: %d lost, %d retries, %.2f ref-s of progress destroyed, %d fault remaps, mean availability %.4f\n",
 			ex.Lost(), ex.Retries(), ex.LostWork(), st.FaultRemaps, churn.MeanAvailability(g, elapsed))

@@ -9,11 +9,7 @@ import (
 	"log"
 
 	"gridpipe/internal/adaptive"
-	"gridpipe/internal/adaptive/simadapt"
-	"gridpipe/internal/exec"
 	"gridpipe/internal/grid"
-	"gridpipe/internal/sched"
-	"gridpipe/internal/sim"
 	"gridpipe/internal/stats"
 	"gridpipe/internal/trace"
 	"gridpipe/internal/workload"
@@ -34,11 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m0, _, err := (sched.LocalSearch{Seed: 1}).Search(idle, app.Spec, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	m0, pred, err := sched.ImproveWithReplication(idle, app.Spec, m0, nil, 0)
+	m0, pred, err := workload.Deploy(idle, app.Spec, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,32 +45,20 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		eng := &sim.Engine{}
-		ex, err := exec.New(eng, g, app.Spec, m0, exec.Options{
-			MaxInFlight: 16, WorkSampler: app.Sampler(1),
+		out, err := workload.RunSim(g, app, m0, workload.SimOptions{
+			Policy: pol, Interval: 1, Seed: 1, Duration: horizon,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		ctrl, err := simadapt.New(eng, g, ex, app.Spec, simadapt.Config{
-			Policy: pol, Interval: 1,
-			Searcher: sched.LocalSearch{Seed: 2},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		ctrl.Start()
-		done := ex.RunUntil(horizon)
-		ctrl.Stop()
-
-		completions := ex.Monitor().Completions()
-		tb.AddRowf(pol.String(), done,
+		completions := out.Exec.Monitor().Completions()
+		tb.AddRowf(pol.String(), out.Done,
 			rate(completions, 0, spikeAt),
 			rate(completions, spikeAt+20, horizon),
-			ctrl.Stats().Remaps)
+			out.Ctrl.Remaps)
 
 		if pol == adaptive.PolicyReactive {
-			for _, ev := range ctrl.Stats().Events {
+			for _, ev := range out.Ctrl.Events {
 				fmt.Printf("  t=%6.1fs remap %s -> %s (predicted %.2f -> %.2f frames/s, %d frames migrated)\n",
 					ev.Time, ev.From, ev.To, ev.PredictedOld, ev.PredictedNew, ev.Stats.Moved)
 			}

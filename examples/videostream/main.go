@@ -10,12 +10,9 @@ import (
 	"log"
 
 	"gridpipe/internal/adaptive"
-	"gridpipe/internal/adaptive/simadapt"
-	"gridpipe/internal/exec"
 	"gridpipe/internal/grid"
 	"gridpipe/internal/model"
 	"gridpipe/internal/sched"
-	"gridpipe/internal/sim"
 	"gridpipe/internal/stats"
 	"gridpipe/internal/trace"
 	"gridpipe/internal/workload"
@@ -72,24 +69,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		eng := &sim.Engine{}
-		ex, err := exec.New(eng, gl, app.Spec, m0, exec.Options{
-			MaxInFlight: 20, WorkSampler: app.Sampler(1),
+		out, err := workload.RunSim(gl, app, m0, workload.SimOptions{
+			Policy: pol, Interval: 2, Seed: 1, Duration: horizon,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		ctrl, err := simadapt.New(eng, gl, ex, app.Spec, simadapt.Config{
-			Policy: pol, Interval: 2,
-			Searcher: sched.LocalSearch{Seed: 2},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		ctrl.Start()
-		done := ex.RunUntil(horizon)
-		ctrl.Stop()
-		tb.AddRowf(pol.String(), done, ctrl.Stats().Remaps, ex.Mapping().String())
+		tb.AddRowf(pol.String(), out.Done, out.Ctrl.Remaps, out.Exec.Mapping().String())
 	}
 	fmt.Println()
 	fmt.Println(tb.String())

@@ -27,7 +27,7 @@ func runA1(seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m0, err := initialMapping(idle, app, seed)
+	m0, _, err := workload.Deploy(idle, app.Spec, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +46,7 @@ func runA1(seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := run(runConfig{Grid: g, App: app, Initial: m0,
+		out, err := workload.RunSim(g, app, m0, workload.SimOptions{
 			Policy: p, Interval: 1, Seed: seed, Duration: horizon})
 		if err != nil {
 			return nil, err
@@ -84,7 +84,7 @@ func runA2(seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m0, err := initialMapping(idle, app, seed)
+	m0, _, err := workload.Deploy(idle, app.Spec, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +98,7 @@ func runA2(seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := run(runConfig{Grid: g, App: app, Initial: m0,
+		out, err := workload.RunSim(g, app, m0, workload.SimOptions{
 			Policy: adaptive.PolicyReactive, Protocol: proto,
 			Interval: 1, Seed: seed, Duration: horizon})
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"gridpipe/internal/adaptive"
 	"gridpipe/internal/grid"
-	"gridpipe/internal/sched"
 	"gridpipe/internal/stats"
 	"gridpipe/internal/trace"
 	"gridpipe/internal/workload"
@@ -48,7 +47,7 @@ func runF9(seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m0, err := initialMapping(idle, app, seed)
+	m0, _, err := workload.Deploy(idle, app.Spec, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -66,9 +65,11 @@ func runF9(seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := run(runConfig{
-			Grid: g, App: app, Initial: m0, Policy: p,
-			Interval: 1, Seed: seed, Duration: horizon, Churn: churn,
+		if err := g.SetChurn(churn); err != nil {
+			return nil, err
+		}
+		out, err := workload.RunSim(g, app, m0, workload.SimOptions{
+			Policy: p, Interval: 1, Seed: seed, Duration: horizon,
 		})
 		if err != nil {
 			return nil, err
@@ -76,7 +77,7 @@ func runF9(seed uint64) (*Result, error) {
 		series := stats.WindowRate(out.Exec.Monitor().Completions(), 0, horizon, window)
 		series.Name = p.String()
 		res.Series = append(res.Series, series)
-		tb.AddRowf(p.String(), out.Done, out.Lost, out.Retries,
+		tb.AddRowf(p.String(), out.Done, out.Exec.Lost(), out.Exec.Retries(),
 			out.Ctrl.Remaps, out.Ctrl.FaultRemaps, churn.MeanAvailability(g, horizon))
 	}
 	tb.AddNote("expected shape: fault-aware policies evacuate at the crash instant and complete ≥ the static mapping's items; static parks work behind the dead node until the rejoin")
@@ -98,6 +99,13 @@ func runF10(seed uint64) (*Result, error) {
 	)
 	app := workload.Balanced(4, 0.15, 1e5)
 
+	churn, err := grid.NewChurnSchedule(
+		grid.Join("node4", join1),
+		grid.Join("node5", join2),
+	)
+	if err != nil {
+		return nil, err
+	}
 	mk := func() (*grid.Grid, error) {
 		nodes := make([]*grid.Node, 6)
 		for i := range nodes {
@@ -110,14 +118,11 @@ func runF10(seed uint64) (*Result, error) {
 				nodes[i].Load = trace.Ramp{T0: 30, T1: 120, From: 0, To: 0.4 + 0.15*float64(i)}
 			}
 		}
-		return grid.NewGrid(grid.LANLink, nodes...)
-	}
-	churn, err := grid.NewChurnSchedule(
-		grid.Join("node4", join1),
-		grid.Join("node5", join2),
-	)
-	if err != nil {
-		return nil, err
+		g, err := grid.NewGrid(grid.LANLink, nodes...)
+		if err != nil {
+			return nil, err
+		}
+		return g, g.SetChurn(churn)
 	}
 
 	// Deployment-time mapping may only use the founders: the reserves
@@ -126,12 +131,7 @@ func runF10(seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	avail := churn.InitialAvail(idle)
-	m0, _, err := sched.LocalSearch{Seed: seed}.SearchAvail(idle, app.Spec, nil, avail)
-	if err != nil {
-		return nil, err
-	}
-	m0, _, err = sched.ImproveWithReplicationAvail(idle, app.Spec, m0, nil, 0, avail)
+	m0, _, err := workload.Deploy(idle, app.Spec, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -144,9 +144,8 @@ func runF10(seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := run(runConfig{
-			Grid: g, App: app, Initial: m0, Policy: p,
-			Interval: 1, Seed: seed, Duration: horizon, Churn: churn,
+		out, err := workload.RunSim(g, app, m0, workload.SimOptions{
+			Policy: p, Interval: 1, Seed: seed, Duration: horizon,
 		})
 		if err != nil {
 			return nil, err
@@ -156,7 +155,7 @@ func runF10(seed uint64) (*Result, error) {
 		res.Series = append(res.Series, series)
 		final := out.Exec.Mapping()
 		usesReserves := final.UsesNode(4) || final.UsesNode(5)
-		tb.AddRowf(p.String(), out.Done, out.Lost, out.Retries, out.Ctrl.Remaps,
+		tb.AddRowf(p.String(), out.Done, out.Exec.Lost(), out.Exec.Retries(), out.Ctrl.Remaps,
 			usesReserves, churn.MeanAvailability(g, horizon))
 	}
 	tb.AddNote("expected shape: adaptive policies shift stages onto the fresh idle nodes and finish well ahead of static; a joined node appears in the final mapping")

@@ -89,7 +89,7 @@ func TestChurnRunLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m0, err := initialMapping(g, app, 7)
+	m0, _, err := workload.Deploy(g, app.Spec, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,15 +97,17 @@ func TestChurnRunLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := run(runConfig{
-		Grid: g, App: app, Initial: m0, Policy: adaptive.PolicyStatic,
-		Seed: 7, Items: 200, Churn: churn,
+	if err := g.SetChurn(churn); err != nil {
+		t.Fatal(err)
+	}
+	out, err := workload.RunSim(g, app, m0, workload.SimOptions{
+		Policy: adaptive.PolicyStatic, Seed: 7, Items: 200,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Done+out.Lost != 200 {
-		t.Fatalf("done %d + lost %d != 200", out.Done, out.Lost)
+	if out.Done+out.Exec.Lost() != 200 {
+		t.Fatalf("done %d + lost %d != 200", out.Done, out.Exec.Lost())
 	}
 	if out.Exec.InFlight() != 0 {
 		t.Fatalf("inFlight = %d at end", out.Exec.InFlight())

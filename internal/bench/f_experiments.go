@@ -42,7 +42,7 @@ func runF1(seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m0, err := initialMapping(idle, app, seed)
+	m0, _, err := workload.Deploy(idle, app.Spec, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -56,9 +56,8 @@ func runF1(seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := run(runConfig{
-			Grid: g, App: app, Initial: m0, Policy: p,
-			Interval: 1, Seed: seed, Duration: horizon,
+		out, err := workload.RunSim(g, app, m0, workload.SimOptions{
+			Policy: p, Interval: 1, Seed: seed, Duration: horizon,
 		})
 		if err != nil {
 			return nil, err
@@ -121,11 +120,11 @@ func runF2(seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		m0, err := initialMapping(g, app, seed)
+		m0, _, err := workload.Deploy(g, app.Spec, seed)
 		if err != nil {
 			return nil, err
 		}
-		stc, err := run(runConfig{Grid: g, App: app, Initial: m0,
+		stc, err := workload.RunSim(g, app, m0, workload.SimOptions{
 			Policy: adaptive.PolicyStatic, Seed: seed, Items: items})
 		if err != nil {
 			return nil, err
@@ -134,7 +133,7 @@ func runF2(seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ada, err := run(runConfig{Grid: ga, App: app, Initial: m0,
+		ada, err := workload.RunSim(ga, app, m0, workload.SimOptions{
 			Policy: adaptive.PolicyReactive, Interval: 2, Seed: seed, Items: items})
 		if err != nil {
 			return nil, err
@@ -176,7 +175,7 @@ func runF3(seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m0, err := initialMapping(idle, app, seed)
+	m0, _, err := workload.Deploy(idle, app.Spec, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +186,7 @@ func runF3(seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		stc, err := run(runConfig{Grid: gs, App: app, Initial: m0,
+		stc, err := workload.RunSim(gs, app, m0, workload.SimOptions{
 			Policy: adaptive.PolicyStatic, Seed: seed, Duration: horizon})
 		if err != nil {
 			return nil, err
@@ -196,7 +195,7 @@ func runF3(seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ada, err := run(runConfig{Grid: ga, App: app, Initial: m0,
+		ada, err := workload.RunSim(ga, app, m0, workload.SimOptions{
 			Policy: adaptive.PolicyReactive, Interval: 1, Seed: seed, Duration: horizon})
 		if err != nil {
 			return nil, err
@@ -239,7 +238,7 @@ func runF4(seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := run(runConfig{Grid: g, App: app, Initial: m,
+		out, err := workload.RunSim(g, app, m, workload.SimOptions{
 			Policy: adaptive.PolicyStatic, Seed: seed, Items: items,
 			MaxInFlight: 6 * k})
 		if err != nil {
@@ -294,7 +293,7 @@ func runF5(seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		stc, err := run(runConfig{Grid: g1, App: app, Initial: m0,
+		stc, err := workload.RunSim(g1, app, m0, workload.SimOptions{
 			Policy: adaptive.PolicyStatic, Seed: seed, Duration: horizon})
 		if err != nil {
 			return nil, err
@@ -303,7 +302,7 @@ func runF5(seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ada, err := run(runConfig{Grid: g2, App: app, Initial: m0,
+		ada, err := workload.RunSim(g2, app, m0, workload.SimOptions{
 			Policy: adaptive.PolicyReactive, Interval: 2, Seed: seed, Duration: horizon})
 		if err != nil {
 			return nil, err
@@ -376,7 +375,7 @@ func runF8(seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		m0, err := initialMapping(idle, app, seed)
+		m0, _, err := workload.Deploy(idle, app.Spec, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -386,9 +385,8 @@ func runF8(seed uint64) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			out, err := run(runConfig{
-				Grid: g, App: app, Initial: m0, Policy: p,
-				Interval: 1, Seed: seed, Duration: horizon,
+			out, err := workload.RunSim(g, app, m0, workload.SimOptions{
+				Policy: p, Interval: 1, Seed: seed, Duration: horizon,
 			})
 			if err != nil {
 				return nil, err
@@ -428,7 +426,7 @@ func runF6(seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := run(runConfig{Grid: g, App: app, Initial: model.OneToOne(ns),
+		out, err := workload.RunSim(g, app, model.OneToOne(ns), workload.SimOptions{
 			Policy: adaptive.PolicyStatic, Seed: seed, Items: 400,
 			MaxInFlight: 2 * ns})
 		if err != nil {

@@ -2,43 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
 	"gridpipe/internal/adaptive"
-	"gridpipe/internal/adaptive/simadapt"
-	"gridpipe/internal/exec"
 	"gridpipe/internal/grid"
-	"gridpipe/internal/model"
 	"gridpipe/internal/rng"
-	"gridpipe/internal/sched"
-	"gridpipe/internal/sim"
 	"gridpipe/internal/trace"
-	"gridpipe/internal/workload"
 )
-
-// enginePool recycles simulation engines across experiment runs: a
-// Reset engine keeps its event-slab capacity, so the thousands of runs
-// behind a sweep re-enter allocation-free steady state immediately
-// instead of re-growing a calendar each time.
-var enginePool = sync.Pool{New: func() any { return new(sim.Engine) }}
-
-// acquireEngine returns a zeroed engine (clock at 0, empty calendar)
-// with whatever slab capacity its previous run grew.
-func acquireEngine() *sim.Engine {
-	e := enginePool.Get().(*sim.Engine)
-	e.Reset()
-	return e
-}
-
-// releaseEngine resets an engine and returns it to the pool. The Reset
-// here (acquire resets again, harmlessly) drops the finished run's
-// un-fired events — controller tickers, queued arrivals — whose
-// callbacks would otherwise keep the whole executor reachable from
-// the pool.
-func releaseEngine(e *sim.Engine) {
-	e.Reset()
-	enginePool.Put(e)
-}
 
 // stepTrace is a zero load that jumps to level at t.
 func stepTrace(t, level float64) trace.Trace {
@@ -47,108 +16,6 @@ func stepTrace(t, level float64) trace.Trace {
 
 // rngFor returns a fresh deterministic generator for a seed.
 func rngFor(seed uint64) *rng.Rand { return rng.New(seed) }
-
-// runOutcome is what one policy run of a scenario produced.
-type runOutcome struct {
-	Policy   adaptive.Policy
-	Done     int
-	Makespan float64 // only for fixed-item runs
-	Exec     *exec.Executor
-	Ctrl     adaptive.Stats
-	// Lost/Retries are the churn ledger (zero without a schedule).
-	Lost    int
-	Retries int
-}
-
-// runConfig describes one simulated pipeline run.
-type runConfig struct {
-	Grid     *grid.Grid
-	App      workload.App
-	Initial  model.Mapping
-	Policy   adaptive.Policy
-	Protocol exec.RemapProtocol
-	Interval float64 // controller period (default 1)
-	Seed     uint64
-	// Exactly one of Items / Duration must be set.
-	Items       int
-	Duration    float64
-	MaxInFlight int
-	// Sampler overrides the app's per-item work sampler when non-nil.
-	Sampler func(stage, seq int) float64
-	// Churn is the optional node-lifecycle schedule replayed during the
-	// run.
-	Churn *grid.ChurnSchedule
-	// MaxRetries is the per-item crash-retry budget (see exec.Options).
-	MaxRetries int
-}
-
-// run executes the configuration and returns the outcome.
-func run(c runConfig) (runOutcome, error) {
-	if (c.Items > 0) == (c.Duration > 0) {
-		return runOutcome{}, fmt.Errorf("bench: set exactly one of Items/Duration")
-	}
-	eng := acquireEngine()
-	defer releaseEngine(eng)
-	maxIF := c.MaxInFlight
-	if maxIF <= 0 {
-		maxIF = 4 * c.App.Spec.NumStages()
-	}
-	sampler := c.Sampler
-	if sampler == nil {
-		sampler = c.App.Sampler(c.Seed)
-	}
-	ex, err := exec.New(eng, c.Grid, c.App.Spec, c.Initial, exec.Options{
-		MaxInFlight: maxIF,
-		WorkSampler: sampler,
-		Seed:        c.Seed,
-		MaxRetries:  c.MaxRetries,
-	})
-	if err != nil {
-		return runOutcome{}, err
-	}
-	if c.Churn != nil {
-		if err := ex.InstallChurn(c.Churn); err != nil {
-			return runOutcome{}, err
-		}
-	}
-	ctrl, err := simadapt.New(eng, c.Grid, ex, c.App.Spec, simadapt.Config{
-		Policy:   c.Policy,
-		Interval: c.Interval,
-		Protocol: c.Protocol,
-		Searcher: sched.LocalSearch{Seed: c.Seed + 1},
-	})
-	if err != nil {
-		return runOutcome{}, err
-	}
-	ctrl.Start()
-	out := runOutcome{Policy: c.Policy, Exec: ex}
-	if c.Items > 0 {
-		ms, err := ex.RunItems(c.Items)
-		if err != nil {
-			return runOutcome{}, err
-		}
-		out.Makespan = ms
-		out.Done = ex.Done()
-	} else {
-		out.Done = ex.RunUntil(c.Duration)
-	}
-	ctrl.Stop()
-	out.Ctrl = ctrl.Stats()
-	out.Lost = ex.Lost()
-	out.Retries = ex.Retries()
-	return out, nil
-}
-
-// initialMapping searches a good zero-load mapping: the placement a
-// deployment-time scheduler would pick before any dynamism appears.
-func initialMapping(g *grid.Grid, app workload.App, seed uint64) (model.Mapping, error) {
-	m, _, err := (sched.LocalSearch{Seed: seed}).Search(g, app.Spec, nil)
-	if err != nil {
-		return model.Mapping{}, err
-	}
-	m, _, err = sched.ImproveWithReplication(g, app.Spec, m, nil, 0)
-	return m, err
-}
 
 // spikeGrid builds an n-node homogeneous grid where the given node is
 // hit by a background-load step of the given level at spikeAt.

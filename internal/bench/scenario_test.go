@@ -1,66 +1,6 @@
 package bench
 
-import (
-	"testing"
-
-	"gridpipe/internal/adaptive"
-	"gridpipe/internal/grid"
-	"gridpipe/internal/model"
-	"gridpipe/internal/workload"
-)
-
-func TestRunConfigValidation(t *testing.T) {
-	g, err := grid.Homogeneous(2, 1, grid.LANLink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app := workload.Balanced(2, 0.1, 0)
-	base := runConfig{Grid: g, App: app, Initial: model.OneToOne(2), Policy: adaptive.PolicyStatic}
-
-	both := base
-	both.Items = 10
-	both.Duration = 10
-	if _, err := run(both); err == nil {
-		t.Fatal("both Items and Duration accepted")
-	}
-	neither := base
-	if _, err := run(neither); err == nil {
-		t.Fatal("neither Items nor Duration rejected")
-	}
-}
-
-func TestRunProducesOutcome(t *testing.T) {
-	g, err := grid.Homogeneous(2, 1, grid.LANLink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app := workload.Balanced(2, 0.1, 0)
-	out, err := run(runConfig{
-		Grid: g, App: app, Initial: model.OneToOne(2),
-		Policy: adaptive.PolicyStatic, Items: 50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Done != 50 || out.Makespan <= 0 || out.Exec == nil {
-		t.Fatalf("outcome: %+v", out)
-	}
-}
-
-func TestInitialMappingIsValid(t *testing.T) {
-	g, err := grid.Heterogeneous([]float64{1, 2, 4}, grid.LANLink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app := workload.Genome()
-	m, err := initialMapping(g, app, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(app.Spec.NumStages(), g.NumNodes()); err != nil {
-		t.Fatal(err)
-	}
-}
+import "testing"
 
 func TestSpikeGridShape(t *testing.T) {
 	g, err := spikeGrid(4, 2, 10, 0.8)

@@ -38,7 +38,7 @@ func runT1(seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m0, err := initialMapping(idle, app, seed)
+	m0, _, err := workload.Deploy(idle, app.Spec, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +51,7 @@ func runT1(seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := run(runConfig{Grid: g, App: app, Initial: m0,
+	out, err := workload.RunSim(g, app, m0, workload.SimOptions{
 		Policy: adaptive.PolicyReactive, Interval: 1, Seed: seed, Duration: horizon})
 	if err != nil {
 		return nil, err
@@ -152,8 +152,8 @@ func runT2(seed uint64) (*Result, error) {
 		// Measure every mapping.
 		measured := make([]float64, len(cands))
 		for i, m := range cands {
-			out, err := run(runConfig{Grid: gl, App: workload.App{Name: "t2", Spec: spec},
-				Initial: m, Policy: adaptive.PolicyStatic, Seed: seed, Items: 300})
+			out, err := workload.RunSim(gl, workload.App{Name: "t2", Spec: spec}, m, workload.SimOptions{
+				Policy: adaptive.PolicyStatic, Seed: seed, Items: 300})
 			if err != nil {
 				return nil, err
 			}
@@ -234,8 +234,7 @@ func simulateTandem(seed uint64, mus []float64, buf int) (float64, error) {
 		rr := r.Derive(uint64(stage)<<32 | uint64(uint32(seq)))
 		return rr.Exp(mus[stage])
 	}
-	out, err := run(runConfig{
-		Grid: g, App: workload.App{Name: "tandem", Spec: spec}, Initial: model.OneToOne(ns),
+	out, err := workload.RunSim(g, workload.App{Name: "tandem", Spec: spec}, model.OneToOne(ns), workload.SimOptions{
 		Policy: adaptive.PolicyStatic, Seed: seed, Items: 4000,
 		MaxInFlight: ns + buf*(ns-1),
 		Sampler:     sampler,

@@ -4,16 +4,14 @@ import (
 	"fmt"
 
 	"gridpipe/internal/adaptive"
-	"gridpipe/internal/adaptive/simadapt"
+	"gridpipe/internal/exec"
 	"gridpipe/internal/grid"
 	"gridpipe/internal/model"
 	"gridpipe/internal/rng"
-	"gridpipe/internal/sched"
+	"gridpipe/internal/sim"
 	"gridpipe/internal/stats"
 	"gridpipe/internal/trace"
 	"gridpipe/internal/workload"
-
-	"gridpipe/internal/exec"
 )
 
 func init() {
@@ -58,7 +56,7 @@ func runF7(seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := run(runConfig{Grid: g, App: app, Initial: m0,
+		out, err := workload.RunSim(g, app, m0, workload.SimOptions{
 			Policy: p, Interval: 1, Seed: seed, Duration: horizon})
 		if err != nil {
 			return nil, err
@@ -109,8 +107,7 @@ func runT5(seed uint64) (*Result, error) {
 // simulatePoissonLatency measures mean pipeline latency with Poisson
 // arrivals and (optionally) exponential service.
 func simulatePoissonLatency(seed uint64, g *grid.Grid, spec model.PipelineSpec, m model.Mapping, lambda, cv float64) (float64, error) {
-	eng := acquireEngine()
-	defer releaseEngine(eng)
+	eng := &sim.Engine{}
 	var sampler func(stage, seq int) float64
 	if cv > 0 {
 		root := rng.New(seed + 7)
@@ -164,7 +161,7 @@ func runA3(seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m0, err := initialMapping(idle, app, seed)
+	m0, _, err := workload.Deploy(idle, app.Spec, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -174,34 +171,18 @@ func runA3(seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng := acquireEngine()
-		ex, err := exec.New(eng, g, app.Spec, m0, exec.Options{
-			MaxInFlight: 4 * app.Spec.NumStages(),
-			WorkSampler: app.Sampler(seed),
-			Seed:        seed,
+		out, err := workload.RunSim(g, app, m0, workload.SimOptions{
+			Policy: adaptive.PolicyPeriodic, Interval: 1, HysteresisGain: gain,
+			Seed: seed, Duration: horizon,
 		})
 		if err != nil {
 			return nil, err
 		}
-		ctrl, err := simadapt.New(eng, g, ex, app.Spec, simadapt.Config{
-			Policy:         adaptive.PolicyPeriodic,
-			Interval:       1,
-			HysteresisGain: gain,
-			Searcher:       sched.LocalSearch{Seed: seed + 1},
-		})
-		if err != nil {
-			return nil, err
+		perRemap := float64(out.Done)
+		if out.Ctrl.Remaps > 0 {
+			perRemap = float64(out.Done) / float64(out.Ctrl.Remaps)
 		}
-		ctrl.Start()
-		done := ex.RunUntil(horizon)
-		ctrl.Stop()
-		st := ctrl.Stats()
-		perRemap := float64(done)
-		if st.Remaps > 0 {
-			perRemap = float64(done) / float64(st.Remaps)
-		}
-		tb.AddRowf(gain, done, st.Remaps, ex.Migrations(), perRemap)
-		releaseEngine(eng)
+		tb.AddRowf(gain, out.Done, out.Ctrl.Remaps, out.Exec.Migrations(), perRemap)
 	}
 	tb.AddNote("expected shape: remaps fall sharply with gain; throughput stays flat or improves — churn buys nothing")
 	res.Tables = []*stats.Table{tb}

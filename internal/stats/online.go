@@ -100,11 +100,6 @@ func (r *Ring) Len() int {
 	return r.head
 }
 
-// Values returns the samples oldest-first in a freshly allocated slice.
-func (r *Ring) Values() []float64 {
-	return r.AppendValues(make([]float64, 0, r.Len()))
-}
-
 // AppendValues appends the samples oldest-first to dst and returns the
 // extended slice; it allocates nothing when dst has room.
 func (r *Ring) AppendValues(dst []float64) []float64 {

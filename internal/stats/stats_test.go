@@ -157,13 +157,13 @@ func TestRing(t *testing.T) {
 	}
 	r.Add(1)
 	r.Add(2)
-	if got := r.Values(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Values = %v", got)
+	if got := r.AppendValues(nil); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("AppendValues = %v", got)
 	}
 	r.Add(3)
 	r.Add(4) // evicts 1
-	if got := r.Values(); len(got) != 3 || got[0] != 2 || got[2] != 4 {
-		t.Fatalf("Values after wrap = %v", got)
+	if got := r.AppendValues(nil); len(got) != 3 || got[0] != 2 || got[2] != 4 {
+		t.Fatalf("AppendValues after wrap = %v", got)
 	}
 	if !almostEq(r.Mean(), 3, 1e-12) {
 		t.Fatalf("Mean = %v", r.Mean())
@@ -187,7 +187,7 @@ func TestRingWrapProperty(t *testing.T) {
 				want = want[1:]
 			}
 		}
-		got := r.Values()
+		got := r.AppendValues(nil)
 		if len(got) != len(want) {
 			return false
 		}

@@ -1,6 +1,8 @@
 // Live-execution support: the bundled workloads' stage functions for
-// the goroutine runtime, and the harness behind experiment F11 and
-// adaptpipe -live.
+// the goroutine runtime, and RunLive, the harness behind experiment
+// F11 and adaptpipe -live. Its virtual-time counterpart is RunSim
+// (sim.go), behind Pipeline.Simulate, the simulated experiments and
+// adaptpipe's default mode.
 //
 // A grid pipeline's stage executes on a backing resource (a cluster
 // node, a remote service); the live stage function models that as

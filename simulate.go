@@ -5,11 +5,9 @@ import (
 	"io"
 
 	"gridpipe/internal/adaptive"
-	"gridpipe/internal/adaptive/simadapt"
 	"gridpipe/internal/exec"
 	"gridpipe/internal/grid"
 	"gridpipe/internal/sched"
-	"gridpipe/internal/sim"
 	"gridpipe/internal/workload"
 )
 
@@ -186,102 +184,60 @@ func (p *Pipeline) Simulate(sg *SimGrid, opts SimOptions) (SimReport, error) {
 	if sg == nil {
 		return SimReport{}, fmt.Errorf("gridpipe: nil grid")
 	}
-	if (opts.Items > 0) == (opts.Duration > 0) {
-		return SimReport{}, fmt.Errorf("gridpipe: set exactly one of Items/Duration")
-	}
 	pol, err := parsePolicy(opts.Policy)
 	if err != nil {
 		return SimReport{}, err
 	}
 	spec := p.spec
 	spec.InBytes = opts.InBytes
-
-	// The deployment-time mapping may only use nodes that exist at t=0:
-	// churn-scheduled late joiners are excluded and folded in by the
-	// controller once they join.
-	var avail []bool
-	churn := sg.g.Churn()
-	if churn != nil {
-		avail = churn.InitialAvail(sg.g)
-	}
-	m0, _, err := sched.LocalSearch{Seed: opts.Seed}.SearchAvail(sg.g, spec, nil, avail)
+	m0, pred, err := workload.Deploy(sg.g, spec, opts.Seed)
 	if err != nil {
-		return SimReport{}, err
-	}
-	m0, pred, err := sched.ImproveWithReplicationAvail(sg.g, spec, m0, nil, 0, avail)
-	if err != nil {
-		return SimReport{}, err
-	}
-
-	app := workload.App{Name: "user", Spec: spec, CV: opts.CV}
-	eng := &sim.Engine{}
-	ex, err := exec.New(eng, sg.g, spec, m0, exec.Options{
-		MaxInFlight: 4 * spec.NumStages(),
-		WorkSampler: app.Sampler(opts.Seed),
-		Seed:        opts.Seed,
-		MaxRetries:  opts.MaxRetries,
-	})
-	if err != nil {
-		return SimReport{}, err
-	}
-	if err := ex.InstallChurn(churn); err != nil {
 		return SimReport{}, err
 	}
 	proto := exec.DrainSafe
 	if opts.KillRestart {
 		proto = exec.KillRestart
 	}
-	ctrl, err := simadapt.New(eng, sg.g, ex, spec, simadapt.Config{
-		Policy:   pol,
-		Interval: opts.Interval,
-		Protocol: proto,
-		Searcher: sched.LocalSearch{Seed: opts.Seed + 1},
+	out, err := workload.RunSim(sg.g, workload.App{Name: "user", Spec: spec, CV: opts.CV}, m0, workload.SimOptions{
+		Items: opts.Items, Duration: opts.Duration,
+		Policy: pol, Protocol: proto, Interval: opts.Interval,
+		Seed: opts.Seed, MaxRetries: opts.MaxRetries,
 	})
 	if err != nil {
 		return SimReport{}, err
 	}
-	ctrl.Start()
 
+	ex := out.Exec
 	rep := SimReport{
+		Done:                out.Done,
+		Makespan:            out.Makespan,
+		Remaps:              out.Ctrl.Remaps,
+		FaultRemaps:         out.Ctrl.FaultRemaps,
+		Migrations:          ex.Migrations(),
+		Lost:                ex.Lost(),
+		Retries:             ex.Retries(),
+		MeanAvailability:    1,
 		InitialMapping:      m0.String(),
+		FinalMapping:        ex.Mapping().String(),
 		PredictedThroughput: pred.Throughput,
 	}
-	var elapsed float64
+	elapsed := opts.Duration
 	if opts.Items > 0 {
-		ms, err := ex.RunItems(opts.Items)
-		if err != nil {
-			return SimReport{}, err
-		}
-		rep.Makespan = ms
-		rep.Done = ex.Done()
-		elapsed = ms
-	} else {
-		rep.Done = ex.RunUntil(opts.Duration)
-		elapsed = opts.Duration
+		elapsed = out.Makespan
 	}
-	ctrl.Stop()
 	if elapsed > 0 {
 		rep.Throughput = float64(rep.Done) / elapsed
 	}
-	lats := ex.Latencies()
-	if len(lats) > 0 {
+	if lats := ex.Latencies(); len(lats) > 0 {
 		sum := 0.0
 		for _, l := range lats {
 			sum += l
 		}
 		rep.MeanLatency = sum / float64(len(lats))
 	}
-	st := ctrl.Stats()
-	rep.Remaps = st.Remaps
-	rep.FaultRemaps = st.FaultRemaps
-	rep.Migrations = ex.Migrations()
-	rep.Lost = ex.Lost()
-	rep.Retries = ex.Retries()
-	rep.MeanAvailability = 1
-	if churn != nil && elapsed > 0 {
+	if churn := sg.g.Churn(); churn != nil && elapsed > 0 {
 		rep.MeanAvailability = churn.MeanAvailability(sg.g, elapsed)
 	}
-	rep.FinalMapping = ex.Mapping().String()
 	return rep, nil
 }
 
@@ -295,7 +251,7 @@ func (p *Pipeline) PredictMapping(sg *SimGrid, loads []float64, seed uint64) (st
 	if err != nil {
 		return "", 0, err
 	}
-	m, pred, err := sched.ImproveWithReplication(sg.g, p.spec, m, loads, 0)
+	m, pred, err := sched.ImproveWithReplicationAvail(sg.g, p.spec, m, loads, 0, nil)
 	if err != nil {
 		return "", 0, err
 	}
