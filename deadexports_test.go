@@ -37,7 +37,6 @@ var testOnlyExports = map[string]string{
 	"exec.NodeShares.Serving": "cluster.TestClusterStateFollowsRunningTenants",
 	"sim.Event.Cancelled":     "the handle-generation tests (pool_test.go, reset_test.go)",
 	"sim.Event.Pending":       "the handle-generation tests (pool_test.go, reset_test.go)",
-	"stats.Table.Headers":     "bench.TestRunAllParallelMatchesSequential",
 	"stats.Table.NumRows":     "the experiment-table tests in internal/bench",
 	"stats.Table.Row":         "the experiment-table tests in internal/bench",
 	// Exercised only by their own tests.

@@ -1,15 +1,13 @@
 package bench
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // A parallel sweep must produce cell-identical tables to a sequential
 // one: every experiment's randomness hangs off the seed argument
 // only. Wall-clock columns (T4's search cost) are the single
 // exception — they measure real time and differ even between two
-// sequential runs — so the comparison masks them by header.
+// sequential runs — so the comparison skips the columns a table marks
+// as wall-clock.
 //
 // Wall-clock experiments (F11) are taken out of the registry for the
 // two sweeps: their cells differ between any two runs, so running them
@@ -49,12 +47,15 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 			if st.NumRows() != pt.NumRows() {
 				t.Fatalf("%s table %d: row counts differ", id, ti)
 			}
-			headers := st.Headers()
+			wall := map[int]bool{}
+			for _, c := range st.Doc().WallClock {
+				wall[c] = true
+			}
 			for r := 0; r < st.NumRows(); r++ {
 				srow, prow := st.Row(r), pt.Row(r)
 				for c := range srow {
-					if c < len(headers) && strings.Contains(headers[c], "(ms)") {
-						continue // wall-clock cell
+					if wall[c] {
+						continue
 					}
 					if srow[c] != prow[c] {
 						t.Errorf("%s table %d cell (%d,%d): sequential %q vs parallel %q",

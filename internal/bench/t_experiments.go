@@ -306,6 +306,7 @@ func runT4(seed uint64) (*Result, error) {
 	res := &Result{ID: "T4", Title: "mapping search strategies"}
 	tb := stats.NewTable("T4 search quality (predicted thr / best) and cost",
 		"Ns", "Np", "strategy", "quality", "cost (ms)", "mapping")
+	tb.MarkWallClock(4)
 	cases := []struct{ ns, np int }{{4, 4}, {8, 4}, {8, 8}, {12, 8}}
 	for _, c := range cases {
 		// Random stage works and node speeds, fixed per seed.

@@ -11,11 +11,13 @@ type TableDoc struct {
 	Headers []string   `json:"headers,omitempty"`
 	Rows    [][]string `json:"rows"`
 	Notes   []string   `json:"notes,omitempty"`
+	// WallClock lists the columns measured on the wall clock.
+	WallClock []int `json:"wall_clock,omitempty"`
 }
 
 // Doc returns the table's machine-readable form.
 func (t *Table) Doc() TableDoc {
-	d := TableDoc{Title: t.Title, Headers: t.headers, Rows: t.rows, Notes: t.notes}
+	d := TableDoc{Title: t.Title, Headers: t.headers, Rows: t.rows, Notes: t.notes, WallClock: t.wallClock}
 	if d.Rows == nil {
 		d.Rows = [][]string{}
 	}

@@ -9,6 +9,7 @@ func TestTableJSONRoundTrip(t *testing.T) {
 	tb := NewTable("demo", "a", "b")
 	tb.AddRowf("x", 1.5)
 	tb.AddNote("a note")
+	tb.MarkWallClock(1)
 	data, err := json.Marshal(tb)
 	if err != nil {
 		t.Fatal(err)
@@ -17,7 +18,8 @@ func TestTableJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &d); err != nil {
 		t.Fatal(err)
 	}
-	if d.Title != "demo" || len(d.Headers) != 2 || len(d.Rows) != 1 || len(d.Notes) != 1 {
+	if d.Title != "demo" || len(d.Headers) != 2 || len(d.Rows) != 1 || len(d.Notes) != 1 ||
+		len(d.WallClock) != 1 || d.WallClock[0] != 1 {
 		t.Fatalf("round trip lost data: %+v", d)
 	}
 	if d.Rows[0][1] != "1.5" {

@@ -9,10 +9,11 @@ import (
 // fixed-width columns. The experiment harness uses it to print every
 // reproduced table in a form directly comparable with the paper's.
 type Table struct {
-	Title   string
-	headers []string
-	rows    [][]string
-	notes   []string
+	Title     string
+	headers   []string
+	rows      [][]string
+	notes     []string
+	wallClock []int
 }
 
 // NewTable returns a table with the given title and column headers.
@@ -46,14 +47,16 @@ func (t *Table) AddNote(format string, args ...any) {
 	t.notes = append(t.notes, fmt.Sprintf(format, args...))
 }
 
+// MarkWallClock marks column col as measured on the wall clock: its
+// cells differ between two runs at the same seed, so comparisons of
+// experiment output skip them.
+func (t *Table) MarkWallClock(col int) { t.wallClock = append(t.wallClock, col) }
+
 // NumRows returns the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
 
 // Row returns row i.
 func (t *Table) Row(i int) []string { return t.rows[i] }
-
-// Headers returns the column headers.
-func (t *Table) Headers() []string { return t.headers }
 
 // String renders the table.
 func (t *Table) String() string {
