@@ -6,13 +6,11 @@
 //
 //	pipebench -list
 //	pipebench -exp F1 [-seed 42] [-csv] [-json] [-outdir DIR]
-//	pipebench -all [-seed 42] [-workers N] [-json]
+//	pipebench -all [-seed 42] [-json]
 //
-// -all fans the experiments across -workers goroutines (default one per
-// CPU); every experiment seeds its own RNG streams, so the tables equal
-// a sequential sweep's and print in ID order (wall-clock experiments
-// such as F11 run alone after the pool drains). -csv also dumps every
-// figure series as CSV for offline plotting.
+// -all runs the experiments one after another in ID order. -csv also
+// dumps every figure series as CSV for offline plotting. At seed 42,
+// `pipebench -all -json` regenerates testdata/golden/pipebench.json.
 package main
 
 import (
@@ -38,7 +36,6 @@ func main() {
 		csv     = flag.Bool("csv", false, "also print figure series as CSV")
 		jsonOut = flag.Bool("json", false, "print experiment results as JSON (one document per experiment)")
 		outdir  = flag.String("outdir", "", "write every table and series as CSV files into this directory")
-		workers = flag.Int("workers", runtime.NumCPU(), "worker pool size for -all (1 = sequential)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf = flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	)
@@ -78,7 +75,7 @@ func main() {
 		listExperiments(os.Stdout)
 	case *all:
 		failed := false
-		for _, out := range bench.RunAll(*seed, *workers) {
+		for _, out := range bench.RunAll(*seed) {
 			err := out.Err
 			if err == nil {
 				err = emitOne(out.Result, *csv, *jsonOut, *outdir)

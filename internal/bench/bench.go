@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"gridpipe/internal/stats"
 )
@@ -68,8 +67,7 @@ type Experiment struct {
 	Run   func(seed uint64) (*Result, error)
 	// WallClock marks experiments that measure real time on this
 	// machine (the live-runtime experiments): their tables vary
-	// between runs, and RunAll keeps them out of the parallel pool so
-	// concurrent sweeps cannot pollute their measurements.
+	// between runs, so the tables golden leaves them out.
 	WallClock bool
 }
 
@@ -114,56 +112,14 @@ type RunOutcome struct {
 	Err        error
 }
 
-// RunAll executes every registered experiment at the given seed,
-// fanning the runs across a bounded pool of workers goroutines
-// (workers <= 1 runs sequentially). Outcomes return in ID order.
-//
-// Parallelism cannot perturb the tables: every experiment derives all
-// of its randomness deterministically from the seed argument alone
-// (per-run rng.New streams, per-(stage,seq) derived samplers), and the
-// shared engine pool hands out Reset engines, so each outcome is
-// byte-identical to what a sequential sweep produces.
-func RunAll(seed uint64, workers int) []RunOutcome {
+// RunAll executes every registered experiment at the given seed, one
+// after another in ID order.
+func RunAll(seed uint64) []RunOutcome {
 	exps := All()
 	out := make([]RunOutcome, len(exps))
-	if workers > len(exps) {
-		workers = len(exps)
-	}
-	if workers <= 1 {
-		for i, e := range exps {
-			res, err := e.Run(seed)
-			out[i] = RunOutcome{Experiment: e, Result: res, Err: err}
-		}
-		return out
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				res, err := exps[i].Run(seed)
-				out[i] = RunOutcome{Experiment: exps[i], Result: res, Err: err}
-			}
-		}()
-	}
-	for i := range exps {
-		if exps[i].WallClock {
-			continue // measured on real time; runs alone below
-		}
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	// Wall-clock experiments run sequentially on the drained machine:
-	// fanning them out with the simulated sweeps would let unrelated
-	// CPU work pollute their timings.
-	for i := range exps {
-		if exps[i].WallClock {
-			res, err := exps[i].Run(seed)
-			out[i] = RunOutcome{Experiment: exps[i], Result: res, Err: err}
-		}
+	for i, e := range exps {
+		res, err := e.Run(seed)
+		out[i] = RunOutcome{Experiment: e, Result: res, Err: err}
 	}
 	return out
 }

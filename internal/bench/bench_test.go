@@ -427,20 +427,3 @@ func TestA3Shape(t *testing.T) {
 			cell(t, tb, 1, 1), cell(t, tb, 0, 1))
 	}
 }
-
-func TestExperimentsDeterministic(t *testing.T) {
-	for _, id := range []string{"F3", "T3"} {
-		e, _ := ByID(id)
-		a, err := e.Run(7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := e.Run(7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.String() != b.String() {
-			t.Errorf("%s not deterministic for fixed seed", id)
-		}
-	}
-}
