@@ -2,9 +2,13 @@
 
 GO ?= go
 
-.PHONY: check build vet test bench bench-quick race loc
+.PHONY: check fmt build vet test bench bench-quick race loc
 
-check: build vet test
+check: fmt build vet test
+
+# Fails, listing them, if any Go file is not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

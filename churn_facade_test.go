@@ -122,11 +122,11 @@ func TestWithChurnValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := [][]ChurnEvent{
-		{{T: 5, Node: "node9", Kind: "crash"}},                                // unknown node
-		{{T: 5, Node: "node1", Kind: "rejoin"}},                               // rejoin before crash
+		{{T: 5, Node: "node9", Kind: "crash"}},                                       // unknown node
+		{{T: 5, Node: "node1", Kind: "rejoin"}},                                      // rejoin before crash
 		{{T: 5, Node: "node1", Kind: "crash"}, {T: 6, Node: "node1", Kind: "crash"}}, // overlapping windows
-		{{T: 5, Node: "node1", Kind: "explode"}},                              // unknown kind
-		{{T: -1, Node: "node1", Kind: "crash"}},                               // negative time
+		{{T: 5, Node: "node1", Kind: "explode"}},                                     // unknown kind
+		{{T: -1, Node: "node1", Kind: "crash"}},                                      // negative time
 	}
 	for i, evs := range cases {
 		if err := sg.WithChurn(evs...); err == nil {

@@ -114,16 +114,16 @@ func TestTraceFromCSVErrors(t *testing.T) {
 		in   string
 		opts CSVTraceOptions
 	}{
-		"no time column":    {in: "a,b\n1,2\n", opts: CSVTraceOptions{}},
-		"bad time":          {in: "t\nnope\n", opts: CSVTraceOptions{}},
-		"negative time":     {in: "t\n-1\n", opts: CSVTraceOptions{}},
-		"unknown app":       {in: "t,app\n1,bogus\n", opts: CSVTraceOptions{}},
-		"unknown opts app":  {in: "t\n1\n", opts: CSVTraceOptions{App: "bogus"}},
-		"bad items":         {in: "t,items\n1,x\n", opts: CSVTraceOptions{}},
-		"bad bucket count":  {in: "f,1\nx,-3\n", opts: CSVTraceOptions{}},
-		"too many events":   {in: "f,1\nx,9\n", opts: CSVTraceOptions{MaxEvents: 4}},
-		"long event cap":    {in: "t\n1\n2\n3\n", opts: CSVTraceOptions{MaxEvents: 2}},
-		"ragged row":        {in: "t,app\n1\n", opts: CSVTraceOptions{}},
+		"no time column":   {in: "a,b\n1,2\n", opts: CSVTraceOptions{}},
+		"bad time":         {in: "t\nnope\n", opts: CSVTraceOptions{}},
+		"negative time":    {in: "t\n-1\n", opts: CSVTraceOptions{}},
+		"unknown app":      {in: "t,app\n1,bogus\n", opts: CSVTraceOptions{}},
+		"unknown opts app": {in: "t\n1\n", opts: CSVTraceOptions{App: "bogus"}},
+		"bad items":        {in: "t,items\n1,x\n", opts: CSVTraceOptions{}},
+		"bad bucket count": {in: "f,1\nx,-3\n", opts: CSVTraceOptions{}},
+		"too many events":  {in: "f,1\nx,9\n", opts: CSVTraceOptions{MaxEvents: 4}},
+		"long event cap":   {in: "t\n1\n2\n3\n", opts: CSVTraceOptions{MaxEvents: 2}},
+		"ragged row":       {in: "t,app\n1\n", opts: CSVTraceOptions{}},
 	}
 	for name, tc := range cases {
 		if _, err := TraceFromCSV(strings.NewReader(tc.in), tc.opts); err == nil {
