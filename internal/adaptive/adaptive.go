@@ -209,43 +209,44 @@ type Config struct {
 	// Interval is the sensing/decision period in the substrate's time
 	// unit — virtual seconds simulated, wall seconds live (default 1).
 	Interval float64
-	// DegradationFactor triggers re-evaluation when observed
-	// throughput falls below this fraction of the substrate's
-	// expectation for the current configuration (default 0.7).
-	DegradationFactor float64
-	// ImbalanceThreshold triggers re-evaluation when the max/min stage
-	// slowdown ratio exceeds it (default 3).
-	ImbalanceThreshold float64
 	// HysteresisGain is the minimum predicted throughput ratio
-	// new/current required to actually reconfigure (default 1.15). It
-	// is the knob that stops oscillation; experiments F3 and A3 sweep
-	// the regime where it matters.
+	// new/current required to actually reconfigure (default
+	// DefaultHysteresisGain). It is the knob that stops oscillation;
+	// experiments F3 and A3 sweep the regime where it matters.
 	HysteresisGain float64
 	// Cooldown is the minimum time between two reconfigurations
 	// (default 0 = none). A second anti-churn guard, independent of
 	// the predicted gain.
 	Cooldown float64
-	// ThroughputWindow is the trailing window for observed throughput
-	// (default 5×Interval).
-	ThroughputWindow float64
 }
+
+// The trigger thresholds every substrate shares.
+const (
+	// DegradationFactor triggers re-evaluation when observed
+	// throughput falls below this fraction of the substrate's
+	// expectation for the current configuration.
+	DegradationFactor = 0.7
+	// imbalanceThreshold triggers re-evaluation when the max/min stage
+	// slowdown ratio exceeds it.
+	imbalanceThreshold = 3
+	// DefaultHysteresisGain is HysteresisGain's default.
+	DefaultHysteresisGain = 1.15
+)
 
 func (c *Config) fillDefaults() {
 	if c.Interval <= 0 {
 		c.Interval = 1
 	}
-	if c.DegradationFactor <= 0 {
-		c.DegradationFactor = 0.7
-	}
-	if c.ImbalanceThreshold <= 0 {
-		c.ImbalanceThreshold = 3
-	}
 	if c.HysteresisGain <= 0 {
-		c.HysteresisGain = 1.15
+		c.HysteresisGain = DefaultHysteresisGain
 	}
-	if c.ThroughputWindow <= 0 {
-		c.ThroughputWindow = 5 * c.Interval
-	}
+}
+
+// ThroughputWindow is the trailing window over which the degradation
+// trigger reads observed throughput: five decision intervals.
+func (c Config) ThroughputWindow() float64 {
+	c.fillDefaults()
+	return 5 * c.Interval
 }
 
 // Event records one actual reconfiguration.
@@ -444,13 +445,13 @@ func (c *Controller) shouldSearch(now, expected float64) bool {
 		return true
 	case PolicyReactive, PolicyPredictive:
 		// Degradation trigger: observed vs the substrate's expectation.
-		obs := c.sensor.Throughput(c.cfg.ThroughputWindow, now)
-		if !math.IsNaN(obs) && expected > 0 && obs < c.cfg.DegradationFactor*expected {
+		obs := c.sensor.Throughput(c.cfg.ThroughputWindow(), now)
+		if !math.IsNaN(obs) && expected > 0 && obs < DegradationFactor*expected {
 			return true
 		}
 		// Imbalance trigger: one stage's slowdown far exceeds
 		// another's — a placement problem.
-		if imb := c.imbalance(); !math.IsNaN(imb) && imb > c.cfg.ImbalanceThreshold {
+		if imb := c.imbalance(); !math.IsNaN(imb) && imb > imbalanceThreshold {
 			return true
 		}
 		// Predictive additionally searches when the forecast makes the
@@ -460,10 +461,10 @@ func (c *Controller) shouldSearch(now, expected float64) bool {
 		if c.cfg.Policy == PolicyPredictive {
 			if len(c.stats.Events) > 0 {
 				last := c.stats.Events[len(c.stats.Events)-1]
-				if expected < c.cfg.DegradationFactor*last.PredictedNew {
+				if expected < DegradationFactor*last.PredictedNew {
 					return true
 				}
-			} else if obsNaN := math.IsNaN(obs); !obsNaN && expected > 0 && obs < expected*c.cfg.DegradationFactor {
+			} else if obsNaN := math.IsNaN(obs); !obsNaN && expected > 0 && obs < expected*DegradationFactor {
 				return true
 			}
 		}

@@ -60,7 +60,7 @@ type grainWalk struct {
 	nb      int             // boundary count (1 without et)
 	max     int             // grain ceiling
 	margin  float64         // accept threshold (derived from HysteresisGain)
-	degrade float64         // re-arm threshold (DegradationFactor)
+	degrade float64         // re-arm threshold (adaptive.DegradationFactor)
 
 	last    float64 // time of the last grain change (cooldown anchor)
 	b       int     // boundary currently being probed
@@ -92,8 +92,7 @@ func (w *grainWalk) step(s *liveSub, now float64) {
 	if now-w.last < cool {
 		return
 	}
-	window := math.Max(s.cfg.ThroughputWindow.Seconds(), cool)
-	tput := s.Throughput(window, now)
+	tput := s.Throughput(cool, now)
 	if math.IsNaN(tput) {
 		return
 	}

@@ -82,19 +82,14 @@ type Config struct {
 	// Interval is the wall-clock sensing/decision period
 	// (default 250 ms).
 	Interval time.Duration
-	// DegradationFactor, ImbalanceThreshold, and HysteresisGain tune
-	// the shared trigger machinery; see adaptive.Config.
-	DegradationFactor  float64
-	ImbalanceThreshold float64
-	HysteresisGain     float64
+	// HysteresisGain tunes the shared trigger machinery; see
+	// adaptive.Config.
+	HysteresisGain float64
 	// Cooldown is the minimum wall time between two resizes
 	// (default 2×Interval). Live resizes are cheap but worker-pool
 	// growth ramps over items, so back-to-back decisions act on stale
 	// evidence without this guard.
 	Cooldown time.Duration
-	// ThroughputWindow is the trailing window for the observed exit
-	// rate (default 5×Interval).
-	ThroughputWindow time.Duration
 	// MaxWorkers is the total worker budget across all stages
 	// (default 2×GOMAXPROCS). It is the live counterpart of the
 	// simulator's elastic reserves: capacity the controller may fold
@@ -217,13 +212,10 @@ func newController(target Target, info []StageInfo, cfg Config) (*Controller, er
 		if err := gt.SetGrain(gt.Grain()); err != nil {
 			return nil, fmt.Errorf("liveadapt: AdaptGrain: %w", err)
 		}
+		// A margin at or below 1 would accept a losing step.
 		hg := cfg.HysteresisGain
 		if hg <= 1 {
-			hg = 1.15 // the shared trigger default (adaptive.Config)
-		}
-		df := cfg.DegradationFactor
-		if df <= 0 || df >= 1 {
-			df = 0.7
+			hg = adaptive.DefaultHysteresisGain
 		}
 		sub.grain = &grainWalk{
 			target: gt,
@@ -232,7 +224,7 @@ func newController(target Target, info []StageInfo, cfg Config) (*Controller, er
 			// Accepting a grain step is cheaper than a remapping, so
 			// the walk demands a quarter of the resize margin.
 			margin:  1 + (hg-1)/4,
-			degrade: df,
+			degrade: adaptive.DegradationFactor,
 			rate:    math.NaN(),
 		}
 		// A per-edge target turns the walk into a coordinate descent
@@ -248,13 +240,10 @@ func newController(target Target, info []StageInfo, cfg Config) (*Controller, er
 		}
 	}
 	core, err := adaptive.New(sub, sub, &wallClock{epoch: sub.epoch}, adaptive.Config{
-		Policy:             cfg.Policy,
-		Interval:           cfg.Interval.Seconds(),
-		DegradationFactor:  cfg.DegradationFactor,
-		ImbalanceThreshold: cfg.ImbalanceThreshold,
-		HysteresisGain:     cfg.HysteresisGain,
-		Cooldown:           cfg.Cooldown.Seconds(),
-		ThroughputWindow:   cfg.ThroughputWindow.Seconds(),
+		Policy:         cfg.Policy,
+		Interval:       cfg.Interval.Seconds(),
+		HysteresisGain: cfg.HysteresisGain,
+		Cooldown:       cfg.Cooldown.Seconds(),
 	})
 	if err != nil {
 		return nil, err
@@ -325,8 +314,8 @@ func (s *liveSub) Sample(now float64) {
 		s.lastN[i], s.lastS[i] = n, sum
 	}
 	s.samples = append(s.samples, rateSample{t: now, n: s.completed()})
-	// Prune history beyond any window a trigger could ask about.
-	keep := 4 * math.Max(s.cfg.ThroughputWindow.Seconds(), 5*s.cfg.Interval.Seconds())
+	// Prune history beyond four trigger windows (5×Interval each).
+	keep := 20 * s.cfg.Interval.Seconds()
 	cut := 0
 	for cut < len(s.samples)-1 && s.samples[cut].t < now-keep {
 		cut++

@@ -37,14 +37,10 @@ type Config struct {
 	// Interval is the sensing/decision period in virtual seconds
 	// (default 1).
 	Interval float64
-	// DegradationFactor, ImbalanceThreshold, HysteresisGain, Cooldown,
-	// and ThroughputWindow tune the shared trigger machinery; see
-	// adaptive.Config for semantics and defaults.
-	DegradationFactor  float64
-	ImbalanceThreshold float64
-	HysteresisGain     float64
-	Cooldown           float64
-	ThroughputWindow   float64
+	// HysteresisGain and Cooldown tune the shared trigger machinery;
+	// see adaptive.Config for semantics and defaults.
+	HysteresisGain float64
+	Cooldown       float64
 	// Protocol is how in-flight work is handled on remap.
 	Protocol exec.RemapProtocol
 	// MaxReplicas bounds stage replication width (0 = grid size).
@@ -87,15 +83,7 @@ func newController(g *grid.Grid, ex *exec.Executor, spec model.PipelineSpec, cfg
 		&sensor{g: g, ex: ex, spec: spec, sensors: sensors, loadBuf: make([]float64, len(sensors))},
 		act,
 		clk,
-		adaptive.Config{
-			Policy:             cfg.Policy,
-			Interval:           cfg.Interval,
-			DegradationFactor:  cfg.DegradationFactor,
-			ImbalanceThreshold: cfg.ImbalanceThreshold,
-			HysteresisGain:     cfg.HysteresisGain,
-			Cooldown:           cfg.Cooldown,
-			ThroughputWindow:   cfg.ThroughputWindow,
-		})
+		adaptive.Config{Policy: cfg.Policy, Interval: cfg.Interval, HysteresisGain: cfg.HysteresisGain, Cooldown: cfg.Cooldown})
 	if err != nil {
 		return nil, err
 	}

@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"gridpipe/internal/adaptive"
+	"gridpipe/internal/exec"
 	"gridpipe/internal/model"
 	"gridpipe/internal/monitor"
 )
@@ -33,6 +34,8 @@ import (
 // cluster.
 type arbSub struct {
 	c *Cluster
+	// window is the controller's throughput window.
+	window float64
 	// Reused per-tick buffers: the controller keeps none of them past
 	// the tick, and the divider copies the loads it memoizes.
 	loadBuf []float64
@@ -94,7 +97,7 @@ func (s *arbSub) Slowdowns() []float64 {
 	}
 	s.slowBuf = s.slowBuf[:len(actives)]
 	for i, j := range actives {
-		obs := j.ex.Monitor().RecentThroughput(s.c.cfg.ThroughputWindow, s.c.eng.Now())
+		obs := j.ex.Monitor().RecentThroughput(s.window, s.c.eng.Now())
 		if math.IsNaN(obs) || obs <= 0 || j.pred.Throughput <= 0 {
 			s.slowBuf[i] = math.NaN()
 			continue
@@ -212,7 +215,7 @@ func (s *arbSub) Apply(p *adaptive.Proposal) adaptive.Actuation {
 		}
 		j.setMask(plan.masks[i])
 		if !plan.mappings[i].Equal(j.mapping) {
-			st, err := j.ex.Remap(plan.mappings[i], s.c.cfg.Protocol)
+			st, err := j.ex.Remap(plan.mappings[i], exec.DrainSafe)
 			if err != nil {
 				panic(fmt.Sprintf("cluster: job %q remap: %v", j.spec.Name, err))
 			}

@@ -65,21 +65,11 @@ type Config struct {
 	Policy adaptive.Policy
 	// Interval is the arbitration tick in virtual seconds (default 1).
 	Interval float64
-	// DegradationFactor, ImbalanceThreshold, HysteresisGain, Cooldown,
-	// and ThroughputWindow tune the shared trigger machinery
+	// HysteresisGain and Cooldown tune the shared trigger machinery
 	// (adaptive.Config semantics; the imbalance trigger reads per-job
 	// degradation spread — unfairness — instead of stage spread).
-	DegradationFactor  float64
-	ImbalanceThreshold float64
-	HysteresisGain     float64
-	Cooldown           float64
-	ThroughputWindow   float64
-	// Protocol is how in-flight work is handled on cross-job remaps.
-	Protocol exec.RemapProtocol
-	// MaxReplicas bounds per-stage replication width (0 = lease size).
-	MaxReplicas int
-	// MaxInFlight is the per-job CONWIP window (0 = 4× stage count).
-	MaxInFlight int
+	HysteresisGain float64
+	Cooldown       float64
 	// Admission selects the admission-control mode.
 	Admission Admission
 	// Seed is the root seed; every job derives its own keyed
@@ -88,13 +78,9 @@ type Config struct {
 	Seed uint64
 }
 
-func (c *Config) fillDefaults() {
-	if c.Interval <= 0 {
-		c.Interval = 1
-	}
-	if c.ThroughputWindow <= 0 {
-		c.ThroughputWindow = 5 * c.Interval
-	}
+// controllerConfig is the arbitration controller's configuration.
+func (c Config) controllerConfig() adaptive.Config {
+	return adaptive.Config{Policy: c.Policy, Interval: c.Interval, HysteresisGain: c.HysteresisGain, Cooldown: c.Cooldown}
 }
 
 // JobState is one job's position in the admission lifecycle.
@@ -206,7 +192,6 @@ func New(g *grid.Grid, cfg Config) (*Cluster, error) {
 	if g == nil {
 		return nil, fmt.Errorf("cluster: nil grid")
 	}
-	cfg.fillDefaults()
 	c := &Cluster{
 		g:       g,
 		eng:     &sim.Engine{},
@@ -217,7 +202,7 @@ func New(g *grid.Grid, cfg Config) (*Cluster, error) {
 	for i := range c.sensors {
 		c.sensors[i] = monitor.NewNodeSensor(g.Node(grid.NodeID(i)), nil)
 	}
-	c.div = NewDivider(g, cfg.MaxReplicas)
+	c.div = NewDivider(g, 0)
 	return c, nil
 }
 
@@ -291,16 +276,9 @@ func (c *Cluster) Run() (Report, error) {
 	}
 	c.started = true
 	if c.cfg.Policy != adaptive.PolicyStatic {
-		sub := &arbSub{c: c}
-		core, err := adaptive.New(sub, sub, simClock{eng: c.eng}, adaptive.Config{
-			Policy:             c.cfg.Policy,
-			Interval:           c.cfg.Interval,
-			DegradationFactor:  c.cfg.DegradationFactor,
-			ImbalanceThreshold: c.cfg.ImbalanceThreshold,
-			HysteresisGain:     c.cfg.HysteresisGain,
-			Cooldown:           c.cfg.Cooldown,
-			ThroughputWindow:   c.cfg.ThroughputWindow,
-		})
+		acfg := c.cfg.controllerConfig()
+		sub := &arbSub{c: c, window: acfg.ThroughputWindow()}
+		core, err := adaptive.New(sub, sub, simClock{eng: c.eng}, acfg)
 		if err != nil {
 			return Report{}, err
 		}
@@ -404,12 +382,8 @@ func (c *Cluster) admit(j *Job, now float64) {
 	c.rearbitrate(now)
 
 	app := workload.App{Name: j.spec.Name, Spec: j.spec.Spec, CV: j.spec.CV}
-	maxIF := c.cfg.MaxInFlight
-	if maxIF <= 0 {
-		maxIF = 4 * j.spec.Spec.NumStages()
-	}
 	ex, err := exec.New(c.eng, c.g, j.spec.Spec, j.mapping, exec.Options{
-		MaxInFlight: maxIF,
+		MaxInFlight: 4 * j.spec.Spec.NumStages(),
 		TotalItems:  j.spec.Items,
 		WorkSampler: app.Sampler(rng.SeedFor(j.seed, 2)),
 		Seed:        rng.SeedFor(j.seed, 3),
@@ -492,7 +466,7 @@ func (c *Cluster) rearbitrate(now float64) {
 		a.setMask(out[i].Mask)
 		m := out[i].Mapping
 		if a.ex != nil && !m.Equal(a.mapping) {
-			if _, err := a.ex.Remap(m, c.cfg.Protocol); err != nil {
+			if _, err := a.ex.Remap(m, exec.DrainSafe); err != nil {
 				panic(fmt.Sprintf("cluster: job %q remap: %v", a.spec.Name, err))
 			}
 			a.remaps++

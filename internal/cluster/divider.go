@@ -141,7 +141,7 @@ type Divider struct {
 
 // NewDivider returns a divider over the grid. maxReplicas bounds
 // per-stage replication width in the improvement pass (≤0 = grid
-// size), matching cluster Config.MaxReplicas semantics.
+// size, which is what a Cluster uses).
 func NewDivider(g *grid.Grid, maxReplicas int) *Divider {
 	return &Divider{
 		g:           g,
