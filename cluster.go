@@ -90,14 +90,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	c := &Cluster{cfg: cfg, policy: pol, budget: conc.NewWorkerBudget(maxW)}
 	if cfg.Grid != nil {
-		inner, err := cluster.New(cfg.Grid.g, cluster.Config{
-			Policy:         pol,
-			Interval:       cfg.Interval,
-			HysteresisGain: cfg.HysteresisGain,
-			Cooldown:       cfg.Cooldown,
-			Admission:      adm,
-			Seed:           cfg.Seed,
-		})
+		inner, err := cluster.New(cfg.Grid.g, cfg.simConfig(pol, adm))
 		if err != nil {
 			return nil, err
 		}
@@ -105,6 +98,32 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	return c, nil
 }
+
+// simConfig is the simulated cluster's configuration.
+func (cfg ClusterConfig) simConfig(pol adaptive.Policy, adm cluster.Admission) cluster.Config {
+	return cluster.Config{
+		Policy:         pol,
+		Interval:       cfg.Interval,
+		HysteresisGain: cfg.HysteresisGain,
+		Cooldown:       cfg.Cooldown,
+		Admission:      adm,
+		Seed:           cfg.Seed,
+	}
+}
+
+// liveConfig is a live tenant's controller configuration, its periods
+// converted from seconds; Process adds the worker budget.
+func (cfg ClusterConfig) liveConfig(pol adaptive.Policy) liveadapt.Config {
+	return liveadapt.Config{
+		Policy:         pol,
+		Interval:       seconds(cfg.Interval),
+		HysteresisGain: cfg.HysteresisGain,
+		Cooldown:       seconds(cfg.Cooldown),
+	}
+}
+
+// seconds converts a period in seconds to a time.Duration.
+func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
 // JobOpts describes one submitted job.
 type JobOpts struct {
@@ -259,7 +278,7 @@ func (c *Cluster) ProcessTrace(ctx context.Context, r io.Reader, opts ReplayOpti
 	launchErr := error(nil)
 	prev := 0.0
 	for i, ev := range tr {
-		gap := time.Duration((ev.T - prev) / speedup * float64(time.Second))
+		gap := seconds((ev.T - prev) / speedup)
 		prev = ev.T
 		if gap > 0 {
 			timer.Reset(gap)
@@ -375,14 +394,9 @@ func (c *Cluster) Process(ctx context.Context, p *Pipeline, inputs []any, opts J
 		// around it.
 		return p.Process(ctx, inputs)
 	}
-	interval := time.Duration(c.cfg.Interval * float64(time.Second))
-	if err := p.withLiveBudget(liveadapt.Config{
-		Policy:         c.policy,
-		Interval:       interval,
-		HysteresisGain: c.cfg.HysteresisGain,
-		MaxWorkers:     c.budget.Total(),
-		BudgetCap:      lease.Cap,
-	}); err != nil {
+	cfg := c.cfg.liveConfig(c.policy)
+	cfg.MaxWorkers, cfg.BudgetCap = c.budget.Total(), lease.Cap
+	if err := p.withLiveBudget(cfg); err != nil {
 		return nil, err
 	}
 	return p.Process(ctx, inputs)

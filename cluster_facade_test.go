@@ -146,6 +146,31 @@ func TestClusterLiveConcurrentProcess(t *testing.T) {
 	}
 }
 
+// TestClusterLiveTenantThresholds pins that a live tenant's controller
+// runs with the cluster's policy and thresholds, periods converted from
+// seconds, and the shared budget.
+func TestClusterLiveTenantThresholds(t *testing.T) {
+	cl, err := NewCluster(ClusterConfig{
+		Policy:         PolicyReactive,
+		MaxWorkers:     4,
+		Interval:       0.02,
+		HysteresisGain: 1.3,
+		Cooldown:       0.1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := livePipeline(t)
+	if _, err := cl.Process(context.Background(), p, []any{0, 1, 2}, JobOpts{Weight: 1}); err != nil {
+		t.Fatal(err)
+	}
+	got := *p.liveCfg
+	if got.Policy.String() != PolicyReactive || got.Interval != 20*time.Millisecond ||
+		got.HysteresisGain != 1.3 || got.Cooldown != 100*time.Millisecond || got.MaxWorkers != 4 {
+		t.Fatalf("live tenant config %+v", got)
+	}
+}
+
 // TestPipelineConcurrentUseGuard pins the facade fix: two concurrent
 // Process calls on one *Pipeline must not corrupt the single-use live
 // state — exactly one wins, the other gets a clear error.
