@@ -28,9 +28,9 @@ var deadExportAllowlist = map[string]string{
 const maxAllowlisted = 10
 
 // testOnlyExports names the exported declarations that only tests
-// still call, with the tests that call them (ROADMAP item 8(e)). They
-// go, together with those tests, in later steps of the sweep; the
-// same rules as deadExportAllowlist keep this list shrinking.
+// call, with the tests that call them (ROADMAP item 8(e)): observers
+// through which tests read live state. The same rules as
+// deadExportAllowlist keep this list shrinking.
 var testOnlyExports = map[string]string{
 	// Read by tests to assert on live state.
 	"exec.Executor.InFlight":  "bench.TestChurnRunLedger and the exec conservation tests",
@@ -39,32 +39,6 @@ var testOnlyExports = map[string]string{
 	"sim.Event.Pending":       "the handle-generation tests (pool_test.go, reset_test.go)",
 	"stats.Table.NumRows":     "the experiment-table tests in internal/bench",
 	"stats.Table.Row":         "the experiment-table tests in internal/bench",
-	// Exercised only by their own tests.
-	"grid.Grid.SetLinkOneWay":    "TestSetLinkOneWay",
-	"grid.Quiet":                 "TestQuietClearsLoad",
-	"grid.RandomChurn":           "TestRandomChurnDeterministicAndValid, exec.TestChurnConservationProperty",
-	"model.Contiguous":           "TestContiguous",
-	"model.Mapping.NodesUsed":    "TestNodesUsed and sched's placement tests",
-	"monitor.Monitor.Bottleneck": "TestBottleneckAndImbalance",
-	"monitor.Monitor.Imbalance":  "TestBottleneckAndImbalance, TestImbalanceNeedsTwoStages",
-	"rng.NewZipf":                "TestZipfSkew, TestZipfBounds, TestZipfPanics",
-	"rng.Zipf.N":                 "TestZipfBounds",
-	"rng.Pick":                   "TestPick",
-	"rng.Shuffle":                "TestShufflePreservesElements",
-	"rng.Rand.Perm":              "TestPermIsPermutation",
-	"rng.Rand.TruncNormal":       "TestTruncNormalBounds",
-	"stats.Min":                  "TestMinMaxSum, TestEmptyInputsAreNaN",
-	"stats.Sum":                  "TestMinMaxSum",
-	"stats.Variance":             "TestMeanVariance, TestVarianceSingleSampleNaN",
-	"stats.Series.Resample":      "TestSeriesResample",
-	"trace.ReadCSV":              "TestCSVRoundTrip, TestReadCSVErrors",
-	"trace.WriteCSV":             "TestCSVRoundTrip",
-	"trace.Scale":                "TestScaleSumShift, TestTraceBoundsProperty",
-	"trace.Shift":                "TestScaleSumShift",
-	"trace.Validate":             "TestValidate",
-	"workload.TraceFromCSV":      "the seven TestTraceFromCSV* tests",
-	"workload.Trace.ScaleTime":   "TestScaleTime",
-	"workload.Trace.Span":        "TestScaleTime",
 }
 
 // modulePath is the import path of the repository root.

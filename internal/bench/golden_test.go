@@ -26,7 +26,7 @@ func TestPaperTablesGolden(t *testing.T) {
 		if e.WallClock {
 			continue
 		}
-		res, err := e.Run(42)
+		res, err := run42(e)
 		if err != nil {
 			t.Errorf("%s: %v", e.ID, err)
 			continue

@@ -96,8 +96,9 @@ func runT1(seed uint64) (*Result, error) {
 // analytic model ranks all 27 mappings and the simulator measures each
 // one. Reported: whether the model's chosen mapping is measured-best
 // (or within 5%), and the relative throughput error on the chosen
-// mapping. A CTMC cross-check row family validates the saturation
-// assumption itself on a blocking tandem line.
+// mapping. T2b checks the simulator itself: on a saturated line of
+// exponential stages it must reproduce the exact Mean Value Analysis
+// throughput of the closed network it runs.
 func runT2(seed uint64) (*Result, error) {
 	type set struct {
 		name  string
@@ -177,46 +178,74 @@ func runT2(seed uint64) (*Result, error) {
 	}
 	tb.AddNote("agreement on %d of %d parameter sets", agreeCount, len(sets))
 
-	// CTMC cross-check: exact blocking-tandem throughput vs the
-	// analytic saturation bound vs simulation with matching WIP.
-	ct := stats.NewTable("T2b CTMC cross-check (3 exponential stages, saturated line)",
-		"rates", "buffers", "CTMC exact", "analytic bound", "sim measured", "sim/CTMC")
+	// MVA cross-check: exact closed-network throughput vs the analytic
+	// saturation bound vs the simulator at the same work in progress.
+	ct := stats.NewTable("T2b MVA cross-check (3 exponential stages, closed line)",
+		"rates", "WIP", "MVA exact", "analytic bound", "sim mean", "95% CI ±", "sim/MVA")
 	for _, row := range []struct {
 		mus []float64
-		buf int
+		wip int
 	}{
-		{[]float64{10, 10, 10}, 0},
-		{[]float64{10, 10, 10}, 2},
-		{[]float64{10, 5, 10}, 0},
-		{[]float64{10, 5, 10}, 2},
-		{[]float64{20, 10, 5}, 1},
+		{[]float64{10, 10, 10}, 3},
+		{[]float64{10, 10, 10}, 7},
+		{[]float64{10, 5, 10}, 3},
+		{[]float64{10, 5, 10}, 7},
+		{[]float64{20, 10, 5}, 5},
 	} {
-		exact, err := model.SolveTandem(row.mus, row.buf)
-		if err != nil {
-			return nil, err
-		}
+		exact := mvaThroughput(row.mus, row.wip)
 		bound := row.mus[0]
 		for _, mu := range row.mus {
 			if mu < bound {
 				bound = mu
 			}
 		}
-		simThr, err := simulateTandem(seed, row.mus, row.buf)
-		if err != nil {
-			return nil, err
+		thr := make([]float64, tandemSeeds)
+		for k := range thr {
+			v, err := simulateTandem(seed+uint64(k), row.mus, row.wip)
+			if err != nil {
+				return nil, err
+			}
+			thr[k] = v
 		}
-		ct.AddRowf(fmt.Sprintf("%v", row.mus), row.buf, exact.Throughput, bound,
-			simThr, simThr/exact.Throughput)
+		mean := stats.Mean(thr)
+		// t(0.975, tandemSeeds-1) = 2.093 for 20 seeds.
+		half := 2.093 * math.Sqrt(stats.Variance(thr)/tandemSeeds)
+		ct.AddRowf(fmt.Sprintf("%v", row.mus), row.wip, exact, bound, mean, half, mean/exact)
 	}
-	ct.AddNote("expected shape: CTMC ≤ analytic bound; simulation tracks the CTMC as WIP matches")
+	ct.AddNote("MVA inside the simulator's 95 %% CI in every row; MVA ≤ analytic bound")
 	res.Tables = []*stats.Table{tb, ct}
 	return res, nil
 }
 
+// tandemSeeds is the number of independent simulator runs behind each
+// T2b row.
+const tandemSeeds = 20
+
+// mvaThroughput is exact Mean Value Analysis (Reiser & Lavenberg) of a
+// closed line of single-server exponential FCFS stations with rates mus
+// and population n: what the executor runs when a saturated source
+// keeps n items in flight.
+func mvaThroughput(mus []float64, n int) float64 {
+	q := make([]float64, len(mus)) // mean queue lengths at population k-1
+	x := 0.0
+	for k := 1; k <= n; k++ {
+		cycle := 0.0
+		for i, mu := range mus {
+			q[i] = (1 + q[i]) / mu // residence time at population k
+			cycle += q[i]
+		}
+		x = float64(k) / cycle
+		for i := range q {
+			q[i] *= x // Little's law per station
+		}
+	}
+	return x
+}
+
 // simulateTandem measures a saturated exponential tandem line in the
-// executor, with CONWIP set to stages+buffers to mirror the CTMC's
-// blocking structure.
-func simulateTandem(seed uint64, mus []float64, buf int) (float64, error) {
+// executor, with the source holding wip items in flight (a closed
+// CONWIP line with unbounded queues).
+func simulateTandem(seed uint64, mus []float64, wip int) (float64, error) {
 	ns := len(mus)
 	g, err := grid.Homogeneous(ns, 1, grid.LANLink)
 	if err != nil {
@@ -236,7 +265,7 @@ func simulateTandem(seed uint64, mus []float64, buf int) (float64, error) {
 	}
 	out, err := workload.RunSim(g, workload.App{Name: "tandem", Spec: spec}, model.OneToOne(ns), workload.SimOptions{
 		Policy: adaptive.PolicyStatic, Seed: seed, Items: 4000,
-		MaxInFlight: ns + buf*(ns-1),
+		MaxInFlight: wip,
 		Sampler:     sampler,
 	})
 	if err != nil {

@@ -85,7 +85,7 @@ func dividerRoundsAgree(t *testing.T, seed uint64, rounds int) DividerStats {
 		spec := model.Balanced(2+r.Intn(3), 0.05, 1e4+1e5*r.Float64())
 		for i := range spec.Stages {
 			spec.Stages[i].Work = 0.02 + 0.4*r.Float64()
-			spec.Stages[i].Replicable = r.Bool(0.7)
+			spec.Stages[i].Replicable = r.Float64() < 0.7
 		}
 		var s sched.Searcher = sched.LocalSearch{Seed: rng.SeedFor(seed, uint64(id))}
 		switch r.Intn(8) {
@@ -100,7 +100,7 @@ func dividerRoundsAgree(t *testing.T, seed uint64, rounds int) DividerStats {
 	}
 	active := make([]bool, len(pool))
 	for id := range active {
-		active[id] = r.Bool(0.5)
+		active[id] = r.Float64() < 0.5
 	}
 
 	long := NewDivider(g, maxReplicas)
@@ -111,17 +111,17 @@ func dividerRoundsAgree(t *testing.T, seed uint64, rounds int) DividerStats {
 		// Tenants arrive and leave; a leaver's memo slot is released, as
 		// the cluster does, about half the time — a slot left behind
 		// must be just as safe when the ID comes back.
-		if r.Bool(0.4) {
+		if r.Float64() < 0.4 {
 			id := r.Intn(len(pool))
 			active[id] = !active[id]
-			if !active[id] && r.Bool(0.5) {
+			if !active[id] && r.Float64() < 0.5 {
 				long.Release(id)
 			}
 		}
 		// Claims drift: weight, floor (large floors over-subscribe the
 		// grid, so leases overlap), pins (which may overlap each other
 		// and ignore availability).
-		if r.Bool(0.3) {
+		if r.Float64() < 0.3 {
 			t := &pool[r.Intn(len(pool))].Tenant
 			switch r.Intn(4) {
 			case 0:
@@ -137,8 +137,8 @@ func dividerRoundsAgree(t *testing.T, seed uint64, rounds int) DividerStats {
 				t.Pin = nil
 			}
 		}
-		if r.Bool(0.15) {
-			if avail == nil || r.Bool(0.3) {
+		if r.Float64() < 0.15 {
+			if avail == nil || r.Float64() < 0.3 {
 				avail = make([]bool, np)
 				for n := range avail {
 					avail[n] = true
@@ -166,7 +166,7 @@ func dividerRoundsAgree(t *testing.T, seed uint64, rounds int) DividerStats {
 		case 4:
 			base = make([]float64, np)
 			for n := range base {
-				if r.Bool(0.5) {
+				if r.Float64() < 0.5 {
 					base[n] = 0.9 * r.Float64()
 				}
 			}

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -13,20 +12,13 @@ import (
 )
 
 // TestReplayedTraceDrivesExecution closes the loop of the
-// measure-offline/replay-online workflow: a stochastic load trace is
-// serialised to CSV (as an operator would export NWS logs), read back,
-// attached to a grid node, and must slow the pipeline exactly as the
+// measure-offline/replay-online workflow: the samples of a stochastic
+// load trace, recorded at its own step and replayed as a fresh
+// Sampled trace on a grid node, must slow the pipeline exactly as the
 // original trace does.
 func TestReplayedTraceDrivesExecution(t *testing.T) {
 	orig := trace.NewRandomWalk(rng.New(5), 200, 1, 0.5, 0.1, 0.2)
-	var buf bytes.Buffer
-	if err := trace.WriteCSV(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := trace.ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	replayed := &trace.Sampled{Dt: orig.Dt, Vals: trace.Sample(orig, 0, 200, 200)}
 
 	runWith := func(tr trace.Trace) float64 {
 		g, err := grid.NewGrid(grid.LANLink,

@@ -106,16 +106,6 @@ func Saturate(base trace.Trace, t0, t1 float64) trace.Trace {
 	return windowTrace{base: base, t0: t0, t1: t1, level: trace.MaxLoad}
 }
 
-// Quiet returns a trace that clears the background load to zero during
-// [t0, t1): a guaranteed-idle window, the inverse scenario primitive of
-// Saturate (e.g. an off-peak reservation on a shared node).
-func Quiet(base trace.Trace, t0, t1 float64) trace.Trace {
-	if base == nil {
-		base = trace.Constant(0)
-	}
-	return windowTrace{base: base, t0: t0, t1: t1, level: 0}
-}
-
 // windowTrace overrides the base load with a fixed level inside
 // [t0, t1).
 type windowTrace struct {

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -26,8 +27,12 @@ func TestTraceSpecBuildAllKinds(t *testing.T) {
 			t.Errorf("%s: %v", c.name, err)
 			continue
 		}
-		if err := trace.Validate(tr, 100); err != nil {
-			t.Errorf("%s: built trace invalid: %v", c.name, err)
+		for i := 0; i <= 1000; i++ {
+			at := 100 * float64(i) / 1000
+			if v := tr.At(at); v < 0 || v > trace.MaxLoad || math.IsNaN(v) {
+				t.Errorf("%s: built trace reads %v at t=%v, outside [0, %v]", c.name, v, at, trace.MaxLoad)
+				break
+			}
 		}
 	}
 }

@@ -102,22 +102,6 @@ func (g *Grid) SetLink(a, b NodeID, l Link) error {
 	return nil
 }
 
-// SetLinkOneWay overrides only the a→b direction, for asymmetric
-// wide-area paths.
-func (g *Grid) SetLinkOneWay(a, b NodeID, l Link) error {
-	if a == b {
-		return fmt.Errorf("grid: cannot override self-link of node %d", a)
-	}
-	if int(a) < 0 || int(a) >= len(g.nodes) || int(b) < 0 || int(b) >= len(g.nodes) {
-		return fmt.Errorf("grid: SetLinkOneWay with invalid ids %d,%d", a, b)
-	}
-	if err := l.validate(); err != nil {
-		return err
-	}
-	g.links[a][b] = l
-	return nil
-}
-
 // SetChurn attaches a node-lifecycle schedule to the grid's scenario
 // after validating that every event names a node of this grid. A nil
 // schedule detaches churn.

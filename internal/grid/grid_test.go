@@ -88,20 +88,6 @@ func TestSetLinkSymmetric(t *testing.T) {
 	}
 }
 
-func TestSetLinkOneWay(t *testing.T) {
-	g := mustGrid(Homogeneous(2, 1, LANLink))
-	slow := Link{Latency: 0.5, Bandwidth: 1e3}
-	if err := g.SetLinkOneWay(0, 1, slow); err != nil {
-		t.Fatal(err)
-	}
-	if g.Link(0, 1).Latency != 0.5 {
-		t.Fatal("one-way override not applied")
-	}
-	if g.Link(1, 0).Latency == 0.5 {
-		t.Fatal("one-way override leaked to reverse direction")
-	}
-}
-
 func TestTransferDuration(t *testing.T) {
 	l := Link{Latency: 0.01, Bandwidth: 1000}
 	if got := l.TransferDuration(500, 0); math.Abs(got-0.51) > 1e-12 {

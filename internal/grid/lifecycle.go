@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"gridpipe/internal/rng"
 )
 
 // NodeState is the availability of one grid processor. The zero value
@@ -99,8 +97,7 @@ type ChurnEvent struct {
 
 // ChurnSchedule is a validated, time-ordered script of node lifecycle
 // transitions — the deterministic churn axis of a scenario. Build with
-// NewChurnSchedule (or RandomChurn for a seeded random scenario); the
-// executor replays it in virtual time, so two runs with the same
+// NewChurnSchedule; the executor replays it in virtual time, so two runs with the same
 // schedule and seed are bit-identical.
 type ChurnSchedule struct {
 	events []ChurnEvent
@@ -287,37 +284,4 @@ func Outage(node string, t0, t1 float64) []ChurnEvent {
 // grid at t — the elastic-capacity primitive of experiment F10.
 func Join(node string, t float64) ChurnEvent {
 	return ChurnEvent{T: t, Node: node, Kind: ChurnJoin}
-}
-
-// RandomChurn generates a seeded random crash/rejoin schedule over the
-// given nodes: each node independently crashes with probability crashP
-// at a uniform time in (0.05, 0.7)·horizon and stays down for an
-// exponential time of the given mean (clamped inside the horizon). The
-// first listed node never crashes, so the grid always retains capacity
-// to drain. The same seed always yields the same schedule.
-func RandomChurn(seed uint64, horizon float64, nodes []string, crashP, meanDown float64) (*ChurnSchedule, error) {
-	if horizon <= 0 {
-		return nil, fmt.Errorf("grid: RandomChurn needs a positive horizon")
-	}
-	if meanDown <= 0 {
-		return nil, fmt.Errorf("grid: RandomChurn needs a positive mean downtime")
-	}
-	r := rng.New(seed)
-	var evs []ChurnEvent
-	for i, name := range nodes {
-		if i == 0 || !r.Bool(crashP) {
-			continue
-		}
-		t0 := r.Range(0.05, 0.7) * horizon
-		down := r.Exp(1 / meanDown)
-		t1 := t0 + down
-		if t1 >= horizon {
-			t1 = 0.99 * horizon
-		}
-		if t1 <= t0 {
-			continue
-		}
-		evs = append(evs, Outage(name, t0, t1)...)
-	}
-	return NewChurnSchedule(evs...)
 }

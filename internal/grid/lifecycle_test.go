@@ -3,8 +3,6 @@ package grid
 import (
 	"math"
 	"testing"
-
-	"gridpipe/internal/trace"
 )
 
 func TestNodeStateZeroValueIsUp(t *testing.T) {
@@ -151,50 +149,4 @@ func TestOutagePanicsOnEmptyWindow(t *testing.T) {
 		}
 	}()
 	Outage("a", 5, 5)
-}
-
-func TestRandomChurnDeterministicAndValid(t *testing.T) {
-	names := []string{"a", "b", "c", "d", "e"}
-	cs1, err := RandomChurn(42, 100, names, 0.8, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs2, err := RandomChurn(42, 100, names, 0.8, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1, e2 := cs1.Events(), cs2.Events()
-	if len(e1) != len(e2) {
-		t.Fatalf("same seed, different event counts: %d vs %d", len(e1), len(e2))
-	}
-	for i := range e1 {
-		if e1[i] != e2[i] {
-			t.Fatalf("same seed diverged at event %d: %v vs %v", i, e1[i], e2[i])
-		}
-	}
-	// The first node is the designated survivor.
-	for _, ev := range e1 {
-		if ev.Node == "a" {
-			t.Fatal("RandomChurn churned the designated survivor")
-		}
-	}
-	if _, err := RandomChurn(1, -5, names, 0.5, 1); err == nil {
-		t.Fatal("negative horizon accepted")
-	}
-	if _, err := RandomChurn(1, 5, names, 0.5, 0); err == nil {
-		t.Fatal("zero mean downtime accepted")
-	}
-}
-
-func TestQuietClearsLoad(t *testing.T) {
-	tr := Quiet(trace.Constant(0.6), 10, 20)
-	if tr.At(5) != 0.6 || tr.At(25) != 0.6 {
-		t.Fatal("outside window should be base load")
-	}
-	if tr.At(10) != 0 || tr.At(19.99) != 0 {
-		t.Fatal("inside window should be idle")
-	}
-	if Quiet(nil, 0, 1).At(0.5) != 0 {
-		t.Fatal("nil base should default to idle")
-	}
 }

@@ -1,13 +1,8 @@
 // Package model defines the pipeline/mapping vocabulary shared by the
-// scheduler, executor and adaptivity engine, and implements two
-// performance models over it:
-//
-//   - an analytic bottleneck (saturation) model that predicts the
-//     steady-state throughput of a mapped pipeline from per-stage work,
-//     node speeds/loads and link bandwidths (throughput.go), and
-//   - an exact continuous-time Markov-chain solver for small blocking
-//     tandem lines (ctmc.go, tandem.go) used to validate the analytic
-//     model's assumptions in experiment T2.
+// scheduler, executor and adaptivity engine, and implements the
+// analytic bottleneck (saturation) model over it: it predicts the
+// steady-state throughput of a mapped pipeline from per-stage work,
+// node speeds/loads and link bandwidths (throughput.go).
 package model
 
 import (
@@ -43,25 +38,6 @@ func FromNodes(nodes ...grid.NodeID) Mapping {
 	a := make([][]grid.NodeID, len(nodes))
 	for i, n := range nodes {
 		a[i] = []grid.NodeID{n}
-	}
-	return Mapping{Assign: a}
-}
-
-// Contiguous maps a partition of stages into consecutive groups onto
-// the given nodes: sizes[i] stages go to nodes[i]. It panics if the
-// sizes and nodes disagree.
-func Contiguous(sizes []int, nodes []grid.NodeID) Mapping {
-	if len(sizes) != len(nodes) {
-		panic("model: Contiguous sizes/nodes length mismatch")
-	}
-	var a [][]grid.NodeID
-	for gi, sz := range sizes {
-		if sz <= 0 {
-			panic("model: Contiguous with non-positive group size")
-		}
-		for k := 0; k < sz; k++ {
-			a = append(a, []grid.NodeID{nodes[gi]})
-		}
 	}
 	return Mapping{Assign: a}
 }
@@ -140,21 +116,6 @@ func (m Mapping) UsesNode(id grid.NodeID) bool {
 		}
 	}
 	return false
-}
-
-// NodesUsed returns the distinct nodes the mapping touches.
-func (m Mapping) NodesUsed() []grid.NodeID {
-	seen := map[grid.NodeID]bool{}
-	var out []grid.NodeID
-	for _, nodes := range m.Assign {
-		for _, n := range nodes {
-			if !seen[n] {
-				seen[n] = true
-				out = append(out, n)
-			}
-		}
-	}
-	return out
 }
 
 // String renders the mapping in tuple notation, e.g. "(0,0,1)" or

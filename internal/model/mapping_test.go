@@ -28,29 +28,6 @@ func TestMappingConstructors(t *testing.T) {
 	}
 }
 
-func TestContiguous(t *testing.T) {
-	m := Contiguous([]int{2, 1}, []grid.NodeID{3, 5})
-	if m.NumStages() != 3 {
-		t.Fatalf("NumStages = %d", m.NumStages())
-	}
-	if m.Assign[0][0] != 3 || m.Assign[1][0] != 3 || m.Assign[2][0] != 5 {
-		t.Fatalf("Contiguous wrong: %v", m)
-	}
-	for _, bad := range []func(){
-		func() { Contiguous([]int{1}, []grid.NodeID{1, 2}) },
-		func() { Contiguous([]int{0}, []grid.NodeID{1}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			bad()
-		}()
-	}
-}
-
 func TestWithReplicasDoesNotAliasOriginal(t *testing.T) {
 	m := FromNodes(0, 1, 2)
 	r := m.WithReplicas(1, 1, 3)
@@ -106,20 +83,6 @@ func TestMappingEqualAndString(t *testing.T) {
 	}
 	if got := a.WithReplicas(1, 1, 2).String(); got != "(0,{1,2},1)" {
 		t.Fatalf("replicated String = %q", got)
-	}
-}
-
-func TestNodesUsed(t *testing.T) {
-	m := FromNodes(0, 2, 0).WithReplicas(1, 2, 3)
-	used := m.NodesUsed()
-	want := map[grid.NodeID]bool{0: true, 2: true, 3: true}
-	if len(used) != 3 {
-		t.Fatalf("NodesUsed = %v", used)
-	}
-	for _, n := range used {
-		if !want[n] {
-			t.Fatalf("unexpected node %d", n)
-		}
 	}
 }
 

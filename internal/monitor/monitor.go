@@ -136,48 +136,6 @@ func (m *Monitor) RecentThroughput(window, now float64) float64 {
 	return float64(count) / window
 }
 
-// Bottleneck returns the index of the stage with the largest windowed
-// mean service time, and that time. Stages without samples are skipped;
-// if none have samples it returns (-1, NaN).
-func (m *Monitor) Bottleneck() (int, float64) {
-	best, bestV := -1, math.NaN()
-	for i, s := range m.stages {
-		v := s.MeanService()
-		if math.IsNaN(v) {
-			continue
-		}
-		if best < 0 || v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best, bestV
-}
-
-// Imbalance returns the ratio of the largest to the smallest windowed
-// mean stage service time (≥ 1), or NaN until at least two stages have
-// samples. A perfectly balanced pipeline scores 1.
-func (m *Monitor) Imbalance() float64 {
-	min, max := math.Inf(1), math.Inf(-1)
-	n := 0
-	for _, s := range m.stages {
-		v := s.MeanService()
-		if math.IsNaN(v) {
-			continue
-		}
-		n++
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	if n < 2 || min <= 0 {
-		return math.NaN()
-	}
-	return max / min
-}
-
 // ResetStages clears every stage window (see StageMonitor.Reset).
 func (m *Monitor) ResetStages() {
 	for _, s := range m.stages {

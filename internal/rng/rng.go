@@ -88,11 +88,6 @@ func (r *Rand) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// Bool returns true with probability p.
-func (r *Rand) Bool(p float64) bool {
-	return r.Float64() < p
-}
-
 // Exp returns an exponentially distributed variate with the given rate
 // (mean 1/rate). It panics if rate <= 0.
 func (r *Rand) Exp(rate float64) float64 {
@@ -148,42 +143,4 @@ func (r *Rand) Pareto(shape, scale float64) float64 {
 		u = r.Float64()
 	}
 	return scale / math.Pow(u, 1/shape)
-}
-
-// TruncNormal returns a normal variate clamped to [lo, hi]. Clamping
-// (rather than rejection) is deliberate: load fractions must stay in
-// bounds and the distortion is irrelevant for the traces generated.
-func (r *Rand) TruncNormal(mean, stddev, lo, hi float64) float64 {
-	v := r.Normal(mean, stddev)
-	return math.Min(hi, math.Max(lo, v))
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes s in place using the Fisher-Yates algorithm.
-func Shuffle[T any](r *Rand, s []T) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-// Pick returns a uniformly random element of s. It panics on an empty
-// slice.
-func Pick[T any](r *Rand, s []T) T {
-	if len(s) == 0 {
-		panic("rng: Pick from empty slice")
-	}
-	return s[r.Intn(len(s))]
 }

@@ -175,61 +175,6 @@ func TestParetoMean(t *testing.T) {
 	}
 }
 
-func TestTruncNormalBounds(t *testing.T) {
-	r := New(29)
-	for i := 0; i < 10000; i++ {
-		v := r.TruncNormal(0.5, 10, 0, 1)
-		if v < 0 || v > 1 {
-			t.Fatalf("TruncNormal out of bounds: %v", v)
-		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(31)
-	for n := 1; n <= 20; n++ {
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShufflePreservesElements(t *testing.T) {
-	r := New(37)
-	s := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	Shuffle(r, s)
-	sum2 := 0
-	for _, v := range s {
-		sum2 += v
-	}
-	if sum != sum2 || len(s) != 8 {
-		t.Fatalf("shuffle altered multiset: %v", s)
-	}
-}
-
-func TestPick(t *testing.T) {
-	r := New(41)
-	s := []string{"a", "b", "c"}
-	counts := map[string]int{}
-	for i := 0; i < 3000; i++ {
-		counts[Pick(r, s)]++
-	}
-	for _, k := range s {
-		if counts[k] < 700 {
-			t.Fatalf("Pick heavily biased: %v", counts)
-		}
-	}
-}
-
 func TestRangeProperty(t *testing.T) {
 	r := New(43)
 	f := func(a, b float64) bool {
@@ -245,66 +190,6 @@ func TestRangeProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 2000}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	r := New(47)
-	z := NewZipf(r, 100, 1.2)
-	counts := make([]int, 100)
-	for i := 0; i < 100000; i++ {
-		counts[z.Next()]++
-	}
-	if counts[0] <= counts[50] {
-		t.Fatalf("rank 0 (%d) should dominate rank 50 (%d)", counts[0], counts[50])
-	}
-	if counts[0] <= counts[1] {
-		t.Fatalf("rank 0 (%d) should dominate rank 1 (%d)", counts[0], counts[1])
-	}
-}
-
-func TestZipfBounds(t *testing.T) {
-	r := New(53)
-	z := NewZipf(r, 7, 0.9)
-	if z.N() != 7 {
-		t.Fatalf("N = %d, want 7", z.N())
-	}
-	for i := 0; i < 10000; i++ {
-		v := z.Next()
-		if v < 0 || v >= 7 {
-			t.Fatalf("zipf rank %d out of range", v)
-		}
-	}
-}
-
-func TestZipfPanics(t *testing.T) {
-	for _, c := range []struct {
-		n int
-		s float64
-	}{{0, 1}, {5, 0}, {-1, 1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("expected panic for n=%d s=%v", c.n, c.s)
-				}
-			}()
-			NewZipf(New(1), c.n, c.s)
-		}()
-	}
-}
-
-func TestBoolProbability(t *testing.T) {
-	r := New(59)
-	hits := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if r.Bool(0.25) {
-			hits++
-		}
-	}
-	frac := float64(hits) / n
-	if math.Abs(frac-0.25) > 0.01 {
-		t.Fatalf("Bool(0.25) fired %v of the time", frac)
 	}
 }
 

@@ -34,7 +34,7 @@ func TestForLatencySpreadsAtHighRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.NodesUsed()) < 3 {
+	if nodesUsed(m) < 3 {
 		t.Fatalf("high-rate mapping under-spread: %s", m)
 	}
 }
@@ -54,7 +54,7 @@ func TestForLatencyCoLocatesAtLowRateWithSlowLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.NodesUsed()) != 1 {
+	if nodesUsed(m) != 1 {
 		t.Fatalf("low-rate mapping crossed the slow link: %s", m)
 	}
 }

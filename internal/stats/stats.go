@@ -35,20 +35,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs)-1)
 }
 
-// Min returns the minimum of xs, or NaN for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the maximum of xs, or NaN for an empty slice.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -61,15 +47,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -49,37 +48,6 @@ func (s *Series) Values() []float64 {
 	out := make([]float64, len(s.pts))
 	for i, p := range s.pts {
 		out[i] = p.V
-	}
-	return out
-}
-
-// ValueAt returns the value in effect at time t under step
-// (zero-order-hold) interpolation: the value of the latest point with
-// T <= t. Before the first point it returns the first value; on an
-// empty series it returns NaN.
-func (s *Series) ValueAt(t float64) float64 {
-	if len(s.pts) == 0 {
-		return math.NaN()
-	}
-	// Binary search for the first point with T > t.
-	i := sort.Search(len(s.pts), func(i int) bool { return s.pts[i].T > t })
-	if i == 0 {
-		return s.pts[0].V
-	}
-	return s.pts[i-1].V
-}
-
-// Resample returns the series sampled at fixed dt intervals over
-// [t0, t1] using step interpolation. It is used to align measured
-// throughput timelines from different policies onto a common grid for
-// figure output.
-func (s *Series) Resample(t0, t1, dt float64) *Series {
-	if dt <= 0 {
-		panic("stats: Resample with non-positive dt")
-	}
-	out := NewSeries(s.Name)
-	for t := t0; t <= t1+dt/2; t += dt {
-		out.Append(t, s.ValueAt(t))
 	}
 	return out
 }

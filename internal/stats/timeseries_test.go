@@ -1,28 +1,9 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
-
-func TestSeriesAppendAndValueAt(t *testing.T) {
-	s := NewSeries("load")
-	if !math.IsNaN(s.ValueAt(0)) {
-		t.Fatal("empty series should be NaN")
-	}
-	s.Append(0, 1)
-	s.Append(10, 2)
-	s.Append(20, 3)
-	cases := []struct{ t, want float64 }{
-		{-5, 1}, {0, 1}, {5, 1}, {10, 2}, {15, 2}, {20, 3}, {100, 3},
-	}
-	for _, c := range cases {
-		if got := s.ValueAt(c.t); got != c.want {
-			t.Errorf("ValueAt(%v) = %v, want %v", c.t, got, c.want)
-		}
-	}
-}
 
 func TestSeriesAppendMonotone(t *testing.T) {
 	s := NewSeries("x")
@@ -33,22 +14,6 @@ func TestSeriesAppendMonotone(t *testing.T) {
 		}
 	}()
 	s.Append(4, 1)
-}
-
-func TestSeriesResample(t *testing.T) {
-	s := NewSeries("x")
-	s.Append(0, 0)
-	s.Append(1, 10)
-	r := s.Resample(0, 2, 0.5)
-	want := []float64{0, 0, 10, 10, 10}
-	if r.Len() != len(want) {
-		t.Fatalf("resampled len = %d, want %d", r.Len(), len(want))
-	}
-	for i, w := range want {
-		if r.At(i).V != w {
-			t.Errorf("point %d = %v, want %v", i, r.At(i).V, w)
-		}
-	}
 }
 
 func TestWindowRate(t *testing.T) {

@@ -13,7 +13,6 @@
 package trace
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -115,12 +114,11 @@ func (s Sine) At(t float64) float64 {
 	return clamp(s.Base + s.Amp*math.Sin(2*math.Pi*t/s.Period+s.Phase))
 }
 
-// Sampled is a trace defined by equally spaced samples with step
-// interpolation; it backs the stochastic generators and CSV replay.
+// Sampled is a trace defined by samples Dt apart from t = 0 with step
+// interpolation; it backs the stochastic generators.
 type Sampled struct {
-	Start float64
-	Dt    float64
-	Vals  []float64
+	Dt   float64
+	Vals []float64
 }
 
 // At implements Trace.
@@ -128,7 +126,7 @@ func (s *Sampled) At(t float64) float64 {
 	if len(s.Vals) == 0 {
 		return 0
 	}
-	i := int(math.Floor((t - s.Start) / s.Dt))
+	i := int(math.Floor(t / s.Dt))
 	if i < 0 {
 		i = 0
 	}
@@ -190,15 +188,6 @@ func NewMarkovBurst(r *rng.Rand, horizon, dt, base, burst, offMean, onMean float
 	return &Sampled{Dt: dt, Vals: vals}
 }
 
-// Scale multiplies another trace by a factor (clamped).
-type Scale struct {
-	Inner  Trace
-	Factor float64
-}
-
-// At implements Trace.
-func (s Scale) At(t float64) float64 { return clamp(s.Inner.At(t) * s.Factor) }
-
 // Sum adds component traces (clamped). A diurnal sine plus a random
 // walk plus occasional bursts composes a realistic grid node.
 type Sum []Trace
@@ -212,16 +201,6 @@ func (ts Sum) At(t float64) float64 {
 	return clamp(v)
 }
 
-// Shift delays another trace by Offset seconds (load before the shifted
-// origin is the inner trace's value at its own origin).
-type Shift struct {
-	Inner  Trace
-	Offset float64
-}
-
-// At implements Trace.
-func (s Shift) At(t float64) float64 { return s.Inner.At(t - s.Offset) }
-
 // Sample evaluates tr at n+1 equally spaced instants across [t0, t1]
 // and returns the values; forecaster experiments feed on it.
 func Sample(tr Trace, t0, t1 float64, n int) []float64 {
@@ -234,18 +213,4 @@ func Sample(tr Trace, t0, t1 float64, n int) []float64 {
 		out[i] = tr.At(t0 + float64(i)*dt)
 	}
 	return out
-}
-
-// Validate walks the trace over [0, horizon] and returns an error if
-// any value escapes [0, MaxLoad]; used by tests and config loading.
-func Validate(tr Trace, horizon float64) error {
-	const n = 1000
-	for i := 0; i <= n; i++ {
-		t := horizon * float64(i) / n
-		v := tr.At(t)
-		if v < 0 || v > MaxLoad || math.IsNaN(v) {
-			return fmt.Errorf("trace: value %v at t=%v outside [0, %v]", v, t, MaxLoad)
-		}
-	}
-	return nil
 }

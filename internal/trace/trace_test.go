@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -150,20 +148,12 @@ func TestMarkovBurstLevels(t *testing.T) {
 	}
 }
 
-func TestScaleSumShift(t *testing.T) {
-	base := Constant(0.4)
-	if got := (Scale{base, 0.5}).At(0); got != 0.2 {
-		t.Fatalf("Scale = %v", got)
-	}
+func TestSum(t *testing.T) {
 	if got := (Sum{Constant(0.3), Constant(0.4)}).At(0); math.Abs(got-0.7) > 1e-12 {
 		t.Fatalf("Sum = %v", got)
 	}
 	if got := (Sum{Constant(0.9), Constant(0.9)}).At(0); got != MaxLoad {
 		t.Fatalf("Sum should clamp: %v", got)
-	}
-	sh := Shift{NewSteps(0, StepChange{T: 10, Load: 0.5}), 100}
-	if sh.At(105) != 0 || sh.At(110) != 0.5 {
-		t.Fatal("Shift wrong")
 	}
 }
 
@@ -177,20 +167,6 @@ func TestSample(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	if err := Validate(Constant(0.5), 100); err != nil {
-		t.Fatalf("valid trace rejected: %v", err)
-	}
-	bad := badTrace{}
-	if err := Validate(bad, 100); err == nil {
-		t.Fatal("invalid trace accepted")
-	}
-}
-
-type badTrace struct{}
-
-func (badTrace) At(t float64) float64 { return 2.0 }
-
 func TestTraceBoundsProperty(t *testing.T) {
 	r := rng.New(11)
 	walk := NewRandomWalk(r.Derive(0), 500, 1, 0.5, 0.2, 0.1)
@@ -203,7 +179,6 @@ func TestTraceBoundsProperty(t *testing.T) {
 		walk,
 		burst,
 		Sum{walk, burst},
-		Scale{walk, 3},
 	}
 	f := func(tRaw float64) bool {
 		tt := math.Mod(math.Abs(tRaw), 500)
@@ -220,47 +195,5 @@ func TestTraceBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	orig := NewRandomWalk(rng.New(5), 50, 2, 0.4, 0.1, 0.3)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Vals) != len(orig.Vals) {
-		t.Fatalf("lengths differ: %d vs %d", len(got.Vals), len(orig.Vals))
-	}
-	if math.Abs(got.Dt-orig.Dt) > 1e-9 {
-		t.Fatalf("dt differs: %v vs %v", got.Dt, orig.Dt)
-	}
-	for i := range got.Vals {
-		if math.Abs(got.Vals[i]-orig.Vals[i]) > 1e-5 {
-			t.Fatalf("value %d differs: %v vs %v", i, got.Vals[i], orig.Vals[i])
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		in   string
-	}{
-		{"empty", "t,load\n"},
-		{"badFields", "t,load\n1,2,3\n"},
-		{"badTime", "t,load\nxx,0.5\n"},
-		{"badLoad", "t,load\n1,yy\n"},
-		{"outOfRange", "t,load\n1,1.5\n"},
-		{"nonIncreasing", "t,load\n1,0.5\n1,0.4\n"},
-	}
-	for _, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c.in)); err == nil {
-			t.Errorf("%s: expected error", c.name)
-		}
 	}
 }

@@ -68,6 +68,15 @@ func (tr Trace) Validate() error {
 	return nil
 }
 
+// TotalItems sums the per-job item counts.
+func (tr Trace) TotalItems() int {
+	n := 0
+	for _, ev := range tr {
+		n += ev.Items
+	}
+	return n
+}
+
 // Write records the trace as JSON lines, one event per line.
 func (tr Trace) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -81,8 +90,9 @@ func (tr Trace) Write(w io.Writer) error {
 }
 
 // ReadTrace parses a JSON-lines trace and validates it. Blank lines
-// and lines starting with '#' are skipped so recorded traces can carry
-// provenance comments.
+// (empty, or only spaces and tabs) and lines whose first non-blank
+// byte is '#' are skipped so recorded traces can carry provenance
+// comments.
 func ReadTrace(r io.Reader) (Trace, error) {
 	var tr Trace
 	sc := bufio.NewScanner(r)
@@ -91,14 +101,14 @@ func ReadTrace(r io.Reader) (Trace, error) {
 	for sc.Scan() {
 		line++
 		b := sc.Bytes()
-		trimmed := false
+		skip := true // blank, only spaces and tabs, or a '#' comment
 		for _, c := range b {
 			if c != ' ' && c != '\t' {
-				trimmed = c == '#'
+				skip = c == '#'
 				break
 			}
 		}
-		if len(b) == 0 || trimmed {
+		if skip {
 			continue
 		}
 		var ev TraceEvent

@@ -100,7 +100,7 @@ func TestReadTraceSkipsCommentsAndBlanks(t *testing.T) {
 	in := `# recorded by gridsim -traffic poisson
 {"t":1,"app":"genome","items":10}
 
-  # mid-stream comment
+` + "  \t\n" + `  # mid-stream comment
 {"t":2.5,"app":"image","items":5,"weight":2}
 `
 	tr, err := ReadTrace(strings.NewReader(in))
