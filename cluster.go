@@ -382,18 +382,15 @@ func (c *Cluster) Run() (ClusterReport, error) {
 // Process runs the pipeline live over the inputs as one tenant of the
 // cluster's shared worker budget: concurrent Process calls on one
 // Cluster split the real goroutine budget by weight, each under its
-// own adaptive controller (the cluster's policy), re-divided as
-// tenants join and leave. Each call needs its own *Pipeline (a live
-// pipeline is single-use).
+// own adaptive controller (the cluster's policy, unless the tenant
+// armed its own with WithLiveAdaptive), re-divided as tenants join and
+// leave. Under PolicyStatic an unarmed tenant's controller never ticks:
+// it runs with its declared replicas and only holds a lease so
+// concurrent adaptive tenants shrink around it. Each call needs its own
+// *Pipeline (a live pipeline is single-use).
 func (c *Cluster) Process(ctx context.Context, p *Pipeline, inputs []any, opts JobOpts) ([]any, error) {
 	lease := c.budget.Lease(opts.Weight)
 	defer lease.Release()
-	if c.policy == adaptive.PolicyStatic {
-		// No adaptation: the tenant runs with its declared replicas and
-		// only holds a lease so concurrent adaptive tenants shrink
-		// around it.
-		return p.Process(ctx, inputs)
-	}
 	cfg := c.cfg.liveConfig(c.policy)
 	cfg.MaxWorkers, cfg.BudgetCap = c.budget.Total(), lease.Cap
 	if err := p.withLiveBudget(cfg); err != nil {

@@ -171,6 +171,28 @@ func TestClusterLiveTenantThresholds(t *testing.T) {
 	}
 }
 
+// TestStaticClusterBudgetsArmedTenant pins that a tenant which armed
+// its own live adaptation still runs inside a static cluster's shared
+// worker budget: its policy is its own, the budget is the cluster's.
+func TestStaticClusterBudgetsArmedTenant(t *testing.T) {
+	cl, err := NewCluster(ClusterConfig{Policy: PolicyStatic, MaxWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := livePipeline(t)
+	if err := p.WithLiveAdaptive(PolicyPeriodic); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Process(context.Background(), p, []any{0, 1, 2}, JobOpts{Weight: 1}); err != nil {
+		t.Fatal(err)
+	}
+	got := *p.liveCfg
+	if got.Policy.String() != PolicyPeriodic || got.BudgetCap == nil || got.MaxWorkers != 2 {
+		t.Fatalf("armed tenant of a static cluster: policy %v, BudgetCap set %t, MaxWorkers %d; want periodic, true, 2",
+			got.Policy, got.BudgetCap != nil, got.MaxWorkers)
+	}
+}
+
 // TestPipelineConcurrentUseGuard pins the facade fix: two concurrent
 // Process calls on one *Pipeline must not corrupt the single-use live
 // state — exactly one wins, the other gets a clear error.

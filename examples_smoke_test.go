@@ -42,10 +42,17 @@ var smokeBinaries = []struct {
 		{args: []string{"-grid", "testdata/golden/churn-grid.json", "-policy", "reactive", "-duration", "200"},
 			golden: "adaptpipe-churn.txt"},
 	}},
+	{"cmd/gridsim", []smokeRun{
+		{args: []string{"-config", "testdata/golden/churn-grid.json", "-horizon", "200"},
+			golden: "gridsim-churn.txt"},
+		{args: []string{"-preset", "loaded"}, golden: "gridsim-loaded.txt"},
+		{args: []string{"-traffic", "bursty", "-rate", "0.5", "-horizon", "120"},
+			golden: "gridsim-bursty.txt"},
+	}},
 }
 
-// TestExamplesSmoke builds and runs every example binary and adaptpipe
-// end to end: the examples are living documentation and must keep
+// TestExamplesSmoke builds and runs every example binary, adaptpipe and
+// gridsim end to end: the examples are living documentation and must keep
 // producing the same output (not just compiling) as the layers under
 // them are refactored. Under `go test -race` the binaries are built
 // with -race as well.

@@ -465,31 +465,9 @@ func (p *Pipeline) withLiveBudget(cfg liveadapt.Config) error {
 	return nil
 }
 
-// liveStageInfo projects the stage definitions for the live controller.
-func (p *Pipeline) liveStageInfo() []liveadapt.StageInfo {
-	info := make([]liveadapt.StageInfo, len(p.defs))
-	for i, s := range p.defs {
-		info[i] = liveadapt.StageInfo{Name: s.name, Weight: s.weight, Replicable: s.replicable}
-	}
-	return info
-}
-
 // Process runs the pipeline live over the inputs and returns outputs in
 // input order.
 func (p *Pipeline) Process(ctx context.Context, inputs []any) ([]any, error) {
-	// One critical section for the config check and the build: a
-	// concurrent WithLiveAdaptive cannot slip in between and be
-	// silently ignored.
-	p.mu.Lock()
-	if p.liveCfg == nil {
-		lp, err := p.buildLive()
-		p.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		return lp.Process(ctx, inputs)
-	}
-	p.mu.Unlock()
 	// Collect wires Run before it starts the feeder: if Run refuses
 	// (say, an unreplicable pipeline under an adaptive policy) no
 	// goroutine is left blocked on a channel nobody will ever read.
@@ -513,7 +491,7 @@ func (p *Pipeline) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-ch
 		out, errs := lp.Run(ctx, inputs)
 		return out, errs, nil
 	}
-	ctrl, err := liveadapt.ForPipeline(lp, p.liveStageInfo(), *cfg)
+	ctrl, err := liveadapt.ForPipeline(lp, p.spec.Stages, *cfg)
 	if err != nil {
 		return nil, nil, err
 	}

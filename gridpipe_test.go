@@ -211,6 +211,22 @@ func TestSimulateOptionValidation(t *testing.T) {
 	}
 }
 
+// TestPolicyNames pins that every public policy name resolves to the
+// controller policy of that name, and that "" means static.
+func TestPolicyNames(t *testing.T) {
+	for _, name := range []string{PolicyStatic, PolicyPeriodic, PolicyReactive, PolicyPredictive, PolicyOracle} {
+		if pol, err := parsePolicy(name); err != nil || pol.String() != name {
+			t.Errorf("parsePolicy(%q) = %v, %v", name, pol, err)
+		}
+	}
+	if pol, err := parsePolicy(""); err != nil || pol.String() != PolicyStatic {
+		t.Errorf(`parsePolicy("") = %v, %v; want static`, pol, err)
+	}
+	if _, err := parsePolicy("bogus"); err == nil || !strings.HasPrefix(err.Error(), "gridpipe: ") {
+		t.Errorf(`parsePolicy("bogus") error %v, want one prefixed "gridpipe: "`, err)
+	}
+}
+
 func TestGridFromJSON(t *testing.T) {
 	cfg := `{"nodes":[{"name":"a","speed":1},{"name":"b","speed":2}]}`
 	g, err := GridFromJSON(strings.NewReader(cfg))

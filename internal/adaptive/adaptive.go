@@ -458,13 +458,9 @@ func (c *Controller) shouldSearch(now, expected float64) bool {
 		// current configuration look substantially worse than it was
 		// promised at the last remap — i.e. trouble is coming even if
 		// throughput has not collapsed yet.
-		if c.cfg.Policy == PolicyPredictive {
-			if len(c.stats.Events) > 0 {
-				last := c.stats.Events[len(c.stats.Events)-1]
-				if expected < DegradationFactor*last.PredictedNew {
-					return true
-				}
-			} else if obsNaN := math.IsNaN(obs); !obsNaN && expected > 0 && obs < expected*DegradationFactor {
+		if c.cfg.Policy == PolicyPredictive && len(c.stats.Events) > 0 {
+			last := c.stats.Events[len(c.stats.Events)-1]
+			if expected < DegradationFactor*last.PredictedNew {
 				return true
 			}
 		}

@@ -5,22 +5,11 @@ import (
 )
 
 // GrainTarget is the optional second actuator surface: targets whose
-// stage boundaries move batches expose their batch size for the
-// controller to walk. *pipeline.Pipeline satisfies it.
+// stage boundaries move batches expose each independently tunable
+// boundary's batch size for the controller to walk. *pipeline.Pipeline
+// satisfies it: boundary 0 is its head, and under EnableBatchEdges
+// every further boundary is a bridge edge.
 type GrainTarget interface {
-	// Grain returns the current boundary batch size.
-	Grain() int
-	// SetGrain changes the batch size while running.
-	SetGrain(n int) error
-}
-
-// EdgeGrainTarget is the per-edge refinement of GrainTarget: targets
-// whose boundaries are independently grained (a pipeline under
-// EnableBatchEdges) expose each one for the controller to walk
-// separately. A target reporting a single boundary behaves exactly
-// like its GrainTarget surface.
-type EdgeGrainTarget interface {
-	GrainTarget
 	// GrainBoundaries returns how many independently tunable
 	// boundaries the target has (1 under uniform batching).
 	GrainBoundaries() int
@@ -30,8 +19,6 @@ type EdgeGrainTarget interface {
 	SetGrainAt(b, n int) error
 }
 
-func (t pipelineTarget) Grain() int                { return t.p.Grain() }
-func (t pipelineTarget) SetGrain(n int) error      { return t.p.SetGrain(n) }
 func (t pipelineTarget) GrainBoundaries() int      { return t.p.GrainBoundaries() }
 func (t pipelineTarget) GrainAt(b int) int         { return t.p.GrainAt(b) }
 func (t pipelineTarget) SetGrainAt(b, n int) error { return t.p.SetGrainAt(b, n) }
@@ -48,7 +35,7 @@ func (t pipelineTarget) SetGrainAt(b, n int) error { return t.p.SetGrainAt(b, n)
 // same trigger discipline the replica controller uses, so a workload
 // shift re-opens both actuators.
 //
-// Per-edge targets turn the walk into a coordinate descent: the same
+// Over several boundaries the walk is a coordinate descent: the same
 // double-or-halve probe runs against one boundary at a time, moving to
 // the next boundary when a step is reverted, lands within the margin,
 // or hits a rail, and settling only once every boundary in a row has
@@ -56,11 +43,10 @@ func (t pipelineTarget) SetGrainAt(b, n int) error { return t.p.SetGrainAt(b, n)
 // and the walk is exactly the uniform one.
 type grainWalk struct {
 	target  GrainTarget
-	et      EdgeGrainTarget // non-nil when walking boundaries separately
-	nb      int             // boundary count (1 without et)
-	max     int             // grain ceiling
-	margin  float64         // accept threshold (derived from HysteresisGain)
-	degrade float64         // re-arm threshold (adaptive.DegradationFactor)
+	nb      int     // boundary count
+	max     int     // grain ceiling
+	margin  float64 // accept threshold (derived from HysteresisGain)
+	degrade float64 // re-arm threshold (adaptive.DegradationFactor)
 
 	last    float64 // time of the last grain change (cooldown anchor)
 	b       int     // boundary currently being probed
@@ -70,14 +56,6 @@ type grainWalk struct {
 	rate    float64 // best throughput attributed to the current grains
 	pending bool    // a step awaits its post-cooldown evaluation
 	settled bool    // walk converged; waiting for degradation
-}
-
-// grainAt reads the probed boundary's current batch size.
-func (w *grainWalk) grainAt(b int) int {
-	if w.et != nil {
-		return w.et.GrainAt(b)
-	}
-	return w.target.Grain()
 }
 
 // step advances the walker one tick: evaluate a pending grain change
@@ -96,7 +74,7 @@ func (w *grainWalk) step(s *liveSub, now float64) {
 	if math.IsNaN(tput) {
 		return
 	}
-	cur := w.grainAt(w.b)
+	cur := w.target.GrainAt(w.b)
 
 	if w.pending {
 		w.pending = false
@@ -177,16 +155,10 @@ func (w *grainWalk) advance() {
 }
 
 func (w *grainWalk) actuate(b, n int, now float64) {
-	var err error
-	if w.et != nil {
-		err = w.et.SetGrainAt(b, n)
-	} else {
-		err = w.target.SetGrain(n)
-	}
-	if err != nil {
+	if err := w.target.SetGrainAt(b, n); err != nil {
 		// The target's grain surface was probed at construction; a
 		// failure here is a programming error.
-		panic("liveadapt: SetGrain: " + err.Error())
+		panic("liveadapt: SetGrainAt: " + err.Error())
 	}
 	w.last = now
 }

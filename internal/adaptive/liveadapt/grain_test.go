@@ -22,8 +22,9 @@ type grainFake struct {
 	grain int
 }
 
-func (f *grainFake) Grain() int { return f.grain }
-func (f *grainFake) SetGrain(n int) error {
+func (f *grainFake) GrainBoundaries() int { return 1 }
+func (f *grainFake) GrainAt(int) int      { return f.grain }
+func (f *grainFake) SetGrainAt(_, n int) error {
 	f.grain = n
 	return nil
 }
@@ -31,7 +32,7 @@ func (f *grainFake) SetGrain(n int) error {
 // refusingGrain is a grain surface that cannot be actuated.
 type refusingGrain struct{ *grainFake }
 
-func (refusingGrain) SetGrain(int) error { return errors.New("grain is fixed") }
+func (refusingGrain) SetGrainAt(int, int) error { return errors.New("grain is fixed") }
 
 // drive advances the walker through ticks spaced one cooldown apart,
 // crediting completions at rate(grain) between ticks.
@@ -116,19 +117,12 @@ func TestGrainWalkReArmsOnDegradation(t *testing.T) {
 	}
 }
 
-// edgeFake scripts a two-boundary EdgeGrainTarget.
+// edgeFake scripts a two-boundary GrainTarget.
 type edgeFake struct {
 	*fakeTarget
 	grains []int
 }
 
-func (f *edgeFake) Grain() int { return f.grains[0] }
-func (f *edgeFake) SetGrain(n int) error {
-	for b := range f.grains {
-		f.grains[b] = n
-	}
-	return nil
-}
 func (f *edgeFake) GrainBoundaries() int { return len(f.grains) }
 func (f *edgeFake) GrainAt(b int) int    { return f.grains[b] }
 func (f *edgeFake) SetGrainAt(b, n int) error {
@@ -145,7 +139,7 @@ func TestGrainWalkCoordinateDescentPerBoundary(t *testing.T) {
 		AdaptGrain: true,
 		MaxGrain:   64,
 	})
-	if s.grain.et == nil || s.grain.nb != 2 {
+	if s.grain.nb != 2 {
 		t.Fatalf("walker should descend over 2 boundaries, got nb=%d", s.grain.nb)
 	}
 	// Boundary 0 amortizes a heavy per-batch overhead; coarsening
@@ -183,7 +177,7 @@ func TestAdaptGrainConstructionChecks(t *testing.T) {
 	}
 	// A target that refuses its own grain → construction error.
 	if _, err := newController(refusingGrain{&grainFake{fakeTarget: newFake(1), grain: 1}}, nil, Config{Policy: adaptive.PolicyPeriodic, AdaptGrain: true}); err == nil {
-		t.Fatal("AdaptGrain over a target that rejects SetGrain should fail")
+		t.Fatal("AdaptGrain over a target that rejects SetGrainAt should fail")
 	}
 	// A pipeline nobody configured starts the walk at grain 1.
 	p, err := pipeline.New(pipeline.Stage{Name: "s", Fn: pipeline.Func(identityFn), Replicas: 1})

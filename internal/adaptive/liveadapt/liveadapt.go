@@ -10,8 +10,16 @@
 //     sensors use, and reads the exit rate off the last stage's count;
 //   - Actuator: a worker-budget apportioner — replicable stages
 //     receive workers proportional to their (forecast) service times,
-//     bounded by MaxWorkers — actuating via pipeline.SetReplicas;
+//     bounded by MaxWorkers, under conc.Apportion, the split the
+//     shared cluster budget uses too — actuating via
+//     pipeline.SetReplicas; under AdaptGrain, a grain walker over the
+//     pipeline's one grain surface (GrainTarget: GrainBoundaries,
+//     GrainAt, SetGrainAt);
 //   - Clock: a time.Ticker.
+//
+// The controller reads the stages as the pipeline's model spec
+// ([]model.StageSpec): Replicable says which it may resize, Work
+// normalises their observed service times.
 //
 // Because the live substrate has no load-aware analytic model, the
 // degradation trigger's reference throughput is anchored to the best
@@ -30,12 +38,13 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"gridpipe/internal/adaptive"
+	"gridpipe/internal/conc"
+	"gridpipe/internal/model"
 	"gridpipe/internal/monitor"
 	"gridpipe/internal/pipeline"
 )
@@ -61,20 +70,6 @@ func (t pipelineTarget) NumStages() int                      { return t.p.NumSta
 func (t pipelineTarget) Replicas(i int) int                  { return t.p.Replicas(i) }
 func (t pipelineTarget) SetReplicas(i, n int) error          { return t.p.SetReplicas(i, n) }
 func (t pipelineTarget) Totals(i int) (int64, time.Duration) { return t.p.StageTotals(i) }
-
-// StageInfo describes one stage to the live controller.
-type StageInfo struct {
-	// Name labels the stage in the event log.
-	Name string
-	// Weight is the stage's nominal per-item demand in any consistent
-	// unit (the facade's reference-seconds); only ratios matter. It
-	// normalises observed service times for the imbalance trigger
-	// (default 1).
-	Weight float64
-	// Replicable marks the stage resizable; non-replicable stages keep
-	// their current worker count and only consume budget.
-	Replicable bool
-}
 
 // Config tunes a live controller.
 type Config struct {
@@ -151,42 +146,47 @@ type Controller struct {
 	sub *liveSub
 }
 
-// ForPipeline builds a live controller over a pipeline. info describes
-// the stages (nil = every stage replicable at weight 1) and must match
-// the pipeline's stage count. PolicyOracle is rejected: the live
-// substrate has no ground truth to consult.
-func ForPipeline(p *pipeline.Pipeline, info []StageInfo, cfg Config) (*Controller, error) {
-	return newController(pipelineTarget{p: p}, info, cfg)
+// ForPipeline builds a live controller over a pipeline. stages is the
+// pipeline's model spec (nil = every stage replicable at work 1) and
+// must match its stage count: Replicable marks the stages the
+// controller may resize, and Work, the nominal per-item demand (only
+// ratios matter), normalises observed service times for the imbalance
+// trigger (default 1). PolicyOracle is rejected: the live substrate has
+// no ground truth to consult.
+func ForPipeline(p *pipeline.Pipeline, stages []model.StageSpec, cfg Config) (*Controller, error) {
+	return newController(pipelineTarget{p: p}, stages, cfg)
 }
 
-func newController(target Target, info []StageInfo, cfg Config) (*Controller, error) {
+func newController(target Target, stages []model.StageSpec, cfg Config) (*Controller, error) {
 	if cfg.Policy == adaptive.PolicyOracle {
 		return nil, fmt.Errorf("liveadapt: PolicyOracle needs ground-truth loads; the live substrate has none")
 	}
 	cfg.fillDefaults()
 	n := target.NumStages()
-	if info == nil {
-		info = make([]StageInfo, n)
-		for i := range info {
-			info[i] = StageInfo{Name: fmt.Sprintf("stage%d", i), Weight: 1, Replicable: true}
+	if stages == nil {
+		stages = make([]model.StageSpec, n)
+		for i := range stages {
+			stages[i] = model.StageSpec{Name: fmt.Sprintf("stage%d", i), Replicable: true}
 		}
 	}
-	if len(info) != n {
-		return nil, fmt.Errorf("liveadapt: %d stage infos for %d stages", len(info), n)
+	if len(stages) != n {
+		return nil, fmt.Errorf("liveadapt: %d stage specs for %d stages", len(stages), n)
 	}
+	// A copy: the defaults below must not write into the caller's spec.
+	stages = append([]model.StageSpec(nil), stages...)
 	anyReplicable := false
-	for i := range info {
-		if info[i].Weight <= 0 {
-			info[i].Weight = 1
+	for i := range stages {
+		if stages[i].Work <= 0 {
+			stages[i].Work = 1
 		}
-		anyReplicable = anyReplicable || info[i].Replicable
+		anyReplicable = anyReplicable || stages[i].Replicable
 	}
 	if !anyReplicable && cfg.Policy != adaptive.PolicyStatic {
 		return nil, fmt.Errorf("liveadapt: no replicable stage to adapt")
 	}
 	sub := &liveSub{
 		target: target,
-		info:   info,
+		stages: stages,
 		cfg:    cfg,
 		ests:   make([]*monitor.Estimator, n),
 		lastN:  make([]int64, n),
@@ -206,11 +206,14 @@ func newController(target Target, info []StageInfo, cfg Config) (*Controller, er
 			return nil, fmt.Errorf("liveadapt: AdaptGrain target exposes no grain surface")
 		}
 		// Probe actuability now: every pipeline accepts its own
-		// current grain, but GrainTarget is an interface and another
+		// current grains, but GrainTarget is an interface and another
 		// implementation may refuse — failing at construction beats
 		// panicking mid-run.
-		if err := gt.SetGrain(gt.Grain()); err != nil {
-			return nil, fmt.Errorf("liveadapt: AdaptGrain: %w", err)
+		nb := gt.GrainBoundaries()
+		for b := 0; b < nb; b++ {
+			if err := gt.SetGrainAt(b, gt.GrainAt(b)); err != nil {
+				return nil, fmt.Errorf("liveadapt: AdaptGrain: %w", err)
+			}
 		}
 		// A margin at or below 1 would accept a losing step.
 		hg := cfg.HysteresisGain
@@ -219,22 +222,15 @@ func newController(target Target, info []StageInfo, cfg Config) (*Controller, er
 		}
 		sub.grain = &grainWalk{
 			target: gt,
-			nb:     1,
+			nb:     nb,
 			max:    cfg.MaxGrain,
 			// Accepting a grain step is cheaper than a remapping, so
 			// the walk demands a quarter of the resize margin.
 			margin:  1 + (hg-1)/4,
 			degrade: adaptive.DegradationFactor,
 			rate:    math.NaN(),
+			dirs:    make([]int, nb),
 		}
-		// A per-edge target turns the walk into a coordinate descent
-		// over its boundaries; a single-boundary (uniform) target
-		// degenerates to the scalar walk.
-		if et, ok := target.(EdgeGrainTarget); ok && et.GrainBoundaries() > 1 {
-			sub.grain.et = et
-			sub.grain.nb = et.GrainBoundaries()
-		}
-		sub.grain.dirs = make([]int, sub.grain.nb)
 		for b := range sub.grain.dirs {
 			sub.grain.dirs[b] = 1
 		}
@@ -251,11 +247,11 @@ func newController(target Target, info []StageInfo, cfg Config) (*Controller, er
 	return &Controller{Controller: core, sub: sub}, nil
 }
 
-// Grain returns the target's current boundary batch size, or 1 when
+// Grain returns the target's head batch size (boundary 0), or 1 when
 // the target has no grain surface.
 func (c *Controller) Grain() int {
 	if gt, ok := c.sub.target.(GrainTarget); ok {
-		return gt.Grain()
+		return gt.GrainAt(0)
 	}
 	return 1
 }
@@ -279,7 +275,7 @@ type rateSample struct {
 // Target. Its methods are called under the core controller's mutex.
 type liveSub struct {
 	target Target
-	info   []StageInfo
+	stages []model.StageSpec
 	cfg    Config
 	epoch  time.Time
 
@@ -380,10 +376,10 @@ func (s *liveSub) Throughput(window, now float64) float64 {
 	return float64(nNow-nStart) / window
 }
 
-// Slowdowns reports observed service over nominal weight per stage.
+// Slowdowns reports observed service over nominal work per stage.
 func (s *liveSub) Slowdowns() []float64 {
 	for i, e := range s.ests {
-		s.slow[i] = e.Last() / s.info[i].Weight
+		s.slow[i] = e.Last() / s.stages[i].Work
 	}
 	return s.slow
 }
@@ -410,30 +406,29 @@ func (s *liveSub) Expected(loads []float64) (reference, hysteresis float64) {
 	return reference, hysteresis
 }
 
-// Propose apportions the worker budget over the replicable stages
-// proportionally to their service-time estimates (largest-remainder,
-// each stage at least one worker, ties to the earlier stage).
-// Non-replicable stages keep their current workers and only consume
-// budget. No proposal is made until every replicable stage has been
-// observed at least once.
+// Propose apportions the worker budget over the replicable stages in
+// proportion to their service-time estimates (conc.Apportion: each
+// stage at least one worker, the rest by largest remainder, ties to
+// the earlier stage). Non-replicable stages keep their current workers
+// and only consume budget. No proposal is made until every replicable
+// stage has been observed at least once.
 func (s *liveSub) Propose(loads []float64) (*adaptive.Proposal, bool) {
 	n := s.target.NumStages()
 	cur := make(Replicas, n)
-	fixed, weightSum := 0, 0.0
-	replicable := 0
+	fixed := 0
+	var weights []float64
 	for i := 0; i < n; i++ {
 		cur[i] = s.target.Replicas(i)
-		if !s.info[i].Replicable {
+		if !s.stages[i].Replicable {
 			fixed += cur[i]
 			continue
 		}
-		replicable++
 		if math.IsNaN(loads[i]) || loads[i] <= 0 {
 			return nil, false // not enough signal to plan yet
 		}
-		weightSum += loads[i]
+		weights = append(weights, loads[i])
 	}
-	if replicable == 0 {
+	if len(weights) == 0 {
 		return nil, false
 	}
 	budget := s.cfg.MaxWorkers
@@ -442,40 +437,14 @@ func (s *liveSub) Propose(loads []float64) (*adaptive.Proposal, bool) {
 			budget = b
 		}
 	}
-	avail := budget - fixed
-	if avail < replicable {
-		avail = replicable // budget floor: one worker per replicable stage
-	}
-
-	// Apportion avail ∝ service time: one worker per replicable stage
-	// up front, the rest by largest remainder. Allocating the floor
-	// first (rather than flooring each proportional share at 1) keeps
-	// the total exactly at avail — share-flooring could overshoot the
-	// budget when many light stages round up.
+	shares := conc.Apportion(nil, weights, budget-fixed)
 	next := make(Replicas, n)
 	copy(next, cur)
-	extra := avail - replicable
-	type frac struct {
-		i int
-		f float64
-	}
-	var rem []frac
-	assigned := 0
-	for i := 0; i < n; i++ {
-		if !s.info[i].Replicable {
-			continue
+	for i, j := 0, 0; i < n; i++ {
+		if s.stages[i].Replicable {
+			next[i] = shares[j]
+			j++
 		}
-		share := float64(extra) * loads[i] / weightSum
-		w := int(share)
-		next[i] = 1 + w
-		assigned += w
-		rem = append(rem, frac{i: i, f: share - float64(w)})
-	}
-	// Hand leftovers to the largest remainders, earlier stage on ties.
-	sort.SliceStable(rem, func(a, b int) bool { return rem[a].f > rem[b].f })
-	for j := 0; assigned < extra; j = (j + 1) % len(rem) {
-		next[rem[j].i]++
-		assigned++
 	}
 
 	same := true

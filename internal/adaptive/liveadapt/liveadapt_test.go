@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gridpipe/internal/adaptive"
+	"gridpipe/internal/model"
 	"gridpipe/internal/pipeline"
 )
 
@@ -54,9 +55,9 @@ func newFake(reps ...int) *fakeTarget {
 	}
 }
 
-func subFor(t *testing.T, target Target, info []StageInfo, cfg Config) *liveSub {
+func subFor(t *testing.T, target Target, stages []model.StageSpec, cfg Config) *liveSub {
 	t.Helper()
-	ctrl, err := newController(target, info, cfg)
+	ctrl, err := newController(target, stages, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +103,9 @@ func TestProposeApportionsBudgetProportionally(t *testing.T) {
 
 func TestProposeKeepsNonReplicableStages(t *testing.T) {
 	f := newFake(2, 1)
-	info := []StageInfo{
-		{Name: "pin", Weight: 1, Replicable: false},
-		{Name: "flex", Weight: 1, Replicable: true},
+	info := []model.StageSpec{
+		{Name: "pin", Work: 1, Replicable: false},
+		{Name: "flex", Work: 1, Replicable: true},
 	}
 	s := subFor(t, f, info, Config{Policy: adaptive.PolicyPeriodic, MaxWorkers: 6})
 	f.observe(0, 10, 5*time.Millisecond)
@@ -212,7 +213,7 @@ func TestOracleRejectedLive(t *testing.T) {
 	if _, err := ForPipeline(p, nil, Config{Policy: adaptive.PolicyOracle}); err == nil {
 		t.Fatal("oracle accepted on the live substrate")
 	}
-	if _, err := ForPipeline(p, []StageInfo{{}, {}}, Config{}); err == nil {
+	if _, err := ForPipeline(p, []model.StageSpec{{}, {}}, Config{}); err == nil {
 		t.Fatal("stage-info length mismatch accepted")
 	}
 }
@@ -319,5 +320,23 @@ func TestLiveFarmGrowsWorkers(t *testing.T) {
 	}
 	if w := fm.Replicas(0); w != 6 {
 		t.Fatalf("farm workers = %d, want the full budget 6", w)
+	}
+}
+
+// TestForPipelineLeavesSpecAlone pins that the controller's Work
+// default (0 → 1) is applied to its own copy: the stages are the
+// caller's model spec, often a bundled app's or the facade's.
+func TestForPipelineLeavesSpecAlone(t *testing.T) {
+	p, err := pipeline.New(pipeline.Stage{Fn: func(ctx context.Context, v any) (any, error) { return v, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := []model.StageSpec{{Name: "s", Replicable: true}}
+	ctrl, err := ForPipeline(p, stages, Config{Policy: adaptive.PolicyPeriodic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stages[0].Work != 0 || ctrl.sub.stages[0].Work != 1 {
+		t.Fatalf("caller's Work %v (want 0), controller's %v (want 1)", stages[0].Work, ctrl.sub.stages[0].Work)
 	}
 }

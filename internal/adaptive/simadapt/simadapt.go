@@ -3,8 +3,9 @@
 // monitor → forecast → decide → actuate loop to the discrete-event
 // executor, so the loop runs in virtual time over a modelled grid.
 //
-//   - Sensor: one NWS-style monitor.NodeSensor per grid node plus the
-//     executor's per-stage service and completion monitors;
+//   - Sensor: the grid's NWS-style node-sensor bank
+//     (monitor.NodeSensors) plus the executor's per-stage service and
+//     completion monitors;
 //   - Actuator: the analytic throughput model (internal/model) rates
 //     the current mapping, the mapping search (internal/sched)
 //     proposes a better one over the currently-available nodes, and
@@ -74,10 +75,7 @@ func newController(g *grid.Grid, ex *exec.Executor, spec model.PipelineSpec, cfg
 	if cfg.Searcher == nil {
 		cfg.Searcher = sched.LocalSearch{Seed: 1}
 	}
-	sensors := make([]*monitor.NodeSensor, g.NumNodes())
-	for i := range sensors {
-		sensors[i] = monitor.NewNodeSensor(g.Node(grid.NodeID(i)), nil)
-	}
+	sensors := monitor.NewNodeSensors(g)
 	act := &actuator{g: g, ex: ex, spec: spec, cfg: cfg}
 	core, err := adaptive.New(
 		&sensor{g: g, ex: ex, spec: spec, sensors: sensors, loadBuf: make([]float64, len(sensors))},
@@ -120,31 +118,18 @@ type sensor struct {
 	g       *grid.Grid
 	ex      *exec.Executor
 	spec    model.PipelineSpec
-	sensors []*monitor.NodeSensor
+	sensors monitor.NodeSensors
 	loadBuf []float64
 	slowBuf []float64
 }
 
-func (s *sensor) Sample(now float64) {
-	for _, ns := range s.sensors {
-		ns.Sample(now)
-	}
-}
+func (s *sensor) Sample(now float64) { s.sensors.Sample(now) }
 
 // Loads returns the per-node load vector the current policy decides
-// with, through the one shared estimate path (monitor.Estimate). The
-// slice is reused from tick to tick, which adaptive.Sensor allows.
+// with. The slice is reused from tick to tick, which adaptive.Sensor
+// allows.
 func (s *sensor) Loads(mode adaptive.LoadMode, now float64) []float64 {
-	m := monitor.EstimateLast
-	switch mode {
-	case adaptive.LoadPredicted:
-		m = monitor.EstimatePredicted
-	case adaptive.LoadOracle:
-		m = monitor.EstimateOracle
-	}
-	for i, ns := range s.sensors {
-		s.loadBuf[i] = ns.Estimate(m, now)
-	}
+	s.loadBuf = s.sensors.Loads(s.loadBuf, mode, now)
 	return s.loadBuf
 }
 

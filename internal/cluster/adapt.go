@@ -1,10 +1,11 @@
 // Adaptive cross-job arbitration: the cluster wiring of the
 // substrate-agnostic adaptive.Controller (internal/adaptive, PR 4).
 //
-//   - Sensor: the grid's NWS-style node sensors provide per-node load
-//     estimates (last/forecast/oracle, exactly as simadapt); the
-//     observed signal is the weighted max-min objective over the
-//     active jobs — min_j observed-throughput_j / weight_j — and the
+//   - Sensor: the grid's NWS-style node-sensor bank
+//     (monitor.NodeSensors, shared with simadapt) provides per-node
+//     load estimates (last/forecast/oracle); the observed signal is
+//     the weighted max-min objective over the active jobs — min_j
+//     observed-throughput_j / weight_j — and the
 //     "slowdown" vector is each job's degradation factor, so the
 //     imbalance trigger fires on unfairness (one tenant degrading far
 //     more than another), not on stage spread;
@@ -27,7 +28,6 @@ import (
 	"gridpipe/internal/adaptive"
 	"gridpipe/internal/exec"
 	"gridpipe/internal/model"
-	"gridpipe/internal/monitor"
 )
 
 // arbSub implements adaptive.Sensor and adaptive.Actuator over one
@@ -44,29 +44,12 @@ type arbSub struct {
 	ps      model.PredictScratch
 }
 
-func (s *arbSub) Sample(now float64) {
-	for _, ns := range s.c.sensors {
-		ns.Sample(now)
-	}
-}
+func (s *arbSub) Sample(now float64) { s.c.sensors.Sample(now) }
 
 // Loads returns the per-node background-load vector the policy
-// decides with, through the shared monitor.Estimate path. The slice is
-// valid until the next call.
+// decides with. The slice is valid until the next call.
 func (s *arbSub) Loads(mode adaptive.LoadMode, now float64) []float64 {
-	m := monitor.EstimateLast
-	switch mode {
-	case adaptive.LoadPredicted:
-		m = monitor.EstimatePredicted
-	case adaptive.LoadOracle:
-		m = monitor.EstimateOracle
-	}
-	if s.loadBuf == nil {
-		s.loadBuf = make([]float64, len(s.c.sensors))
-	}
-	for i, ns := range s.c.sensors {
-		s.loadBuf[i] = ns.Estimate(m, now)
-	}
+	s.loadBuf = s.c.sensors.Loads(s.loadBuf, mode, now)
 	return s.loadBuf
 }
 

@@ -158,7 +158,7 @@ type Cluster struct {
 	eng     *sim.Engine
 	cfg     Config
 	shares  *exec.NodeShares
-	sensors []*monitor.NodeSensor
+	sensors monitor.NodeSensors
 
 	jobs  []*Job
 	queue []*Job // FIFO admission queue
@@ -197,10 +197,7 @@ func New(g *grid.Grid, cfg Config) (*Cluster, error) {
 		eng:     &sim.Engine{},
 		cfg:     cfg,
 		shares:  exec.NewNodeShares(g),
-		sensors: make([]*monitor.NodeSensor, g.NumNodes()),
-	}
-	for i := range c.sensors {
-		c.sensors[i] = monitor.NewNodeSensor(g.Node(grid.NodeID(i)), nil)
+		sensors: monitor.NewNodeSensors(g),
 	}
 	c.div = NewDivider(g, 0)
 	return c, nil

@@ -62,54 +62,71 @@ func (l *BudgetLease) Release() {
 }
 
 // Cap returns the lease's current worker allowance: its weighted
-// largest-remainder share of the total, at least 1. A released or
-// sole lease gets the whole budget.
+// share of the total under Apportion, at least 1. A released or sole
+// lease gets the whole budget.
 func (l *BudgetLease) Cap() int {
 	b := l.b
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	n := len(b.leases)
-	if n <= 1 {
+	if len(b.leases) <= 1 {
 		return b.total
 	}
-	weightSum := 0.0
-	for _, x := range b.leases {
-		weightSum += x.weight
-	}
-	// Floor of one worker per lease; the remainder apportioned by
-	// weight, leftovers to the largest fractional parts (earlier lease
-	// on ties).
-	extra := b.total - n
-	if extra < 0 {
-		extra = 0
-	}
-	caps := make([]int, n)
-	fracs := make([]float64, n)
-	assigned := 0
+	weights := make([]float64, len(b.leases))
 	self := -1
 	for i, x := range b.leases {
-		share := float64(extra) * x.weight / weightSum
-		w := int(share)
-		caps[i] = 1 + w
-		fracs[i] = share - float64(w)
-		assigned += w
+		weights[i] = x.weight
 		if x == l {
 			self = i
 		}
 	}
-	for assigned < extra {
-		best := 0
-		for i := 1; i < n; i++ {
-			if fracs[i] > fracs[best] {
-				best = i
-			}
-		}
-		caps[best]++
-		fracs[best] = -1
-		assigned++
-	}
 	if self < 0 {
 		return b.total // released mid-call: no longer constrained
 	}
-	return caps[self]
+	return Apportion(nil, weights, b.total)[self]
+}
+
+// Apportion splits total workers over len(weights) entries: one worker
+// each, the rest in proportion to weight by largest remainder, the
+// earlier entry winning a tie. Allocating the floor first, rather than
+// flooring each proportional share at 1, keeps the sum at exactly
+// max(total, len(weights)). Weights must be positive. The result is
+// written into dst, which grows only when its capacity is short.
+func Apportion(dst []int, weights []float64, total int) []int {
+	n := len(weights)
+	if cap(dst) < n {
+		dst = make([]int, n)
+	}
+	dst = dst[:n]
+	extra := total - n
+	if extra < 0 {
+		extra = 0
+	}
+	sum := 0.0
+	for _, w := range weights {
+		sum += w
+	}
+	assigned := 0
+	for i, w := range weights {
+		k := int(float64(extra) * w / sum)
+		dst[i] = 1 + k
+		assigned += k
+	}
+	// Leftovers go one each to the largest fractional parts. An entry
+	// already topped up no longer reads 1 + its floored share, which
+	// takes it out of the running.
+	for ; assigned < extra; assigned++ {
+		best, bestFrac := 0, -1.0
+		for i, w := range weights {
+			share := float64(extra) * w / sum
+			k := int(share)
+			if dst[i] != 1+k {
+				continue
+			}
+			if f := share - float64(k); f > bestFrac {
+				best, bestFrac = i, f
+			}
+		}
+		dst[best]++
+	}
+	return dst
 }

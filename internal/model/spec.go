@@ -7,20 +7,9 @@ import (
 	"gridpipe/internal/topo"
 )
 
-// StageSpec describes one pipeline stage for modelling purposes.
-type StageSpec struct {
-	// Name labels the stage in tables and logs.
-	Name string
-	// Work is the mean per-item service demand in reference-seconds
-	// (seconds on an unloaded speed-1.0 node).
-	Work float64
-	// OutBytes is the size of the message each processed item sends to
-	// the next stage (or to the sink for the last stage).
-	OutBytes float64
-	// Replicable marks stages that keep no inter-item state and may be
-	// farmed across several nodes by the adaptivity engine.
-	Replicable bool
-}
+// StageSpec describes one pipeline stage for modelling purposes: the
+// stage graph's own stage type, so a spec and its graph share it.
+type StageSpec = topo.Stage
 
 // PipelineSpec describes a whole pipeline for modelling: the stages
 // plus where inputs originate and outputs must be delivered.
@@ -118,16 +107,11 @@ func FromGraph(g *topo.Graph, inBytes float64) (PipelineSpec, error) {
 	if err := g.Validate(); err != nil {
 		return PipelineSpec{}, err
 	}
-	spec := PipelineSpec{InBytes: inBytes, Topo: g}
-	for _, st := range g.Stages {
-		spec.Stages = append(spec.Stages, StageSpec{
-			Name:       st.Name,
-			Work:       st.Work,
-			OutBytes:   st.OutBytes,
-			Replicable: st.Replicable,
-		})
-	}
-	return spec, nil
+	return PipelineSpec{
+		Stages:  append([]StageSpec(nil), g.Stages...),
+		InBytes: inBytes,
+		Topo:    g,
+	}, nil
 }
 
 // Graph returns the spec's stage graph: Topo when set, otherwise the
@@ -137,16 +121,7 @@ func (p PipelineSpec) Graph() *topo.Graph {
 	if p.Topo != nil {
 		return p.Topo
 	}
-	stages := make([]topo.Stage, len(p.Stages))
-	for i, st := range p.Stages {
-		stages[i] = topo.Stage{
-			Name:       st.Name,
-			Work:       st.Work,
-			OutBytes:   st.OutBytes,
-			Replicable: st.Replicable,
-		}
-	}
-	return topo.Chain(stages...)
+	return topo.Chain(p.Stages...)
 }
 
 // NumStages returns the number of stages.

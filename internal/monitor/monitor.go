@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"gridpipe/internal/adaptive"
 	"gridpipe/internal/forecast"
 	"gridpipe/internal/grid"
 	"gridpipe/internal/stats"
@@ -143,25 +144,6 @@ func (m *Monitor) ResetStages() {
 	}
 }
 
-// EstimateMode selects how an Estimator (or a sensor built on one)
-// turns its measurement history into the single number a decision
-// uses. It is the monitoring-side mirror of the adaptive controller's
-// load modes, shared by the simulated node sensors and the live stage
-// sensors so the fallback glue exists exactly once.
-type EstimateMode int
-
-const (
-	// EstimateLast uses the most recent measurement (0 before any).
-	EstimateLast EstimateMode = iota
-	// EstimatePredicted uses the forecaster battery's near-future
-	// estimate, falling back to the last measurement and then to 0.
-	EstimatePredicted
-	// EstimateOracle uses ground truth where the sensor can see it
-	// (simulated load traces); sensors without ground truth fall back
-	// to EstimateLast.
-	EstimateOracle
-)
-
 // Estimator wraps a forecaster with the fallback glue every estimate
 // path previously duplicated: feed raw measurements in, read either
 // the last value or a clamped forecast out.
@@ -230,18 +212,16 @@ func (s *NodeSensor) Sample(t float64) {
 func (s *NodeSensor) PredictedLoad() float64 { return s.est.Predicted(0, 0.99) }
 
 // Estimate returns the load number the given mode decides with: the
-// ground-truth trace for EstimateOracle, the clamped forecast for
-// EstimatePredicted, and the last measurement (0 before any) otherwise.
-// This is the one shared path the adaptive controller's per-policy
-// load estimation collapsed into.
-func (s *NodeSensor) Estimate(mode EstimateMode, now float64) float64 {
+// ground-truth trace for LoadOracle, the clamped forecast for
+// LoadPredicted, and the last measurement (0 before any) otherwise.
+func (s *NodeSensor) Estimate(mode adaptive.LoadMode, now float64) float64 {
 	switch mode {
-	case EstimateOracle:
+	case adaptive.LoadOracle:
 		if s.node.Load != nil {
 			return s.node.Load.At(now)
 		}
 		return 0
-	case EstimatePredicted:
+	case adaptive.LoadPredicted:
 		return s.PredictedLoad()
 	default:
 		l := s.est.Last()
@@ -250,4 +230,39 @@ func (s *NodeSensor) Estimate(mode EstimateMode, now float64) float64 {
 		}
 		return l
 	}
+}
+
+// NodeSensors is the node-sensing bank of a controller over a grid: one
+// NodeSensor per node, indexed by grid.NodeID. The simulated controller
+// and the cluster arbiter both hold one.
+type NodeSensors []*NodeSensor
+
+// NewNodeSensors returns a bank over every node of g, each backed by
+// the default forecaster battery.
+func NewNodeSensors(g *grid.Grid) NodeSensors {
+	ns := make(NodeSensors, g.NumNodes())
+	for i := range ns {
+		ns[i] = NewNodeSensor(g.Node(grid.NodeID(i)), nil)
+	}
+	return ns
+}
+
+// Sample measures every node at time now.
+func (ns NodeSensors) Sample(now float64) {
+	for _, s := range ns {
+		s.Sample(now)
+	}
+}
+
+// Loads writes every node's estimate under mode into dst, growing it
+// only when its capacity is short, and returns it.
+func (ns NodeSensors) Loads(dst []float64, mode adaptive.LoadMode, now float64) []float64 {
+	if cap(dst) < len(ns) {
+		dst = make([]float64, len(ns))
+	}
+	dst = dst[:len(ns)]
+	for i, s := range ns {
+		dst[i] = s.Estimate(mode, now)
+	}
+	return dst
 }

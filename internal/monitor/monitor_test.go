@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"gridpipe/internal/adaptive"
 	"gridpipe/internal/forecast"
 	"gridpipe/internal/grid"
 	"gridpipe/internal/trace"
@@ -158,3 +159,52 @@ type overshoot struct{}
 func (overshoot) Name() string     { return "overshoot" }
 func (overshoot) Observe(float64)  {}
 func (overshoot) Predict() float64 { return 5 }
+
+// TestNodeSensorsLoads pins the three load modes of the node bank: last
+// measurement (0 before any sample), ground truth at now without
+// sampling, and the forecast clamped to [0, 0.99]; and that a reused
+// buffer costs no allocation.
+func TestNodeSensorsLoads(t *testing.T) {
+	g, err := grid.NewGrid(grid.Link{Latency: 0.01, Bandwidth: 1e6},
+		&grid.Node{Speed: 1, Cores: 1, Load: trace.NewSteps(0.2, trace.StepChange{T: 10, Load: 0.8})},
+		&grid.Node{Speed: 1, Cores: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := NewNodeSensors(g)
+	if len(ns) != 2 || ns[0].node != g.Node(0) || ns[1].node != g.Node(1) {
+		t.Fatal("the bank must hold one sensor per node, in node order")
+	}
+	eq := func(what string, got []float64, want ...float64) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s = %v, want %v", what, got, want)
+			}
+		}
+	}
+	eq("LoadLast before any Sample", ns.Loads(nil, adaptive.LoadLast, 0), 0, 0)
+	eq("LoadOracle unsampled", ns.Loads(nil, adaptive.LoadOracle, 12), 0.8, 0)
+	ns.Sample(3)
+	eq("LoadLast after Sample", ns.Loads(nil, adaptive.LoadLast, 12), 0.2, 0)
+	eq("LoadOracle after Sample", ns.Loads(nil, adaptive.LoadOracle, 12), 0.8, 0)
+
+	// An overshooting forecast clamps high; an undershooting one low.
+	ns[0] = NewNodeSensor(g.Node(0), overshoot{})
+	ns[1] = NewNodeSensor(g.Node(1), undershoot{})
+	ns.Sample(3)
+	eq("LoadPredicted", ns.Loads(nil, adaptive.LoadPredicted, 3), 0.99, 0)
+
+	dst := make([]float64, 0, len(ns))
+	for _, mode := range []adaptive.LoadMode{adaptive.LoadLast, adaptive.LoadPredicted, adaptive.LoadOracle} {
+		if n := testing.AllocsPerRun(100, func() { dst = ns.Loads(dst, mode, 5) }); n != 0 {
+			t.Fatalf("Loads(mode %d) into a reused buffer: %v allocs, want 0", mode, n)
+		}
+	}
+}
+
+type undershoot struct{}
+
+func (undershoot) Name() string     { return "undershoot" }
+func (undershoot) Observe(float64)  {}
+func (undershoot) Predict() float64 { return -1 }

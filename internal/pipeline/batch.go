@@ -18,7 +18,7 @@
 //     slab boundaries stay aligned along every path of the stage graph
 //     and a fan-in zips its in-streams slab-by-slab;
 //   - the head flushes a slab when it reaches the current grain
-//     (SetGrain, readable while running — the adaptive controller's
+//     (SetGrainAt, readable while running — the adaptive controller's
 //     second actuator dimension) or when it has lingered for the linger
 //     timeout, so a trickle input keeps bounded latency. The head takes
 //     its input in bursts — it parks only when the channel is dry and
@@ -105,7 +105,7 @@ func (p *Pipeline) releaseBatch(b *batch) {
 // EnableBatch sets the grain and linger before Run: items cross
 // boundaries in slabs of up to grain items, flushed early when the
 // oldest item has waited linger (linger <= 0 picks DefaultLinger).
-// The grain is adjustable while running via SetGrain.
+// The grain is adjustable while running via SetGrainAt(0, n).
 func (p *Pipeline) EnableBatch(grain int, linger time.Duration) error {
 	if grain < 1 {
 		return fmt.Errorf("pipeline: EnableBatch grain %d below 1", grain)
@@ -119,24 +119,10 @@ func (p *Pipeline) EnableBatch(grain int, linger time.Duration) error {
 		return fmt.Errorf("pipeline: EnableBatch after Run")
 	}
 	p.linger.Store(int64(linger))
-	return p.SetGrain(grain)
-}
-
-// SetGrain adjusts the slab size items travel in (minimum 1). Safe to
-// call while the pipeline runs — the head applies it to the slab it is
-// filling — which makes grain a live actuator dimension alongside
-// SetReplicas. Every boundary moves together: on a per-edge pipeline
-// (EnableBatchEdges) that is the uniform vector, which is always valid.
-func (p *Pipeline) SetGrain(n int) error {
-	if n < 1 {
-		return fmt.Errorf("pipeline: SetGrain(%d) below 1", n)
-	}
+	// Every boundary at one grain: the uniform vector, valid on any
+	// graph.
 	for b := range p.grains {
-		p.grains[b].Store(int64(n))
+		p.grains[b].Store(int64(grain))
 	}
 	return nil
 }
-
-// Grain returns the head's current slab size (1 unless EnableBatch,
-// EnableBatchEdges, or SetGrain raised it).
-func (p *Pipeline) Grain() int { return int(p.grains[0].Load()) }

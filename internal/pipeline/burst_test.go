@@ -127,10 +127,11 @@ func TestBurstThenSilenceFlushesOnLinger(t *testing.T) {
 	}
 }
 
-// TestBurstGrainShrinkFlushesAtNextItem: SetGrain below the open slab's
-// length takes effect at the next item the head takes, in a burst as at a
-// park — and only for the slab that was open: the rest of the burst opens
-// a new one, which waits (here, for the close; the linger is an hour).
+// TestBurstGrainShrinkFlushesAtNextItem: SetGrainAt(0, n) below the
+// open slab's length takes effect at the next item the head takes, in a
+// burst as at a park — and only for the slab that was open: the rest of
+// the burst opens a new one, which waits (here, for the close; the
+// linger is an hour).
 func TestBurstGrainShrinkFlushesAtNextItem(t *testing.T) {
 	watchGoroutines(t)
 	const open, burst = 40, 3
@@ -152,7 +153,7 @@ func TestBurstGrainShrinkFlushesAtNextItem(t *testing.T) {
 		}
 	}
 	quiet("before the shrink") // 40 of 64, no clock to speak of
-	if err := p.SetGrain(8); err != nil {
+	if err := p.SetGrainAt(0, 8); err != nil {
 		t.Fatal(err)
 	}
 	quiet("after the shrink, before the next item")

@@ -483,7 +483,7 @@ func (r *dataflow) runHead(inputs <-chan any) {
 			}
 			cur.items = append(cur.items, v)
 			seq++
-			if len(cur.items) < p.Grain() {
+			if len(cur.items) < int(p.grains[0].Load()) {
 				next()
 			} else if !flush(next) {
 				return

@@ -195,9 +195,8 @@ func (p *Pipeline) GrainAt(b int) int {
 
 // SetGrainAt adjusts one boundary's grain (minimum 1) while the
 // pipeline runs: boundary 0 resizes the head batcher's slabs, a bridge
-// boundary resizes its edge's re-slab accumulator. This is the
-// per-boundary counterpart of SetGrain and the actuator liveadapt's
-// coordinate-descent grain walker drives.
+// boundary resizes its edge's re-slab accumulator. It is the one grain
+// actuator: liveadapt's grain walker drives it, one boundary at a time.
 func (p *Pipeline) SetGrainAt(b, n int) error {
 	if n < 1 {
 		return fmt.Errorf("pipeline: SetGrainAt(%d, %d) below 1", b, n)

@@ -183,9 +183,9 @@ func TestExecutorCancelPrefixProperty(t *testing.T) {
 }
 
 // TestGrainResizeConcurrentMidFlight is the mid-flight actuation
-// regression test: SetGrain/SetGrainAt racing SetReplicas on a running
-// batched pipeline must stay race-free and never drop or reorder an
-// item. (The farm counterpart is TestFarmBatchWorkersConcurrent.)
+// regression test: SetGrainAt (on one boundary, and on all of them to
+// one size) racing SetReplicas on a running batched pipeline must stay
+// race-free and never drop or reorder an item. (The farm counterpart is TestFarmBatchWorkersConcurrent.)
 func TestGrainResizeConcurrentMidFlight(t *testing.T) {
 	watchGoroutines(t)
 	ident := func(_ context.Context, v any) (any, error) { return v, nil }
@@ -227,9 +227,13 @@ func TestGrainResizeConcurrentMidFlight(t *testing.T) {
 					return
 				}
 			case 1:
-				if err := p.SetGrain(grains[r.Intn(len(grains))]); err != nil {
-					t.Errorf("SetGrain: %v", err)
-					return
+				// Every boundary to one size: the uniform vector.
+				n := grains[r.Intn(len(grains))]
+				for b := 0; b < p.GrainBoundaries(); b++ {
+					if err := p.SetGrainAt(b, n); err != nil {
+						t.Errorf("SetGrainAt: %v", err)
+						return
+					}
 				}
 			case 2:
 				if err := p.SetReplicas(i%2, 1+r.Intn(4)); err != nil {

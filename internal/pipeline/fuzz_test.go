@@ -58,7 +58,7 @@ func FuzzEnableBatchEdges(f *testing.F) {
 			grains[i] = int(int8(b)) % 40 // -39…39
 		}
 		if err := p.EnableBatchEdges(grains, time.Millisecond); err != nil {
-			if nb, g := p.GrainBoundaries(), p.Grain(); nb != 1 || g != 1 {
+			if nb, g := p.GrainBoundaries(), p.GrainAt(0); nb != 1 || g != 1 {
 				t.Fatalf("refused %v (%v) yet left %d boundaries at head grain %d", grains, err, nb, g)
 			}
 			return

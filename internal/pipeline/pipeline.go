@@ -150,7 +150,7 @@ type Pipeline struct {
 	// Slab state (see batch.go). grains holds one atomic grain per
 	// boundary (0 = head, 1+ei = edge ei) and linger the head's flush
 	// timeout in nanoseconds; both are read while the pipeline runs, so
-	// SetGrain/SetGrainAt actuate live.
+	// SetGrainAt actuates live.
 	grains []atomic.Int64
 	linger atomic.Int64
 	slabs  sync.Pool // *batch

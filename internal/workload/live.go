@@ -244,7 +244,6 @@ func RunLive(app App, opts LiveOptions) (LiveOutcome, error) {
 	reps := initialReplicas(app, opts.MaxWorkers/2)
 	resources := make([]*Resource, app.Spec.NumStages())
 	stages := make([]pipeline.Stage, app.Spec.NumStages())
-	info := make([]liveadapt.StageInfo, len(stages))
 	for i, st := range app.Spec.Stages {
 		resources[i] = &Resource{}
 		stages[i] = pipeline.Stage{
@@ -253,7 +252,6 @@ func RunLive(app App, opts LiveOptions) (LiveOutcome, error) {
 			Replicas: reps[i],
 			Buffer:   8,
 		}
-		info[i] = liveadapt.StageInfo{Name: st.Name, Weight: st.Work, Replicable: st.Replicable}
 	}
 	pl, err := pipeline.New(stages...)
 	if err != nil {
@@ -277,7 +275,7 @@ func RunLive(app App, opts LiveOptions) (LiveOutcome, error) {
 			return LiveOutcome{}, err
 		}
 	}
-	ctrl, err := liveadapt.ForPipeline(pl, info, cfg)
+	ctrl, err := liveadapt.ForPipeline(pl, app.Spec.Stages, cfg)
 	if err != nil {
 		return LiveOutcome{}, err
 	}

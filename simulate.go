@@ -101,21 +101,16 @@ const (
 	PolicyOracle     = "oracle"
 )
 
+// parsePolicy resolves a policy name; "" means static.
 func parsePolicy(name string) (adaptive.Policy, error) {
-	switch name {
-	case "", PolicyStatic:
+	if name == "" {
 		return adaptive.PolicyStatic, nil
-	case PolicyPeriodic:
-		return adaptive.PolicyPeriodic, nil
-	case PolicyReactive:
-		return adaptive.PolicyReactive, nil
-	case PolicyPredictive:
-		return adaptive.PolicyPredictive, nil
-	case PolicyOracle:
-		return adaptive.PolicyOracle, nil
-	default:
-		return 0, fmt.Errorf("gridpipe: unknown policy %q", name)
 	}
+	pol, err := adaptive.ParsePolicy(name)
+	if err != nil {
+		return 0, fmt.Errorf("gridpipe: %w", err)
+	}
+	return pol, nil
 }
 
 // SimOptions tune a simulation run.
