@@ -199,9 +199,12 @@ type Executor struct {
 	stop   atomic.Bool
 
 	// Stall-monitor state: spillDone counts tasks completed by spill
-	// workers (fleet workers count their own, see worker.taskSeq), spills
-	// the live spill workers, spillsEver the cumulative count.
+	// workers (fleet workers count their own, see worker.taskSeq), yields
+	// the calls to Yield and yielding those not yet returned, spills the
+	// live spill workers, spillsEver the cumulative count.
 	spillDone  atomic.Int64
+	yields     atomic.Int64
+	yielding   atomic.Int64
 	spills     atomic.Int64
 	spillsEver atomic.Int64
 
@@ -278,6 +281,21 @@ func (e *Executor) Submit(t Task) {
 	e.wakeOne()
 }
 
+// Yield hands the calling task's processor to the goroutines waiting for
+// one (runtime.Gosched): a goroutine the task readied waits otherwise
+// until the worker blocks, which a worker busy with long tasks may not do
+// for a scheduler time slice. A yielding task waits for a processor, not
+// for the executor, so the stall monitor counts a Yield as movement, like
+// a task ending: no tick in which one begins or is under way is wedged.
+// The task should return soon after, or a worker blocked after a Yield
+// would escape the monitor for a tick.
+func (e *Executor) Yield() {
+	e.yields.Add(1)
+	e.yielding.Add(1)
+	runtime.Gosched()
+	e.yielding.Add(-1)
+}
+
 // Close stops the workers after every previously submitted task has
 // run. The caller must guarantee no Submit races or follows Close
 // (the skeletons end a run only after every task they submitted has
@@ -336,21 +354,21 @@ func (w *worker) run() {
 
 // monitor is the executor's liveness valve: if a full tick passes with
 // every fleet worker inside the same task it was inside at the tick
-// before, no spill worker completing one either, and work queued, the
-// fleet is wedged inside blocking tasks, and a spill worker is injected
-// to keep the queues draining (and to let K tasks that rendezvous with
-// each other all get on CPU even when K exceeds the fleet). A worker
-// that is between tasks, or inside a different one, is moving: whatever
-// is queued is about to be grabbed, and spilling it would only add a
-// goroutine. One injection per tick: bursts of blockers escalate
+// before, no spill worker completing one either, no task yielding, and
+// work queued, the fleet is wedged inside blocking tasks, and a spill
+// worker is injected to keep the queues draining (and to let K tasks
+// that rendezvous with each other all get on CPU even when K exceeds the
+// fleet). A worker that is between tasks, or inside a different one, is
+// moving: whatever is queued is about to be grabbed, and spilling it
+// would only add a goroutine. One injection per tick: bursts of blockers escalate
 // linearly, a healthy fleet never escalates at all.
 func (e *Executor) monitor() {
 	defer e.wg.Done()
 	last := make([]uint64, len(e.workers))
-	lastSpillDone := int64(-1)
+	lastSpillDone, lastYields := int64(-1), int64(-1)
 	for !e.stop.Load() {
 		time.Sleep(monitorTick)
-		wedged := true
+		wedged := e.yielding.Load() == 0
 		for i, w := range e.workers {
 			cur := w.taskSeq.Load()
 			if cur != last[i] || cur%2 == 0 {
@@ -360,6 +378,10 @@ func (e *Executor) monitor() {
 		}
 		if cur := e.spillDone.Load(); cur != lastSpillDone {
 			lastSpillDone = cur
+			wedged = false
+		}
+		if cur := e.yields.Load(); cur != lastYields {
+			lastYields = cur
 			wedged = false
 		}
 		if !e.queued() {

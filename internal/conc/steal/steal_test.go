@@ -220,6 +220,31 @@ func TestNoSpillForWorkNotYetGrabbed(t *testing.T) {
 	}
 }
 
+// TestNoSpillForYieldingTasks: both workers of a two-worker set stay
+// inside tasks for twenty ticks with work queued, but yield all along —
+// they wait for a processor, not for the executor — so nothing spills.
+func TestNoSpillForYieldingTasks(t *testing.T) {
+	e := New(2)
+	defer e.Close()
+	var inside sync.WaitGroup
+	inside.Add(2)
+	for i := 0; i < 2; i++ {
+		e.Submit(Task{Fn: func(any) {
+			inside.Done()
+			for t0 := time.Now(); time.Since(t0) < 20*monitorTick; {
+				e.Yield()
+			}
+		}})
+	}
+	inside.Wait()
+	ran := make(chan struct{})
+	e.Submit(Task{Fn: func(any) { close(ran) }})
+	<-ran
+	if st := e.Stats(); st.Spills != 0 {
+		t.Fatalf("%d spill workers injected behind yielding tasks: %v", st.Spills, st)
+	}
+}
+
 // TestSpillRunsQueuedTaskBehindWedgedFleet: with both workers of a
 // two-worker set blocked inside tasks, a third task is run by a spill
 // worker within a few ticks.

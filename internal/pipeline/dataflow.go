@@ -1,5 +1,5 @@
-// The per-run dataflow state and its two rules, fire and deliver; the
-// package comment (pipeline.go) describes the design.
+// The per-run dataflow state and its three rules, deliver, fire and
+// unpack; the package comment (pipeline.go) describes the design.
 package pipeline
 
 import (
@@ -46,6 +46,14 @@ type stageState struct {
 	dirty   bool // on the worklist
 }
 
+// yieldAfter is the stage work, summed over a task's slabs, past which
+// a task whose send readied a parked consumer yields it the processor
+// and ends (advance): a worker on stages that long may not block again
+// for a scheduler time slice. Below it, stage work is cheaper than the
+// yield's round trip through the scheduler, and the worker soon blocks
+// or parks anyway.
+const yieldAfter = 5 * time.Microsecond
+
 // ready is a fired slab on its way to the executor. A step collects them
 // in an array on the stepper's stack; if it fills, the step stops early.
 type ready struct {
@@ -60,6 +68,11 @@ type dataflow struct {
 	ex    *steal.Executor
 	tasks []func(any) // the executor task of each stage
 
+	// done is ctx.Done(), read once: a receive from an open channel takes
+	// no lock, where ctx.Err() locks the context every worker shares.
+	done <-chan struct{}
+	out  chan<- any // the run's output, ioBuffer items
+
 	mu        sync.Mutex
 	stages    []stageState
 	edges     []edge // the graph's edges, then the entry, then the exit
@@ -67,18 +80,23 @@ type dataflow struct {
 	exit      *edge
 	work      []int // dirty stages; each at most once, so cap = len(stages)
 	cancelled bool
+	// sending: one party at a time unpacks exit slabs into out — the
+	// stepper the unpack rule chose, or the egress. The egress sets it for
+	// good when it returns, so nothing ever sends on a closed output.
+	sending bool
 
 	// Buffered(1) edge triggers for the two parties that park; a sleeper
 	// re-reads the state before sleeping again, so a full one loses nothing.
-	headWake chan struct{}
-	exitWake chan struct{}
-	running  sync.WaitGroup // the stages not yet retired, and the head
+	headWake    chan struct{}
+	exitWake    chan struct{}
+	egressParks int            // times the egress parked; read by tests after the run
+	running     sync.WaitGroup // the stages not yet retired, and the head
 }
 
-func (p *Pipeline) newDataflow(ctx context.Context, ex *steal.Executor, fail func(error)) *dataflow {
+func (p *Pipeline) newDataflow(ctx context.Context, ex *steal.Executor, fail func(error), out chan<- any) *dataflow {
 	n := len(p.stages)
 	r := &dataflow{
-		p: p, ctx: ctx, fail: fail, ex: ex,
+		p: p, ctx: ctx, fail: fail, ex: ex, done: ctx.Done(), out: out,
 		tasks:    make([]func(any), n),
 		stages:   make([]stageState, n),
 		edges:    make([]edge, len(p.edges)+2),
@@ -116,13 +134,16 @@ func (p *Pipeline) newDataflow(ctx context.Context, ex *steal.Executor, fail fun
 // result — or the nil tombstone of a failed slab, which keeps the ring's
 // indices gap-free so the tokens behind it keep coming back while the
 // cancellation unwinds — advance, and carry on with a slab that released,
-// for at most one trip down the pipeline. An unordered stage files at the
+// for at most one trip down the pipeline, unless advance yielded the
+// processor to the consumer. An unordered stage files at the
 // ring's next free index instead of the slab's own, so deliver, unchanged,
 // releases slabs in completion order.
 func (r *dataflow) runTask(s int, b *batch) {
+	var busy time.Duration
 	for runs := 1; ; runs++ {
 		idx := b.idx
-		ob, err := r.p.apply(r.ctx, s, b)
+		ob, d, err := r.p.apply(r.ctx, s, b)
+		busy += d
 		if err != nil {
 			r.fail(err)
 		}
@@ -133,7 +154,7 @@ func (r *dataflow) runTask(s int, b *batch) {
 		}
 		pending.Put(idx, ob)
 		r.mark(s)
-		next := r.advance(runs < len(r.stages))
+		next := r.advance(runs < len(r.stages), busy)
 		if next.b == nil {
 			return
 		}
@@ -145,17 +166,20 @@ func (r *dataflow) runTask(s int, b *batch) {
 func (r *dataflow) kick(s int) {
 	r.mu.Lock()
 	r.mark(s)
-	r.advance(false)
+	r.advance(false, 0)
 }
 
-// advance runs the rules to a fixpoint and submits what fired. Called
-// with r.mu held, returns with it released. With inline set it keeps the
-// furthest-downstream fired slab — the oldest work in the pipeline — for
-// the calling task to run itself, sparing it the inject queue.
-func (r *dataflow) advance(inline bool) (keep ready) {
+// advance runs the rules to a fixpoint, submits what fired and sends
+// what the unpack rule popped. Called with r.mu held, returns with it
+// released. With inline set it keeps the furthest-downstream fired slab —
+// the oldest work in the pipeline — for the calling task to run itself,
+// sparing it the inject queue.
+func (r *dataflow) advance(inline bool, busy time.Duration) (keep ready) {
 	var buf [8]ready
+	budget := ioBuffer
 	for {
 		rd := r.step(buf[:0])
+		out := r.unpack(budget)
 		more := len(r.work) > 0
 		r.mu.Unlock()
 		for _, it := range rd {
@@ -166,6 +190,34 @@ func (r *dataflow) advance(inline bool) (keep ready) {
 				r.ex.Submit(steal.Task{Fn: r.tasks[it.s], Arg: it.b})
 			}
 		}
+		if out != nil {
+			// Cannot block: the items fit the buffer's free room, nobody
+			// else sends, and the consumer only makes more room. An empty
+			// buffer means the consumer may be parked on it.
+			drained := len(r.out) == 0
+			for _, v := range out.items {
+				r.out <- v
+			}
+			budget -= len(out.items)
+			r.p.releaseBatch(out)
+			r.mu.Lock()
+			r.sending = false
+			if drained && busy >= yieldAfter {
+				// The first send readied the parked consumer onto this
+				// worker's run queue, where it waits until the worker
+				// blocks. After long stage work the worker hands it the
+				// processor instead, and the task ends after the yield:
+				// what it kept goes to the executor.
+				r.mu.Unlock()
+				if keep.b != nil {
+					r.ex.Submit(steal.Task{Fn: r.tasks[keep.s], Arg: keep.b})
+				}
+				keep, inline, busy = ready{}, false, 0
+				r.ex.Yield()
+				r.mu.Lock()
+			}
+			continue
+		}
 		if !more {
 			return keep
 		}
@@ -175,7 +227,7 @@ func (r *dataflow) advance(inline bool) (keep ready) {
 
 // step visits dirty stages until none is left or rd is full.
 func (r *dataflow) step(rd []ready) []ready {
-	if !r.cancelled && r.ctx.Err() != nil {
+	if !r.cancelled && isDone(r.done) {
 		r.cancelAll()
 	}
 	for len(r.work) > 0 && len(rd) < cap(rd) {
@@ -193,14 +245,14 @@ func (r *dataflow) step(rd []ready) []ready {
 	return rd
 }
 
-// mark puts stage s on the worklist; the head and the egress, which run
-// no rule, are woken instead.
+// mark puts stage s on the worklist; the head, which runs no rule, is
+// woken instead, and the exit queue needs nothing: the unpack rule looks
+// at it after every step.
 func (r *dataflow) mark(s int) {
 	switch {
 	case s < 0:
 		wake(r.headWake)
 	case s >= len(r.stages):
-		wake(r.exitWake)
 	case !r.stages[s].dirty:
 		r.stages[s].dirty = true
 		r.work = append(r.work, s)
@@ -232,6 +284,36 @@ func (r *dataflow) cancelAll() {
 	for s := range r.stages {
 		r.mark(s)
 	}
+}
+
+// unpack is the third rule, applied after every step: while nobody is
+// sending and the run is not cancelled, pop the front exit slab for the
+// caller to send if its items fit whole in both the output's free room
+// and budget — the items the caller may still send before it returns, so
+// a task does not keep its worker past ioBuffer items and the executor's
+// stall probe still sees tasks end. What the rule leaves — a slab that
+// does not fit, a drained and closed exit queue, a cancellation — wakes
+// the egress.
+func (r *dataflow) unpack(budget int) *batch {
+	if r.sending {
+		return nil
+	}
+	e := r.exit
+	b, ok := e.q.Peek()
+	switch {
+	case r.cancelled || !ok && e.closed:
+		wake(r.exitWake)
+		return nil
+	case !ok:
+		return nil
+	case len(b.items) > min(budget, cap(r.out)-len(r.out)):
+		wake(r.exitWake)
+		return nil
+	}
+	e.q.Pop()
+	r.sending = true
+	r.mark(e.from) // room opened behind the last stage
+	return b
 }
 
 // deliver is the first rule. The token is released only when the slab has
@@ -419,7 +501,7 @@ func (r *dataflow) runHead(inputs <-chan any) {
 		r.entry.closed = true
 		r.mark(0)
 		r.running.Done()
-		r.advance(false)
+		r.advance(false, 0)
 	}()
 	var (
 		v        any
@@ -468,7 +550,7 @@ func (r *dataflow) runHead(inputs <-chan any) {
 				return
 			}
 			continue
-		case <-r.ctx.Done():
+		case <-r.done:
 			return
 		}
 		for more = true; more; {
@@ -511,13 +593,13 @@ func (r *dataflow) pushEntry(b *batch, look func() bool) bool {
 		case r.entry.q.Len() < r.entry.room:
 			b.eager = look == nil || !look()
 			r.push(r.entry, b)
-			r.advance(false)
+			r.advance(false, 0)
 			return true
 		}
 		r.mu.Unlock()
 		select {
 		case <-r.headWake:
-		case <-r.ctx.Done():
+		case <-r.done:
 			return false
 		}
 	}
@@ -540,35 +622,57 @@ func offer(ctx context.Context, c chan<- any, v any) bool {
 	}
 }
 
-// runEgress unpacks the exit queue's slabs and delivers their items, in
-// order, until the last stage has retired and the queue is empty, or the
-// run is cancelled.
-func (r *dataflow) runEgress(results chan<- any) {
+// runEgress is the egress: the party that unpacks what the unpack rule
+// leaves to it. Woken by the rule, it pops exit slabs and sends them with
+// offer, which may park on a consumer that has let the output buffer
+// fill, until the exit queue is empty; then it parks again. It returns,
+// holding the send right for good, once nobody is sending and the run is
+// cancelled or the exit queue is closed and empty.
+func (r *dataflow) runEgress() {
 	defer r.kick(r.exit.from) // take note of a cancellation, if that ended it
+	done := r.done
+	r.mu.Lock()
 	for {
-		r.mu.Lock()
-		b, ok := r.exit.q.Pop()
-		if !ok {
-			closed := r.exit.closed
-			r.mu.Unlock()
-			if closed {
+		if !r.sending {
+			if r.cancelled || r.exit.closed && r.exit.q.Len() == 0 || isDone(r.done) {
+				r.sending = true
+				r.mu.Unlock()
 				return
 			}
-			select {
-			case <-r.exitWake:
-				continue
-			case <-r.ctx.Done():
-				return
-			}
-		}
-		r.mark(r.exit.from) // room opened behind the last stage
-		r.advance(false)
-		for _, v := range b.items {
-			if !offer(r.ctx, results, v) {
+			if b, ok := r.exit.q.Pop(); ok {
+				r.sending = true
+				r.mark(r.exit.from) // room opened behind the last stage
+				r.advance(false, 0)
+				for _, v := range b.items {
+					if !offer(r.ctx, r.out, v) {
+						break
+					}
+				}
 				r.p.releaseBatch(b)
-				return
+				r.mu.Lock()
+				r.sending = false
+				continue
 			}
 		}
-		r.p.releaseBatch(b)
+		r.mu.Unlock()
+		r.egressParks++
+		select {
+		case <-r.exitWake:
+		case <-done:
+			// Cancelled: the egress returns at once unless a stepper is
+			// sending, and that stepper wakes it once it has stopped.
+			done = nil
+		}
+		r.mu.Lock()
+	}
+}
+
+// isDone polls a Done channel: an open channel's receive takes no lock.
+func isDone(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
 	}
 }

@@ -35,40 +35,57 @@
 //
 // With the slab the head is filling or pushing and the slab the egress is
 // unpacking, a run whose consumer reads nothing holds at most that many
-// slabs times the grain, plus the ioBuffer items already unpacked.
+// slabs times the grain, plus the ioBuffer items already unpacked
+// (TestBackpressureBoundsInFlight); a slab any other party unpacks fits
+// in those ioBuffer items.
 //
-// Two rules move slabs, and both only ever try — nothing waits under the
+// Three rules move slabs, and all only ever try — nothing waits under the
 // run's mutex. Fire: while every in-edge of a stage holds a slab and the
 // stage has a free token, pop one slab per in-edge (a merge zips them)
 // and hand (stage, slab) to the shared work-stealing executor
 // (internal/conc/steal). Deliver: while the stage's ring holds its next
 // in-index slab and every out-edge has room, pop it, release the token,
-// push it on every out-edge. Whoever changes the state runs the rules to
-// a fixpoint: the head after pushing a slab, the egress after popping
-// one, SetReplicas after resizing a limiter, and — the common case — the
+// push it on every out-edge. Unpack, after every step: while nobody else
+// is sending and the front exit slab fits whole in the output buffer's
+// free room, pop it and, with the mutex dropped, send its items — which
+// cannot block, for only one party sends and the consumer only makes
+// room — up to ioBuffer items per call, so a task still returns for the
+// stall probe. Whoever changes the state runs the rules to a fixpoint:
+// the head after pushing a slab, the egress after popping one,
+// SetReplicas after resizing a limiter, and — the common case — the
 // executor task that just finished a slab, which files it in the ring,
-// moves everything that can move, then runs one of the slabs it released
-// itself and submits the others. That inline continuation is capped at
-// one trip down the pipeline: the task function must return for the
-// executor's stall probe to see the worker move and for the worker to
-// look at the inject queue again.
+// moves everything that can move, sends what reached the consumer, then
+// runs one of the slabs it released itself and submits the others. That
+// inline continuation is capped at one trip down the pipeline: the task
+// function must return for the executor's stall probe to see the worker
+// move and for the worker to look at the inject queue again. A task
+// whose send woke a parked consumer after long stage work yields its
+// processor (steal.Executor.Yield) and ends, or the consumer would wait
+// on that worker's run queue until the worker next blocked.
 //
 // Only the head and the egress ever park, and both pay their channel per
 // burst, not per item. The head parks when the input is dry — in a select
 // on input, the open slab's linger clock and cancellation — and on a full
 // entry queue; while the input holds items it drains them with
-// non-blocking receives, no select and no timer. The egress parks on an
-// empty exit queue and on a consumer that has let the output buffer fill;
-// while the buffer has room a send is a non-blocking try. Executor tasks
-// take the mutex and nothing else, so a one-worker executor runs any
-// pipeline and a Run is two goroutines at any stage count.
+// non-blocking receives, no select and no timer. The egress parks until
+// the unpack rule leaves it something: a slab that does not fit the
+// output buffer — which it sends, and the slabs queued behind it, with a
+// non-blocking try per item and a select on a consumer that has let the
+// buffer fill — a closed and drained exit queue, or a cancellation. A
+// consumer that keeps up never wakes it
+// (TestEgressIdleWhileConsumerKeepsUp). When it returns it keeps the
+// send right for good, so nothing sends on the closed output
+// (TestBurstyConsumerProperty). Executor tasks take the mutex and send
+// only where a send cannot block, so a one-worker executor runs any
+// pipeline (TestOneWorkerExecutor) and a Run is two goroutines at any
+// stage count (TestRunGoroutinesIndependentOfStages).
 //
 // End of stream and cancellation travel by rule too: a stage retires,
 // closing its out-edges, once its in-edge is closed and empty (or the run
 // is cancelled) and every slab it started has left its ring. Cancellation
 // — the caller's, or a failed stage's — is noticed at the next step by
 // whoever takes it (the head at every flush and every park, the egress at
-// every park), returns every queued slab to the pool, and stops both
+// every park), returns every queued slab to the pool, and stops the
 // rules from moving anything forward: the ordered output is truncated,
 // never punctured — what the output buffer still holds is an in-order
 // prefix the consumer may yet read. The hot path allocates nothing in
@@ -325,14 +342,14 @@ func (p *Pipeline) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-ch
 		})
 	}
 
-	r := p.newDataflow(ctx, ex, fail)
+	results := make(chan any, ioBuffer)
+	r := p.newDataflow(ctx, ex, fail, results)
 	p.run.Store(r)
 
-	results := make(chan any, ioBuffer)
 	errs := make(chan error, 1)
 	go r.runHead(inputs)
 	go func() {
-		r.runEgress(results)
+		r.runEgress()
 		// The output closes only when nothing of the run is left: the head
 		// has returned, and every stage's last task has filed its result.
 		r.running.Wait()
@@ -361,7 +378,7 @@ func (p *Pipeline) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-ch
 // the stage and the item; a panic's carries the stack) and no slab, so
 // a panic costs the run, not the executor worker every pipeline in the
 // process shares.
-func (p *Pipeline) apply(ctx context.Context, i int, b *batch) (ob *batch, err error) {
+func (p *Pipeline) apply(ctx context.Context, i int, b *batch) (ob *batch, busy time.Duration, err error) {
 	fn := p.stages[i].Fn
 	ob = b
 	if atomic.LoadInt32(&b.refs) != 1 {
@@ -382,17 +399,22 @@ func (p *Pipeline) apply(ctx context.Context, i int, b *batch) (ob *batch, err e
 			ob = nil
 		}
 	}()
-	t0 := time.Now()
+	t0 := time.Since(epoch)
 	for ; k < len(b.items); k++ {
 		r, ferr := fn(ctx, b.items[k])
 		if ferr != nil {
-			return ob, fmt.Errorf("pipeline: stage %s item %d: %w", p.stages[i].Name, b.seq+k, ferr)
+			return ob, 0, fmt.Errorf("pipeline: stage %s item %d: %w", p.stages[i].Name, b.seq+k, ferr)
 		}
 		ob.items[k] = r
 	}
-	p.meters[i].RecordN(int64(k), time.Since(t0))
-	return ob, nil
+	busy = time.Since(epoch) - t0
+	p.meters[i].RecordN(int64(k), busy)
+	return ob, busy, nil
 }
+
+// epoch anchors the stage clock: time.Since(epoch) reads the monotonic
+// clock alone, where time.Now reads the wall clock as well.
+var epoch = time.Now()
 
 // Process runs the pipeline over a slice and returns the outputs in
 // input order.

@@ -34,6 +34,15 @@ func (q *FIFO[T]) Push(v T) {
 	q.n++
 }
 
+// Peek returns the front element without removing it; ok is false on
+// empty.
+func (q *FIFO[T]) Peek() (v T, ok bool) {
+	if q.n == 0 {
+		return v, false
+	}
+	return q.buf[q.head], true
+}
+
 // Pop removes and returns the front element; ok is false on empty.
 func (q *FIFO[T]) Pop() (v T, ok bool) {
 	if q.n == 0 {

@@ -10,6 +10,9 @@ func TestFIFOBasics(t *testing.T) {
 	if _, ok := q.Pop(); ok {
 		t.Fatal("Pop on empty")
 	}
+	if _, ok := q.Peek(); ok {
+		t.Fatal("Peek on empty")
+	}
 	for i := 0; i < 100; i++ {
 		q.Push(i)
 	}
@@ -17,6 +20,9 @@ func TestFIFOBasics(t *testing.T) {
 		t.Fatalf("Len = %d", q.Len())
 	}
 	for i := 0; i < 100; i++ {
+		if v, ok := q.Peek(); !ok || v != i {
+			t.Fatalf("Peek %d = %v,%v", i, v, ok)
+		}
 		v, ok := q.Pop()
 		if !ok || v != i {
 			t.Fatalf("Pop %d = %v,%v", i, v, ok)
