@@ -44,8 +44,9 @@
 // Tasks are expected not to block on executor progress: the skeletons
 // arrange their stage tasks to finish into reorder rings and bounded
 // queues under a mutex (the pipeline's dataflow step, which only ever
-// tries) and leave every blocking channel operation to the head and
-// egress goroutines, so in steady state the fleet stays exactly
+// tries), send on the output only what its buffer has room for, and
+// leave every blocking channel operation to the head and egress
+// goroutines, so in steady state the fleet stays exactly
 // CPU-sized. Tasks that block anyway — a stage function doing I/O, or a
 // test rendezvous that needs N items inside the function at once — are
 // covered by a monitor (the same thread-injection idea as the Go
