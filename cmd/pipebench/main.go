@@ -9,8 +9,11 @@
 //	pipebench -all [-seed 42] [-json]
 //
 // -all runs the experiments one after another in ID order. -csv also
-// dumps every figure series as CSV for offline plotting. At seed 42,
-// `pipebench -all -json` regenerates testdata/golden/pipebench.json.
+// dumps every figure series as CSV for offline plotting; -outdir writes
+// them as files. An experiment cannot fail (it panics on a bug), so the
+// only errors reported are an unknown -exp ID and a failed write. At
+// seed 42, `pipebench -all -json` regenerates
+// testdata/golden/pipebench.json.
 package main
 
 import (
@@ -75,13 +78,9 @@ func main() {
 		listExperiments(os.Stdout)
 	case *all:
 		failed := false
-		for _, out := range bench.RunAll(*seed) {
-			err := out.Err
-			if err == nil {
-				err = emitOne(out.Result, *csv, *jsonOut, *outdir)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pipebench: %s: %v\n", out.Experiment.ID, err)
+		for _, e := range bench.All() {
+			if err := emitOne(e.Run(*seed), *csv, *jsonOut, *outdir); err != nil {
+				fmt.Fprintf(os.Stderr, "pipebench: %s: %v\n", e.ID, err)
 				failed = true
 			}
 		}
@@ -96,11 +95,7 @@ func main() {
 			listExperiments(os.Stderr)
 			os.Exit(1)
 		}
-		res, err := e.Run(*seed)
-		if err == nil {
-			err = emitOne(res, *csv, *jsonOut, *outdir)
-		}
-		if err != nil {
+		if err := emitOne(e.Run(*seed), *csv, *jsonOut, *outdir); err != nil {
 			fmt.Fprintf(os.Stderr, "pipebench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}

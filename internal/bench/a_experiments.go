@@ -16,21 +16,14 @@ func init() {
 // throughput alongside controller churn (searches and remaps). The
 // interesting trade-off: periodic matches reactive on throughput but
 // burns a search every tick; predictive may act earlier.
-func runA1(seed uint64) (*Result, error) {
+func runA1(seed uint64) *Result {
 	const (
 		horizon = 180.0
 		spikeAt = 60.0
 		level   = 0.85
 	)
 	app := workload.Image()
-	idle, err := spikeGrid(6, -1, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	m0, _, err := workload.Deploy(idle, app.Spec, seed)
-	if err != nil {
-		return nil, err
-	}
+	m0 := deploy(spikeGrid(6, -1, 0, 0), app.Spec, seed)
 	victim := int(m0.Assign[1][0])
 
 	res := &Result{ID: "A1", Title: "trigger policy ablation"}
@@ -42,15 +35,8 @@ func runA1(seed uint64) (*Result, error) {
 		adaptive.PolicyPredictive,
 	}
 	for _, p := range policies {
-		g, err := spikeGrid(6, victim, spikeAt, level)
-		if err != nil {
-			return nil, err
-		}
-		out, err := workload.RunSim(g, app, m0, workload.SimOptions{
-			Policy: p, Interval: 1, Seed: seed, Duration: horizon})
-		if err != nil {
-			return nil, err
-		}
+		out := must(workload.RunSim(spikeGrid(6, victim, spikeAt, level), app, m0, workload.SimOptions{
+			Policy: p, Interval: 1, Seed: seed, Duration: horizon}))
 		st := out.Ctrl
 		first := -1.0
 		for _, ev := range st.Events {
@@ -67,12 +53,12 @@ func runA1(seed uint64) (*Result, error) {
 	}
 	tb.AddNote("expected shape: similar throughput; reactive/predictive search far less often than periodic")
 	res.Tables = []*stats.Table{tb}
-	return res, nil
+	return res
 }
 
 // A2: same scenario with chunky service times so items are in service
 // at remap time; drain-safe vs kill-restart reconfiguration.
-func runA2(seed uint64) (*Result, error) {
+func runA2(seed uint64) *Result {
 	const (
 		horizon = 180.0
 		spikeAt = 60.0
@@ -80,34 +66,20 @@ func runA2(seed uint64) (*Result, error) {
 	)
 	// Chunky: 1-second stages make the kill penalty visible.
 	app := workload.Balanced(3, 1.0, 1e5)
-	idle, err := spikeGrid(4, -1, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	m0, _, err := workload.Deploy(idle, app.Spec, seed)
-	if err != nil {
-		return nil, err
-	}
+	m0 := deploy(spikeGrid(4, -1, 0, 0), app.Spec, seed)
 	victim := int(m0.Assign[0][0])
 
 	res := &Result{ID: "A2", Title: "remap protocol ablation"}
 	tb := stats.NewTable("A2 reconfiguration protocols (3×1.0s stages, spike at t=60)",
 		"protocol", "done", "remaps", "migrated", "killed+redone (ref-s)")
 	for _, proto := range []exec.RemapProtocol{exec.DrainSafe, exec.KillRestart} {
-		g, err := spikeGrid(4, victim, spikeAt, level)
-		if err != nil {
-			return nil, err
-		}
-		out, err := workload.RunSim(g, app, m0, workload.SimOptions{
+		out := must(workload.RunSim(spikeGrid(4, victim, spikeAt, level), app, m0, workload.SimOptions{
 			Policy: adaptive.PolicyReactive, Protocol: proto,
-			Interval: 1, Seed: seed, Duration: horizon})
-		if err != nil {
-			return nil, err
-		}
+			Interval: 1, Seed: seed, Duration: horizon}))
 		tb.AddRowf(proto.String(), out.Done, out.Ctrl.Remaps,
 			out.Exec.Migrations(), out.Exec.RedoneWork())
 	}
 	tb.AddNote("expected shape: drain-safe redoes nothing; kill-restart discards in-service work for no throughput gain here")
 	res.Tables = []*stats.Table{tb}
-	return res, nil
+	return res
 }

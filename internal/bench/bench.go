@@ -5,7 +5,10 @@
 //
 // Each experiment is deterministic for a given seed and returns tables
 // (printed like the paper's) and series (the data behind figures,
-// exportable as CSV). cmd/pipebench exposes them on the command line;
+// exportable as CSV). An experiment cannot fail: it runs on arguments
+// written into its source, so an error from a call it makes is a bug,
+// and it panics naming the call rather than returning the error.
+// cmd/pipebench exposes them on the command line; the root package's
 // bench_test.go wires one testing.B benchmark per experiment.
 package bench
 
@@ -64,7 +67,7 @@ func (r *Result) String() string {
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(seed uint64) (*Result, error)
+	Run   func(seed uint64) *Result
 	// WallClock marks experiments that measure real time on this
 	// machine (the live-runtime experiments): their tables vary
 	// between runs, so the tables golden leaves them out.
@@ -103,23 +106,4 @@ func ByID(id string) (Experiment, error) {
 		return Experiment{}, fmt.Errorf("bench: unknown experiment %q (have %s)", id, strings.Join(ids, ", "))
 	}
 	return e, nil
-}
-
-// RunOutcome is one experiment's result (or failure) from RunAll.
-type RunOutcome struct {
-	Experiment Experiment
-	Result     *Result
-	Err        error
-}
-
-// RunAll executes every registered experiment at the given seed, one
-// after another in ID order.
-func RunAll(seed uint64) []RunOutcome {
-	exps := All()
-	out := make([]RunOutcome, len(exps))
-	for i, e := range exps {
-		res, err := e.Run(seed)
-		out[i] = RunOutcome{Experiment: e, Result: res, Err: err}
-	}
-	return out
 }

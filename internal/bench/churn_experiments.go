@@ -32,7 +32,7 @@ var churnPolicies = []adaptive.Policy{
 // (bypassing hysteresis) and fold the node back in after its rejoin.
 // This is the first experiment where correctness under loss — the
 // completed/lost ledger — is measured alongside throughput.
-func runF9(seed uint64) (*Result, error) {
+func runF9(seed uint64) *Result {
 	const (
 		horizon  = 210.0
 		crashAt  = 60.0
@@ -43,37 +43,19 @@ func runF9(seed uint64) (*Result, error) {
 
 	// Deployment-time mapping on an idle copy of the grid; the crash
 	// then hits the node hosting the entry stage's first replica.
-	idle, err := spikeGrid(6, -1, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	m0, _, err := workload.Deploy(idle, app.Spec, seed)
-	if err != nil {
-		return nil, err
-	}
+	m0 := deploy(spikeGrid(6, -1, 0, 0), app.Spec, seed)
 	victim := int(m0.Assign[0][0])
-	churn, err := grid.NewChurnSchedule(grid.Outage(fmt.Sprintf("node%d", victim), crashAt, rejoinAt)...)
-	if err != nil {
-		return nil, err
-	}
+	churn := must(grid.NewChurnSchedule(grid.Outage(fmt.Sprintf("node%d", victim), crashAt, rejoinAt)...))
 
 	res := &Result{ID: "F9", Title: "node crash and recovery (true churn)"}
 	tb := stats.NewTable(fmt.Sprintf("F9 crash of node%d during [%.0f,%.0f) — 6 idle nodes, 4 balanced stages", victim, crashAt, rejoinAt),
 		"policy", "done", "lost", "retries", "remaps", "fault remaps", "availability")
 	for _, p := range churnPolicies {
-		g, err := spikeGrid(6, -1, 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.SetChurn(churn); err != nil {
-			return nil, err
-		}
-		out, err := workload.RunSim(g, app, m0, workload.SimOptions{
+		g := spikeGrid(6, -1, 0, 0)
+		must(g, g.SetChurn(churn))
+		out := must(workload.RunSim(g, app, m0, workload.SimOptions{
 			Policy: p, Interval: 1, Seed: seed, Duration: horizon,
-		})
-		if err != nil {
-			return nil, err
-		}
+		}))
 		series := stats.WindowRate(out.Exec.Monitor().Completions(), 0, horizon, window)
 		series.Name = p.String()
 		res.Series = append(res.Series, series)
@@ -82,7 +64,7 @@ func runF9(seed uint64) (*Result, error) {
 	}
 	tb.AddNote("expected shape: fault-aware policies evacuate at the crash instant and complete ≥ the static mapping's items; static parks work behind the dead node until the rejoin")
 	res.Tables = []*stats.Table{tb}
-	return res, nil
+	return res
 }
 
 // F10: elastic capacity. Two reserve nodes are declared in the grid
@@ -90,7 +72,7 @@ func runF9(seed uint64) (*Result, error) {
 // under a rising background-load ramp. The static mapping is stuck
 // with the founders; the adaptive policies fold each new node into
 // their next mapping search the moment it joins.
-func runF10(seed uint64) (*Result, error) {
+func runF10(seed uint64) *Result {
 	const (
 		horizon = 180.0
 		join1   = 60.0
@@ -99,14 +81,11 @@ func runF10(seed uint64) (*Result, error) {
 	)
 	app := workload.Balanced(4, 0.15, 1e5)
 
-	churn, err := grid.NewChurnSchedule(
+	churn := must(grid.NewChurnSchedule(
 		grid.Join("node4", join1),
 		grid.Join("node5", join2),
-	)
-	if err != nil {
-		return nil, err
-	}
-	mk := func() (*grid.Grid, error) {
+	))
+	mk := func() *grid.Grid {
 		nodes := make([]*grid.Node, 6)
 		for i := range nodes {
 			nodes[i] = &grid.Node{Name: fmt.Sprintf("node%d", i), Speed: 1, Cores: 1}
@@ -118,38 +97,22 @@ func runF10(seed uint64) (*Result, error) {
 				nodes[i].Load = trace.Ramp{T0: 30, T1: 120, From: 0, To: 0.4 + 0.15*float64(i)}
 			}
 		}
-		g, err := grid.NewGrid(grid.LANLink, nodes...)
-		if err != nil {
-			return nil, err
-		}
-		return g, g.SetChurn(churn)
+		g := must(grid.NewGrid(grid.LANLink, nodes...))
+		return must(g, g.SetChurn(churn))
 	}
 
 	// Deployment-time mapping may only use the founders: the reserves
 	// have not joined yet.
-	idle, err := mk()
-	if err != nil {
-		return nil, err
-	}
-	m0, _, err := workload.Deploy(idle, app.Spec, seed)
-	if err != nil {
-		return nil, err
-	}
+	m0 := deploy(mk(), app.Spec, seed)
 
 	res := &Result{ID: "F10", Title: "elastic join under rising load"}
 	tb := stats.NewTable("F10 reserves join at t=60 and t=90 while founder load ramps to 40–85%",
 		"policy", "done", "lost", "retries", "remaps", "uses reserves", "availability")
 	for _, p := range churnPolicies {
-		g, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		out, err := workload.RunSim(g, app, m0, workload.SimOptions{
+		g := mk()
+		out := must(workload.RunSim(g, app, m0, workload.SimOptions{
 			Policy: p, Interval: 1, Seed: seed, Duration: horizon,
-		})
-		if err != nil {
-			return nil, err
-		}
+		}))
 		series := stats.WindowRate(out.Exec.Monitor().Completions(), 0, horizon, window)
 		series.Name = p.String()
 		res.Series = append(res.Series, series)
@@ -160,5 +123,5 @@ func runF10(seed uint64) (*Result, error) {
 	}
 	tb.AddNote("expected shape: adaptive policies shift stages onto the fresh idle nodes and finish well ahead of static; a joined node appears in the final mapping")
 	res.Tables = []*stats.Table{tb}
-	return res, nil
+	return res
 }

@@ -36,10 +36,7 @@ func cellFloat(t *testing.T, s string) float64 {
 // complete at least as many items as the static mapping, and the
 // fault remap happens at all.
 func TestF9AdaptiveBeatsStatic(t *testing.T) {
-	res, err := runF9(42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runF9(42)
 	tb := res.Tables[0]
 	if tb.NumRows() != len(churnPolicies) {
 		t.Fatalf("F9 rows = %d, want %d", tb.NumRows(), len(churnPolicies))
@@ -63,10 +60,7 @@ func TestF9AdaptiveBeatsStatic(t *testing.T) {
 // TestF10AdaptiveUsesReserves: the elastic-join experiment must fold a
 // joined reserve into the adaptive mapping and beat static.
 func TestF10AdaptiveUsesReserves(t *testing.T) {
-	res, err := runF10(42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runF10(42)
 	tb := res.Tables[0]
 	done := tableCol(t, tb, 1)
 	reserves := tableCol(t, tb, 5)
@@ -85,10 +79,7 @@ func TestF10AdaptiveUsesReserves(t *testing.T) {
 // balanced ledger on a fixed-item run.
 func TestChurnRunLedger(t *testing.T) {
 	app := workload.Balanced(3, 0.1, 1e4)
-	g, err := spikeGrid(4, -1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := spikeGrid(4, -1, 0, 0)
 	m0, _, err := workload.Deploy(g, app.Spec, 7)
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ func clusterJob(name string, app workload.App, arrival float64, items int) model
 // tenant's observed throughput degrades — here, steering leases off
 // the loaded node. Makespan drops and the weighted max-min floor
 // rises.
-func runF12(seed uint64) (*Result, error) {
+func runF12(seed uint64) *Result {
 	const (
 		items1  = 600
 		items2  = 900
@@ -63,35 +63,17 @@ func runF12(seed uint64) (*Result, error) {
 	sum := stats.NewTable("F12 summary",
 		"variant", "total makespan", "min weighted share", "Jain", "arbitrations")
 	for _, v := range variants {
-		g, err := spikeGrid(8, 0, spikeAt, level)
-		if err != nil {
-			return nil, err
-		}
-		c, err := cluster.New(g, cluster.Config{Policy: v.policy, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
+		c := must(cluster.New(spikeGrid(8, 0, spikeAt, level), cluster.Config{Policy: v.policy, Seed: seed}))
 		j1 := clusterJob("genome", workload.Genome(), 0, items1)
 		j2 := clusterJob("image", workload.Image(), arrive2, items2)
 		if v.pinned {
-			if _, err := c.SubmitPinned(j1, []grid.NodeID{0, 1, 2, 3}); err != nil {
-				return nil, err
-			}
-			if _, err := c.SubmitPinned(j2, []grid.NodeID{4, 5, 6, 7}); err != nil {
-				return nil, err
-			}
+			must(c.SubmitPinned(j1, []grid.NodeID{0, 1, 2, 3}))
+			must(c.SubmitPinned(j2, []grid.NodeID{4, 5, 6, 7}))
 		} else {
-			if _, err := c.Submit(j1); err != nil {
-				return nil, err
-			}
-			if _, err := c.Submit(j2); err != nil {
-				return nil, err
-			}
+			must(c.Submit(j1))
+			must(c.Submit(j2))
 		}
-		rep, err := c.Run()
-		if err != nil {
-			return nil, err
-		}
+		rep := must(c.Run())
 		for _, jr := range rep.Jobs {
 			tb.AddRowf(v.name, jr.Name, jr.Admitted, jr.Finished, jr.Makespan, jr.Throughput, jr.Remaps)
 		}
@@ -105,7 +87,7 @@ func runF12(seed uint64) (*Result, error) {
 	tb.AddNote("expected shape: arbitration lets each tenant use the whole grid while alone; static halves strand half the nodes")
 	sum.AddNote("expected shape: arbitrated beats static halves on total makespan and on the weighted max-min floor")
 	res.Tables = []*stats.Table{tb, sum}
-	return res, nil
+	return res
 }
 
 // F13: an open stream of ten genome jobs (one every 6 s, floor 2) hits
@@ -114,7 +96,7 @@ func runF12(seed uint64) (*Result, error) {
 // speed; over-admission starts everyone immediately on overlapping
 // leases and proportional sharing stretches every job — the classic
 // thrashing collapse admission control exists to prevent.
-func runF13(seed uint64) (*Result, error) {
+func runF13(seed uint64) *Result {
 	const (
 		jobs     = 10
 		spacing  = 6.0
@@ -134,25 +116,13 @@ func runF13(seed uint64) (*Result, error) {
 	tb := stats.NewTable("F13 open stream on 4 nodes (10 genome jobs, one every 6 s, floor 2)",
 		"variant", "done jobs", "mean wait", "mean makespan", "p95 makespan", "mean job thr", "last finish")
 	for _, v := range variants {
-		g, err := grid.Homogeneous(4, 1, grid.LANLink)
-		if err != nil {
-			return nil, err
-		}
-		c, err := cluster.New(g, cluster.Config{Seed: seed, Admission: v.mode})
-		if err != nil {
-			return nil, err
-		}
+		c := must(cluster.New(must(grid.Homogeneous(4, 1, grid.LANLink)), cluster.Config{Seed: seed, Admission: v.mode}))
 		for i := 0; i < jobs; i++ {
 			js := clusterJob(fmt.Sprintf("job%d", i), workload.Genome(), float64(i)*spacing, items)
 			js.FloorNodes = jobFloor
-			if _, err := c.Submit(js); err != nil {
-				return nil, err
-			}
+			must(c.Submit(js))
 		}
-		rep, err := c.Run()
-		if err != nil {
-			return nil, err
-		}
+		rep := must(c.Run())
 		var waits, spans, finishes []float64
 		doneJobs := 0
 		for _, jr := range rep.Jobs {
@@ -180,5 +150,5 @@ func runF13(seed uint64) (*Result, error) {
 	}
 	tb.AddNote("expected shape: admission control sustains near-nominal per-job throughput (jobs wait, then run fast); over-admission collapses it ~3× (every job resident, every node thrashed)")
 	res.Tables = []*stats.Table{tb}
-	return res, nil
+	return res
 }

@@ -6,10 +6,7 @@ import "testing"
 // criteria: arbitrated adaptive beats the static-halves partition on
 // both total makespan and the weighted max-min fairness floor.
 func TestF12ArbitrationBeatsStaticHalves(t *testing.T) {
-	res, err := runF12(42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runF12(42)
 	sum := res.Tables[1]
 	if sum.NumRows() != 3 {
 		t.Fatalf("F12 summary rows = %d, want 3", sum.NumRows())
@@ -36,10 +33,7 @@ func TestF12ArbitrationBeatsStaticHalves(t *testing.T) {
 // must stretch mean job makespan well beyond the queued-admission
 // run's, and the queue must still finish every job.
 func TestF13AdmissionSustainsService(t *testing.T) {
-	res, err := runF13(42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runF13(42)
 	tb := res.Tables[0]
 	done := tableCol(t, tb, 1)
 	span := tableCol(t, tb, 3)

@@ -26,7 +26,7 @@ func init() {
 // F1: image pipeline on 6 nodes; the node hosting the bottleneck stage
 // is hit by an 85% load step at t=60 of a 180 s horizon. One throughput
 // series per policy plus a summary table.
-func runF1(seed uint64) (*Result, error) {
+func runF1(seed uint64) *Result {
 	const (
 		horizon = 180.0
 		spikeAt = 60.0
@@ -38,30 +38,16 @@ func runF1(seed uint64) (*Result, error) {
 	// Find the deployment-time mapping on an idle copy of the grid, so
 	// we know which node hosts the heavy "filter" stage and can aim the
 	// spike at it.
-	idle, err := spikeGrid(6, -1, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	m0, _, err := workload.Deploy(idle, app.Spec, seed)
-	if err != nil {
-		return nil, err
-	}
+	m0 := deploy(spikeGrid(6, -1, 0, 0), app.Spec, seed)
 	victim := int(m0.Assign[1][0]) // the filter stage's first replica
 
 	res := &Result{ID: "F1", Title: "throughput timeline under load spike"}
 	tb := stats.NewTable("F1 summary (spike ×"+fmt.Sprintf("%.0f%%", level*100)+" at t=60)",
 		"policy", "items done", "thr before", "thr after", "remaps", "migrated")
 	for _, p := range mainPolicies {
-		g, err := spikeGrid(6, victim, spikeAt, level)
-		if err != nil {
-			return nil, err
-		}
-		out, err := workload.RunSim(g, app, m0, workload.SimOptions{
+		out := must(workload.RunSim(spikeGrid(6, victim, spikeAt, level), app, m0, workload.SimOptions{
 			Policy: p, Interval: 1, Seed: seed, Duration: horizon,
-		})
-		if err != nil {
-			return nil, err
-		}
+		}))
 		series := stats.WindowRate(out.Exec.Monitor().Completions(), 0, horizon, window)
 		series.Name = p.String()
 		res.Series = append(res.Series, series)
@@ -72,7 +58,7 @@ func runF1(seed uint64) (*Result, error) {
 	}
 	tb.AddNote("expected shape: all policies equal before the spike; adaptive/oracle recover after it, static does not")
 	res.Tables = []*stats.Table{tb}
-	return res, nil
+	return res
 }
 
 // meanRateIn returns completions per second within [t0, t1).
@@ -92,12 +78,12 @@ func meanRateIn(times []float64, t0, t1 float64) float64 {
 // F2: balanced 6-stage pipeline, 600 items; processor count sweep under
 // a mean-reverting random-walk load on every node; static mapping vs
 // reactive adaptation. Speedup is against static on one processor.
-func runF2(seed uint64) (*Result, error) {
+func runF2(seed uint64) *Result {
 	app := workload.Balanced(6, 0.2, 1e5)
 	const items = 600
 	counts := []int{1, 2, 4, 6, 8, 12, 16}
 
-	mkGrid := func(np int) (*grid.Grid, error) {
+	mkGrid := func(np int) *grid.Grid {
 		nodes := make([]*grid.Node, np)
 		for i := range nodes {
 			nodes[i] = &grid.Node{
@@ -105,7 +91,7 @@ func runF2(seed uint64) (*Result, error) {
 				Load: walkLoad(seed+uint64(i), 0.25, 1200),
 			}
 		}
-		return grid.NewGrid(grid.LANLink, nodes...)
+		return must(grid.NewGrid(grid.LANLink, nodes...))
 	}
 
 	res := &Result{ID: "F2", Title: "speedup vs processor count"}
@@ -116,28 +102,12 @@ func runF2(seed uint64) (*Result, error) {
 
 	var base float64
 	for _, np := range counts {
-		g, err := mkGrid(np)
-		if err != nil {
-			return nil, err
-		}
-		m0, _, err := workload.Deploy(g, app.Spec, seed)
-		if err != nil {
-			return nil, err
-		}
-		stc, err := workload.RunSim(g, app, m0, workload.SimOptions{
-			Policy: adaptive.PolicyStatic, Seed: seed, Items: items})
-		if err != nil {
-			return nil, err
-		}
-		ga, err := mkGrid(np)
-		if err != nil {
-			return nil, err
-		}
-		ada, err := workload.RunSim(ga, app, m0, workload.SimOptions{
-			Policy: adaptive.PolicyReactive, Interval: 2, Seed: seed, Items: items})
-		if err != nil {
-			return nil, err
-		}
+		g := mkGrid(np)
+		m0 := deploy(g, app.Spec, seed)
+		stc := must(workload.RunSim(g, app, m0, workload.SimOptions{
+			Policy: adaptive.PolicyStatic, Seed: seed, Items: items}))
+		ada := must(workload.RunSim(mkGrid(np), app, m0, workload.SimOptions{
+			Policy: adaptive.PolicyReactive, Interval: 2, Seed: seed, Items: items}))
 		if np == 1 {
 			base = stc.Makespan
 		}
@@ -148,7 +118,7 @@ func runF2(seed uint64) (*Result, error) {
 	tb.AddNote("expected shape: speedup saturates near the stage count; adaptive ≥ static throughout")
 	res.Tables = []*stats.Table{tb}
 	res.Series = []*stats.Series{sStatic, sAdaptive}
-	return res, nil
+	return res
 }
 
 func walkLoad(seed uint64, mean, horizon float64) trace.Trace {
@@ -158,7 +128,7 @@ func walkLoad(seed uint64, mean, horizon float64) trace.Trace {
 // F3: spike-magnitude sweep. For each spike level the same scenario as
 // F1 runs static and reactive; the benefit ratio locates the crossover
 // below which adaptation is not worth its disruption.
-func runF3(seed uint64) (*Result, error) {
+func runF3(seed uint64) *Result {
 	app := workload.Balanced(4, 0.15, 1e5)
 	const (
 		horizon = 120.0
@@ -171,35 +141,14 @@ func runF3(seed uint64) (*Result, error) {
 		"spike load", "static done", "adaptive done", "ratio", "remaps")
 	series := stats.NewSeries("benefit-ratio")
 
-	idle, err := spikeGrid(6, -1, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	m0, _, err := workload.Deploy(idle, app.Spec, seed)
-	if err != nil {
-		return nil, err
-	}
+	m0 := deploy(spikeGrid(6, -1, 0, 0), app.Spec, seed)
 	victim := int(m0.Assign[0][0])
 
 	for _, level := range levels {
-		gs, err := spikeGrid(6, victim, spikeAt, level)
-		if err != nil {
-			return nil, err
-		}
-		stc, err := workload.RunSim(gs, app, m0, workload.SimOptions{
-			Policy: adaptive.PolicyStatic, Seed: seed, Duration: horizon})
-		if err != nil {
-			return nil, err
-		}
-		ga, err := spikeGrid(6, victim, spikeAt, level)
-		if err != nil {
-			return nil, err
-		}
-		ada, err := workload.RunSim(ga, app, m0, workload.SimOptions{
-			Policy: adaptive.PolicyReactive, Interval: 1, Seed: seed, Duration: horizon})
-		if err != nil {
-			return nil, err
-		}
+		stc := must(workload.RunSim(spikeGrid(6, victim, spikeAt, level), app, m0, workload.SimOptions{
+			Policy: adaptive.PolicyStatic, Seed: seed, Duration: horizon}))
+		ada := must(workload.RunSim(spikeGrid(6, victim, spikeAt, level), app, m0, workload.SimOptions{
+			Policy: adaptive.PolicyReactive, Interval: 1, Seed: seed, Duration: horizon}))
 		ratio := float64(ada.Done) / float64(stc.Done)
 		tb.AddRowf(level, stc.Done, ada.Done, ratio, ada.Ctrl.Remaps)
 		series.Append(level, ratio)
@@ -207,19 +156,16 @@ func runF3(seed uint64) (*Result, error) {
 	tb.AddNote("expected shape: ratio ≈ 1 for small spikes (hysteresis suppresses remaps), grows with spike level")
 	res.Tables = []*stats.Table{tb}
 	res.Series = []*stats.Series{series}
-	return res, nil
+	return res
 }
 
 // F4: replication sweep. The genome align stage is farmed over k nodes
 // with a fixed mapping (no controller); measured and model-predicted
 // throughput per k.
-func runF4(seed uint64) (*Result, error) {
+func runF4(seed uint64) *Result {
 	app := workload.Genome()
 	const items = 800
-	g, err := grid.Homogeneous(8, 1, grid.LANLink)
-	if err != nil {
-		return nil, err
-	}
+	g := must(grid.Homogeneous(8, 1, grid.LANLink))
 
 	res := &Result{ID: "F4", Title: "replication of the bottleneck stage"}
 	tb := stats.NewTable("F4 genome align-stage farming (8 idle nodes)",
@@ -234,16 +180,10 @@ func runF4(seed uint64) (*Result, error) {
 			replicas[i] = grid.NodeID(i)
 		}
 		m := model.FromNodes(6, 0, 7).WithReplicas(1, replicas...)
-		pred, err := model.Predict(g, app.Spec, m, nil)
-		if err != nil {
-			return nil, err
-		}
-		out, err := workload.RunSim(g, app, m, workload.SimOptions{
+		pred := must(model.Predict(g, app.Spec, m, nil))
+		out := must(workload.RunSim(g, app, m, workload.SimOptions{
 			Policy: adaptive.PolicyStatic, Seed: seed, Items: items,
-			MaxInFlight: 6 * k})
-		if err != nil {
-			return nil, err
-		}
+			MaxInFlight: 6 * k}))
 		thr := float64(items) / out.Makespan
 		if k == 1 {
 			base = thr
@@ -254,7 +194,7 @@ func runF4(seed uint64) (*Result, error) {
 	tb.AddNote("expected shape: near-linear until another stage becomes critical, then flat")
 	res.Tables = []*stats.Table{tb}
 	res.Series = []*stats.Series{series}
-	return res, nil
+	return res
 }
 
 // F5: heterogeneity sweep. Node speeds spread geometrically over ratio
@@ -264,7 +204,7 @@ func runF4(seed uint64) (*Result, error) {
 // the fast nodes at run time. The benefit of adaptation should grow
 // with the speed ratio, because a blind placement wastes more and more
 // of the fastest processors.
-func runF5(seed uint64) (*Result, error) {
+func runF5(seed uint64) *Result {
 	app := workload.Balanced(4, 0.15, 1e5)
 	const horizon = 240.0
 	ratios := []float64{1, 2, 4, 8, 16}
@@ -275,7 +215,7 @@ func runF5(seed uint64) (*Result, error) {
 	series := stats.NewSeries("benefit-ratio")
 
 	for _, r := range ratios {
-		mk := func() (*grid.Grid, error) {
+		mk := func() *grid.Grid {
 			nodes := make([]*grid.Node, 8)
 			for i := range nodes {
 				// Geometric spread of speeds in [1, r].
@@ -285,28 +225,14 @@ func runF5(seed uint64) (*Result, error) {
 					Load: walkLoad(seed+uint64(i)*31+uint64(r*100), 0.2, horizon+60),
 				}
 			}
-			return grid.NewGrid(grid.LANLink, nodes...)
+			return must(grid.NewGrid(grid.LANLink, nodes...))
 		}
 		// Blind deployment: stage i on node i, oblivious to speeds.
 		m0 := model.OneToOne(app.Spec.NumStages())
-		g1, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		stc, err := workload.RunSim(g1, app, m0, workload.SimOptions{
-			Policy: adaptive.PolicyStatic, Seed: seed, Duration: horizon})
-		if err != nil {
-			return nil, err
-		}
-		g2, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		ada, err := workload.RunSim(g2, app, m0, workload.SimOptions{
-			Policy: adaptive.PolicyReactive, Interval: 2, Seed: seed, Duration: horizon})
-		if err != nil {
-			return nil, err
-		}
+		stc := must(workload.RunSim(mk(), app, m0, workload.SimOptions{
+			Policy: adaptive.PolicyStatic, Seed: seed, Duration: horizon}))
+		ada := must(workload.RunSim(mk(), app, m0, workload.SimOptions{
+			Policy: adaptive.PolicyReactive, Interval: 2, Seed: seed, Duration: horizon}))
 		ratio := float64(ada.Done) / float64(stc.Done)
 		tb.AddRowf(r, stc.Done, ada.Done, ratio, ada.Ctrl.Remaps)
 		series.Append(r, ratio)
@@ -314,35 +240,24 @@ func runF5(seed uint64) (*Result, error) {
 	tb.AddNote("expected shape: benefit grows with heterogeneity (a blind placement wastes the fast nodes)")
 	res.Tables = []*stats.Table{tb}
 	res.Series = []*stats.Series{series}
-	return res, nil
+	return res
 }
 
 // f8Apps builds the two equal-total-work contestants: a diamond
 // (head → {left, right} → tail, the branches running concurrently)
 // and a linear chain over the same four stages. Total per-item work is
 // 0.6 reference-seconds in both; only the topology differs.
-func f8Apps() (diamond, linear workload.App, err error) {
+func f8Apps() (diamond, linear workload.App) {
 	stages := []topo.Stage{
 		{Name: "head", Work: 0.05, OutBytes: 1e5, Replicable: true},
 		{Name: "left", Work: 0.25, OutBytes: 1e5, Replicable: true},
 		{Name: "right", Work: 0.25, OutBytes: 1e5, Replicable: true},
 		{Name: "tail", Work: 0.05, OutBytes: 1e4, Replicable: true},
 	}
-	dg, err := topo.Diamond(stages[0], []topo.Stage{stages[1], stages[2]}, stages[3])
-	if err != nil {
-		return workload.App{}, workload.App{}, err
-	}
-	dspec, err := model.FromGraph(dg, 1e5)
-	if err != nil {
-		return workload.App{}, workload.App{}, err
-	}
-	lspec, err := model.FromGraph(topo.Chain(stages...), 1e5)
-	if err != nil {
-		return workload.App{}, workload.App{}, err
-	}
-	diamond = workload.App{Name: "diamond", Spec: dspec, CV: 0.2}
-	linear = workload.App{Name: "linear", Spec: lspec, CV: 0.2}
-	return diamond, linear, nil
+	dg := must(topo.Diamond(stages[0], []topo.Stage{stages[1], stages[2]}, stages[3]))
+	diamond = workload.App{Name: "diamond", Spec: must(model.FromGraph(dg, 1e5)), CV: 0.2}
+	linear = workload.App{Name: "linear", Spec: must(model.FromGraph(topo.Chain(stages...), 1e5)), CV: 0.2}
+	return diamond, linear
 }
 
 // F8: topology shoot-out. The diamond and the equal-work chain run on
@@ -351,17 +266,14 @@ func f8Apps() (diamond, linear workload.App, err error) {
 // both topologies: the diamond's concurrent branches cut the empty-
 // pipeline fill latency, and the adaptive controller remaps the DAG
 // exactly as it remaps the chain.
-func runF8(seed uint64) (*Result, error) {
+func runF8(seed uint64) *Result {
 	const (
 		horizon = 180.0
 		spikeAt = 60.0
 		level   = 0.85
 		window  = 5.0
 	)
-	diamond, linear, err := f8Apps()
-	if err != nil {
-		return nil, err
-	}
+	diamond, linear := f8Apps()
 
 	res := &Result{ID: "F8", Title: "diamond DAG vs linear chain"}
 	tb := stats.NewTable("F8 diamond vs chain (equal total work, spike ×85% at t=60)",
@@ -371,26 +283,12 @@ func runF8(seed uint64) (*Result, error) {
 		// Deployment-time mapping on an idle copy of the grid; the
 		// spike then aims at the node hosting the first heavy stage
 		// (index 1 in both topologies).
-		idle, err := spikeGrid(6, -1, 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		m0, _, err := workload.Deploy(idle, app.Spec, seed)
-		if err != nil {
-			return nil, err
-		}
+		m0 := deploy(spikeGrid(6, -1, 0, 0), app.Spec, seed)
 		victim := int(m0.Assign[1][0])
 		for _, p := range []adaptive.Policy{adaptive.PolicyStatic, adaptive.PolicyReactive} {
-			g, err := spikeGrid(6, victim, spikeAt, level)
-			if err != nil {
-				return nil, err
-			}
-			out, err := workload.RunSim(g, app, m0, workload.SimOptions{
+			out := must(workload.RunSim(spikeGrid(6, victim, spikeAt, level), app, m0, workload.SimOptions{
 				Policy: p, Interval: 1, Seed: seed, Duration: horizon,
-			})
-			if err != nil {
-				return nil, err
-			}
+			}))
 			series := stats.WindowRate(out.Exec.Monitor().Completions(), 0, horizon, window)
 			series.Name = app.Name + "-" + p.String()
 			res.Series = append(res.Series, series)
@@ -407,13 +305,13 @@ func runF8(seed uint64) (*Result, error) {
 	}
 	tb.AddNote("expected shape: equal throughput before the spike, diamond fill latency below the chain's (branches overlap), reactive recovers both topologies")
 	res.Tables = []*stats.Table{tb}
-	return res, nil
+	return res
 }
 
 // F6: stage-count scalability on an idle homogeneous grid with one
 // node per stage: throughput should hold near 1/grain while per-node
 // efficiency decays only with transfer overhead.
-func runF6(seed uint64) (*Result, error) {
+func runF6(seed uint64) *Result {
 	const grain = 0.1
 	counts := []int{2, 4, 8, 16, 32}
 	res := &Result{ID: "F6", Title: "stage-count scalability"}
@@ -422,16 +320,9 @@ func runF6(seed uint64) (*Result, error) {
 	series := stats.NewSeries("efficiency")
 	for _, ns := range counts {
 		app := workload.Balanced(ns, grain, 1e5)
-		g, err := grid.Homogeneous(ns, 1, grid.LANLink)
-		if err != nil {
-			return nil, err
-		}
-		out, err := workload.RunSim(g, app, model.OneToOne(ns), workload.SimOptions{
+		out := must(workload.RunSim(must(grid.Homogeneous(ns, 1, grid.LANLink)), app, model.OneToOne(ns), workload.SimOptions{
 			Policy: adaptive.PolicyStatic, Seed: seed, Items: 400,
-			MaxInFlight: 2 * ns})
-		if err != nil {
-			return nil, err
-		}
+			MaxInFlight: 2 * ns}))
 		thr := 400 / out.Makespan
 		ideal := 1 / grain
 		lat := stats.Mean(out.Exec.Latencies()[:10])
@@ -441,5 +332,5 @@ func runF6(seed uint64) (*Result, error) {
 	tb.AddNote("expected shape: efficiency stays high; fill latency grows linearly with stage count")
 	res.Tables = []*stats.Table{tb}
 	res.Series = []*stats.Series{series}
-	return res, nil
+	return res
 }

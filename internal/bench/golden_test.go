@@ -26,11 +26,7 @@ func TestPaperTablesGolden(t *testing.T) {
 		if e.WallClock {
 			continue
 		}
-		res, err := run42(e)
-		if err != nil {
-			t.Errorf("%s: %v", e.ID, err)
-			continue
-		}
+		res := run42(e)
 		want, ok := golden[e.ID]
 		if !ok {
 			t.Errorf("%s: not in %s", e.ID, goldenPath)

@@ -30,13 +30,13 @@ func init() {
 // labels the run), though the ordering static < adaptive is robust —
 // the adaptive policies fold the reserve half of the worker budget in,
 // the static baseline cannot.
-func runF11(seed uint64) (*Result, error) {
+func runF11(seed uint64) *Result {
 	return runF11Sized(1500)
 }
 
 // runF11Sized is runF11 with a configurable stream length, so the test
 // suite can run the full scenario at a faster grain.
-func runF11Sized(items int) (*Result, error) {
+func runF11Sized(items int) *Result {
 	app := workload.Genome()
 	policies := []adaptive.Policy{
 		adaptive.PolicyStatic,
@@ -50,16 +50,13 @@ func runF11Sized(items int) (*Result, error) {
 
 	var staticUnder float64
 	for _, pol := range policies {
-		out, err := workload.RunLive(app, workload.LiveOptions{
+		out := must(workload.RunLive(app, workload.LiveOptions{
 			Policy:       pol,
 			Items:        items,
 			SpikeLoad:    0.6,
 			Victim:       workload.Auto,
 			InjectAtItem: workload.Auto,
-		})
-		if err != nil {
-			return nil, err
-		}
+		}))
 		if pol == adaptive.PolicyStatic {
 			staticUnder = out.ThroughputUnder
 		}
@@ -72,5 +69,5 @@ func runF11Sized(items int) (*Result, error) {
 	}
 	tb.AddNote("wall-clock measurement on this machine: values vary between runs; expected shape: equal before the injection, adaptive recovers a large fraction of the lost throughput, static cannot")
 	res.Tables = []*stats.Table{tb}
-	return res, nil
+	return res
 }

@@ -13,10 +13,7 @@ import (
 // the thresholds are generous because this is a wall-clock measurement
 // (the full-size run is `pipebench -exp F11`).
 func TestF11LiveRecovery(t *testing.T) {
-	res, err := runF11Sized(900)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runF11Sized(900)
 	tb := res.Tables[0]
 	if tb.NumRows() != 3 {
 		t.Fatalf("rows = %d, want 3", tb.NumRows())

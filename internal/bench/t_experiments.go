@@ -26,7 +26,7 @@ func init() {
 // T1: instrument the F1 spike scenario under the reactive policy and
 // break the cost of adaptation down: detection latency, migrations,
 // redone work, and the throughput dip.
-func runT1(seed uint64) (*Result, error) {
+func runT1(seed uint64) *Result {
 	const (
 		horizon = 180.0
 		spikeAt = 60.0
@@ -34,28 +34,14 @@ func runT1(seed uint64) (*Result, error) {
 		window  = 5.0
 	)
 	app := workload.Image()
-	idle, err := spikeGrid(6, -1, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	m0, _, err := workload.Deploy(idle, app.Spec, seed)
-	if err != nil {
-		return nil, err
-	}
+	m0 := deploy(spikeGrid(6, -1, 0, 0), app.Spec, seed)
 	victim := int(m0.Assign[1][0])
 
 	res := &Result{ID: "T1", Title: "adaptation overhead"}
 	tb := stats.NewTable("T1 overhead of adaptation (reactive policy, spike at t=60)",
 		"metric", "value")
-	g, err := spikeGrid(6, victim, spikeAt, level)
-	if err != nil {
-		return nil, err
-	}
-	out, err := workload.RunSim(g, app, m0, workload.SimOptions{
-		Policy: adaptive.PolicyReactive, Interval: 1, Seed: seed, Duration: horizon})
-	if err != nil {
-		return nil, err
-	}
+	out := must(workload.RunSim(spikeGrid(6, victim, spikeAt, level), app, m0, workload.SimOptions{
+		Policy: adaptive.PolicyReactive, Interval: 1, Seed: seed, Duration: horizon}))
 	st := out.Ctrl
 	detection := math.NaN()
 	for _, ev := range st.Events {
@@ -88,7 +74,7 @@ func runT1(seed uint64) (*Result, error) {
 	tb.AddRowf("post-recovery throughput (items/s)", steady)
 	tb.AddNote("drain-safe protocol: redone work must be 0")
 	res.Tables = []*stats.Table{tb}
-	return res, nil
+	return res
 }
 
 // T2: the model-validation table. A 3-stage pipeline on 3 nodes under a
@@ -99,7 +85,7 @@ func runT1(seed uint64) (*Result, error) {
 // mapping. T2b checks the simulator itself: on a saturated line of
 // exponential stages it must reproduce the exact Mean Value Analysis
 // throughput of the closed network it runs.
-func runT2(seed uint64) (*Result, error) {
+func runT2(seed uint64) *Result {
 	type set struct {
 		name  string
 		works [3]float64
@@ -132,32 +118,22 @@ func runT2(seed uint64) (*Result, error) {
 			nodes[i] = &grid.Node{Name: fmt.Sprintf("n%d", i), Speed: 1, Cores: 1,
 				Load: trace.Constant(s.loads[i])}
 		}
-		gl, err := grid.NewGrid(grid.LANLink, nodes...)
-		if err != nil {
-			return nil, err
-		}
+		gl := must(grid.NewGrid(grid.LANLink, nodes...))
 		loads := s.loads[:]
 
 		var cands []model.Mapping
-		err = model.VisitMappings(3, []grid.NodeID{0, 1, 2}, func(m model.Mapping) bool {
+		err := model.VisitMappings(3, []grid.NodeID{0, 1, 2}, func(m model.Mapping) bool {
 			cands = append(cands, m.Clone())
 			return true
 		})
-		if err != nil {
-			return nil, err
-		}
+		cands = must(cands, err)
 		bestIdx, bestPred, err := model.Best(gl, spec, cands, loads)
-		if err != nil {
-			return nil, err
-		}
+		must(bestPred, err)
 		// Measure every mapping.
 		measured := make([]float64, len(cands))
 		for i, m := range cands {
-			out, err := workload.RunSim(gl, workload.App{Name: "t2", Spec: spec}, m, workload.SimOptions{
-				Policy: adaptive.PolicyStatic, Seed: seed, Items: 300})
-			if err != nil {
-				return nil, err
-			}
+			out := must(workload.RunSim(gl, workload.App{Name: "t2", Spec: spec}, m, workload.SimOptions{
+				Policy: adaptive.PolicyStatic, Seed: seed, Items: 300}))
 			measured[i] = 300 / out.Makespan
 		}
 		measBestIdx := 0
@@ -201,11 +177,7 @@ func runT2(seed uint64) (*Result, error) {
 		}
 		thr := make([]float64, tandemSeeds)
 		for k := range thr {
-			v, err := simulateTandem(seed+uint64(k), row.mus, row.wip)
-			if err != nil {
-				return nil, err
-			}
-			thr[k] = v
+			thr[k] = simulateTandem(seed+uint64(k), row.mus, row.wip)
 		}
 		mean := stats.Mean(thr)
 		// t(0.975, tandemSeeds-1) = 2.093 for 20 seeds.
@@ -214,7 +186,7 @@ func runT2(seed uint64) (*Result, error) {
 	}
 	ct.AddNote("MVA inside the simulator's 95 %% CI in every row; MVA ≤ analytic bound")
 	res.Tables = []*stats.Table{tb, ct}
-	return res, nil
+	return res
 }
 
 // tandemSeeds is the number of independent simulator runs behind each
@@ -245,12 +217,9 @@ func mvaThroughput(mus []float64, n int) float64 {
 // simulateTandem measures a saturated exponential tandem line in the
 // executor, with the source holding wip items in flight (a closed
 // CONWIP line with unbounded queues).
-func simulateTandem(seed uint64, mus []float64, wip int) (float64, error) {
+func simulateTandem(seed uint64, mus []float64, wip int) float64 {
 	ns := len(mus)
-	g, err := grid.Homogeneous(ns, 1, grid.LANLink)
-	if err != nil {
-		return 0, err
-	}
+	g := must(grid.Homogeneous(ns, 1, grid.LANLink))
 	stages := make([]model.StageSpec, ns)
 	for i, mu := range mus {
 		stages[i] = model.StageSpec{Name: fmt.Sprintf("s%d", i), Work: 1 / mu}
@@ -263,19 +232,16 @@ func simulateTandem(seed uint64, mus []float64, wip int) (float64, error) {
 		rr := r.Derive(uint64(stage)<<32 | uint64(uint32(seq)))
 		return rr.Exp(mus[stage])
 	}
-	out, err := workload.RunSim(g, workload.App{Name: "tandem", Spec: spec}, model.OneToOne(ns), workload.SimOptions{
+	out := must(workload.RunSim(g, workload.App{Name: "tandem", Spec: spec}, model.OneToOne(ns), workload.SimOptions{
 		Policy: adaptive.PolicyStatic, Seed: seed, Items: 4000,
 		MaxInFlight: wip,
 		Sampler:     sampler,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return 4000 / out.Makespan, nil
+	}))
+	return 4000 / out.Makespan
 }
 
 // T3: forecaster accuracy per trace class (the NWS battery table).
-func runT3(seed uint64) (*Result, error) {
+func runT3(seed uint64) *Result {
 	r := rng.New(seed)
 	const n = 400
 	signals := []struct {
@@ -325,12 +291,12 @@ func runT3(seed uint64) (*Result, error) {
 	}
 	tb.AddNote("expected shape: adaptive row is near the column minimum for every class (NWS property)")
 	res.Tables = []*stats.Table{tb}
-	return res, nil
+	return res
 }
 
 // T4: mapping-search strategy comparison: solution quality (predicted
 // throughput vs the best found by any strategy) and search cost.
-func runT4(seed uint64) (*Result, error) {
+func runT4(seed uint64) *Result {
 	r := rng.New(seed)
 	res := &Result{ID: "T4", Title: "mapping search strategies"}
 	tb := stats.NewTable("T4 search quality (predicted thr / best) and cost",
@@ -351,10 +317,7 @@ func runT4(seed uint64) (*Result, error) {
 		for i := range speeds {
 			speeds[i] = 0.5 + 3*r.Float64()
 		}
-		g, err := grid.Heterogeneous(speeds, grid.CampusLink)
-		if err != nil {
-			return nil, err
-		}
+		g := must(grid.Heterogeneous(speeds, grid.CampusLink))
 		searchers := []sched.Searcher{
 			sched.ContiguousDP{}, sched.Greedy{}, sched.LocalSearch{Seed: seed},
 		}
@@ -374,9 +337,7 @@ func runT4(seed uint64) (*Result, error) {
 			t0 := time.Now()
 			m, pred, err := s.Search(g, spec, nil)
 			cost := time.Since(t0)
-			if err != nil {
-				return nil, err
-			}
+			must(m, err)
 			results = append(results, resT{s.Name(), pred.Throughput, cost, m.String()})
 			if pred.Throughput > best {
 				best = pred.Throughput
@@ -389,5 +350,5 @@ func runT4(seed uint64) (*Result, error) {
 	}
 	tb.AddNote("quality 1.0 = the best mapping any strategy found; exhaustive rows are exact optima where present")
 	res.Tables = []*stats.Table{tb}
-	return res, nil
+	return res
 }

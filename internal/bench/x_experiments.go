@@ -26,7 +26,7 @@ func init() {
 // crawls at the saturation floor; adaptive policies evacuate and may
 // return after recovery. True crash/rejoin churn — the node actually
 // going Down — is experiment F9.
-func runF7(seed uint64) (*Result, error) {
+func runF7(seed uint64) *Result {
 	const (
 		horizon  = 240.0
 		failAt   = 60.0
@@ -34,7 +34,7 @@ func runF7(seed uint64) (*Result, error) {
 	)
 	app := workload.Balanced(4, 0.15, 1e5)
 
-	mk := func(victim int) (*grid.Grid, error) {
+	mk := func(victim int) *grid.Grid {
 		nodes := make([]*grid.Node, 5)
 		for i := range nodes {
 			nodes[i] = &grid.Node{Name: fmt.Sprintf("node%d", i), Speed: 1, Cores: 1}
@@ -42,7 +42,7 @@ func runF7(seed uint64) (*Result, error) {
 				nodes[i].Load = grid.Saturate(nil, failAt, recoverT)
 			}
 		}
-		return grid.NewGrid(grid.LANLink, nodes...)
+		return must(grid.NewGrid(grid.LANLink, nodes...))
 	}
 	// Initial mapping co-locates two stages on node 0 (so the outage
 	// hits hard): stages (0,0,1,2).
@@ -52,15 +52,8 @@ func runF7(seed uint64) (*Result, error) {
 	tb := stats.NewTable("F7 outage of node0 during [60,140)",
 		"policy", "done", "thr during outage", "thr after recovery", "remaps")
 	for _, p := range mainPolicies {
-		g, err := mk(0)
-		if err != nil {
-			return nil, err
-		}
-		out, err := workload.RunSim(g, app, m0, workload.SimOptions{
-			Policy: p, Interval: 1, Seed: seed, Duration: horizon})
-		if err != nil {
-			return nil, err
-		}
+		out := must(workload.RunSim(mk(0), app, m0, workload.SimOptions{
+			Policy: p, Interval: 1, Seed: seed, Duration: horizon}))
 		completions := out.Exec.Monitor().Completions()
 		during := meanRateIn(completions, failAt+10, recoverT)
 		after := meanRateIn(completions, recoverT+20, horizon)
@@ -68,12 +61,12 @@ func runF7(seed uint64) (*Result, error) {
 	}
 	tb.AddNote("expected shape: static collapses for the outage window; adaptive evacuates within seconds")
 	res.Tables = []*stats.Table{tb}
-	return res, nil
+	return res
 }
 
 // T5: validate the M/G/1 latency model against the executor under
 // Poisson arrivals, sweeping utilisation and service variability.
-func runT5(seed uint64) (*Result, error) {
+func runT5(seed uint64) *Result {
 	res := &Result{ID: "T5", Title: "latency model validation"}
 	tb := stats.NewTable("T5 mean latency: M/G/1 prediction vs simulation (3 stages on 3 nodes)",
 		"cv", "rho", "lambda", "predicted (s)", "measured (s)", "rel err")
@@ -83,30 +76,21 @@ func runT5(seed uint64) (*Result, error) {
 	for _, cv := range []float64{0, 1} {
 		for _, rho := range []float64{0.2, 0.5, 0.8} {
 			lambda := rho / 0.1 // per-node utilisation = λ·s
-			g, err := grid.Homogeneous(3, 1, grid.LANLink)
-			if err != nil {
-				return nil, err
-			}
-			pred, err := model.PredictLatency(g, spec, m, nil, lambda, cv)
-			if err != nil {
-				return nil, err
-			}
-			measured, err := simulatePoissonLatency(seed, g, spec, m, lambda, cv)
-			if err != nil {
-				return nil, err
-			}
+			g := must(grid.Homogeneous(3, 1, grid.LANLink))
+			pred := must(model.PredictLatency(g, spec, m, nil, lambda, cv))
+			measured := simulatePoissonLatency(seed, g, spec, m, lambda, cv)
 			tb.AddRowf(cv, rho, lambda, pred.Mean, measured, stats.RelErr(measured, pred.Mean))
 		}
 	}
 	tb.AddNote("cv=1 (M/M/1): decomposition is near-exact at every rho")
 	tb.AddNote("cv=0 (M/D/1): prediction is an upper bound that loosens with rho — deterministic service smooths departures, so downstream nodes see sub-Poisson arrivals and wait less than the model's per-node M/D/1 assumption")
 	res.Tables = []*stats.Table{tb}
-	return res, nil
+	return res
 }
 
 // simulatePoissonLatency measures mean pipeline latency with Poisson
 // arrivals and (optionally) exponential service.
-func simulatePoissonLatency(seed uint64, g *grid.Grid, spec model.PipelineSpec, m model.Mapping, lambda, cv float64) (float64, error) {
+func simulatePoissonLatency(seed uint64, g *grid.Grid, spec model.PipelineSpec, m model.Mapping, lambda, cv float64) float64 {
 	eng := &sim.Engine{}
 	var sampler func(stage, seq int) float64
 	if cv > 0 {
@@ -116,21 +100,18 @@ func simulatePoissonLatency(seed uint64, g *grid.Grid, spec model.PipelineSpec, 
 			return r.Exp(1 / spec.Stages[stage].Work)
 		}
 	}
-	ex, err := exec.New(eng, g, spec, m, exec.Options{
+	ex := must(exec.New(eng, g, spec, m, exec.Options{
 		ArrivalRate: lambda,
 		Seed:        seed,
 		WorkSampler: sampler,
-	})
-	if err != nil {
-		return 0, err
-	}
+	}))
 	ex.RunUntil(3000)
 	lats := ex.Latencies()
 	if len(lats) < 100 {
-		return 0, fmt.Errorf("bench: only %d completions for latency estimate", len(lats))
+		panic(fmt.Sprintf("bench: T5 needs at least 100 completions for a latency estimate, got %d", len(lats)))
 	}
 	// Drop the warmup third.
-	return stats.Mean(lats[len(lats)/3:]), nil
+	return stats.Mean(lats[len(lats)/3:])
 }
 
 // A3: hysteresis sweep. Noisy mean-reverting loads on every node make
@@ -138,7 +119,7 @@ func simulatePoissonLatency(seed uint64, g *grid.Grid, spec model.PipelineSpec, 
 // a campus backbone, so every remap pays real migration and redirect
 // cost; with no hysteresis the periodic controller chases the noise and
 // loses throughput to its own churn.
-func runA3(seed uint64) (*Result, error) {
+func runA3(seed uint64) *Result {
 	const horizon = 300.0
 	app := workload.Balanced(4, 0.15, 4e6)
 	gains := []float64{1.0, 1.15, 1.5, 2.0}
@@ -147,7 +128,7 @@ func runA3(seed uint64) (*Result, error) {
 	tb := stats.NewTable("A3 hysteresis gain vs churn (periodic policy, noisy walk loads, 4 MB items on campus links)",
 		"gain", "done", "remaps", "migrations", "done per remap")
 
-	mk := func() (*grid.Grid, error) {
+	mk := func() *grid.Grid {
 		nodes := make([]*grid.Node, 6)
 		for i := range nodes {
 			nodes[i] = &grid.Node{
@@ -155,29 +136,15 @@ func runA3(seed uint64) (*Result, error) {
 				Load: trace.NewRandomWalk(rng.New(seed+uint64(i)*17), horizon+60, 1, 0.35, 0.12, 0.15),
 			}
 		}
-		return grid.NewGrid(grid.CampusLink, nodes...)
+		return must(grid.NewGrid(grid.CampusLink, nodes...))
 	}
-	idle, err := mk()
-	if err != nil {
-		return nil, err
-	}
-	m0, _, err := workload.Deploy(idle, app.Spec, seed)
-	if err != nil {
-		return nil, err
-	}
+	m0 := deploy(mk(), app.Spec, seed)
 
 	for _, gain := range gains {
-		g, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		out, err := workload.RunSim(g, app, m0, workload.SimOptions{
+		out := must(workload.RunSim(mk(), app, m0, workload.SimOptions{
 			Policy: adaptive.PolicyPeriodic, Interval: 1, HysteresisGain: gain,
 			Seed: seed, Duration: horizon,
-		})
-		if err != nil {
-			return nil, err
-		}
+		}))
 		perRemap := float64(out.Done)
 		if out.Ctrl.Remaps > 0 {
 			perRemap = float64(out.Done) / float64(out.Ctrl.Remaps)
@@ -186,5 +153,5 @@ func runA3(seed uint64) (*Result, error) {
 	}
 	tb.AddNote("expected shape: remaps fall sharply with gain; throughput stays flat or improves — churn buys nothing")
 	res.Tables = []*stats.Table{tb}
-	return res, nil
+	return res
 }
