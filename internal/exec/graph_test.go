@@ -39,7 +39,8 @@ func TestDiamondConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := &sim.Engine{}
-	e, err := New(eng, g, spec, model.OneToOne(4), Options{MaxInFlight: 8})
+	sampler, visits := stageVisits(spec)
+	e, err := New(eng, g, spec, model.OneToOne(4), Options{MaxInFlight: 8, WorkSampler: sampler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +51,8 @@ func TestDiamondConservation(t *testing.T) {
 	if e.Done() != items || e.InFlight() != 0 {
 		t.Fatalf("done=%d inflight=%d", e.Done(), e.InFlight())
 	}
-	for s := 0; s < spec.NumStages(); s++ {
-		if c := e.Monitor().Stage(s).Count(); c != items {
+	for s, c := range visits {
+		if c != items {
 			t.Fatalf("stage %d serviced %d items, want %d", s, c, items)
 		}
 	}
@@ -110,7 +111,8 @@ func TestDiamondReplicatedMergeJoins(t *testing.T) {
 	}
 	m := model.Mapping{Assign: [][]grid.NodeID{{0}, {1}, {2}, {3, 4, 5}}}
 	eng := &sim.Engine{}
-	e, err := New(eng, g, spec, m, Options{MaxInFlight: 12})
+	sampler, visits := stageVisits(spec)
+	e, err := New(eng, g, spec, m, Options{MaxInFlight: 12, WorkSampler: sampler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestDiamondReplicatedMergeJoins(t *testing.T) {
 	if _, err := e.RunItems(items); err != nil {
 		t.Fatal(err)
 	}
-	if c := e.Monitor().Stage(3).Count(); c != items {
+	if c := visits[3]; c != items {
 		t.Fatalf("merge stage serviced %d, want %d", c, items)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"gridpipe/internal/adaptive"
 	"gridpipe/internal/forecast"
 	"gridpipe/internal/grid"
+	"gridpipe/internal/model"
 	"gridpipe/internal/stats"
 )
 
@@ -25,7 +26,6 @@ const DefaultWindow = 32
 // StageMonitor accumulates timing observations for one pipeline stage.
 type StageMonitor struct {
 	service  *stats.Ring
-	count    int
 	lastDone float64
 	// exponentially smoothed inter-departure time; its inverse is the
 	// stage's observed throughput.
@@ -48,15 +48,11 @@ func NewStageMonitor(window int) *StageMonitor {
 // time now, having spent dur seconds of service.
 func (m *StageMonitor) RecordService(dur, now float64) {
 	m.service.Add(dur)
-	m.count++
 	if !math.IsNaN(m.lastDone) && now > m.lastDone {
 		m.interDep.Add(now - m.lastDone)
 	}
 	m.lastDone = now
 }
-
-// Count returns the number of items the stage has completed.
-func (m *StageMonitor) Count() int { return m.count }
 
 // MeanService returns the windowed mean service time (NaN when no
 // samples).
@@ -72,8 +68,7 @@ func (m *StageMonitor) Throughput() float64 {
 	return 1 / d
 }
 
-// Reset clears the sample windows but keeps the lifetime count. Called
-// after a remap so stale observations from the old mapping do not
+// Reset clears the sample windows. Called after a remap so stale observations from the old mapping do not
 // pollute decisions about the new one.
 func (m *StageMonitor) Reset() {
 	m.service.Reset()
@@ -112,9 +107,6 @@ func (m *Monitor) RecordCompletion(now float64) {
 
 // Completions returns the pipeline exit times (shared slice).
 func (m *Monitor) Completions() []float64 { return m.completions }
-
-// Done returns the number of items that left the pipeline.
-func (m *Monitor) Done() int { return len(m.completions) }
 
 // RecentThroughput returns the exit rate over the trailing window
 // (items/s) at time now, or NaN when nothing completed in the window.
@@ -208,8 +200,10 @@ func (s *NodeSensor) Sample(t float64) {
 }
 
 // PredictedLoad returns the forecast of near-future load, falling back
-// to the last measurement and then to 0, clamped to [0, 0.99].
-func (s *NodeSensor) PredictedLoad() float64 { return s.est.Predicted(0, 0.99) }
+// to the last measurement and then to 0, clamped by model.ClampLoad.
+func (s *NodeSensor) PredictedLoad() float64 {
+	return model.ClampLoad(s.est.Predicted(0, math.Inf(1)))
+}
 
 // Estimate returns the load number the given mode decides with: the
 // ground-truth trace for LoadOracle, the clamped forecast for

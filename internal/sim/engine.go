@@ -48,15 +48,10 @@ type slot struct {
 // is free and never allocates. The zero Event is inert: Cancel and
 // Cancelled are no-ops on it.
 type Event struct {
-	eng  *Engine
-	idx  int32
-	gen  uint32
-	time float64
+	eng *Engine
+	idx int32
+	gen uint32
 }
-
-// Time returns the virtual time at which the event fires (or would have
-// fired, if cancelled).
-func (e Event) Time() float64 { return e.time }
 
 // Cancel prevents the event from firing. Cancelling an already-fired,
 // already-cancelled, or zero event is a no-op: the generation counter
@@ -152,7 +147,7 @@ func (e *Engine) schedule(t float64, fn func(), afn func(any), arg any) Event {
 	s.cancelled = false
 	e.seq++
 	e.heapPush(idx)
-	return Event{eng: e, idx: idx, gen: s.gen, time: t}
+	return Event{eng: e, idx: idx, gen: s.gen}
 }
 
 // alloc takes a slot from the free list, growing the slab only when

@@ -247,11 +247,3 @@ func TestAtPastPanics(t *testing.T) {
 	}()
 	e.At(1, func() {})
 }
-
-func TestEventTimeAccessor(t *testing.T) {
-	var e Engine
-	ev := e.Schedule(3.5, func() {})
-	if ev.Time() != 3.5 {
-		t.Fatalf("Time = %v", ev.Time())
-	}
-}
