@@ -58,14 +58,7 @@ func PredictLatency(g *grid.Grid, spec PipelineSpec, m Mapping, loads []float64,
 		if loads == nil {
 			return 0
 		}
-		l := loads[n]
-		if l < 0 {
-			return 0
-		}
-		if l > 0.99 {
-			return 0.99
-		}
-		return l
+		return ClampLoad(loads[n])
 	}
 	if loads != nil && len(loads) != g.NumNodes() {
 		return LatencyPrediction{}, fmt.Errorf("model: %d load estimates for %d nodes", len(loads), g.NumNodes())

@@ -27,6 +27,25 @@ type Prediction struct {
 	Latency float64
 }
 
+// MaxLoad is the saturation cap on a node's background load: a node
+// keeps at least 1 % of its speed, so every rate the model derives
+// stays finite.
+const MaxLoad = 0.99
+
+// ClampLoad limits a background-load estimate to [0, MaxLoad]. Every
+// evaluator of a load vector (both predictors, the searches' effective
+// speeds, the reservation ledger, the node sensors' forecasts) reads
+// loads through it. NaN passes through.
+func ClampLoad(l float64) float64 {
+	if l < 0 {
+		return 0
+	}
+	if l > MaxLoad {
+		return MaxLoad
+	}
+	return l
+}
+
 // Predict estimates the steady-state throughput of the pipeline under
 // the given mapping.
 //
@@ -76,14 +95,7 @@ func PredictInto(g *grid.Grid, spec PipelineSpec, m Mapping, loads []float64, s 
 		if loads == nil {
 			return 0
 		}
-		l := loads[n]
-		if l < 0 {
-			return 0
-		}
-		if l > 0.99 {
-			return 0.99
-		}
-		return l
+		return ClampLoad(loads[n])
 	}
 	if s == nil {
 		s = NewPredictScratch()

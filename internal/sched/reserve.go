@@ -80,8 +80,8 @@ func (r *Reservations) SnapshotInto(dst []float64) []float64 {
 }
 
 // ResidualInto folds the ledger into a background-load vector: dst[n]
-// is the base estimate plus the reserved fraction, clamped to the
-// model's 0.99 saturation cap (base may be nil: idle). dst is grown as
+// is the base estimate plus the reserved fraction, clamped by
+// model.ClampLoad (base may be nil: idle). dst is grown as
 // needed and returned, so steady-state arbitration loops fold the
 // ledger without allocating.
 func (r *Reservations) ResidualInto(dst, base []float64) []float64 {
@@ -94,10 +94,7 @@ func (r *Reservations) ResidualInto(dst, base []float64) []float64 {
 		if base != nil && n < len(base) && base[n] > 0 {
 			l += base[n]
 		}
-		if l > 0.99 {
-			l = 0.99
-		}
-		dst[n] = l
+		dst[n] = model.ClampLoad(l)
 	}
 	return dst
 }

@@ -260,7 +260,7 @@ func (sc *Scratch) effFor(g *grid.Grid, loads []float64) []float64 {
 	for n := range sc.eff {
 		l := 0.0
 		if loads != nil && n < len(loads) {
-			l = clamp01(loads[n])
+			l = model.ClampLoad(loads[n])
 		}
 		sc.eff[n] = g.Node(grid.NodeID(n)).Speed * (1 - l)
 	}
@@ -289,14 +289,4 @@ func sizeRows(backing []grid.NodeID, rows [][]grid.NodeID, ns int) ([]grid.NodeI
 		rows[i] = backing[i : i+1 : i+1]
 	}
 	return backing, rows
-}
-
-func clamp01(l float64) float64 {
-	if l < 0 {
-		return 0
-	}
-	if l > 0.99 {
-		return 0.99
-	}
-	return l
 }
