@@ -85,6 +85,9 @@ func (r *Resource) Fn(baseSeconds float64) func(ctx context.Context, v any) (any
 	}
 }
 
+// liveInterval is the live controller's decision period in RunLive.
+const liveInterval = 100 * time.Millisecond
+
 // Auto is the explicit "pick the default" sentinel for
 // LiveOptions.Victim (the heaviest stage) and
 // LiveOptions.InjectAtItem (one third of the stream). The sentinel is
@@ -122,8 +125,6 @@ type LiveOptions struct {
 	// The initial deployment apportions half of it, so the other half
 	// is the reserve capacity adaptation can fold in.
 	MaxWorkers int
-	// Interval is the controller's decision period (default 100 ms).
-	Interval time.Duration
 	// Scale is wall-seconds of stage occupancy per reference-second of
 	// modelled work (default 0.025: the genome align stage's 0.35
 	// ref-s becomes 8.75 ms).
@@ -220,9 +221,6 @@ func RunLive(app App, opts LiveOptions) (LiveOutcome, error) {
 	if opts.MaxWorkers <= 0 {
 		opts.MaxWorkers = 16
 	}
-	if opts.Interval <= 0 {
-		opts.Interval = 100 * time.Millisecond
-	}
 	if opts.Scale <= 0 {
 		opts.Scale = 0.025
 	}
@@ -259,7 +257,7 @@ func RunLive(app App, opts LiveOptions) (LiveOutcome, error) {
 	}
 	cfg := liveadapt.Config{
 		Policy:     opts.Policy,
-		Interval:   opts.Interval,
+		Interval:   liveInterval,
 		MaxWorkers: opts.MaxWorkers,
 	}
 	if opts.Batch != 0 {

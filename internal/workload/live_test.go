@@ -1,8 +1,14 @@
 package workload
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"gridpipe/internal/adaptive"
+	"gridpipe/internal/conc/steal"
 )
 
 // fastLive keeps the wall-clock cost of a live test run tiny.
@@ -67,17 +73,107 @@ func TestRunLiveInjectAtItemZero(t *testing.T) {
 	}
 }
 
-func TestRunLiveRejectsOutOfRange(t *testing.T) {
-	opts := fastLive(10)
-	opts.SpikeLoad = 0.5
-	opts.Victim = 99
-	if _, err := RunLive(Genome(), opts); err == nil || !strings.Contains(err.Error(), "victim") {
-		t.Fatalf("out-of-range victim: %v", err)
+// TestRunLiveOptions runs RunLive's option checks and its batch paths
+// at fastLive size. After every run, erroring or not, the goroutine
+// count is back where it started.
+func TestRunLiveOptions(t *testing.T) {
+	steal.Default() // the executor's persistent workers are part of the baseline
+	cases := []struct {
+		name    string
+		set     func(*LiveOptions)
+		wantErr string // substring of the expected error; "" = must succeed
+		check   func(*testing.T, LiveOutcome)
+	}{
+		{name: "victim out of range", wantErr: "victim",
+			set: func(o *LiveOptions) { o.SpikeLoad = 0.5; o.Victim = 99 }},
+		{name: "injection at the end of the stream", wantErr: "injection",
+			set: func(o *LiveOptions) { o.SpikeLoad = 0.5; o.InjectAtItem = o.Items }},
+		{name: "auto batch under static", wantErr: "non-static",
+			set: func(o *LiveOptions) { o.Batch = Auto }},
+		{name: "negative batch", wantErr: "grain",
+			set: func(o *LiveOptions) { o.Batch = -2 }},
+		{name: "auto batch under reactive",
+			set: func(o *LiveOptions) { o.Policy = adaptive.PolicyReactive; o.Batch = Auto },
+			check: func(t *testing.T, out LiveOutcome) {
+				if out.Grain < 1 {
+					t.Errorf("grain %d, want the walker's grain (≥ 1)", out.Grain)
+				}
+			}},
+		{name: "fixed batch",
+			set: func(o *LiveOptions) { o.Batch = 4 },
+			check: func(t *testing.T, out LiveOutcome) {
+				if out.Grain != 4 {
+					t.Errorf("grain %d, want 4", out.Grain)
+				}
+			}},
+		{name: "background load",
+			set: func(o *LiveOptions) { o.BgLoad = 1 },
+			check: func(t *testing.T, out LiveOutcome) {
+				if out.ThroughputUnder <= 0 {
+					t.Errorf("under-load throughput %v after the hogs started", out.ThroughputUnder)
+				}
+			}},
 	}
-	opts = fastLive(10)
-	opts.SpikeLoad = 0.5
-	opts.InjectAtItem = 10
-	if _, err := RunLive(Genome(), opts); err == nil || !strings.Contains(err.Error(), "injection") {
-		t.Fatalf("out-of-range injection point: %v", err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			opts := fastLive(60)
+			c.set(&opts)
+			out, err := RunLive(Genome(), opts)
+			switch {
+			case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+				t.Fatalf("error %v, want one naming %q", err, c.wantErr)
+			case c.wantErr == "" && err != nil:
+				t.Fatal(err)
+			case c.wantErr == "":
+				if out.Items != 60 {
+					t.Errorf("completed %d of 60", out.Items)
+				}
+				c.check(t, out)
+			}
+			waitGoroutines(t, before)
+		})
+	}
+}
+
+// TestBackgroundLoadRunsPairs: an odd hog count rounds up to whole
+// ping-pong pairs, and stop waits for every hog to exit.
+func TestBackgroundLoadRunsPairs(t *testing.T) {
+	before := runtime.NumGoroutine()
+	stop := BackgroundLoad(1)
+	if got := runtime.NumGoroutine() - before; got != 2 {
+		t.Errorf("BackgroundLoad(1) started %d goroutines, want one pair", got)
+	}
+	stop()
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails the test unless, within two seconds, no more
+// goroutines are alive than before.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines alive, %d before", runtime.NumGoroutine(), before)
+		}
+	}
+}
+
+// initialReplicas gives every stage at least one worker, raises a
+// budget below the stage count to it, and hands the remainder out by
+// largest fractional share.
+func TestInitialReplicas(t *testing.T) {
+	for _, c := range []struct {
+		app    App
+		budget int
+		want   []int
+	}{
+		{Balanced(3, 0.1, 0), 4, []int{2, 1, 1}},
+		{Balanced(3, 0.1, 0), 1, []int{1, 1, 1}},
+		{Genome(), 8, []int{1, 6, 1}},
+	} {
+		if got := initialReplicas(c.app, c.budget); !slices.Equal(got, c.want) {
+			t.Errorf("%s budget %d: %v, want %v", c.app.Name, c.budget, got, c.want)
+		}
 	}
 }
