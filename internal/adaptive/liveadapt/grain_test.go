@@ -93,6 +93,29 @@ func TestGrainWalkRevertsHarmfulStep(t *testing.T) {
 	}
 }
 
+// A step that neither clears the margin nor costs throughput keeps its
+// grain and ends the probing: on a flat curve the walk takes one
+// doubling and settles there. While settled it tracks the best rate
+// the grain delivers.
+func TestGrainWalkKeepsStepWithinMargin(t *testing.T) {
+	f := &grainFake{fakeTarget: newFake(1), grain: 1}
+	s := subFor(t, f, nil, Config{
+		Policy:     adaptive.PolicyPeriodic,
+		Interval:   time.Second,
+		Cooldown:   2 * time.Second,
+		AdaptGrain: true,
+		MaxGrain:   64,
+	})
+	now := drive(s, f, func(int) float64 { return 1000 }, 1, 20)
+	if f.grain != 2 || !s.grain.settled {
+		t.Fatalf("flat curve: grain %d settled=%v, want the kept step 2, settled", f.grain, s.grain.settled)
+	}
+	drive(s, f, func(int) float64 { return 1100 }, int(now/s.cfg.Cooldown.Seconds()), 5)
+	if f.grain != 2 || math.Abs(s.grain.rate-1100) > 1 {
+		t.Fatalf("settled at grain %d with rate %v, want grain 2 and the 1100 high-water mark", f.grain, s.grain.rate)
+	}
+}
+
 func TestGrainWalkReArmsOnDegradation(t *testing.T) {
 	f := &grainFake{fakeTarget: newFake(1), grain: 1}
 	s := subFor(t, f, nil, Config{

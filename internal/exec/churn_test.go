@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"gridpipe/internal/grid"
@@ -167,6 +168,50 @@ func TestDrainFinishesAcceptedWork(t *testing.T) {
 	}
 	if e.Done() != 60 {
 		t.Fatalf("done = %d, want 60", e.Done())
+	}
+}
+
+// TestDroppedItemDiscardsSiblingInService: when one branch of a split
+// item exhausts the retry budget while the other branch's part is in
+// service, that part's result is discarded when it finishes. The stage
+// records no service for it, and nothing moves on to the merge.
+func TestDroppedItemDiscardsSiblingInService(t *testing.T) {
+	g, err := grid.Homogeneous(3, 1, grid.LANLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg, err := topo.Diamond(
+		topo.Stage{Name: "head", Work: 0.01, OutBytes: 1e4},
+		[]topo.Stage{
+			{Name: "left", Work: 10, OutBytes: 1e4},
+			{Name: "right", Work: 0.5, OutBytes: 1e4},
+		},
+		topo.Stage{Name: "tail", Work: 0.01, OutBytes: 1e3},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := model.FromGraph(dg, 1e4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(&sim.Engine{}, g, spec, model.FromNodes(0, 1, 2, 0), Options{MaxInFlight: 1, MaxRetries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The right part is killed twice, at 0.2 and 0.6, while the left
+	// part holds node1 until t ≈ 10.
+	churn := mustChurn(t, append(grid.Outage("node2", 0.2, 0.4),
+		grid.ChurnEvent{T: 0.6, Node: "node2", Kind: grid.ChurnCrash})...)
+	if err := e.InstallChurn(churn); err != nil {
+		t.Fatal(err)
+	}
+	e.RunUntil(15)
+	if e.Lost() != 1 || e.Done() != 0 {
+		t.Fatalf("lost %d done %d, want the one item lost", e.Lost(), e.Done())
+	}
+	if got := e.Monitor().Stage(1).MeanService(); !math.IsNaN(got) {
+		t.Fatalf("left recorded %v s of service for a part of a dropped item", got)
 	}
 }
 

@@ -170,6 +170,29 @@ func TestServiceDurationSurvivesSaturation(t *testing.T) {
 	}
 }
 
+// overload reports level before until and no load after: a trace that
+// breaks the [0, MaxLoad] contract, as a hand-written outage might.
+type overload struct{ until, level float64 }
+
+func (o overload) At(t float64) float64 {
+	if t < o.until {
+		return o.level
+	}
+	return 0
+}
+
+// A node whose trace reports load at or above its capacity makes no
+// progress: service skips forward a quantum at a time until the load
+// falls, then runs at full speed.
+func TestServiceDurationStallsUnderFullLoad(t *testing.T) {
+	for _, level := range []float64{1, 1.5} {
+		n := &Node{Speed: 1, Cores: 1, Quantum: 0.5, Load: overload{until: 2, level: level}}
+		if got := n.ServiceDuration(1, 0); got != 3 {
+			t.Errorf("load %v until t=2: 1 unit of work took %v, want 3", level, got)
+		}
+	}
+}
+
 func TestHomogeneousAndHeterogeneous(t *testing.T) {
 	g := mustGrid(Homogeneous(4, 2.5, LANLink))
 	for _, n := range g.Nodes() {
