@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build vet test bench bench-quick race loc
+.PHONY: check fmt build vet test bench bench-quick race loc cover
 
 check: fmt build vet test
 
@@ -35,6 +35,16 @@ bench:
 
 race:
 	$(GO) test -race ./...
+
+# The never-run fence (the CI never-run job): reruns the suite with
+# coverage merged across every test binary, rewrites
+# testdata/uncovered.txt to the blocks no test ran (keeping each listed
+# block's reason) and fails on a block the list did not hold or holds
+# without a reason. Not part of check: it runs the suite a second time.
+cover:
+	@mkdir -p .cover
+	$(GO) test -count=1 -coverpkg=./internal/...,. -coverprofile=.cover/merged.out ./...
+	$(GO) test -count=1 -tags neverrun -run '^TestNeverRunFence$$' .
 
 # Go line counts per package directory: non-test and _test.go lines,
 # then the module totals. Informational; prints, never fails.

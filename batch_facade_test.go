@@ -60,12 +60,25 @@ func TestWithBatchValidates(t *testing.T) {
 	if err := p.WithBatch(-7); err == nil {
 		t.Fatal("WithBatch(-7) accepted")
 	}
+	if err := p.WithBatch(4, BatchOptions{Max: -1}); err == nil {
+		t.Fatal("negative Max accepted")
+	}
 	// Auto grain without a live controller must refuse at build time.
 	if err := p.WithBatch(GrainAuto); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Process(context.Background(), []any{1}); err == nil {
 		t.Fatal("GrainAuto without WithLiveAdaptive should fail to start")
+	}
+	started, err := New(Stage("a", sleeper(time.Microsecond), Weight(0.01)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := started.Process(context.Background(), []any{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := started.WithBatch(4); err == nil {
+		t.Fatal("WithBatch after the pipeline ran accepted")
 	}
 }
 

@@ -64,6 +64,7 @@ type use struct {
 // declarations, and every use of a name in a non-test file.
 type moduleIndex struct {
 	fset     *token.FileSet
+	files    map[string]*ast.File // slash path relative to the module root → parse
 	decls    []exportDecl
 	iface    map[string]bool             // method names some interface declares
 	selected map[string][]use            // x.Name with x not a package
@@ -78,6 +79,7 @@ func parseModule(t *testing.T) *moduleIndex {
 	t.Helper()
 	ix := &moduleIndex{
 		fset:     token.NewFileSet(),
+		files:    map[string]*ast.File{},
 		iface:    map[string]bool{"String": true, "Error": true, "MarshalJSON": true},
 		selected: map[string][]use{},
 		bare:     map[string]map[string][]use{},
@@ -101,6 +103,7 @@ func parseModule(t *testing.T) *moduleIndex {
 		if err != nil {
 			return err
 		}
+		ix.files[filepath.ToSlash(p)] = f
 		ix.index(filepath.ToSlash(filepath.Dir(p)), f)
 		return nil
 	})

@@ -134,6 +134,12 @@ func TestNewHardening(t *testing.T) {
 			Split(Branch(Stage("a", ident)), Branch(Stage("b", ident))),
 			Stage("t", ident),
 		}, "follows a Split"},
+		{"split after split", []StageDef{
+			Stage("h", ident),
+			Split(Branch(Stage("a", ident)), Branch(Stage("b", ident))),
+			Split(Branch(Stage("c", ident)), Branch(Stage("d", ident))),
+			Merge("m", ident),
+		}, "nested Split"},
 		{"nested split in branch", []StageDef{
 			Stage("h", ident),
 			Split(

@@ -20,6 +20,7 @@ type stubSub struct {
 	applied   int
 	sampled   int
 	lastMode  LoadMode
+	unchanged bool // Apply reports that nothing moved
 
 	ticks []func(now float64)
 }
@@ -40,6 +41,9 @@ func (s *stubSub) Expected(loads []float64) (float64, float64) { return s.refere
 func (s *stubSub) Propose(loads []float64) (*Proposal, bool)   { return s.proposal, s.searched }
 func (s *stubSub) Apply(p *Proposal) Actuation {
 	s.applied++
+	if s.unchanged {
+		return Actuation{}
+	}
 	return Actuation{Changed: true, Moved: 1}
 }
 
@@ -87,6 +91,10 @@ func TestPeriodicSearchesEveryTick(t *testing.T) {
 	s := newStub()
 	c := mustNew(t, s, Config{Policy: PolicyPeriodic, Interval: 1})
 	c.Start()
+	c.Start() // a second Start keeps the one ticker
+	if len(s.ticks) != 1 {
+		t.Fatalf("%d tickers armed", len(s.ticks))
+	}
 	s.fire(1)
 	s.fire(2)
 	st := c.Stats()
@@ -98,6 +106,18 @@ func TestPeriodicSearchesEveryTick(t *testing.T) {
 	}
 	if len(st.Events) != 2 || st.Events[0].From.String() != "a" || st.Events[0].To.String() != "b" {
 		t.Fatalf("events: %+v", st.Events)
+	}
+}
+
+// An actuation that moves nothing is not a remap.
+func TestUnchangedActuationIsNoRemap(t *testing.T) {
+	s := newStub()
+	s.unchanged = true
+	c := mustNew(t, s, Config{Policy: PolicyPeriodic, Interval: 1})
+	c.Start()
+	s.fire(1)
+	if st := c.Stats(); s.applied != 1 || st.Remaps != 0 || len(st.Events) != 0 {
+		t.Fatalf("applied %d, stats %+v", s.applied, st)
 	}
 }
 

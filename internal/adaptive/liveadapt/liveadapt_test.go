@@ -340,3 +340,41 @@ func TestForPipelineLeavesSpecAlone(t *testing.T) {
 		t.Fatalf("caller's Work %v (want 0), controller's %v (want 1)", stages[0].Work, ctrl.sub.stages[0].Work)
 	}
 }
+
+// Sample turns meter diffs into per-stage service estimates: a service
+// time below the clock's resolution reads as 1 ns, a stage never
+// observed has no predicted load, and Slowdowns divides each estimate
+// by the stage's nominal work.
+func TestSampleLoadsAndSlowdowns(t *testing.T) {
+	f := newFake(1, 1, 1)
+	stages := []model.StageSpec{
+		{Name: "a", Work: 0.002, Replicable: true},
+		{Name: "b", Work: 0.001, Replicable: true},
+		{Name: "c", Work: 0.001, Replicable: true},
+	}
+	s := subFor(t, f, stages, Config{Policy: adaptive.PolicyPredictive, MaxWorkers: 8})
+	f.observe(0, 10, 4*time.Millisecond)
+	f.observe(1, 10, 0)
+	s.Sample(1)
+	if loads := s.Loads(adaptive.LoadPredicted, 1); loads[1] != 1e-9 || !math.IsNaN(loads[2]) {
+		t.Errorf("predicted loads %v, want 1e-9 for the instant stage and NaN for the unobserved one", loads)
+	}
+	if sl := s.Slowdowns(); math.Abs(sl[0]-2) > 1e-9 || !math.IsNaN(sl[2]) {
+		t.Errorf("slowdowns %v, want 2 for the stage at twice its work and NaN for the unobserved one", sl)
+	}
+}
+
+// An adaptive controller needs a replicable stage; a target without a
+// grain surface reports grain 1.
+func TestControllerConstructionAndGrain(t *testing.T) {
+	if _, err := newController(newFake(1), []model.StageSpec{{Name: "fixed"}}, Config{Policy: adaptive.PolicyReactive}); err == nil {
+		t.Error("a reactive controller over no replicable stage was built")
+	}
+	ctrl, err := newController(newFake(1), nil, Config{Policy: adaptive.PolicyStatic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := ctrl.Grain(); g != 1 {
+		t.Errorf("grain %d on a target with no grain surface, want 1", g)
+	}
+}

@@ -313,3 +313,24 @@ func TestAdaptationRecoversAfterTransientSpike(t *testing.T) {
 		t.Fatal("unreachable")
 	}
 }
+
+// A stage with no demand has no slowdown to report; the others report
+// observed service over demand.
+func TestSlowdownsSkipZeroWorkStages(t *testing.T) {
+	g, err := grid.Homogeneous(2, 1, grid.LANLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := model.PipelineSpec{Stages: []model.StageSpec{{Name: "pass"}, {Name: "work", Work: 0.1}}}
+	ex, err := exec.New(&sim.Engine{}, g, spec, model.OneToOne(2), exec.Options{MaxInFlight: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ex.RunItems(5); err != nil {
+		t.Fatal(err)
+	}
+	sl := (&sensor{g: g, ex: ex, spec: spec}).Slowdowns()
+	if !math.IsNaN(sl[0]) || math.Abs(sl[1]-1) > 1e-9 {
+		t.Fatalf("slowdowns %v, want NaN for the zero-work stage and 1 for the idle one", sl)
+	}
+}

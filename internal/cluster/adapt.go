@@ -194,7 +194,9 @@ func (s *arbSub) Apply(p *adaptive.Proposal) adaptive.Actuation {
 	s.c.arbitrations++
 	for i, j := range plan.jobs {
 		if j.state != JobRunning {
-			continue // finished between Propose and Apply (same tick: cannot happen, but stay safe)
+			// Propose and Apply run in one controller tick, with no
+			// event between them that could finish a job.
+			panic(fmt.Sprintf("cluster: job %q is %v between Propose and Apply", j.spec.Name, j.state))
 		}
 		j.setMask(plan.masks[i])
 		if !plan.mappings[i].Equal(j.mapping) {

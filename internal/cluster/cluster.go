@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"gridpipe/internal/adaptive"
 	"gridpipe/internal/exec"
@@ -604,14 +603,4 @@ func fairness(shares []float64) (min, jain float64) {
 	}
 	jain = sum * sum / (float64(len(shares)) * sum2)
 	return min, jain
-}
-
-// String renders a short lease summary for logs.
-func (c *Cluster) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cluster: %d nodes, %d jobs\n", c.g.NumNodes(), len(c.jobs))
-	for _, j := range c.jobs {
-		fmt.Fprintf(&b, "  %-12s %-8s lease=%s\n", j.spec.Name, j.state, j.mask)
-	}
-	return b.String()
 }

@@ -345,3 +345,78 @@ func TestOverAdmissionPinnedWholeGrid(t *testing.T) {
 		t.Fatalf("free job must wait for the pinned grid and then finish: state=%s waited=%v", jr.State, jr.Waited)
 	}
 }
+
+// TestClusterMisuse: a cluster refuses a nil grid, a run with no jobs,
+// a second run and a submission after the run; an unnamed job is named
+// by its submission index and reports its lifecycle state.
+func TestClusterMisuse(t *testing.T) {
+	if _, err := New(nil, Config{}); err == nil {
+		t.Error("New(nil) must error")
+	}
+	c, err := New(homGrid(t, 2), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(); err == nil {
+		t.Error("Run with no jobs must error")
+	}
+	j, err := c.Submit(jobOf("", workload.Balanced(2, 0.1, 0), 0, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Name() != "job0" || j.State() != JobPending {
+		t.Errorf("unnamed job: %q %v, want job0 pending", j.Name(), j.State())
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if j.State() != JobDone {
+		t.Errorf("after the run the job is %v, want done", j.State())
+	}
+	if _, err := c.Run(); err == nil {
+		t.Error("a second Run must error")
+	}
+	if _, err := c.Submit(jobOf("late", workload.Balanced(2, 0.1, 0), 0, 5)); err == nil {
+		t.Error("Submit after Run must error")
+	}
+}
+
+func TestJobStateString(t *testing.T) {
+	for s, want := range map[JobState]string{
+		JobPending: "pending", JobQueued: "queued", JobRunning: "running",
+		JobDone: "done", JobRejected: "rejected", JobState(9): "state(9)",
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("JobState(%d) = %q, want %q", int(s), got, want)
+		}
+	}
+}
+
+// fairness is NaN where it has nothing to summarise: no shares, or
+// Jain's index over all-zero shares.
+func TestFairnessDegenerate(t *testing.T) {
+	if lo, jain := fairness(nil); !math.IsNaN(lo) || !math.IsNaN(jain) {
+		t.Errorf("no shares: %v %v, want NaN NaN", lo, jain)
+	}
+	if lo, jain := fairness([]float64{0, 0}); lo != 0 || !math.IsNaN(jain) {
+		t.Errorf("zero shares: %v %v, want 0 NaN", lo, jain)
+	}
+}
+
+// The division entry points check the caller's buffers against the
+// tenants and the grid.
+func TestDivisionChecksBuffers(t *testing.T) {
+	g := homGrid(t, 3)
+	var ab Arbiter
+	tenants := []Tenant{{Weight: 1}, {Weight: 1}}
+	if err := ab.Divide(g, nil, tenants, []model.CapacityMask{make(model.CapacityMask, 3)}); err == nil {
+		t.Error("Divide with one mask for two tenants must error")
+	}
+	short := []model.CapacityMask{make(model.CapacityMask, 3), make(model.CapacityMask, 2)}
+	if err := ab.Divide(g, nil, tenants, short); err == nil {
+		t.Error("Divide with a mask shorter than the grid must error")
+	}
+	if err := NewDivider(g, 0).Round(nil, make([]DividerTenant, 2), nil, make([]Placement, 1)); err == nil {
+		t.Error("Round with one placement for two tenants must error")
+	}
+}

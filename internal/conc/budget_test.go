@@ -53,3 +53,19 @@ func TestBudgetReleaseTwice(t *testing.T) {
 		t.Fatalf("surviving lease cap=%d, want 4", got)
 	}
 }
+
+// A budget holds at least one worker, and a released lease is no
+// longer constrained by the leases still held.
+func TestBudgetFloorAndReleasedLease(t *testing.T) {
+	if got := NewWorkerBudget(0).Total(); got != 1 {
+		t.Fatalf("NewWorkerBudget(0) holds %d workers, want 1", got)
+	}
+	b := NewWorkerBudget(4)
+	l := b.Lease(1)
+	b.Lease(1)
+	b.Lease(1)
+	l.Release()
+	if got := l.Cap(); got != 4 {
+		t.Fatalf("released lease cap=%d, want the whole budget", got)
+	}
+}

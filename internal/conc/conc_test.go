@@ -153,6 +153,7 @@ func TestLimiterShrinkTakesEffect(t *testing.T) {
 
 func TestMeter(t *testing.T) {
 	var m Meter
+	m.RecordN(0, time.Second) // no items: nothing recorded
 	if c, mean, max := m.Snapshot(); c != 0 || mean != 0 || max != 0 {
 		t.Fatalf("zero meter snapshot = %d,%v,%v", c, mean, max)
 	}

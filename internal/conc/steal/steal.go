@@ -60,7 +60,6 @@
 package steal
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -617,10 +616,4 @@ func (w *worker) requeue(k int) {
 		w.buf[i] = Task{}
 	}
 	w.buf[0] = Task{}
-}
-
-// String renders the stats compactly for logs and the bench report.
-func (s Stats) String() string {
-	return fmt.Sprintf("injects=%d pops=%d grabbed=%d steals=%d parks=%d spills=%d",
-		s.Injects, s.Pops, s.Grabbed, s.Steals, s.Parks, s.Spills)
 }

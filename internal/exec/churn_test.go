@@ -89,8 +89,8 @@ func TestCrashParksAndRejoinResumes(t *testing.T) {
 	if e.Lost() != 0 {
 		t.Fatalf("Lost = %d, want 0 (everything parks and resumes)", e.Lost())
 	}
-	if e.Retries() == 0 {
-		t.Fatal("expected crash-induced retries")
+	if e.Retries() == 0 || e.LostWork() <= 0 {
+		t.Fatalf("retries %d, lost work %v: the crash should have cost both", e.Retries(), e.LostWork())
 	}
 	if e.Done() != 50 || e.admitted != 50 || e.InFlight() != 0 {
 		t.Fatalf("done=%d admitted=%d inflight=%d, want 50/50/0", e.Done(), e.admitted, e.InFlight())

@@ -53,6 +53,21 @@ func TestShareSingleTenantIdentical(t *testing.T) {
 // model: two executors pushing one-stage unit-work items through the
 // same 1-core node each progress at half speed, so both finish in
 // twice the solo time.
+// A share ledger serves the executors of the grid it was built for.
+func TestShareRefusesAnotherGrid(t *testing.T) {
+	g1, err := grid.Homogeneous(1, 1, grid.LANLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := grid.Homogeneous(1, 1, grid.LANLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(&sim.Engine{}, g2, oneStageSpec(), model.FromNodes(0), Options{Share: NewNodeShares(g1)}); err == nil {
+		t.Fatal("an executor joined the share ledger of another grid")
+	}
+}
+
 func TestShareTwoTenantsHalveCapacity(t *testing.T) {
 	g, err := grid.Homogeneous(1, 1, grid.LANLink)
 	if err != nil {

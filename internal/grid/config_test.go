@@ -96,6 +96,7 @@ func TestConfigBuildErrors(t *testing.T) {
 		`{"nodes": [{"name":"a","speed":1}], "links":[{"a":"a","b":"zz","latency":1,"bandwidth":1}]}`,
 		`{"nodes": [{"name":"a","speed":1,"load":{"kind":"bogus"}}]}`,
 		`{"nodes": [{"name":"a","speed":-1}]}`,
+		`{"nodes": [{"name":"a","speed":1},{"name":"b","speed":1}], "links":[{"a":"a","b":"b","latency":1,"bandwidth":0}]}`,
 	}
 	for i, in := range cases {
 		cfg, err := LoadConfig(strings.NewReader(in))

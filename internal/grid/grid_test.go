@@ -86,6 +86,18 @@ func TestSetLinkSymmetric(t *testing.T) {
 	if err := g.SetLink(0, 9, fast); err == nil {
 		t.Fatal("invalid id should fail")
 	}
+	if err := g.SetLink(0, 1, Link{Latency: 1e-3}); err == nil {
+		t.Fatal("zero bandwidth should fail")
+	}
+}
+
+// A link whose quality trace reports full degradation still moves a
+// byte a second, so a transfer cannot stall the simulation.
+func TestTransferDurationFloorsBandwidth(t *testing.T) {
+	l := Link{Latency: 1, Bandwidth: 1e6, Quality: overload{until: 10, level: 1}}
+	if got := l.TransferDuration(50, 0); got != 51 {
+		t.Fatalf("50 bytes over a fully degraded link took %v, want 51", got)
+	}
 }
 
 func TestTransferDuration(t *testing.T) {

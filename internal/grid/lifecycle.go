@@ -142,11 +142,10 @@ func NewChurnSchedule(events ...ChurnEvent) (*ChurnSchedule, error) {
 			}
 			st = Down
 		case ChurnRejoin:
+			// A Down node has been up: a node declared by a join is
+			// Down only until its first event, the join itself.
 			if st != Down {
 				return nil, fmt.Errorf("grid: rejoin of node %q at t=%v before any crash", ev.Node, ev.T)
-			}
-			if !wasUp[ev.Node] {
-				return nil, fmt.Errorf("grid: node %q has never been up at t=%v; use a join event for new nodes", ev.Node, ev.T)
 			}
 			st = Up
 		case ChurnJoin:

@@ -14,8 +14,21 @@ func TestNodeStateZeroValueIsUp(t *testing.T) {
 	if n.State() != Down {
 		t.Fatalf("down node state = %v", n.State())
 	}
-	if Up.String() != "up" || Draining.String() != "draining" || Down.String() != "down" {
+	if Up.String() != "up" || Draining.String() != "draining" || Down.String() != "down" || NodeState(7).String() != "state(7)" {
 		t.Fatal("state names wrong")
+	}
+}
+
+// ChurnKind renders its config-file spelling, which ParseChurnKind
+// reads back.
+func TestChurnKindString(t *testing.T) {
+	for _, k := range []ChurnKind{ChurnCrash, ChurnRejoin, ChurnJoin, ChurnDrain} {
+		if back, err := ParseChurnKind(k.String()); err != nil || back != k {
+			t.Errorf("%v does not round-trip: %v %v", k, back, err)
+		}
+	}
+	if got := ChurnKind(99).String(); got != "kind(99)" {
+		t.Errorf("unknown kind renders %q", got)
 	}
 }
 
@@ -139,6 +152,13 @@ func TestAvailability(t *testing.T) {
 	g.Nodes()[0].Name, g.Nodes()[1].Name = "a", "b"
 	if got := cs.MeanAvailability(g, 100); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("mean availability = %v, want 0.5", got)
+	}
+	// Over no time, or over no nodes, everything counts as available.
+	if got := cs.Availability("a", 0); got != 1 {
+		t.Fatalf("availability over an empty horizon = %v, want 1", got)
+	}
+	if got := cs.MeanAvailability(&Grid{}, 100); got != 1 {
+		t.Fatalf("mean availability of an empty grid = %v, want 1", got)
 	}
 }
 

@@ -115,6 +115,11 @@ func TestSpecBatchValidation(t *testing.T) {
 	if err := spec.Validate(); err == nil {
 		t.Fatal("grain vector shorter than the stage count should fail validation")
 	}
+	spec.Grains = nil
+	spec.BatchOverheads = []float64{0}
+	if err := spec.Validate(); err == nil {
+		t.Fatal("batch-overhead vector shorter than the stage count should fail validation")
+	}
 }
 
 // uniform returns the grain vector that batches every one of ns

@@ -113,6 +113,20 @@ func TestPredictSplitChargesEveryEdge(t *testing.T) {
 	}
 }
 
+func TestFromGraphRejectsInvalidGraphs(t *testing.T) {
+	if _, err := FromGraph(nil, 0); err == nil {
+		t.Error("nil graph accepted")
+	}
+	if _, err := FromGraph(&topo.Graph{}, 0); err == nil {
+		t.Error("graph with no stages accepted")
+	}
+	spec := Balanced(2, 0.1, 0)
+	spec.Topo = &topo.Graph{Stages: spec.Stages, Edges: []topo.Edge{{From: 1, To: 0}}}
+	if err := spec.Validate(); err == nil {
+		t.Error("spec over an invalid topology accepted")
+	}
+}
+
 func TestValidateTopoMismatch(t *testing.T) {
 	spec := diamondSpec(t)
 	spec.Stages = spec.Stages[:3] // drop a stage but keep the graph

@@ -130,6 +130,23 @@ func TestPredictLatencyValidation(t *testing.T) {
 	if _, err := PredictLatency(g, PipelineSpec{}, Mapping{}, nil, 1, 0); err == nil {
 		t.Fatal("empty spec accepted")
 	}
+	if _, err := PredictLatency(g, spec, FromNodes(3), nil, 1, 0); err == nil {
+		t.Fatal("invalid mapping accepted")
+	}
+	// A stage with no work loads no node, but still waits in the
+	// queue of the node it visits.
+	pass := PipelineSpec{Stages: []StageSpec{{Name: "pass"}, {Name: "work", Work: 0.1}}}
+	one, err := PredictLatency(g, spec, m, nil, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := PredictLatency(g, pass, FromNodes(0, 0), nil, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wait := one.Mean - 0.1; math.Abs(two.Mean-(one.Mean+wait)) > 1e-12 {
+		t.Fatalf("with a zero-work stage the mean latency is %v, want %v plus one more wait of %v", two.Mean, one.Mean, wait)
+	}
 }
 
 func TestPredictLatencyTransferFloor(t *testing.T) {

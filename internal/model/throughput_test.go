@@ -221,6 +221,16 @@ func TestPredictErrors(t *testing.T) {
 	if _, err := Predict(g, PipelineSpec{}, Mapping{}, nil); err == nil {
 		t.Fatal("empty pipeline accepted")
 	}
+	negOut := PipelineSpec{Stages: []StageSpec{{Work: 1, OutBytes: -1}}}
+	if _, err := Predict(g, negOut, FromNodes(0), nil); err == nil {
+		t.Fatal("negative output size accepted")
+	}
+	if _, err := Predict(g, PipelineSpec{Stages: spec.Stages, InBytes: -1}, FromNodes(0, 0), nil); err == nil {
+		t.Fatal("negative input size accepted")
+	}
+	if _, _, err := Best(g, spec, []Mapping{FromNodes(0, 0), FromNodes(0, 5)}, nil); err == nil {
+		t.Fatal("Best accepted an invalid candidate")
+	}
 }
 
 func TestBestPrefersFasterNode(t *testing.T) {

@@ -53,6 +53,9 @@ func TestEnableBatchEdgesValidation(t *testing.T) {
 	if err := p.EnableBatchEdges([]int{4, 8}, 0); err == nil {
 		t.Fatal("EnableBatchEdges after Run should fail")
 	}
+	if err := p.EnableBatch(4, 0); err == nil {
+		t.Fatal("EnableBatch after Run should fail")
+	}
 }
 
 // diamond builds the 4-stage split/merge graph 0→{1,2}→3 in which no

@@ -52,6 +52,39 @@ func TestExhaustiveRefusesExplosion(t *testing.T) {
 	}
 }
 
+func TestExhaustiveRejectsWrongLoadCount(t *testing.T) {
+	g := het(t, 1, 1)
+	if _, _, err := (Exhaustive{}).Search(g, model.Balanced(2, 0.1, 0), []float64{0.1}); err == nil {
+		t.Fatal("one load estimate for two nodes accepted")
+	}
+}
+
+// Every strategy names itself distinctly, and SearchWith runs one
+// without a scratch path (ForLatency) through its own SearchAvail.
+func TestSearchersNamesAndScratchFallback(t *testing.T) {
+	names := map[string]bool{}
+	for _, s := range availStrategies() {
+		if names[s.Name()] {
+			t.Errorf("two strategies named %q", s.Name())
+		}
+		names[s.Name()] = true
+	}
+	g := het(t, 1, 2, 1)
+	spec := model.Balanced(3, 0.1, 0)
+	s := ForLatency{Rate: 1}
+	wantM, wantP, err := s.Search(g, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotM, gotP, err := SearchWith(NewScratch(), s, g, spec, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !gotM.Equal(wantM) || gotP.Throughput != wantP.Throughput {
+		t.Fatalf("SearchWith %s %v, Search %s %v", gotM, gotP.Throughput, wantM, wantP.Throughput)
+	}
+}
+
 func TestContiguousDPBalancedHomogeneous(t *testing.T) {
 	g := het(t, 1, 1, 1)
 	spec := model.Balanced(3, 0.1, 0)

@@ -50,6 +50,15 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
+// The zero Event is inert.
+func TestZeroEventIsInert(t *testing.T) {
+	var ev Event
+	ev.Cancel()
+	if ev.Cancelled() || ev.Pending() {
+		t.Fatal("the zero Event reads as cancelled or pending")
+	}
+}
+
 func TestCancel(t *testing.T) {
 	var e Engine
 	fired := false

@@ -54,6 +54,9 @@ func TestQuantile(t *testing.T) {
 			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
+	if got := Quantile([]float64{7}, 0.3); got != 7 {
+		t.Errorf("quantile of one sample = %v, want 7", got)
+	}
 	// Interpolation between order statistics.
 	if got := Quantile([]float64{0, 10}, 0.5); !almostEq(got, 5, 1e-12) {
 		t.Errorf("interpolated median = %v, want 5", got)
@@ -84,7 +87,7 @@ func TestMSEAndMAE(t *testing.T) {
 	if got := MAE(pred, act); !almostEq(got, 2.0/3.0, 1e-12) {
 		t.Fatalf("MAE = %v", got)
 	}
-	if !math.IsNaN(MSE([]float64{1}, []float64{1, 2})) {
+	if !math.IsNaN(MSE([]float64{1}, []float64{1, 2})) || !math.IsNaN(MAE([]float64{1}, []float64{1, 2})) {
 		t.Fatal("mismatched lengths should give NaN")
 	}
 }

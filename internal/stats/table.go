@@ -33,8 +33,6 @@ func (t *Table) AddRowf(cells ...any) {
 		switch v := c.(type) {
 		case float64:
 			row[i] = fmt.Sprintf("%.4g", v)
-		case float32:
-			row[i] = fmt.Sprintf("%.4g", v)
 		default:
 			row[i] = fmt.Sprintf("%v", v)
 		}

@@ -48,6 +48,12 @@ func TestSeriesCSV(t *testing.T) {
 	if !strings.HasPrefix(got, "t,tp\n") || !strings.Contains(got, "1.000000,2.000000") {
 		t.Fatalf("CSV output malformed:\n%s", got)
 	}
+	if p := s.Points(); len(p) != 1 || p[0] != (Point{T: 1, V: 2}) {
+		t.Fatalf("Points = %v", p)
+	}
+	if v := s.Values(); len(v) != 1 || v[0] != 2 {
+		t.Fatalf("Values = %v", v)
+	}
 }
 
 func TestTableRendering(t *testing.T) {
@@ -66,6 +72,12 @@ func TestTableRendering(t *testing.T) {
 	}
 	if got := tb.Row(1)[0]; got != "beta" {
 		t.Fatalf("Row(1)[0] = %q", got)
+	}
+	// Ragged rows: a short row is padded, a long one widens the table.
+	tb.AddRow("gamma")
+	tb.AddRow("delta", "y", "extra")
+	if out := tb.String(); !strings.Contains(out, "gamma") || !strings.Contains(out, "extra") {
+		t.Fatalf("ragged rows not rendered:\n%s", out)
 	}
 }
 

@@ -78,6 +78,7 @@ func TestValidateRejections(t *testing.T) {
 	}{
 		{"empty", nil, nil, "no stages"},
 		{"negative work", []Stage{{Name: "a", Work: -1}}, nil, "negative work"},
+		{"negative output size", []Stage{{Name: "a", OutBytes: -1}}, nil, "negative output"},
 		{"edge out of range", []Stage{stage("a", 1, 0), stage("b", 1, 0)},
 			[]Edge{{From: 0, To: 5}}, "out of range"},
 		{"backward edge", []Stage{stage("a", 1, 0), stage("b", 1, 0)},
@@ -116,6 +117,22 @@ func TestValidateRejections(t *testing.T) {
 	}
 	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "dead end") {
 		t.Errorf("dead end: err = %v", err)
+	}
+	if _, err := New(g.Stages, g.Edges); err == nil {
+		t.Error("New accepted a graph with a dead end")
+	}
+}
+
+// String marks a chain as linear and names an unnamed stage by index;
+// Linear is false for any edge set other than i → i+1.
+func TestGraphString(t *testing.T) {
+	if got := Chain(stage("a", 1, 0), Stage{Work: 1}).String(); got != "graph(2 stages, linear): a→#1" {
+		t.Errorf("chain renders %q", got)
+	}
+	g := &Graph{Stages: []Stage{stage("a", 1, 0), stage("b", 1, 0), stage("c", 1, 0)},
+		Edges: []Edge{{From: 0, To: 2}, {From: 1, To: 2}}}
+	if g.Linear() {
+		t.Error("two edges into the last stage read as linear")
 	}
 }
 

@@ -80,6 +80,7 @@ func TestRunLiveOptions(t *testing.T) {
 	steal.Default() // the executor's persistent workers are part of the baseline
 	cases := []struct {
 		name    string
+		app     App // zero: Genome
 		set     func(*LiveOptions)
 		wantErr string // substring of the expected error; "" = must succeed
 		check   func(*testing.T, LiveOutcome)
@@ -92,6 +93,8 @@ func TestRunLiveOptions(t *testing.T) {
 			set: func(o *LiveOptions) { o.Batch = Auto }},
 		{name: "negative batch", wantErr: "grain",
 			set: func(o *LiveOptions) { o.Batch = -2 }},
+		{name: "adaptive over no replicable stage", wantErr: "replicable", app: fixedGenome(),
+			set: func(o *LiveOptions) { o.Policy = adaptive.PolicyReactive }},
 		{name: "auto batch under reactive",
 			set: func(o *LiveOptions) { o.Policy = adaptive.PolicyReactive; o.Batch = Auto },
 			check: func(t *testing.T, out LiveOutcome) {
@@ -104,6 +107,13 @@ func TestRunLiveOptions(t *testing.T) {
 			check: func(t *testing.T, out LiveOutcome) {
 				if out.Grain != 4 {
 					t.Errorf("grain %d, want 4", out.Grain)
+				}
+			}},
+		{name: "negative spike",
+			set: func(o *LiveOptions) { o.SpikeLoad = -1 },
+			check: func(t *testing.T, out LiveOutcome) {
+				if out.Victim != -1 || out.ThroughputUnder != 0 {
+					t.Errorf("victim %d, under-load throughput %v: a negative spike is no spike", out.Victim, out.ThroughputUnder)
 				}
 			}},
 		{name: "background load",
@@ -119,7 +129,11 @@ func TestRunLiveOptions(t *testing.T) {
 			before := runtime.NumGoroutine()
 			opts := fastLive(60)
 			c.set(&opts)
-			out, err := RunLive(Genome(), opts)
+			app := c.app
+			if app.Spec.NumStages() == 0 {
+				app = Genome()
+			}
+			out, err := RunLive(app, opts)
 			switch {
 			case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
 				t.Fatalf("error %v, want one naming %q", err, c.wantErr)
@@ -134,6 +148,16 @@ func TestRunLiveOptions(t *testing.T) {
 			waitGoroutines(t, before)
 		})
 	}
+}
+
+// fixedGenome is the genome app with no stage replicable.
+func fixedGenome() App {
+	app := Genome()
+	app.Spec.Stages = slices.Clone(app.Spec.Stages)
+	for i := range app.Spec.Stages {
+		app.Spec.Stages[i].Replicable = false
+	}
+	return app
 }
 
 // TestBackgroundLoadRunsPairs: an odd hog count rounds up to whole

@@ -20,6 +20,27 @@ func TestRunSimValidation(t *testing.T) {
 	if _, err := RunSim(g, app, model.OneToOne(2), SimOptions{}); err == nil {
 		t.Fatal("neither Items nor Duration rejected")
 	}
+	if _, err := RunSim(g, app, model.FromNodes(0, 5), SimOptions{Items: 10}); err == nil {
+		t.Fatal("a mapping onto a missing node accepted")
+	}
+}
+
+// With every node still to join, there is nowhere to deploy.
+func TestDeployNeedsAnAvailableNode(t *testing.T) {
+	g, err := grid.Homogeneous(2, 1, grid.LANLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := grid.NewChurnSchedule(grid.Join("node0", 5), grid.Join("node1", 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetChurn(cs); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Deploy(g, Genome().Spec, 1); err == nil {
+		t.Fatal("deployed onto a grid with no node up")
+	}
 }
 
 func TestRunSimProducesOutcome(t *testing.T) {

@@ -2,9 +2,11 @@ package workload
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func genTrace(t *testing.T, seed uint64) Trace {
@@ -171,4 +173,50 @@ func TestGenerateTraceValidation(t *testing.T) {
 	if _, err := GenerateTrace(p, []MixEntry{{App: "genome", Share: 0}}, 10, 1); err == nil {
 		t.Error("zero share accepted")
 	}
+	if _, err := GenerateTrace(p, []MixEntry{{App: "genome", Share: 1, Floor: -1}}, 10, 1); err == nil {
+		t.Error("negative floor accepted")
+	}
 }
+
+// An empty mix is DefaultMix, and a mix entry without an item count
+// gives each job 50 items.
+func TestGenerateTraceDefaults(t *testing.T) {
+	tr, err := GenerateTrace(NewPoisson(1, 1), []MixEntry{{App: "genome", Share: 1}}, 20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr) == 0 || tr.TotalItems() != 50*len(tr) {
+		t.Fatalf("%d jobs carry %d items, want 50 each", len(tr), tr.TotalItems())
+	}
+	def, err := GenerateTrace(NewPoisson(1, 1), nil, 20, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps := map[string]bool{}
+	for _, m := range DefaultMix() {
+		apps[m.App] = true
+	}
+	for _, ev := range def {
+		if !apps[ev.App] {
+			t.Fatalf("empty mix generated app %q, not in DefaultMix", ev.App)
+		}
+	}
+}
+
+// Trace I/O reports the writer's and the reader's errors, and JobSpecs
+// an app it does not know.
+func TestTraceIOErrors(t *testing.T) {
+	if err := genTrace(t, 1).Write(failWriter{}); err == nil {
+		t.Error("Write to a failing writer reported no error")
+	}
+	if _, err := ReadTrace(iotest.ErrReader(errors.New("disk gone"))); err == nil {
+		t.Error("ReadTrace from a failing reader reported no error")
+	}
+	if _, err := (Trace{{App: "bogus", Items: 1}}).JobSpecs(); err == nil {
+		t.Error("JobSpecs accepted an unknown app")
+	}
+}
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }

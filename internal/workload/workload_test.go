@@ -140,6 +140,15 @@ func TestDeterministicAppHasNilSampler(t *testing.T) {
 	}
 }
 
+// A stage with no work takes none, whatever the app's variability.
+func TestSamplerZeroWorkStage(t *testing.T) {
+	app := Genome()
+	app.Spec.Stages[0].Work = 0
+	if got := app.Sampler(1)(0, 3); got != 0 {
+		t.Fatalf("zero-work stage sampled %v", got)
+	}
+}
+
 func TestBalanced(t *testing.T) {
 	app := Balanced(6, 0.2, 500)
 	if app.Spec.NumStages() != 6 {

@@ -68,6 +68,16 @@ func TestClusterSubmitTraceErrors(t *testing.T) {
 
 // Live replay: every trace event runs a fresh pipeline against the
 // shared worker budget, open loop, in scaled wall-clock time.
+func TestClusterProcessTraceNeedsBuild(t *testing.T) {
+	cl, err := NewCluster(ClusterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.ProcessTrace(context.Background(), strings.NewReader(facadeTrace), ReplayOptions{}); err == nil {
+		t.Fatal("ProcessTrace without a Build callback accepted")
+	}
+}
+
 func TestClusterProcessTraceLive(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{MaxWorkers: 8, Interval: 0.02})
 	if err != nil {
