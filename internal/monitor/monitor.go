@@ -68,8 +68,9 @@ func (m *StageMonitor) Throughput() float64 {
 	return 1 / d
 }
 
-// Reset clears the sample windows. Called after a remap so stale observations from the old mapping do not
-// pollute decisions about the new one.
+// Reset clears the sample windows. Called after a remap so stale
+// observations from the old mapping do not pollute decisions about the
+// new one.
 func (m *StageMonitor) Reset() {
 	m.service.Reset()
 	m.lastDone = math.NaN()
