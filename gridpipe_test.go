@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -274,6 +275,58 @@ func TestPredictMapping(t *testing.T) {
 	if thrLoaded >= thr {
 		t.Fatalf("loaded prediction %v should drop below %v", thrLoaded, thr)
 	}
+}
+
+// Simulate and PredictMapping share the pipeline's stage graph: two
+// goroutines calling them on one Pipeline only read it (run under
+// -race), and each gets what it gets alone.
+func TestSimulateAndPredictMappingShareOnePipeline(t *testing.T) {
+	p, err := New(
+		Stage("a", nil, Weight(0.1), OutBytes(1e5), Replicable()),
+		Stage("b", nil, Weight(0.2), OutBytes(1e5), Replicable()),
+		Stage("c", nil, Weight(0.1)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newGrid := func() *SimGrid {
+		g, err := HeterogeneousGrid(1, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	opts := SimOptions{Items: 200, Seed: 1}
+	wantRep, err := p.Simulate(newGrid(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMap, wantThr, err := p.PredictMapping(newGrid(), nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simGrid, mapGrid := newGrid(), newGrid()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 3; i++ {
+			if rep, err := p.Simulate(simGrid, opts); err != nil || rep != wantRep {
+				t.Errorf("concurrent Simulate %+v (err %v), want %+v", rep, err, wantRep)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 3; i++ {
+			if m, thr, err := p.PredictMapping(mapGrid, nil, 1); err != nil || m != wantMap || thr != wantThr {
+				t.Errorf("concurrent PredictMapping %s %v (err %v), want %s %v", m, thr, err, wantMap, wantThr)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }
 
 func TestSpec(t *testing.T) {

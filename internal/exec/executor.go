@@ -58,8 +58,6 @@ type Options struct {
 	// WorkSampler returns the service demand in reference-seconds of
 	// item seq at stage. Nil means the deterministic spec work.
 	WorkSampler func(stage, seq int) float64
-	// MonitorWindow is the per-stage sample window (0 = default).
-	MonitorWindow int
 	// Seed drives the Poisson arrival stream.
 	Seed uint64
 	// MaxRetries is how many crash-induced re-dispatches an item
@@ -260,7 +258,7 @@ func New(eng *sim.Engine, g *grid.Grid, spec model.PipelineSpec, m model.Mapping
 		spec:    spec,
 		mapping: m.Clone(),
 		opts:    opts,
-		mon:     monitor.New(spec.NumStages(), opts.MonitorWindow),
+		mon:     monitor.New(spec.NumStages()),
 		rr:      make([]int, spec.NumStages()),
 	}
 	e.graph = spec.Graph()

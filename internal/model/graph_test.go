@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"gridpipe/internal/grid"
@@ -158,5 +159,92 @@ func TestBestOverDiamond(t *testing.T) {
 	}
 	if pred.Throughput <= 1/0.4 {
 		t.Fatalf("spread mapping throughput = %v, want > %v", pred.Throughput, 1/0.4)
+	}
+}
+
+// PredictInto allocates nothing on a warm scratch whatever the spec's
+// graph: a nil Topo (walked as the scratch's chain), a chain built by
+// FromGraph and a diamond are only read.
+func TestPredictIntoZeroAllocOnGraphs(t *testing.T) {
+	g, err := grid.Homogeneous(4, 1, grid.LANLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	linear := Balanced(4, 0.2, 1e5)
+	chain, err := FromGraph(linear.Graph(), 1e5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		spec PipelineSpec
+	}{{"nil Topo", linear}, {"FromGraph chain", chain}, {"diamond", diamondSpec(t)}} {
+		s := NewPredictScratch()
+		m := FromNodes(0, 1, 2, 3)
+		a := testing.AllocsPerRun(20, func() {
+			if _, err := PredictInto(g, c.spec, m, nil, s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if a != 0 {
+			t.Errorf("%s: %v allocations per PredictInto, want 0", c.name, a)
+		}
+	}
+}
+
+// One graph spec rated from two goroutines at once: the model only
+// reads the graph, so under -race this passes and both goroutines see
+// the sequential prediction.
+func TestPredictSharedGraphConcurrent(t *testing.T) {
+	spec := diamondSpec(t)
+	g, err := grid.Homogeneous(4, 1, grid.LANLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := FromNodes(0, 1, 2, 3)
+	want, err := Predict(g, spec, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				p, err := Predict(g, spec, m, nil)
+				if err != nil || p.Throughput != want.Throughput || p.Latency != want.Latency {
+					t.Errorf("concurrent prediction %+v (err %v), want %+v", p, err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// PredictLatency walks a chain: a diamond is refused rather than rated
+// as if its branches ran one after the other, and a chain built by
+// FromGraph rates exactly as the nil-Topo chain.
+func TestPredictLatencyNeedsChain(t *testing.T) {
+	g, err := grid.Homogeneous(4, 1, grid.LANLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := FromNodes(0, 1, 2, 3)
+	if _, err := PredictLatency(g, diamondSpec(t), m, nil, 1, 0); err == nil {
+		t.Error("PredictLatency rated a diamond")
+	}
+	linear := Balanced(4, 0.2, 1e5)
+	chain, err := FromGraph(linear.Graph(), 1e5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := PredictLatency(g, linear, m, nil, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := PredictLatency(g, chain, m, nil, 1, 0); err != nil || got != want {
+		t.Errorf("FromGraph chain: %+v (err %v), want %+v", got, err, want)
 	}
 }

@@ -40,10 +40,13 @@ type LatencyPrediction struct {
 //     saturation at the λ where this model is useful).
 //
 // Experiment T5 validates all of this against the discrete-event
-// executor.
+// executor. The walk is stage after stage, so it refuses a non-chain.
 func PredictLatency(g *grid.Grid, spec PipelineSpec, m Mapping, loads []float64, lambda, cv float64) (LatencyPrediction, error) {
 	if err := spec.Validate(); err != nil {
 		return LatencyPrediction{}, err
+	}
+	if spec.Topo != nil && !spec.Topo.Linear() {
+		return LatencyPrediction{}, fmt.Errorf("model: PredictLatency needs a chain, got %s", spec.Topo)
 	}
 	if err := m.Validate(spec.NumStages(), g.NumNodes()); err != nil {
 		return LatencyPrediction{}, err

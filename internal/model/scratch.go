@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"gridpipe/internal/grid"
+	"gridpipe/internal/topo"
 )
 
 // flowEntry is one directed link's accumulated per-item bytes. gr is
@@ -26,13 +27,14 @@ type flowEntry struct {
 
 // PredictScratch holds every intermediate buffer one analytic
 // evaluation needs: per-node busy times, the link-flow accumulator,
-// and the critical-path table for stage graphs. The zero value is
-// ready to use; buffers grow on first use and are retained across
-// evaluations.
+// the critical-path table, and the chain a nil-Topo spec is walked as.
+// The zero value is ready to use; buffers grow on first use and are
+// retained across evaluations.
 type PredictScratch struct {
-	busy  []float64
-	flows []flowEntry
-	ready []float64
+	busy   []float64
+	flows  []flowEntry
+	ready  []float64
+	chains []*topo.Graph // chains[n] is the n-stage chain
 }
 
 // NewPredictScratch returns an empty scratch. Prefer
@@ -63,6 +65,23 @@ func (s *PredictScratch) busyFor(np int) []float64 {
 		s.busy[i] = 0
 	}
 	return s.busy
+}
+
+// graphFor returns the stage graph PredictInto walks: t, or for a nil
+// t the scratch's own chain over stages, its edge payloads set from
+// the stages on every call.
+func (s *PredictScratch) graphFor(t *topo.Graph, stages []StageSpec) *topo.Graph {
+	if t != nil {
+		return t
+	}
+	for len(s.chains) <= len(stages) {
+		s.chains = append(s.chains, topo.Chain(make([]topo.Stage, len(s.chains))...))
+	}
+	c := s.chains[len(stages)]
+	for i := range c.Edges {
+		c.Edges[i].Bytes = stages[i].OutBytes
+	}
+	return c
 }
 
 // readyFor returns the critical-path table sized (not zeroed: every

@@ -14,11 +14,11 @@ type StageSpec = topo.Stage
 // PipelineSpec describes a whole pipeline for modelling: the stages
 // plus where inputs originate and outputs must be delivered.
 //
-// By default the stages form a linear chain (stage i feeds stage
-// i+1). Setting Topo generalises the data flow to a validated stage
-// DAG (fan-out splits, fan-in merges — see internal/topo); Stages must
-// then mirror the graph's node list one-for-one, which FromGraph
-// guarantees.
+// The data flow is a stage graph (fan-out splits, fan-in merges — see
+// internal/topo). A nil Topo is the linear chain over Stages (stage i
+// feeds stage i+1); otherwise Stages mirror the graph's node list
+// one-for-one, which FromGraph guarantees. Methods take a pointer: a
+// value receiver copies all 13 words per call, even inlined.
 type PipelineSpec struct {
 	Stages []StageSpec
 	// InBytes is the size of each raw input entering stage 1 from the
@@ -27,8 +27,9 @@ type PipelineSpec struct {
 	// Source and Sink are the nodes holding the input and collecting
 	// the output (the "user" endpoints of the era's models).
 	Source, Sink grid.NodeID
-	// Topo, when non-nil, is the stage graph the data flows along. Nil
-	// means the historical linear chain over Stages.
+	// Topo is the stage graph the data flows along. Nil means the
+	// chain over Stages: the model walks the chain its PredictScratch
+	// holds, every other consumer the one Graph builds.
 	Topo *topo.Graph
 	// Grains, when non-empty, gives every stage boundary its own batch
 	// size: Grains[i] is the grain of the batches entering stage i
@@ -52,7 +53,7 @@ type PipelineSpec struct {
 // EffGrainAt returns the batch size the model charges at stage i's
 // input boundary: the per-boundary vector entry, floored at 1 so a
 // zero entry or an empty vector behaves per-item.
-func (p PipelineSpec) EffGrainAt(i int) float64 {
+func (p *PipelineSpec) EffGrainAt(i int) float64 {
 	if len(p.Grains) == 0 {
 		return 1
 	}
@@ -64,7 +65,7 @@ func (p PipelineSpec) EffGrainAt(i int) float64 {
 
 // OverheadAt returns the per-batch cost at stage i's input boundary
 // (0 when BatchOverheads is empty).
-func (p PipelineSpec) OverheadAt(i int) float64 {
+func (p *PipelineSpec) OverheadAt(i int) float64 {
 	if len(p.BatchOverheads) == 0 {
 		return 0
 	}
@@ -75,7 +76,7 @@ func (p PipelineSpec) OverheadAt(i int) float64 {
 // boundary with a grain above 1 or a nonzero per-batch overhead. An
 // unbatched spec takes the legacy arithmetic paths exactly, so its
 // predictions stay bit-identical to earlier releases.
-func (p PipelineSpec) Batched() bool {
+func (p *PipelineSpec) Batched() bool {
 	for _, g := range p.Grains {
 		if g > 1 {
 			return true
@@ -93,9 +94,10 @@ func (p PipelineSpec) Batched() bool {
 // grain vector (grains[i] entering stage i) — the grain axis of the
 // scheduler's search (see sched.SearchGrainVector). The slice is
 // copied, so callers may reuse their buffer across candidates.
-func (p PipelineSpec) AtGrains(grains []int) PipelineSpec {
-	p.Grains = append([]int(nil), grains...)
-	return p
+func (p *PipelineSpec) AtGrains(grains []int) PipelineSpec {
+	q := *p
+	q.Grains = append([]int(nil), grains...)
+	return q
 }
 
 // FromGraph builds a spec whose Stages mirror the graph's nodes and
@@ -114,10 +116,9 @@ func FromGraph(g *topo.Graph, inBytes float64) (PipelineSpec, error) {
 	}, nil
 }
 
-// Graph returns the spec's stage graph: Topo when set, otherwise the
-// linear chain over Stages (freshly built; the chain case allocates
-// but involves no validation surprises).
-func (p PipelineSpec) Graph() *topo.Graph {
+// Graph returns the spec's stage graph: Topo when set, otherwise a
+// freshly built chain over Stages.
+func (p *PipelineSpec) Graph() *topo.Graph {
 	if p.Topo != nil {
 		return p.Topo
 	}
@@ -125,10 +126,10 @@ func (p PipelineSpec) Graph() *topo.Graph {
 }
 
 // NumStages returns the number of stages.
-func (p PipelineSpec) NumStages() int { return len(p.Stages) }
+func (p *PipelineSpec) NumStages() int { return len(p.Stages) }
 
 // TotalWork returns the summed per-item service demand across stages.
-func (p PipelineSpec) TotalWork() float64 {
+func (p *PipelineSpec) TotalWork() float64 {
 	s := 0.0
 	for _, st := range p.Stages {
 		s += st.Work
@@ -137,7 +138,7 @@ func (p PipelineSpec) TotalWork() float64 {
 }
 
 // Validate reports specification errors.
-func (p PipelineSpec) Validate() error {
+func (p *PipelineSpec) Validate() error {
 	if len(p.Stages) == 0 {
 		return fmt.Errorf("model: pipeline has no stages")
 	}

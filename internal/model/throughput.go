@@ -67,15 +67,19 @@ func ClampLoad(l float64) float64 {
 // receives 1/k of the per-item work and each replica pair link 1/(k·k')
 // of the traffic.
 func Predict(g *grid.Grid, spec PipelineSpec, m Mapping, loads []float64) (Prediction, error) {
-	return PredictInto(g, spec, m, loads, nil)
+	s := AcquirePredictScratch()
+	defer ReleasePredictScratch(s)
+	p, err := PredictInto(g, spec, m, loads, s)
+	p.CloneBusyInto(nil)
+	return p, err
 }
 
 // PredictInto is Predict evaluated over a reusable scratch: all
 // intermediate buffers (per-node busy times, link-flow accumulators,
 // the critical-path table) come from s, so a steady-state caller —
 // a search strategy rating thousands of candidates — performs zero
-// allocations per evaluation. A nil scratch allocates fresh buffers,
-// which is exactly Predict.
+// allocations per evaluation. Predict is PredictInto over a pooled
+// scratch, with NodeBusy copied out of it.
 //
 // The returned Prediction's NodeBusy slice ALIASES the scratch and is
 // only valid until the next PredictInto on the same scratch; callers
@@ -96,9 +100,6 @@ func PredictInto(g *grid.Grid, spec PipelineSpec, m Mapping, loads []float64, s 
 			return 0
 		}
 		return ClampLoad(loads[n])
-	}
-	if s == nil {
-		s = NewPredictScratch()
 	}
 
 	// Per-node busy seconds per item. At grain gr, every batch pays
@@ -146,21 +147,14 @@ func PredictInto(g *grid.Grid, spec PipelineSpec, m Mapping, loads []float64, s 
 	// merge's in-edges each carry their own part), exit → sink. Each
 	// flow travels at the grain of the boundary it crosses — the
 	// receiving stage's input grain, with the exit → sink flow at the
-	// exit's own grain. A nil Topo is the implicit chain, walked
-	// directly so the scheduler's search loops (one Predict per
-	// candidate mapping) stay free of per-call graph allocations.
+	// exit's own grain.
+	graph := s.graphFor(spec.Topo, spec.Stages)
 	exit := len(spec.Stages) - 1 // the structural contract pins entry=0, exit=n-1
 	source := []grid.NodeID{spec.Source}
 	sink := []grid.NodeID{spec.Sink}
 	addFlow(source, m.Assign[0], spec.InBytes, spec.EffGrainAt(0))
-	if spec.Topo == nil {
-		for i := 0; i+1 < len(spec.Stages); i++ {
-			addFlow(m.Assign[i], m.Assign[i+1], spec.Stages[i].OutBytes, spec.EffGrainAt(i+1))
-		}
-	} else {
-		for _, ed := range spec.Topo.Edges {
-			addFlow(m.Assign[ed.From], m.Assign[ed.To], ed.Bytes, spec.EffGrainAt(ed.To))
-		}
+	for _, ed := range graph.Edges {
+		addFlow(m.Assign[ed.From], m.Assign[ed.To], ed.Bytes, spec.EffGrainAt(ed.To))
 	}
 	addFlow(m.Assign[exit], sink, spec.Stages[exit].OutBytes, spec.EffGrainAt(exit))
 
@@ -208,64 +202,39 @@ func PredictInto(g *grid.Grid, spec PipelineSpec, m Mapping, loads []float64, s 
 	// (longest) path through the stage graph, with service on the
 	// first replica of each stage and transfers along first-replica
 	// edges. A merge stage starts when its latest part arrives, so its
-	// ready time is the max over in-edges. The nil-Topo chain walks
-	// sequentially (allocation-free); on a chain topology the DP
-	// performs the same additions in the same order, so both paths are
-	// bit-identical.
-	var lat float64
-	if spec.Topo == nil {
-		prev := spec.Source
-		prevBytes := spec.InBytes
-		for i, st := range spec.Stages {
-			n := m.Assign[i][0]
-			if prev != n {
-				lat += g.Link(prev, n).TransferDuration(prevBytes, 0)
+	// ready time is the max over in-edges (on a chain, the one in-edge's
+	// arrival, so NaN propagates as in a plain sum).
+	ready := s.readyFor(len(spec.Stages)) // output-ready time per stage
+	for i, st := range spec.Stages {
+		n := m.Assign[i][0]
+		t := 0.0
+		if ins := graph.InEdges(i); len(ins) == 0 {
+			if spec.Source != n {
+				t += g.Link(spec.Source, n).TransferDuration(spec.InBytes, 0)
 			}
-			node := g.Node(n)
-			work := st.Work
-			if batched {
-				work += spec.OverheadAt(i) / spec.EffGrainAt(i)
-			}
-			lat += work / (node.Speed * (1 - loadOf(n)))
-			prev, prevBytes = n, st.OutBytes
-		}
-		if prev != spec.Sink {
-			lat += g.Link(prev, spec.Sink).TransferDuration(prevBytes, 0)
-		}
-	} else {
-		graph := spec.Topo
-		ready := s.readyFor(len(spec.Stages)) // output-ready time per stage
-		for i, st := range spec.Stages {
-			n := m.Assign[i][0]
-			t := 0.0
-			if ins := graph.InEdges(i); len(ins) == 0 {
-				if spec.Source != n {
-					t += g.Link(spec.Source, n).TransferDuration(spec.InBytes, 0)
+		} else {
+			for k, ei := range ins {
+				ed := graph.Edges[ei]
+				prev := m.Assign[ed.From][0]
+				arr := ready[ed.From]
+				if prev != n {
+					arr += g.Link(prev, n).TransferDuration(ed.Bytes, 0)
 				}
-			} else {
-				for _, ei := range ins {
-					ed := graph.Edges[ei]
-					prev := m.Assign[ed.From][0]
-					arr := ready[ed.From]
-					if prev != n {
-						arr += g.Link(prev, n).TransferDuration(ed.Bytes, 0)
-					}
-					if arr > t {
-						t = arr
-					}
+				if k == 0 || arr > t {
+					t = arr
 				}
 			}
-			node := g.Node(n)
-			work := st.Work
-			if batched {
-				work += spec.OverheadAt(i) / spec.EffGrainAt(i)
-			}
-			ready[i] = t + work/(node.Speed*(1-loadOf(n)))
 		}
-		lat = ready[exit]
-		if last := m.Assign[exit][0]; last != spec.Sink {
-			lat += g.Link(last, spec.Sink).TransferDuration(spec.Stages[exit].OutBytes, 0)
+		node := g.Node(n)
+		work := st.Work
+		if batched {
+			work += spec.OverheadAt(i) / spec.EffGrainAt(i)
 		}
+		ready[i] = t + work/(node.Speed*(1-loadOf(n)))
+	}
+	lat := ready[exit]
+	if last := m.Assign[exit][0]; last != spec.Sink {
+		lat += g.Link(last, spec.Sink).TransferDuration(spec.Stages[exit].OutBytes, 0)
 	}
 
 	return Prediction{

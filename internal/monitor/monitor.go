@@ -32,11 +32,8 @@ type StageMonitor struct {
 	interDep *stats.EWMA
 }
 
-// NewStageMonitor returns a stage monitor with the given sample window.
+// NewStageMonitor returns a stage monitor keeping the last window samples.
 func NewStageMonitor(window int) *StageMonitor {
-	if window <= 0 {
-		window = DefaultWindow
-	}
 	return &StageMonitor{
 		service:  stats.NewRing(window),
 		interDep: stats.NewEWMA(0.2),
@@ -83,14 +80,15 @@ type Monitor struct {
 	completions []float64 // times at which items left the pipeline
 }
 
-// New returns a monitor for a pipeline of ns stages.
-func New(ns, window int) *Monitor {
+// New returns a monitor for a pipeline of ns stages, each keeping the
+// last DefaultWindow samples.
+func New(ns int) *Monitor {
 	if ns <= 0 {
 		panic(fmt.Sprintf("monitor: New with %d stages", ns))
 	}
 	m := &Monitor{stages: make([]*StageMonitor, ns)}
 	for i := range m.stages {
-		m.stages[i] = NewStageMonitor(window)
+		m.stages[i] = NewStageMonitor(DefaultWindow)
 	}
 	return m
 }

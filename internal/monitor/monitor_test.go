@@ -50,7 +50,7 @@ func TestStageMonitorReset(t *testing.T) {
 }
 
 func TestMonitorCompletionsAndRecentThroughput(t *testing.T) {
-	m := New(3, 0)
+	m := New(3)
 	if m.NumStages() != 3 {
 		t.Fatalf("NumStages = %d", m.NumStages())
 	}
@@ -70,7 +70,7 @@ func TestMonitorCompletionsAndRecentThroughput(t *testing.T) {
 }
 
 func TestResetStages(t *testing.T) {
-	m := New(2, 0)
+	m := New(2)
 	m.Stage(0).RecordService(1, 1)
 	m.Stage(1).RecordService(2, 1)
 	m.ResetStages()
@@ -87,11 +87,11 @@ func TestNewPanicsOnZeroStages(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(0, 8)
+	New(0)
 }
 
 func TestRecentThroughputPanicsOnBadWindow(t *testing.T) {
-	m := New(1, 0)
+	m := New(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

@@ -222,7 +222,7 @@ func NewGraph(stages []Stage, edges []topo.Edge) (*Pipeline, error) {
 	}
 	p.linger.Store(int64(DefaultLinger))
 	copy(p.stages, stages)
-	tg := &topo.Graph{Stages: make([]topo.Stage, len(stages)), Edges: p.edges}
+	tstages := make([]topo.Stage, len(stages))
 	for i := range p.stages {
 		st := &p.stages[i]
 		if st.Fn == nil {
@@ -240,11 +240,11 @@ func NewGraph(stages []Stage, edges []topo.Edge) (*Pipeline, error) {
 		if st.Unordered && len(stages) > 1 {
 			return nil, fmt.Errorf("pipeline: stage %d is unordered in a pipeline of %d stages", i, len(stages))
 		}
-		tg.Stages[i] = topo.Stage{Name: st.Name}
+		tstages[i] = topo.Stage{Name: st.Name}
 		p.limits = append(p.limits, conc.NewLimiter(st.Replicas))
 		p.meters = append(p.meters, &conc.Meter{})
 	}
-	if err := tg.Validate(); err != nil {
+	if _, err := topo.New(tstages, p.edges); err != nil {
 		return nil, err
 	}
 	return p, nil

@@ -9,10 +9,10 @@
 //     bound on the candidate's node-limited throughput;
 //   - link bound (chain specs only): per-pair link bytes accumulate
 //     edge by edge in Predict's program order, so bandwidth/partial-
-//     bytes upper-bounds the final link bound. Stage graphs with an
-//     explicit Topo skip this bound — their edge order is not aligned
-//     with stage depth, and a reordered partial sum could dip below
-//     the final value by an ulp and overprune.
+//     bytes upper-bounds the final link bound. Graphs that are not
+//     Linear skip this bound — their edge order is not aligned with
+//     stage depth, and a reordered partial sum could dip below the
+//     final value by an ulp and overprune.
 //
 // A subtree whose bound cannot STRICTLY beat the incumbent is cut.
 // Because the walk visits candidates in enumeration order and the
@@ -104,16 +104,20 @@ func (s Exhaustive) searchScratch(sc *Scratch, g *grid.Grid, spec model.Pipeline
 		sc.cores[n] = float64(g.Node(grid.NodeID(n)).Cores)
 		sc.busy[n] = 0
 	}
-	// Incoming chain-edge bytes per depth: source→stage0, then each
-	// stage's OutBytes into its successor. (The exit→sink edge never
-	// enters the bound; leaves are rated by the full model anyway.)
+	// Incoming chain-edge bytes per depth: source→stage0, then the edge
+	// into each stage. (The exit→sink edge never enters the bound;
+	// leaves are rated by the full model anyway.)
+	chain := spec.Topo == nil || spec.Topo.Linear()
 	if cap(sc.bbBytes) < ns {
 		sc.bbBytes = make([]float64, ns)
 	}
 	sc.bbBytes = sc.bbBytes[:ns]
 	sc.bbBytes[0] = spec.InBytes
-	for d := 1; d < ns; d++ {
+	for d := 1; d < ns && chain; d++ {
 		sc.bbBytes[d] = spec.Stages[d-1].OutBytes
+		if spec.Topo != nil {
+			sc.bbBytes[d] = spec.Topo.Edges[d-1].Bytes
+		}
 	}
 	sc.bbAssign, sc.bbRows = sizeRows(sc.bbAssign, sc.bbRows, ns)
 	sc.resultRows(ns)
@@ -121,7 +125,7 @@ func (s Exhaustive) searchScratch(sc *Scratch, g *grid.Grid, spec model.Pipeline
 
 	sc.bb = bbState{
 		g: g, spec: spec, loads: loads, ids: ids,
-		np: np, ns: ns, chain: spec.Topo == nil,
+		np: np, ns: ns, chain: chain,
 		linkUB: math.Inf(1),
 	}
 	sc.bbRec(0)

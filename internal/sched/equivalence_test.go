@@ -7,7 +7,8 @@ package sched
 // it with model.Best selects: same mapping, bit-identical prediction. Pruning
 // is a work optimisation, never a result change; this test is the
 // fence that keeps it that way, across randomized grids × specs ×
-// load vectors × availability masks, chain and DAG topologies.
+// load vectors × availability masks, chain (implicit and explicit)
+// and DAG topologies.
 
 import (
 	"fmt"
@@ -26,7 +27,10 @@ type equivCase struct {
 	ns   int // stages (chain cases)
 	np   int // nodes
 	dag  bool
-	mask bool // draw a random availability mask
+	// linear: the chain as an explicit Topo whose edge payloads differ
+	// from the producers' OutBytes.
+	linear bool
+	mask   bool // draw a random availability mask
 }
 
 func equivCases() []equivCase {
@@ -34,6 +38,7 @@ func equivCases() []equivCase {
 		{name: "chain-4x4", ns: 4, np: 4},
 		{name: "chain-6x3", ns: 6, np: 3},
 		{name: "chain-3x5-masked", ns: 3, np: 5, mask: true},
+		{name: "chain-topo-4x4", ns: 4, np: 4, linear: true},
 		{name: "diamond-dag", np: 4, dag: true},
 		{name: "diamond-dag-masked", np: 5, dag: true, mask: true},
 	}
@@ -70,6 +75,19 @@ func buildEquiv(r *rng.Rand, c equivCase) (*grid.Grid, model.PipelineSpec, []flo
 			stages[i] = model.StageSpec{Name: s.Name, Work: s.Work, OutBytes: s.OutBytes}
 		}
 		spec = model.PipelineSpec{Stages: stages, InBytes: 1e5}
+		if c.linear {
+			edges := make([]topo.Edge, c.ns-1)
+			for i := range edges {
+				edges[i] = topo.Edge{From: i, To: i + 1, Bytes: 1e4 + 2e5*r.Float64()}
+			}
+			lg, err := topo.New(stages, edges)
+			if err != nil {
+				return nil, model.PipelineSpec{}, nil, nil, err
+			}
+			if spec, err = model.FromGraph(lg, 1e5); err != nil {
+				return nil, model.PipelineSpec{}, nil, nil, err
+			}
+		}
 	}
 	var loads []float64
 	if r.Float64() < 0.7 { // sometimes nil: the idle-grid case

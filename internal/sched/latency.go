@@ -17,7 +17,8 @@ import (
 // The search hill-climbs over single-stage moves (like LocalSearch)
 // but scores candidates with model.PredictLatency at the given Rate;
 // mappings that cannot sustain the rate (a node saturates) are
-// infeasible and only accepted if nothing feasible is known yet.
+// infeasible and only accepted if nothing feasible is known yet. Like
+// model.PredictLatency, it refuses a stage graph that is not Linear.
 type ForLatency struct {
 	// Rate is the offered load in items/s the mapping must sustain.
 	Rate float64
@@ -51,6 +52,9 @@ func (l ForLatency) SearchAvail(g *grid.Grid, spec model.PipelineSpec, loads []f
 	}
 	if l.Rate <= 0 {
 		return model.Mapping{}, model.Prediction{}, fmt.Errorf("sched: ForLatency needs a positive rate")
+	}
+	if spec.Topo != nil && !spec.Topo.Linear() {
+		return model.Mapping{}, model.Prediction{}, fmt.Errorf("sched: ForLatency rates chains only, got %s", spec.Topo)
 	}
 	maxIters := l.MaxIters
 	if maxIters <= 0 {

@@ -77,6 +77,19 @@ func TestForLatencyValidation(t *testing.T) {
 	}
 }
 
+// ForLatency rates by model.PredictLatency, which walks a chain: on a
+// diamond it refuses up front instead of ranking by a latency that
+// charges both branches one after the other.
+func TestForLatencyRefusesDiamond(t *testing.T) {
+	g, err := grid.Homogeneous(4, 1, grid.LANLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := (ForLatency{Rate: 1}).Search(g, diamondSpec(t), nil); err == nil {
+		t.Fatal("ForLatency ranked a diamond")
+	}
+}
+
 func TestForLatencyBeatsThroughputSearchOnLatency(t *testing.T) {
 	// The throughput searchers may pick chatty spreads; at a modest
 	// rate, the latency search must never be worse on its own

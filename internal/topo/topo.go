@@ -23,9 +23,11 @@
 // there is exactly one entry stage (index 0) and one exit stage (the
 // last index), every stage lies on some entry→exit path, and edges are
 // not duplicated. The linear pipelines of the original reproduction
-// are the special case where the edge set is exactly {i → i+1}; for
-// them Linear reports true, and consumers keep their historical
-// (bit-for-bit deterministic) behaviour.
+// are the special case where the edge set is exactly {i → i+1}, which
+// Linear reports. Consumers walk the edges whatever the shape.
+//
+// New, Chain and Diamond derive the adjacency, and nothing writes a
+// Graph after its constructor returns, so many goroutines may read one.
 package topo
 
 import (
@@ -59,14 +61,14 @@ type Edge struct {
 	Bytes float64
 }
 
-// Graph is a validated stage DAG. Build with Chain or New; call
-// Validate before handing a hand-assembled Graph to a consumer.
+// Graph is a stage DAG, built with New, Chain or Diamond. A Graph
+// literal has no adjacency, so Validate rejects it.
 type Graph struct {
 	Stages []Stage
 	Edges  []Edge
 
-	// Derived adjacency, built lazily by the accessors below and by
-	// Validate. Indexed by stage; values are indices into Edges.
+	// Derived adjacency, built by the constructors. Indexed by stage;
+	// values are indices into Edges.
 	out, in [][]int
 }
 
@@ -78,6 +80,7 @@ func Chain(stages ...Stage) *Graph {
 	for i := 0; i+1 < len(stages); i++ {
 		g.Edges = append(g.Edges, Edge{From: i, To: i + 1, Bytes: stages[i].OutBytes})
 	}
+	g.buildAdj()
 	return g
 }
 
@@ -96,6 +99,7 @@ func New(stages []Stage, edges []Edge) (*Graph, error) {
 			}
 		}
 	}
+	g.buildAdj()
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -105,7 +109,7 @@ func New(stages []Stage, edges []Edge) (*Graph, error) {
 // NumStages returns the stage count.
 func (g *Graph) NumStages() int { return len(g.Stages) }
 
-// buildAdj (re)derives the adjacency lists from Edges.
+// buildAdj derives the adjacency lists from Edges.
 func (g *Graph) buildAdj() {
 	n := len(g.Stages)
 	g.out = make([][]int, n)
@@ -120,22 +124,16 @@ func (g *Graph) buildAdj() {
 	}
 }
 
-func (g *Graph) adjReady() {
-	if g.out == nil || len(g.out) != len(g.Stages) {
-		g.buildAdj()
-	}
-}
-
 // OutEdges returns the indices (into Edges) of stage i's out-edges, in
 // edge-list order. Shared slice; do not mutate.
-func (g *Graph) OutEdges(i int) []int { g.adjReady(); return g.out[i] }
+func (g *Graph) OutEdges(i int) []int { return g.out[i] }
 
 // InEdges returns the indices (into Edges) of stage i's in-edges, in
 // edge-list order. Shared slice; do not mutate.
-func (g *Graph) InEdges(i int) []int { g.adjReady(); return g.in[i] }
+func (g *Graph) InEdges(i int) []int { return g.in[i] }
 
 // InDegree returns the number of in-edges of stage i.
-func (g *Graph) InDegree(i int) int { g.adjReady(); return len(g.in[i]) }
+func (g *Graph) InDegree(i int) int { return len(g.in[i]) }
 
 // Entry returns the entry stage index (always 0 on a valid graph).
 func (g *Graph) Entry() int { return 0 }
@@ -149,7 +147,6 @@ func (g *Graph) Exit() int { return len(g.Stages) - 1 }
 // provided source message size). It is what a consumer pays to move a
 // fully-joined item of that stage, e.g. on a migration.
 func (g *Graph) InBytesOf(i int, sourceBytes float64) float64 {
-	g.adjReady()
 	if len(g.in[i]) == 0 {
 		return sourceBytes
 	}
@@ -160,9 +157,9 @@ func (g *Graph) InBytesOf(i int, sourceBytes float64) float64 {
 	return b
 }
 
-// Linear reports whether the graph is the plain chain {i → i+1}: the
-// fast path on which every consumer preserves the historical linear-
-// pipeline behaviour (and its golden traces) bit for bit.
+// Linear reports whether the graph is the plain chain {i → i+1}. Only
+// what needs a chain reads it: the scheduler's branch-and-bound link
+// bound and the open-system latency model.
 func (g *Graph) Linear() bool {
 	if len(g.Edges) != len(g.Stages)-1 {
 		return false
@@ -175,7 +172,8 @@ func (g *Graph) Linear() bool {
 	return true
 }
 
-// Validate checks the structural contract documented on the package.
+// Validate checks the structural contract documented on the package
+// and that a constructor derived the adjacency. It writes nothing.
 func (g *Graph) Validate() error {
 	n := len(g.Stages)
 	if n == 0 {
@@ -189,8 +187,7 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("topo: stage %d (%s) has negative output size %v", i, st.Name, st.OutBytes)
 		}
 	}
-	seen := make(map[[2]int]bool, len(g.Edges))
-	for _, e := range g.Edges {
+	for k, e := range g.Edges {
 		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
 			return fmt.Errorf("topo: edge %d→%d out of range (stages: %d)", e.From, e.To, n)
 		}
@@ -200,28 +197,31 @@ func (g *Graph) Validate() error {
 		if e.Bytes < 0 {
 			return fmt.Errorf("topo: edge %d→%d has negative payload %v", e.From, e.To, e.Bytes)
 		}
-		k := [2]int{e.From, e.To}
-		if seen[k] {
-			return fmt.Errorf("topo: duplicate edge %d→%d", e.From, e.To)
+		for _, d := range g.Edges[:k] {
+			if d.From == e.From && d.To == e.To {
+				return fmt.Errorf("topo: duplicate edge %d→%d", e.From, e.To)
+			}
 		}
-		seen[k] = true
-	}
-	g.buildAdj()
-	if n == 1 {
-		return nil
 	}
 	// Exactly one entry (stage 0) and one exit (stage n-1); everything
-	// lies on an entry→exit path.
+	// lies on an entry→exit path. Every edge runs From < To inside
+	// [0, n), so stage 0 has no in-edge and stage n-1 no out-edge.
 	for i := 0; i < n; i++ {
-		if len(g.in[i]) == 0 && i != 0 {
+		in, out := i == 0, i == n-1
+		for _, e := range g.Edges {
+			in = in || e.To == i
+			out = out || e.From == i
+		}
+		if !in {
 			return fmt.Errorf("topo: stage %d (%s) is unreachable (no in-edges; only stage 0 may be the entry)", i, g.Stages[i].Name)
 		}
-		if len(g.out[i]) == 0 && i != n-1 {
+		if !out {
 			return fmt.Errorf("topo: stage %d (%s) is a dead end (no out-edges; only the last stage may be the exit)", i, g.Stages[i].Name)
 		}
 	}
-	// Stage 0 has no in-edge and stage n-1 no out-edge: every edge
-	// runs From < To inside [0, n).
+	if len(g.in) != n {
+		return fmt.Errorf("topo: graph has no adjacency (build it with New, Chain or Diamond)")
+	}
 	return nil
 }
 

@@ -1,7 +1,9 @@
 package topo
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -152,5 +154,57 @@ func TestNewDefaultsEdgeBytes(t *testing.T) {
 func TestDiamondNeedsTwoBranches(t *testing.T) {
 	if _, err := Diamond(stage("h", 1, 0), []Stage{stage("b", 1, 0)}, stage("t", 1, 0)); err == nil {
 		t.Fatal("single-branch diamond accepted")
+	}
+}
+
+// A constructed graph answers its adjacency without a Validate call,
+// and reading it writes nothing: two goroutines query one fresh chain
+// at once (run under -race).
+func TestChainAdjacencyWithoutValidate(t *testing.T) {
+	g := Chain(stage("a", 1, 10), stage("b", 1, 20), stage("c", 1, 0))
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range g.Stages {
+				in, out := g.InEdges(i), g.OutEdges(i)
+				wantIn, wantOut := []int{i - 1}, []int{i}
+				if i == 0 {
+					wantIn = nil
+				}
+				if i == 2 {
+					wantOut = nil
+				}
+				if !slices.Equal(in, wantIn) || !slices.Equal(out, wantOut) {
+					t.Errorf("stage %d: in %v out %v, want %v %v", i, in, out, wantIn, wantOut)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// Validate is a pure check: on a valid graph it allocates nothing.
+func TestValidateAllocatesNothing(t *testing.T) {
+	g, err := Diamond(stage("h", 1, 1), []Stage{stage("l", 1, 1), stage("r", 1, 1)}, stage("t", 1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("%v allocations per Validate, want 0", a)
+	}
+}
+
+// A Graph literal carries no adjacency, so Validate refuses it even
+// when its structure is sound.
+func TestValidateRejectsLiteral(t *testing.T) {
+	g := &Graph{Stages: []Stage{stage("a", 1, 0), stage("b", 1, 0)}, Edges: []Edge{{From: 0, To: 1}}}
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "adjacency") {
+		t.Fatalf("err = %v, want the missing adjacency named", err)
 	}
 }

@@ -215,6 +215,9 @@ func heaviestStage(app App) int {
 // The outcome splits throughput at the injection point so the recovery
 // the controller achieved is directly readable.
 func RunLive(app App, opts LiveOptions) (LiveOutcome, error) {
+	if err := app.Spec.Validate(); err != nil {
+		return LiveOutcome{}, err
+	}
 	if opts.Items <= 0 {
 		opts.Items = 2400
 	}

@@ -80,7 +80,7 @@ func TestRunLiveOptions(t *testing.T) {
 	steal.Default() // the executor's persistent workers are part of the baseline
 	cases := []struct {
 		name    string
-		app     App // zero: Genome
+		app     App // unnamed: Genome
 		set     func(*LiveOptions)
 		wantErr string // substring of the expected error; "" = must succeed
 		check   func(*testing.T, LiveOutcome)
@@ -89,6 +89,8 @@ func TestRunLiveOptions(t *testing.T) {
 			set: func(o *LiveOptions) { o.SpikeLoad = 0.5; o.Victim = 99 }},
 		{name: "injection at the end of the stream", wantErr: "injection",
 			set: func(o *LiveOptions) { o.SpikeLoad = 0.5; o.InjectAtItem = o.Items }},
+		{name: "empty app", wantErr: "no stages", app: App{Name: "empty"},
+			set: func(o *LiveOptions) { o.Victim = Auto; o.InjectAtItem = Auto }},
 		{name: "auto batch under static", wantErr: "non-static",
 			set: func(o *LiveOptions) { o.Batch = Auto }},
 		{name: "negative batch", wantErr: "grain",
@@ -130,7 +132,7 @@ func TestRunLiveOptions(t *testing.T) {
 			opts := fastLive(60)
 			c.set(&opts)
 			app := c.app
-			if app.Spec.NumStages() == 0 {
+			if app.Name == "" {
 				app = Genome()
 			}
 			out, err := RunLive(app, opts)
