@@ -53,14 +53,22 @@
 // runtime's sysmon): when work is queued and every fleet worker is
 // still inside the task it was inside a tick ago, it spawns a temporary
 // spill worker. A queued task that an idle or busy-but-moving fleet has
-// merely not grabbed yet is not a stall and spills nothing. Spill
-// workers take one task at a time (no private deque, so they never hide
-// work from the fleet) and exit as soon as the queues are dry, which
-// keeps the injection strictly a liveness valve, not a second pool.
+// merely not grabbed yet is not a stall and spills nothing, and neither
+// is a single wedged tick: a descheduled or long-computing worker looks
+// the same for one tick, so a spill needs two in a row. Spill workers
+// take one task at a time (no private deque, so they never hide work
+// from the fleet). One that finds the queues dry lingers on an idle
+// list for spillLinger and exits only if nothing woke it by then:
+// wake-ups go to a parked fleet worker first and to the newest
+// lingering spill worker only when no fleet worker is parked, so a
+// fleet that sleeps inside its tasks keeps its spill workers from one
+// wedge to the next, and the injection stays a liveness valve, not a
+// second pool.
 package steal
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,6 +108,19 @@ const monitorTick = 100 * time.Microsecond
 // healthy program needs, low enough to turn a leak of forever-blocking
 // tasks into backpressure instead of unbounded goroutine growth.
 const maxSpill = 8192
+
+// spillLinger is how long a spill worker that found the queues dry waits
+// on the idle list for a wake-up before it exits. A fleet that sleeps
+// inside its tasks submits again well within it, so the spill worker is
+// reused instead of re-injected a monitor tick later (~1.1 ms effective);
+// it stays well under the time a caller waits for a finished run's
+// goroutines to go.
+const spillLinger = 10 * time.Millisecond
+
+// wedgedTicks is how many consecutive ticks the fleet must look wedged
+// before the monitor spills: one tick cannot tell a blocked worker from
+// a descheduled or long-computing one.
+const wedgedTicks = 2
 
 // Deque is one worker's bounded local queue: the owner pushes and pops
 // at the tail (LIFO, cache-warm), thieves take from the head (the
@@ -194,21 +215,32 @@ type Executor struct {
 	inject   ring.FIFO[Task]
 	injects  atomic.Int64
 
-	parkMu sync.Mutex
-	parked []*worker // stack of sleeping workers
-	stop   atomic.Bool
+	parkMu    sync.Mutex
+	parked    []*worker // stack of sleeping workers
+	lingering []*spill  // stack of idle spill workers, newest last
+	stop      atomic.Bool
 
 	// Stall-monitor state: spillDone counts tasks completed by spill
 	// workers (fleet workers count their own, see worker.taskSeq), yields
 	// the calls to Yield and yielding those not yet returned, spills the
-	// live spill workers, spillsEver the cumulative count.
+	// live spill workers (lingering ones included), spillsEver the
+	// cumulative count.
 	spillDone  atomic.Int64
 	yields     atomic.Int64
 	yielding   atomic.Int64
 	spills     atomic.Int64
 	spillsEver atomic.Int64
+	linger     time.Duration // spillLinger; tests lengthen it
 
 	wg sync.WaitGroup
+}
+
+// spill is a lingering spill worker's side of the idle list.
+type spill struct {
+	wake chan struct{} // buffered(1); send under parkMu after de-listing
+	// listed is guarded by e.parkMu: true while the worker is on the
+	// lingering stack (a waker that pops it flips this before sending).
+	listed bool
 }
 
 type worker struct {
@@ -234,11 +266,13 @@ type worker struct {
 }
 
 // New starts an executor with n workers (n < 1 takes GOMAXPROCS).
-func New(n int) *Executor {
+func New(n int) *Executor { return newExecutor(n, spillLinger) }
+
+func newExecutor(n int, linger time.Duration) *Executor {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	e := &Executor{workers: make([]*worker, n)}
+	e := &Executor{workers: make([]*worker, n), linger: linger}
 	for i := range e.workers {
 		e.workers[i] = &worker{
 			e:    e,
@@ -299,7 +333,8 @@ func (e *Executor) Yield() {
 // Close stops the workers after every previously submitted task has
 // run. The caller must guarantee no Submit races or follows Close
 // (the skeletons end a run only after every task they submitted has
-// returned its result, and submit nothing afterwards).
+// returned its result, and submit nothing afterwards). Parked fleet
+// workers and lingering spill workers are woken, not waited out.
 func (e *Executor) Close() {
 	e.stop.Store(true)
 	e.parkMu.Lock()
@@ -308,6 +343,11 @@ func (e *Executor) Close() {
 		w.wake <- struct{}{}
 	}
 	e.parked = e.parked[:0]
+	for _, s := range e.lingering {
+		s.listed = false
+		s.wake <- struct{}{}
+	}
+	e.lingering = e.lingering[:0]
 	e.parkMu.Unlock()
 	e.wg.Wait()
 }
@@ -324,7 +364,9 @@ func (e *Executor) Stats() Stats {
 	return s
 }
 
-// wakeOne pops one parked worker and wakes it. The wake channel send
+// wakeOne pops one parked fleet worker and wakes it or, when none is
+// parked, the newest lingering spill worker: a CPU-bound run with an
+// idle fleet never hands work to a spill worker. The wake channel send
 // happens under parkMu with the worker already de-listed, so the
 // worker's own unpark path (which also runs under parkMu) can tell a
 // delivered wake from a pending one without a race.
@@ -335,6 +377,11 @@ func (e *Executor) wakeOne() {
 		e.parked = e.parked[:n-1]
 		w.asleep = false
 		w.wake <- struct{}{}
+	} else if n := len(e.lingering); n > 0 {
+		s := e.lingering[n-1]
+		e.lingering = e.lingering[:n-1]
+		s.listed = false
+		s.wake <- struct{}{}
 	}
 	e.parkMu.Unlock()
 }
@@ -352,48 +399,34 @@ func (w *worker) run() {
 	}
 }
 
-// monitor is the executor's liveness valve: if a full tick passes with
-// every fleet worker inside the same task it was inside at the tick
-// before, no spill worker completing one either, no task yielding, and
-// work queued, the fleet is wedged inside blocking tasks, and a spill
-// worker is injected to keep the queues draining (and to let K tasks
-// that rendezvous with each other all get on CPU even when K exceeds the
-// fleet). A worker that is between tasks, or inside a different one, is
-// moving: whatever is queued is about to be grabbed, and spilling it
-// would only add a goroutine. One injection per tick: bursts of blockers escalate
-// linearly, a healthy fleet never escalates at all.
+// monitor is the executor's liveness valve: it samples the fleet every
+// tick, and when the stallProbe finds it wedged inside blocking tasks
+// with work queued, it injects a spill worker to keep the queues
+// draining (and to let K tasks that rendezvous with each other all get
+// on CPU even when K exceeds the fleet). One injection per tick: bursts
+// of blockers escalate linearly, a healthy fleet never escalates at all.
 func (e *Executor) monitor() {
 	defer e.wg.Done()
-	last := make([]uint64, len(e.workers))
-	lastSpillDone, lastYields := int64(-1), int64(-1)
+	probe := stallProbe{last: make([]uint64, len(e.workers))}
+	seqs := make([]uint64, len(e.workers))
 	for !e.stop.Load() {
 		time.Sleep(monitorTick)
-		wedged := e.yielding.Load() == 0
+		yielding := e.yielding.Load() != 0
 		for i, w := range e.workers {
-			cur := w.taskSeq.Load()
-			if cur != last[i] || cur%2 == 0 {
-				wedged = false
+			seqs[i] = w.taskSeq.Load()
+		}
+		queued := e.queued()
+		if !probe.tick(yielding, seqs, e.spillDone.Load(), e.yields.Load(), queued) {
+			if queued {
+				// Queued work and a fleet that is not stuck (or not for
+				// long enough): it needs no new worker, unless one parked
+				// a moment before a sibling grabbed a batch and then
+				// blocked on the batch's first task — nothing wakes it for
+				// what now sits in the sibling's deque. The wake-up goes
+				// to a lingering spill worker when no fleet worker is
+				// parked, and is free when nobody is.
+				e.wakeOne()
 			}
-			last[i] = cur
-		}
-		if cur := e.spillDone.Load(); cur != lastSpillDone {
-			lastSpillDone = cur
-			wedged = false
-		}
-		if cur := e.yields.Load(); cur != lastYields {
-			lastYields = cur
-			wedged = false
-		}
-		if !e.queued() {
-			continue
-		}
-		if !wedged {
-			// Queued work and a worker that is not stuck: it needs no help,
-			// unless it parked a moment before a sibling grabbed a batch
-			// and then blocked on the batch's first task — nothing wakes it
-			// for what now sits in the sibling's deque. A wake-up is free
-			// when nobody is parked.
-			e.wakeOne()
 			continue
 		}
 		if e.spills.Load() >= maxSpill {
@@ -406,6 +439,38 @@ func (e *Executor) monitor() {
 		e.wg.Add(1)
 		go e.spillWorker()
 	}
+}
+
+// stallProbe is the monitor's memory from one tick to the next.
+type stallProbe struct {
+	last              []uint64 // each fleet worker's taskSeq at the tick before
+	spillDone, yields int64    // the executor's counters at the tick before
+	streak            int      // wedged ticks in a row
+}
+
+// tick folds one sample into the probe and reports whether to spill now.
+// A tick is wedged when work is queued, every fleet worker is still
+// inside the very task it was inside at the tick before (the same odd
+// taskSeq), no spill worker completed a task and no task called or sat
+// in Yield. A worker that is between tasks, or inside a different one, is
+// moving: whatever is queued is about to be grabbed, and spilling it
+// would only add a goroutine. The probe spills from the wedgedTicks-th
+// wedged tick in a row on, once per tick.
+func (p *stallProbe) tick(yielding bool, seqs []uint64, spillDone, yields int64, queued bool) bool {
+	wedged := queued && !yielding && spillDone == p.spillDone && yields == p.yields
+	for i, cur := range seqs {
+		if cur != p.last[i] || cur%2 == 0 {
+			wedged = false
+		}
+		p.last[i] = cur
+	}
+	p.spillDone, p.yields = spillDone, yields
+	if !wedged {
+		p.streak = 0
+		return false
+	}
+	p.streak++
+	return p.streak >= wedgedTicks
 }
 
 // queued reports whether any task is waiting anywhere.
@@ -425,19 +490,67 @@ func (e *Executor) queued() bool {
 }
 
 // spillWorker drains one task at a time — never into a private deque,
-// so nothing it holds is ever invisible to the fleet — and retires the
-// moment the queues are dry.
+// so nothing it holds is ever invisible to the fleet. When the queues
+// are dry it lingers, and it retires when a linger ends unwoken or the
+// executor closes.
 func (e *Executor) spillWorker() {
 	defer e.wg.Done()
 	defer e.spills.Add(-1)
+	s := &spill{wake: make(chan struct{}, 1)}
+	expiry := time.NewTimer(e.linger)
+	defer expiry.Stop()
 	for {
-		t, ok := e.takeOne()
-		if !ok {
+		if t, ok := e.takeOne(); ok {
+			t.Fn(t.Arg)
+			e.spillDone.Add(1)
+			continue
+		}
+		if e.stop.Load() || !e.lingerSpill(s, expiry) {
 			return
 		}
-		t.Fn(t.Arg)
-		e.spillDone.Add(1)
 	}
+}
+
+// lingerSpill waits on the idle list for at most e.linger. It announces
+// s first and then re-checks, as a parking fleet worker does, so a task
+// submitted in between is not missed. It reports false when the linger
+// expired with s still listed, and true when there may be work: a waker
+// took s off the list, or the re-check found work or a Close.
+func (e *Executor) lingerSpill(s *spill, expiry *time.Timer) bool {
+	e.parkMu.Lock()
+	e.lingering = append(e.lingering, s)
+	s.listed = true
+	e.parkMu.Unlock()
+	if e.queued() || e.stop.Load() {
+		e.delist(s)
+		return true
+	}
+	expiry.Reset(e.linger)
+	select {
+	case <-s.wake:
+		expiry.Stop()
+		return true
+	case <-expiry.C:
+		return !e.delist(s)
+	}
+}
+
+// delist takes s off the lingering stack. It reports false when a waker
+// had already taken it off, and then absorbs the wake that waker sent
+// (under parkMu, so it has been delivered).
+func (e *Executor) delist(s *spill) bool {
+	e.parkMu.Lock()
+	listed := s.listed
+	if listed {
+		i := slices.Index(e.lingering, s)
+		e.lingering = slices.Delete(e.lingering, i, i+1)
+		s.listed = false
+	}
+	e.parkMu.Unlock()
+	if !listed {
+		<-s.wake
+	}
+	return listed
 }
 
 // takeOne pops a single task from the global queue or, failing that,

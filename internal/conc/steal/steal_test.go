@@ -245,35 +245,196 @@ func TestNoSpillForYieldingTasks(t *testing.T) {
 	}
 }
 
-// TestSpillRunsQueuedTaskBehindWedgedFleet: with both workers of a
-// two-worker set blocked inside tasks, a third task is run by a spill
-// worker within a few ticks.
-func TestSpillRunsQueuedTaskBehindWedgedFleet(t *testing.T) {
-	e := New(2)
-	defer e.Close()
+// wedge parks every fleet worker of e inside a task until the returned
+// release is called.
+func wedge(t *testing.T, e *Executor) (release func()) {
+	t.Helper()
 	gate := make(chan struct{})
-	defer close(gate)
 	var inside sync.WaitGroup
-	inside.Add(2)
-	for i := 0; i < 2; i++ {
+	inside.Add(len(e.workers))
+	for range e.workers {
 		e.Submit(Task{Fn: func(any) {
 			inside.Done()
 			<-gate
 		}})
 	}
 	inside.Wait()
+	return func() { close(gate) }
+}
+
+// runOne submits a task and waits for it to run.
+func runOne(t *testing.T, e *Executor) {
+	t.Helper()
 	ran := make(chan struct{})
-	start := time.Now()
 	e.Submit(Task{Fn: func(any) { close(ran) }})
 	select {
 	case <-ran:
 	case <-time.After(5 * time.Second):
 		t.Fatal("queued task never ran behind a wedged fleet")
 	}
+}
+
+// waitLingering waits until n spill workers linger on e's idle list.
+func waitLingering(t *testing.T, e *Executor, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		e.parkMu.Lock()
+		got := len(e.lingering)
+		e.parkMu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d spill workers lingering, want %d", got, n)
+		}
+	}
+}
+
+// TestSpillRunsQueuedTaskBehindWedgedFleet: with both workers of a
+// two-worker set blocked inside tasks, a third task is run by a spill
+// worker within a few ticks.
+func TestSpillRunsQueuedTaskBehindWedgedFleet(t *testing.T) {
+	e := New(2)
+	defer e.Close()
+	release := wedge(t, e)
+	defer release()
+	start := time.Now()
+	runOne(t, e)
 	if d := time.Since(start); d > 50*time.Millisecond {
 		t.Errorf("spill took %v, want under 50ms", d)
 	}
 	if st := e.Stats(); st.Spills == 0 {
 		t.Fatalf("task ran but no spill was counted: %v", st)
+	}
+}
+
+// TestSpillWorkerLingersThenExits: behind a wedged fleet, the spill
+// worker that ran one task waits on the idle list, the next task goes to
+// it instead of to a new spill worker, and once the queues stay dry for
+// the linger it exits. The linger is longer than the executor's so that
+// a slow run of the test cannot outlast it between the two tasks.
+func TestSpillWorkerLingersThenExits(t *testing.T) {
+	e := newExecutor(2, 100*time.Millisecond)
+	defer e.Close()
+	before := runtime.NumGoroutine()
+	release := wedge(t, e)
+	defer release()
+	runOne(t, e)
+	waitLingering(t, e, 1)
+	runOne(t, e)
+	if st := e.Stats(); st.Spills != 1 {
+		t.Fatalf("%d spill workers injected for two tasks inside one linger, want 1: %v", st.Spills, st)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines alive after the linger, %d before the spill", runtime.NumGoroutine(), before)
+		}
+	}
+	if n := e.spills.Load(); n != 0 {
+		t.Fatalf("%d spill workers still counted live after the linger", n)
+	}
+}
+
+// TestWakeOnePrefersParkedFleet: a wake-up goes to a parked fleet
+// worker while there is one, and only then to the newest lingering
+// spill worker, whose own delist then finds it taken off and absorbs the
+// wake.
+func TestWakeOnePrefersParkedFleet(t *testing.T) {
+	w := &worker{wake: make(chan struct{}, 1), asleep: true}
+	older := &spill{wake: make(chan struct{}, 1), listed: true}
+	newer := &spill{wake: make(chan struct{}, 1), listed: true}
+	e := &Executor{parked: []*worker{w}, lingering: []*spill{older, newer}}
+	e.wakeOne()
+	if w.asleep || len(w.wake) != 1 || len(e.parked) != 0 {
+		t.Fatal("the parked fleet worker was not woken")
+	}
+	if len(older.wake)+len(newer.wake) != 0 || len(e.lingering) != 2 {
+		t.Fatal("a spill worker was woken while a fleet worker was parked")
+	}
+	e.wakeOne()
+	if newer.listed || len(newer.wake) != 1 || len(older.wake) != 0 || !older.listed {
+		t.Fatal("with no fleet worker parked, the newest lingering spill worker was not the one woken")
+	}
+	if e.delist(newer) || len(newer.wake) != 0 {
+		t.Fatal("delist of a woken spill worker did not absorb its wake")
+	}
+	if !e.delist(older) || older.listed || len(e.lingering) != 0 {
+		t.Fatal("delist of a listed spill worker did not take it off")
+	}
+}
+
+// TestCloseWakesLingeringSpill: Close returns without waiting out a
+// spill worker's linger (an hour here), and a spill worker that begins
+// to linger after Close swept the idle list sees the stop in its
+// re-check instead of waiting.
+func TestCloseWakesLingeringSpill(t *testing.T) {
+	e := newExecutor(2, time.Hour)
+	release := wedge(t, e)
+	runOne(t, e)
+	waitLingering(t, e, 1)
+	release()
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close is waiting out a lingering spill worker")
+	}
+
+	late := &Executor{linger: time.Hour}
+	late.stop.Store(true)
+	s := &spill{wake: make(chan struct{}, 1)}
+	if !late.lingerSpill(s, time.NewTimer(time.Hour)) || s.listed || len(late.lingering) != 0 {
+		t.Fatal("a spill worker lingering after Close did not withdraw")
+	}
+}
+
+// TestSpillNeedsTwoWedgedTicks drives the monitor's per-tick probe
+// through a script of samples: a single wedged tick never spills (a
+// descheduled or long-computing worker looks wedged for one), the second
+// in a row does and every further one spills once more, and each sign of
+// movement — a fleet worker's taskSeq moving or even, a spill worker
+// finishing a task, a Yield, dry queues — starts the count again.
+func TestSpillNeedsTwoWedgedTicks(t *testing.T) {
+	inside := []uint64{1, 3}  // both workers inside a task
+	moved := []uint64{1, 5}   // the second inside another one
+	between := []uint64{1, 4} // the second between tasks
+	steps := []struct {
+		what      string
+		yielding  bool
+		seqs      []uint64
+		spillDone int64
+		yields    int64
+		queued    bool
+		spill     bool
+	}{
+		{"first sample", false, inside, 0, 0, true, false},
+		{"one wedged tick", false, inside, 0, 0, true, false},
+		{"two wedged ticks", false, inside, 0, 0, true, true},
+		{"three: one more spill", false, inside, 0, 0, true, true},
+		{"a spill worker finished a task", false, inside, 1, 0, true, false},
+		{"one wedged tick", false, inside, 1, 0, true, false},
+		{"the worker was only descheduled", false, moved, 1, 0, true, false},
+		{"one wedged tick", false, moved, 1, 0, true, false},
+		{"a task yielded", false, moved, 1, 1, true, false},
+		{"one wedged tick", false, moved, 1, 1, true, false},
+		{"a task is yielding", true, moved, 1, 1, true, false},
+		{"one wedged tick", false, moved, 1, 1, true, false},
+		{"queues dry", false, moved, 1, 1, false, false},
+		{"work again", false, moved, 1, 1, true, false},
+		{"a worker between tasks", false, between, 1, 1, true, false},
+		{"still between tasks", false, between, 1, 1, true, false},
+		{"inside a task again", false, moved, 1, 1, true, false},
+		{"one wedged tick", false, moved, 1, 1, true, false},
+		{"two wedged ticks", false, moved, 1, 1, true, true},
+	}
+	p := stallProbe{last: make([]uint64, 2)}
+	for i, s := range steps {
+		if got := p.tick(s.yielding, s.seqs, s.spillDone, s.yields, s.queued); got != s.spill {
+			t.Fatalf("tick %d (%s): spill = %v, want %v", i, s.what, got, s.spill)
+		}
 	}
 }

@@ -118,6 +118,10 @@ func PredictLatency(g *grid.Grid, spec PipelineSpec, m Mapping, loads []float64,
 	prev := spec.Source
 	prevBytes := spec.InBytes
 	for i, st := range spec.Stages {
+		if spec.Topo != nil && i > 0 {
+			// A graph's edges carry their own payload, as in Predict.
+			prevBytes = spec.Topo.Edges[spec.Topo.InEdges(i)[0]].Bytes
+		}
 		replicas := m.Assign[i]
 		// Expected wait/service averaged across replicas (the item is
 		// dealt to one uniformly).

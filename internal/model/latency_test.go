@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gridpipe/internal/grid"
+	"gridpipe/internal/topo"
 )
 
 func latGrid(t *testing.T, speeds ...float64) *grid.Grid {
@@ -168,5 +169,47 @@ func TestPredictLatencyTransferFloor(t *testing.T) {
 	// Floor: 0.05 + 0.3 + 0.05 + 0.3 = 0.7.
 	if p.ServicePart < 0.69 || p.ServicePart > 0.72 {
 		t.Fatalf("ServicePart = %v, want ~0.7", p.ServicePart)
+	}
+}
+
+// TestPredictLatencyUsesEdgePayload: on a chain given as a Linear graph,
+// the hop between two stages carries the edge's Bytes, as in Predict,
+// not the producer's OutBytes (0 here). 1e8 bytes over the 10 Mb/s WAN
+// link take 80 s.
+func TestPredictLatencyUsesEdgePayload(t *testing.T) {
+	g, err := grid.Homogeneous(2, 1, grid.WANLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := Balanced(2, 0.1, 0).Stages
+	m := FromNodes(0, 1)
+	latency := func(bytes float64) (predicted, walked float64) {
+		t.Helper()
+		graph, err := topo.New(stages, []topo.Edge{{From: 0, To: 1, Bytes: bytes}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := FromGraph(graph, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := PredictLatency(g, spec, m, nil, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred, err := Predict(g, spec, m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pred.Latency, p.ServicePart
+	}
+	for _, bytes := range []float64{0, 1e8} {
+		predicted, walked := latency(bytes)
+		if math.Abs(walked-predicted) > 1e-9 {
+			t.Errorf("edge Bytes %g: PredictLatency service part %.4f s, Predict latency %.4f s", bytes, walked, predicted)
+		}
+	}
+	if light, _ := latency(0); light > 1 {
+		t.Errorf("a 0-byte edge predicted %.4f s", light)
 	}
 }
