@@ -364,9 +364,16 @@ func TestNoDeadExports(t *testing.T) {
 	}
 }
 
+// maxUnusedRootExports is how many root exports TestRootExportsReport
+// lets examples/, cmd/ and benchmark/ leave unused. Lower it whenever
+// the count falls; never raise it.
+const maxUnusedRootExports = 42
+
 // TestRootExportsReport lists the root package's exported names that
 // examples/, cmd/ and benchmark/ never use. The root package is the
-// public API, so this is a report, not a gate.
+// public API, so an unused export is not yet an error, but their count
+// is a ratchet: it may fall, and may not rise above
+// maxUnusedRootExports.
 func TestRootExportsReport(t *testing.T) {
 	consumer := func(dir string) bool {
 		for _, p := range []string{"examples", "cmd", "benchmark"} {
@@ -384,5 +391,15 @@ func TestRootExportsReport(t *testing.T) {
 		}
 	}
 	sort.Strings(unused)
-	t.Logf("%d root exports unused by examples/, cmd/ and benchmark/: %s", len(unused), strings.Join(unused, " "))
+	list := strings.Join(unused, " ")
+	switch n := len(unused); {
+	case n > maxUnusedRootExports:
+		t.Errorf("%d root exports unused by examples/, cmd/ and benchmark/, over the ratchet of %d: %s\n  use the new export from a consumer or delete it",
+			n, maxUnusedRootExports, list)
+	case n < maxUnusedRootExports:
+		t.Logf("%d root exports unused by examples/, cmd/ and benchmark/, under the ratchet of %d: lower maxUnusedRootExports to %d: %s",
+			n, maxUnusedRootExports, n, list)
+	default:
+		t.Logf("%d root exports unused by examples/, cmd/ and benchmark/: %s", n, list)
+	}
 }

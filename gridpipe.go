@@ -447,24 +447,6 @@ func (p *Pipeline) WithLiveAdaptive(policy string, opts ...LiveAdaptiveOptions) 
 	return nil
 }
 
-// withLiveBudget arms live adaptation with a cluster-provided config
-// (shared worker budget included). An explicit WithLiveAdaptive keeps
-// its policy and thresholds; only the budget hook is injected.
-func (p *Pipeline) withLiveBudget(cfg liveadapt.Config) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.live != nil {
-		return fmt.Errorf("gridpipe: cluster Process after the live pipeline started")
-	}
-	if p.liveCfg != nil {
-		p.liveCfg.BudgetCap = cfg.BudgetCap
-		p.liveCfg.MaxWorkers = cfg.MaxWorkers
-		return nil
-	}
-	p.liveCfg = &cfg
-	return nil
-}
-
 // Process runs the pipeline live over the inputs and returns outputs in
 // input order.
 func (p *Pipeline) Process(ctx context.Context, inputs []any) ([]any, error) {

@@ -10,8 +10,7 @@
 //     sensors use, and reads the exit rate off the last stage's count;
 //   - Actuator: a worker-budget apportioner — replicable stages
 //     receive workers proportional to their (forecast) service times,
-//     bounded by MaxWorkers, under conc.Apportion, the split the
-//     shared cluster budget uses too — actuating via
+//     bounded by MaxWorkers, under conc.Apportion — actuating via
 //     pipeline.SetReplicas; under AdaptGrain, a grain walker over the
 //     pipeline's one grain surface (GrainTarget: GrainBoundaries,
 //     GrainAt, SetGrainAt);
@@ -90,11 +89,6 @@ type Config struct {
 	// simulator's elastic reserves: capacity the controller may fold
 	// in when the observed throughput degrades.
 	MaxWorkers int
-	// BudgetCap, when non-nil, overrides MaxWorkers at every decision:
-	// it is consulted per proposal, so a shared cluster budget
-	// (conc.WorkerBudget) re-divided among concurrent runs takes
-	// effect at the controller's next tick.
-	BudgetCap func() int
 	// AdaptGrain enables the granularity actuator: the controller
 	// walks the target's boundary batch size (the pipeline's grain) in
 	// doubling and halving steps paced by Cooldown, keeping a step
@@ -431,13 +425,7 @@ func (s *liveSub) Propose(loads []float64) (*adaptive.Proposal, bool) {
 	if len(weights) == 0 {
 		return nil, false
 	}
-	budget := s.cfg.MaxWorkers
-	if s.cfg.BudgetCap != nil {
-		if b := s.cfg.BudgetCap(); b > 0 {
-			budget = b
-		}
-	}
-	shares := conc.Apportion(nil, weights, budget-fixed)
+	shares := conc.Apportion(nil, weights, s.cfg.MaxWorkers-fixed)
 	next := make(Replicas, n)
 	copy(next, cur)
 	for i, j := 0, 0; i < n; i++ {

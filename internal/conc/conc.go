@@ -5,7 +5,9 @@
 // and an atomic service-time meter. Both are tuned for the per-item hot
 // path: the limiter wakes exactly one waiter per release instead of
 // broadcasting to all of them, and the meter records a sample with
-// three atomic operations instead of taking a mutex.
+// three atomic operations instead of taking a mutex. Apportion is the
+// one worker split: the live controller (internal/adaptive/liveadapt)
+// divides its worker budget over a pipeline's stages with it.
 package conc
 
 import (

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -200,5 +202,96 @@ func TestLiveAdaptiveProcessFailureLeavesNoGoroutine(t *testing.T) {
 			t.Fatalf("%d goroutines alive, %d before the failing runs", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+func livePipeline(t *testing.T) *Pipeline {
+	t.Helper()
+	work := func(ctx context.Context, v any) (any, error) {
+		time.Sleep(200 * time.Microsecond)
+		return v, nil
+	}
+	p, err := New(
+		Stage("a", work, Weight(0.1), Replicable(), Replicas(1)),
+		Stage("b", work, Weight(0.3), Replicable(), Replicas(1)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestConcurrentArmedLiveRuns runs two armed live pipelines at once on
+// the process-wide executor, each under its own controller: both must
+// return every output, in input order.
+func TestConcurrentArmedLiveRuns(t *testing.T) {
+	inputs := make([]any, 60)
+	for i := range inputs {
+		inputs[i] = i
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	outs := make([][]any, 2)
+	for k := 0; k < 2; k++ {
+		p := livePipeline(t)
+		if err := p.WithLiveAdaptive(PolicyReactive, LiveAdaptiveOptions{
+			MaxWorkers: 4,
+			Interval:   20 * time.Millisecond,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[k], errs[k] = p.Process(context.Background(), inputs)
+		}()
+	}
+	wg.Wait()
+	for k := 0; k < 2; k++ {
+		if errs[k] != nil {
+			t.Fatalf("run %d: %v", k, errs[k])
+		}
+		if len(outs[k]) != len(inputs) {
+			t.Fatalf("run %d: %d outputs for %d inputs", k, len(outs[k]), len(inputs))
+		}
+		for i, v := range outs[k] {
+			if v != i {
+				t.Fatalf("run %d: out[%d]=%v (order broken)", k, i, v)
+			}
+		}
+	}
+}
+
+// TestPipelineConcurrentUseGuard pins the facade fix: two concurrent
+// Process calls on one *Pipeline must not corrupt the single-use live
+// state — exactly one wins, the other gets a clear error.
+func TestPipelineConcurrentUseGuard(t *testing.T) {
+	p := livePipeline(t)
+	inputs := make([]any, 20)
+	for i := range inputs {
+		inputs[i] = i
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for k := 0; k < 4; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[k] = p.Process(context.Background(), inputs)
+		}()
+	}
+	wg.Wait()
+	okCount, errCount := 0, 0
+	for _, err := range errs {
+		if err == nil {
+			okCount++
+		} else if strings.Contains(err.Error(), "single-use") {
+			errCount++
+		} else {
+			t.Fatalf("unexpected error: %v", err)
+		}
+	}
+	if okCount != 1 || errCount != 3 {
+		t.Fatalf("want exactly 1 success and 3 single-use errors, got %d/%d", okCount, errCount)
 	}
 }

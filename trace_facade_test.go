@@ -1,13 +1,11 @@
 package gridpipe
 
 import (
-	"context"
 	"strings"
 	"testing"
 )
 
-// A three-event trace: genome twice, image once, arrivals within the
-// first second so live replay at high speedup stays fast.
+// A three-event trace: genome twice, image once.
 const facadeTrace = `# recorded by gridsim -traffic
 {"t":0,"app":"genome","items":30}
 {"t":0.4,"app":"image","items":20,"weight":2}
@@ -29,6 +27,9 @@ func TestClusterSubmitTraceSimulated(t *testing.T) {
 	}
 	if len(jobs) != 3 {
 		t.Fatalf("submitted %d jobs, want 3", len(jobs))
+	}
+	if name, state := jobs[1].Name(), jobs[1].State(); name != "image-1" || state != "pending" {
+		t.Fatalf("trace job handle: name %q state %q, want image-1 pending", name, state)
 	}
 	rep, err := cl.Run()
 	if err != nil {
@@ -54,94 +55,13 @@ func TestClusterSubmitTraceErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// ReadTrace refuses an unknown app; the cluster refuses a valid
+	// event whose floor exceeds the grid.
 	if _, err := cl.SubmitTrace(strings.NewReader(`{"t":0,"app":"bogus","items":5}`)); err == nil {
 		t.Fatal("unknown app accepted")
 	}
-	live, err := NewCluster(ClusterConfig{MaxWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := live.SubmitTrace(strings.NewReader(facadeTrace)); err == nil {
-		t.Fatal("SubmitTrace on a grid-less cluster accepted")
-	}
-}
-
-// Live replay: every trace event runs a fresh pipeline against the
-// shared worker budget, open loop, in scaled wall-clock time.
-func TestClusterProcessTraceNeedsBuild(t *testing.T) {
-	cl, err := NewCluster(ClusterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.ProcessTrace(context.Background(), strings.NewReader(facadeTrace), ReplayOptions{}); err == nil {
-		t.Fatal("ProcessTrace without a Build callback accepted")
-	}
-}
-
-func TestClusterProcessTraceLive(t *testing.T) {
-	cl, err := NewCluster(ClusterConfig{MaxWorkers: 8, Interval: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := cl.ProcessTrace(context.Background(), strings.NewReader(facadeTrace), ReplayOptions{
-		Speedup: 50,
-		Build: func(app string, items int) (*Pipeline, []any, error) {
-			p := livePipeline(t)
-			inputs := make([]any, items)
-			for i := range inputs {
-				inputs[i] = i
-			}
-			return p, inputs, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results, want 3", len(results))
-	}
-	wantItems := []int{30, 20, 25}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("event %d (%s): %v", i, r.App, r.Err)
-		}
-		if r.Index != i || len(r.Outputs) != wantItems[i] {
-			t.Fatalf("event %d: index=%d outputs=%d, want %d", i, r.Index, len(r.Outputs), wantItems[i])
-		}
-		for j, v := range r.Outputs {
-			if v != j {
-				t.Fatalf("event %d: out[%d]=%v (order broken)", i, j, v)
-			}
-		}
-	}
-}
-
-// A cancelled context stops launching and reports the unlaunched tail.
-func TestClusterProcessTraceCancel(t *testing.T) {
-	cl, err := NewCluster(ClusterConfig{MaxWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	// Gaps are huge in wall time at speedup 1e-3; the pre-cancelled
-	// context must abandon the tail instead of sleeping.
-	results, err := cl.ProcessTrace(ctx, strings.NewReader(facadeTrace), ReplayOptions{
-		Speedup: 1e-3,
-		Build: func(app string, items int) (*Pipeline, []any, error) {
-			return livePipeline(t), []any{1}, nil
-		},
-	})
-	if err == nil {
-		t.Fatal("cancelled replay reported no error")
-	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results", len(results))
-	}
-	// Events after the first gap must carry the context error.
-	for _, r := range results[1:] {
-		if r.Err == nil {
-			t.Fatalf("unlaunched event %d has no error", r.Index)
-		}
+	_, err = cl.SubmitTrace(strings.NewReader(`{"t":0,"app":"genome","items":5,"floor":9}`))
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("a floor over the 4-node grid must fail cleanly at SubmitTrace, got %v", err)
 	}
 }
