@@ -16,7 +16,7 @@
 // Design:
 //
 //   - Submit pushes the task onto the global injection queue (a grown-
-//     once ring) and wakes one parked worker. External producers never
+//     once ring) and wakes one idle worker. External producers never
 //     touch worker deques, so Submit is a queue push + a conditional
 //     channel send — no allocation in steady state (tasks are values;
 //     their Arg is the caller's already-pooled slab).
@@ -29,8 +29,8 @@
 //     grabbed more than it can chew is relieved by its idle siblings.
 //   - An idle worker spins briefly (a few runtime.Gosched rounds, so a
 //     task completing on another P can hand over without a park/unpark
-//     round trip), then parks: it announces itself on the parked
-//     stack, re-checks every queue (announce-then-recheck closes the
+//     round trip), then parks: it announces itself on the idle list,
+//     re-checks every queue (announce-then-recheck closes the
 //     lost-wakeup window), and blocks on its wake channel.
 //   - Deques are mutex-guarded rings rather than lock-free Chase-Lev:
 //     the owner's pop and a thief's steal contend only when the deque
@@ -57,13 +57,33 @@
 // is a single wedged tick: a descheduled or long-computing worker looks
 // the same for one tick, so a spill needs two in a row. Spill workers
 // take one task at a time (no private deque, so they never hide work
-// from the fleet). One that finds the queues dry lingers on an idle
-// list for spillLinger and exits only if nothing woke it by then:
-// wake-ups go to a parked fleet worker first and to the newest
-// lingering spill worker only when no fleet worker is parked, so a
-// fleet that sleeps inside its tasks keeps its spill workers from one
-// wedge to the next, and the injection stays a liveness valve, not a
-// second pool.
+// from the fleet). A stage admits at most Replicas tasks at once, so a
+// stage blocked forever holds at most Replicas workers: alone on the
+// executor, it keeps at most Replicas minus the fleet spill workers.
+//
+// Idle workers of both kinds wait on one idle list, as the Go runtime
+// keeps its idle threads on sched.midle. Its order is the wake
+// preference: spill workers below fleet workers, each part oldest
+// first, and a wake-up takes the top. So a task wakes the newest parked
+// fleet worker, and the newest lingering spill worker only when no
+// fleet worker is parked: a CPU-bound run with an idle fleet never hands
+// work to a spill worker, and a fleet that sleeps inside its tasks keeps
+// its spill workers from one wedge to the next. A spill worker exits
+// when it lingers spillLinger on the list unwoken, so the injection
+// stays a liveness valve, not a second pool. Close wakes the whole list.
+// explore_test.go runs the idle protocol over every interleaving of a
+// small executor and checks that no wake-up is lost.
+//
+// What an idle process pays after its first pipeline:
+//   - the monitor of Default, which is never closed, wakes every
+//     monitorTick until the process exits: about 5 % of a core;
+//   - a spill worker lingers 10 ms after its last task, then exits
+//     (TestSpillWorkerLingersThenExits);
+//   - a pipeline's head linger timer stops with its run's head goroutine
+//     (pipeline.TestBurstThenSilenceFlushesOnLinger arms it and waits
+//     for the run's goroutines to go);
+//   - the live controller's ticker stops with its run
+//     (TestLiveAdaptiveRunAddsOnlyTheTicker in the root package).
 package steal
 
 import (
@@ -86,8 +106,8 @@ type Task struct {
 }
 
 // dequeCap bounds each worker's local deque. Grabs and steals fill at
-// most half of it, so the owner-push overflow path never triggers in
-// practice; 256 matches the Go runtime's per-P run queue.
+// most half of it, and only an empty one (see requeue); 256 matches the
+// Go runtime's per-P run queue.
 const dequeCap = 256
 
 // spinRounds is how many Gosched rounds an idle worker spins before
@@ -135,7 +155,7 @@ type Deque struct {
 }
 
 // Push appends a task at the tail. It reports false when the deque is
-// full (the caller then falls back to the global queue).
+// full.
 func (d *Deque) Push(t Task) bool {
 	d.mu.Lock()
 	if d.n == dequeCap {
@@ -215,10 +235,9 @@ type Executor struct {
 	inject   ring.FIFO[Task]
 	injects  atomic.Int64
 
-	parkMu    sync.Mutex
-	parked    []*worker // stack of sleeping workers
-	lingering []*spill  // stack of idle spill workers, newest last
-	stop      atomic.Bool
+	idleMu sync.Mutex
+	idle   []*sleeper // spill sleepers, then fleet sleepers; each part oldest first
+	stop   atomic.Bool
 
 	// Stall-monitor state: spillDone counts tasks completed by spill
 	// workers (fleet workers count their own, see worker.taskSeq), yields
@@ -235,24 +254,21 @@ type Executor struct {
 	wg sync.WaitGroup
 }
 
-// spill is a lingering spill worker's side of the idle list.
-type spill struct {
-	wake chan struct{} // buffered(1); send under parkMu after de-listing
-	// listed is guarded by e.parkMu: true while the worker is on the
-	// lingering stack (a waker that pops it flips this before sending).
+// sleeper is a worker's entry on the idle list.
+type sleeper struct {
+	wake chan struct{} // buffered(1); sent to under idleMu after de-listing
+	// listed is guarded by e.idleMu: true while the sleeper is on the idle
+	// list (a waker that takes it off flips this before sending).
 	listed bool
+	spill  bool // a spill worker's: woken only when no fleet worker is idle
 }
 
 type worker struct {
+	sleeper
 	e    *Executor
-	id   int
 	dq   Deque
-	wake chan struct{} // buffered(1); send under parkMu after de-listing
-	// asleep is guarded by e.parkMu: true while the worker is on the
-	// parked stack (a waker that pops it flips this before sending).
-	asleep bool
-	seed   uint64 // victim-order xorshift state
-	buf    [dequeCap / 2]Task
+	seed uint64 // victim-order xorshift state
+	buf  [dequeCap / 2]Task
 
 	// taskSeq is bumped on entering and on leaving a task's Fn: odd while
 	// the worker is inside one, and never the same odd value for two
@@ -275,10 +291,9 @@ func newExecutor(n int, linger time.Duration) *Executor {
 	e := &Executor{workers: make([]*worker, n), linger: linger}
 	for i := range e.workers {
 		e.workers[i] = &worker{
-			e:    e,
-			id:   i,
-			wake: make(chan struct{}, 1),
-			seed: uint64(i)*0x9e3779b97f4a7c15 + 1,
+			sleeper: sleeper{wake: make(chan struct{}, 1)},
+			e:       e,
+			seed:    uint64(i)*0x9e3779b97f4a7c15 + 1,
 		}
 	}
 	e.wg.Add(n + 1)
@@ -333,22 +348,11 @@ func (e *Executor) Yield() {
 // Close stops the workers after every previously submitted task has
 // run. The caller must guarantee no Submit races or follows Close
 // (the skeletons end a run only after every task they submitted has
-// returned its result, and submit nothing afterwards). Parked fleet
-// workers and lingering spill workers are woken, not waited out.
+// returned its result, and submit nothing afterwards). Idle workers are
+// woken, not waited out.
 func (e *Executor) Close() {
 	e.stop.Store(true)
-	e.parkMu.Lock()
-	for _, w := range e.parked {
-		w.asleep = false
-		w.wake <- struct{}{}
-	}
-	e.parked = e.parked[:0]
-	for _, s := range e.lingering {
-		s.listed = false
-		s.wake <- struct{}{}
-	}
-	e.lingering = e.lingering[:0]
-	e.parkMu.Unlock()
+	e.wakeAll()
 	e.wg.Wait()
 }
 
@@ -364,26 +368,75 @@ func (e *Executor) Stats() Stats {
 	return s
 }
 
-// wakeOne pops one parked fleet worker and wakes it or, when none is
-// parked, the newest lingering spill worker: a CPU-bound run with an
-// idle fleet never hands work to a spill worker. The wake channel send
-// happens under parkMu with the worker already de-listed, so the
-// worker's own unpark path (which also runs under parkMu) can tell a
-// delivered wake from a pending one without a race.
+// park announces s on the idle list: a fleet sleeper on top, a spill
+// sleeper on top of the other spill sleepers, below every fleet one.
+// The caller then calls recheck before it blocks on s.wake.
+func (e *Executor) park(s *sleeper) {
+	e.idleMu.Lock()
+	i := len(e.idle)
+	for s.spill && i > 0 && !e.idle[i-1].spill {
+		i--
+	}
+	e.idle = slices.Insert(e.idle, i, s)
+	s.listed = true
+	e.idleMu.Unlock()
+}
+
+// recheck is the second half of announce-then-recheck: a task submitted
+// before s was listed is caught here, and one submitted after finds s on
+// the list and wakes it. It reports whether the caller may block on
+// s.wake; on work or a Close it withdraws s and reports false.
+func (e *Executor) recheck(s *sleeper) bool {
+	if e.queued() || e.stop.Load() {
+		e.withdraw(s)
+		return false
+	}
+	return true
+}
+
+// withdraw takes s off the idle list. It reports false when a waker had
+// already taken it off, and then absorbs the wake that waker sent (under
+// idleMu, so it has been delivered).
+func (e *Executor) withdraw(s *sleeper) bool {
+	e.idleMu.Lock()
+	listed := s.listed
+	if listed {
+		i := slices.Index(e.idle, s)
+		e.idle = slices.Delete(e.idle, i, i+1)
+		s.listed = false
+	}
+	e.idleMu.Unlock()
+	if !listed {
+		<-s.wake
+	}
+	return listed
+}
+
+// wakeOne takes the top sleeper off the idle list and wakes it. The send
+// happens under idleMu with the sleeper already de-listed, so its
+// withdraw (which also runs under idleMu) can tell a delivered wake from
+// a pending one without a race.
 func (e *Executor) wakeOne() {
-	e.parkMu.Lock()
-	if n := len(e.parked); n > 0 {
-		w := e.parked[n-1]
-		e.parked = e.parked[:n-1]
-		w.asleep = false
-		w.wake <- struct{}{}
-	} else if n := len(e.lingering); n > 0 {
-		s := e.lingering[n-1]
-		e.lingering = e.lingering[:n-1]
+	e.idleMu.Lock()
+	if n := len(e.idle); n > 0 {
+		s := e.idle[n-1]
+		e.idle = e.idle[:n-1]
 		s.listed = false
 		s.wake <- struct{}{}
 	}
-	e.parkMu.Unlock()
+	e.idleMu.Unlock()
+}
+
+// wakeAll empties the idle list, waking every sleeper on it: Close's
+// sweep, after which a worker that parks sees the stop in its recheck.
+func (e *Executor) wakeAll() {
+	e.idleMu.Lock()
+	for _, s := range e.idle {
+		s.listed = false
+		s.wake <- struct{}{}
+	}
+	e.idle = e.idle[:0]
+	e.idleMu.Unlock()
 }
 
 func (w *worker) run() {
@@ -399,46 +452,55 @@ func (w *worker) run() {
 	}
 }
 
-// monitor is the executor's liveness valve: it samples the fleet every
-// tick, and when the stallProbe finds it wedged inside blocking tasks
-// with work queued, it injects a spill worker to keep the queues
-// draining (and to let K tasks that rendezvous with each other all get
-// on CPU even when K exceeds the fleet). One injection per tick: bursts
-// of blockers escalate linearly, a healthy fleet never escalates at all.
+// monitor is the executor's liveness valve: every tick it runs sample,
+// and when that finds the fleet wedged inside blocking tasks with work
+// queued it injects a spill worker to keep the queues draining (and to
+// let K tasks that rendezvous with each other all get on CPU even when K
+// exceeds the fleet). One injection per tick: bursts of blockers
+// escalate linearly, a healthy fleet never escalates at all.
 func (e *Executor) monitor() {
 	defer e.wg.Done()
 	probe := stallProbe{last: make([]uint64, len(e.workers))}
 	seqs := make([]uint64, len(e.workers))
 	for !e.stop.Load() {
 		time.Sleep(monitorTick)
-		yielding := e.yielding.Load() != 0
-		for i, w := range e.workers {
-			seqs[i] = w.taskSeq.Load()
+		if e.sample(&probe, seqs) {
+			// Safe Add-during-Wait: the monitor's own wg slot holds the
+			// counter above zero until after its last possible spawn.
+			e.wg.Add(1)
+			go e.spillWorker()
 		}
-		queued := e.queued()
-		if !probe.tick(yielding, seqs, e.spillDone.Load(), e.yields.Load(), queued) {
-			if queued {
-				// Queued work and a fleet that is not stuck (or not for
-				// long enough): it needs no new worker, unless one parked
-				// a moment before a sibling grabbed a batch and then
-				// blocked on the batch's first task — nothing wakes it for
-				// what now sits in the sibling's deque. The wake-up goes
-				// to a lingering spill worker when no fleet worker is
-				// parked, and is free when nobody is.
-				e.wakeOne()
-			}
-			continue
-		}
-		if e.spills.Load() >= maxSpill {
-			continue
-		}
-		e.spills.Add(1)
-		e.spillsEver.Add(1)
-		// Safe Add-during-Wait: the monitor's own wg slot holds the
-		// counter above zero until after its last possible spawn.
-		e.wg.Add(1)
-		go e.spillWorker()
 	}
+}
+
+// sample is one monitor tick: it folds the fleet's task counters into
+// the probe and reports whether to start a spill worker, which it has
+// then already counted.
+func (e *Executor) sample(probe *stallProbe, seqs []uint64) bool {
+	yielding := e.yielding.Load() != 0
+	for i, w := range e.workers {
+		seqs[i] = w.taskSeq.Load()
+	}
+	queued := e.queued()
+	if !probe.tick(yielding, seqs, e.spillDone.Load(), e.yields.Load(), queued) {
+		if queued {
+			// Queued work and a fleet that is not stuck (or not for
+			// long enough): it needs no new worker, unless one parked
+			// a moment before a sibling grabbed a batch and then
+			// blocked on the batch's first task — nothing wakes it for
+			// what now sits in the sibling's deque. The wake-up goes
+			// to a lingering spill worker when no fleet worker is
+			// parked, and is free when nobody is.
+			e.wakeOne()
+		}
+		return false
+	}
+	if e.spills.Load() >= maxSpill {
+		return false
+	}
+	e.spills.Add(1)
+	e.spillsEver.Add(1)
+	return true
 }
 
 // stallProbe is the monitor's memory from one tick to the next.
@@ -491,12 +553,12 @@ func (e *Executor) queued() bool {
 
 // spillWorker drains one task at a time — never into a private deque,
 // so nothing it holds is ever invisible to the fleet. When the queues
-// are dry it lingers, and it retires when a linger ends unwoken or the
-// executor closes.
+// are dry it lingers on the idle list, and it retires when a linger
+// ends with it still listed, or the executor closes.
 func (e *Executor) spillWorker() {
 	defer e.wg.Done()
 	defer e.spills.Add(-1)
-	s := &spill{wake: make(chan struct{}, 1)}
+	s := &sleeper{wake: make(chan struct{}, 1), spill: true}
 	expiry := time.NewTimer(e.linger)
 	defer expiry.Stop()
 	for {
@@ -505,52 +567,23 @@ func (e *Executor) spillWorker() {
 			e.spillDone.Add(1)
 			continue
 		}
-		if e.stop.Load() || !e.lingerSpill(s, expiry) {
+		if e.stop.Load() {
 			return
 		}
+		e.park(s)
+		if !e.recheck(s) {
+			continue
+		}
+		expiry.Reset(e.linger)
+		select {
+		case <-s.wake:
+			expiry.Stop()
+		case <-expiry.C:
+			if e.withdraw(s) {
+				return
+			}
+		}
 	}
-}
-
-// lingerSpill waits on the idle list for at most e.linger. It announces
-// s first and then re-checks, as a parking fleet worker does, so a task
-// submitted in between is not missed. It reports false when the linger
-// expired with s still listed, and true when there may be work: a waker
-// took s off the list, or the re-check found work or a Close.
-func (e *Executor) lingerSpill(s *spill, expiry *time.Timer) bool {
-	e.parkMu.Lock()
-	e.lingering = append(e.lingering, s)
-	s.listed = true
-	e.parkMu.Unlock()
-	if e.queued() || e.stop.Load() {
-		e.delist(s)
-		return true
-	}
-	expiry.Reset(e.linger)
-	select {
-	case <-s.wake:
-		expiry.Stop()
-		return true
-	case <-expiry.C:
-		return !e.delist(s)
-	}
-}
-
-// delist takes s off the lingering stack. It reports false when a waker
-// had already taken it off, and then absorbs the wake that waker sent
-// (under parkMu, so it has been delivered).
-func (e *Executor) delist(s *spill) bool {
-	e.parkMu.Lock()
-	listed := s.listed
-	if listed {
-		i := slices.Index(e.lingering, s)
-		e.lingering = slices.Delete(e.lingering, i, i+1)
-		s.listed = false
-	}
-	e.parkMu.Unlock()
-	if !listed {
-		<-s.wake
-	}
-	return listed
 }
 
 // takeOne pops a single task from the global queue or, failing that,
@@ -575,44 +608,26 @@ func (e *Executor) takeOne() (Task, bool) {
 // find returns the next task, blocking through the spin-then-park
 // ladder; false means the executor closed and every queue is dry.
 func (w *worker) find() (Task, bool) {
+	e := w.e
 	for {
-		if t, ok := w.dq.Pop(); ok {
-			w.pops.Add(1)
+		if t, ok := w.look(); ok {
 			return t, true
 		}
-		if t, ok := w.grabGlobal(); ok {
-			return t, true
-		}
-		if t, ok := w.stealAny(); ok {
-			return t, true
-		}
-		if w.e.stop.Load() {
+		if e.stop.Load() {
 			return Task{}, false
 		}
 		// Spin: give the scheduler a few chances to run a producer
 		// before paying the park/unpark round trip.
 		found := false
-		for i := 0; i < spinRounds; i++ {
+		for i := 0; i < spinRounds && !found; i++ {
 			runtime.Gosched()
-			if w.anyWork() {
-				found = true
-				break
-			}
+			found = e.queued()
 		}
 		if found {
 			continue
 		}
-		// Park: announce first, then re-check. A Submit that lands
-		// between the re-check and the channel receive sees the
-		// announcement and wakes us; one that landed before the
-		// re-check is caught by the re-check itself.
-		e := w.e
-		e.parkMu.Lock()
-		e.parked = append(e.parked, w)
-		w.asleep = true
-		e.parkMu.Unlock()
-		if w.anyWork() || e.stop.Load() {
-			w.unpark()
+		e.park(&w.sleeper)
+		if !e.recheck(&w.sleeper) {
 			continue
 		}
 		w.parks.Add(1)
@@ -620,42 +635,17 @@ func (w *worker) find() (Task, bool) {
 	}
 }
 
-// unpark withdraws a just-announced park: de-list if still listed,
-// otherwise absorb the wake a waker has (with the send under parkMu
-// already completed) delivered.
-func (w *worker) unpark() {
-	e := w.e
-	e.parkMu.Lock()
-	if w.asleep {
-		for i, pw := range e.parked {
-			if pw == w {
-				e.parked = append(e.parked[:i], e.parked[i+1:]...)
-				break
-			}
-		}
-		w.asleep = false
-		e.parkMu.Unlock()
-		return
+// look is one pass of the worker's search: its own deque, then a batch
+// from the global queue, then half of a sibling's deque.
+func (w *worker) look() (Task, bool) {
+	if t, ok := w.dq.Pop(); ok {
+		w.pops.Add(1)
+		return t, true
 	}
-	e.parkMu.Unlock()
-	<-w.wake
-}
-
-// anyWork reports whether any queue anywhere holds a task.
-func (w *worker) anyWork() bool {
-	e := w.e
-	e.injectMu.Lock()
-	n := e.inject.Len()
-	e.injectMu.Unlock()
-	if n > 0 {
-		return true
+	if t, ok := w.grabGlobal(); ok {
+		return t, true
 	}
-	for _, v := range e.workers {
-		if v != w && v.dq.Len() > 0 {
-			return true
-		}
-	}
-	return false
+	return w.stealAny()
 }
 
 // grabGlobal moves a batch of qlen/nworkers+1 tasks (capped at half
@@ -715,18 +705,19 @@ func (w *worker) stealAny() (Task, bool) {
 	return Task{}, false
 }
 
-// requeue pushes buf[1:k] into the local deque (buf[0] is returned to
-// the caller to run immediately) and clears the buffer. The deque is
-// empty when grabs and steals happen and k is at most half its
-// capacity, so the global fallback is defensive only.
+// requeue copies buf[1:k] into the worker's own deque under one lock
+// (buf[0] goes to the caller to run) and clears the buffer. The deque
+// is empty here: only its owner pushes, the owner grabs or steals only
+// after its own Pop found the deque empty, and k-1 < dequeCap/2, so
+// nothing can overflow.
 func (w *worker) requeue(k int) {
-	for i := 1; i < k; i++ {
-		if !w.dq.Push(w.buf[i]) {
-			w.e.injectMu.Lock()
-			w.e.inject.Push(w.buf[i])
-			w.e.injectMu.Unlock()
-		}
-		w.buf[i] = Task{}
+	d := &w.dq
+	d.mu.Lock()
+	if d.n != 0 {
+		panic("steal: requeue into a non-empty deque; only its owner pushes, after its own Pop found it empty")
 	}
-	w.buf[0] = Task{}
+	d.head = 0
+	d.n = copy(d.buf[:], w.buf[1:k])
+	d.mu.Unlock()
+	clear(w.buf[:k])
 }

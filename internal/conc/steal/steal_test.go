@@ -278,9 +278,14 @@ func runOne(t *testing.T, e *Executor) {
 func waitLingering(t *testing.T, e *Executor, n int) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		e.parkMu.Lock()
-		got := len(e.lingering)
-		e.parkMu.Unlock()
+		e.idleMu.Lock()
+		got := 0
+		for _, s := range e.idle {
+			if s.spill {
+				got++
+			}
+		}
+		e.idleMu.Unlock()
 		if got == n {
 			return
 		}
@@ -335,31 +340,35 @@ func TestSpillWorkerLingersThenExits(t *testing.T) {
 	}
 }
 
-// TestWakeOnePrefersParkedFleet: a wake-up goes to a parked fleet
-// worker while there is one, and only then to the newest lingering
-// spill worker, whose own delist then finds it taken off and absorbs the
-// wake.
+// TestWakeOnePrefersParkedFleet: park files a spill sleeper below every
+// fleet sleeper, even one that parked before it, so a wake-up goes to a
+// parked fleet worker while there is one, and only then to the newest
+// lingering spill worker, whose own withdraw then finds it taken off and
+// absorbs the wake.
 func TestWakeOnePrefersParkedFleet(t *testing.T) {
-	w := &worker{wake: make(chan struct{}, 1), asleep: true}
-	older := &spill{wake: make(chan struct{}, 1), listed: true}
-	newer := &spill{wake: make(chan struct{}, 1), listed: true}
-	e := &Executor{parked: []*worker{w}, lingering: []*spill{older, newer}}
+	w := &sleeper{wake: make(chan struct{}, 1)}
+	older := &sleeper{wake: make(chan struct{}, 1), spill: true}
+	newer := &sleeper{wake: make(chan struct{}, 1), spill: true}
+	e := &Executor{}
+	e.park(older)
+	e.park(w)
+	e.park(newer)
 	e.wakeOne()
-	if w.asleep || len(w.wake) != 1 || len(e.parked) != 0 {
+	if w.listed || len(w.wake) != 1 || len(e.idle) != 2 {
 		t.Fatal("the parked fleet worker was not woken")
 	}
-	if len(older.wake)+len(newer.wake) != 0 || len(e.lingering) != 2 {
+	if len(older.wake)+len(newer.wake) != 0 {
 		t.Fatal("a spill worker was woken while a fleet worker was parked")
 	}
 	e.wakeOne()
 	if newer.listed || len(newer.wake) != 1 || len(older.wake) != 0 || !older.listed {
 		t.Fatal("with no fleet worker parked, the newest lingering spill worker was not the one woken")
 	}
-	if e.delist(newer) || len(newer.wake) != 0 {
-		t.Fatal("delist of a woken spill worker did not absorb its wake")
+	if e.withdraw(newer) || len(newer.wake) != 0 {
+		t.Fatal("withdraw of a woken spill worker did not absorb its wake")
 	}
-	if !e.delist(older) || older.listed || len(e.lingering) != 0 {
-		t.Fatal("delist of a listed spill worker did not take it off")
+	if !e.withdraw(older) || older.listed || len(e.idle) != 0 {
+		t.Fatal("withdraw of a listed spill worker did not take it off")
 	}
 }
 
@@ -384,10 +393,11 @@ func TestCloseWakesLingeringSpill(t *testing.T) {
 		t.Fatal("Close is waiting out a lingering spill worker")
 	}
 
-	late := &Executor{linger: time.Hour}
+	late := &Executor{}
 	late.stop.Store(true)
-	s := &spill{wake: make(chan struct{}, 1)}
-	if !late.lingerSpill(s, time.NewTimer(time.Hour)) || s.listed || len(late.lingering) != 0 {
+	s := &sleeper{wake: make(chan struct{}, 1), spill: true}
+	late.park(s)
+	if late.recheck(s) || s.listed || len(late.idle) != 0 {
 		t.Fatal("a spill worker lingering after Close did not withdraw")
 	}
 }

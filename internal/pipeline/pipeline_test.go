@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"gridpipe/internal/conc/steal"
 )
 
 func double(ctx context.Context, v any) (any, error) { return v.(int) * 2, nil }
@@ -114,6 +116,63 @@ func TestReplicationActuallyParallel(t *testing.T) {
 	}
 	if atomic.LoadInt64(&peak) > 4 {
 		t.Fatalf("replica limit exceeded (peak %d)", peak)
+	}
+}
+
+// TestBlockedStageHoldsAtMostReplicasWorkers: a stage whose function
+// blocks until released takes at most Replicas executor workers, however
+// long it stays blocked. On a two-worker set a Replicas-4 stage gets both
+// fleet workers and two spill workers, and then the limiter submits no
+// fifth task, so the stall monitor finds nothing queued to spill for.
+func TestBlockedStageHoldsAtMostReplicasWorkers(t *testing.T) {
+	watchGoroutines(t)
+	const fleet, replicas, items = 2, 4, 12
+	ex := steal.New(fleet)
+	defer ex.Close()
+	var inside atomic.Int64
+	gate := make(chan struct{})
+	p, err := New(Stage{Name: "blocks", Replicas: replicas, Fn: func(_ context.Context, v any) (any, error) {
+		inside.Add(1)
+		<-gate
+		return v, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.UseExecutor(ex)
+	type result struct {
+		out []any
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		out, err := p.Process(context.Background(), ints(items))
+		done <- result{out, err}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); inside.Load() < replicas || ex.Stats().Spills < replicas-fleet; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d calls inside the stage, %d spill workers; want %d and %d", inside.Load(), ex.Stats().Spills, replicas, replicas-fleet)
+		}
+	}
+	// The behaviour under test is that nothing more happens: 20 ms is
+	// two spill lingers and many monitor ticks, time enough for the
+	// blocked stage to draw another call or another spill worker.
+	time.Sleep(20 * time.Millisecond)
+	if n, s := inside.Load(), ex.Stats().Spills; n != replicas || s != replicas-fleet {
+		t.Fatalf("a blocked Replicas-%d stage on %d workers: %d calls inside, %d spill workers; want %d and %d", replicas, fleet, n, s, replicas, replicas-fleet)
+	}
+	close(gate)
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	for i, v := range r.out {
+		if v.(int) != i {
+			t.Fatalf("output %d: got %v", i, v)
+		}
+	}
+	if len(r.out) != items {
+		t.Fatalf("%d outputs for %d inputs", len(r.out), items)
 	}
 }
 
