@@ -20,10 +20,7 @@ import (
 // directory under internal/. An entry that gains a caller or no longer
 // exists fails TestNoDeadExports, so the list can only shrink; it may
 // never hold more than maxAllowlisted entries.
-var deadExportAllowlist = map[string]string{
-	"sched.SearchGrainVector":            "awaiting ROADMAP item 3: the live controller is its caller",
-	"pipeline.Pipeline.EnableBatchEdges": "awaiting ROADMAP item 3; FuzzEnableBatchEdges keeps it fuzzed meanwhile",
-}
+var deadExportAllowlist = map[string]string{}
 
 const maxAllowlisted = 10
 

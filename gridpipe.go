@@ -213,14 +213,9 @@ func (p *Pipeline) WithBatch(n int, opts ...BatchOptions) error {
 	}
 	p.batchN = n
 	p.batchOpt = o
-	// Rate model predictions at the same grain; the last call wins.
-	p.spec.Grains = nil
-	if n > 1 {
-		p.spec.Grains = make([]int, len(p.spec.Stages))
-		for i := range p.spec.Grains {
-			p.spec.Grains[i] = n
-		}
-	}
+	// Rate model predictions at the same grain (GrainAuto's -1 rates
+	// as per-item); the last call wins.
+	p.spec.Grain = max(n, 0)
 	return nil
 }
 

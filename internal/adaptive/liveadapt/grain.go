@@ -4,24 +4,18 @@ import (
 	"math"
 )
 
-// GrainTarget is the optional second actuator surface: targets whose
-// stage boundaries move batches expose each independently tunable
-// boundary's batch size for the controller to walk. *pipeline.Pipeline
-// satisfies it: boundary 0 is its head, and under EnableBatchEdges
-// every further boundary is a bridge edge.
+// GrainTarget is the optional second actuator surface: a target whose
+// stage boundaries move batches exposes its one batch size, the grain,
+// for the controller to walk. *pipeline.Pipeline satisfies it.
 type GrainTarget interface {
-	// GrainBoundaries returns how many independently tunable
-	// boundaries the target has (1 under uniform batching).
-	GrainBoundaries() int
-	// GrainAt returns boundary b's current batch size.
-	GrainAt(b int) int
-	// SetGrainAt changes boundary b's batch size while running.
-	SetGrainAt(b, n int) error
+	// Grain returns the current batch size.
+	Grain() int
+	// SetGrain changes the batch size while running.
+	SetGrain(n int) error
 }
 
-func (t pipelineTarget) GrainBoundaries() int      { return t.p.GrainBoundaries() }
-func (t pipelineTarget) GrainAt(b int) int         { return t.p.GrainAt(b) }
-func (t pipelineTarget) SetGrainAt(b, n int) error { return t.p.SetGrainAt(b, n) }
+func (t pipelineTarget) Grain() int           { return t.p.Grain() }
+func (t pipelineTarget) SetGrain(n int) error { return t.p.SetGrain(n) }
 
 // grainWalk is the granularity hill-climber's state, owned by liveSub
 // and advanced once per sensor tick (so it runs under the core
@@ -34,26 +28,16 @@ func (t pipelineTarget) SetGrainAt(b, n int) error { return t.p.SetGrainAt(b, n)
 // degradation factor of the rate the settled grain delivered — the
 // same trigger discipline the replica controller uses, so a workload
 // shift re-opens both actuators.
-//
-// Over several boundaries the walk is a coordinate descent: the same
-// double-or-halve probe runs against one boundary at a time, moving to
-// the next boundary when a step is reverted, lands within the margin,
-// or hits a rail, and settling only once every boundary in a row has
-// yielded nothing. With a single boundary the rotation is the identity
-// and the walk is exactly the uniform one.
 type grainWalk struct {
 	target  GrainTarget
-	nb      int     // boundary count
 	max     int     // grain ceiling
 	margin  float64 // accept threshold (derived from HysteresisGain)
 	degrade float64 // re-arm threshold (adaptive.DegradationFactor)
 
 	last    float64 // time of the last grain change (cooldown anchor)
-	b       int     // boundary currently being probed
-	dirs    []int   // per-boundary direction: +1 doubling, -1 halving
-	quiet   int     // consecutive boundaries that yielded no accepted step
+	dir     int     // +1 doubling, -1 halving
 	prev    int     // grain before the pending step (revert point)
-	rate    float64 // best throughput attributed to the current grains
+	rate    float64 // best throughput attributed to the current grain
 	pending bool    // a step awaits its post-cooldown evaluation
 	settled bool    // walk converged; waiting for degradation
 }
@@ -63,7 +47,7 @@ type grainWalk struct {
 // doubling/halving step. Called from Sample with the same clock the
 // triggers use.
 func (w *grainWalk) step(s *liveSub, now float64) {
-	if w == nil || w.target == nil {
+	if w == nil {
 		return
 	}
 	cool := s.cfg.Cooldown.Seconds()
@@ -74,29 +58,27 @@ func (w *grainWalk) step(s *liveSub, now float64) {
 	if math.IsNaN(tput) {
 		return
 	}
-	cur := w.target.GrainAt(w.b)
+	cur := w.target.Grain()
 
 	if w.pending {
 		w.pending = false
 		switch {
 		case tput >= w.rate*w.margin:
-			// The step paid for itself: keep it, keep walking this
-			// boundary.
+			// The step paid for itself: keep it, keep walking.
 			w.rate = tput
-			w.quiet = 0
 		case tput*w.margin < w.rate:
-			// The step cost throughput: revert and move on. The
-			// direction flips so a later pass over this boundary
-			// probes the other side first.
-			w.actuate(w.b, w.prev, now)
-			w.dirs[w.b] = -w.dirs[w.b]
-			w.advance()
+			// The step cost throughput: revert and settle. The
+			// direction flips so a re-armed walk probes the other
+			// side first.
+			w.actuate(w.prev, now)
+			w.dir = -w.dir
+			w.settled = true
 			return
 		default:
 			// Within the margin either way: keep the grain (it did
-			// not hurt) but stop probing this boundary.
+			// not hurt) but stop probing.
 			w.rate = tput
-			w.advance()
+			w.settled = true
 			return
 		}
 	}
@@ -108,15 +90,14 @@ func (w *grainWalk) step(s *liveSub, now float64) {
 			}
 			return
 		}
-		// Observed rate collapsed below the settled grains' record:
+		// Observed rate collapsed below the settled grain's record:
 		// re-open the walk from current conditions.
 		w.settled = false
-		w.quiet = 0
 		w.rate = tput
 	}
 
 	next := cur
-	if w.dirs[w.b] >= 0 {
+	if w.dir >= 0 {
 		next = cur * 2
 	} else {
 		next = cur / 2
@@ -128,37 +109,25 @@ func (w *grainWalk) step(s *liveSub, now float64) {
 		next = w.max
 	}
 	if next == cur {
-		// Hit a rail: probe this boundary's other direction on the
-		// next pass, move on now.
-		w.dirs[w.b] = -w.dirs[w.b]
-		w.advance()
+		// Hit a rail: settle, and probe the other direction once
+		// re-armed.
+		w.dir = -w.dir
+		w.settled = true
 		return
 	}
 	w.prev = cur
 	if math.IsNaN(w.rate) {
 		w.rate = tput
 	}
-	w.actuate(w.b, next, now)
+	w.actuate(next, now)
 	w.pending = true
 }
 
-// advance rotates to the next boundary, settling once a full rotation
-// has yielded no accepted step. With one boundary this settles
-// immediately — the uniform walk's behaviour.
-func (w *grainWalk) advance() {
-	w.quiet++
-	if w.quiet >= w.nb {
-		w.settled = true
-		return
-	}
-	w.b = (w.b + 1) % w.nb
-}
-
-func (w *grainWalk) actuate(b, n int, now float64) {
-	if err := w.target.SetGrainAt(b, n); err != nil {
+func (w *grainWalk) actuate(n int, now float64) {
+	if err := w.target.SetGrain(n); err != nil {
 		// The target's grain surface was probed at construction; a
 		// failure here is a programming error.
-		panic("liveadapt: SetGrainAt: " + err.Error())
+		panic("liveadapt: SetGrain: " + err.Error())
 	}
 	w.last = now
 }

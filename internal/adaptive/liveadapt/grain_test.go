@@ -22,9 +22,8 @@ type grainFake struct {
 	grain int
 }
 
-func (f *grainFake) GrainBoundaries() int { return 1 }
-func (f *grainFake) GrainAt(int) int      { return f.grain }
-func (f *grainFake) SetGrainAt(_, n int) error {
+func (f *grainFake) Grain() int { return f.grain }
+func (f *grainFake) SetGrain(n int) error {
 	f.grain = n
 	return nil
 }
@@ -32,7 +31,7 @@ func (f *grainFake) SetGrainAt(_, n int) error {
 // refusingGrain is a grain surface that cannot be actuated.
 type refusingGrain struct{ *grainFake }
 
-func (refusingGrain) SetGrainAt(int, int) error { return errors.New("grain is fixed") }
+func (refusingGrain) SetGrain(int) error { return errors.New("grain is fixed") }
 
 // drive advances the walker through ticks spaced one cooldown apart,
 // crediting completions at rate(grain) between ticks.
@@ -140,59 +139,6 @@ func TestGrainWalkReArmsOnDegradation(t *testing.T) {
 	}
 }
 
-// edgeFake scripts a two-boundary GrainTarget.
-type edgeFake struct {
-	*fakeTarget
-	grains []int
-}
-
-func (f *edgeFake) GrainBoundaries() int { return len(f.grains) }
-func (f *edgeFake) GrainAt(b int) int    { return f.grains[b] }
-func (f *edgeFake) SetGrainAt(b, n int) error {
-	f.grains[b] = n
-	return nil
-}
-
-func TestGrainWalkCoordinateDescentPerBoundary(t *testing.T) {
-	f := &edgeFake{fakeTarget: newFake(1), grains: []int{1, 1}}
-	s := subFor(t, f, nil, Config{
-		Policy:     adaptive.PolicyPeriodic,
-		Interval:   time.Second,
-		Cooldown:   2 * time.Second,
-		AdaptGrain: true,
-		MaxGrain:   64,
-	})
-	if s.grain.nb != 2 {
-		t.Fatalf("walker should descend over 2 boundaries, got nb=%d", s.grain.nb)
-	}
-	// Boundary 0 amortizes a heavy per-batch overhead; coarsening
-	// boundary 1 only costs throughput. The descent must coarsen the
-	// first and keep the second fine.
-	rate := func(int) float64 {
-		r := 1000 / (1 + 9/float64(f.grains[0]))
-		return r / (1 + 0.5*float64(f.grains[1]-1))
-	}
-	drive2 := func(from, ticks int) {
-		cool := s.cfg.Cooldown.Seconds()
-		now := float64(from) * cool
-		for i := 0; i < ticks; i++ {
-			now += cool
-			f.observe(0, int64(rate(0)*cool), time.Millisecond)
-			s.Sample(now)
-		}
-	}
-	drive2(1, 80)
-	if f.grains[0] < 32 {
-		t.Fatalf("overhead-dominated boundary stuck at grain %d, want coarse (grains %v)", f.grains[0], f.grains)
-	}
-	if f.grains[1] != 1 {
-		t.Fatalf("penalized boundary coarsened to %d, want 1 (grains %v)", f.grains[1], f.grains)
-	}
-	if !s.grain.settled {
-		t.Fatal("descent should settle once every boundary yields nothing")
-	}
-}
-
 func TestAdaptGrainConstructionChecks(t *testing.T) {
 	// A plain fake has no grain surface.
 	if _, err := newController(newFake(1), nil, Config{Policy: adaptive.PolicyPeriodic, AdaptGrain: true}); err == nil {
@@ -200,7 +146,7 @@ func TestAdaptGrainConstructionChecks(t *testing.T) {
 	}
 	// A target that refuses its own grain → construction error.
 	if _, err := newController(refusingGrain{&grainFake{fakeTarget: newFake(1), grain: 1}}, nil, Config{Policy: adaptive.PolicyPeriodic, AdaptGrain: true}); err == nil {
-		t.Fatal("AdaptGrain over a target that rejects SetGrainAt should fail")
+		t.Fatal("AdaptGrain over a target that rejects SetGrain should fail")
 	}
 	// A pipeline nobody configured starts the walk at grain 1.
 	p, err := pipeline.New(pipeline.Stage{Name: "s", Fn: pipeline.Func(identityFn), Replicas: 1})

@@ -12,8 +12,8 @@
 //     receive workers proportional to their (forecast) service times,
 //     bounded by MaxWorkers, under conc.Apportion — actuating via
 //     pipeline.SetReplicas; under AdaptGrain, a grain walker over the
-//     pipeline's one grain surface (GrainTarget: GrainBoundaries,
-//     GrainAt, SetGrainAt);
+//     pipeline's one grain (GrainTarget: Grain, SetGrain), which the
+//     head batcher applies to every slab it forms;
 //   - Clock: a time.Ticker.
 //
 // The controller reads the stages as the pipeline's model spec
@@ -200,14 +200,11 @@ func newController(target Target, stages []model.StageSpec, cfg Config) (*Contro
 			return nil, fmt.Errorf("liveadapt: AdaptGrain target exposes no grain surface")
 		}
 		// Probe actuability now: every pipeline accepts its own
-		// current grains, but GrainTarget is an interface and another
+		// current grain, but GrainTarget is an interface and another
 		// implementation may refuse — failing at construction beats
 		// panicking mid-run.
-		nb := gt.GrainBoundaries()
-		for b := 0; b < nb; b++ {
-			if err := gt.SetGrainAt(b, gt.GrainAt(b)); err != nil {
-				return nil, fmt.Errorf("liveadapt: AdaptGrain: %w", err)
-			}
+		if err := gt.SetGrain(gt.Grain()); err != nil {
+			return nil, fmt.Errorf("liveadapt: AdaptGrain: %w", err)
 		}
 		// A margin at or below 1 would accept a losing step.
 		hg := cfg.HysteresisGain
@@ -216,17 +213,13 @@ func newController(target Target, stages []model.StageSpec, cfg Config) (*Contro
 		}
 		sub.grain = &grainWalk{
 			target: gt,
-			nb:     nb,
 			max:    cfg.MaxGrain,
 			// Accepting a grain step is cheaper than a remapping, so
 			// the walk demands a quarter of the resize margin.
 			margin:  1 + (hg-1)/4,
 			degrade: adaptive.DegradationFactor,
 			rate:    math.NaN(),
-			dirs:    make([]int, nb),
-		}
-		for b := range sub.grain.dirs {
-			sub.grain.dirs[b] = 1
+			dir:     1,
 		}
 	}
 	core, err := adaptive.New(sub, sub, &wallClock{epoch: sub.epoch}, adaptive.Config{
@@ -241,11 +234,11 @@ func newController(target Target, stages []model.StageSpec, cfg Config) (*Contro
 	return &Controller{Controller: core, sub: sub}, nil
 }
 
-// Grain returns the target's head batch size (boundary 0), or 1 when
-// the target has no grain surface.
+// Grain returns the target's batch size, or 1 when the target has no
+// grain surface.
 func (c *Controller) Grain() int {
 	if gt, ok := c.sub.target.(GrainTarget); ok {
-		return gt.GrainAt(0)
+		return gt.Grain()
 	}
 	return 1
 }

@@ -104,6 +104,18 @@ func (s *snap) liveSpills() int {
 	return n
 }
 
+// startingSpills counts the spill workers counted by sample whose
+// goroutine has not yet begun.
+func (s *snap) startingSpills() int {
+	n := 0
+	for _, m := range s.spill {
+		if m.phase == starting {
+			n++
+		}
+	}
+	return n
+}
+
 // step is one enabled move: actor 0..exFleet-1 a fleet worker, then the
 // spill slots, then the producer, then the monitor; alt picks between a
 // phase's two moves.
@@ -252,6 +264,7 @@ func (x *explorer) restore(s snap) {
 	e.stop.Store(s.stop)
 	e.spillDone.Store(int64(s.spillDone))
 	e.spills.Store(int64(s.liveSpills()))
+	e.spillsStarting.Store(int64(s.startingSpills()))
 	for i, v := range s.probe.last {
 		x.probe.last[i] = uint64(v)
 	}
@@ -323,7 +336,8 @@ func (x *explorer) work(k int, alt uint8) {
 	e, m, sl := x.e, x.mirror(k), x.sleeper(k)
 	fleet := k < exFleet
 	switch m.phase {
-	case starting: // the go statement's goroutine begins spillWorker
+	case starting: // the go statement's goroutine begins spillWorker, which uncounts itself
+		e.spillsStarting.Add(-1)
 		m.phase = looking
 	case looking: // find: look, then the stop check; spillWorker: takeOne, then the stop check
 		var t Task
@@ -448,8 +462,8 @@ func (x *explorer) queued() int {
 // explorer keeps its own count of wedged ticks in a row — work queued,
 // every fleet worker inside the task it was inside at the tick before,
 // and no spill worker finished a task since — and holds sample to it:
-// a spill on the second such tick in a row and on every later one, and
-// on no other.
+// a spill on the second such tick in a row and on every later one while
+// no spill worker it started is still to begin, and on no other.
 func (x *explorer) tick() {
 	e := x.e
 	x.s.ticks++
@@ -467,11 +481,14 @@ func (x *explorer) tick() {
 	if !wedged {
 		x.s.wedged = 0
 	}
+	unstarted := x.s.startingSpills()
 	spill := e.sample(&x.probe, x.seqs)
 	switch {
 	case spill && x.s.wedged < 2:
 		x.fail("a spill on wedged tick %d in a row; want one from the second on", x.s.wedged)
-	case !spill && x.s.wedged >= 2:
+	case spill && unstarted > 0:
+		x.fail("a spill while %d spill workers it started have not begun; want none until they run", unstarted)
+	case !spill && x.s.wedged >= 2 && unstarted == 0:
 		x.fail("work queued behind a fleet wedged for %d ticks, and no spill", x.s.wedged)
 	}
 	if spill {
@@ -481,6 +498,7 @@ func (x *explorer) tick() {
 		}
 		if j == exSpill { // the explorer's cap: what sample does at maxSpill
 			e.spills.Add(-1)
+			e.spillsStarting.Add(-1)
 			e.spillsEver.Add(-1)
 			x.capped++
 		} else {
@@ -559,6 +577,11 @@ func (x *explorer) check() {
 	}
 	if n, live := e.spills.Load(), s.liveSpills(); n != int64(live) || live > exSpill {
 		x.fail("spills counts %d live spill workers, %d exist, cap %d", n, live, exSpill)
+	}
+	// sample starts a spill worker only when none it started is still to
+	// begin, so at most one ever is.
+	if n, st := e.spillsStarting.Load(), s.startingSpills(); n != int64(st) || st > 1 {
+		x.fail("spillsStarting counts %d, %d spill workers have not begun; want equal, at most 1", n, st)
 	}
 }
 

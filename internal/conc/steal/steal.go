@@ -55,11 +55,13 @@
 // spill worker. A queued task that an idle or busy-but-moving fleet has
 // merely not grabbed yet is not a stall and spills nothing, and neither
 // is a single wedged tick: a descheduled or long-computing worker looks
-// the same for one tick, so a spill needs two in a row. Spill workers
-// take one task at a time (no private deque, so they never hide work
-// from the fleet). A stage admits at most Replicas tasks at once, so a
-// stage blocked forever holds at most Replicas workers: alone on the
-// executor, it keeps at most Replicas minus the fleet spill workers.
+// the same for one tick, so a spill needs two in a row. Nor does a tick
+// spill while a spill worker it started has yet to run: that one is on
+// its way to the queued work. Spill workers take one task at a time
+// (no private deque, so they never hide work from the fleet). A stage
+// admits at most Replicas tasks at once, so a stage blocked forever
+// holds at most Replicas workers: alone on the executor, it keeps at
+// most Replicas minus the fleet spill workers.
 //
 // Idle workers of both kinds wait on one idle list, as the Go runtime
 // keeps its idle threads on sched.midle. Its order is the wake
@@ -242,14 +244,16 @@ type Executor struct {
 	// Stall-monitor state: spillDone counts tasks completed by spill
 	// workers (fleet workers count their own, see worker.taskSeq), yields
 	// the calls to Yield and yielding those not yet returned, spills the
-	// live spill workers (lingering ones included), spillsEver the
+	// live spill workers (lingering ones included), spillsStarting those
+	// counted by sample whose goroutine has not yet begun, spillsEver the
 	// cumulative count.
-	spillDone  atomic.Int64
-	yields     atomic.Int64
-	yielding   atomic.Int64
-	spills     atomic.Int64
-	spillsEver atomic.Int64
-	linger     time.Duration // spillLinger; tests lengthen it
+	spillDone      atomic.Int64
+	yields         atomic.Int64
+	yielding       atomic.Int64
+	spills         atomic.Int64
+	spillsStarting atomic.Int64
+	spillsEver     atomic.Int64
+	linger         time.Duration // spillLinger; tests lengthen it
 
 	wg sync.WaitGroup
 }
@@ -475,7 +479,9 @@ func (e *Executor) monitor() {
 
 // sample is one monitor tick: it folds the fleet's task counters into
 // the probe and reports whether to start a spill worker, which it has
-// then already counted.
+// then already counted. While a spill worker it started has not begun
+// running, that worker is on its way to the queued work, and the tick
+// starts no other: a second would find nothing, linger and exit.
 func (e *Executor) sample(probe *stallProbe, seqs []uint64) bool {
 	yielding := e.yielding.Load() != 0
 	for i, w := range e.workers {
@@ -495,10 +501,11 @@ func (e *Executor) sample(probe *stallProbe, seqs []uint64) bool {
 		}
 		return false
 	}
-	if e.spills.Load() >= maxSpill {
+	if e.spills.Load() >= maxSpill || e.spillsStarting.Load() != 0 {
 		return false
 	}
 	e.spills.Add(1)
+	e.spillsStarting.Add(1)
 	e.spillsEver.Add(1)
 	return true
 }
@@ -556,6 +563,7 @@ func (e *Executor) queued() bool {
 // are dry it lingers on the idle list, and it retires when a linger
 // ends with it still listed, or the executor closes.
 func (e *Executor) spillWorker() {
+	e.spillsStarting.Add(-1)
 	defer e.wg.Done()
 	defer e.spills.Add(-1)
 	s := &sleeper{wake: make(chan struct{}, 1), spill: true}

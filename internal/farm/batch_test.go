@@ -79,7 +79,7 @@ func TestBatchedOrderedPreservesOrder(t *testing.T) {
 
 func TestSetBatchWhileRunning(t *testing.T) {
 	watchGoroutines(t)
-	// The ordered farm starts at the default grain of 1: SetGrainAt works
+	// The ordered farm starts at the default grain of 1: SetGrain works
 	// on it all the same, there is no batched wiring to have opted into.
 	for _, unordered := range []bool{true, false} {
 		grain := 1
@@ -96,12 +96,12 @@ func TestSetBatchWhileRunning(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				in <- i
 				if i == 100 {
-					if err := f.pl.SetGrainAt(0, 1); err != nil {
+					if err := f.pl.SetGrain(1); err != nil {
 						panic(err)
 					}
 				}
 				if i == 200 {
-					if err := f.pl.SetGrainAt(0, 32); err != nil {
+					if err := f.pl.SetGrain(32); err != nil {
 						panic(err)
 					}
 				}
@@ -117,8 +117,8 @@ func TestSetBatchWhileRunning(t *testing.T) {
 		if count != 300 {
 			t.Fatalf("unordered=%v: lost items: %d of 300", unordered, count)
 		}
-		if g := f.pl.GrainAt(0); g != 32 {
-			t.Errorf("unordered=%v: grain = %d after SetGrainAt(0, 32)", unordered, g)
+		if g := f.pl.Grain(); g != 32 {
+			t.Errorf("unordered=%v: grain = %d after SetGrain(32)", unordered, g)
 		}
 	}
 }
@@ -185,7 +185,7 @@ func TestFarmTrickleNeverWaitsLongerThanLinger(t *testing.T) {
 
 // TestFarmBatchWorkersConcurrent is the mid-flight actuation
 // regression test (pipeline counterpart:
-// TestGrainResizeConcurrentMidFlight): SetGrainAt racing SetWorkers on a
+// TestGrainResizeConcurrentMidFlight): SetGrain racing SetWorkers on a
 // running ordered farm must stay race-free and never drop or reorder
 // a task.
 func TestFarmBatchWorkersConcurrent(t *testing.T) {
@@ -214,8 +214,8 @@ func TestFarmBatchWorkersConcurrent(t *testing.T) {
 			default:
 			}
 			if i%2 == 0 {
-				if err := f.pl.SetGrainAt(0, batches[i%len(batches)]); err != nil {
-					t.Errorf("SetGrainAt: %v", err)
+				if err := f.pl.SetGrain(batches[i%len(batches)]); err != nil {
+					t.Errorf("SetGrain: %v", err)
 					return
 				}
 			} else {

@@ -7,7 +7,7 @@ import (
 	"gridpipe/internal/grid"
 )
 
-// A zero-valued batch spec (uniform grain 0 or 1, no overheads) must
+// A zero-valued batch spec (grain 0 or 1, no overheads) must
 // take the legacy arithmetic paths exactly: same throughput, busy vector, link
 // bound, and latency bit for bit.
 func TestPredictUnbatchedBitIdentical(t *testing.T) {
@@ -18,7 +18,7 @@ func TestPredictUnbatchedBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, grain := range []int{0, 1} {
-		got, err := Predict(g, spec.AtGrains(uniform(3, grain)), OneToOne(3), []float64{0.2, 0, 0.1})
+		got, err := Predict(g, withGrain(spec, grain), OneToOne(3), []float64{0.2, 0, 0.1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestPredictGrainAmortizesOverhead(t *testing.T) {
 	spec.BatchOverheads = []float64{0.09, 0.09, 0.09} // 9× the per-item work
 
 	// Grain 1 with overhead live: each item pays work + h = 0.1 s.
-	p1, err := Predict(g, spec.AtGrains(uniform(3, 1)), OneToOne(3), nil)
+	p1, err := Predict(g, withGrain(spec, 1), OneToOne(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestPredictGrainAmortizesOverhead(t *testing.T) {
 		t.Fatalf("grain-1 throughput = %v, want 10", p1.Throughput)
 	}
 	// Grain 9: work + h/9 = 0.02 s per item → 50 items/s.
-	p9, err := Predict(g, spec.AtGrains(uniform(3, 9)), OneToOne(3), nil)
+	p9, err := Predict(g, withGrain(spec, 9), OneToOne(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestPredictBatchLinkLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := Balanced(2, 1e-6, 1000) // 1000 B per hop, near-zero work
-	spec.Grains = uniform(2, 10)
+	spec.Grain = 10
 	p, err := Predict(g, spec, OneToOne(2), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestPredictBatchLinkLatency(t *testing.T) {
 		t.Fatalf("link bound = %v, want %v", p.LinkBound, wantLink)
 	}
 	// Raising the grain weakens the latency term and raises the bound.
-	p2, err := Predict(g, spec.AtGrains(uniform(2, 100)), OneToOne(2), nil)
+	p2, err := Predict(g, withGrain(spec, 100), OneToOne(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,36 +107,27 @@ func TestSpecBatchValidation(t *testing.T) {
 		t.Fatal("negative batch overhead should fail validation")
 	}
 	spec.BatchOverheads = nil
-	spec.Grains = []int{-2, -2}
+	spec.Grain = -2
 	if err := spec.Validate(); err == nil {
 		t.Fatal("negative grain should fail validation")
 	}
-	spec.Grains = []int{4}
-	if err := spec.Validate(); err == nil {
-		t.Fatal("grain vector shorter than the stage count should fail validation")
-	}
-	spec.Grains = nil
+	spec.Grain = 0
 	spec.BatchOverheads = []float64{0}
 	if err := spec.Validate(); err == nil {
 		t.Fatal("batch-overhead vector shorter than the stage count should fail validation")
 	}
 }
 
-// uniform returns the grain vector that batches every one of ns
-// boundaries at g.
-func uniform(ns, g int) []int {
-	v := make([]int, ns)
-	for i := range v {
-		v[i] = g
-	}
-	return v
+// withGrain returns a copy of spec batched at grain g.
+func withGrain(spec PipelineSpec, g int) PipelineSpec {
+	spec.Grain = g
+	return spec
 }
 
 // TestUniformGrainPinned pins, bit for bit, the predictions a
-// pipeline-wide scalar grain and overhead gave before the model kept
-// grain only as a per-boundary vector: every case above, rated through
-// its uniform vector, must reproduce the scalar field's Throughput,
-// Latency and bottleneck exactly.
+// pipeline-wide grain and overhead have given since the model's first
+// batch-aware release: every case above must reproduce the same
+// Throughput, Latency and bottleneck exactly.
 func TestUniformGrainPinned(t *testing.T) {
 	link := grid.Link{Latency: 1e-3, Bandwidth: 1e9}
 	linkGrid, err := grid.Homogeneous(2, 1, link)
@@ -155,19 +146,19 @@ func TestUniformGrainPinned(t *testing.T) {
 		tp, lat    uint64
 		bottleneck grid.NodeID
 	}{
-		{"unbatched grain 0", testGrid(t, 1, 0.5, 2), unbatched.AtGrains(uniform(3, 0)), []float64{0.2, 0, 0.1},
+		{"unbatched grain 0", testGrid(t, 1, 0.5, 2), withGrain(unbatched, 0), []float64{0.2, 0, 0.1},
 			0x4014000000000000, 0x3fd8618c4c04dea2, 1},
-		{"unbatched grain 1", testGrid(t, 1, 0.5, 2), unbatched.AtGrains(uniform(3, 1)), []float64{0.2, 0, 0.1},
+		{"unbatched grain 1", testGrid(t, 1, 0.5, 2), withGrain(unbatched, 1), []float64{0.2, 0, 0.1},
 			0x4014000000000000, 0x3fd8618c4c04dea2, 1},
-		{"overhead grain 1", testGrid(t, 1, 1, 1), amort.AtGrains(uniform(3, 1)), nil,
+		{"overhead grain 1", testGrid(t, 1, 1, 1), withGrain(amort, 1), nil,
 			0x4024000000000000, 0x3fd3381d7dbf487f, 0},
-		{"overhead grain 9", testGrid(t, 1, 1, 1), amort.AtGrains(uniform(3, 9)), nil,
+		{"overhead grain 9", testGrid(t, 1, 1, 1), withGrain(amort, 9), nil,
 			0x4049000000000000, 0x3faedfa43fe5c91e, 0},
 		{"overhead-free", testGrid(t, 1, 1, 1), Balanced(3, 0.01, 0), nil,
 			0x4059000000000000, 0x3f9f06f694467381, 0},
-		{"link grain 10", linkGrid, linked.AtGrains(uniform(2, 10)), nil,
+		{"link grain 10", linkGrid, withGrain(linked, 10), nil,
 			0x40c3567ebb9079aa, 0x3f606ab14ec204f2, -1},
-		{"link grain 100", linkGrid, linked.AtGrains(uniform(2, 100)), nil,
+		{"link grain 100", linkGrid, withGrain(linked, 100), nil,
 			0x40f631d1745d1745, 0x3f606ab14ec204f2, -1},
 	}
 	for _, c := range cases {

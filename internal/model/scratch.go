@@ -14,15 +14,10 @@ import (
 	"gridpipe/internal/topo"
 )
 
-// flowEntry is one directed link's accumulated per-item bytes. gr is
-// the batch size the model charges per-message link latency at: when
-// flows crossing the same node pair travel at different grains (a
-// per-boundary grain vector), the finest grain dominates — it sends
-// the most messages — so merging keeps the minimum.
+// flowEntry is one directed link's accumulated per-item bytes.
 type flowEntry struct {
 	a, b  grid.NodeID
 	bytes float64
-	gr    float64
 }
 
 // PredictScratch holds every intermediate buffer one analytic
@@ -93,22 +88,18 @@ func (s *PredictScratch) readyFor(ns int) []float64 {
 	return s.ready[:ns]
 }
 
-// addFlow accumulates bytes onto the directed pair (a, b), keeping the
-// finest grain seen for the pair. Linear search keeps the accumulator
-// allocation-free; the distinct-pair count is bounded by the stage
-// graph's edges times replica fan, which is small in every workload
-// the searches rate.
-func (s *PredictScratch) addFlow(a, b grid.NodeID, bytes, gr float64) {
+// addFlow accumulates bytes onto the directed pair (a, b). Linear
+// search keeps the accumulator allocation-free; the distinct-pair count
+// is bounded by the stage graph's edges times replica fan, which is
+// small in every workload the searches rate.
+func (s *PredictScratch) addFlow(a, b grid.NodeID, bytes float64) {
 	for i := range s.flows {
 		if s.flows[i].a == a && s.flows[i].b == b {
 			s.flows[i].bytes += bytes
-			if gr < s.flows[i].gr {
-				s.flows[i].gr = gr
-			}
 			return
 		}
 	}
-	s.flows = append(s.flows, flowEntry{a: a, b: b, bytes: bytes, gr: gr})
+	s.flows = append(s.flows, flowEntry{a: a, b: b, bytes: bytes})
 }
 
 // CloneBusyInto copies the prediction's NodeBusy into dst (grown as

@@ -18,7 +18,7 @@ type StageSpec = topo.Stage
 // internal/topo). A nil Topo is the linear chain over Stages (stage i
 // feeds stage i+1); otherwise Stages mirror the graph's node list
 // one-for-one, which FromGraph guarantees. Methods take a pointer: a
-// value receiver copies all 13 words per call, even inlined.
+// value receiver copies all 11 words per call, even inlined.
 type PipelineSpec struct {
 	Stages []StageSpec
 	// InBytes is the size of each raw input entering stage 1 from the
@@ -31,34 +31,29 @@ type PipelineSpec struct {
 	// chain over Stages: the model walks the chain its PredictScratch
 	// holds, every other consumer the one Graph builds.
 	Topo *topo.Graph
-	// Grains, when non-empty, gives every stage boundary its own batch
-	// size: Grains[i] is the grain of the batches entering stage i
-	// (Grains[0] = the head batcher's grain). Length must equal the
-	// stage count; a uniform grain is a uniform vector. Entries 0 and 1
-	// both mean per-item transfer, and so does an empty vector. Larger
-	// grains divide the boundary's per-batch cost and per-transfer link
-	// latency across Grains[i] items. This is the model-side mirror of
-	// the live runtime's EnableBatchEdges.
-	Grains []int
+	// Grain is the batch size every stage boundary carries: the model
+	// side of the live pipeline's one grain (pipeline.EnableBatch),
+	// which the head forms and every stage keeps 1-for-1. 0 and 1 both
+	// mean per-item transfer. A larger grain divides every boundary's
+	// per-batch cost and every transfer's link latency across Grain
+	// items.
+	Grain int
 	// BatchOverheads, when non-empty, gives every stage boundary its
 	// fixed per-batch cost h in reference-seconds (BatchOverheads[i]
 	// entering stage i): the channel/limiter/reorderer synchronization
 	// a batch pays once regardless of how many items it carries,
-	// amortized as h/grain per item. Length must equal the stage count.
+	// amortized as h/Grain per item. It is per boundary because it is
+	// a measured cost, not a grain. Length must equal the stage count.
 	// Empty (the default) models free boundaries, which keeps unbatched
 	// predictions bit-identical.
 	BatchOverheads []float64
 }
 
-// EffGrainAt returns the batch size the model charges at stage i's
-// input boundary: the per-boundary vector entry, floored at 1 so a
-// zero entry or an empty vector behaves per-item.
-func (p *PipelineSpec) EffGrainAt(i int) float64 {
-	if len(p.Grains) == 0 {
-		return 1
-	}
-	if g := p.Grains[i]; g > 1 {
-		return float64(g)
+// EffGrain returns the batch size the model charges at every
+// boundary: Grain, floored at 1 so grain 0 behaves per-item.
+func (p *PipelineSpec) EffGrain() float64 {
+	if p.Grain > 1 {
+		return float64(p.Grain)
 	}
 	return 1
 }
@@ -72,15 +67,13 @@ func (p *PipelineSpec) OverheadAt(i int) float64 {
 	return p.BatchOverheads[i]
 }
 
-// Batched reports whether the batch-aware cost terms are live: any
-// boundary with a grain above 1 or a nonzero per-batch overhead. An
+// Batched reports whether the batch-aware cost terms are live: a grain
+// above 1 or any boundary with a nonzero per-batch overhead. An
 // unbatched spec takes the legacy arithmetic paths exactly, so its
 // predictions stay bit-identical to earlier releases.
 func (p *PipelineSpec) Batched() bool {
-	for _, g := range p.Grains {
-		if g > 1 {
-			return true
-		}
+	if p.Grain > 1 {
+		return true
 	}
 	for _, h := range p.BatchOverheads {
 		if h > 0 {
@@ -88,16 +81,6 @@ func (p *PipelineSpec) Batched() bool {
 		}
 	}
 	return false
-}
-
-// AtGrains returns a copy of the spec evaluated at the per-boundary
-// grain vector (grains[i] entering stage i) — the grain axis of the
-// scheduler's search (see sched.SearchGrainVector). The slice is
-// copied, so callers may reuse their buffer across candidates.
-func (p *PipelineSpec) AtGrains(grains []int) PipelineSpec {
-	q := *p
-	q.Grains = append([]int(nil), grains...)
-	return q
 }
 
 // FromGraph builds a spec whose Stages mirror the graph's nodes and
@@ -153,13 +136,8 @@ func (p *PipelineSpec) Validate() error {
 	if p.InBytes < 0 {
 		return fmt.Errorf("model: negative input size %v", p.InBytes)
 	}
-	if len(p.Grains) != 0 && len(p.Grains) != len(p.Stages) {
-		return fmt.Errorf("model: grain vector has %d entries, spec has %d stages", len(p.Grains), len(p.Stages))
-	}
-	for i, g := range p.Grains {
-		if g < 0 {
-			return fmt.Errorf("model: negative grain %d at boundary %d", g, i)
-		}
+	if p.Grain < 0 {
+		return fmt.Errorf("model: negative grain %d", p.Grain)
 	}
 	if len(p.BatchOverheads) != 0 && len(p.BatchOverheads) != len(p.Stages) {
 		return fmt.Errorf("model: batch-overhead vector has %d entries, spec has %d stages", len(p.BatchOverheads), len(p.Stages))

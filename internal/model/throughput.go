@@ -105,16 +105,17 @@ func PredictInto(g *grid.Grid, spec PipelineSpec, m Mapping, loads []float64, s 
 	// Per-node busy seconds per item. At grain gr, every batch pays
 	// the fixed boundary overhead h once, so each item carries h/gr of
 	// it on top of its own work — the paper's amortized-overhead term.
-	// Each stage is charged at its own input grain. The unbatched case
-	// skips the term entirely, so its predictions stay bit-identical.
+	// The unbatched case skips the term entirely, so its predictions
+	// stay bit-identical.
 	batched := spec.Batched()
+	gr := spec.EffGrain()
 	busy := s.busyFor(g.NumNodes())
 	for i, st := range spec.Stages {
 		replicas := m.Assign[i]
 		share := 1 / float64(len(replicas))
 		work := st.Work
 		if batched {
-			work += spec.OverheadAt(i) / spec.EffGrainAt(i)
+			work += spec.OverheadAt(i) / gr
 		}
 		for _, n := range replicas {
 			node := g.Node(n)
@@ -129,7 +130,7 @@ func PredictInto(g *grid.Grid, spec PipelineSpec, m Mapping, loads []float64, s 
 	// fan, and per-pair additions happen in the same program order as
 	// the old map accumulation, so the sums are bit-identical.
 	s.flows = s.flows[:0]
-	addFlow := func(from, to []grid.NodeID, bytes, gr float64) {
+	addFlow := func(from, to []grid.NodeID, bytes float64) {
 		if bytes == 0 {
 			return
 		}
@@ -137,26 +138,23 @@ func PredictInto(g *grid.Grid, spec PipelineSpec, m Mapping, loads []float64, s 
 		for _, a := range from {
 			for _, b := range to {
 				if a != b {
-					s.addFlow(a, b, share, gr)
+					s.addFlow(a, b, share)
 				}
 			}
 		}
 	}
 	// Data flows follow the stage graph: source → entry, one flow per
 	// edge (a split duplicates its payload onto every out-edge, a
-	// merge's in-edges each carry their own part), exit → sink. Each
-	// flow travels at the grain of the boundary it crosses — the
-	// receiving stage's input grain, with the exit → sink flow at the
-	// exit's own grain.
+	// merge's in-edges each carry their own part), exit → sink.
 	graph := s.graphFor(spec.Topo, spec.Stages)
 	exit := len(spec.Stages) - 1 // the structural contract pins entry=0, exit=n-1
 	source := []grid.NodeID{spec.Source}
 	sink := []grid.NodeID{spec.Sink}
-	addFlow(source, m.Assign[0], spec.InBytes, spec.EffGrainAt(0))
+	addFlow(source, m.Assign[0], spec.InBytes)
 	for _, ed := range graph.Edges {
-		addFlow(m.Assign[ed.From], m.Assign[ed.To], ed.Bytes, spec.EffGrainAt(ed.To))
+		addFlow(m.Assign[ed.From], m.Assign[ed.To], ed.Bytes)
 	}
-	addFlow(m.Assign[exit], sink, spec.Stages[exit].OutBytes, spec.EffGrainAt(exit))
+	addFlow(m.Assign[exit], sink, spec.Stages[exit].OutBytes)
 
 	// Bounds.
 	tp := math.Inf(1)
@@ -176,16 +174,14 @@ func PredictInto(g *grid.Grid, spec PipelineSpec, m Mapping, loads []float64, s 
 	// (latency pipelines away). Batched, each transfer is one message
 	// per gr items, so every item also carries Latency/gr of the
 	// per-message link latency — small batches on a high-latency link
-	// are charged for it, which is exactly the amortization the grain
-	// search trades against batching delay. Each flow carries the grain
-	// of its boundary (the finest one, if several flows merged onto the
-	// same node pair).
+	// are charged for it, which is exactly the amortization a coarser
+	// grain trades against batching delay.
 	linkBound := math.Inf(1)
 	for _, f := range s.flows {
 		lk := g.Link(f.a, f.b)
 		var bound float64
 		if batched {
-			bound = 1 / (f.bytes/lk.Bandwidth + lk.Latency/f.gr)
+			bound = 1 / (f.bytes/lk.Bandwidth + lk.Latency/gr)
 		} else {
 			bound = lk.Bandwidth / f.bytes
 		}
@@ -228,7 +224,7 @@ func PredictInto(g *grid.Grid, spec PipelineSpec, m Mapping, loads []float64, s 
 		node := g.Node(n)
 		work := st.Work
 		if batched {
-			work += spec.OverheadAt(i) / spec.EffGrainAt(i)
+			work += spec.OverheadAt(i) / gr
 		}
 		ready[i] = t + work/(node.Speed*(1-loadOf(n)))
 	}

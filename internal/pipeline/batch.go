@@ -12,14 +12,14 @@
 //
 // Invariants:
 //
-//   - slabs are formed at the head (and re-formed only on bridge edges,
-//     see edgegrain.go); every stage maps one input slab to one output
-//     slab of the same index, first sequence number, and length, so
-//     slab boundaries stay aligned along every path of the stage graph
-//     and a fan-in zips its in-streams slab-by-slab;
-//   - the head flushes a slab when it reaches the current grain
-//     (SetGrainAt, readable while running — the adaptive controller's
-//     second actuator dimension) or when it has lingered for the linger
+//   - there is one grain, the head's: slabs are formed only at the
+//     head, and every stage maps one input slab to one output slab of
+//     the same index, first sequence number, and length, so slab
+//     boundaries stay aligned along every path of the stage graph and a
+//     fan-in zips its in-streams slab-by-slab;
+//   - the head flushes a slab when it reaches the grain (SetGrain,
+//     readable while running — the adaptive controller's second
+//     actuator dimension) or when it has lingered for the linger
 //     timeout, so a trickle input keeps bounded latency. The head takes
 //     its input in bursts — it parks only when the channel is dry and
 //     otherwise drains it with non-blocking receives — and the linger
@@ -27,13 +27,6 @@
 //     while a burst lasts the next item is already there, so the slab's
 //     oldest item is at most a burst older than its clock, and neither
 //     a slab of one nor a saturated input ever touches the timer;
-//   - a slab is eager when nothing is known to follow it: a partial
-//     slab flushed by linger or end of input always, a grain-full one
-//     exactly when the head's look-ahead — one non-blocking receive,
-//     made when the entry queue has room for the slab — did not produce
-//     the item that opens the next slab. So a slab that is not eager is
-//     always followed by another flush, and no item can be stranded in
-//     a coarsening accumulator downstream (edgegrain.go);
 //   - slabs are reference-counted (a split shares one among all its
 //     out-edges) and recycled through a sync.Pool, so the steady-state
 //     boundary performs no per-item and no per-slab heap allocation;
@@ -56,18 +49,12 @@ const DefaultLinger = time.Millisecond
 // stage boundary together. seq is the sequence number of items[0];
 // idx counts slabs 0,1,2,… in head order (the reorder key). refs is
 // the number of consumers still holding the slab — a split hands the
-// same slab to every out-edge. eager marks a slab flushed by
-// linger, end-of-input, or a dry input: every stage propagates it,
-// and a coarsening per-edge boundary (edgegrain.go) flushes its
-// accumulator on seeing it instead of waiting to fill — which keeps
-// the head's linger the dominant batching wait even when a downstream
-// boundary re-slabs to a larger grain.
+// same slab to every out-edge.
 type batch struct {
 	idx   int
 	seq   int
 	items []any
 	refs  int32
-	eager bool
 }
 
 // newBatch takes a slab from the pool (or allocates the first time a
@@ -79,7 +66,6 @@ func (p *Pipeline) newBatch(idx, seq int) *batch {
 	}
 	b.idx, b.seq = idx, seq
 	b.items = b.items[:0]
-	b.eager = false
 	atomic.StoreInt32(&b.refs, 1)
 	if p.slabHook != nil {
 		p.slabHook(1)
@@ -105,7 +91,7 @@ func (p *Pipeline) releaseBatch(b *batch) {
 // EnableBatch sets the grain and linger before Run: items cross
 // boundaries in slabs of up to grain items, flushed early when the
 // oldest item has waited linger (linger <= 0 picks DefaultLinger).
-// The grain is adjustable while running via SetGrainAt(0, n).
+// The grain is adjustable while running via SetGrain.
 func (p *Pipeline) EnableBatch(grain int, linger time.Duration) error {
 	if grain < 1 {
 		return fmt.Errorf("pipeline: EnableBatch grain %d below 1", grain)
@@ -119,10 +105,21 @@ func (p *Pipeline) EnableBatch(grain int, linger time.Duration) error {
 		return fmt.Errorf("pipeline: EnableBatch after Run")
 	}
 	p.linger.Store(int64(linger))
-	// Every boundary at one grain: the uniform vector, valid on any
-	// graph.
-	for b := range p.grains {
-		p.grains[b].Store(int64(grain))
+	p.grain.Store(int64(grain))
+	return nil
+}
+
+// Grain returns the current grain: the most items the head packs into
+// one slab.
+func (p *Pipeline) Grain() int { return int(p.grain.Load()) }
+
+// SetGrain changes the grain (minimum 1) while the pipeline runs; the
+// head applies it from the next item it takes. It is the one grain
+// actuator: liveadapt's grain walker drives it.
+func (p *Pipeline) SetGrain(n int) error {
+	if n < 1 {
+		return fmt.Errorf("pipeline: SetGrain(%d) below 1", n)
 	}
+	p.grain.Store(int64(n))
 	return nil
 }

@@ -5,14 +5,12 @@ package pipeline
 // to be one select per item is now four situations: a burst that never
 // goes dry while the run is cancelled, a burst that ends on a partial
 // slab, a grain shrunk under an open slab, and an input closed mid-burst.
-// Eager — may this slab be the last traffic for a while? — is decided by
-// the burst's look-ahead, not by len() of a channel that may have no
-// buffer to measure.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -127,7 +125,7 @@ func TestBurstThenSilenceFlushesOnLinger(t *testing.T) {
 	}
 }
 
-// TestBurstGrainShrinkFlushesAtNextItem: SetGrainAt(0, n) below the
+// TestBurstGrainShrinkFlushesAtNextItem: SetGrain(n) below the
 // open slab's length takes effect at the next item the head takes, in a
 // burst as at a park — and only for the slab that was open: the rest of
 // the burst opens a new one, which waits (here, for the close; the
@@ -153,7 +151,7 @@ func TestBurstGrainShrinkFlushesAtNextItem(t *testing.T) {
 		}
 	}
 	quiet("before the shrink") // 40 of 64, no clock to speak of
-	if err := p.SetGrainAt(0, 8); err != nil {
+	if err := p.SetGrain(8); err != nil {
 		t.Fatal(err)
 	}
 	quiet("after the shrink, before the next item")
@@ -188,9 +186,9 @@ func TestBurstGrainShrinkFlushesAtNextItem(t *testing.T) {
 }
 
 // TestBurstClosedInputFlushesTailEager holds the first stage shut and
-// reads the slabs the head left in the entry queue: of a closed burst of
-// 2×grain+5, the full slab whose look-ahead found the next item is not
-// eager, and the partial slab the close cut short is.
+// reads the slabs the head left in the entry queue: a closed burst of
+// 2×grain+5 leaves a full slab and the partial slab the close cut short,
+// flushed at the close, not after the hour-long linger.
 func TestBurstClosedInputFlushesTailEager(t *testing.T) {
 	watchGoroutines(t)
 	const grain = 8
@@ -212,17 +210,13 @@ func TestBurstClosedInputFlushesTailEager(t *testing.T) {
 	close(in)
 	out, errs := p.Run(context.Background(), in)
 	r := p.run.Load()
-	type slab struct {
-		items int
-		eager bool
-	}
-	var queued []slab
+	var queued []int
 	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
 		r.mu.Lock()
 		done := r.entry.closed
 		queued = queued[:0]
 		r.entry.q.RemoveIf(func(b *batch) bool {
-			queued = append(queued, slab{len(b.items), b.eager})
+			queued = append(queued, len(b.items))
 			return false
 		})
 		r.mu.Unlock()
@@ -234,8 +228,8 @@ func TestBurstClosedInputFlushesTailEager(t *testing.T) {
 		}
 	}
 	// The first slab is with the gated stage; the other two are queued.
-	if want := []slab{{grain, false}, {5, true}}; len(queued) != 2 || queued[0] != want[0] || queued[1] != want[1] {
-		t.Errorf("entry queue holds %+v, want %+v", queued, want)
+	if want := []int{grain, 5}; !slices.Equal(queued, want) {
+		t.Errorf("entry queue holds slabs of %v items, want %v", queued, want)
 	}
 	close(gate)
 	n := 0
@@ -250,88 +244,5 @@ func TestBurstClosedInputFlushesTailEager(t *testing.T) {
 	}
 	if n != cap(in) {
 		t.Fatalf("delivered %d of %d", n, cap(in))
-	}
-}
-
-// TestEagerFollowsLookAhead: a head slab is eager only when the input was
-// dry behind it, so a coarsening bridge edge coarsens. [1, 64] over n
-// items hands the second stage about n/64 slabs when the feeder can run
-// ahead — through a buffered channel, and through Process — where len()
-// of an unbuffered channel called every slab eager and handed it n. Every
-// time the head does find the input dry costs one slab more: a handful in
-// a run (more under the race detector, which slows the feeder most). An
-// unbuffered feeder that the head outruns is still dry at every look:
-// that case only has to beat n.
-func TestEagerFollowsLookAhead(t *testing.T) {
-	watchGoroutines(t)
-	const n, grain = 64_000, 64
-	dry := int64(16)
-	if raceEnabled {
-		dry = 128
-	}
-	downstream := func(t *testing.T, run func(p *Pipeline) int) int64 {
-		t.Helper()
-		p := chain2(t)
-		if err := p.EnableBatchEdges([]int{1, grain}, time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		var taken atomic.Int64
-		p.slabHook = func(d int) {
-			if d > 0 {
-				taken.Add(1)
-			}
-		}
-		if got := run(p); got != n {
-			t.Fatalf("delivered %d of %d", got, n)
-		}
-		return taken.Load() - n // the head took one slab per item
-	}
-	stream := func(buffer int) func(p *Pipeline) int {
-		return func(p *Pipeline) int {
-			in := make(chan any, buffer)
-			go func() {
-				defer close(in)
-				for i := 0; i < n; i++ {
-					in <- i
-				}
-			}()
-			out, errs := p.Run(context.Background(), in)
-			seen := 0
-			for v := range out {
-				if v.(int) != seen {
-					t.Fatalf("output %d: got %v", seen, v)
-				}
-				seen++
-			}
-			if err := <-errs; err != nil {
-				t.Fatal(err)
-			}
-			return seen
-		}
-	}
-	process := func(p *Pipeline) int {
-		got, err := p.Process(context.Background(), ints(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(got)
-	}
-	for _, tc := range []struct {
-		name string
-		run  func(p *Pipeline) int
-		max  int64
-	}{
-		{"buffered", stream(256), n/grain + dry},
-		{"Process", process, n/grain + dry},
-		{"unbuffered", stream(0), n - 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := downstream(t, tc.run); got > tc.max {
-				t.Errorf("stage 1 was handed %d slabs for %d items at edge grain %d, want at most %d",
-					got, n, grain, tc.max)
-			} else {
-				t.Logf("stage 1 was handed %d slabs", got)
-			}
-		})
 	}
 }

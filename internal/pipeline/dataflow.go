@@ -20,17 +20,6 @@ type edge struct {
 	room     int // capacity, in slabs: the producing stage's Buffer
 	from, to int
 	closed   bool // the producer retired: nothing more will be pushed
-
-	// Re-slab state of a bridge edge with its own grain (edgegrain.go; grain
-	// is nil otherwise). deliver folds each in-order slab into acc, which
-	// flushes into q, under fresh contiguous indices, at the edge grain,
-	// behind an eager slab, and when the producer retires. Room is checked
-	// once per folded slab, so a coarse→fine regrain may overshoot it by
-	// ⌈slab size / edge grain⌉ slabs.
-	grain   *atomic.Int64
-	acc     *batch
-	nextIdx int
-	nextSeq int
 }
 
 // stageState is one stage's share of the run state.
@@ -106,10 +95,6 @@ func (p *Pipeline) newDataflow(ctx context.Context, ex *steal.Executor, fail fun
 	}
 	for ei, e := range p.edges {
 		r.edges[ei] = edge{from: e.From, to: e.To, room: p.stages[e.From].Buffer}
-		// A bridge always leaves a single-out stage: a split never re-slabs.
-		if p.regrain != nil && p.regrain[ei] {
-			r.edges[ei].grain = &p.grains[1+ei]
-		}
 	}
 	r.entry, r.exit = &r.edges[len(p.edges)], &r.edges[len(p.edges)+1]
 	*r.entry = edge{from: -1, to: 0, room: p.stages[0].Buffer}
@@ -266,19 +251,15 @@ func wake(c chan struct{}) {
 	}
 }
 
-// cancelAll latches cancellation: every queued slab and partial re-slab
-// goes back to the pool; deliver now releases what it pops and fire does
-// nothing. Fired slabs still run; a stage retires when its last one has.
+// cancelAll latches cancellation: every queued slab goes back to the
+// pool; deliver now releases what it pops and fire does nothing. Fired
+// slabs still run; a stage retires when its last one has.
 func (r *dataflow) cancelAll() {
 	r.cancelled = true
 	for i := range r.edges {
 		e := &r.edges[i]
 		for b, ok := e.q.Pop(); ok; b, ok = e.q.Pop() {
 			r.p.releaseBatch(b)
-		}
-		if e.acc != nil {
-			r.p.releaseBatch(e.acc)
-			e.acc = nil
 		}
 	}
 	for s := range r.stages {
@@ -335,8 +316,6 @@ func (r *dataflow) deliver(s int, st *stageState) {
 			st.dead = true
 		case st.dead || r.cancelled:
 			r.p.releaseBatch(b)
-		case st.out[0].grain != nil:
-			r.reslab(st.out[0], b)
 		default:
 			// A split shares the slab: one reference per extra consumer,
 			// taken before any of them can see it.
@@ -364,34 +343,6 @@ func (r *dataflow) push(e *edge, b *batch) {
 	r.mark(e.to)
 }
 
-// reslab folds one in-order slab into a regraining edge's accumulator,
-// flushing at the edge grain and on eager pressure.
-func (r *dataflow) reslab(e *edge, nb *batch) {
-	tgt := int(e.grain.Load())
-	for _, v := range nb.items {
-		if e.acc == nil {
-			e.acc = r.p.newBatch(e.nextIdx, e.nextSeq)
-		}
-		e.acc.items = append(e.acc.items, v)
-		if len(e.acc.items) >= tgt {
-			r.flushAcc(e, nb.eager)
-		}
-	}
-	if nb.eager && e.acc != nil {
-		r.flushAcc(e, true)
-	}
-	r.p.releaseBatch(nb)
-}
-
-func (r *dataflow) flushAcc(e *edge, eager bool) {
-	b := e.acc
-	e.acc = nil
-	b.eager = eager
-	e.nextIdx++
-	e.nextSeq += len(b.items)
-	r.push(e, b)
-}
-
 // fire is the second rule.
 func (r *dataflow) fire(s int, st *stageState, rd []ready) []ready {
 	for !r.cancelled {
@@ -407,22 +358,17 @@ func (r *dataflow) fire(s int, st *stageState, rd []ready) []ready {
 		if !r.p.limits[s].TryAcquire() {
 			return rd
 		}
-		b := r.take(st)
-		if b == nil {
-			r.p.limits[s].Release()
-			return rd
-		}
 		st.flying++
-		rd = append(rd, ready{s, b})
+		rd = append(rd, ready{s, r.take(st)})
 	}
 	return rd
 }
 
 // take pops stage st's next input slab, one per in-edge, and marks the
-// producers: room opened behind them. Every stage preserves slabs
-// 1-for-1, so the k-th slab of every in-stream of a merge has the same
-// index and length; the join is a slab of []any part vectors, parts in
-// in-edge order. A skewed pair fails the run and yields nil.
+// producers: room opened behind them. Slabs are formed only at the head
+// and every stage preserves them 1-for-1, so the k-th slab of every
+// in-stream of a merge has the same index and length; the join is a slab
+// of []any part vectors, parts in in-edge order.
 func (r *dataflow) take(st *stageState) *batch {
 	if len(st.in) == 1 {
 		e := st.in[0]
@@ -437,16 +383,12 @@ func (r *dataflow) take(st *stageState) *batch {
 		switch {
 		case ob == nil:
 			ob = r.p.newBatch(b.idx, b.seq)
-			ob.eager = b.eager
 			for range b.items {
 				ob.items = append(ob.items, make([]any, len(st.in)))
 			}
 		case b.idx != ob.idx || len(b.items) != len(ob.items):
-			r.fail(fmt.Errorf("pipeline: fan-in slab skew (slab %d vs %d, %d vs %d items)",
+			panic(fmt.Sprintf("pipeline: fan-in slab skew (slab %d vs %d, %d vs %d items); slabs are formed only at the head and kept 1-for-1, so a merge's in-streams cannot skew",
 				b.idx, ob.idx, len(b.items), len(ob.items)))
-			r.p.releaseBatch(b)
-			r.p.releaseBatch(ob)
-			return nil
 		}
 		for j, v := range b.items {
 			ob.items[j].([]any)[k] = v
@@ -459,8 +401,7 @@ func (r *dataflow) take(st *stageState) *batch {
 // retire ends a stage: nothing of it is on the executor or in its ring,
 // and nothing more can arrive — the run is cancelled, or its in-edge is
 // closed and empty (a merge's in-edges carry the same slab sequence, so
-// the first drained means all are). A partial re-slab goes out as the
-// stream's tail.
+// the first drained means all are).
 func (r *dataflow) retire(st *stageState) {
 	if st.flying > 0 {
 		return
@@ -470,9 +411,6 @@ func (r *dataflow) retire(st *stageState) {
 	}
 	st.retired = true
 	for _, e := range st.out {
-		if e.acc != nil {
-			r.flushAcc(e, true)
-		}
 		e.closed = true
 		r.mark(e.to)
 	}
@@ -507,27 +445,24 @@ func (r *dataflow) runHead(inputs <-chan any) {
 		v        any
 		ok, more bool
 	)
-	// next is the burst's look-ahead, a non-blocking receive into v, ok:
-	// more says whether the channel had anything — an item, or its close —
-	// and the result whether an item follows the ones already taken.
-	next := func() bool {
+	// next takes the burst's next item without blocking, into v, ok; more
+	// says whether the channel had anything — an item, or its close.
+	next := func() {
 		select {
 		case v, ok = <-inputs:
 			more = true
 		default:
 			more = false
 		}
-		return more && ok
 	}
-	// flush hands cur to the entry queue: eager as it is (linger, end of
-	// input) with a nil look, and otherwise eager unless look finds the
-	// item that opens the following slab (see pushEntry).
-	flush := func(look func() bool) bool {
+	// flush hands cur to the entry queue and stops its linger clock; a
+	// grain-full slab passes next, which pushEntry calls once cur is in.
+	flush := func(next func()) bool {
 		if timerC != nil {
 			timer.Stop()
 			timerC = nil
 		}
-		if !r.pushEntry(cur, look) {
+		if !r.pushEntry(cur, next) {
 			return false
 		}
 		cur = nil
@@ -565,7 +500,7 @@ func (r *dataflow) runHead(inputs <-chan any) {
 			}
 			cur.items = append(cur.items, v)
 			seq++
-			if len(cur.items) < int(p.grains[0].Load()) {
+			if len(cur.items) < int(p.grain.Load()) {
 				next()
 			} else if !flush(next) {
 				return
@@ -575,15 +510,14 @@ func (r *dataflow) runHead(inputs <-chan any) {
 }
 
 // pushEntry blocks until the entry queue takes b; false means the run
-// was cancelled first and b is still the caller's. A nil look sends b
-// eager. Otherwise b is grain-full and look, the head's non-blocking
-// look-ahead, decides once there is room: if it produced the item that
-// opens the following slab, another flush is certain to come and b is not
-// eager; if the input is dry, b may be the last traffic for a while, and
-// marking it eager lets coarsening boundaries downstream drain instead of
-// parking its items until the next burst. Looking only once the queue has
-// room keeps the head from holding an item beyond the slab it pushes.
-func (r *dataflow) pushEntry(b *batch, look func() bool) bool {
+// was cancelled first and b is still the caller's. A non-nil next, the
+// head's burst receive, runs after the push, so the head never holds an
+// item beyond the slab it is waiting to push, and before the rules run:
+// a receive from a blocked sender readies the sender, the rules ready the
+// executor worker that takes b, and of two goroutines readied on one
+// processor the later runs first. Receiving after the rules put the
+// sender first and cost open_poisson 7–9 % of its p50 sojourn (2-CPU VM).
+func (r *dataflow) pushEntry(b *batch, next func()) bool {
 	for {
 		r.mu.Lock()
 		switch {
@@ -591,8 +525,10 @@ func (r *dataflow) pushEntry(b *batch, look func() bool) bool {
 			r.mu.Unlock()
 			return false
 		case r.entry.q.Len() < r.entry.room:
-			b.eager = look == nil || !look()
 			r.push(r.entry, b)
+			if next != nil {
+				next()
+			}
 			r.advance(false, 0)
 			return true
 		}

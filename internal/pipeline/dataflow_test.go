@@ -55,11 +55,13 @@ func feed(ctx context.Context, accepted *atomic.Int64) <-chan any {
 	return in
 }
 
+func identFn(_ context.Context, v any) (any, error) { return v, nil }
+
 func identChain(t *testing.T, n int) *Pipeline {
 	t.Helper()
 	stages := make([]Stage, n)
 	for i := range stages {
-		stages[i] = Stage{Fn: edgeIdent, Replicas: 2, Buffer: 2}
+		stages[i] = Stage{Fn: identFn, Replicas: 2, Buffer: 2}
 	}
 	p, err := New(stages...)
 	if err != nil {
@@ -88,7 +90,7 @@ func TestRunGoroutinesIndependentOfStages(t *testing.T) {
 		<-errs
 		return d
 	}
-	farm, err := New(Stage{Fn: edgeIdent, Replicas: 2, Buffer: 2, Unordered: true})
+	farm, err := New(Stage{Fn: identFn, Replicas: 2, Buffer: 2, Unordered: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +112,9 @@ func TestBackpressureBoundsInFlight(t *testing.T) {
 	for _, grain := range []int{1, 16} {
 		t.Run(fmt.Sprintf("grain%d", grain), func(t *testing.T) {
 			stages := []Stage{
-				{Fn: edgeIdent, Replicas: 3, Buffer: 2},
-				{Fn: edgeIdent, Replicas: 1, Buffer: 4},
-				{Fn: edgeIdent, Replicas: 2, Buffer: 1},
+				{Fn: identFn, Replicas: 3, Buffer: 2},
+				{Fn: identFn, Replicas: 1, Buffer: 4},
+				{Fn: identFn, Replicas: 2, Buffer: 1},
 			}
 			p, err := New(stages...)
 			if err != nil {
@@ -262,8 +264,8 @@ func TestUnorderedStageHasNoHeadOfLine(t *testing.T) {
 // TestEverySlabReturnsToThePool counts slabs out of and back into the
 // pool: when the run has ended — by completion, stage error, stage
 // panic, caller cancel mid-stream, or a consumer that stops reading and
-// then cancels — none is left in a queue, a ring, a re-slab accumulator,
-// the head's or the egress's hands.
+// then cancels — none is left in a queue, a ring, or the head's or the
+// egress's hands.
 func TestEverySlabReturnsToThePool(t *testing.T) {
 	watchGoroutines(t)
 	const items, k = 600, 211
@@ -280,18 +282,16 @@ func TestEverySlabReturnsToThePool(t *testing.T) {
 	}
 	join := func(_ context.Context, v any) (any, error) { return v.([]any)[0], nil }
 	shapes := map[string]func(mid Func, grain int) *Pipeline{
-		// Every edge of the chain re-slabs, to a finer and then a coarser
-		// grain than the head's.
 		"chain": func(mid Func, grain int) *Pipeline {
 			p, err := New(
-				Stage{Fn: edgeIdent, Replicas: 2, Buffer: 2},
+				Stage{Fn: identFn, Replicas: 2, Buffer: 2},
 				Stage{Fn: mid, Replicas: 3, Buffer: 2},
-				Stage{Fn: edgeIdent, Replicas: 1, Buffer: 2},
+				Stage{Fn: identFn, Replicas: 1, Buffer: 2},
 			)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := p.EnableBatchEdges([]int{grain, (grain + 3) / 4, grain * 2}, time.Millisecond); err != nil {
+			if err := p.EnableBatch(grain, time.Millisecond); err != nil {
 				t.Fatal(err)
 			}
 			return p
@@ -299,9 +299,9 @@ func TestEverySlabReturnsToThePool(t *testing.T) {
 		"diamond": func(mid Func, grain int) *Pipeline {
 			p, err := NewGraph(
 				[]Stage{
-					{Fn: edgeIdent, Replicas: 2, Buffer: 2},
+					{Fn: identFn, Replicas: 2, Buffer: 2},
 					{Fn: mid, Replicas: 3, Buffer: 2},
-					{Fn: edgeIdent, Replicas: 1, Buffer: 2},
+					{Fn: identFn, Replicas: 1, Buffer: 2},
 					{Fn: join, Replicas: 2, Buffer: 2},
 				},
 				[]topo.Edge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3}},
@@ -336,7 +336,7 @@ func TestEverySlabReturnsToThePool(t *testing.T) {
 		cancel bool
 		want   func(error) bool
 	}
-	pass := func(func()) Func { return edgeIdent }
+	pass := func(func()) Func { return identFn }
 	endings := []ending{
 		{"completion", pass, -1, false, func(err error) bool { return err == nil }},
 		{"stage error", func(func()) Func { return at(func() error { return boom }) }, -1, false,
@@ -459,7 +459,7 @@ func TestOneWorkerExecutor(t *testing.T) {
 		for _, grain := range []int{1, 16} {
 			ex := steal.New(1)
 			bad, err := New(
-				Stage{Name: "pre", Fn: edgeIdent, Replicas: 2},
+				Stage{Name: "pre", Fn: identFn, Replicas: 2},
 				Stage{Name: "explodes", Replicas: 3, Fn: func(_ context.Context, v any) (any, error) {
 					if v.(int) == k {
 						panic("kaboom")

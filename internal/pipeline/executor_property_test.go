@@ -183,9 +183,9 @@ func TestExecutorCancelPrefixProperty(t *testing.T) {
 }
 
 // TestGrainResizeConcurrentMidFlight is the mid-flight actuation
-// regression test: SetGrainAt (on one boundary, and on all of them to
-// one size) racing SetReplicas on a running batched pipeline must stay
-// race-free and never drop or reorder an item. (The farm counterpart is TestFarmBatchWorkersConcurrent.)
+// regression test: SetGrain racing SetReplicas on a running batched
+// pipeline must stay race-free and never drop or reorder an item. (The
+// farm counterpart is TestFarmBatchWorkersConcurrent.)
 func TestGrainResizeConcurrentMidFlight(t *testing.T) {
 	watchGoroutines(t)
 	ident := func(_ context.Context, v any) (any, error) { return v, nil }
@@ -196,7 +196,7 @@ func TestGrainResizeConcurrentMidFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.EnableBatchEdges([]int{4, 8}, time.Millisecond); err != nil {
+	if err := p.EnableBatch(4, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	const items = 30000
@@ -220,23 +220,14 @@ func TestGrainResizeConcurrentMidFlight(t *testing.T) {
 				return
 			default:
 			}
-			switch i % 3 {
+			switch i % 2 {
 			case 0:
-				if err := p.SetGrainAt(i%p.GrainBoundaries(), grains[r.Intn(len(grains))]); err != nil {
-					t.Errorf("SetGrainAt: %v", err)
+				if err := p.SetGrain(grains[r.Intn(len(grains))]); err != nil {
+					t.Errorf("SetGrain: %v", err)
 					return
 				}
 			case 1:
-				// Every boundary to one size: the uniform vector.
-				n := grains[r.Intn(len(grains))]
-				for b := 0; b < p.GrainBoundaries(); b++ {
-					if err := p.SetGrainAt(b, n); err != nil {
-						t.Errorf("SetGrainAt: %v", err)
-						return
-					}
-				}
-			case 2:
-				if err := p.SetReplicas(i%2, 1+r.Intn(4)); err != nil {
+				if err := p.SetReplicas(i/2%2, 1+r.Intn(4)); err != nil {
 					t.Errorf("SetReplicas: %v", err)
 					return
 				}

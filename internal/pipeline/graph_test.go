@@ -56,30 +56,40 @@ func TestGraphDiamondOrderedResults(t *testing.T) {
 	}
 }
 
+// TestGraphBranchErrorPropagates fails one branch of a diamond at item 7:
+// the merge's other in-edge then carries slabs its failed sibling never
+// will, which must end the run with the branch's error, not a fan-in
+// skew, at every grain and however many replicas finish the failing
+// branch's slabs out of order.
 func TestGraphBranchErrorPropagates(t *testing.T) {
-	p, err := NewGraph(
-		[]Stage{
-			{Name: "head", Fn: func(_ context.Context, v any) (any, error) { return v, nil }},
-			{Name: "ok", Fn: func(_ context.Context, v any) (any, error) { return v, nil }},
-			{Name: "bad", Fn: func(_ context.Context, v any) (any, error) {
-				if v.(int) == 7 {
-					return nil, errors.New("branch boom")
+	for _, grain := range []int{1, 4} {
+		for _, reps := range []int{1, 3} {
+			t.Run(fmt.Sprintf("grain%d/replicas%d", grain, reps), func(t *testing.T) {
+				p, err := NewGraph(
+					[]Stage{
+						{Name: "head", Fn: func(_ context.Context, v any) (any, error) { return v, nil }},
+						{Name: "ok", Fn: func(_ context.Context, v any) (any, error) { return v, nil }},
+						{Name: "bad", Fn: func(_ context.Context, v any) (any, error) {
+							if v.(int) == 7 {
+								return nil, errors.New("branch boom")
+							}
+							return v, nil
+						}, Replicas: reps},
+						{Name: "join", Fn: func(_ context.Context, v any) (any, error) { return v.([]any)[0], nil }},
+					},
+					[]topo.Edge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3}},
+				)
+				if err != nil {
+					t.Fatal(err)
 				}
-				return v, nil
-			}},
-			{Name: "join", Fn: func(_ context.Context, v any) (any, error) { return v.([]any)[0], nil }},
-		},
-		[]topo.Edge{{From: 0, To: 1}, {From: 0, To: 2}, {From: 1, To: 3}, {From: 2, To: 3}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var in []any
-	for i := 0; i < 20; i++ {
-		in = append(in, i)
-	}
-	if _, err := p.Process(context.Background(), in); err == nil || !strings.Contains(err.Error(), "bad") {
-		t.Fatalf("err = %v", err)
+				if err := p.EnableBatch(grain, 0); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p.Process(context.Background(), ints(20)); err == nil || !strings.Contains(err.Error(), "branch boom") {
+					t.Fatalf("err = %v, want the bad branch's", err)
+				}
+			})
+		}
 	}
 }
 

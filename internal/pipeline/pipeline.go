@@ -15,9 +15,10 @@
 //     its in-streams by zipping them — ordering survives fan-in by
 //     construction.
 //
-// There is one data path, and no goroutine per stage. The head batcher
-// packs inputs into pooled slabs of up to grain items (grain 1, the
-// default, is a slab of one — batch.go) and the egress unpacks them into
+// There is one data path, one grain, and no goroutine per stage. The
+// head batcher packs inputs into pooled slabs of up to the pipeline's
+// grain of items (grain 1, the default, is a slab of one — batch.go),
+// every stage carries them on 1-for-1, and the egress unpacks them into
 // the output channel's small fixed buffer (ioBuffer items) for the
 // consumer; between the two sits a per-run dataflow state (dataflow.go)
 // in which a slab is in one of three places, each bounded:
@@ -164,19 +165,12 @@ type Pipeline struct {
 	ran    bool
 	mu     sync.Mutex
 
-	// Slab state (see batch.go). grains holds one atomic grain per
-	// boundary (0 = head, 1+ei = edge ei) and linger the head's flush
-	// timeout in nanoseconds; both are read while the pipeline runs, so
-	// SetGrainAt actuates live.
-	grains []atomic.Int64
+	// Slab state (see batch.go): the head's grain and its flush timeout
+	// in nanoseconds, both read while the pipeline runs, so SetGrain
+	// actuates live.
+	grain  atomic.Int64
 	linger atomic.Int64
 	slabs  sync.Pool // *batch
-
-	// Per-boundary grain state (see edgegrain.go). Non-nil regrain means
-	// EnableBatchEdges: it marks the bridge edges whose sinks re-slab,
-	// and actBounds lists them as the independently walkable boundaries.
-	regrain   []bool
-	actBounds []int
 
 	// exec overrides the process-wide executor stage tasks run on.
 	exec *steal.Executor
@@ -215,11 +209,8 @@ func NewGraph(stages []Stage, edges []topo.Edge) (*Pipeline, error) {
 	p := &Pipeline{
 		stages: make([]Stage, len(stages)),
 		edges:  append([]topo.Edge(nil), edges...),
-		grains: make([]atomic.Int64, 1+len(edges)),
 	}
-	for b := range p.grains {
-		p.grains[b].Store(1)
-	}
+	p.grain.Store(1)
 	p.linger.Store(int64(DefaultLinger))
 	copy(p.stages, stages)
 	tstages := make([]topo.Stage, len(stages))
@@ -383,7 +374,6 @@ func (p *Pipeline) apply(ctx context.Context, i int, b *batch) (ob *batch, busy 
 	ob = b
 	if atomic.LoadInt32(&b.refs) != 1 {
 		ob = p.newBatch(b.idx, b.seq)
-		ob.eager = b.eager
 		ob.items = append(ob.items, b.items...) // sized; overwritten below
 	}
 	k := 0

@@ -267,6 +267,9 @@ func TestRunTwicePanics(t *testing.T) {
 	for range out {
 	}
 	<-errs
+	if err := p.EnableBatch(4, 0); err == nil {
+		t.Error("EnableBatch after Run accepted")
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on second Run")
@@ -365,11 +368,11 @@ func TestSetReplicasValidation(t *testing.T) {
 	if err := p.EnableBatch(0, 0); err == nil {
 		t.Error("EnableBatch(0) accepted")
 	}
-	if err := p.SetGrainAt(0, 0); err == nil {
-		t.Error("SetGrainAt(0, 0) accepted")
+	if err := p.SetGrain(0); err == nil {
+		t.Error("SetGrain(0) accepted")
 	}
-	if err := p.SetGrainAt(0, 8); err != nil || p.GrainAt(0) != 8 {
-		t.Errorf("SetGrainAt(0, 8): %v, GrainAt(0) = %d", err, p.GrainAt(0))
+	if err := p.SetGrain(8); err != nil || p.Grain() != 8 {
+		t.Errorf("SetGrain(8): %v, Grain() = %d", err, p.Grain())
 	}
 }
 
