@@ -402,6 +402,33 @@ func TestCloseWakesLingeringSpill(t *testing.T) {
 	}
 }
 
+// TestSpillCapHoldsAtMaxSpill: with maxSpill spill workers live, a
+// fleet wedged for two ticks in a row spills no more — sample reports
+// false and the live count does not move — and one below the cap the
+// next wedged tick spills. The executor is a goroutine-less literal: no
+// worker, spill or monitor goroutine starts.
+func TestSpillCapHoldsAtMaxSpill(t *testing.T) {
+	e := &Executor{workers: []*worker{{}, {}}}
+	e.workers[0].taskSeq.Store(1) // both fleet workers inside a task
+	e.workers[1].taskSeq.Store(3)
+	e.inject.Push(Task{}) // and work queued behind them
+	e.spills.Store(maxSpill)
+	probe := stallProbe{last: make([]uint64, len(e.workers))}
+	seqs := make([]uint64, len(e.workers))
+	for tick := 0; tick <= wedgedTicks; tick++ { // the first sample, then the wedged ticks
+		if e.sample(&probe, seqs) {
+			t.Fatalf("tick %d: sample spilled with %d spill workers live", tick, maxSpill)
+		}
+		if n := e.spills.Load(); n != maxSpill {
+			t.Fatalf("tick %d: %d spill workers counted, want %d", tick, n, maxSpill)
+		}
+	}
+	e.spills.Store(maxSpill - 1)
+	if !e.sample(&probe, seqs) || e.spills.Load() != maxSpill {
+		t.Fatalf("one below the cap, a wedged tick did not spill (%d live)", e.spills.Load())
+	}
+}
+
 // TestSpillNeedsTwoWedgedTicks drives the monitor's per-tick probe
 // through a script of samples: a single wedged tick never spills (a
 // descheduled or long-computing worker looks wedged for one), the second

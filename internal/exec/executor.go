@@ -17,6 +17,13 @@
 //     real skeleton. An optional Poisson arrival process replaces the
 //     saturated source for latency studies.
 //   - Replicated stages deal items round-robin across replicas.
+//   - Work demands: an item's whole demand row (one reference-seconds
+//     figure per stage) is drawn when it is admitted. Rows come in
+//     blocks of 256 seqs; while the event loop admits one block, a
+//     short-lived helper goroutine draws the next (demand.go), and the
+//     loop draws a block itself when no helper has begun it. The
+//     sampler must therefore be a pure function of (stage, seq), and
+//     virtual time does not depend on which goroutine drew a row.
 //
 // Routing follows the spec's stage graph (internal/topo): a completed
 // stage emits one part per out-edge (each paying its own transfer), a
@@ -36,7 +43,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 
 	"gridpipe/internal/grid"
 	"gridpipe/internal/model"
@@ -56,7 +62,12 @@ type Options struct {
 	// Poisson process of that rate (items/s).
 	ArrivalRate float64
 	// WorkSampler returns the service demand in reference-seconds of
-	// item seq at stage. Nil means the deterministic spec work.
+	// item seq at stage. It must be a pure function of (stage, seq),
+	// safe to call from another goroutine: rows are drawn ahead of
+	// admission, a block at a time, by a helper goroutine or by the
+	// event loop, and each (stage, seq) is asked for once. When
+	// TotalItems is set, no seq at or past it is asked for. Nil means
+	// the deterministic spec work.
 	WorkSampler func(stage, seq int) float64
 	// Seed drives the Poisson arrival stream.
 	Seed uint64
@@ -115,7 +126,7 @@ type RemapStats struct {
 // which carries an explicit stage), not on the item itself.
 type item struct {
 	seq     int
-	work    []float64 // sampled service demand per stage (lazily filled)
+	work    []float64 // service demand per stage, filled at admission
 	started float64   // admission time
 	// pending[s] counts the in-edge parts still to arrive before
 	// fan-in stage s may start service; dest[s] is the replica all of
@@ -232,6 +243,7 @@ type Executor struct {
 
 	latencies []float64 // per-item pipeline traversal times
 	poisson   *poissonSource
+	demand    demands // the sampled work rows, drawn ahead (demand.go)
 
 	// Free lists: steady-state admission, service, and transfer reuse
 	// these instead of allocating per item/task/hop.
@@ -304,6 +316,7 @@ func New(eng *sim.Engine, g *grid.Grid, spec model.PipelineSpec, m model.Mapping
 	if opts.ArrivalRate > 0 {
 		e.poisson = newPoissonSource(opts.Seed, opts.ArrivalRate)
 	}
+	e.demand.init(opts.WorkSampler, ns)
 	if opts.Share != nil {
 		if err := opts.Share.attach(e); err != nil {
 			return nil, err
@@ -352,6 +365,7 @@ func (e *Executor) Latencies() []float64 { return e.latencies }
 // Start begins admitting items. With a Poisson source it schedules the
 // first arrival; with the saturated source it fills the CONWIP window.
 func (e *Executor) Start() {
+	e.demand.total = e.opts.TotalItems
 	if e.poisson != nil {
 		e.scheduleNextArrival()
 		return
@@ -392,8 +406,8 @@ func (e *Executor) admit() {
 	it.started = e.eng.Now()
 	it.tries = 0
 	it.dropped = false
-	for i := range it.work {
-		it.work[i] = math.NaN() // sampled lazily at first service
+	if e.demand.sampler != nil {
+		copy(it.work, e.demand.row(it.seq))
 	}
 	if e.hasMerge {
 		for i := range it.pending {
@@ -410,7 +424,8 @@ func (e *Executor) admit() {
 }
 
 // getItem takes an item from the pool, with its work slice sized for
-// the spec; the caller fills the per-run fields.
+// the spec (and holding the spec's work when there is no sampler); the
+// caller fills the per-run fields.
 func (e *Executor) getItem() *item {
 	if n := len(e.itemFree); n > 0 {
 		it := e.itemFree[n-1]
@@ -418,6 +433,11 @@ func (e *Executor) getItem() *item {
 		return it
 	}
 	it := &item{work: make([]float64, e.spec.NumStages())}
+	if e.demand.sampler == nil {
+		for s := range it.work {
+			it.work[s] = e.spec.Stages[s].Work
+		}
+	}
 	if e.hasMerge {
 		it.pending = make([]int32, e.spec.NumStages())
 		it.dest = make([]grid.NodeID, e.spec.NumStages())
@@ -656,24 +676,6 @@ func (e *Executor) accepts(it *item, stage int, n grid.NodeID) bool {
 // fan-in stage's migrations move the whole joined item).
 func (e *Executor) bytesInto(stage int) float64 {
 	return e.inbytes[stage]
-}
-
-// serviceWork returns (sampling if needed) the service demand of an
-// item at the given stage.
-func (e *Executor) serviceWork(it *item, stage int) float64 {
-	w := it.work[stage]
-	if math.IsNaN(w) {
-		if e.opts.WorkSampler != nil {
-			w = e.opts.WorkSampler(stage, it.seq)
-			if w < 0 || math.IsNaN(w) {
-				panic(fmt.Sprintf("exec: work sampler returned %v", w))
-			}
-		} else {
-			w = e.spec.Stages[stage].Work
-		}
-		it.work[stage] = w
-	}
-	return w
 }
 
 // stageFinished is called when a node completes service for an item at

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"gridpipe/internal/grid"
@@ -19,15 +20,25 @@ func het(t *testing.T, speeds ...float64) *grid.Grid {
 	return g
 }
 
-// stageVisits returns a work sampler that keeps spec's work and counts,
-// per stage, the items that started service there (the executor asks
-// the sampler once per item and stage).
-func stageVisits(spec model.PipelineSpec) (func(stage, seq int) float64, []int) {
-	visits := make([]int, spec.NumStages())
-	return func(stage, _ int) float64 {
-		visits[stage]++
-		return spec.Stages[stage].Work
-	}, visits
+// onService wraps every node server's completion callback, the one
+// that records a service in the executor's per-stage monitor, so that f
+// sees each completed service's task before the executor recycles it.
+// Call it before the run starts.
+func onService(e *Executor, f func(t *task)) {
+	for _, ns := range e.nodes {
+		finish := ns.finishFn
+		ns.finishFn = func(arg any) {
+			f(arg.(*task))
+			finish(arg)
+		}
+	}
+}
+
+// countServices counts, per stage, the services that completed.
+func countServices(e *Executor) []int {
+	served := make([]int, e.spec.NumStages())
+	onService(e, func(t *task) { served[t.stage]++ })
+	return served
 }
 
 func newExec(t *testing.T, g *grid.Grid, spec model.PipelineSpec, m model.Mapping, opts Options) (*sim.Engine, *Executor) {
@@ -208,25 +219,42 @@ func TestMonitorSeesServiceTimes(t *testing.T) {
 	}
 }
 
+// The sampler's demand is the one served, and each (stage, seq) below
+// TotalItems is drawn exactly once — by the event loop or by a helper,
+// hence the atomic counts — and no seq at or past it is drawn at all.
+// The run spans three blocks, so helpers draw some of them.
 func TestWorkSamplerUsedAndCached(t *testing.T) {
-	g := het(t, 1)
-	spec := model.Balanced(1, 0.1, 0)
-	calls := 0
-	_, e := newExec(t, g, spec, model.FromNodes(0), Options{
+	g := het(t, 1, 1)
+	spec := model.Balanced(2, 0.1, 0)
+	const items = 600
+	var calls [2][items]atomic.Int32
+	var beyond atomic.Int32
+	_, e := newExec(t, g, spec, model.OneToOne(2), Options{
 		WorkSampler: func(stage, seq int) float64 {
-			calls++
+			if seq >= items {
+				beyond.Add(1)
+			} else {
+				calls[stage][seq].Add(1)
+			}
 			return 0.05
 		},
 	})
-	makespan, err := e.RunItems(50)
+	makespan, err := e.RunItems(items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 50 {
-		t.Fatalf("sampler called %d times, want 50", calls)
+	for stage := range calls {
+		for seq := range calls[stage] {
+			if n := calls[stage][seq].Load(); n != 1 {
+				t.Fatalf("sampler called %d times for (stage %d, seq %d), want 1", n, stage, seq)
+			}
+		}
 	}
-	if math.Abs(makespan-50*0.05) > 0.1 {
-		t.Fatalf("makespan = %v, want ~2.5", makespan)
+	if n := beyond.Load(); n != 0 {
+		t.Fatalf("sampler called %d times for seqs at or past TotalItems %d", n, items)
+	}
+	if math.Abs(makespan-(items+1)*0.05) > 0.1 {
+		t.Fatalf("makespan = %v, want ~%v", makespan, (items+1)*0.05)
 	}
 }
 

@@ -39,11 +39,11 @@ func TestDiamondConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := &sim.Engine{}
-	sampler, visits := stageVisits(spec)
-	e, err := New(eng, g, spec, model.OneToOne(4), Options{MaxInFlight: 8, WorkSampler: sampler})
+	e, err := New(eng, g, spec, model.OneToOne(4), Options{MaxInFlight: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	visits := countServices(e)
 	const items = 200
 	if _, err := e.RunItems(items); err != nil {
 		t.Fatal(err)
@@ -111,11 +111,11 @@ func TestDiamondReplicatedMergeJoins(t *testing.T) {
 	}
 	m := model.Mapping{Assign: [][]grid.NodeID{{0}, {1}, {2}, {3, 4, 5}}}
 	eng := &sim.Engine{}
-	sampler, visits := stageVisits(spec)
-	e, err := New(eng, g, spec, m, Options{MaxInFlight: 12, WorkSampler: sampler})
+	e, err := New(eng, g, spec, m, Options{MaxInFlight: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
+	visits := countServices(e)
 	const items = 300
 	if _, err := e.RunItems(items); err != nil {
 		t.Fatal(err)

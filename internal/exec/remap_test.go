@@ -186,8 +186,8 @@ func TestRemapToReplicatedMapping(t *testing.T) {
 		{Name: "heavy", Work: 0.2, Replicable: true},
 	}}
 	start := model.FromNodes(0, 1)
-	sampler, visits := stageVisits(spec)
-	_, e := newExec(t, g, spec, start, Options{MaxInFlight: 10, TotalItems: 500, WorkSampler: sampler})
+	_, e := newExec(t, g, spec, start, Options{MaxInFlight: 10, TotalItems: 500})
+	visits := countServices(e)
 	eng := e.eng
 	eng.Schedule(2, func() {
 		if _, err := e.Remap(start.WithReplicas(1, 1, 2), DrainSafe); err != nil {

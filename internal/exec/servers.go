@@ -61,7 +61,7 @@ func (s *nodeServer) dispatch() {
 
 func (s *nodeServer) start(t *task) {
 	now := s.e.eng.Now()
-	work := s.e.serviceWork(t.it, t.stage)
+	work := t.it.work[t.stage]
 	if sh := s.e.share; sh != nil {
 		// Account the newcomer before it joins the in-service slice so
 		// the rescale pass touches only the tasks already running.
