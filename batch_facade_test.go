@@ -3,6 +3,7 @@ package gridpipe
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -79,6 +80,32 @@ func TestWithBatchValidates(t *testing.T) {
 	}
 	if err := started.WithBatch(4); err == nil {
 		t.Fatal("WithBatch after the pipeline ran accepted")
+	}
+}
+
+// Under a static policy the controller never ticks, so nothing would
+// walk an auto grain: the run refuses to start and names the policy.
+// The refused run leaves the pipeline unspent: armed with an adaptive
+// policy, it runs.
+func TestWithBatchGrainAutoRefusesStaticPolicy(t *testing.T) {
+	p, err := New(Stage("a", sleeper(time.Microsecond), Weight(0.01), Replicable()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WithLiveAdaptive(PolicyStatic); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WithBatch(GrainAuto); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Process(context.Background(), []any{1}); err == nil || !strings.Contains(err.Error(), "non-static") {
+		t.Fatalf("GrainAuto under a static policy: error %v, want one naming non-static", err)
+	}
+	if err := p.WithLiveAdaptive(PolicyPeriodic); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Process(context.Background(), []any{1}); err != nil {
+		t.Fatalf("re-armed after a refused run: %v", err)
 	}
 }
 

@@ -347,8 +347,9 @@ func (p *Pipeline) NumStages() int { return len(p.defs) }
 // Graph returns the pipeline's stage graph.
 func (p *Pipeline) Graph() *topo.Graph { return p.graph }
 
-// buildLive constructs the single-use live pipeline. The caller must
-// hold p.mu.
+// buildLive constructs the single-use live pipeline and, under
+// WithLiveAdaptive, its controller. A refusal leaves nothing built, so
+// a corrected configuration may still run. The caller must hold p.mu.
 func (p *Pipeline) buildLive() (*pipeline.Pipeline, error) {
 	if p.live != nil {
 		return nil, fmt.Errorf("gridpipe: live pipeline already running (single-use)")
@@ -358,12 +359,8 @@ func (p *Pipeline) buildLive() (*pipeline.Pipeline, error) {
 		if s.fn == nil {
 			return nil, fmt.Errorf("gridpipe: stage %q has no function (simulation-only pipeline?)", s.name)
 		}
-		reps := s.replicas
-		if !s.replicable {
-			reps = 1
-		}
 		stages[i] = pipeline.Stage{
-			Name: s.name, Fn: s.fn, Replicas: reps, Buffer: s.buffer,
+			Name: s.name, Fn: s.fn, Replicas: s.replicas, Buffer: s.buffer,
 		}
 	}
 	lp, err := pipeline.NewGraph(stages, p.graph.Edges)
@@ -373,7 +370,7 @@ func (p *Pipeline) buildLive() (*pipeline.Pipeline, error) {
 	if p.batchN != 0 {
 		grain := p.batchN
 		if grain == GrainAuto {
-			if p.liveCfg == nil || p.liveCfg.Policy == adaptive.PolicyStatic {
+			if p.liveCfg == nil {
 				return nil, fmt.Errorf("gridpipe: WithBatch(GrainAuto) needs WithLiveAdaptive with a non-static policy")
 			}
 			grain = 1 // the controller walks it from here
@@ -383,6 +380,13 @@ func (p *Pipeline) buildLive() (*pipeline.Pipeline, error) {
 		if err := lp.EnableBatch(grain, p.batchOpt.Linger); err != nil {
 			return nil, err
 		}
+	}
+	if p.liveCfg != nil {
+		ctrl, err := liveadapt.ForPipeline(lp, p.spec.Stages, *p.liveCfg)
+		if err != nil {
+			return nil, err
+		}
+		p.liveCtrl = ctrl
 	}
 	p.live = lp
 	return lp, nil
@@ -458,27 +462,17 @@ func (p *Pipeline) Process(ctx context.Context, inputs []any) ([]any, error) {
 func (p *Pipeline) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-chan error, error) {
 	p.mu.Lock()
 	lp, err := p.buildLive()
-	if err != nil {
-		p.mu.Unlock()
-		return nil, nil, err
-	}
-	cfg := p.liveCfg
+	ctrl := p.liveCtrl
 	p.mu.Unlock()
-	if cfg == nil {
-		out, errs := lp.Run(ctx, inputs)
-		return out, errs, nil
-	}
-	ctrl, err := liveadapt.ForPipeline(lp, p.spec.Stages, *cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	p.mu.Lock()
-	p.liveCtrl = ctrl
-	p.mu.Unlock()
-	// The loop stops on the run's own goroutine, before the output closes:
-	// an armed run has the goroutines and the hops of an unarmed one.
-	lp.OnDone(ctrl.Stop)
-	ctrl.Start()
+	if ctrl != nil {
+		// ForPipeline stops the loop on the run's own goroutine, before
+		// the output closes: an armed run has the goroutines and the hops
+		// of an unarmed one.
+		ctrl.Start()
+	}
 	out, errs := lp.Run(ctx, inputs)
 	return out, errs, nil
 }

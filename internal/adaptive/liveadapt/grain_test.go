@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -143,6 +144,10 @@ func TestAdaptGrainConstructionChecks(t *testing.T) {
 	// A plain fake has no grain surface.
 	if _, err := newController(newFake(1), nil, Config{Policy: adaptive.PolicyPeriodic, AdaptGrain: true}); err == nil {
 		t.Fatal("AdaptGrain over a grainless target should fail")
+	}
+	// A static policy never ticks, so it cannot walk a grain.
+	if _, err := newController(&grainFake{fakeTarget: newFake(1), grain: 1}, nil, Config{Policy: adaptive.PolicyStatic, AdaptGrain: true}); err == nil || !strings.Contains(err.Error(), "non-static") {
+		t.Fatalf("AdaptGrain under PolicyStatic: error %v, want one naming non-static", err)
 	}
 	// A target that refuses its own grain → construction error.
 	if _, err := newController(refusingGrain{&grainFake{fakeTarget: newFake(1), grain: 1}}, nil, Config{Policy: adaptive.PolicyPeriodic, AdaptGrain: true}); err == nil {

@@ -8,9 +8,10 @@
 //     into windowed mean service times, feeds them through the same
 //     monitor.Estimator forecaster batteries the simulated node
 //     sensors use, and reads the exit rate off the last stage's count;
-//   - Actuator: a worker-budget apportioner — replicable stages
-//     receive workers proportional to their (forecast) service times,
-//     bounded by MaxWorkers, under conc.Apportion — actuating via
+//   - Actuator: a worker-budget apportioner — conc.Apportion splits
+//     MaxWorkers over the replicable stages bottleneck first, each
+//     worker to the stage with the fewest workers per (forecast)
+//     service second — actuating via
 //     pipeline.SetReplicas; under AdaptGrain, a grain walker over the
 //     pipeline's one grain (GrainTarget: Grain, SetGrain), which the
 //     head batcher applies to every slab it forms;
@@ -37,7 +38,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -93,9 +93,9 @@ type Config struct {
 	// walks the target's boundary batch size (the pipeline's grain) in
 	// doubling and halving steps paced by Cooldown, keeping a step
 	// whose observed throughput clears the hysteresis margin and
-	// reverting one that costs it (see grainWalk). Requires a target
-	// that exposes a grain, as a pipeline does. PolicyStatic never
-	// ticks, so grain stays fixed under it.
+	// reverting one that costs it (see grainWalk). Requires a
+	// non-static policy (PolicyStatic never ticks) and a target that
+	// exposes a grain, as a pipeline does.
 	AdaptGrain bool
 	// MaxGrain bounds the walked batch size (default 256).
 	MaxGrain int
@@ -121,18 +121,7 @@ func (c *Config) fillDefaults() {
 type Replicas []int
 
 // String renders the vector like "[1 4 2 1]".
-func (r Replicas) String() string {
-	var b strings.Builder
-	b.WriteByte('[')
-	for i, n := range r {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%d", n)
-	}
-	b.WriteByte(']')
-	return b.String()
-}
+func (r Replicas) String() string { return fmt.Sprint([]int(r)) }
 
 // Controller drives live adaptation of one pipeline.
 type Controller struct {
@@ -146,9 +135,16 @@ type Controller struct {
 // controller may resize, and Work, the nominal per-item demand (only
 // ratios matter), normalises observed service times for the imbalance
 // trigger (default 1). PolicyOracle is rejected: the live substrate has
-// no ground truth to consult.
+// no ground truth to consult. The controller stops with the pipeline's
+// run (Pipeline.OnDone), so the caller Starts it before Run and never
+// stops it.
 func ForPipeline(p *pipeline.Pipeline, stages []model.StageSpec, cfg Config) (*Controller, error) {
-	return newController(pipelineTarget{p: p}, stages, cfg)
+	c, err := newController(pipelineTarget{p: p}, stages, cfg)
+	if err != nil {
+		return nil, err
+	}
+	p.OnDone(c.Stop)
+	return c, nil
 }
 
 func newController(target Target, stages []model.StageSpec, cfg Config) (*Controller, error) {
@@ -195,6 +191,9 @@ func newController(target Target, stages []model.StageSpec, cfg Config) (*Contro
 		sub.base[i] = math.NaN()
 	}
 	if cfg.AdaptGrain {
+		if cfg.Policy == adaptive.PolicyStatic {
+			return nil, fmt.Errorf("liveadapt: AdaptGrain needs a non-static policy")
+		}
 		gt, ok := target.(GrainTarget)
 		if !ok {
 			return nil, fmt.Errorf("liveadapt: AdaptGrain target exposes no grain surface")
@@ -393,12 +392,13 @@ func (s *liveSub) Expected(loads []float64) (reference, hysteresis float64) {
 	return reference, hysteresis
 }
 
-// Propose apportions the worker budget over the replicable stages in
-// proportion to their service-time estimates (conc.Apportion: each
-// stage at least one worker, the rest by largest remainder, ties to
-// the earlier stage). Non-replicable stages keep their current workers
-// and only consume budget. No proposal is made until every replicable
-// stage has been observed at least once.
+// Propose apportions the worker budget over the replicable stages by
+// their service-time estimates (conc.Apportion: each stage at least one
+// worker, each further worker to the stage with the fewest workers per
+// service second, ties to the earlier stage): the split whose predicted
+// rate, min(workers/service time), is highest. Non-replicable stages
+// keep their current workers and only consume budget. No proposal is
+// made until every replicable stage has been observed at least once.
 func (s *liveSub) Propose(loads []float64) (*adaptive.Proposal, bool) {
 	n := s.target.NumStages()
 	cur := make(Replicas, n)

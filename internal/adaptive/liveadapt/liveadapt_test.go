@@ -252,8 +252,8 @@ func TestLivePipelineGrowsBottleneck(t *testing.T) {
 		in <- i
 	}
 	close(in)
-	out, errs := p.Run(context.Background(), in)
 	ctrl.Start()
+	out, errs := p.Run(context.Background(), in)
 	seen := 0
 	for v := range out {
 		if v.(int) != seen {
@@ -261,7 +261,6 @@ func TestLivePipelineGrowsBottleneck(t *testing.T) {
 		}
 		seen++
 	}
-	ctrl.Stop()
 	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +278,8 @@ func TestLivePipelineGrowsBottleneck(t *testing.T) {
 }
 
 // TestLiveFarmGrowsWorkers: the degenerate one-stage case — a farm is a
-// one-stage pipeline — grows to the whole budget.
+// one-stage pipeline — grows to the whole budget, and the controller
+// stops when the run ends.
 func TestLiveFarmGrowsWorkers(t *testing.T) {
 	fm, err := pipeline.New(pipeline.Stage{Name: "farm", Fn: func(ctx context.Context, v any) (any, error) {
 		time.Sleep(4 * time.Millisecond)
@@ -302,8 +302,8 @@ func TestLiveFarmGrowsWorkers(t *testing.T) {
 		in <- i
 	}
 	close(in)
-	out, errs := fm.Run(context.Background(), in)
 	ctrl.Start()
+	out, errs := fm.Run(context.Background(), in)
 	seen := 0
 	for v := range out {
 		if v.(int) != seen {
@@ -311,7 +311,6 @@ func TestLiveFarmGrowsWorkers(t *testing.T) {
 		}
 		seen++
 	}
-	ctrl.Stop()
 	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}
@@ -320,6 +319,12 @@ func TestLiveFarmGrowsWorkers(t *testing.T) {
 	}
 	if w := fm.Replicas(0); w != 6 {
 		t.Fatalf("farm workers = %d, want the full budget 6", w)
+	}
+	// ForPipeline stopped the controller with the run.
+	ticks := ctrl.Stats().Ticks
+	time.Sleep(100 * time.Millisecond)
+	if got := ctrl.Stats().Ticks; got != ticks {
+		t.Fatalf("controller ticked %d times after the run ended", got-ticks)
 	}
 }
 

@@ -1,121 +1,100 @@
 package conc
 
 import (
+	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 )
 
-// apportionBySort is the live controller's former split: floors first,
-// then leftovers to the largest remainders in a stable descending sort,
-// cycling if a rounding shortfall left more than one round.
-func apportionBySort(weights []float64, total int) []int {
-	n := len(weights)
-	avail := total
-	if avail < n {
-		avail = n
+// minRate is the figure Apportion maximises: min_i(split_i/weight_i).
+func minRate(split []int, weights []float64) float64 {
+	m := math.Inf(1)
+	for i, r := range split {
+		m = min(m, float64(r)/weights[i])
 	}
-	extra := avail - n
-	weightSum := 0.0
-	for _, w := range weights {
-		weightSum += w
-	}
-	type frac struct {
-		i int
-		f float64
-	}
-	next := make([]int, n)
-	var rem []frac
-	assigned := 0
-	for i, l := range weights {
-		share := float64(extra) * l / weightSum
-		w := int(share)
-		next[i] = 1 + w
-		assigned += w
-		rem = append(rem, frac{i: i, f: share - float64(w)})
-	}
-	sort.SliceStable(rem, func(a, b int) bool { return rem[a].f > rem[b].f })
-	for j := 0; assigned < extra; j = (j + 1) % len(rem) {
-		next[rem[j].i]++
-		assigned++
-	}
-	return next
+	return m
 }
 
-// apportionByArgmax is the worker budget's former split: floors first,
-// then leftovers one at a time to the largest remaining fraction.
-func apportionByArgmax(weights []float64, total int) []int {
-	n := len(weights)
-	weightSum := 0.0
-	for _, w := range weights {
-		weightSum += w
-	}
-	extra := total - n
-	if extra < 0 {
-		extra = 0
-	}
-	caps := make([]int, n)
-	fracs := make([]float64, n)
-	assigned := 0
-	for i, x := range weights {
-		share := float64(extra) * x / weightSum
-		w := int(share)
-		caps[i] = 1 + w
-		fracs[i] = share - float64(w)
-		assigned += w
-	}
-	for assigned < extra {
-		best := 0
-		for i := 1; i < n; i++ {
-			if fracs[i] > fracs[best] {
-				best = i
-			}
+// bestMinRate is the largest min(r/w) over every split of total into
+// len(weights) parts of at least one, found by enumerating them all.
+func bestMinRate(weights []float64, total int) float64 {
+	split := make([]int, len(weights))
+	var walk func(i, left int) float64
+	walk = func(i, left int) float64 {
+		if i == len(split)-1 {
+			split[i] = left
+			return minRate(split, weights)
 		}
-		caps[best]++
-		fracs[best] = -1
-		assigned++
+		best := math.Inf(-1)
+		for r := 1; r <= left-(len(split)-1-i); r++ {
+			split[i] = r
+			best = max(best, walk(i+1, left-r))
+		}
+		return best
 	}
-	return caps
+	return walk(0, total)
 }
 
-// TestApportionMatchesRetiredSplits checks the shared split against both
-// loops it replaced, over random positive weights with totals below and
-// above the entry count, and its invariants: the sum is max(total, n)
-// and no entry gets fewer than one worker.
-func TestApportionMatchesRetiredSplits(t *testing.T) {
+// TestApportionIsOptimal checks the split against brute force: over
+// random positive weights (ties included) at every entry count up to 4
+// and every total up to 12, its min(r/w) equals the best any split
+// reaches. The sum is max(total, n) and no entry gets fewer than one
+// worker.
+func TestApportionIsOptimal(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	var dst []int
-	for trial := 0; trial < 2000; trial++ {
-		n := 1 + r.Intn(8)
-		weights := make([]float64, n)
-		for i := range weights {
-			switch r.Intn(3) {
-			case 0:
-				weights[i] = 1 + float64(r.Intn(3)) // ties
-			case 1:
-				weights[i] = r.Float64() + 1e-9
-			default:
-				weights[i] = r.ExpFloat64() * 1e-3
+	for n := 1; n <= 4; n++ {
+		for total := 0; total <= 12; total++ {
+			for trial := 0; trial < 40; trial++ {
+				weights := make([]float64, n)
+				for i := range weights {
+					switch r.Intn(3) {
+					case 0:
+						weights[i] = 1 + float64(r.Intn(3)) // ties
+					case 1:
+						weights[i] = r.Float64() + 1e-9
+					default:
+						weights[i] = r.ExpFloat64() * 1e-3
+					}
+				}
+				dst = Apportion(dst, weights, total)
+				sum := 0
+				for _, k := range dst {
+					if k < 1 {
+						t.Fatalf("Apportion(%v, %d) = %v: an entry below 1", weights, total, dst)
+					}
+					sum += k
+				}
+				if sum != max(total, n) {
+					t.Fatalf("Apportion(%v, %d) = %v sums to %d, want %d", weights, total, dst, sum, max(total, n))
+				}
+				if got, want := minRate(dst, weights), bestMinRate(weights, max(total, n)); got != want {
+					t.Fatalf("Apportion(%v, %d) = %v reaches min(r/w) %v, the best split %v", weights, total, dst, got, want)
+				}
 			}
 		}
-		total := r.Intn(4 * n)
-		dst = Apportion(dst, weights, total)
-		if want := apportionBySort(weights, total); !slices.Equal(dst, want) {
-			t.Fatalf("Apportion(%v, %d) = %v, sort form %v", weights, total, dst, want)
-		}
-		if want := apportionByArgmax(weights, total); !slices.Equal(dst, want) {
-			t.Fatalf("Apportion(%v, %d) = %v, argmax form %v", weights, total, dst, want)
-		}
-		sum := 0
-		for _, k := range dst {
-			if k < 1 {
-				t.Fatalf("Apportion(%v, %d) = %v: an entry below 1", weights, total, dst)
-			}
-			sum += k
-		}
-		if sum != max(total, n) {
-			t.Fatalf("Apportion(%v, %d) = %v sums to %d, want %d", weights, total, dst, sum, max(total, n))
+	}
+}
+
+// TestApportionCases pins the split on equal weights, where ties go to
+// the earlier entry, on a budget below the entry count, which is raised
+// to it, and on the genome app's stage works at half and all of the
+// live harness's default 16-worker budget.
+func TestApportionCases(t *testing.T) {
+	genome := []float64{0.02, 0.35, 0.05}
+	for _, c := range []struct {
+		weights []float64
+		total   int
+		want    []int
+	}{
+		{[]float64{0.1, 0.1, 0.1}, 4, []int{2, 1, 1}},
+		{[]float64{0.1, 0.1, 0.1}, 1, []int{1, 1, 1}},
+		{genome, 8, []int{1, 6, 1}},
+		{genome, 16, []int{1, 13, 2}},
+	} {
+		if got := Apportion(nil, c.weights, c.total); !slices.Equal(got, c.want) {
+			t.Errorf("Apportion(%v, %d) = %v, want %v", c.weights, c.total, got, c.want)
 		}
 	}
 }

@@ -6,8 +6,9 @@
 // path: the limiter wakes exactly one waiter per release instead of
 // broadcasting to all of them, and the meter records a sample with
 // three atomic operations instead of taking a mutex. Apportion is the
-// one worker split: the live controller (internal/adaptive/liveadapt)
-// divides its worker budget over a pipeline's stages with it.
+// one worker split, bottleneck first: the live controller
+// (internal/adaptive/liveadapt) divides its worker budget over a
+// pipeline's stages with it, and workload.RunLive its first deployment.
 package conc
 
 import (

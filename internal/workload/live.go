@@ -23,12 +23,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 	"time"
 
 	"gridpipe/internal/adaptive"
 	"gridpipe/internal/adaptive/liveadapt"
+	"gridpipe/internal/conc"
 	"gridpipe/internal/pipeline"
 )
 
@@ -136,14 +136,6 @@ type LiveOptions struct {
 	Batch int
 }
 
-// LiveEvent is one resize the live controller performed.
-type LiveEvent struct {
-	Time         float64
-	From, To     string
-	PredictedOld float64
-	PredictedNew float64
-}
-
 // LiveOutcome reports one live run.
 type LiveOutcome struct {
 	Items      int
@@ -153,47 +145,12 @@ type LiveOutcome struct {
 	// (both zero when nothing was injected).
 	ThroughputBefore float64
 	ThroughputUnder  float64
-	Events           []LiveEvent
+	Events           []adaptive.Event
 	Replicas         []int
 	// Victim is the stage the spike hit (-1 when no spike).
 	Victim int
 	// Grain is the final boundary batch size (1 when unbatched).
 	Grain int
-}
-
-// initialReplicas apportions budget workers over the spec's stages
-// proportionally to their work (largest remainder, each stage at least
-// one) — the deployment-time allocation a scheduler without run-time
-// information would pick.
-func initialReplicas(app App, budget int) []int {
-	n := app.Spec.NumStages()
-	reps := make([]int, n)
-	total := app.Spec.TotalWork()
-	if budget < n {
-		budget = n
-	}
-	type frac struct {
-		i int
-		f float64
-	}
-	var rem []frac
-	assigned := 0
-	for i := 0; i < n; i++ {
-		share := float64(budget) * app.Spec.Stages[i].Work / total
-		w := int(share)
-		if w < 1 {
-			w = 1
-		}
-		reps[i] = w
-		assigned += w
-		rem = append(rem, frac{i: i, f: share - float64(w)})
-	}
-	sort.SliceStable(rem, func(a, b int) bool { return rem[a].f > rem[b].f })
-	for j := 0; assigned < budget; j = (j + 1) % len(rem) {
-		reps[rem[j].i]++
-		assigned++
-	}
-	return reps
 }
 
 // heaviestStage returns the index of the stage with the largest work.
@@ -242,7 +199,11 @@ func RunLive(app App, opts LiveOptions) (LiveOutcome, error) {
 	}
 	inject := opts.SpikeLoad > 0 || opts.BgLoad > 0
 
-	reps := initialReplicas(app, opts.MaxWorkers/2)
+	works := make([]float64, app.Spec.NumStages())
+	for i, st := range app.Spec.Stages {
+		works[i] = st.Work
+	}
+	reps := conc.Apportion(nil, works, opts.MaxWorkers/2)
 	resources := make([]*Resource, app.Spec.NumStages())
 	stages := make([]pipeline.Stage, app.Spec.NumStages())
 	for i, st := range app.Spec.Stages {
@@ -266,9 +227,6 @@ func RunLive(app App, opts LiveOptions) (LiveOutcome, error) {
 	if opts.Batch != 0 {
 		grain := opts.Batch
 		if grain == Auto {
-			if opts.Policy == adaptive.PolicyStatic {
-				return LiveOutcome{}, fmt.Errorf("workload: Batch=Auto needs a non-static policy")
-			}
 			grain = 1
 			cfg.AdaptGrain = true
 		}
@@ -288,8 +246,8 @@ func RunLive(app App, opts LiveOptions) (LiveOutcome, error) {
 			in <- i
 		}
 	}()
-	out, errs := pl.Run(context.Background(), in)
 	ctrl.Start()
+	out, errs := pl.Run(context.Background(), in)
 	t0 := time.Now()
 	var (
 		seen     int
@@ -313,7 +271,6 @@ func RunLive(app App, opts LiveOptions) (LiveOutcome, error) {
 	}
 	for v := range out {
 		if v.(int) != seen {
-			ctrl.Stop()
 			return LiveOutcome{}, fmt.Errorf("workload: live run out of order (%v at %d)", v, seen)
 		}
 		seen++
@@ -321,7 +278,6 @@ func RunLive(app App, opts LiveOptions) (LiveOutcome, error) {
 			doInject()
 		}
 	}
-	ctrl.Stop()
 	if bgStop != nil {
 		bgStop()
 	}
@@ -334,6 +290,7 @@ func RunLive(app App, opts LiveOptions) (LiveOutcome, error) {
 		Items:      seen,
 		Elapsed:    elapsed,
 		Throughput: float64(seen) / elapsed,
+		Events:     ctrl.Stats().Events,
 		Replicas:   ctrl.Replicas(),
 		Victim:     -1,
 		Grain:      ctrl.Grain(),
@@ -346,15 +303,6 @@ func RunLive(app App, opts LiveOptions) (LiveOutcome, error) {
 			outc.ThroughputBefore = float64(opts.InjectAtItem) / tBefore
 		}
 		outc.ThroughputUnder = float64(seen-opts.InjectAtItem) / (elapsed - tBefore)
-	}
-	for _, ev := range ctrl.Stats().Events {
-		outc.Events = append(outc.Events, LiveEvent{
-			Time:         ev.Time,
-			From:         ev.From.String(),
-			To:           ev.To.String(),
-			PredictedOld: ev.PredictedOld,
-			PredictedNew: ev.PredictedNew,
-		})
 	}
 	return outc, nil
 }

@@ -118,6 +118,14 @@ func TestRunLiveOptions(t *testing.T) {
 					t.Errorf("victim %d, under-load throughput %v: a negative spike is no spike", out.Victim, out.ThroughputUnder)
 				}
 			}},
+		{name: "static deploys half the budget",
+			set: func(o *LiveOptions) { o.Policy = adaptive.PolicyStatic },
+			check: func(t *testing.T, out LiveOutcome) {
+				// Flooring each share at one worker would deploy [1 3 1] here.
+				if sum := out.Replicas[0] + out.Replicas[1] + out.Replicas[2]; sum != 4 {
+					t.Errorf("deployed %v (%d workers), want half of MaxWorkers 8", out.Replicas, sum)
+				}
+			}},
 		{name: "background load",
 			set: func(o *LiveOptions) { o.BgLoad = 1 },
 			check: func(t *testing.T, out LiveOutcome) {
@@ -181,25 +189,6 @@ func waitGoroutines(t *testing.T, before int) {
 	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines alive, %d before", runtime.NumGoroutine(), before)
-		}
-	}
-}
-
-// initialReplicas gives every stage at least one worker, raises a
-// budget below the stage count to it, and hands the remainder out by
-// largest fractional share.
-func TestInitialReplicas(t *testing.T) {
-	for _, c := range []struct {
-		app    App
-		budget int
-		want   []int
-	}{
-		{Balanced(3, 0.1, 0), 4, []int{2, 1, 1}},
-		{Balanced(3, 0.1, 0), 1, []int{1, 1, 1}},
-		{Genome(), 8, []int{1, 6, 1}},
-	} {
-		if got := initialReplicas(c.app, c.budget); !slices.Equal(got, c.want) {
-			t.Errorf("%s budget %d: %v, want %v", c.app.Name, c.budget, got, c.want)
 		}
 	}
 }
