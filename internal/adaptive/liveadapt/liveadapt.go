@@ -469,6 +469,10 @@ func (s *liveSub) Apply(p *adaptive.Proposal) adaptive.Actuation {
 
 // wallClock schedules ticks on real time, reported as seconds since
 // the controller's epoch. Stop waits out any in-flight tick.
+// Its goroutine shares with a running pipeline StageTotals (atomic loads),
+// SetReplicas (an atomic store, then a kick under the run mutex: -race in
+// pipeline.TestResizeUnderFlightChain, TestLivePipelineGrowsBottleneck)
+// and SetGrain (an atomic store: pipeline.TestGrainResizeConcurrentMidFlight).
 type wallClock struct{ epoch time.Time }
 
 func (c *wallClock) Tick(interval float64, fn func(now float64)) (stop func()) {

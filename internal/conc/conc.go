@@ -1,14 +1,13 @@
 // Package conc provides the small concurrency primitives shared by the
-// live skeletons (pipeline and farm): a resizable concurrency limiter —
-// a stage's replica count is the number of its slabs in flight on the
-// shared executor (internal/conc/steal), not a pool of goroutines —
-// and an atomic service-time meter. Both are tuned for the per-item hot
-// path: the limiter wakes exactly one waiter per release instead of
-// broadcasting to all of them, and the meter records a sample with
-// three atomic operations instead of taking a mutex. Apportion is the
-// one worker split, bottleneck first: the live controller
-// (internal/adaptive/liveadapt) divides its worker budget over a
-// pipeline's stages with it, and workload.RunLive its first deployment.
+// live skeletons (pipeline and farm): an atomic service-time meter, which
+// records a sample with three atomic operations instead of taking a
+// mutex, and Apportion, the one worker split, bottleneck first: the live
+// controller (internal/adaptive/liveadapt) divides its worker budget over
+// a pipeline's stages with it, and workload.RunLive its first deployment.
+// A stage's replica count is the number of its slabs in flight on the
+// shared executor (internal/conc/steal), which the pipeline counts itself
+// under its run mutex; the blocking Limiter here is no longer on the live
+// path, and only the benchmark's probe still measures it.
 package conc
 
 import (
@@ -17,11 +16,8 @@ import (
 	"time"
 )
 
-// Limiter is a resizable concurrency limiter: Acquire blocks while the
-// number of holders is at or above the current limit. SetLimit may
-// shrink or grow the limit while goroutines hold or wait; shrinking
-// takes effect as holders release, growing wakes every waiter so all
-// newly legal slots fill at once.
+// Limiter is a counting semaphore: Acquire blocks while the number of
+// holders is at the limit.
 type Limiter struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
@@ -46,25 +42,8 @@ func (l *Limiter) Acquire() {
 	l.mu.Unlock()
 }
 
-// TryAcquire takes a slot if one is free and reports whether it did. It
-// never waits: a caller that must not block (the pipeline's dataflow
-// step) tries again when a Release or a SetLimit may have changed the
-// answer. After a shrink below the number of holders it keeps refusing
-// until enough of them have released.
-func (l *Limiter) TryAcquire() bool {
-	l.mu.Lock()
-	ok := l.inUse < l.limit
-	if ok {
-		l.inUse++
-	}
-	l.mu.Unlock()
-	return ok
-}
-
-// Release frees a slot, waking one waiter. Waking exactly one is
-// enough: a release frees exactly one slot, and every waiter re-checks
-// the limit under the mutex, so a waiter woken into a shrunken limit
-// simply waits again. Resize wake-ups are SetLimit's job.
+// Release frees a slot, waking one waiter: a release frees exactly one
+// slot, so waking more would only send them back to wait.
 func (l *Limiter) Release() {
 	l.mu.Lock()
 	l.inUse--
@@ -72,26 +51,10 @@ func (l *Limiter) Release() {
 	l.mu.Unlock()
 }
 
-// SetLimit resizes the limiter. It must broadcast, not signal: growing
-// from n to n+k legalises k waiters at once, and waking only one would
-// strand the rest until the next Release dribbles them in.
-func (l *Limiter) SetLimit(n int) {
-	l.mu.Lock()
-	l.limit = n
-	l.cond.Broadcast()
-	l.mu.Unlock()
-}
-
-// Limit returns the current limit.
-func (l *Limiter) Limit() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.limit
-}
-
 // Meter is a goroutine-safe service-time accumulator with atomic
 // fields: count, sum, and max of recorded durations. The zero value is
-// ready for use.
+// ready for use. The live pipeline records every slab of a stage and
+// times those of ≥ 4 µs and every 8th (pipeline.TestStageClockSampling).
 type Meter struct {
 	count atomic.Int64
 	sumNs atomic.Int64
@@ -99,17 +62,7 @@ type Meter struct {
 }
 
 // Record adds one sample.
-func (m *Meter) Record(d time.Duration) {
-	ns := int64(d)
-	m.count.Add(1)
-	m.sumNs.Add(ns)
-	for {
-		cur := m.maxNs.Load()
-		if ns <= cur || m.maxNs.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
+func (m *Meter) Record(d time.Duration) { m.RecordN(1, d) }
 
 // RecordN adds n samples that completed together in total time d — the
 // batched boundary's one-call-per-batch counterpart of Record. The

@@ -9,7 +9,8 @@
 // and the Go scheduler's handoffs between them dominated the per-item
 // hot path (DESIGN.md, "Granularity & batching", post-mortem). With
 // the shared executor, replica counts become pure in-flight limits
-// (conc.Limiter, actuated by the same SetReplicas/SetWorkers) and the
+// (a stage's count of slabs in flight, kept under its run's mutex and
+// checked against the limit SetReplicas/SetWorkers stores) and the
 // goroutines that actually run stage work are exactly the worker set
 // here, sized to the CPUs that exist.
 //

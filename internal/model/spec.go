@@ -40,7 +40,7 @@ type PipelineSpec struct {
 	Grain int
 	// BatchOverheads, when non-empty, gives every stage boundary its
 	// fixed per-batch cost h in reference-seconds (BatchOverheads[i]
-	// entering stage i): the channel/limiter/reorderer synchronization
+	// entering stage i): the queue/in-flight-count/reorder synchronization
 	// a batch pays once regardless of how many items it carries,
 	// amortized as h/Grain per item. It is per boundary because it is
 	// a measured cost, not a grain. Length must equal the stage count.

@@ -3,7 +3,7 @@
 // executor tasks and in-process queues instead of grid transfers).
 //
 // Every boundary carries a *batch — a pooled slab of consecutively-
-// sequenced items. Every boundary cost (the limiter token, the executor
+// sequenced items. Every boundary cost (the in-flight token, the executor
 // handoff, the reorder ring, the edge queue, the step under the run's
 // mutex) is paid once per slab and amortised over its items, which is
 // exactly the fixed-overhead amortisation argument the cost model's

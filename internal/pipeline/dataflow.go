@@ -26,7 +26,7 @@ type edge struct {
 type stageState struct {
 	in, out []*edge // in edge-list order: a merge's parts follow it
 	pending ring.Reorder[*batch]
-	flying  int // slabs fired and not yet out of pending: each holds a token
+	flying  int // slabs fired and not yet out of pending; fire keeps it under the limit
 	// dead latches at a failed task's tombstone: nothing after the gap may
 	// leave the stage, or the output would not be a prefix. (The failure
 	// also cancels the run; the latch keeps the guarantee local.)
@@ -117,7 +117,7 @@ func (p *Pipeline) newDataflow(ctx context.Context, ex *steal.Executor, fail fun
 
 // runTask is the executor task: apply the stage to the slab, file the
 // result — or the nil tombstone of a failed slab, which keeps the ring's
-// indices gap-free so the tokens behind it keep coming back while the
+// indices gap-free so the slabs behind it keep leaving flight while the
 // cancellation unwinds — advance, and carry on with a slab that released,
 // for at most one trip down the pipeline, unless advance yielded the
 // processor to the consumer. An unordered stage files at the
@@ -147,7 +147,7 @@ func (r *dataflow) runTask(s int, b *batch) {
 	}
 }
 
-// kick re-examines stage s after a change from outside (a resized limiter).
+// kick re-examines stage s after a change from outside (a new limit).
 func (r *dataflow) kick(s int) {
 	r.mu.Lock()
 	r.mark(s)
@@ -223,7 +223,7 @@ func (r *dataflow) step(rd []ready) []ready {
 		if st.retired {
 			continue
 		}
-		r.deliver(s, st)
+		r.deliver(st)
 		rd = r.fire(s, st, rd)
 		r.retire(st)
 	}
@@ -297,10 +297,9 @@ func (r *dataflow) unpack(budget int) *batch {
 	return b
 }
 
-// deliver is the first rule. The token is released only when the slab has
-// been accepted downstream: that is what makes Replicas a backpressure
-// bound.
-func (r *dataflow) deliver(s int, st *stageState) {
+// deliver is the first rule. A slab leaves flight only when it has been
+// accepted downstream: that is what makes Replicas a backpressure bound.
+func (r *dataflow) deliver(st *stageState) {
 	for {
 		if !r.cancelled && !st.dead && !hasRoom(st.out) {
 			return
@@ -310,7 +309,6 @@ func (r *dataflow) deliver(s int, st *stageState) {
 			return
 		}
 		st.flying--
-		r.p.limits[s].Release()
 		switch {
 		case b == nil:
 			st.dead = true
@@ -355,7 +353,7 @@ func (r *dataflow) fire(s int, st *stageState, rd []ready) []ready {
 			r.mark(s) // resume here once the list has been submitted
 			return rd
 		}
-		if !r.p.limits[s].TryAcquire() {
+		if int64(st.flying) >= r.p.live[s].limit.Load() {
 			return rd
 		}
 		st.flying++

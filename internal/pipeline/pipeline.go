@@ -26,11 +26,12 @@
 //   - an edge queue: at most the producing stage's Buffer slabs (the
 //     entry queue the head fills and the exit queue the egress drains
 //     are edges like any other);
-//   - holding a token of its stage's limiter, from when the stage takes
-//     it off its in-edges until its out-edges accept it — queued on the
-//     executor, running, or in the ring: at most Replicas slabs, which
-//     makes Replicas an end-to-end backpressure bound and SetReplicas
-//     the live counterpart of the simulator's replicate action;
+//   - in flight in its stage, from when the stage takes it off its
+//     in-edges until its out-edges accept it — queued on the executor,
+//     running, or in the ring: at most Replicas slabs, counted once per
+//     stage under the run's mutex, which makes Replicas an end-to-end
+//     backpressure bound and SetReplicas the live counterpart of the
+//     simulator's replicate action;
 //   - in the stage's reorder ring, finished, until every earlier index
 //     has left: never more than Replicas slabs.
 //
@@ -41,19 +42,19 @@
 // in those ioBuffer items.
 //
 // Three rules move slabs, and all only ever try — nothing waits under the
-// run's mutex. Fire: while every in-edge of a stage holds a slab and the
-// stage has a free token, pop one slab per in-edge (a merge zips them)
-// and hand (stage, slab) to the shared work-stealing executor
-// (internal/conc/steal). Deliver: while the stage's ring holds its next
-// in-index slab and every out-edge has room, pop it, release the token,
-// push it on every out-edge. Unpack, after every step: while nobody else
-// is sending and the front exit slab fits whole in the output buffer's
+// run's mutex. Fire: while every in-edge of a stage holds a slab and
+// fewer than Replicas of its slabs are in flight, pop one slab per in-edge
+// (a merge zips them) and hand (stage, slab) to the shared work-stealing
+// executor (internal/conc/steal). Deliver: while the stage's ring holds its
+// next in-index slab and every out-edge has room, pop it, count it out of
+// flight, push it on every out-edge. Unpack, after every step: while nobody
+// else is sending and the front exit slab fits whole in the output buffer's
 // free room, pop it and, with the mutex dropped, send its items — which
 // cannot block, for only one party sends and the consumer only makes
 // room — up to ioBuffer items per call, so a task still returns for the
 // stall probe. Whoever changes the state runs the rules to a fixpoint:
 // the head after pushing a slab, the egress after popping one,
-// SetReplicas after resizing a limiter, and — the common case — the
+// SetReplicas after storing a new limit, and — the common case — the
 // executor task that just finished a slab, which files it in the ring,
 // moves everything that can move, sends what reached the consumer, then
 // runs one of the slabs it released itself and submits the others. That
@@ -147,11 +148,22 @@ type Stage struct {
 
 // StageStats is a snapshot of one stage's live measurements.
 type StageStats struct {
-	Name        string
-	Count       int
-	Replicas    int
+	Name     string
+	Count    int
+	Replicas int
+	// MeanService and MaxService are per item, from the stage clock
+	// (clockEvery), which samples a cheap stage.
 	MeanService time.Duration
 	MaxService  time.Duration
+}
+
+// stageLive is what a run reads and writes of one stage outside its
+// mutex: the replica limit, which SetReplicas stores and the fire rule
+// loads, and the stage clock, which apply keeps.
+type stageLive struct {
+	limit   atomic.Int64 // holds any n SetReplicas accepts
+	perItem atomic.Int64 // ns per item of the stage's last timed slab
+	meter   conc.Meter
 }
 
 // Pipeline is a runnable live pipeline. Create with New (a linear
@@ -160,8 +172,7 @@ type StageStats struct {
 type Pipeline struct {
 	stages []Stage
 	edges  []topo.Edge // data-flow arcs; a chain for New
-	limits []*conc.Limiter
-	meters []*conc.Meter
+	live   []stageLive
 	ran    bool
 	mu     sync.Mutex
 
@@ -209,6 +220,7 @@ func NewGraph(stages []Stage, edges []topo.Edge) (*Pipeline, error) {
 	p := &Pipeline{
 		stages: make([]Stage, len(stages)),
 		edges:  append([]topo.Edge(nil), edges...),
+		live:   make([]stageLive, len(stages)),
 	}
 	p.grain.Store(1)
 	p.linger.Store(int64(DefaultLinger))
@@ -232,8 +244,7 @@ func NewGraph(stages []Stage, edges []topo.Edge) (*Pipeline, error) {
 			return nil, fmt.Errorf("pipeline: stage %d is unordered in a pipeline of %d stages", i, len(stages))
 		}
 		tstages[i] = topo.Stage{Name: st.Name}
-		p.limits = append(p.limits, conc.NewLimiter(st.Replicas))
-		p.meters = append(p.meters, &conc.Meter{})
+		p.live[i].limit.Store(int64(st.Replicas))
 	}
 	if _, err := topo.New(tstages, p.edges); err != nil {
 		return nil, err
@@ -245,8 +256,9 @@ func NewGraph(stages []Stage, edges []topo.Edge) (*Pipeline, error) {
 func (p *Pipeline) NumStages() int { return len(p.stages) }
 
 // SetReplicas changes the worker limit of stage i (minimum 1). Safe to
-// call while the pipeline runs; shrinking takes effect as in-flight
-// items finish, growing admits queued slabs at once.
+// call while the pipeline runs: it stores the limit, which the fire rule
+// loads, and re-examines the stage under the run's mutex. Shrinking takes
+// effect as in-flight slabs leave, growing admits queued slabs at once.
 func (p *Pipeline) SetReplicas(i, n int) error {
 	if i < 0 || i >= len(p.stages) {
 		return fmt.Errorf("pipeline: SetReplicas on invalid stage %d", i)
@@ -254,7 +266,7 @@ func (p *Pipeline) SetReplicas(i, n int) error {
 	if n < 1 {
 		return fmt.Errorf("pipeline: SetReplicas(%d) below 1", n)
 	}
-	p.limits[i].SetLimit(n)
+	p.live[i].limit.Store(int64(n))
 	if r := p.run.Load(); r != nil {
 		r.kick(i)
 	}
@@ -267,29 +279,31 @@ func (p *Pipeline) Replicas(i int) int {
 	if i < 0 || i >= len(p.stages) {
 		return 0
 	}
-	return p.limits[i].Limit()
+	return int(p.live[i].limit.Load())
 }
 
 // StageTotals returns stage i's cumulative completed-item count and
 // summed service time (zeros for an invalid stage index). The live
 // adaptive sensor diffs two readings to get windowed mean service times
-// without the pipeline keeping any per-window state.
+// without the pipeline keeping any per-window state. The count is exact,
+// the sum as exact as the stage clock (clockEvery).
 func (p *Pipeline) StageTotals(i int) (count int64, sum time.Duration) {
 	if i < 0 || i >= len(p.stages) {
 		return 0, 0
 	}
-	return p.meters[i].Totals()
+	return p.live[i].meter.Totals()
 }
 
-// Stats snapshots per-stage counters.
+// Stats snapshots per-stage counters: exact counts, and service times from
+// the stage clock (clockEvery).
 func (p *Pipeline) Stats() []StageStats {
 	out := make([]StageStats, len(p.stages))
 	for i := range p.stages {
-		count, mean, max := p.meters[i].Snapshot()
+		count, mean, max := p.live[i].meter.Snapshot()
 		out[i] = StageStats{
 			Name:        p.stages[i].Name,
 			Count:       count,
-			Replicas:    p.limits[i].Limit(),
+			Replicas:    int(p.live[i].limit.Load()),
 			MeanService: mean,
 			MaxService:  max,
 		}
@@ -389,7 +403,13 @@ func (p *Pipeline) apply(ctx context.Context, i int, b *batch) (ob *batch, busy 
 			ob = nil
 		}
 	}()
-	t0 := time.Since(epoch)
+	lv := &p.live[i]
+	per := time.Duration(lv.perItem.Load())
+	timed := b.idx%clockEvery == 0 || per*time.Duration(len(b.items)) >= clockFloor
+	var t0 time.Duration
+	if timed {
+		t0 = time.Since(epoch)
+	}
 	for ; k < len(b.items); k++ {
 		r, ferr := fn(ctx, b.items[k])
 		if ferr != nil {
@@ -397,13 +417,29 @@ func (p *Pipeline) apply(ctx context.Context, i int, b *batch) (ob *batch, busy 
 		}
 		ob.items[k] = r
 	}
-	busy = time.Since(epoch) - t0
-	p.meters[i].RecordN(int64(k), busy)
+	busy = per * time.Duration(k)
+	if timed {
+		busy = time.Since(epoch) - t0
+		lv.perItem.Store(int64(busy) / int64(k))
+	}
+	lv.meter.RecordN(int64(k), busy)
 	return ob, busy, nil
 }
 
-// epoch anchors the stage clock: time.Since(epoch) reads the monotonic
-// clock alone, where time.Now reads the wall clock as well.
+// The stage clock. apply times a slab whose index is a multiple of
+// clockEvery, and every slab its stage's last timed per-item duration says
+// takes at least clockFloor, where two clock reads are at most 3 % of the
+// work; an untimed slab is charged that duration per item. So a stage
+// whose slabs take clockFloor or more is timed exactly, a cheaper one's time is an
+// estimate at most clockEvery-1 slabs stale, and one that turns slow is
+// timed on every slab within clockEvery slabs, plus those a replicated
+// stage runs beside the one that saw it (TestStageClockSampling).
+// time.Since(epoch) reads the monotonic clock alone.
+const (
+	clockEvery = 8
+	clockFloor = 4 * time.Microsecond
+)
+
 var epoch = time.Now()
 
 // Process runs the pipeline over a slice and returns the outputs in

@@ -239,6 +239,8 @@ func RunLive(app App, opts LiveOptions) (LiveOutcome, error) {
 		return LiveOutcome{}, err
 	}
 
+	// The feeder shares only the input channel with the run; the ticker
+	// that resizes it is liveadapt's wallClock.
 	in := make(chan any, 64)
 	go func() {
 		defer close(in)
