@@ -75,7 +75,9 @@ func newController(g *grid.Grid, ex *exec.Executor, spec model.PipelineSpec, cfg
 	if cfg.Searcher == nil {
 		cfg.Searcher = sched.LocalSearch{Seed: 1}
 	}
-	sensors := monitor.NewNodeSensors(g)
+	// Only LoadPredicted reads a forecast: under any other policy, feeding
+	// the battery on every tick is waste.
+	sensors := monitor.NewNodeSensors(g, cfg.Policy.Mode() == adaptive.LoadPredicted)
 	act := &actuator{g: g, ex: ex, spec: spec, cfg: cfg}
 	core, err := adaptive.New(
 		&sensor{g: g, ex: ex, spec: spec, sensors: sensors, loadBuf: make([]float64, len(sensors))},

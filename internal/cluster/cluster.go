@@ -196,7 +196,7 @@ func New(g *grid.Grid, cfg Config) (*Cluster, error) {
 		eng:     &sim.Engine{},
 		cfg:     cfg,
 		shares:  exec.NewNodeShares(g),
-		sensors: monitor.NewNodeSensors(g),
+		sensors: monitor.NewNodeSensors(g, true),
 	}
 	c.div = NewDivider(g, 0)
 	return c, nil

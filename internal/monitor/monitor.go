@@ -230,12 +230,17 @@ func (s *NodeSensor) Estimate(mode adaptive.LoadMode, now float64) float64 {
 // and the cluster arbiter both hold one.
 type NodeSensors []*NodeSensor
 
-// NewNodeSensors returns a bank over every node of g, each backed by
-// the default forecaster battery.
-func NewNodeSensors(g *grid.Grid) NodeSensors {
+// NewNodeSensors returns a bank over every node of g. With battery set,
+// each sensor feeds the default forecaster battery; without it, only its
+// last reading, which is all a mode other than LoadPredicted reads.
+func NewNodeSensors(g *grid.Grid, battery bool) NodeSensors {
 	ns := make(NodeSensors, g.NumNodes())
 	for i := range ns {
-		ns[i] = NewNodeSensor(g.Node(grid.NodeID(i)), nil)
+		var fc forecast.Forecaster // nil: the default battery
+		if !battery {
+			fc = forecast.NewLastValue()
+		}
+		ns[i] = NewNodeSensor(g.Node(grid.NodeID(i)), fc)
 	}
 	return ns
 }

@@ -165,7 +165,7 @@ func TestNodeSensorsLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNodeSensors(g)
+	ns := NewNodeSensors(g, true)
 	if len(ns) != 2 || ns[0].node != g.Node(0) || ns[1].node != g.Node(1) {
 		t.Fatal("the bank must hold one sensor per node, in node order")
 	}

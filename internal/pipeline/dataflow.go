@@ -60,7 +60,7 @@ type dataflow struct {
 	// done is ctx.Done(), read once: a receive from an open channel takes
 	// no lock, where ctx.Err() locks the context every worker shares.
 	done <-chan struct{}
-	out  chan<- any // the run's output, ioBuffer items
+	out  chan<- any // the run's output, outputRoom items
 
 	mu        sync.Mutex
 	stages    []stageState
@@ -155,13 +155,14 @@ func (r *dataflow) kick(s int) {
 }
 
 // advance runs the rules to a fixpoint, submits what fired and sends
-// what the unpack rule popped. Called with r.mu held, returns with it
+// what the unpack rule popped, at most cap(r.out) items: two slabs at
+// the run's starting grain. Called with r.mu held, returns with it
 // released. With inline set it keeps the furthest-downstream fired slab —
 // the oldest work in the pipeline — for the calling task to run itself,
 // sparing it the inject queue.
 func (r *dataflow) advance(inline bool, busy time.Duration) (keep ready) {
 	var buf [8]ready
-	budget := ioBuffer
+	budget := cap(r.out)
 	for {
 		rd := r.step(buf[:0])
 		out := r.unpack(budget)
@@ -271,7 +272,7 @@ func (r *dataflow) cancelAll() {
 // sending and the run is not cancelled, pop the front exit slab for the
 // caller to send if its items fit whole in both the output's free room
 // and budget — the items the caller may still send before it returns, so
-// a task does not keep its worker past ioBuffer items and the executor's
+// a task does not keep its worker past cap(out) items and the executor's
 // stall probe still sees tasks end. What the rule leaves — a slab that
 // does not fit, a drained and closed exit queue, a cancellation — wakes
 // the egress.

@@ -3,8 +3,8 @@ package pipeline
 // The shape of the dataflow wiring: what a run starts, what it holds,
 // what it gives back. Goroutines per run do not depend on the stage
 // count; a consumer that stops reading stalls the producer behind a
-// bounded number of items; a grown limiter admits queued slabs with no
-// task completing; an unordered stage holds no finished slab behind an
+// bounded number of items; a grown replica limit admits queued slabs
+// with no task completing; an unordered stage holds no finished slab behind an
 // unfinished one; every slab taken from the pool returns to it,
 // however the run ends; and a one-worker executor — which deadlocks any
 // design where a task waits on another — runs every property.
@@ -109,7 +109,7 @@ func TestRunGoroutinesIndependentOfStages(t *testing.T) {
 // a stall; and cancelling unwinds it.
 func TestBackpressureBoundsInFlight(t *testing.T) {
 	watchGoroutines(t)
-	for _, grain := range []int{1, 16} {
+	for _, grain := range []int{1, 16, 64} {
 		t.Run(fmt.Sprintf("grain%d", grain), func(t *testing.T) {
 			stages := []Stage{
 				{Fn: identFn, Replicas: 3, Buffer: 2},
@@ -160,10 +160,12 @@ func TestBackpressureBoundsInFlight(t *testing.T) {
 	}
 }
 
-// TestSetReplicasAdmitsQueuedSlabs: nothing waits on a stage's limiter
-// any more, so a grown limit must itself start the slabs that were
-// queued behind the old one — here with every running task parked on a
-// gate, so no completion can do it instead.
+// TestSetReplicasAdmitsQueuedSlabs: no task waits for a replica slot —
+// fire starts a slab only while the stage's flying count is under its
+// limit — so a grown limit must itself start the slabs that were queued
+// behind the old one: SetReplicas stores the limit and kicks the stage.
+// Here every running task is parked on a gate, so no completion can do
+// it instead.
 func TestSetReplicasAdmitsQueuedSlabs(t *testing.T) {
 	watchGoroutines(t)
 	var entered atomic.Int64
@@ -405,7 +407,7 @@ func TestOneWorkerExecutor(t *testing.T) {
 		r := rand.New(rand.NewSource(47))
 		for trial := 0; trial < 10; trial++ {
 			stages, edges := randTopology(r)
-			grain := []int{1, 3, 16}[trial%3]
+			grain := []int{1, 3, 16, 64}[trial%4]
 			ex := steal.New(1)
 			p := propBuild(t, stages, edges, grain)
 			p.UseExecutor(ex)
@@ -427,7 +429,7 @@ func TestOneWorkerExecutor(t *testing.T) {
 		for trial := 0; trial < 6; trial++ {
 			stages, edges := randTopology(r)
 			cancelAt := 1 + r.Intn(items/2)
-			for _, grain := range []int{1, 16} {
+			for _, grain := range []int{1, 16, 64} {
 				ex := steal.New(1)
 				p := propBuild(t, stages, edges, grain)
 				p.UseExecutor(ex)
@@ -456,7 +458,7 @@ func TestOneWorkerExecutor(t *testing.T) {
 
 	t.Run("panic is contained", func(t *testing.T) {
 		const k = 137
-		for _, grain := range []int{1, 16} {
+		for _, grain := range []int{1, 16, 64} {
 			ex := steal.New(1)
 			bad, err := New(
 				Stage{Name: "pre", Fn: identFn, Replicas: 2},

@@ -3,17 +3,19 @@ package pipeline
 // The unpack rule: a stepper that finds the front exit slab fitting the
 // output buffer's free room sends its items itself, and the egress
 // goroutine only takes what does not fit, the end of the run and a
-// cancellation. A consumer that reads in bursts and stalls makes the
-// buffer fill and drain, so both parties unpack, at a grain below the
-// buffer (1, 16: the rule takes most slabs) and above it (64: the egress
-// takes every slab). A send on the output after it closed would panic
-// the run's goroutine and with it the test binary.
+// cancellation. The buffer holds two slabs of the grain a run starts at
+// (outputRoom), so a consumer that reads in bursts and stalls makes it
+// fill and drain, and both parties unpack, at every starting grain (1,
+// 16, 64). A grain raised mid-run past the buffer (16, then 48) makes the
+// egress take every slab from then on, whole. A send on the output after
+// it closed would panic the run's goroutine and with it the test binary.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -69,9 +71,12 @@ func TestBurstyConsumerProperty(t *testing.T) {
 			want: func(i int) int { return 2 * i },
 		},
 	}
+	// Each run's starting grain, and the grain the feeder sets halfway
+	// through (0: none).
+	type regrain struct{ start, then int }
 	r := rand.New(rand.NewSource(61))
 	for name, sh := range shapes {
-		for _, grain := range []int{1, 16, 64} {
+		for _, g := range []regrain{{1, 0}, {16, 0}, {64, 0}, {16, 48}} {
 			for trial := 0; trial < 4; trial++ {
 				// Trials 0 and 1 read to the end; 2 and 3 cancel mid-stream,
 				// while the buffer is being filled and drained.
@@ -79,12 +84,16 @@ func TestBurstyConsumerProperty(t *testing.T) {
 				if trial >= 2 {
 					cancelAt = 1 + r.Intn(items-items/4)
 				}
-				t.Run(fmt.Sprintf("%s/grain%d/trial%d", name, grain, trial), func(t *testing.T) {
+				label := fmt.Sprintf("grain%d", g.start)
+				if g.then > 0 {
+					label += fmt.Sprintf("to%d", g.then)
+				}
+				t.Run(fmt.Sprintf("%s/%s/trial%d", name, label, trial), func(t *testing.T) {
 					p, err := sh.build()
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := p.EnableBatch(grain, time.Millisecond); err != nil {
+					if err := p.EnableBatch(g.start, time.Millisecond); err != nil {
 						t.Fatal(err)
 					}
 					var live atomic.Int64
@@ -95,6 +104,12 @@ func TestBurstyConsumerProperty(t *testing.T) {
 					go func() {
 						defer close(in)
 						for i := 0; i < items; i++ {
+							if i == items/2 && g.then > 0 {
+								if err := p.SetGrain(g.then); err != nil {
+									t.Error(err)
+									return
+								}
+							}
 							select {
 							case in <- i:
 							case <-ctx.Done():
@@ -144,30 +159,106 @@ func TestBurstyConsumerProperty(t *testing.T) {
 // TestEgressIdleWhileConsumerKeepsUp: with a consumer that keeps up, the
 // stepper that fills the exit queue unpacks it, so the egress goroutine
 // parks once at the start of the run and wakes for its end, not once per
-// slab as it did while every exit push woke it.
+// slab as it did while every exit push woke it — nor, at grain 64, as it
+// did while the output buffer held 32 items and no slab of 64 fitted.
 func TestEgressIdleWhileConsumerKeepsUp(t *testing.T) {
 	watchGoroutines(t)
-	const items = 200
-	p, err := New(Stage{Replicas: 2, Fn: func(_ context.Context, v any) (any, error) {
-		time.Sleep(50 * time.Microsecond) // slower than the consumer
-		return v, nil
-	}})
-	if err != nil {
-		t.Fatal(err)
+	var read atomic.Int64 // items the consumer has received
+	for _, tc := range []struct {
+		grain, slabs, replicas int
+		work                   func(i int) // item i's stage work
+	}{
+		{1, 200, 2, func(int) { time.Sleep(50 * time.Microsecond) }}, // slower than the consumer
+		// A spin, not a sleep: real stage work keeps its worker. Item i
+		// also waits until the consumer has received item i-64, so a
+		// finished slab finds at most 63 items in the buffer and fits
+		// beside them, however the scheduler treats the consumer.
+		{64, 20, 1, func(i int) {
+			spin(2 * time.Microsecond)
+			for read.Load() <= int64(i-64) {
+				runtime.Gosched()
+			}
+		}},
+	} {
+		t.Run(fmt.Sprintf("grain%d", tc.grain), func(t *testing.T) {
+			p, err := New(Stage{Replicas: tc.replicas, Fn: func(_ context.Context, v any) (any, error) {
+				tc.work(v.(int))
+				return v, nil
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.EnableBatch(tc.grain, time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			items := tc.grain * tc.slabs
+			in := make(chan any, items)
+			for i := 0; i < items; i++ {
+				in <- i
+			}
+			close(in)
+			read.Store(0)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			out, errs := p.Run(ctx, in)
+			n := 0
+			for v := range out {
+				if v.(int) != n {
+					t.Fatalf("output %d: got %v", n, v)
+				}
+				n++
+				read.Store(int64(n))
+			}
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+			if n != items {
+				t.Fatalf("delivered %d of %d", n, items)
+			}
+			// The output has closed, after the egress returned.
+			parks := p.run.Load().egressParks
+			t.Logf("the egress parked %d times in %d slabs of %d", parks, tc.slabs, tc.grain)
+			if parks > 3 {
+				t.Errorf("the egress parked %d times in a run of %d slabs of %d, want at most 3", parks, tc.slabs, tc.grain)
+			}
+		})
 	}
-	got, err := p.Process(context.Background(), ints(items))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v.(int) != i {
-			t.Fatalf("output %d: got %v", i, v)
+}
+
+// TestOutputRoomFollowsTheStartingGrain: a run's output holds two slabs
+// of the grain it starts at, never fewer than ioBuffer items, and never
+// more than maxOutput — a grain no input ever fills still runs.
+func TestOutputRoomFollowsTheStartingGrain(t *testing.T) {
+	watchGoroutines(t)
+	const items = 100
+	for _, tc := range []struct{ grain, room int }{
+		{1, ioBuffer}, {16, ioBuffer}, {17, 34}, {64, 128}, {1 << 40, maxOutput},
+	} {
+		p, err := New(Stage{Fn: inc})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Process has returned: the output has closed, after the egress did.
-	parks := p.run.Load().egressParks
-	t.Logf("the egress parked %d times in %d slabs", parks, items)
-	if parks > 3 {
-		t.Errorf("the egress parked %d times in a run of %d slabs of one, want at most 3", parks, items)
+		if err := p.EnableBatch(tc.grain, time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		in := make(chan any, items)
+		for i := 0; i < items; i++ {
+			in <- i
+		}
+		close(in)
+		out, errs := p.Run(context.Background(), in)
+		if cap(out) != tc.room {
+			t.Errorf("grain %d: output room %d, want %d", tc.grain, cap(out), tc.room)
+		}
+		n := 0
+		for v := range out {
+			if v.(int) != n+1 {
+				t.Fatalf("grain %d: output %d: got %v", tc.grain, n, v)
+			}
+			n++
+		}
+		if err := <-errs; err != nil || n != items {
+			t.Fatalf("grain %d: %d of %d outputs, err %v", tc.grain, n, items, err)
+		}
 	}
 }

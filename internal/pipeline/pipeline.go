@@ -18,9 +18,10 @@
 // There is one data path, one grain, and no goroutine per stage. The
 // head batcher packs inputs into pooled slabs of up to the pipeline's
 // grain of items (grain 1, the default, is a slab of one — batch.go),
-// every stage carries them on 1-for-1, and the egress unpacks them into
-// the output channel's small fixed buffer (ioBuffer items) for the
-// consumer; between the two sits a per-run dataflow state (dataflow.go)
+// every stage carries them on 1-for-1, and they are unpacked into the
+// output channel's buffer, room for two slabs at the run's starting grain
+// and never under ioBuffer items (outputRoom), for the consumer; between
+// the two sits a per-run dataflow state (dataflow.go)
 // in which a slab is in one of three places, each bounded:
 //
 //   - an edge queue: at most the producing stage's Buffer slabs (the
@@ -37,9 +38,9 @@
 //
 // With the slab the head is filling or pushing and the slab the egress is
 // unpacking, a run whose consumer reads nothing holds at most that many
-// slabs times the grain, plus the ioBuffer items already unpacked
+// slabs times the grain, plus the cap(out) items already unpacked
 // (TestBackpressureBoundsInFlight); a slab any other party unpacks fits
-// in those ioBuffer items.
+// in those cap(out) items.
 //
 // Three rules move slabs, and all only ever try — nothing waits under the
 // run's mutex. Fire: while every in-edge of a stage holds a slab and
@@ -51,7 +52,7 @@
 // else is sending and the front exit slab fits whole in the output buffer's
 // free room, pop it and, with the mutex dropped, send its items — which
 // cannot block, for only one party sends and the consumer only makes
-// room — up to ioBuffer items per call, so a task still returns for the
+// room — up to cap(out) items per call, so a task still returns for the
 // stall probe. Whoever changes the state runs the rules to a fixpoint:
 // the head after pushing a slab, the egress after popping one,
 // SetReplicas after storing a new limit, and — the common case — the
@@ -114,13 +115,23 @@ import (
 	"gridpipe/internal/topo"
 )
 
-// ioBuffer is the capacity of the two channels the package makes itself:
-// a run's output, which the egress unpacks slabs into, and the input
-// Collect feeds a slice through. It lets either end pay the channel once
-// per burst instead of a rendezvous per item; it is fixed, not an option
-// (16 to 64 measured alike), and the output's is the whole of what a run
-// can hold beyond its slabs.
+// ioBuffer is the capacity of the input Collect feeds a slice through and
+// the floor of a run's output (outputRoom). It lets either end pay the
+// channel once per burst instead of a rendezvous per item; it is fixed,
+// not an option (16 to 64 measured alike at grain 1).
 const ioBuffer = 32
+
+// maxOutput caps a run's output buffer, so a grain no input ever fills
+// (WithBatch(1<<40)) cannot ask make for a channel it cannot have.
+const maxOutput = 1 << 12
+
+// outputRoom is the capacity of a run's output channel at a starting grain:
+// two slabs, so a task can send one whole while the consumer still reads
+// the previous one — the unpack rule sends only a slab that fits the free
+// room, and leaves the egress the rest. It is the whole of what a run can
+// hold beyond its slabs. A grain raised past half of it after Run starts
+// (SetGrain, the GrainAuto walk) falls back to the egress.
+func outputRoom(grain int) int { return max(ioBuffer, 2*min(grain, maxOutput/2)) }
 
 // Func is the computation of one stage. It must be safe for concurrent
 // invocation when the stage is replicated.
@@ -347,7 +358,7 @@ func (p *Pipeline) Run(ctx context.Context, inputs <-chan any) (<-chan any, <-ch
 		})
 	}
 
-	results := make(chan any, ioBuffer)
+	results := make(chan any, outputRoom(p.Grain()))
 	r := p.newDataflow(ctx, ex, fail, results)
 	p.run.Store(r)
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -122,7 +123,8 @@ func TestReplicationActuallyParallel(t *testing.T) {
 // TestBlockedStageHoldsAtMostReplicasWorkers: a stage whose function
 // blocks until released takes at most Replicas executor workers, however
 // long it stays blocked. On a two-worker set a Replicas-4 stage gets both
-// fleet workers and two spill workers, and then the limiter submits no
+// fleet workers and two spill workers, and then fire, which starts a slab
+// only while the stage's flying count is under its limit, submits no
 // fifth task, so the stall monitor finds nothing queued to spill for.
 func TestBlockedStageHoldsAtMostReplicasWorkers(t *testing.T) {
 	watchGoroutines(t)
@@ -131,6 +133,11 @@ func TestBlockedStageHoldsAtMostReplicasWorkers(t *testing.T) {
 	defer ex.Close()
 	var inside atomic.Int64
 	gate := make(chan struct{})
+	var opened sync.Once
+	open := func() { opened.Do(func() { close(gate) }) }
+	// Runs before ex.Close: a failed check must release the calls
+	// blocked on gate, or Close waits for them until the test times out.
+	defer open()
 	p, err := New(Stage{Name: "blocks", Replicas: replicas, Fn: func(_ context.Context, v any) (any, error) {
 		inside.Add(1)
 		<-gate
@@ -161,7 +168,7 @@ func TestBlockedStageHoldsAtMostReplicasWorkers(t *testing.T) {
 	if n, s := inside.Load(), ex.Stats().Spills; n != replicas || s != replicas-fleet {
 		t.Fatalf("a blocked Replicas-%d stage on %d workers: %d calls inside, %d spill workers; want %d and %d", replicas, fleet, n, s, replicas, replicas-fleet)
 	}
-	close(gate)
+	open()
 	r := <-done
 	if r.err != nil {
 		t.Fatal(r.err)

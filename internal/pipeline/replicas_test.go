@@ -7,12 +7,11 @@ import (
 	"time"
 )
 
-// TestSetReplicasShrinkGrowChurn is the regression test for the
-// limiter's resize semantics: a stage's replica limit is hammered up
+// TestSetReplicasShrinkGrowChurn: a stage's replica limit is hammered up
 // and down while items flow. Every item must still come out, in order,
-// and the run must not deadlock — in particular, a grow that legalises
-// several blocked dispatch slots at once must wake all of them
-// (Broadcast on resize), not just one.
+// and the run must not deadlock — in particular, a grow that makes room
+// for several queued slabs at once must fire all of them (the kick
+// re-runs fire until flying reaches the new limit), not just one.
 func TestSetReplicasShrinkGrowChurn(t *testing.T) {
 	const items = 400
 	var inFlight, peak atomic.Int64
@@ -97,9 +96,9 @@ func TestSetReplicasShrinkGrowChurn(t *testing.T) {
 	}
 }
 
-// TestGrowAdmitsAllAtOnce pins the Broadcast-on-grow behaviour through
-// the public API: with the limit at 1 and several items blocked behind
-// it, one SetReplicas grow must let them all run concurrently.
+// TestGrowAdmitsAllAtOnce pins the grow through the public API: with the
+// limit at 1 and several items queued behind it, one SetReplicas grow
+// must let them all run concurrently.
 func TestGrowAdmitsAllAtOnce(t *testing.T) {
 	const burst = 6
 	var inFlight atomic.Int64
@@ -128,7 +127,8 @@ func TestGrowAdmitsAllAtOnce(t *testing.T) {
 	out, errs := p.Run(context.Background(), in)
 
 	// Wait until the single replica is wedged in the stage function,
-	// then grow. Only a broadcast admits the remaining burst-1 items.
+	// then grow. Only the grow's kick can fire the remaining burst-1
+	// items: no task completes until all of them are in.
 	<-reached
 	if err := p.SetReplicas(0, burst); err != nil {
 		t.Fatal(err)

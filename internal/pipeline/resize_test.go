@@ -80,7 +80,8 @@ func jitterStage(seed int) Func {
 // TestResizeUnderFlightChain hammers every stage's replica limit while
 // a chain pipeline streams; ordering must survive any interleaving of
 // grows and shrinks. Run with -race (the CI race job does) to check
-// the limiter/pool/reorder machinery, not just the observable order.
+// the replica limit, the slab pool and the reorder rings, not just the
+// observable order.
 func TestResizeUnderFlightChain(t *testing.T) {
 	p, err := New(
 		Stage{Name: "a", Fn: jitterStage(3), Replicas: 2, Buffer: 4},
@@ -99,7 +100,7 @@ func TestResizeUnderFlightChain(t *testing.T) {
 }
 
 // TestResizeUnderFlightGraph does the same over a diamond
-// (split/merge) pipeline: fan-out broadcast, fan-in zip, and the
+// (split/merge) pipeline: the split's shared slab, fan-in zip, and the
 // merge stage's []any parts must all tolerate concurrent resizes.
 func TestResizeUnderFlightGraph(t *testing.T) {
 	join := func(ctx context.Context, v any) (any, error) {
