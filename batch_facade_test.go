@@ -33,7 +33,7 @@ func TestWithBatchOrderedOutputUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	batched := mk()
-	if err := batched.WithBatch(16, BatchOptions{Linger: time.Millisecond}); err != nil {
+	if err := batched.WithBatch(16); err != nil {
 		t.Fatal(err)
 	}
 	got, err := batched.Process(context.Background(), in)
@@ -60,9 +60,6 @@ func TestWithBatchValidates(t *testing.T) {
 	}
 	if err := p.WithBatch(-7); err == nil {
 		t.Fatal("WithBatch(-7) accepted")
-	}
-	if err := p.WithBatch(4, BatchOptions{Max: -1}); err == nil {
-		t.Fatal("negative Max accepted")
 	}
 	// Auto grain without a live controller must refuse at build time.
 	if err := p.WithBatch(GrainAuto); err != nil {
@@ -119,11 +116,10 @@ func TestWithBatchGrainAutoReports(t *testing.T) {
 	}
 	if err := p.WithLiveAdaptive(PolicyPeriodic, LiveAdaptiveOptions{
 		Interval: 10 * time.Millisecond,
-		Cooldown: 20 * time.Millisecond,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.WithBatch(GrainAuto, BatchOptions{Max: 32}); err != nil {
+	if err := p.WithBatch(GrainAuto); err != nil {
 		t.Fatal(err)
 	}
 	in := make([]any, 50000)
@@ -140,8 +136,9 @@ func TestWithBatchGrainAutoReports(t *testing.T) {
 		}
 	}
 	rep := p.LiveAdaptiveReport()
-	if rep.Grain < 1 || rep.Grain > 32 {
-		t.Fatalf("reported grain %d outside [1, 32]", rep.Grain)
+	// The walk's ceiling is a constant: 256 (liveadapt's maxGrain).
+	if rep.Grain < 1 || rep.Grain > 256 {
+		t.Fatalf("reported grain %d outside [1, 256]", rep.Grain)
 	}
 }
 

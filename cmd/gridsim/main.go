@@ -19,7 +19,7 @@
 // generates a job trace from the named arrival process (see DESIGN.md,
 // "Traffic engine"), prints the realised rate over windows, and with
 // -traffic-out records the JSON-lines trace for later replay through
-// the cluster (gridpipe.SubmitTrace / cluster.SubmitTrace).
+// the simulated cluster (internal/cluster's Cluster.SubmitTrace).
 package main
 
 import (

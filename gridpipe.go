@@ -168,43 +168,27 @@ type Pipeline struct {
 	liveCfg  *liveadapt.Config     // set by WithLiveAdaptive
 	liveCtrl *liveadapt.Controller // built when Run starts
 	batchN   int                   // WithBatch grain (0 off, GrainAuto walked)
-	batchOpt BatchOptions
 }
 
 // GrainAuto, passed to WithBatch, hands the batch size to the live
 // adaptive controller: the grain starts at 1 and is walked up and down
-// (doubling/halving under the controller's hysteresis and cooldown) to
+// (doubling/halving, paced by the controller's cooldown, up to 256) to
 // whatever the observed throughput supports — the paper's granularity
 // adaptation as a second actuator next to replica counts. Requires
 // WithLiveAdaptive with a non-static policy.
 const GrainAuto = -1
 
-// BatchOptions tunes WithBatch beyond the grain itself.
-type BatchOptions struct {
-	// Linger bounds how long a partial batch may wait for more input
-	// at the pipeline head before being flushed anyway (default 1 ms),
-	// so trickle inputs keep bounded latency at any grain.
-	Linger time.Duration
-	// Max bounds the grain the auto mode may walk to (default 256).
-	Max int
-}
-
 // WithBatch makes batches of up to n items the unit crossing stage
 // boundaries in the live mode, amortizing the per-transfer channel and
-// scheduling overhead over n items. Ordered output is unchanged —
-// batching is invisible except in throughput and (up to Linger)
-// latency. Pass GrainAuto to let the live adaptive controller choose n
-// at run time. Must be called before Run/Process.
-func (p *Pipeline) WithBatch(n int, opts ...BatchOptions) error {
+// scheduling overhead over n items. A partial batch waits at most 1 ms
+// at the pipeline head for more input before it is flushed, so trickle
+// inputs keep bounded latency at any grain. Ordered output is
+// unchanged — batching is invisible except in throughput and (up to
+// that 1 ms) latency. Pass GrainAuto to let the live adaptive
+// controller choose n at run time. Must be called before Run/Process.
+func (p *Pipeline) WithBatch(n int) error {
 	if n != GrainAuto && n < 1 {
 		return fmt.Errorf("gridpipe: WithBatch(%d): grain must be ≥ 1 or GrainAuto", n)
-	}
-	var o BatchOptions
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	if o.Max < 0 {
-		return fmt.Errorf("gridpipe: WithBatch: negative Max %d", o.Max)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -212,7 +196,6 @@ func (p *Pipeline) WithBatch(n int, opts ...BatchOptions) error {
 		return fmt.Errorf("gridpipe: WithBatch after the live pipeline started")
 	}
 	p.batchN = n
-	p.batchOpt = o
 	// Rate model predictions at the same grain (GrainAuto's -1 rates
 	// as per-item); the last call wins.
 	p.spec.Grain = max(n, 0)
@@ -367,17 +350,16 @@ func (p *Pipeline) buildLive() (*pipeline.Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.batchN != 0 {
-		grain := p.batchN
-		if grain == GrainAuto {
-			if p.liveCfg == nil {
-				return nil, fmt.Errorf("gridpipe: WithBatch(GrainAuto) needs WithLiveAdaptive with a non-static policy")
-			}
-			grain = 1 // the controller walks it from here
-			p.liveCfg.AdaptGrain = true
-			p.liveCfg.MaxGrain = p.batchOpt.Max
+	switch {
+	case p.batchN == GrainAuto:
+		if p.liveCfg == nil {
+			return nil, fmt.Errorf("gridpipe: WithBatch(GrainAuto) needs WithLiveAdaptive with a non-static policy")
 		}
-		if err := lp.EnableBatch(grain, p.batchOpt.Linger); err != nil {
+		// A new pipeline runs at grain 1, where the controller starts
+		// the walk.
+		p.liveCfg.AdaptGrain = true
+	case p.batchN > 0:
+		if err := lp.EnableBatch(p.batchN, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -393,7 +375,9 @@ func (p *Pipeline) buildLive() (*pipeline.Pipeline, error) {
 }
 
 // LiveAdaptiveOptions tunes WithLiveAdaptive. The zero value picks the
-// live controller's defaults.
+// live controller's defaults. A resize needs a predicted throughput
+// ratio new/current of at least 1.15 and comes at least two Intervals
+// after the last one.
 type LiveAdaptiveOptions struct {
 	// Interval is the wall-clock sensing/decision period
 	// (default 250 ms).
@@ -402,12 +386,6 @@ type LiveAdaptiveOptions struct {
 	// (default 2×GOMAXPROCS) — the reserve capacity the controller may
 	// fold in when throughput degrades.
 	MaxWorkers int
-	// HysteresisGain is the minimum predicted throughput ratio
-	// new/current required to resize (default 1.15).
-	HysteresisGain float64
-	// Cooldown is the minimum wall time between two resizes
-	// (default 2×Interval).
-	Cooldown time.Duration
 }
 
 // WithLiveAdaptive arms run-time adaptation for the live execution
@@ -437,11 +415,9 @@ func (p *Pipeline) WithLiveAdaptive(policy string, opts ...LiveAdaptiveOptions) 
 		return fmt.Errorf("gridpipe: WithLiveAdaptive after the live pipeline started")
 	}
 	p.liveCfg = &liveadapt.Config{
-		Policy:         pol,
-		Interval:       o.Interval,
-		MaxWorkers:     o.MaxWorkers,
-		HysteresisGain: o.HysteresisGain,
-		Cooldown:       o.Cooldown,
+		Policy:     pol,
+		Interval:   o.Interval,
+		MaxWorkers: o.MaxWorkers,
 	}
 	return nil
 }

@@ -2,20 +2,18 @@ package liveadapt
 
 import (
 	"math"
+
+	"gridpipe/internal/adaptive"
 )
 
-// GrainTarget is the optional second actuator surface: a target whose
-// stage boundaries move batches exposes its one batch size, the grain,
-// for the controller to walk. *pipeline.Pipeline satisfies it.
-type GrainTarget interface {
-	// Grain returns the current batch size.
-	Grain() int
-	// SetGrain changes the batch size while running.
-	SetGrain(n int) error
-}
-
-func (t pipelineTarget) Grain() int           { return t.p.Grain() }
-func (t pipelineTarget) SetGrain(n int) error { return t.p.SetGrain(n) }
+const (
+	// maxGrain bounds the walked batch size.
+	maxGrain = 256
+	// grainMargin is the walk's accept threshold. Accepting a grain
+	// step is cheaper than a remapping, so the walk demands a quarter
+	// of the resize margin (adaptive.DefaultHysteresisGain).
+	grainMargin = 1 + (adaptive.DefaultHysteresisGain-1)/4
+)
 
 // grainWalk is the granularity hill-climber's state, owned by liveSub
 // and advanced once per sensor tick (so it runs under the core
@@ -29,11 +27,6 @@ func (t pipelineTarget) SetGrain(n int) error { return t.p.SetGrain(n) }
 // same trigger discipline the replica controller uses, so a workload
 // shift re-opens both actuators.
 type grainWalk struct {
-	target  GrainTarget
-	max     int     // grain ceiling
-	margin  float64 // accept threshold (derived from HysteresisGain)
-	degrade float64 // re-arm threshold (adaptive.DegradationFactor)
-
 	last    float64 // time of the last grain change (cooldown anchor)
 	dir     int     // +1 doubling, -1 halving
 	prev    int     // grain before the pending step (revert point)
@@ -50,7 +43,7 @@ func (w *grainWalk) step(s *liveSub, now float64) {
 	if w == nil {
 		return
 	}
-	cool := s.cfg.Cooldown.Seconds()
+	cool := s.cfg.cooldown().Seconds()
 	if now-w.last < cool {
 		return
 	}
@@ -58,19 +51,19 @@ func (w *grainWalk) step(s *liveSub, now float64) {
 	if math.IsNaN(tput) {
 		return
 	}
-	cur := w.target.Grain()
+	cur := s.target.Grain()
 
 	if w.pending {
 		w.pending = false
 		switch {
-		case tput >= w.rate*w.margin:
+		case tput >= w.rate*grainMargin:
 			// The step paid for itself: keep it, keep walking.
 			w.rate = tput
-		case tput*w.margin < w.rate:
+		case tput*grainMargin < w.rate:
 			// The step cost throughput: revert and settle. The
 			// direction flips so a re-armed walk probes the other
 			// side first.
-			w.actuate(w.prev, now)
+			w.actuate(s.target, w.prev, now)
 			w.dir = -w.dir
 			w.settled = true
 			return
@@ -84,7 +77,7 @@ func (w *grainWalk) step(s *liveSub, now float64) {
 	}
 
 	if w.settled {
-		if tput >= w.rate*w.degrade {
+		if tput >= w.rate*adaptive.DegradationFactor {
 			if tput > w.rate {
 				w.rate = tput // track the high-water mark while settled
 			}
@@ -105,8 +98,8 @@ func (w *grainWalk) step(s *liveSub, now float64) {
 	if next < 1 {
 		next = 1
 	}
-	if next > w.max {
-		next = w.max
+	if next > maxGrain {
+		next = maxGrain
 	}
 	if next == cur {
 		// Hit a rail: settle, and probe the other direction once
@@ -119,14 +112,14 @@ func (w *grainWalk) step(s *liveSub, now float64) {
 	if math.IsNaN(w.rate) {
 		w.rate = tput
 	}
-	w.actuate(next, now)
+	w.actuate(s.target, next, now)
 	w.pending = true
 }
 
-func (w *grainWalk) actuate(n int, now float64) {
-	if err := w.target.SetGrain(n); err != nil {
-		// The target's grain surface was probed at construction; a
-		// failure here is a programming error.
+func (w *grainWalk) actuate(t Target, n int, now float64) {
+	if err := t.SetGrain(n); err != nil {
+		// The walk never asks for a grain below 1, the one a pipeline
+		// refuses; a failure here is a programming error.
 		panic("liveadapt: SetGrain: " + err.Error())
 	}
 	w.last = now

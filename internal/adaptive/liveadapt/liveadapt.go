@@ -5,16 +5,18 @@
 // CPU contention.
 //
 //   - Sensor: a wall-clock ticker diffs each stage's conc.Meter totals
-//     into windowed mean service times, feeds them through the same
-//     monitor.Estimator forecaster batteries the simulated node
-//     sensors use, and reads the exit rate off the last stage's count;
+//     into windowed mean service times, feeds them to one
+//     monitor.Estimator per stage, built for the policy's load mode as
+//     the simulated node sensors are (a forecaster battery only under
+//     the predictive policy), and reads the exit rate off the last
+//     stage's count;
 //   - Actuator: a worker-budget apportioner — conc.Apportion splits
 //     MaxWorkers over the replicable stages bottleneck first, each
 //     worker to the stage with the fewest workers per (forecast)
 //     service second — actuating via
 //     pipeline.SetReplicas; under AdaptGrain, a grain walker over the
-//     pipeline's one grain (GrainTarget: Grain, SetGrain), which the
-//     head batcher applies to every slab it forms;
+//     pipeline's one grain (Target.Grain, SetGrain), which the head
+//     batcher applies to every slab it forms;
 //   - Clock: a time.Ticker.
 //
 // The controller reads the stages as the pipeline's model spec
@@ -60,6 +62,10 @@ type Target interface {
 	// Totals returns stage i's cumulative completed-item count and
 	// summed service time (diffed into windowed means by the sensor).
 	Totals(i int) (count int64, sum time.Duration)
+	// Grain returns the batch size the head packs slabs to.
+	Grain() int
+	// SetGrain changes the batch size while running.
+	SetGrain(n int) error
 }
 
 // pipelineTarget adapts *pipeline.Pipeline.
@@ -69,52 +75,43 @@ func (t pipelineTarget) NumStages() int                      { return t.p.NumSta
 func (t pipelineTarget) Replicas(i int) int                  { return t.p.Replicas(i) }
 func (t pipelineTarget) SetReplicas(i, n int) error          { return t.p.SetReplicas(i, n) }
 func (t pipelineTarget) Totals(i int) (int64, time.Duration) { return t.p.StageTotals(i) }
+func (t pipelineTarget) Grain() int                          { return t.p.Grain() }
+func (t pipelineTarget) SetGrain(n int) error                { return t.p.SetGrain(n) }
 
-// Config tunes a live controller.
+// Config tunes a live controller. The trigger machinery runs on
+// adaptive.Config's defaults, with a cooldown of 2×Interval between
+// two resizes: live resizes are cheap, but worker-pool growth ramps
+// over items, so back-to-back decisions would act on stale evidence.
 type Config struct {
 	Policy adaptive.Policy
 	// Interval is the wall-clock sensing/decision period
 	// (default 250 ms).
 	Interval time.Duration
-	// HysteresisGain tunes the shared trigger machinery; see
-	// adaptive.Config.
-	HysteresisGain float64
-	// Cooldown is the minimum wall time between two resizes
-	// (default 2×Interval). Live resizes are cheap but worker-pool
-	// growth ramps over items, so back-to-back decisions act on stale
-	// evidence without this guard.
-	Cooldown time.Duration
 	// MaxWorkers is the total worker budget across all stages
 	// (default 2×GOMAXPROCS). It is the live counterpart of the
 	// simulator's elastic reserves: capacity the controller may fold
 	// in when the observed throughput degrades.
 	MaxWorkers int
 	// AdaptGrain enables the granularity actuator: the controller
-	// walks the target's boundary batch size (the pipeline's grain) in
-	// doubling and halving steps paced by Cooldown, keeping a step
-	// whose observed throughput clears the hysteresis margin and
-	// reverting one that costs it (see grainWalk). Requires a
-	// non-static policy (PolicyStatic never ticks) and a target that
-	// exposes a grain, as a pipeline does.
+	// walks the target's batch size (the pipeline's grain) in
+	// doubling and halving steps paced by the cooldown, up to
+	// maxGrain, keeping a step whose observed throughput clears the
+	// walk's margin and reverting one that costs it (see grainWalk).
+	// Requires a non-static policy (PolicyStatic never ticks).
 	AdaptGrain bool
-	// MaxGrain bounds the walked batch size (default 256).
-	MaxGrain int
 }
 
 func (c *Config) fillDefaults() {
 	if c.Interval <= 0 {
 		c.Interval = 250 * time.Millisecond
 	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * c.Interval
-	}
 	if c.MaxWorkers <= 0 {
 		c.MaxWorkers = 2 * runtime.GOMAXPROCS(0)
 	}
-	if c.MaxGrain <= 0 {
-		c.MaxGrain = 256
-	}
 }
+
+// cooldown is the minimum wall time between two resizes or grain steps.
+func (c Config) cooldown() time.Duration { return 2 * c.Interval }
 
 // Replicas is a worker-count vector; it is the live substrate's
 // adaptive.Placement.
@@ -187,45 +184,19 @@ func newController(target Target, stages []model.StageSpec, cfg Config) (*Contro
 		epoch:  time.Now(),
 	}
 	for i := range sub.ests {
-		sub.ests[i] = monitor.NewEstimator(nil)
+		sub.ests[i] = monitor.NewEstimator(cfg.Policy.Mode())
 		sub.base[i] = math.NaN()
 	}
 	if cfg.AdaptGrain {
 		if cfg.Policy == adaptive.PolicyStatic {
 			return nil, fmt.Errorf("liveadapt: AdaptGrain needs a non-static policy")
 		}
-		gt, ok := target.(GrainTarget)
-		if !ok {
-			return nil, fmt.Errorf("liveadapt: AdaptGrain target exposes no grain surface")
-		}
-		// Probe actuability now: every pipeline accepts its own
-		// current grain, but GrainTarget is an interface and another
-		// implementation may refuse — failing at construction beats
-		// panicking mid-run.
-		if err := gt.SetGrain(gt.Grain()); err != nil {
-			return nil, fmt.Errorf("liveadapt: AdaptGrain: %w", err)
-		}
-		// A margin at or below 1 would accept a losing step.
-		hg := cfg.HysteresisGain
-		if hg <= 1 {
-			hg = adaptive.DefaultHysteresisGain
-		}
-		sub.grain = &grainWalk{
-			target: gt,
-			max:    cfg.MaxGrain,
-			// Accepting a grain step is cheaper than a remapping, so
-			// the walk demands a quarter of the resize margin.
-			margin:  1 + (hg-1)/4,
-			degrade: adaptive.DegradationFactor,
-			rate:    math.NaN(),
-			dir:     1,
-		}
+		sub.grain = &grainWalk{rate: math.NaN(), dir: 1}
 	}
 	core, err := adaptive.New(sub, sub, &wallClock{epoch: sub.epoch}, adaptive.Config{
-		Policy:         cfg.Policy,
-		Interval:       cfg.Interval.Seconds(),
-		HysteresisGain: cfg.HysteresisGain,
-		Cooldown:       cfg.Cooldown.Seconds(),
+		Policy:   cfg.Policy,
+		Interval: cfg.Interval.Seconds(),
+		Cooldown: cfg.cooldown().Seconds(),
 	})
 	if err != nil {
 		return nil, err
@@ -233,14 +204,8 @@ func newController(target Target, stages []model.StageSpec, cfg Config) (*Contro
 	return &Controller{Controller: core, sub: sub}, nil
 }
 
-// Grain returns the target's batch size, or 1 when the target has no
-// grain surface.
-func (c *Controller) Grain() int {
-	if gt, ok := c.sub.target.(GrainTarget); ok {
-		return gt.Grain()
-	}
-	return 1
-}
+// Grain returns the target's batch size.
+func (c *Controller) Grain() int { return c.sub.target.Grain() }
 
 // Replicas returns the current worker-count vector.
 func (c *Controller) Replicas() Replicas {
@@ -278,7 +243,7 @@ type liveSub struct {
 }
 
 // Sample diffs each stage's meter totals into this window's mean
-// service time, feeds the forecaster battery, and tracks the best mean
+// service time, feeds the stage's estimator, and tracks the best mean
 // ever seen as the stage's unloaded baseline.
 func (s *liveSub) Sample(now float64) {
 	for i := range s.ests {

@@ -19,6 +19,7 @@ type fakeTarget struct {
 	reps   []int
 	counts []int64
 	sums   []time.Duration
+	grain  int
 }
 
 func (f *fakeTarget) NumStages() int { return len(f.reps) }
@@ -39,6 +40,18 @@ func (f *fakeTarget) Totals(i int) (int64, time.Duration) {
 	return f.counts[i], f.sums[i]
 }
 
+func (f *fakeTarget) Grain() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.grain
+}
+func (f *fakeTarget) SetGrain(n int) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.grain = n
+	return nil
+}
+
 // observe advances stage i by n items of mean service d.
 func (f *fakeTarget) observe(i int, n int64, d time.Duration) {
 	f.mu.Lock()
@@ -52,6 +65,7 @@ func newFake(reps ...int) *fakeTarget {
 		reps:   append([]int(nil), reps...),
 		counts: make([]int64, len(reps)),
 		sums:   make([]time.Duration, len(reps)),
+		grain:  1,
 	}
 }
 
@@ -369,8 +383,32 @@ func TestSampleLoadsAndSlowdowns(t *testing.T) {
 	}
 }
 
-// An adaptive controller needs a replicable stage; a target without a
-// grain surface reports grain 1.
+// A reactive controller's estimators track only the last measurement
+// (monitor builds them for the policy's load mode), so its Loads are
+// the last windowed means: a stage that slows reads its new mean at
+// once, and an unobserved stage NaN. A stage whose mean alternates is
+// one a battery would forecast with a mean, not the last value.
+func TestReactiveLoadsAreLastWindowedMeans(t *testing.T) {
+	f := newFake(1, 1, 1)
+	s := subFor(t, f, nil, Config{Policy: adaptive.PolicyReactive, MaxWorkers: 8})
+	for tick, d := range []time.Duration{2, 4, 2, 4, 2, 4, 2, 4, 8} {
+		d *= time.Millisecond
+		f.observe(0, 10, d)
+		f.observe(1, 5, time.Millisecond)
+		s.Sample(float64(tick + 1))
+		loads := s.Loads(adaptive.LoadLast, float64(tick+1))
+		if math.Abs(loads[0]-d.Seconds()) > 1e-12 || math.Abs(loads[1]-0.001) > 1e-12 || !math.IsNaN(loads[2]) {
+			t.Fatalf("tick %d: loads %v, want [%v 0.001 NaN]", tick+1, loads, d.Seconds())
+		}
+		// No battery behind them: even the forecast is the last mean.
+		if p := s.ests[0].Predicted(0, math.Inf(1)); math.Abs(p-d.Seconds()) > 1e-12 {
+			t.Fatalf("tick %d: stage 0 forecasts %v, want its last mean %v", tick+1, p, d.Seconds())
+		}
+	}
+}
+
+// An adaptive controller needs a replicable stage; Grain reports the
+// target's grain.
 func TestControllerConstructionAndGrain(t *testing.T) {
 	if _, err := newController(newFake(1), []model.StageSpec{{Name: "fixed"}}, Config{Policy: adaptive.PolicyReactive}); err == nil {
 		t.Error("a reactive controller over no replicable stage was built")
@@ -380,6 +418,6 @@ func TestControllerConstructionAndGrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if g := ctrl.Grain(); g != 1 {
-		t.Errorf("grain %d on a target with no grain surface, want 1", g)
+		t.Errorf("grain %d on a target at grain 1", g)
 	}
 }

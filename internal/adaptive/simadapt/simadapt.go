@@ -32,20 +32,18 @@ import (
 
 // Config tunes a simulated controller: the substrate-neutral
 // thresholds plus the simulation-only knobs (remap protocol, mapping
-// searcher, replication bound).
+// searcher). A remap may follow the last one at the next tick (no
+// cooldown), and a stage may replicate over the whole grid.
 type Config struct {
 	Policy adaptive.Policy
 	// Interval is the sensing/decision period in virtual seconds
 	// (default 1).
 	Interval float64
-	// HysteresisGain and Cooldown tune the shared trigger machinery;
-	// see adaptive.Config for semantics and defaults.
+	// HysteresisGain tunes the shared trigger machinery; see
+	// adaptive.Config for semantics and default.
 	HysteresisGain float64
-	Cooldown       float64
 	// Protocol is how in-flight work is handled on remap.
 	Protocol exec.RemapProtocol
-	// MaxReplicas bounds stage replication width (0 = grid size).
-	MaxReplicas int
 	// Searcher finds candidate mappings (default LocalSearch).
 	Searcher sched.Searcher
 }
@@ -75,15 +73,13 @@ func newController(g *grid.Grid, ex *exec.Executor, spec model.PipelineSpec, cfg
 	if cfg.Searcher == nil {
 		cfg.Searcher = sched.LocalSearch{Seed: 1}
 	}
-	// Only LoadPredicted reads a forecast: under any other policy, feeding
-	// the battery on every tick is waste.
-	sensors := monitor.NewNodeSensors(g, cfg.Policy.Mode() == adaptive.LoadPredicted)
+	sensors := monitor.NewNodeSensors(g, cfg.Policy.Mode())
 	act := &actuator{g: g, ex: ex, spec: spec, cfg: cfg}
 	core, err := adaptive.New(
 		&sensor{g: g, ex: ex, spec: spec, sensors: sensors, loadBuf: make([]float64, len(sensors))},
 		act,
 		clk,
-		adaptive.Config{Policy: cfg.Policy, Interval: cfg.Interval, HysteresisGain: cfg.HysteresisGain, Cooldown: cfg.Cooldown})
+		adaptive.Config{Policy: cfg.Policy, Interval: cfg.Interval, HysteresisGain: cfg.HysteresisGain})
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +204,7 @@ func (a *actuator) Propose(loads []float64) (*adaptive.Proposal, bool) {
 	if err != nil {
 		panic(fmt.Sprintf("adaptive: search: %v", err))
 	}
-	cand, candPred, err := sched.ImproveWithReplicationAvail(a.g, a.spec, cand, loads, a.cfg.MaxReplicas, avail)
+	cand, candPred, err := sched.ImproveWithReplicationAvail(a.g, a.spec, cand, loads, 0, avail)
 	if err != nil {
 		panic(fmt.Sprintf("adaptive: replication: %v", err))
 	}

@@ -183,80 +183,6 @@ func TestControllerReplicatesBottleneck(t *testing.T) {
 	}
 }
 
-func TestMaxReplicasRespected(t *testing.T) {
-	g, err := grid.Heterogeneous([]float64{1, 1, 1, 1, 1, 1}, grid.LANLink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := model.PipelineSpec{Stages: []model.StageSpec{
-		{Name: "heavy", Work: 0.5, Replicable: true},
-	}}
-	eng := &sim.Engine{}
-	ex, err := exec.New(eng, g, spec, model.FromNodes(0), exec.Options{MaxInFlight: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := New(eng, g, ex, spec, Config{Policy: adaptive.PolicyPeriodic, Interval: 1, MaxReplicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl.Start()
-	ex.RunUntil(30)
-	ctrl.Stop()
-	if got := len(ex.Mapping().Assign[0]); got > 2 {
-		t.Fatalf("replica cap ignored: %d replicas", got)
-	}
-}
-
-func TestCooldownLimitsRemapRate(t *testing.T) {
-	// Rapidly alternating load on two nodes makes the periodic
-	// controller want to flip constantly with zero hysteresis; a
-	// cooldown must bound the remap rate regardless.
-	mk := func() *grid.Grid {
-		g, err := grid.NewGrid(grid.LANLink,
-			&grid.Node{Name: "a", Speed: 1, Cores: 1,
-				Load: trace.Sine{Base: 0.45, Amp: 0.45, Period: 8}},
-			&grid.Node{Name: "b", Speed: 1, Cores: 1,
-				Load: trace.Sine{Base: 0.45, Amp: 0.45, Period: 8, Phase: math.Pi}},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	spec := model.Balanced(2, 0.1, 100)
-	run := func(cooldown float64) adaptive.Stats {
-		eng := &sim.Engine{}
-		ex, err := exec.New(eng, mk(), spec, model.OneToOne(2), exec.Options{MaxInFlight: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctrl, err := New(eng, mk(), ex, spec, Config{
-			Policy: adaptive.PolicyOracle, Interval: 1,
-			HysteresisGain: 1.01,
-			Cooldown:       cooldown,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctrl.Start()
-		ex.RunUntil(100)
-		ctrl.Stop()
-		return ctrl.Stats()
-	}
-	free := run(0)
-	damped := run(20)
-	if free.Remaps == 0 {
-		t.Skip("scenario produced no churn to damp")
-	}
-	if damped.Remaps > 100/20+1 {
-		t.Fatalf("cooldown 20s allowed %d remaps in 100s", damped.Remaps)
-	}
-	if damped.Remaps >= free.Remaps {
-		t.Fatalf("cooldown did not reduce remaps: %d vs %d", damped.Remaps, free.Remaps)
-	}
-}
-
 func TestNewValidatesSpec(t *testing.T) {
 	g, _ := grid.Heterogeneous([]float64{1}, grid.LANLink)
 	eng := &sim.Engine{}

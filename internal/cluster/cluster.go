@@ -61,25 +61,17 @@ const (
 type Config struct {
 	// Policy drives the adaptive arbitration loop (static = arbitrate
 	// only on arrivals/finishes; oracle uses ground-truth loads).
+	// The loop ticks every virtual second with the default hysteresis
+	// and no cooldown (adaptive.Config); its imbalance trigger reads
+	// per-job degradation spread — unfairness — instead of stage
+	// spread.
 	Policy adaptive.Policy
-	// Interval is the arbitration tick in virtual seconds (default 1).
-	Interval float64
-	// HysteresisGain and Cooldown tune the shared trigger machinery
-	// (adaptive.Config semantics; the imbalance trigger reads per-job
-	// degradation spread — unfairness — instead of stage spread).
-	HysteresisGain float64
-	Cooldown       float64
 	// Admission selects the admission-control mode.
 	Admission Admission
 	// Seed is the root seed; every job derives its own keyed
 	// sub-streams (rng.SeedFor), so the run is deterministic regardless
 	// of job interleaving.
 	Seed uint64
-}
-
-// controllerConfig is the arbitration controller's configuration.
-func (c Config) controllerConfig() adaptive.Config {
-	return adaptive.Config{Policy: c.Policy, Interval: c.Interval, HysteresisGain: c.HysteresisGain, Cooldown: c.Cooldown}
 }
 
 // JobState is one job's position in the admission lifecycle.
@@ -196,7 +188,7 @@ func New(g *grid.Grid, cfg Config) (*Cluster, error) {
 		eng:     &sim.Engine{},
 		cfg:     cfg,
 		shares:  exec.NewNodeShares(g),
-		sensors: monitor.NewNodeSensors(g, true),
+		sensors: monitor.NewNodeSensors(g, cfg.Policy.Mode()),
 	}
 	c.div = NewDivider(g, 0)
 	return c, nil
@@ -272,7 +264,7 @@ func (c *Cluster) Run() (Report, error) {
 	}
 	c.started = true
 	if c.cfg.Policy != adaptive.PolicyStatic {
-		acfg := c.cfg.controllerConfig()
+		acfg := adaptive.Config{Policy: c.cfg.Policy}
 		sub := &arbSub{c: c, window: acfg.ThroughputWindow()}
 		core, err := adaptive.New(sub, sub, simClock{eng: c.eng}, acfg)
 		if err != nil {

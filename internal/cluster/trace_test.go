@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gridpipe/internal/workload"
@@ -72,6 +73,11 @@ func TestSubmitTraceRejectsBadTrace(t *testing.T) {
 	c := traceCluster(t, 1)
 	if _, err := c.SubmitTrace(workload.Trace{{T: 0, App: "bogus", Items: 5}}); err == nil {
 		t.Fatal("unknown app accepted")
+	}
+	// A valid event whose floor exceeds the 8-node grid fails at submit.
+	_, err := c.SubmitTrace(workload.Trace{{T: 0, App: "genome", Items: 5, Floor: 9}})
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("a floor over the grid must fail cleanly at SubmitTrace, got %v", err)
 	}
 }
 

@@ -330,13 +330,18 @@ func TestSpillWorkerLingersThenExits(t *testing.T) {
 	if st := e.Stats(); st.Spills != 1 {
 		t.Fatalf("%d spill workers injected for two tasks inside one linger, want 1: %v", st.Spills, st)
 	}
-	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+	// The spill worker's own count says when it has left; the goroutine
+	// count alone could fall because any other goroutine exited.
+	deadline := time.Now().Add(2 * time.Second)
+	for ; e.spills.Load() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d spill workers still counted live after the linger", e.spills.Load())
+		}
+	}
+	for ; runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines alive after the linger, %d before the spill", runtime.NumGoroutine(), before)
 		}
-	}
-	if n := e.spills.Load(); n != 0 {
-		t.Fatalf("%d spill workers still counted live after the linger", n)
 	}
 }
 

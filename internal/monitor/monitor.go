@@ -1,7 +1,9 @@
 // Package monitor implements the run-time instrumentation the
 // adaptivity engine consumes: per-stage service samples,
-// pipeline throughput probes, and node-load sensors feeding the
-// forecaster battery.
+// pipeline throughput probes, node-load sensors, and the estimators
+// behind them. An estimator feeds the forecaster an estimate under the
+// controller's load mode reads: the NWS-style battery under
+// LoadPredicted, the last measurement under any other mode.
 //
 // In a deployed grid the sensors would be NWS daemons; in this
 // reproduction they sample the simulated load traces at the same
@@ -143,13 +145,25 @@ type Estimator struct {
 	last float64
 }
 
-// NewEstimator returns an estimator over the given forecaster (the
-// default NWS-style battery if nil).
-func NewEstimator(fc forecast.Forecaster) *Estimator {
-	if fc == nil {
-		fc = forecast.NewDefaultBattery()
-	}
+// NewEstimator returns an estimator fed with what an estimate under
+// mode reads (see forecasterFor).
+func NewEstimator(mode adaptive.LoadMode) *Estimator {
+	return newEstimator(forecasterFor(mode))
+}
+
+func newEstimator(fc forecast.Forecaster) *Estimator {
 	return &Estimator{fc: fc, last: math.NaN()}
+}
+
+// forecasterFor picks the forecaster an estimate under mode needs: the
+// default NWS-style battery under LoadPredicted, the one mode that reads
+// a forecast, and a last-value tracker under any other, which reads only
+// the last measurement and would feed a battery for nothing.
+func forecasterFor(mode adaptive.LoadMode) forecast.Forecaster {
+	if mode == adaptive.LoadPredicted {
+		return forecast.NewDefaultBattery()
+	}
+	return forecast.NewLastValue()
 }
 
 // Observe feeds one measurement.
@@ -183,9 +197,9 @@ type NodeSensor struct {
 }
 
 // NewNodeSensor returns a sensor for node backed by the given
-// forecaster (the default battery if nil).
+// forecaster.
 func NewNodeSensor(node *grid.Node, fc forecast.Forecaster) *NodeSensor {
-	return &NodeSensor{node: node, est: NewEstimator(fc)}
+	return &NodeSensor{node: node, est: newEstimator(fc)}
 }
 
 // Sample measures the node's instantaneous load at time t and feeds the
@@ -230,17 +244,12 @@ func (s *NodeSensor) Estimate(mode adaptive.LoadMode, now float64) float64 {
 // and the cluster arbiter both hold one.
 type NodeSensors []*NodeSensor
 
-// NewNodeSensors returns a bank over every node of g. With battery set,
-// each sensor feeds the default forecaster battery; without it, only its
-// last reading, which is all a mode other than LoadPredicted reads.
-func NewNodeSensors(g *grid.Grid, battery bool) NodeSensors {
+// NewNodeSensors returns a bank over every node of g whose sensors feed
+// the forecaster an estimate under mode reads (see forecasterFor).
+func NewNodeSensors(g *grid.Grid, mode adaptive.LoadMode) NodeSensors {
 	ns := make(NodeSensors, g.NumNodes())
 	for i := range ns {
-		var fc forecast.Forecaster // nil: the default battery
-		if !battery {
-			fc = forecast.NewLastValue()
-		}
-		ns[i] = NewNodeSensor(g.Node(grid.NodeID(i)), fc)
+		ns[i] = NewNodeSensor(g.Node(grid.NodeID(i)), forecasterFor(mode))
 	}
 	return ns
 }

@@ -103,7 +103,7 @@ func TestRecentThroughputPanicsOnBadWindow(t *testing.T) {
 func TestNodeSensor(t *testing.T) {
 	n := &grid.Node{Name: "n", Speed: 1, Cores: 1,
 		Load: trace.NewSteps(0.2, trace.StepChange{T: 10, Load: 0.8})}
-	s := NewNodeSensor(n, nil)
+	s := NewNodeSensor(n, forecast.NewDefaultBattery())
 	if s.node != n {
 		t.Fatal("Node() wrong")
 	}
@@ -165,7 +165,7 @@ func TestNodeSensorsLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := NewNodeSensors(g, true)
+	ns := NewNodeSensors(g, adaptive.LoadLast)
 	if len(ns) != 2 || ns[0].node != g.Node(0) || ns[1].node != g.Node(1) {
 		t.Fatal("the bank must hold one sensor per node, in node order")
 	}
@@ -193,6 +193,30 @@ func TestNodeSensorsLoads(t *testing.T) {
 	for _, mode := range []adaptive.LoadMode{adaptive.LoadLast, adaptive.LoadPredicted, adaptive.LoadOracle} {
 		if n := testing.AllocsPerRun(100, func() { dst = ns.Loads(dst, mode, 5) }); n != 0 {
 			t.Fatalf("Loads(mode %d) into a reused buffer: %v allocs, want 0", mode, n)
+		}
+	}
+}
+
+// TestForecasterFollowsLoadMode pins the one choice of forecaster:
+// only LoadPredicted reads a forecast, so only it feeds the battery;
+// every other mode tracks the last measurement. The node bank and the
+// estimators liveadapt builds choose alike.
+func TestForecasterFollowsLoadMode(t *testing.T) {
+	g, err := grid.NewGrid(grid.Link{Latency: 0.01, Bandwidth: 1e6}, &grid.Node{Speed: 1, Cores: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []adaptive.LoadMode{adaptive.LoadLast, adaptive.LoadPredicted, adaptive.LoadOracle} {
+		want := mode == adaptive.LoadPredicted
+		for what, fc := range map[string]forecast.Forecaster{
+			"NewEstimator":   NewEstimator(mode).fc,
+			"NewNodeSensors": NewNodeSensors(g, mode)[0].est.fc,
+		} {
+			_, battery := fc.(*forecast.Adaptive)
+			_, last := fc.(*forecast.LastValue)
+			if battery != want || last == want {
+				t.Errorf("%s(mode %d) feeds %s, want the battery only under LoadPredicted", what, mode, fc.Name())
+			}
 		}
 	}
 }

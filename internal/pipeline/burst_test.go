@@ -64,8 +64,12 @@ func TestCancelUnderSaturatedInput(t *testing.T) {
 					t.Fatalf("output %d: got %v", seen, v)
 				}
 				if seen++; seen == 50*grain {
-					cancelled.Store(true)
+					// The flag goes up once cancel has returned: a
+					// slab the head opens while this goroutine sits
+					// between the two is not one opened after the
+					// cancel.
 					cancel()
+					cancelled.Store(true)
 				}
 			}
 			select {

@@ -224,13 +224,13 @@ func RunLive(app App, opts LiveOptions) (LiveOutcome, error) {
 		Interval:   liveInterval,
 		MaxWorkers: opts.MaxWorkers,
 	}
-	if opts.Batch != 0 {
-		grain := opts.Batch
-		if grain == Auto {
-			grain = 1
-			cfg.AdaptGrain = true
-		}
-		if err := pl.EnableBatch(grain, 0); err != nil {
+	switch {
+	case opts.Batch == Auto:
+		// A new pipeline runs at grain 1, where the controller starts
+		// the walk.
+		cfg.AdaptGrain = true
+	case opts.Batch != 0:
+		if err := pl.EnableBatch(opts.Batch, 0); err != nil {
 			return LiveOutcome{}, err
 		}
 	}

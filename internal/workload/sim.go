@@ -56,8 +56,6 @@ type SimOptions struct {
 	MaxInFlight int
 	// Sampler replaces the app's per-item work sampler when non-nil.
 	Sampler func(stage, seq int) float64
-	// MaxRetries is the per-item crash-retry budget (exec.Options).
-	MaxRetries int
 }
 
 // SimOutcome is what a simulated run produced.
@@ -97,7 +95,6 @@ func RunSim(g *grid.Grid, app App, initial model.Mapping, o SimOptions) (SimOutc
 		MaxInFlight: o.MaxInFlight,
 		WorkSampler: o.Sampler,
 		Seed:        o.Seed,
-		MaxRetries:  o.MaxRetries,
 	})
 	if err != nil {
 		return SimOutcome{}, err

@@ -133,9 +133,6 @@ type SimOptions struct {
 	// KillRestart switches the remap protocol from the default
 	// drain-safe.
 	KillRestart bool
-	// MaxRetries is the per-item crash-retry budget under churn: 0
-	// means the default (8), negative means never drop items.
-	MaxRetries int
 }
 
 // SimReport is the outcome of one simulated run.
@@ -156,7 +153,8 @@ type SimReport struct {
 	// Migrations is how many queued items remaps moved.
 	Migrations int
 	// Lost is the number of items dropped after exhausting their
-	// crash-retry budget; Retries counts crash-induced re-dispatches.
+	// crash-retry budget (8 re-dispatches); Retries counts
+	// crash-induced re-dispatches.
 	// Both are zero without churn.
 	Lost    int
 	Retries int
@@ -196,7 +194,7 @@ func (p *Pipeline) Simulate(sg *SimGrid, opts SimOptions) (SimReport, error) {
 	out, err := workload.RunSim(sg.g, workload.App{Name: "user", Spec: spec, CV: opts.CV}, m0, workload.SimOptions{
 		Items: opts.Items, Duration: opts.Duration,
 		Policy: pol, Protocol: proto, Interval: opts.Interval,
-		Seed: opts.Seed, MaxRetries: opts.MaxRetries,
+		Seed: opts.Seed,
 	})
 	if err != nil {
 		return SimReport{}, err
