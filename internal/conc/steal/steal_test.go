@@ -472,6 +472,12 @@ func TestSpillNeedsTwoWedgedTicks(t *testing.T) {
 		{"inside a task again", false, moved, 1, 1, true, false},
 		{"one wedged tick", false, moved, 1, 1, true, false},
 		{"two wedged ticks", false, moved, 1, 1, true, true},
+		// A task that yields and then blocks inside the same task
+		// (pipeline's head trigger runs its kept slab after the Yield)
+		// spills wedgedTicks+1 ticks after the one the Yield fell in.
+		{"a task yielded, then blocked", false, moved, 1, 2, true, false},
+		{"one wedged tick", false, moved, 1, 2, true, false},
+		{"two wedged ticks", false, moved, 1, 2, true, true},
 	}
 	p := stallProbe{last: make([]uint64, 2)}
 	for i, s := range steps {

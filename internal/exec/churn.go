@@ -10,7 +10,7 @@
 // stage boundary: a fresh transfer of the stage's inbound payload from
 // the predecessor stage's first live replica (the pipeline source for
 // the entry stage). Each re-dispatch counts one retry against the
-// item; an item whose retries exceed Options.MaxRetries is dropped and
+// item; an item whose retries exceed the executor's retry limit (8) is dropped and
 // counted lost, preserving the conservation invariant
 //
 //	admitted == completed + lost + in-flight

@@ -195,7 +195,7 @@ func TestDroppedItemDiscardsSiblingInService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(&sim.Engine{}, g, spec, model.FromNodes(0, 1, 2, 0), Options{MaxInFlight: 1, MaxRetries: 1})
+	e, err := New(&sim.Engine{}, g, spec, model.FromNodes(0, 1, 2, 0), Options{MaxInFlight: 1, maxRetries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestRetryBudgetDropsItems(t *testing.T) {
 	spec := model.Balanced(2, 1.0, 1e4)
 	m := model.FromNodes(0, 1)
 	eng := &sim.Engine{}
-	e, err := New(eng, g, spec, m, Options{MaxInFlight: 4, MaxRetries: 1})
+	e, err := New(eng, g, spec, m, Options{MaxInFlight: 4, maxRetries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestRetryBudgetDropsItems(t *testing.T) {
 		t.Fatal(err)
 	}
 	if e.Lost() == 0 {
-		t.Fatal("expected dropped items with MaxRetries=1 and two crashes")
+		t.Fatal("expected dropped items with maxRetries=1 and two crashes")
 	}
 	if e.Done()+e.Lost() != 30 {
 		t.Fatalf("done %d + lost %d != 30", e.Done(), e.Lost())
@@ -380,7 +380,7 @@ func TestChurnConservationProperty(t *testing.T) {
 			maxRetries := []int{-1, 1, 8}[r.Intn(3)]
 
 			eng := &sim.Engine{}
-			e, err := New(eng, g, spec, m, Options{MaxInFlight: 6, MaxRetries: maxRetries})
+			e, err := New(eng, g, spec, m, Options{MaxInFlight: 6, maxRetries: maxRetries})
 			if err != nil {
 				t.Fatal(err)
 			}

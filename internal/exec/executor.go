@@ -71,10 +71,11 @@ type Options struct {
 	WorkSampler func(stage, seq int) float64
 	// Seed drives the Poisson arrival stream.
 	Seed uint64
-	// MaxRetries is how many crash-induced re-dispatches an item
+	// maxRetries is how many crash-induced re-dispatches an item
 	// survives before it is dropped and counted lost. Zero means the
-	// default (8); negative means never drop.
-	MaxRetries int
+	// default (8); negative means never drop. Only the churn tests
+	// choose another value.
+	maxRetries int
 	// Share, when non-nil, is the cluster-wide contention ledger this
 	// executor multiplexes through: several executors attached to one
 	// NodeShares split each node's capacity proportionally (see
@@ -301,7 +302,7 @@ func New(eng *sim.Engine, g *grid.Grid, spec model.PipelineSpec, m model.Mapping
 	if e.hasMerge {
 		e.multiPart = true
 	}
-	e.maxRetries = opts.MaxRetries
+	e.maxRetries = opts.maxRetries
 	if e.maxRetries == 0 {
 		e.maxRetries = 8
 	} else if e.maxRetries < 0 {

@@ -35,12 +35,14 @@ type stageState struct {
 	dirty   bool // on the worklist
 }
 
-// yieldAfter is the stage work, summed over a task's slabs, past which
-// a task whose send readied a parked consumer yields it the processor
-// and ends (advance): a worker on stages that long may not block again
-// for a scheduler time slice. Below it, stage work is cheaper than the
-// yield's round trip through the scheduler, and the worker soon blocks
-// or parks anyway.
+// yieldAfter is the stage work past which the yield rule (advance) hands
+// the processor to a goroutine the task readied: a worker on stages that
+// long may not block again for a scheduler time slice. It is read two
+// ways, one per trigger: as the task's real stage work so far, when its
+// send readied a parked consumer, and as the stage clock's estimate of
+// the slab the task keeps, when stage 0 waits on the head. Below it,
+// stage work is cheaper than the yield's round trip through the
+// scheduler, and the worker soon blocks or parks anyway.
 const yieldAfter = 5 * time.Microsecond
 
 // ready is a fired slab on its way to the executor. A step collects them
@@ -120,9 +122,9 @@ func (p *Pipeline) newDataflow(ctx context.Context, ex *steal.Executor, fail fun
 // indices gap-free so the slabs behind it keep leaving flight while the
 // cancellation unwinds — advance, and carry on with a slab that released,
 // for at most one trip down the pipeline, unless advance yielded the
-// processor to the consumer. An unordered stage files at the
-// ring's next free index instead of the slab's own, so deliver, unchanged,
-// releases slabs in completion order.
+// processor to the consumer and ended the task. An unordered stage files
+// at the ring's next free index instead of the slab's own, so deliver,
+// unchanged, releases slabs in completion order.
 func (r *dataflow) runTask(s int, b *batch) {
 	var busy time.Duration
 	for runs := 1; ; runs++ {
@@ -160,6 +162,11 @@ func (r *dataflow) kick(s int) {
 // released. With inline set it keeps the furthest-downstream fired slab —
 // the oldest work in the pipeline — for the calling task to run itself,
 // sparing it the inject queue.
+//
+// It applies the yield rule (package comment): after a send into a
+// drained output, with busy ≥ yieldAfter, the task submits what it kept,
+// yields and ends; when the head is starved (headStarved) and the slab
+// it keeps is long by the stage clock (long), it yields, then runs it.
 func (r *dataflow) advance(inline bool, busy time.Duration) (keep ready) {
 	var buf [8]ready
 	budget := cap(r.out)
@@ -167,6 +174,7 @@ func (r *dataflow) advance(inline bool, busy time.Duration) (keep ready) {
 		rd := r.step(buf[:0])
 		out := r.unpack(budget)
 		more := len(r.work) > 0
+		starved := inline && !more && r.headStarved()
 		r.mu.Unlock()
 		for _, it := range rd {
 			if inline && (keep.b == nil || it.s > keep.s) {
@@ -205,10 +213,32 @@ func (r *dataflow) advance(inline bool, busy time.Duration) (keep ready) {
 			continue
 		}
 		if !more {
+			if starved && keep.b != nil && r.long(keep) {
+				// A kept slab that blocks after the yield hides from the
+				// stall probe for the yield's tick only: its spill worker
+				// comes a tick later
+				// (TestBlockedSlabAfterHeadYieldGetsSpillWorker).
+				r.ex.Yield()
+			}
 			return keep
 		}
 		r.mu.Lock()
 	}
+}
+
+// headStarved reports, under r.mu, whether stage 0 could fire a slab but
+// its in-edge is empty and open: the run waits on the head.
+func (r *dataflow) headStarved() bool {
+	e := r.entry
+	return !r.cancelled && !e.closed && e.q.Len() == 0 &&
+		int64(r.stages[0].flying) < r.p.live[0].limit.Load()
+}
+
+// long reports whether the stage clock says slab rd takes at least
+// yieldAfter.
+func (r *dataflow) long(rd ready) bool {
+	per := time.Duration(r.p.live[rd.s].perItem.Load())
+	return per*time.Duration(len(rd.b.items)) >= yieldAfter
 }
 
 // step visits dirty stages until none is left or rd is full.

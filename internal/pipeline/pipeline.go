@@ -61,10 +61,22 @@
 // runs one of the slabs it released itself and submits the others. That
 // inline continuation is capped at one trip down the pipeline: the task
 // function must return for the executor's stall probe to see the worker
-// move and for the worker to look at the inject queue again. A task
-// whose send woke a parked consumer after long stage work yields its
-// processor (steal.Executor.Yield) and ends, or the consumer would wait
-// on that worker's run queue until the worker next blocked.
+// move and for the worker to look at the inject queue again.
+//
+// One yield rule, two triggers. A goroutine a task readies waits on that
+// worker's run queue until the worker blocks, which a worker on long
+// stages may not do for a scheduler time slice (10 ms), so a task hands
+// over its processor (steal.Executor.Yield) when it has readied a party
+// the run waits on and long stage work would follow. A send into a
+// drained output readied the consumer: after at least yieldAfter of stage
+// work the task yields and ends, submitting the slab it kept
+// (TestDrainedOutputYieldsToConsumer). Stage 0 could fire but its in-edge
+// is empty and open, so the head, readied when stage 0 took its last
+// slab, may have one to push: when the stage clock says the slab the task
+// keeps takes at least yieldAfter, the task yields, then runs it
+// (TestStarvedHeadYieldsBeforeLongSlab). Sub-µs stages trip neither
+// (TestCheapStagesNeverYield), and a kept slab that blocks after a yield
+// still gets its spill worker (TestBlockedSlabAfterHeadYieldGetsSpillWorker).
 //
 // Only the head and the egress ever park, and both pay their channel per
 // burst, not per item. The head parks when the input is dry — in a select
